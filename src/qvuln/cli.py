@@ -112,6 +112,8 @@ def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
         raise DataError(f"{path}: {sequences.shape[0]} sequences but {labels.shape[0]} labels")
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise DataError(f"{path}: labels must be 0 or 1")
+    if (sequences < 0).any():
+        raise DataError(f"{path}: token indices must be non-negative")
     return ClassifyDataset(
         sequences=sequences, labels=labels, max_len=max_len,
         vocab_digest=str(doc.get("vocab_digest", "")),

@@ -1,5 +1,6 @@
 """Classical numerics: LSTM cell with exact backpropagation through time,
-binary/regression losses, and the Adam optimizer over named parameter trees.
+binary cross-entropy on the logit, and the Adam optimizer over named
+parameter trees.
 """
 from __future__ import annotations
 
@@ -176,28 +177,6 @@ def lstm_backward(
         dx[t] = dv[hidden:]
         dc = dc_prev
     return grads, dx
-
-
-def loss(kind: str, prediction: float, target: float) -> tuple[float, float]:
-    """Pointwise loss value and its derivative w.r.t. the prediction.
-
-    bce takes a probability in (0, 1) and a 0/1 target; mse is the squared
-    error.  Training loops use bce_from_logit instead for stability.
-    """
-    if kind == "mse":
-        diff = prediction - target
-        return diff * diff, 2.0 * diff
-    if kind == "bce":
-        if target not in (0, 1, 0.0, 1.0):
-            raise ValueError(f"bce target must be 0 or 1, got {target}")
-        if not 0.0 < prediction < 1.0:
-            raise ValueError(f"bce prediction must lie in (0, 1), got {prediction}")
-        # evaluate through the logit so extreme probabilities stay finite
-        logit = np.log(prediction) - np.log1p(-prediction)
-        value, _ = bce_from_logit(logit, target)
-        dvalue = (prediction - target) / (prediction * (1.0 - prediction))
-        return value, dvalue
-    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def bce_from_logit(logit: float, target: float) -> tuple[float, float]:

@@ -4,11 +4,14 @@ Convention: qubit 0 is the least-significant bit of the basis index, so
 basis state |q3 q2 q1 q0> = |0010> lives at index 2.  Amplitudes are
 complex128 and gate application mutates the state in place over strided
 index pairs.
+
+Amplitudes may carry leading batch axes, shape (..., 2^n): every gate acts
+on the last axis.  A rotation angle is a float, or an array that broadcasts
+against the leading axes to give one angle per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
 
 import numpy as np
 
@@ -40,20 +43,22 @@ class Gate:
 
     kind: str
     targets: tuple[int, ...]
-    angle: float = 0.0
+    angle: float | np.ndarray = 0.0
 
     def matrix(self) -> np.ndarray:
-        """The gate's 2x2 (or 4x4 for CNOT) unitary."""
+        """The gate's 2x2 (or 4x4 for CNOT) unitary; an array angle of shape
+        S gives shape (2, 2, *S), one rotation per angle."""
         if self.kind == "H":
             return _H_MATRIX.copy()
-        t = self.angle
-        c, s = cos(t / 2.0), sin(t / 2.0)
+        t = np.asarray(self.angle, dtype=float)
+        c, s = np.cos(t / 2.0), np.sin(t / 2.0)
         if self.kind == "RX":
             return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
         if self.kind == "RY":
             return np.array([[c, -s], [s, c]], dtype=complex)
         if self.kind == "RZ":
-            return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
+            zero = np.zeros_like(t)
+            return np.array([[np.exp(-0.5j * t), zero], [zero, np.exp(0.5j * t)]], dtype=complex)
         if self.kind == "CNOT":
             # basis order |t c>: target flips when the control bit is 1
             return np.array(
@@ -108,23 +113,25 @@ def _check_targets(state: StateVector, gate: Gate) -> None:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply `gate` to `state` in place and return the state."""
+    """Apply `gate` to `state` in place, on every row of the leading axes,
+    and return the state."""
     _check_targets(state, gate)
+    amps = state.amplitudes
     if gate.kind == "CNOT":
         control, target = gate.targets
-        b = np.arange(state.amplitudes.size)
+        b = np.arange(amps.shape[-1])
         src = b[(((b >> control) & 1) == 1) & (((b >> target) & 1) == 0)]
         dst = src | (1 << target)
-        amps = state.amplitudes
-        amps[src], amps[dst] = amps[dst], amps[src].copy()
+        amps[..., src], amps[..., dst] = amps[..., dst], amps[..., src]
         return state
     q = gate.targets[0]
-    m = gate.matrix()
-    view = state.amplitudes.reshape(-1, 2, 1 << q)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = m[0, 0] * lo + m[0, 1] * hi
-    view[:, 1, :] = m[1, 0] * lo + m[1, 1] * hi
+    # m[i, j] has shape (*angle shape, 1, 1): one coefficient per leading row
+    m = gate.matrix().reshape(2, 2, *np.shape(gate.angle), 1, 1)
+    view = amps.reshape(*amps.shape[:-1], -1, 2, 1 << q)
+    lo = view[..., 0, :].copy()
+    hi = view[..., 1, :]
+    view[..., 0, :] = m[0, 0] * lo + m[0, 1] * hi
+    view[..., 1, :] = m[1, 0] * lo + m[1, 1] * hi
     return state
 
 

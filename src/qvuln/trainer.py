@@ -274,6 +274,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: unsupported checkpoint format/version "
             f"{doc.get('format')!r}/{doc.get('version')!r}"
         )
+    if doc.get("model") not in MODELS or doc.get("task") not in TASKS:
+        raise CheckpointError(
+            f"{path}: unknown model/task {doc.get('model')!r}/{doc.get('task')!r}; "
+            f"expected a model in {MODELS} and a task in {TASKS}"
+        )
     arrays = {
         name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
         for name, entry in doc["params"].items()

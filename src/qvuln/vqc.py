@@ -6,16 +6,25 @@ two variational layers follow, each a CNOT ring (0->1, 1->2, 2->3, 3->0)
 and per-qubit RZ/RY/RZ rotations; the readout is the Pauli-Z expectation
 per qubit, scaled by two trainable scalars.
 
+The encoding leaves a product state, written in closed form.  The two
+variational layers depend only on the angles: `qsim` runs them on the 16
+basis states, in one batch, to build their 16x16 matrix for the angles and
+for each parameter shift, and a small cache keyed on the angle values keeps
+those matrices between calls.  Each circuit evaluation is then a product
+state times a matrix.
+
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
-side.  All shifted circuits run through one vectorized evaluator whose
-batch rows each count as one circuit evaluation.
+side.  Each computed expectation row counts as one circuit evaluation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+
+from .qsim import StateVector, apply_circuit, cnot, ry, rz
 
 N_QUBITS = 4
 N_LAYERS = 2
@@ -25,23 +34,6 @@ SHIFT = np.pi / 2.0
 # Z_SIGNS[b, q] = +1 if bit q of basis index b is 0 else -1
 _BASIS = np.arange(DIM)
 Z_SIGNS = 1.0 - 2.0 * ((_BASIS[:, None] >> np.arange(N_QUBITS)[None, :]) & 1)
-
-# CNOT(c -> t) maps basis b to b XOR (bit_c(b) << t); compose the ring once
-def _ring_gather() -> np.ndarray:
-    dest = np.empty(DIM, dtype=np.intp)
-    for b in range(DIM):
-        i = b
-        for c in range(N_QUBITS):
-            t = (c + 1) % N_QUBITS
-            i ^= ((i >> c) & 1) << t
-        dest[b] = i
-    inv = np.empty(DIM, dtype=np.intp)
-    inv[dest] = np.arange(DIM)
-    return inv
-
-
-_RING_GATHER = _ring_gather()
-
 
 @dataclass
 class EvalCounter:
@@ -121,45 +113,58 @@ def zeros_like_params(params: VqcParams) -> VqcParams:
     )
 
 
-def _apply_ry(amps: np.ndarray, theta: np.ndarray, qubit: int) -> np.ndarray:
-    """Batched RY on one qubit; theta has one angle per batch row."""
-    batch = amps.shape[0]
-    c = np.cos(theta / 2.0)[:, None, None]
-    s = np.sin(theta / 2.0)[:, None, None]
-    view = amps.reshape(batch, -1, 2, 1 << qubit)
-    lo = view[:, :, 0, :].copy()
-    hi = view[:, :, 1, :]
-    view[:, :, 0, :] = c * lo - s * hi
-    view[:, :, 1, :] = s * lo + c * hi
-    return amps
+def _shift_rows(base: np.ndarray) -> np.ndarray:
+    """Row 0 is `base`; rows 1 + 2k and 2 + 2k shift slot k by +SHIFT and -SHIFT."""
+    rows = np.repeat(base[None, :], 1 + 2 * base.size, axis=0)
+    k = np.arange(base.size)
+    rows[1 + 2 * k, k] += SHIFT
+    rows[2 + 2 * k, k] -= SHIFT
+    return rows
 
 
-def _apply_rz_all(amps: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Batched RZ on all 4 qubits at once; thetas is (batch, 4)."""
-    amps *= np.exp(-0.5j * (thetas @ Z_SIGNS.T))
-    return amps
+def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
+    """The encoding H, RY(enc_ry), RZ(enc_rz) on |0000>, in closed form.
 
-
-def _run_circuits(enc_ry: np.ndarray, enc_rz: np.ndarray, var_angles: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of circuits that differ only in their angles.
-
-    enc_ry/enc_rz are (batch, 4) encoding angles, var_angles is
-    (batch, 2, 4, 3).  Returns the (batch, 4) Z expectations.
+    It leaves the product state v_3 (x) v_2 (x) v_1 (x) v_0, where qubit q
+    holds v_q = (e^{-iz/2} (cos y/2 - sin y/2), e^{iz/2} (cos y/2 + sin y/2))
+    / sqrt(2) for y, z its two angles; amplitude b is the product over q of
+    the entry of v_q that bit q of b picks, with Z_SIGNS[b, q] as the sign.
+    (..., 4) angles give (..., 16) amplitudes.
     """
-    batch = enc_ry.shape[0]
-    # H on every qubit maps |0000> to the uniform +1/4 superposition
-    amps = np.full((batch, DIM), 0.25, dtype=complex)
-    for q in range(N_QUBITS):
-        _apply_ry(amps, enc_ry[:, q], q)
-    _apply_rz_all(amps, enc_rz)
-    for layer in range(N_LAYERS):
-        amps = amps[:, _RING_GATHER]
-        _apply_rz_all(amps, var_angles[:, layer, :, 0])
-        for q in range(N_QUBITS):
-            _apply_ry(amps, var_angles[:, layer, q, 1], q)
-        _apply_rz_all(amps, var_angles[:, layer, :, 2])
-    probs = np.abs(amps) ** 2
-    return probs @ Z_SIGNS
+    c, s = np.cos(enc_ry / 2.0), np.sin(enc_ry / 2.0)
+    real = np.prod(c[..., None, :] - Z_SIGNS * s[..., None, :], axis=-1) / 4.0
+    return real * np.exp(-0.5j * (enc_rz @ Z_SIGNS.T))
+
+
+# one QLSTM's six blocks with two to spare; each optimizer step changes all six keys
+@lru_cache(maxsize=8)
+def _layer_matrices(angle_bytes: bytes) -> np.ndarray:
+    """The two variational layers as (49, 16, 16) matrices M, applied as
+    `state @ M`: row 0 for the angles themselves, rows 1 + 2k and 2 + 2k
+    for angle k shifted by +-SHIFT.  Read-only, since the cache shares it."""
+    # a shift changes one layer only, so each layer runs once per own shift
+    layers = np.frombuffer(angle_bytes).reshape(N_LAYERS, -1)
+    rows = np.stack([_shift_rows(angles) for angles in layers])
+    # trailing axis: one angle per 16-row basis batch of (layer, shift)
+    rows = rows.reshape(N_LAYERS, -1, N_QUBITS, 3, 1)
+    # row b of the identity is basis state |b>, so each result holds U^T
+    state = StateVector(N_QUBITS, np.tile(np.eye(DIM, dtype=complex), (*rows.shape[:2], 1, 1)))
+    apply_circuit(state, [cnot(c, (c + 1) % N_QUBITS) for c in range(N_QUBITS)])
+    for slot, rotation in enumerate((rz, ry, rz)):
+        apply_circuit(state, [rotation(rows[:, :, q, slot], q) for q in range(N_QUBITS)])
+    first, second = state.amplitudes
+    matrices = np.concatenate([first @ second[0], first[0] @ second[1:]])
+    matrices.flags.writeable = False
+    return matrices
+
+
+def _matrices_for(params: VqcParams) -> np.ndarray:
+    # keyed on content: adam_step updates the angle arrays in place
+    return _layer_matrices(np.ascontiguousarray(params.angles, dtype=float).tobytes())
+
+
+def _z_expectations(amps: np.ndarray) -> np.ndarray:
+    return (np.abs(amps) ** 2) @ Z_SIGNS
 
 
 def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None) -> VqcOutput:
@@ -170,16 +175,11 @@ def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = 
     a = params.in_proj @ x + params.bias
     enc_ry = np.arctan(a)
     enc_rz = np.arctan(a * a)
-    e = _run_circuits(enc_ry[None, :], enc_rz[None, :], params.angles[None, :, :, :])[0]
+    e = _z_expectations(_encode(enc_ry, enc_rz) @ _matrices_for(params)[0])
     if counter is not None:
         counter.add(1)
     values = params.out_scale * e + params.out_shift
     return VqcOutput(values=values, cache=VqcCache(x, a, enc_ry, enc_rz, e))
-
-
-# angle-slot layout for the shifted batch: 4 encoding RY, 4 encoding RZ,
-# then the 24 variational angles in (layer, qubit, slot) order
-_N_SLOTS = 2 * N_QUBITS + N_LAYERS * N_QUBITS * 3
 
 
 def vqc_gradients(
@@ -191,7 +191,11 @@ def vqc_gradients(
     """Exact gradients of upstream . values w.r.t. params and the input.
 
     Costs one unshifted evaluation plus two per rotation angle (64 for the
-    default shape), all run as a single batch.
+    default shape).  The 65 rows, in slot order (4 encoding RY, 4 encoding
+    RZ, then the 24 variational angles in (layer, qubit, slot) order), are
+    the unshifted circuit, the 16 encoding-shifted product states times the
+    unshifted layer matrix, and the unshifted state times the 48 shifted
+    layer matrices.
     """
     x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
@@ -201,18 +205,12 @@ def vqc_gradients(
     enc_ry = np.arctan(a)
     enc_rz = np.arctan(a * a)
 
-    base = np.concatenate([enc_ry, enc_rz, params.angles.ravel()])
-    rows = np.repeat(base[None, :], 1 + 2 * _N_SLOTS, axis=0)
-    for k in range(_N_SLOTS):
-        rows[1 + 2 * k, k] += SHIFT
-        rows[2 + 2 * k, k] -= SHIFT
-    e_all = _run_circuits(
-        rows[:, :N_QUBITS],
-        rows[:, N_QUBITS : 2 * N_QUBITS],
-        rows[:, 2 * N_QUBITS :].reshape(-1, N_LAYERS, N_QUBITS, 3),
-    )
+    enc_rows = _shift_rows(np.concatenate([enc_ry, enc_rz]))
+    states = _encode(enc_rows[:, :N_QUBITS], enc_rows[:, N_QUBITS:])
+    matrices = _matrices_for(params)
+    e_all = _z_expectations(np.concatenate([states @ matrices[0], states[0] @ matrices[1:]]))
     if counter is not None:
-        counter.add(rows.shape[0])
+        counter.add(e_all.shape[0])
     e = e_all[0]
     # dE[k, i] = d<Z_i>/d(angle_k) by the parameter-shift rule
     d_e = 0.5 * (e_all[1::2] - e_all[2::2])

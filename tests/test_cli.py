@@ -206,6 +206,46 @@ class TestExitCodes:
         assert "MISMATCH" in capsys.readouterr().out
 
 
+    def test_unknown_model_or_task_in_checkpoint_is_checkpoint_error(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "qlstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--out", str(ckpt_path),
+        ]) == 0
+        good = json.loads(ckpt_path.read_text())
+        for key, value in (("model", "gru"), ("task", "regress")):
+            capsys.readouterr()
+            ckpt_path.write_text(json.dumps({**good, key: value}))
+            assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
+            assert value in capsys.readouterr().err
+
+    def test_negative_token_index_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        ckpt_path = tmp_path / "ckpt.json"
+
+        def train_argv(data):
+            return [
+                "train", "--model", "lstm", "--task", "classify", "--data", str(data),
+                "--vocab", str(enc_dir / "vocab.json"), "--epochs", "1", "--hidden", "2",
+                "--d-basic", "2", "--out", str(ckpt_path),
+            ]
+
+        assert main(train_argv(enc_dir / "train.json")) == 0
+        doc = json.loads((enc_dir / "test.json").read_text())
+        doc["sequences"][0][-1] = -1
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        eval_argv = ["eval", "--ckpt", str(ckpt_path), "--data", str(bad_path)]
+        for argv in (train_argv(bad_path), eval_argv):
+            assert main(argv) == 2
+            assert "non-negative" in capsys.readouterr().err
+
+
 class TestSineCommands:
     def test_train_writes_checkpoint_and_metrics(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"

@@ -14,7 +14,6 @@ from qvuln.neural import (
     adam_step,
     bce_from_logit,
     init_lstm_params,
-    loss,
     lstm_backward,
     lstm_cell_step,
     lstm_forward,
@@ -169,45 +168,12 @@ class TestBackward:
 
 
 class TestLoss:
-    def test_bce_half(self):
-        value, dvalue = loss("bce", 0.5, 1.0)
-        assert abs(value - math.log(2.0)) < 1e-12
-        assert abs(dvalue + 2.0) < 1e-12
-        value0, _ = loss("bce", 0.5, 0.0)
-        assert abs(value0 - math.log(2.0)) < 1e-12
-
-    def test_bce_confident_wrong(self):
-        value, dvalue = loss("bce", 0.9, 0.0)
-        assert abs(value - 2.302585092994046) < 1e-12
-        assert abs(value + math.log(0.1)) < 1e-12
-        assert abs(dvalue - 10.0) < 1e-12
-
-    def test_mse_exact_hit(self):
-        value, dvalue = loss("mse", 0.7, 0.7)
-        assert value == 0.0
-        assert dvalue == 0.0
-
-    def test_mse_quadratic(self):
-        value, dvalue = loss("mse", 0.9, 0.4)
-        assert abs(value - 0.25) < 1e-15
-        assert abs(dvalue - 1.0) < 1e-15
-
-    def test_bce_domain_errors(self):
-        with pytest.raises(ValueError):
-            loss("bce", 0.5, 0.3)
-        with pytest.raises(ValueError):
-            loss("bce", 0.0, 1.0)
-        with pytest.raises(ValueError):
-            loss("bce", 1.0, 1.0)
-        with pytest.raises(ValueError):
-            loss("nope", 0.5, 0.0)
-
     def test_bce_from_logit_matches_probability_form(self):
         for logit in (-3.0, -0.5, 0.0, 0.5, 3.0):
             p = float(sigmoid(logit))
             for y in (0.0, 1.0):
                 value, dlogit = bce_from_logit(logit, y)
-                ref, _ = loss("bce", p, y)
+                ref = -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
                 assert abs(value - ref) < 1e-12
                 assert abs(dlogit - (p - y)) < 1e-15
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qvuln.neural import OptimizerState, adam_step
 from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
 from qvuln.vqc import (
     EvalCounter,
@@ -167,6 +168,27 @@ class TestGradients:
     def test_input_shape_error(self):
         with pytest.raises(ValueError):
             vqc_gradients(manual_params(d_in=4), np.zeros(5), np.ones(4))
+
+
+class TestLayerCache:
+    def test_in_place_angle_update_is_not_stale(self):
+        # adam_step rewrites the angle array in place, keeping its identity
+        rng = np.random.default_rng(14)
+        params = random_params(rng, 4)
+        x = rng.uniform(-1, 1, size=4)
+        upstream = rng.uniform(-1, 1, size=4)
+        vqc_forward(params, x)
+        grads, _ = vqc_gradients(params, x, upstream)
+        angles = params.angles
+        adam_step(OptimizerState(lr=0.1), params.tree(), grads.tree())
+        assert params.angles is angles
+
+        fresh = VqcParams(**{name: np.array(arr) for name, arr in vars(params).items()})
+        np.testing.assert_array_equal(vqc_forward(params, x).values, vqc_forward(fresh, x).values)
+        (got, got_dx), (want, want_dx) = (vqc_gradients(p, x, upstream) for p in (params, fresh))
+        for name, arr in got.tree().items():
+            np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
+        np.testing.assert_array_equal(got_dx, want_dx)
 
 
 class TestEvalCounter:
