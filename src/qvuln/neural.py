@@ -1,6 +1,11 @@
 """Classical numerics: LSTM cell with exact backpropagation through time,
 binary cross-entropy on the logit, and the Adam optimizer over named
 parameter trees.
+
+The LSTM and the loss take an optional leading batch axis: a sequence is
+(T, d_in) for one sample or (B, T, d_in) for B samples, each gate is then
+one (B, hidden + d_in) x (hidden + d_in, hidden) matrix product per step,
+and parameter gradients are summed over the batch.
 """
 from __future__ import annotations
 
@@ -60,8 +65,17 @@ class LstmParams:
 
 @dataclass
 class LstmState:
-    h: np.ndarray
-    c: np.ndarray
+    h: np.ndarray  # (hidden,) or (B, hidden)
+    c: np.ndarray  # (hidden,) or (B, hidden)
+
+
+def as_sequences(sequence) -> np.ndarray:
+    """A (T, d) sequence, a list of T (d,) vectors, or a (B, T, d) batch of
+    sequences, as a float array; T must be at least 1."""
+    xs = np.asarray(sequence, dtype=float)
+    if xs.ndim not in (2, 3) or xs.shape[-2] == 0:
+        raise ValueError(f"sequence must be non-empty, (T, d) or (B, T, d); got shape {xs.shape}")
+    return xs
 
 
 def init_lstm_params(hidden: int, d_in: int, rng: np.random.Generator) -> LstmParams:
@@ -102,16 +116,17 @@ def lstm_cell_step(
     params: LstmParams, x_t: np.ndarray, prev: LstmState
 ) -> tuple[LstmState, LstmStepCache]:
     """One recurrence step: forget/input/candidate/output gates over
-    v = concat(h_prev, x_t), then the cell and hidden updates."""
+    v = concat(h_prev, x_t), then the cell and hidden updates.  x_t is
+    (d_in,) or (B, d_in); the arrays of prev broadcast against it."""
     x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != (params.d_in,):
+    if x_t.ndim not in (1, 2) or x_t.shape[-1] != params.d_in:
         raise ValueError(f"x_t shape {x_t.shape} does not match d_in {params.d_in}")
-    v = np.concatenate([prev.h, x_t])
-    f = sigmoid(params.w_f @ v + params.b_f)
-    i = sigmoid(params.w_i @ v + params.b_i)
-    g = np.tanh(params.w_c @ v + params.b_c)
+    v = np.concatenate([np.broadcast_to(prev.h, x_t.shape[:-1] + (params.hidden,)), x_t], axis=-1)
+    f = sigmoid(v @ params.w_f.T + params.b_f)
+    i = sigmoid(v @ params.w_i.T + params.b_i)
+    g = np.tanh(v @ params.w_c.T + params.b_c)
     c = prev.c * f + g * i
-    o = sigmoid(params.w_o @ v + params.b_o)
+    o = sigmoid(v @ params.w_o.T + params.b_o)
     h = o * np.tanh(c)
     return LstmState(h=h, c=c), LstmStepCache(v=v, f=f, i=i, g=g, o=o, c=c, c_prev=prev.c)
 
@@ -122,35 +137,41 @@ class LstmCaches:
     h_final: np.ndarray
 
 
-def lstm_forward(params: LstmParams, sequence: list[np.ndarray]) -> tuple[float, LstmCaches]:
-    """Run the cell from the zero state over the sequence; the classification
-    logit is the linear head over the final hidden state."""
-    if len(sequence) == 0:
-        raise ValueError("sequence must be non-empty")
+def lstm_forward(params: LstmParams, sequence) -> tuple[float | np.ndarray, LstmCaches]:
+    """Run the cell from the zero state over a (T, d_in) sequence, or a list
+    of T (d_in,) vectors, or a (B, T, d_in) batch.  The classification logit
+    is the linear head over the final hidden state: a float for one
+    sequence, a (B,) array for a batch."""
+    xs = as_sequences(sequence)
     state = LstmState(h=np.zeros(params.hidden), c=np.zeros(params.hidden))
     steps = []
-    for x_t in sequence:
+    for x_t in np.moveaxis(xs, -2, 0):
         state, cache = lstm_cell_step(params, x_t, state)
         steps.append(cache)
-    logit = float(params.head_w @ state.h + params.head_b)
-    return logit, LstmCaches(steps=steps, h_final=state.h)
+    logits = state.h @ params.head_w + params.head_b
+    caches = LstmCaches(steps=steps, h_final=state.h)
+    return (float(logits) if logits.ndim == 0 else logits), caches
 
 
 def lstm_backward(
-    params: LstmParams, caches: LstmCaches, upstream: float
+    params: LstmParams, caches: LstmCaches, upstream: float | np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
-    """Exact reverse-mode gradients of upstream * logit.
+    """Exact reverse-mode gradients of the sum over samples of
+    upstream * logit.
 
-    Returns parameter gradients and a (T, d_in) array of gradients w.r.t.
-    each input vector (used to train embeddings).
+    upstream is a float for one sequence or (B,) for a batch.  Returns
+    parameter gradients, summed over the batch, and a (T, d_in) or
+    (B, T, d_in) array of gradients w.r.t. each input vector (used to
+    train embeddings).
     """
+    upstream = np.asarray(upstream, dtype=float)
     hidden = params.hidden
     grads = zeros_like_lstm(params)
-    grads.head_w += upstream * caches.h_final
-    grads.head_b += upstream
-    dh = upstream * params.head_w
-    dc = np.zeros(hidden)
-    dx = np.zeros((len(caches.steps), params.d_in))
+    grads.head_w += np.dot(upstream, caches.h_final)
+    grads.head_b += np.sum(upstream)
+    dh = upstream[..., None] * params.head_w
+    dc = np.zeros_like(dh)
+    dx = np.zeros(upstream.shape + (len(caches.steps), params.d_in))
     for t in range(len(caches.steps) - 1, -1, -1):
         s = caches.steps[t]
         tc = np.tanh(s.c)
@@ -164,28 +185,30 @@ def lstm_backward(
         pre_i = di * s.i * (1.0 - s.i)
         pre_g = dg * (1.0 - s.g * s.g)
         pre_o = do * s.o * (1.0 - s.o)
-        grads.w_f += np.outer(pre_f, s.v)
-        grads.w_i += np.outer(pre_i, s.v)
-        grads.w_c += np.outer(pre_g, s.v)
-        grads.w_o += np.outer(pre_o, s.v)
-        grads.b_f += pre_f
-        grads.b_i += pre_i
-        grads.b_c += pre_g
-        grads.b_o += pre_o
-        dv = params.w_f.T @ pre_f + params.w_i.T @ pre_i + params.w_c.T @ pre_g + params.w_o.T @ pre_o
-        dh = dv[:hidden]
-        dx[t] = dv[hidden:]
+        # one row per sample: summing the outer products is one product
+        v_rows = s.v.reshape(-1, s.v.shape[-1])
+        for w, b, pre in ((grads.w_f, grads.b_f, pre_f), (grads.w_i, grads.b_i, pre_i),
+                          (grads.w_c, grads.b_c, pre_g), (grads.w_o, grads.b_o, pre_o)):
+            pre_rows = pre.reshape(-1, hidden)
+            w += pre_rows.T @ v_rows
+            b += pre_rows.sum(axis=0)
+        dv = pre_f @ params.w_f + pre_i @ params.w_i + pre_g @ params.w_c + pre_o @ params.w_o
+        dh = dv[..., :hidden]
+        dx[..., t, :] = dv[..., hidden:]
         dc = dc_prev
     return grads, dx
 
 
-def bce_from_logit(logit: float, target: float) -> tuple[float, float]:
+def bce_from_logit(logit, target) -> tuple:
     """Numerically stable binary cross-entropy on the logit; returns
-    (value, dValue/dlogit)."""
-    z = float(logit)
-    value = max(z, 0.0) - z * target + np.log1p(np.exp(-abs(z)))
-    dlogit = float(sigmoid(z)) - target
-    return float(value), dlogit
+    (value, dValue/dlogit), floats for a float logit and arrays for an
+    array of logits."""
+    z = np.asarray(logit, dtype=float)
+    value = np.maximum(z, 0.0) - z * target + np.log1p(np.exp(-np.abs(z)))
+    dlogit = sigmoid(z) - target
+    if z.ndim == 0:
+        return float(value), float(dlogit)
+    return value, dlogit
 
 
 @dataclass

@@ -14,6 +14,11 @@ Per step, with v_t = concat(h_{t-1}, x_t):
 The hidden size is pinned to 4 so circuit readouts map one-to-one onto gate
 vectors.  A flag drops the sigmoid around VQC5 for the published variant of
 the cell that emits the circuit value directly.
+
+Every function takes an optional leading batch axis: a sequence is (T, d_x)
+for one sample or (B, T, d_x) for B samples.  Each block then makes one
+`vqc_forward` call per time step, and one `vqc_gradients` call per time
+step in the backward pass, for the whole batch.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neural import sigmoid
+from .neural import as_sequences, sigmoid
 from .vqc import EvalCounter, VqcParams, init_vqc_params, vqc_forward, vqc_gradients, zeros_like_params
 
 HIDDEN = 4
@@ -64,9 +69,9 @@ class QlstmParams:
 
 @dataclass
 class QlstmState:
-    h: np.ndarray  # (4,)
-    c: np.ndarray  # (4,)
-    y: np.ndarray  # (4,)
+    h: np.ndarray  # (4,) or (B, 4)
+    c: np.ndarray  # (4,) or (B, 4)
+    y: np.ndarray  # (4,) or (B, 4)
 
 
 def init_qlstm_params(d_x: int, rng: np.random.Generator, sigma_hidden: bool = True) -> QlstmParams:
@@ -127,11 +132,12 @@ def qlstm_cell_step(
     prev: QlstmState,
     counter: EvalCounter | None = None,
 ) -> tuple[QlstmState, QlstmStepCache]:
-    """One recurrence step; exactly six circuit evaluations."""
+    """One recurrence step; exactly six circuit evaluations per sample.
+    x_t is (d_x,) or (B, d_x); the arrays of prev broadcast against it."""
     x_t = np.asarray(x_t, dtype=float)
-    if x_t.shape != (params.d_x,):
+    if x_t.ndim not in (1, 2) or x_t.shape[-1] != params.d_x:
         raise ValueError(f"x_t shape {x_t.shape} does not match d_x {params.d_x}")
-    v = np.concatenate([prev.h, x_t])
+    v = np.concatenate([np.broadcast_to(prev.h, x_t.shape[:-1] + (HIDDEN,)), x_t], axis=-1)
     f = sigmoid(vqc_forward(params.vqc1, v, counter).values)
     i = sigmoid(vqc_forward(params.vqc2, v, counter).values)
     g = np.tanh(vqc_forward(params.vqc3, v, counter).values)
@@ -157,20 +163,22 @@ class QlstmCaches:
 
 def qlstm_forward(
     params: QlstmParams,
-    sequence: list[np.ndarray],
+    sequence,
     counter: EvalCounter | None = None,
-) -> tuple[float, QlstmCaches]:
-    """Run the cell over the sequence; the scalar output is the linear head
-    over y_T (sigmoid is applied by the caller for classification)."""
-    if len(sequence) == 0:
-        raise ValueError("sequence must be non-empty")
+) -> tuple[float | np.ndarray, QlstmCaches]:
+    """Run the cell over a (T, d_x) sequence, or a list of T (d_x,) vectors,
+    or a (B, T, d_x) batch.  The output is the linear head over y_T (sigmoid
+    is applied by the caller for classification): a float for one
+    sequence, a (B,) array for a batch."""
+    xs = as_sequences(sequence)
     state = initial_state()
     steps = []
-    for x_t in sequence:
+    for x_t in np.moveaxis(xs, -2, 0):
         state, cache = qlstm_cell_step(params, x_t, state, counter)
         steps.append(cache)
-    logit = float(params.head_w @ state.y + params.head_b)
-    return logit, QlstmCaches(steps=steps, y_final=state.y)
+    logits = state.y @ params.head_w + params.head_b
+    caches = QlstmCaches(steps=steps, y_final=state.y)
+    return (float(logits) if logits.ndim == 0 else logits), caches
 
 
 def _vqc_grad_into(
@@ -180,8 +188,8 @@ def _vqc_grad_into(
     upstream: np.ndarray,
     counter: EvalCounter | None,
 ) -> np.ndarray:
-    """Accumulate one circuit's gradients; zero upstream is exactly zero
-    everywhere, so the shifted evaluations are skipped in that case."""
+    """Accumulate one circuit's gradients; an upstream that is zero for the
+    whole batch gives exactly zero everywhere, so the call is skipped."""
     if not np.any(upstream):
         return np.zeros_like(x)
     g, dx = vqc_gradients(params, x, upstream, counter)
@@ -196,23 +204,26 @@ def _vqc_grad_into(
 def qlstm_backward(
     params: QlstmParams,
     caches: QlstmCaches,
-    upstream: float,
+    upstream: float | np.ndarray,
     counter: EvalCounter | None = None,
 ) -> tuple[QlstmParams, np.ndarray]:
-    """Exact gradients of upstream * logit for every parameter and input.
+    """Exact gradients of the sum over samples of upstream * logit, for
+    every parameter (summed over the batch) and every input.
 
-    Chains parameter-shift circuit gradients through the gate algebra,
+    upstream is a float for one sequence or (B,) for a batch.  Chains
+    parameter-shift circuit gradients through the gate algebra,
     accumulating backwards through time.  Returns (gradients, dx) where dx
-    is (T, d_x).
+    is (T, d_x) or (B, T, d_x).
     """
+    upstream = np.asarray(upstream, dtype=float)
     grads = zeros_like_qlstm(params)
     T = len(caches.steps)
-    grads.head_w += upstream * caches.y_final
-    grads.head_b += upstream
-    dy = upstream * params.head_w
-    dh = np.zeros(HIDDEN)
-    dc = np.zeros(HIDDEN)
-    dx = np.zeros((T, params.d_x))
+    grads.head_w += np.dot(upstream, caches.y_final)
+    grads.head_b += np.sum(upstream)
+    dy = upstream[..., None] * params.head_w
+    dh = np.zeros_like(dy)
+    dc = np.zeros_like(dy)
+    dx = np.zeros(upstream.shape + (T, params.d_x))
     for t in range(T - 1, -1, -1):
         s = caches.steps[t]
         # h_t and y_t both read r = o * tanh(c)
@@ -232,8 +243,8 @@ def qlstm_backward(
         dv += _vqc_grad_into(grads.vqc2, params.vqc2, s.v, di * s.i * (1.0 - s.i), counter)
         dv += _vqc_grad_into(grads.vqc3, params.vqc3, s.v, dg * (1.0 - s.g * s.g), counter)
         dv += _vqc_grad_into(grads.vqc4, params.vqc4, s.v, do * s.o * (1.0 - s.o), counter)
-        dh = dv[:HIDDEN]
-        dx[t] = dv[HIDDEN:]
+        dh = dv[..., :HIDDEN]
+        dx[..., t, :] = dv[..., HIDDEN:]
         dc = dc_prev
-        dy = np.zeros(HIDDEN)
+        dy = np.zeros_like(dy)
     return grads, dx

@@ -4,6 +4,10 @@ Covers the binary-classification metrics (accuracy, precision, recall, F1
 with zero-denominator flags), seeded mini-batch training with Adam, the
 windowed sine-regression task, wall-clock timing, an exact parameter
 census, and versioned JSON checkpoints that round-trip bitwise.
+
+Each optimizer step is one forward and one backward call over the whole
+mini-batch, through the models' leading batch axis; evaluation runs the
+same batched forward in chunks of EVAL_CHUNK samples.
 """
 from __future__ import annotations
 
@@ -27,7 +31,6 @@ from .neural import (
     lstm_backward,
     lstm_forward,
     sigmoid,
-    zeros_like_lstm,
 )
 from .qlstm import (
     HIDDEN as QLSTM_HIDDEN,
@@ -35,9 +38,7 @@ from .qlstm import (
     init_qlstm_params,
     qlstm_backward,
     qlstm_forward,
-    zeros_like_qlstm,
 )
-from .vqc import VqcParams
 
 log = logging.getLogger("qvuln")
 
@@ -49,6 +50,8 @@ SINE_DEFAULT_EPOCHS = 30
 CLASSIFY_DEFAULT_EPOCHS = 10
 SINE_DEFAULT_LR = 1e-2
 CLASSIFY_DEFAULT_LR = 1e-3
+# samples per batched forward pass in evaluation; bounds its memory
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -241,9 +244,17 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]
 
 
+def _write_json(doc: dict, path: str | Path) -> None:
+    """Standard JSON: a NaN or infinite value raises ValueError instead of
+    being written as a bare NaN/Infinity token."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Versioned JSON document; float serialization round-trips bitwise."""
-    doc = {
+    _write_json({
         "format": "checkpoint.v1",
         "version": CHECKPOINT_VERSION,
         "model": ckpt.model,
@@ -254,10 +265,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
             for name, arr in ckpt.arrays.items()
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    }, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -269,6 +277,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: not a checkpoint document")
     if doc.get("format") != "checkpoint.v1" or doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format/version "
@@ -279,10 +289,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: unknown model/task {doc.get('model')!r}/{doc.get('task')!r}; "
             f"expected a model in {MODELS} and a task in {TASKS}"
         )
-    arrays = {
-        name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-        for name, entry in doc["params"].items()
-    }
+    if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
+        raise CheckpointError(f"{path}: hyperparameters and params must be JSON objects")
+    try:
+        arrays = {
+            name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
+            for name, entry in doc["params"].items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed parameter array: {exc}") from None
     return Checkpoint(
         model=doc["model"],
         task=doc["task"],
@@ -292,31 +307,49 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def lstm_params_from_arrays(arrays: dict[str, np.ndarray]) -> LstmParams:
-    return LstmParams(
-        w_f=arrays["w_f"], w_i=arrays["w_i"], w_c=arrays["w_c"], w_o=arrays["w_o"],
-        b_f=arrays["b_f"], b_i=arrays["b_i"], b_c=arrays["b_c"], b_o=arrays["b_o"],
-        head_w=arrays["head_w"], head_b=arrays["head_b"],
-    )
-
-
-def qlstm_params_from_arrays(arrays: dict[str, np.ndarray], sigma_hidden: bool) -> QlstmParams:
-    def block(k: int) -> VqcParams:
-        p = f"vqc{k}."
-        return VqcParams(
-            in_proj=arrays[p + "in_proj"],
-            bias=arrays[p + "bias"],
-            angles=arrays[p + "angles"],
-            out_scale=arrays[p + "out_scale"],
-            out_shift=arrays[p + "out_shift"],
+def _recorded_size(hp: dict, key: str) -> int:
+    value = hp.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise CheckpointError(
+            f"checkpoint hyperparameter {key!r} must be a positive integer, got {value!r}"
         )
+    return value
 
-    return QlstmParams(
-        vqc1=block(1), vqc2=block(2), vqc3=block(3), vqc4=block(4),
-        vqc5=block(5), vqc6=block(6),
-        head_w=arrays["head_w"], head_b=arrays["head_b"],
-        sigma_hidden=sigma_hidden,
-    )
+
+def params_from_checkpoint(ckpt: Checkpoint) -> LstmParams | QlstmParams:
+    """The model's parameters, checked against the model's own parameter
+    tree at the dimensions the checkpoint records: the same names, the
+    same shapes, finite values.  A classify checkpoint also holds a finite
+    (n_rows, d_in) embedding.  Raises CheckpointError on any difference."""
+    hp = ckpt.hyperparameters
+    d_in = _recorded_size(hp, "d_in")
+    rng = np.random.default_rng(0)
+    if ckpt.model == "lstm":
+        params = init_lstm_params(_recorded_size(hp, "hidden"), d_in, rng)
+    else:
+        params = init_qlstm_params(d_in, rng, sigma_hidden=bool(hp.get("sigma_hidden", True)))
+    expected = {name: arr.shape for name, arr in params.tree().items()}
+    if ckpt.task == "classify":
+        # the vocabulary size is the checkpoint's own; the width is d_in
+        rows = ckpt.arrays.get("embedding.rows")
+        expected["embedding.rows"] = (rows.shape[0] if rows is not None and rows.ndim else 0, d_in)
+    missing = sorted(set(expected) - set(ckpt.arrays))
+    unexpected = sorted(set(ckpt.arrays) - set(expected))
+    if missing or unexpected:
+        raise CheckpointError(
+            f"{ckpt.model} checkpoint arrays: missing {missing}, unexpected {unexpected}"
+        )
+    for name, shape in expected.items():
+        arr = ckpt.arrays[name]
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"checkpoint array {name!r} has shape {arr.shape}, expected {shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
+    for name, arr in params.tree().items():
+        arr[...] = ckpt.arrays[name]
+    return params
 
 
 # --- metrics report files ---
@@ -342,9 +375,7 @@ def save_metrics(report: MetricsReport, task: str, path: str | Path) -> None:
         )
     else:
         doc["mse"] = report.mse
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_metrics(path: str | Path) -> dict:
@@ -391,46 +422,46 @@ def _init_model(config: TrainConfig, d_in: int, rng: np.random.Generator):
     return init_qlstm_params(d_in, rng, sigma_hidden=config.sigma_hidden)
 
 
-def _forward(model: str, params, xs):
+def _passes(model: str):
+    """The model's (forward, backward) pair; both take a leading batch axis."""
     if model == "lstm":
-        return lstm_forward(params, xs)
-    return qlstm_forward(params, xs)
+        return lstm_forward, lstm_backward
+    return qlstm_forward, qlstm_backward
 
 
-def _backward(model: str, params, caches, upstream: float):
-    if model == "lstm":
-        return lstm_backward(params, caches, upstream)
-    return qlstm_backward(params, caches, upstream)
-
-
-def _sample_inputs(task: str, data, k: int, matrix: EmbeddingMatrix | None) -> np.ndarray:
+def _inputs(task: str, data, rows, matrix: EmbeddingMatrix | None) -> np.ndarray:
+    """(B, T, d) model inputs of the samples `rows` (index array or slice)."""
     if task == "sine":
-        return data.inputs[k]
-    return matrix.rows[data.sequences[k]]
+        return data.inputs[rows]
+    return matrix.rows[data.sequences[rows]]
 
 
-def _sample_target(task: str, data, k: int) -> float:
+def _loss(task: str, logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample loss values and dLoss/dlogit over a batch."""
     if task == "sine":
-        return float(data.targets[k])
-    return float(data.labels[k])
-
-
-def _sample_loss(task: str, logit: float, target: float) -> tuple[float, float]:
-    """(loss value, dLoss/dlogit) for one sample."""
-    if task == "sine":
-        diff = logit - target
+        diff = logits - targets
         return diff * diff, 2.0 * diff
-    return bce_from_logit(logit, target)
+    return bce_from_logit(logits, targets)
+
+
+def _check_indices(data: ClassifyDataset, n_rows: int) -> None:
+    seq = data.sequences
+    if seq.size and not 0 <= int(seq.min()) <= int(seq.max()) < n_rows:
+        raise DataError(f"data contains token indices outside the {n_rows}-row vocabulary")
 
 
 def predictions_over(
     model: str, task: str, params, data, matrix: EmbeddingMatrix | None
 ) -> np.ndarray:
-    """Raw value for sine, probability for classify, one entry per sample."""
+    """Raw value for sine, probability for classify, one entry per sample;
+    the forward pass runs over chunks of EVAL_CHUNK samples."""
+    forward, _ = _passes(model)
     out = np.empty(len(data))
-    for k in range(len(data)):
-        logit, _ = _forward(model, params, _sample_inputs(task, data, k, matrix))
-        out[k] = logit if task == "sine" else float(sigmoid(logit))
+    for start in range(0, len(data), EVAL_CHUNK):
+        chunk = slice(start, start + EVAL_CHUNK)
+        # keep only the logits, so a chunk's caches are freed before the next
+        logits = forward(params, _inputs(task, data, chunk, matrix))[0]
+        out[chunk] = logits if task == "sine" else sigmoid(logits)
     return out
 
 
@@ -457,12 +488,18 @@ def train(
     """
     if len(data) == 0:
         raise DataError("training data is empty")
-    if config.task == "classify" and matrix is None:
-        raise DataError("classification training requires an embedding matrix")
+    if config.task == "classify":
+        if matrix is None:
+            raise DataError("classification training requires an embedding matrix")
+        for split in (data, eval_data):
+            if split is not None:
+                _check_indices(split, matrix.rows.shape[0])
     d_in = 1 if config.task == "sine" else matrix.dim
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     params = _init_model(config, d_in, init_rng)
+    forward, backward = _passes(config.model)
+    targets = data.targets if config.task == "sine" else data.labels
 
     params_tree = params.tree()
     emb_trainable = matrix is not None and matrix.trainable
@@ -480,27 +517,22 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            acc = {name: np.zeros_like(arr) for name, arr in params_tree.items()}
-            batch_loss = 0.0
-            for k in batch:
-                xs = _sample_inputs(config.task, data, k, matrix)
-                target = _sample_target(config.task, data, k)
-                logit, caches = _forward(config.model, params, xs)
-                value, dlogit = _sample_loss(config.task, logit, target)
-                batch_loss += value
-                grads, dx = _backward(config.model, params, caches, dlogit)
-                for name, g in grads.tree().items():
-                    acc[name] += g
-                if emb_trainable:
-                    np.add.at(acc["embedding.rows"], data.sequences[k], dx)
+            logits, caches = forward(params, _inputs(config.task, data, batch, matrix))
+            values, dlogits = _loss(config.task, logits, targets[batch])
+            batch_loss = float(np.sum(values))
             if not np.isfinite(batch_loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             epoch_loss += batch_loss
-            scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= scale
+            grads, dx = backward(params, caches, dlogits)
+            del caches  # else two batches' caches are alive during the next forward pass
+            acc = grads.tree()
             if emb_trainable:
+                acc["embedding.rows"] = np.zeros_like(matrix.rows)
+                np.add.at(acc["embedding.rows"], data.sequences[batch], dx)
                 acc["embedding.rows"][PAD_INDEX] = 0.0
+            scale = 1.0 / len(batch)
+            for g in acc.values():
+                g *= scale
             adam_step(opt, params_tree, acc)
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
@@ -556,11 +588,12 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     """Metrics over a dataset: thresholded confusion metrics for classify
     (predict 1 iff probability >= threshold), MSE for sine."""
     started = time.perf_counter()
+    params = params_from_checkpoint(ckpt)
+    hp = ckpt.hyperparameters
     matrix = None
     if ckpt.task == "classify":
         if not isinstance(data, ClassifyDataset):
             raise DataError("checkpoint task is classify but data is not an encoded corpus")
-        hp = ckpt.hyperparameters
         if data.max_len != hp.get("max_len"):
             raise DataError(
                 f"max_len mismatch: checkpoint {hp.get('max_len')}, data {data.max_len}"
@@ -575,17 +608,10 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
             trainable=bool(hp.get("embedding_trainable")),
             source=str(hp.get("embedding_mode")),
         )
-        if int(data.sequences.max(initial=0)) >= matrix.rows.shape[0]:
-            raise DataError("data contains indices outside the checkpoint vocabulary")
+        _check_indices(data, matrix.rows.shape[0])
     elif not isinstance(data, SineDataset):
         raise DataError("checkpoint task is sine but data is not a sine dataset")
 
-    if ckpt.model == "lstm":
-        params = lstm_params_from_arrays(ckpt.arrays)
-    else:
-        params = qlstm_params_from_arrays(
-            ckpt.arrays, bool(ckpt.hyperparameters.get("sigma_hidden", True))
-        )
     preds = predictions_over(ckpt.model, ckpt.task, params, data, matrix)
 
     if ckpt.task == "classify":
@@ -599,7 +625,12 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
         )
         report = metrics(cm)
     else:
-        report = MetricsReport(mse=float(np.mean((preds - data.targets) ** 2)))
+        # finite parameters can still overflow, e.g. a head bias of 1e200
+        with np.errstate(over="ignore"):
+            mse = float(np.mean((preds - data.targets) ** 2))
+        if not np.isfinite(mse):
+            raise CheckpointError(f"checkpoint gives a non-finite mean squared error ({mse})")
+        report = MetricsReport(mse=mse)
     report.predictions = preds
     report.parameter_count = runtime_census(
         ckpt.arrays, bool(ckpt.hyperparameters.get("embedding_trainable"))

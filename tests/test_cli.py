@@ -246,6 +246,82 @@ class TestExitCodes:
             assert "non-negative" in capsys.readouterr().err
 
 
+    def test_token_index_past_vocabulary_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        doc = json.loads((enc_dir / "train.json").read_text())
+        doc["sequences"][0][-1] = 1_000_000
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        good_path = enc_dir / "train.json"
+        for data, eval_data in ((bad_path, good_path), (good_path, bad_path)):
+            capsys.readouterr()
+            assert main([
+                "train", "--model", "lstm", "--task", "classify", "--data", str(data),
+                "--eval-data", str(eval_data), "--vocab", str(enc_dir / "vocab.json"),
+                "--epochs", "1", "--hidden", "2", "--d-basic", "2",
+                "--out", str(tmp_path / "ckpt.json"),
+            ]) == 2
+            assert "outside" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.json").exists()
+
+
+def _tampered_eval(tmp_path, capsys, tamper) -> tuple[int, str]:
+    """Train a small sine checkpoint, apply `tamper` to its params, and
+    evaluate it with a metrics file; returns the exit code and stderr."""
+    ckpt_path = tmp_path / "ckpt.json"
+    assert main([
+        "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+        "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+    ]) == 0
+    doc = json.loads(ckpt_path.read_text())
+    tamper(doc["params"])
+    ckpt_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    metrics_path = tmp_path / "metrics.json"
+    code = main(["eval", "--ckpt", str(ckpt_path), "--metrics", str(metrics_path)])
+    assert metrics_path.is_file() == (code == 0)
+    return code, capsys.readouterr().err
+
+
+class TestCheckpointSchema:
+    def test_missing_array_is_checkpoint_error(self, tmp_path, capsys):
+        code, err = _tampered_eval(tmp_path, capsys, lambda params: params.pop("head_w"))
+        assert code == 2
+        assert "head_w" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", [[1, 2], [3]])
+    def test_wrong_shape_is_checkpoint_error(self, shape, tmp_path, capsys):
+        # [1, 2] holds the two values of a hidden-2 head_w; [3] does not
+        def reshape(params):
+            params["head_w"]["shape"] = shape
+
+        code, err = _tampered_eval(tmp_path, capsys, reshape)
+        assert code == 2
+        assert "head_w" in err or "reshape" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_value_is_checkpoint_error(self, tmp_path, capsys):
+        def poison(params):
+            params["head_b"]["data"] = [float("nan")]
+
+        code, err = _tampered_eval(tmp_path, capsys, poison)
+        assert code == 2
+        assert "head_b" in err and "non-finite" in err
+
+    def test_overflowing_result_is_checkpoint_error(self, tmp_path, capsys):
+        # finite parameters whose predictions overflow the squared error
+        def inflate(params):
+            params["head_b"]["data"] = [1e200]
+
+        code, err = _tampered_eval(tmp_path, capsys, inflate)
+        assert code == 2
+        assert "non-finite" in err and "Traceback" not in err
+
+
 class TestSineCommands:
     def test_train_writes_checkpoint_and_metrics(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"

@@ -247,3 +247,34 @@ class TestInit:
         for name, arr in zeros.tree().items():
             assert np.all(arr == 0)
             assert arr.shape == params.tree()[name].shape
+
+
+class TestBatch:
+    def test_batch_matches_samples(self):
+        batch, steps, hidden, d_in = 5, 3, 4, 2
+        rng = np.random.default_rng(62)
+        params = init_lstm_params(hidden, d_in, rng)
+        xs = rng.uniform(-1, 1, size=(batch, steps, d_in))
+        upstream = rng.uniform(-1, 1, size=batch)
+
+        logits, caches = lstm_forward(params, xs)
+        grads, dx = lstm_backward(params, caches, upstream)
+        assert logits.shape == (batch,) and dx.shape == (batch, steps, d_in)
+
+        summed = {name: np.zeros_like(arr) for name, arr in grads.tree().items()}
+        for b in range(batch):
+            logit, sample_caches = lstm_forward(params, xs[b])
+            assert abs(logits[b] - logit) < 1e-13
+            sample_grads, sample_dx = lstm_backward(params, sample_caches, upstream[b])
+            np.testing.assert_allclose(dx[b], sample_dx, rtol=0, atol=1e-13)
+            for name, arr in sample_grads.tree().items():
+                summed[name] += arr
+        for name, arr in grads.tree().items():
+            np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
+
+    def test_bce_on_arrays_matches_floats(self):
+        logits = np.array([-30.0, -1.5, 0.0, 2.0, 40.0])
+        targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        values, dlogits = bce_from_logit(logits, targets)
+        for k in range(logits.size):
+            assert (values[k], dlogits[k]) == bce_from_logit(float(logits[k]), float(targets[k]))

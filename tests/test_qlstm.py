@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qvuln.qlstm
 from qvuln.neural import bce_from_logit, sigmoid
 from qvuln.qlstm import (
     HIDDEN,
@@ -16,7 +17,7 @@ from qvuln.qlstm import (
     qlstm_forward,
     zeros_like_qlstm,
 )
-from qvuln.vqc import EvalCounter
+from qvuln.vqc import EvalCounter, vqc_gradients
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
@@ -190,3 +191,62 @@ class TestInit:
             assert np.all(arr == 0)
             assert arr.shape == params.tree()[name].shape
         assert zeros.sigma_hidden == params.sigma_hidden
+
+
+class TestBatch:
+    @pytest.mark.parametrize("sigma_hidden", [True, False])
+    def test_batch_matches_samples(self, sigma_hidden):
+        batch, steps, d_x = 5, 3, 2
+        rng = np.random.default_rng(60)
+        params = init_qlstm_params(d_x, rng, sigma_hidden=sigma_hidden)
+        xs = rng.uniform(-1, 1, size=(batch, steps, d_x))
+        upstream = rng.uniform(-1, 1, size=batch)
+
+        counter = EvalCounter()
+        logits, caches = qlstm_forward(params, xs, counter)
+        grads, dx = qlstm_backward(params, caches, upstream, counter)
+        assert logits.shape == (batch,) and dx.shape == (batch, steps, d_x)
+
+        single = EvalCounter()
+        summed = {name: np.zeros_like(arr) for name, arr in grads.tree().items()}
+        for b in range(batch):
+            logit, sample_caches = qlstm_forward(params, xs[b], single)
+            assert abs(logits[b] - logit) < 1e-13
+            sample_grads, sample_dx = qlstm_backward(params, sample_caches, upstream[b], single)
+            np.testing.assert_allclose(dx[b], sample_dx, rtol=0, atol=1e-13)
+            for name, arr in sample_grads.tree().items():
+                summed[name] += arr
+        for name, arr in grads.tree().items():
+            np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
+        assert counter.count == single.count
+
+
+class TestCostModel:
+    def test_calls_account_for_every_evaluation(self, monkeypatch):
+        # one evaluation per vqc_forward call and 65 per vqc_gradients call,
+        # which is how a call-counting tracer reads the cost of one sample
+        rng = np.random.default_rng(61)
+        params = init_qlstm_params(3, rng)
+        per_grad = EvalCounter()
+        vqc_gradients(params.vqc1, rng.normal(size=params.vqc1.d_in), np.ones(4), per_grad)
+        assert per_grad.count == 65
+
+        calls = {"forward": 0, "gradients": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, short in (("vqc_forward", "forward"), ("vqc_gradients", "gradients")):
+            monkeypatch.setattr(qvuln.qlstm, name, counted(short, getattr(qvuln.qlstm, name)))
+        steps = 5
+        counter = EvalCounter()
+        _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(steps, 3)), counter)
+        qlstm_backward(params, caches, 1.0, counter)
+        assert calls["forward"] == 6 * steps
+        # structural zeros skip vqc6 before the last step, vqc5 at the last
+        # step and vqc1 at the first
+        assert calls["gradients"] == 5 * steps - 1
+        assert calls["forward"] + per_grad.count * calls["gradients"] == counter.count

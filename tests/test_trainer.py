@@ -2,6 +2,7 @@
 persistence."""
 from __future__ import annotations
 
+import json
 import logging
 import math
 
@@ -280,6 +281,14 @@ class TestCheckpointFiles:
         bad.write_text("{not json")
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+        save_checkpoint(self.make_checkpoint(), bad)
+        valid = json.loads(bad.read_text())
+        no_shape = json.loads(bad.read_text())
+        del no_shape["params"]["w"]["shape"]
+        for doc in ([valid], {**valid, "params": []}, no_shape):
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(bad)
 
 
 class TestEvaluate:

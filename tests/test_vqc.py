@@ -112,8 +112,9 @@ class TestForward:
         assert np.array_equal(first, second)
 
     def test_input_shape_error(self):
-        with pytest.raises(ValueError):
-            vqc_forward(manual_params(d_in=4), np.zeros(3))
+        for x in (np.zeros(3), np.zeros((2, 5)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError):
+                vqc_forward(manual_params(d_in=4), x)
 
 
 class TestGradients:
@@ -166,8 +167,9 @@ class TestGradients:
             np.testing.assert_allclose(dx, fd_x, atol=1e-6)
 
     def test_input_shape_error(self):
-        with pytest.raises(ValueError):
-            vqc_gradients(manual_params(d_in=4), np.zeros(5), np.ones(4))
+        for x in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError):
+                vqc_gradients(manual_params(d_in=4), x, np.ones(x.shape[:-1] + (4,)))
 
 
 class TestLayerCache:
@@ -204,6 +206,31 @@ class TestEvalCounter:
         counter = EvalCounter()
         vqc_gradients(params, np.ones(4), np.ones(4), counter)
         assert counter.count == 65
+
+
+class TestBatch:
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(21)
+        for d_in, batch in ((4, 1), (3, 6), (9, 16)):
+            params = random_params(rng, d_in)
+            x = rng.uniform(-2, 2, size=(batch, d_in))
+            upstream = rng.uniform(-1, 1, size=(batch, 4))
+            counter = EvalCounter()
+            values = vqc_forward(params, x, counter).values
+            grads, dx = vqc_gradients(params, x, upstream, counter)
+            assert values.shape == (batch, 4) and dx.shape == (batch, d_in)
+            assert counter.count == batch * (1 + 65)
+
+            summed = {name: np.zeros_like(arr) for name, arr in grads.tree().items()}
+            for b in range(batch):
+                row_values = vqc_forward(params, x[b]).values
+                np.testing.assert_allclose(values[b], row_values, rtol=0, atol=1e-13)
+                row_grads, row_dx = vqc_gradients(params, x[b], upstream[b])
+                np.testing.assert_allclose(dx[b], row_dx, rtol=0, atol=1e-13)
+                for name, arr in row_grads.tree().items():
+                    summed[name] += arr
+            for name, arr in grads.tree().items():
+                np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
 
 
 class TestInit:
