@@ -22,6 +22,7 @@ import numpy as np
 from .corpus import LabeledCorpus, Vocabulary, balance, build_vocab, encode_and_pad, load_dataset, tokenize
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
+from .fileio import atomic_write
 from .neural import bce_from_logit, init_lstm_params, lstm_backward, lstm_forward
 from .qlstm import init_qlstm_params, qlstm_backward, qlstm_forward
 from .trainer import (
@@ -31,6 +32,7 @@ from .trainer import (
     evaluate,
     load_checkpoint,
     load_curves,
+    params_from_checkpoint,
     runtime_census,
     save_checkpoint,
     save_metrics,
@@ -50,7 +52,7 @@ _TABLES_REQUIRED = {"basic": 0, "glove": 1, "fasttext": 1, "glove+fasttext": 2}
 
 
 def save_vocab_file(vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(vocab.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -87,7 +89,7 @@ def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) ->
         "labels": [int(v) for v in data.labels],
         "sequences": [[int(v) for v in row] for row in data.sequences],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -341,6 +343,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.ckpt)
+    # the analytic count reads the model's arrays by name, so they must pass
+    # the schema check; an array the model does not have is what the census
+    # exists to catch, so it is counted (a mismatch, exit 3), not rejected
+    params_from_checkpoint(ckpt, extra_ok=True)
     runtime = runtime_census(
         ckpt.arrays, bool(ckpt.hyperparameters.get("embedding_trainable"))
     )

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import DataError
+from .fileio import atomic_write
 
 MODES = ("basic", "glove", "fasttext", "glove+fasttext")
 D_BASIC_DEFAULT = 50
@@ -80,8 +81,9 @@ def load_vectors(path: str | Path) -> VectorTable:
 
 
 def save_vectors(table: VectorTable, path: str | Path) -> None:
-    """Write the text format back out (round-trips with load_vectors)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the text format back out atomically (round-trips with
+    load_vectors)."""
+    with atomic_write(path) as fh:
         for token, vector in table.entries.items():
             fh.write(token + " " + " ".join(repr(float(v)) for v in vector) + "\n")
 

@@ -22,6 +22,7 @@ import numpy as np
 from .corpus import PAD_INDEX
 from .embedding import EmbeddingMatrix
 from .errors import CheckpointError, DataError, DivergenceError
+from .fileio import atomic_write
 from .neural import (
     LstmParams,
     OptimizerState,
@@ -245,9 +246,10 @@ class Checkpoint:
 
 
 def _write_json(doc: dict, path: str | Path) -> None:
-    """Standard JSON: a NaN or infinite value raises ValueError instead of
-    being written as a bare NaN/Infinity token."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Standard JSON, written atomically: a NaN or infinite value raises
+    ValueError, instead of being written as a bare NaN/Infinity token, and
+    leaves `path` as it was."""
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -316,11 +318,12 @@ def _recorded_size(hp: dict, key: str) -> int:
     return value
 
 
-def params_from_checkpoint(ckpt: Checkpoint) -> LstmParams | QlstmParams:
+def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False) -> LstmParams | QlstmParams:
     """The model's parameters, checked against the model's own parameter
     tree at the dimensions the checkpoint records: the same names, the
     same shapes, finite values.  A classify checkpoint also holds a finite
-    (n_rows, d_in) embedding.  Raises CheckpointError on any difference."""
+    (n_rows, d_in) embedding.  Raises CheckpointError on any difference;
+    with `extra_ok`, arrays the model does not have are let through."""
     hp = ckpt.hyperparameters
     d_in = _recorded_size(hp, "d_in")
     rng = np.random.default_rng(0)
@@ -334,7 +337,7 @@ def params_from_checkpoint(ckpt: Checkpoint) -> LstmParams | QlstmParams:
         rows = ckpt.arrays.get("embedding.rows")
         expected["embedding.rows"] = (rows.shape[0] if rows is not None and rows.ndim else 0, d_in)
     missing = sorted(set(expected) - set(ckpt.arrays))
-    unexpected = sorted(set(ckpt.arrays) - set(expected))
+    unexpected = [] if extra_ok else sorted(set(ckpt.arrays) - set(expected))
     if missing or unexpected:
         raise CheckpointError(
             f"{ckpt.model} checkpoint arrays: missing {missing}, unexpected {unexpected}"
@@ -390,8 +393,9 @@ def load_metrics(path: str | Path) -> dict:
 
 
 def save_curves(blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], path: str | Path) -> None:
-    """Plain delimited text: one `x actual predicted epoch` row per point."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Plain delimited text, written atomically: one `x actual predicted
+    epoch` row per point."""
+    with atomic_write(path) as fh:
         fh.write("# x actual predicted epoch\n")
         for epoch in sorted(blocks):
             xs, actual, predicted = blocks[epoch]

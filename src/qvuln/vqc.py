@@ -11,12 +11,16 @@ Inputs take an optional leading batch axis: x is (d_in,) for one sample or
 Parameter gradients are summed over the batch.
 
 The encoding leaves a product state, so it is the Kronecker product of the
-four per-qubit 2-vectors, three broadcast multiplies.  The two variational
-layers depend only on the angles: `qsim` runs them on the 16 basis states,
-in one batch, to build their 16x16 matrix for the angles and for each
-parameter shift, and a small cache keyed on the angle values keeps those
-matrices between calls.  Each circuit evaluation is then a product state
-times a matrix, and a whole batch is one matrix product.
+four per-qubit 2-vectors.  The two variational layers depend only on the
+angles.  Each is the CNOT ring, a fixed 16x16 matrix that `qsim` builds
+once on the 16 basis states, followed by the Kronecker product of four 2x2
+RZ.RY.RZ rotations, which `qsim` builds on the two 1-qubit basis states
+for the angles and for every parameter shift in one batch.  A small cache
+keyed on the angle values keeps the layer matrices between calls.  Each
+circuit evaluation is then a product state times a matrix, and a whole
+batch is one matrix product.  A gradient call encodes each qubit once per
+angle variant (unshifted, RY +-pi/2, RZ +-pi/2) and gathers its 17
+encoding-shifted states from those.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
@@ -41,6 +45,19 @@ _BASIS = np.arange(DIM)
 Z_SIGNS = 1.0 - 2.0 * ((_BASIS[:, None] >> np.arange(N_QUBITS)[None, :]) & 1)
 # the float view of 16 complex amplitudes holds (re, im) of each in turn
 _PART_SIGNS = np.repeat(Z_SIGNS, 2, axis=0)  # (32, 4)
+
+# A gradient call's 17 encoding rows (unshifted, then slot k = RY of qubit
+# k and slot 4 + k = RZ of qubit k, each shifted by +SHIFT then -SHIFT) hold
+# every qubit at one of five angle variants: 0 unshifted, 1 and 2 RY
+# +-SHIFT, 3 and 4 RZ +-SHIFT.  _ENC_VARIANTS[qubit, row] names the variant.
+_RY_VARIANTS = np.array([0.0, SHIFT, -SHIFT, 0.0, 0.0])
+_RZ_VARIANTS = np.array([0.0, 0.0, 0.0, SHIFT, -SHIFT])
+_QUBITS = np.arange(N_QUBITS)
+_ENC_VARIANTS = np.zeros((N_QUBITS, 1 + 4 * N_QUBITS), dtype=np.intp)
+_ENC_VARIANTS[_QUBITS, 1 + 2 * _QUBITS] = 1
+_ENC_VARIANTS[_QUBITS, 2 + 2 * _QUBITS] = 2
+_ENC_VARIANTS[_QUBITS, 1 + 2 * (N_QUBITS + _QUBITS)] = 3
+_ENC_VARIANTS[_QUBITS, 2 + 2 * (N_QUBITS + _QUBITS)] = 4
 
 
 @dataclass
@@ -84,13 +101,9 @@ class VqcParams:
 
 @dataclass
 class VqcCache:
-    """Forward-pass data reused by the backward pass."""
+    """The forward pass's readout before the trainable scaling."""
 
-    x: np.ndarray
-    projected: np.ndarray  # a = in_proj @ x + bias
-    enc_ry: np.ndarray  # arctan(a)
-    enc_rz: np.ndarray  # arctan(a^2)
-    expectations: np.ndarray  # pre-scaling <Z_i>
+    expectations: np.ndarray  # pre-scaling <Z_i>, (..., 4)
 
 
 @dataclass
@@ -132,25 +145,61 @@ def _shift_rows(base: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
-    """The encoding H, RY(enc_ry), RZ(enc_rz) on |0000>, in closed form.
-
-    It leaves the product state v_3 (x) v_2 (x) v_1 (x) v_0, where qubit q
-    holds v_q = (e^{-iz/2} (cos y/2 - sin y/2), e^{iz/2} (cos y/2 + sin y/2))
-    / sqrt(2) for y, z its two angles; qubit 0 is the least significant bit
-    of the basis index, so the Kronecker product runs from qubit 3 down.
-    (..., 4) angles, which broadcast against each other, give (..., 16)
-    amplitudes.
-    """
+def _qubit_states(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
+    """H, RY(y), RZ(z) on |0> in closed form: (e^{-iz/2} (cos y/2 - sin y/2),
+    e^{iz/2} (cos y/2 + sin y/2)) / sqrt(2).  Angles that broadcast against
+    each other to shape S give (2, *S) amplitudes."""
     c, s = np.cos(enc_ry / 2.0), np.sin(enc_ry / 2.0)
     phase = np.exp(-0.5j * enc_rz) * 0.5**0.5
-    v = np.empty(np.broadcast_shapes(c.shape, phase.shape) + (2,), dtype=complex)
-    np.multiply(phase, c - s, out=v[..., 0])
-    np.multiply(phase.conj(), c + s, out=v[..., 1])
-    state = v[..., 3, :]
+    v = np.empty((2,) + np.broadcast_shapes(c.shape, phase.shape), dtype=complex)
+    np.multiply(phase, c - s, out=v[0])
+    np.multiply(phase.conj(), c + s, out=v[1])
+    return v
+
+
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """(w, 4, *S) per-qubit factors -> (w^4, *S): one Kronecker product of
+    the four qubits' factors per trailing index.  Qubit 0 is the least
+    significant bit of the basis index, so the product runs from qubit 3
+    down.  The trailing axes are innermost, so every multiply runs over
+    long rows."""
+    out = factors[:, 3]
     for q in (2, 1, 0):
-        state = (state[..., :, None] * v[..., q, None, :]).reshape(*state.shape[:-1], -1)
-    return state
+        out = (out[:, None] * factors[None, :, q]).reshape(-1, *out.shape[1:])
+    return out
+
+
+def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
+    """The encoding H, RY(enc_ry), RZ(enc_rz) on |0000>, in closed form: the
+    product state of the four qubits' states.  (4, *S) angles, which
+    broadcast against each other, give (16, *S) amplitudes."""
+    return _kron(_qubit_states(enc_ry, enc_rz))
+
+
+def _encoding_rows(a: np.ndarray) -> np.ndarray:
+    """(n, 4) compressed inputs -> (16, 17, n) encoded states: row 0
+    unshifted, rows 1 + 2k and 2 + 2k with encoding slot k shifted by
+    +SHIFT and -SHIFT, the slots being (arctan a, arctan a^2) as in
+    `_shift_rows`.  Each qubit is encoded once per angle variant and the
+    rows gather those states."""
+    qubits = _qubit_states(
+        np.arctan(a).T[:, None] + _RY_VARIANTS[:, None],
+        np.arctan(a * a).T[:, None] + _RZ_VARIANTS[:, None],
+    )  # (2, 4, 5, n)
+    return _kron(qubits[:, _QUBITS[:, None], _ENC_VARIANTS])
+
+
+def _ring_matrix() -> np.ndarray:
+    """The CNOT ring 0->1, 1->2, 2->3, 3->0 as a read-only matrix applied as
+    `state @ M`."""
+    # row b of the identity is basis state |b>, so the result holds U^T
+    state = StateVector(N_QUBITS, np.eye(DIM, dtype=complex))
+    apply_circuit(state, [cnot(c, (c + 1) % N_QUBITS) for c in range(N_QUBITS)])
+    state.amplitudes.flags.writeable = False
+    return state.amplitudes
+
+
+_RING = _ring_matrix()
 
 
 # one QLSTM's six blocks with two to spare; each optimizer step changes all six keys
@@ -161,16 +210,20 @@ def _layer_matrices(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     angle k shifted by +SHIFT (slot 2k) and -SHIFT (slot 2k + 1), side by
     side as one (16, 48 * 16) matrix, so one product applies them all.
     Read-only, since the cache shares them."""
-    # a shift changes one layer only, so each layer runs once per own shift
+    # a shift changes one layer only, so each layer is built once per own shift
     rows = _shift_rows(np.frombuffer(angle_bytes).reshape(N_LAYERS, -1))
-    # trailing axis: one angle per 16-row basis batch of (layer, shift)
-    rows = rows.reshape(N_LAYERS, -1, N_QUBITS, 3, 1)
-    # row b of the identity is basis state |b>, so each result holds U^T
-    state = StateVector(N_QUBITS, np.tile(np.eye(DIM, dtype=complex), (*rows.shape[:2], 1, 1)))
-    apply_circuit(state, [cnot(c, (c + 1) % N_QUBITS) for c in range(N_QUBITS)])
-    for slot, rotation in enumerate((rz, ry, rz)):
-        apply_circuit(state, [rotation(rows[:, :, q, slot], q) for q in range(N_QUBITS)])
-    first, second = state.amplitudes
+    angles = rows.reshape(N_LAYERS, -1, N_QUBITS, 3)  # (layer, shift, qubit, slot)
+    batch = angles.shape[:3]
+    # each qubit's RZ, RY, RZ on the two 1-qubit basis states, one angle per
+    # (layer, shift, qubit); as for the ring, the rows hold the transpose
+    rot = StateVector(1, np.tile(np.eye(2, dtype=complex), (*batch, 1, 1)))
+    apply_circuit(rot, [gate(angles[..., slot, None], 0) for slot, gate in enumerate((rz, ry, rz))])
+    # the Kronecker product of the flattened 2x2 factors orders the bits
+    # (r3 c3 r2 c2 r1 c1 r0 c0); regroup them as row (r3..r0), column (c3..c0)
+    factors = rot.amplitudes.reshape(*batch, 4).transpose(3, 2, 0, 1)  # (4, qubit, layer, shift)
+    kron = _kron(factors).reshape(*(2,) * 8, *batch[:2])
+    kron = kron.transpose(8, 9, 0, 2, 4, 6, 1, 3, 5, 7).reshape(*batch[:2], DIM, DIM)
+    first, second = _RING @ kron
     base = first[0] @ second[0]
     shifted = np.concatenate([first[1:] @ second[0], first[0] @ second[1:]])
     shifted = np.ascontiguousarray(shifted.transpose(1, 0, 2).reshape(DIM, -1))
@@ -203,14 +256,13 @@ def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = 
     (4,) or (B, 4), plus the cache."""
     x = _checked_input(params, x)
     a = x @ params.in_proj.T + params.bias
-    enc_ry = np.arctan(a)
-    enc_rz = np.arctan(a * a)
     base, _ = _matrices_for(params)
-    e = _z_expectations(_encode(enc_ry, enc_rz).reshape(-1, DIM) @ base).reshape(a.shape)
+    states = _encode(np.arctan(a.T), np.arctan((a * a).T))  # (16,) or (16, B)
+    e = _z_expectations(states.T.reshape(-1, DIM) @ base).reshape(a.shape)
     if counter is not None:
         counter.add(e.size // N_QUBITS)
     values = params.out_scale * e + params.out_shift
-    return VqcOutput(values=values, cache=VqcCache(x, a, enc_ry, enc_rz, e))
+    return VqcOutput(values=values, cache=VqcCache(e))
 
 
 def vqc_gradients(
@@ -236,30 +288,28 @@ def vqc_gradients(
     upstream = np.broadcast_to(np.asarray(upstream, dtype=float), x.shape[:-1] + (N_QUBITS,))
     upstream = upstream.reshape(n, N_QUBITS)
     a = rows @ params.in_proj.T + params.bias
-    enc_rows = _shift_rows(np.concatenate([np.arctan(a), np.arctan(a * a)], axis=1))
-    states = _encode(enc_rows[..., :N_QUBITS], enc_rows[..., N_QUBITS:])  # (n, 17, 16)
+    states = _encoding_rows(a)  # (16, 17, n)
     base, shifted = _matrices_for(params)
-    enc_out = (states.reshape(-1, DIM) @ base).reshape(n, -1, DIM)
-    var_out = (states[:, 0] @ shifted).reshape(n, -1, DIM)
-    e_all = _z_expectations(np.concatenate([enc_out, var_out], axis=1))  # (n, 65, 4)
+    e_enc = _z_expectations(states.reshape(DIM, -1).T @ base).reshape(-1, n, N_QUBITS)
+    e_var = _z_expectations((states[:, 0].T @ shifted).reshape(-1, DIM)).reshape(n, -1, N_QUBITS)
     if counter is not None:
-        counter.add(n * e_all.shape[1])
-    e = e_all[:, 0]
-    # d_e[:, k, i] = d<Z_i>/d(angle_k) by the parameter-shift rule
-    d_e = 0.5 * (e_all[:, 1::2] - e_all[:, 2::2])
+        counter.add(n * (e_enc.shape[0] + e_var.shape[1]))
+    e = e_enc[0]
 
     de = upstream * float(params.out_scale)  # dL/d<Z_i>
-    slot_grads = np.einsum("nki,ni->nk", d_e, de)  # (n, n_slots)
+    # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against de
+    enc_grads = np.einsum("kni,ni->nk", 0.5 * (e_enc[1::2] - e_enc[2::2]), de)  # (n, 8)
+    var_grads = np.einsum("nki,ni->nk", 0.5 * (e_var[:, 0::2] - e_var[:, 1::2]), de)  # (n, 24)
 
-    g_ry = slot_grads[:, :N_QUBITS]
-    g_rz = slot_grads[:, N_QUBITS : 2 * N_QUBITS]
+    g_ry = enc_grads[:, :N_QUBITS]
+    g_rz = enc_grads[:, N_QUBITS:]
     # chain rule through the arctan encodings back to a = in_proj @ x + bias
     da = g_ry / (1.0 + a * a) + g_rz * (2.0 * a) / (1.0 + a**4)
 
     grads = VqcParams(
         in_proj=da.T @ rows,
         bias=da.sum(axis=0),
-        angles=slot_grads[:, 2 * N_QUBITS :].sum(axis=0).reshape(N_LAYERS, N_QUBITS, 3),
+        angles=var_grads.sum(axis=0).reshape(N_LAYERS, N_QUBITS, 3),
         out_scale=np.array(float(np.sum(upstream * e))),
         out_shift=np.array(float(np.sum(upstream))),
     )

@@ -205,6 +205,21 @@ class TestExitCodes:
         assert main(["census", "--ckpt", str(ckpt_path)]) == 3
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_census_without_model_array_is_checkpoint_error(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2",
+            "--out", str(ckpt_path),
+        ]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        del doc["params"]["w_f"]
+        ckpt_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["census", "--ckpt", str(ckpt_path)]) == 2
+        err = capsys.readouterr().err
+        assert "w_f" in err and err.count("\n") == 1
+
 
     def test_unknown_model_or_task_in_checkpoint_is_checkpoint_error(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"

@@ -405,6 +405,18 @@ class TestReportFiles:
         doc = load_metrics(path)
         assert doc["mse"] == 0.0123
 
+    def test_failed_save_leaves_existing_file(self, tmp_path):
+        report = metrics(ConfusionMatrix())
+        report.mse = 0.0123
+        path = tmp_path / "metrics.json"
+        save_metrics(report, "sine", path)
+        before = path.read_bytes()
+        report.mse = float("nan")
+        with pytest.raises(ValueError):
+            save_metrics(report, "sine", path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_curves_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(6)
         blocks = {

@@ -10,6 +10,10 @@ from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
 from qvuln.vqc import (
     EvalCounter,
     VqcParams,
+    _encode,
+    _encoding_rows,
+    _layer_matrices,
+    _shift_rows,
     init_vqc_params,
     vqc_forward,
     vqc_gradients,
@@ -38,6 +42,19 @@ def random_params(rng: np.random.Generator, d_in: int) -> VqcParams:
     params.out_scale = np.array(rng.uniform(0.5, 2.0))
     params.out_shift = np.array(rng.uniform(-0.5, 0.5))
     return params
+
+
+def dense_layers(angles: np.ndarray) -> np.ndarray:
+    """The two variational layers as one unitary, from the oracle's gates."""
+    u = np.eye(16, dtype=complex)
+    for layer in range(2):
+        for c in range(4):
+            u = dense_oracle.cnot_matrix(c, (c + 1) % 4, 4) @ u
+        rotations = (dense_oracle.rz_matrix, dense_oracle.ry_matrix, dense_oracle.rz_matrix)
+        for slot, rotation in enumerate(rotations):
+            for q in range(4):
+                u = dense_oracle.on_qubit(rotation(angles[layer, q, slot]), q, 4) @ u
+    return u
 
 
 def fd_gradient(params: VqcParams, x: np.ndarray, upstream: np.ndarray, array: np.ndarray) -> np.ndarray:
@@ -191,6 +208,32 @@ class TestLayerCache:
         for name, arr in got.tree().items():
             np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
         np.testing.assert_array_equal(got_dx, want_dx)
+
+
+class TestKernelAgainstOracle:
+    def test_each_layer_matrix_matches_dense_product(self):
+        # the kernel applies M as `state @ M`, so M is the unitary's transpose
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
+            base, shifted = _layer_matrices(angles.tobytes())
+            np.testing.assert_allclose(base, dense_layers(angles).T, rtol=0, atol=1e-13)
+            for k in range(angles.size):
+                for j, sign in enumerate((1.0, -1.0)):
+                    moved = angles.copy()
+                    moved.reshape(-1)[k] += sign * np.pi / 2
+                    col = (2 * k + j) * 16
+                    np.testing.assert_allclose(
+                        shifted[:, col : col + 16], dense_layers(moved).T,
+                        rtol=0, atol=1e-13, err_msg=f"angle {k}, shift {sign:+}",
+                    )
+
+    def test_gathered_encoding_rows_equal_encoded_shift_rows(self):
+        rng = np.random.default_rng(43)
+        a = rng.uniform(-3, 3, size=(6, 4))
+        rows = _shift_rows(np.concatenate([np.arctan(a), np.arctan(a * a)], axis=1))  # (6, 17, 8)
+        want = _encode(np.moveaxis(rows[..., :4], -1, 0), np.moveaxis(rows[..., 4:], -1, 0))
+        np.testing.assert_array_equal(_encoding_rows(a), want.transpose(0, 2, 1))
 
 
 class TestEvalCounter:
