@@ -23,11 +23,13 @@ from .corpus import LabeledCorpus, Vocabulary, balance, build_vocab, encode_and_
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
 from .fileio import atomic_write
-from .neural import bce_from_logit, init_lstm_params, lstm_backward, lstm_forward
-from .qlstm import init_qlstm_params, qlstm_backward, qlstm_forward
+from .neural import bce_from_logit
 from .trainer import (
+    MODELS,
     ClassifyDataset,
     TrainConfig,
+    _model,
+    _recorded_size,
     analytic_census,
     evaluate,
     load_checkpoint,
@@ -94,6 +96,20 @@ def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) ->
         fh.write("\n")
 
 
+def _int_array(doc: dict, key: str, path: Path) -> np.ndarray:
+    """`doc[key]` as an int64 array; a missing key, ragged rows or entries
+    that are not integers raise DataError."""
+    if key not in doc:
+        raise DataError(f"{path}: missing {key!r}")
+    try:
+        arr = np.array(doc[key])
+    except ValueError:  # rows of different lengths
+        raise DataError(f"{path}: {key!r} rows must all have the same length") from None
+    if arr.size and arr.dtype.kind != "i":
+        raise DataError(f"{path}: {key!r} must hold integers")
+    return arr.astype(np.int64)
+
+
 def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
     path = Path(path)
     if not path.is_file():
@@ -103,13 +119,19 @@ def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not an encoded dataset document")
     if doc.get("format") != "encoded.v1":
         raise DataError(f"{path}: unsupported dataset format {doc.get('format')!r}")
-    max_len = int(doc["max_len"])
-    sequences = np.array(doc["sequences"], dtype=np.int64)
-    labels = np.array(doc["labels"], dtype=np.int64)
+    max_len = doc.get("max_len")
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
+        raise DataError(f"{path}: max_len must be a positive integer, got {max_len!r}")
+    sequences = _int_array(doc, "sequences", path)
+    labels = _int_array(doc, "labels", path)
     if sequences.ndim != 2 or sequences.shape[1] != max_len:
         raise DataError(f"{path}: sequence rows must all have length {max_len}")
+    if labels.ndim != 1:
+        raise DataError(f"{path}: labels must be a flat list")
     if sequences.shape[0] != labels.shape[0]:
         raise DataError(f"{path}: {sequences.shape[0]} sequences but {labels.shape[0]} labels")
     if labels.size and not np.isin(labels, (0, 1)).all():
@@ -171,40 +193,25 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
         got = {**grads.tree(), "x": dx}
         worst["vqc"] = max(worst["vqc"], _max_abs_diff(fd, got))
 
-    for T in (1, 2, 3, 4):
-        hidden, d_in = 3, 2
-        params = init_lstm_params(hidden, d_in, rng)
-        seq = [rng.normal(size=d_in) for _ in range(T)]
+    # (model, recorded sizes, sequence length) of each model instance
+    instances = [("lstm", {"d_in": 2, "hidden": 3}, T) for T in (1, 2, 3, 4)]
+    instances += [("qlstm", {"d_in": 2}, 2), ("qlstm", {"d_in": 3}, 3)]
+    for model, hp, T in instances:
+        params, forward, backward = _model(model, hp, rng)
+        seq = [rng.normal(size=hp["d_in"]) for _ in range(T)]
         target = float(rng.integers(0, 2))
 
-        def lstm_value() -> float:
-            logit, _ = lstm_forward(params, seq)
+        def model_value() -> float:
+            logit, _ = forward(params, seq)
             return bce_from_logit(logit, target)[0]
 
-        logit, caches = lstm_forward(params, seq)
+        logit, caches = forward(params, seq)
         _, dlogit = bce_from_logit(logit, target)
-        grads, dx = lstm_backward(params, caches, dlogit)
+        grads, dx = backward(params, caches, dlogit)
         inputs = {f"x{t}": seq[t] for t in range(T)}
-        fd = _central_fd(lstm_value, {**params.tree(), **inputs}, GRADCHECK_STEP)
+        fd = _central_fd(model_value, {**params.tree(), **inputs}, GRADCHECK_STEP)
         got = {**grads.tree(), **{f"x{t}": dx[t] for t in range(T)}}
-        worst["lstm"] = max(worst["lstm"], _max_abs_diff(fd, got))
-
-    for d_x, T in ((2, 2), (3, 3)):
-        params = init_qlstm_params(d_x, rng)
-        seq = [rng.normal(size=d_x) for _ in range(T)]
-        target = float(rng.integers(0, 2))
-
-        def qlstm_value() -> float:
-            logit, _ = qlstm_forward(params, seq)
-            return bce_from_logit(logit, target)[0]
-
-        logit, caches = qlstm_forward(params, seq)
-        _, dlogit = bce_from_logit(logit, target)
-        grads, dx = qlstm_backward(params, caches, dlogit)
-        inputs = {f"x{t}": seq[t] for t in range(T)}
-        fd = _central_fd(qlstm_value, {**params.tree(), **inputs}, GRADCHECK_STEP)
-        got = {**grads.tree(), **{f"x{t}": dx[t] for t in range(T)}}
-        worst["qlstm"] = max(worst["qlstm"], _max_abs_diff(fd, got))
+        worst[model] = max(worst[model], _max_abs_diff(fd, got))
 
     return worst
 
@@ -246,7 +253,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(
         model=args.model,
         task=args.task,
-        embedding_mode=args.embedding,
         epochs=args.epochs,
         batch_size=args.batch,
         seed=args.seed,
@@ -254,8 +260,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         hidden=args.hidden,
         d_basic=args.d_basic,
-        n_points=args.n_points,
-        window=args.window,
         sigma_hidden=args.sigma_hidden,
     )
     if args.task == "classify":
@@ -301,7 +305,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         data = load_encoded_dataset(args.data)
     else:
         hp = ckpt.hyperparameters
-        data = sine_task(int(hp.get("n_points", 100)), int(hp.get("window", 4)))
+        data = sine_task(_recorded_size(hp, "n_points", 100), _recorded_size(hp, "window", 4))
     report = evaluate(ckpt, data, args.threshold)
     if args.metrics:
         save_metrics(report, ckpt.task, args.metrics)
@@ -319,8 +323,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sine_demo(args: argparse.Namespace) -> int:
     config = TrainConfig(model=args.model, task="sine", epochs=args.epochs, seed=args.seed)
-    data = sine_task(config.n_points, config.window)
-    train(config, data, curves_path=args.curves)
+    train(config, sine_task(), curves_path=args.curves)
     blocks = load_curves(args.curves)
     for epoch in sorted(blocks):
         _, actual, predicted = blocks[epoch]
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for encoded files")
 
     p = add("train", "train a model and write a checkpoint", _cmd_train)
-    p.add_argument("--model", required=True, choices=("lstm", "qlstm"), help="model kind")
+    p.add_argument("--model", required=True, choices=MODELS, help="model kind")
     p.add_argument("--task", required=True, choices=("classify", "sine"), help="training task")
     p.add_argument("--embedding", choices=MODES, default="basic", help="input representation")
     p.add_argument("--vectors", action="append", default=None, metavar="FILE",
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None, help="metrics report output path")
 
     p = add("sine-demo", "train on the sine task and dump prediction curves", _cmd_sine_demo)
-    p.add_argument("--model", required=True, choices=("lstm", "qlstm"), help="model kind")
+    p.add_argument("--model", required=True, choices=MODELS, help="model kind")
     p.add_argument("--epochs", type=int, default=30, help="training epochs")
     p.add_argument("--seed", type=int, default=42, help="seed for init and shuffling")
     p.add_argument("--curves", required=True, help="curve output path")

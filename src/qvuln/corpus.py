@@ -75,9 +75,14 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> Vocabulary:
+        if not isinstance(data, dict):
+            raise DataError("a vocabulary must be a JSON object")
         if data.get("format") != "vocab.v1":
             raise DataError(f"unsupported vocabulary format {data.get('format')!r}")
-        vocab = cls(tokens=list(data["tokens"]))
+        tokens = data.get("tokens")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError("vocabulary tokens must be a list of strings")
+        vocab = cls(tokens=tokens)
         digest = data.get("digest")
         if digest is not None and digest != vocab.digest():
             raise DataError("vocabulary digest mismatch")

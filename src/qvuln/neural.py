@@ -2,6 +2,10 @@
 binary cross-entropy on the logit, and the Adam optimizer over named
 parameter trees.
 
+A parameter dataclass (`LstmParams` here, `VqcParams` and `QlstmParams`
+elsewhere) derives its tree of named arrays from its fields through
+`ParamTree`, and `zeros_like` gives its zero gradient accumulator.
+
 The LSTM and the loss take an optional leading batch axis: a sequence is
 (T, d_in) for one sample or (B, T, d_in) for B samples, each gate is then
 one (B, hidden + d_in) x (hidden + d_in, hidden) matrix product per step,
@@ -9,7 +13,8 @@ and parameter gradients are summed over the batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import TypeVar
 
 import numpy as np
 
@@ -24,8 +29,40 @@ def sigmoid(x: np.ndarray | float) -> np.ndarray:
     return out
 
 
+class ParamTree:
+    """Base of the parameter dataclasses: their array fields, in field
+    order, form a tree of named arrays.  A field that is itself a
+    ParamTree contributes its arrays under `field.`, e.g. `vqc1.in_proj`;
+    other fields (flags) are not parameters."""
+
+    def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ParamTree):
+                out.update(value.tree(f"{prefix}{f.name}."))
+            elif isinstance(value, np.ndarray):
+                out[prefix + f.name] = value
+        return out
+
+
+_P = TypeVar("_P", bound=ParamTree)
+
+
+def zeros_like(params: _P) -> _P:
+    """A copy of `params` with every array zeroed; other fields are kept."""
+    changes = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, ParamTree):
+            changes[f.name] = zeros_like(value)
+        elif isinstance(value, np.ndarray):
+            changes[f.name] = np.zeros_like(value)
+    return replace(params, **changes)
+
+
 @dataclass
-class LstmParams:
+class LstmParams(ParamTree):
     """Gate weight matrices (hidden x (hidden + d_in)), gate biases, and the
     single-logit classification head."""
 
@@ -47,20 +84,6 @@ class LstmParams:
     @property
     def d_in(self) -> int:
         return self.w_f.shape[1] - self.w_f.shape[0]
-
-    def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {
-            prefix + "w_f": self.w_f,
-            prefix + "w_i": self.w_i,
-            prefix + "w_c": self.w_c,
-            prefix + "w_o": self.w_o,
-            prefix + "b_f": self.b_f,
-            prefix + "b_i": self.b_i,
-            prefix + "b_c": self.b_c,
-            prefix + "b_o": self.b_o,
-            prefix + "head_w": self.head_w,
-            prefix + "head_b": self.head_b,
-        }
 
 
 @dataclass
@@ -95,10 +118,6 @@ def init_lstm_params(hidden: int, d_in: int, rng: np.random.Generator) -> LstmPa
         head_w=rng.uniform(-k, k, size=hidden),
         head_b=np.array(0.0),
     )
-
-
-def zeros_like_lstm(params: LstmParams) -> LstmParams:
-    return LstmParams(**{k: np.zeros_like(v) for k, v in vars(params).items()})
 
 
 @dataclass
@@ -166,7 +185,7 @@ def lstm_backward(
     """
     upstream = np.asarray(upstream, dtype=float)
     hidden = params.hidden
-    grads = zeros_like_lstm(params)
+    grads = zeros_like(params)
     grads.head_w += np.dot(upstream, caches.h_final)
     grads.head_b += np.sum(upstream)
     dh = upstream[..., None] * params.head_w

@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neural import as_sequences, sigmoid
-from .vqc import EvalCounter, VqcParams, init_vqc_params, vqc_forward, vqc_gradients, zeros_like_params
+from .neural import ParamTree, as_sequences, sigmoid, zeros_like
+from .vqc import EvalCounter, VqcParams, init_vqc_params, vqc_forward, vqc_gradients
 
 HIDDEN = 4
 
 
 @dataclass
-class QlstmParams:
+class QlstmParams(ParamTree):
     """Six circuit blocks plus the scalar read-out head.
 
     vqc1-4 consume concat(h, x) (d_in = 4 + d_x); vqc5 and vqc6 consume the
@@ -58,14 +58,6 @@ class QlstmParams:
     def vqcs(self) -> tuple[VqcParams, ...]:
         return (self.vqc1, self.vqc2, self.vqc3, self.vqc4, self.vqc5, self.vqc6)
 
-    def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for k, vqc in enumerate(self.vqcs(), start=1):
-            out.update(vqc.tree(prefix=f"{prefix}vqc{k}."))
-        out[prefix + "head_w"] = self.head_w
-        out[prefix + "head_b"] = self.head_b
-        return out
-
 
 @dataclass
 class QlstmState:
@@ -88,20 +80,6 @@ def init_qlstm_params(d_x: int, rng: np.random.Generator, sigma_hidden: bool = T
         head_w=rng.uniform(-k, k, size=HIDDEN),
         head_b=np.array(0.0),
         sigma_hidden=sigma_hidden,
-    )
-
-
-def zeros_like_qlstm(params: QlstmParams) -> QlstmParams:
-    return QlstmParams(
-        vqc1=zeros_like_params(params.vqc1),
-        vqc2=zeros_like_params(params.vqc2),
-        vqc3=zeros_like_params(params.vqc3),
-        vqc4=zeros_like_params(params.vqc4),
-        vqc5=zeros_like_params(params.vqc5),
-        vqc6=zeros_like_params(params.vqc6),
-        head_w=np.zeros_like(params.head_w),
-        head_b=np.zeros_like(params.head_b),
-        sigma_hidden=params.sigma_hidden,
     )
 
 
@@ -216,7 +194,7 @@ def qlstm_backward(
     is (T, d_x) or (B, T, d_x).
     """
     upstream = np.asarray(upstream, dtype=float)
-    grads = zeros_like_qlstm(params)
+    grads = zeros_like(params)
     T = len(caches.steps)
     grads.head_w += np.dot(upstream, caches.y_final)
     grads.head_b += np.sum(upstream)

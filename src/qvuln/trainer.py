@@ -7,12 +7,16 @@ census, and versioned JSON checkpoints that round-trip bitwise.
 
 Each optimizer step is one forward and one backward call over the whole
 mini-batch, through the models' leading batch axis; evaluation runs the
-same batched forward in chunks of EVAL_CHUNK samples.
+same batched forward in chunks of EVAL_CHUNK samples.  `_model` is the one
+place that maps a model name and the hyperparameters a checkpoint records
+to fresh parameters and the model's forward and backward functions; train,
+evaluate and the checkpoint schema check all build through it.
 """
 from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +28,6 @@ from .embedding import EmbeddingMatrix
 from .errors import CheckpointError, DataError, DivergenceError
 from .fileio import atomic_write
 from .neural import (
-    LstmParams,
     OptimizerState,
     adam_step,
     bce_from_logit,
@@ -35,7 +38,6 @@ from .neural import (
 )
 from .qlstm import (
     HIDDEN as QLSTM_HIDDEN,
-    QlstmParams,
     init_qlstm_params,
     qlstm_backward,
     qlstm_forward,
@@ -62,7 +64,6 @@ class TrainConfig:
 
     model: str
     task: str
-    embedding_mode: str = "basic"
     epochs: int | None = None
     batch_size: int = 16
     seed: int = 42
@@ -71,8 +72,6 @@ class TrainConfig:
     threshold: float = 0.5
     hidden: int = 50
     d_basic: int = 50
-    n_points: int = 100
-    window: int = 4
     sigma_hidden: bool = True
 
     def __post_init__(self) -> None:
@@ -90,6 +89,13 @@ class TrainConfig:
             raise DataError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.threshold < 1.0:
             raise DataError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if self.hidden < 1 or self.d_basic < 1:
+            raise DataError(
+                f"hidden and d_basic must be >= 1, got hidden={self.hidden} d_basic={self.d_basic}"
+            )
+        # zero is allowed: a zero learning rate leaves the parameters as initialized
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise DataError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -309,7 +315,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def _recorded_size(hp: dict, key: str) -> int:
+def _recorded_size(hp: dict, key: str, default: int | None = None) -> int:
+    """The positive integer `hp[key]`; an absent key gives `default` when
+    one is set."""
+    if key not in hp and default is not None:
+        return default
     value = hp.get(key)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise CheckpointError(
@@ -318,19 +328,30 @@ def _recorded_size(hp: dict, key: str) -> int:
     return value
 
 
-def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False) -> LstmParams | QlstmParams:
-    """The model's parameters, checked against the model's own parameter
-    tree at the dimensions the checkpoint records: the same names, the
-    same shapes, finite values.  A classify checkpoint also holds a finite
-    (n_rows, d_in) embedding.  Raises CheckpointError on any difference;
-    with `extra_ok`, arrays the model does not have are let through."""
-    hp = ckpt.hyperparameters
+def _model(model: str, hp: dict, rng: np.random.Generator):
+    """Fresh parameters of `model` at the sizes the hyperparameters `hp`
+    record (`d_in`, plus `hidden` for the LSTM or `sigma_hidden` for the
+    QLSTM), with the model's (forward, backward) pair; both take a leading
+    batch axis.  A recorded size that is not a positive integer raises
+    CheckpointError."""
+    # the functions are read from the module globals at call time, so a
+    # wrapper put in their place (e.g. a tracer) sees every call
     d_in = _recorded_size(hp, "d_in")
-    rng = np.random.default_rng(0)
-    if ckpt.model == "lstm":
-        params = init_lstm_params(_recorded_size(hp, "hidden"), d_in, rng)
-    else:
-        params = init_qlstm_params(d_in, rng, sigma_hidden=bool(hp.get("sigma_hidden", True)))
+    if model == "lstm":
+        return init_lstm_params(_recorded_size(hp, "hidden"), d_in, rng), lstm_forward, lstm_backward
+    params = init_qlstm_params(d_in, rng, sigma_hidden=bool(hp.get("sigma_hidden", True)))
+    return params, qlstm_forward, qlstm_backward
+
+
+def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
+    """The model's parameters and its batched forward function.  The
+    parameters are checked against the model's own parameter tree at the
+    dimensions the checkpoint records: the same names, the same shapes,
+    finite values.  A classify checkpoint also holds a finite (n_rows,
+    d_in) embedding.  Raises CheckpointError on any difference; with
+    `extra_ok`, arrays the model does not have are let through."""
+    params, forward, _ = _model(ckpt.model, ckpt.hyperparameters, np.random.default_rng(0))
+    d_in = ckpt.hyperparameters["d_in"]
     expected = {name: arr.shape for name, arr in params.tree().items()}
     if ckpt.task == "classify":
         # the vocabulary size is the checkpoint's own; the width is d_in
@@ -352,7 +373,7 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False) -> LstmPara
             raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
     for name, arr in params.tree().items():
         arr[...] = ckpt.arrays[name]
-    return params
+    return params, forward
 
 
 # --- metrics report files ---
@@ -420,19 +441,6 @@ def load_curves(path: str | Path) -> dict[int, tuple[np.ndarray, np.ndarray, np.
 # --- model plumbing shared by train and evaluate ---
 
 
-def _init_model(config: TrainConfig, d_in: int, rng: np.random.Generator):
-    if config.model == "lstm":
-        return init_lstm_params(config.hidden, d_in, rng)
-    return init_qlstm_params(d_in, rng, sigma_hidden=config.sigma_hidden)
-
-
-def _passes(model: str):
-    """The model's (forward, backward) pair; both take a leading batch axis."""
-    if model == "lstm":
-        return lstm_forward, lstm_backward
-    return qlstm_forward, qlstm_backward
-
-
 def _inputs(task: str, data, rows, matrix: EmbeddingMatrix | None) -> np.ndarray:
     """(B, T, d) model inputs of the samples `rows` (index array or slice)."""
     if task == "sine":
@@ -455,11 +463,10 @@ def _check_indices(data: ClassifyDataset, n_rows: int) -> None:
 
 
 def predictions_over(
-    model: str, task: str, params, data, matrix: EmbeddingMatrix | None
+    forward, task: str, params, data, matrix: EmbeddingMatrix | None
 ) -> np.ndarray:
     """Raw value for sine, probability for classify, one entry per sample;
-    the forward pass runs over chunks of EVAL_CHUNK samples."""
-    forward, _ = _passes(model)
+    the model's `forward` runs over chunks of EVAL_CHUNK samples."""
     out = np.empty(len(data))
     for start in range(0, len(data), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
@@ -498,17 +505,34 @@ def train(
         for split in (data, eval_data):
             if split is not None:
                 _check_indices(split, matrix.rows.shape[0])
-    d_in = 1 if config.task == "sine" else matrix.dim
+    hyperparameters: dict = {
+        "batch_size": config.batch_size,
+        "d_in": 1 if config.task == "sine" else matrix.dim,
+        "epochs": config.epochs,
+        "lr": config.lr,
+        "seed": config.seed,
+        "threshold": config.threshold,
+    }
+    if config.model == "lstm":
+        hyperparameters["hidden"] = config.hidden
+    else:
+        hyperparameters["sigma_hidden"] = config.sigma_hidden
+    if config.task == "classify":
+        hyperparameters.update(
+            embedding_mode=matrix.source,
+            embedding_trainable=matrix.trainable,
+            max_len=data.max_len,
+        )
+    else:
+        hyperparameters.update(n_points=len(data), window=data.inputs.shape[1])
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    params = _init_model(config, d_in, init_rng)
-    forward, backward = _passes(config.model)
+    params, forward, backward = _model(config.model, hyperparameters, init_rng)
     targets = data.targets if config.task == "sine" else data.labels
 
     params_tree = params.tree()
     emb_trainable = matrix is not None and matrix.trainable
     if emb_trainable:
-        params_tree = dict(params_tree)
         params_tree["embedding.rows"] = matrix.rows
     opt = OptimizerState(lr=config.lr)
 
@@ -544,36 +568,16 @@ def train(
         loss_curve.append(mean_loss)
         log.info("epoch %d/%d: mean loss %.6f", epoch, config.epochs, mean_loss)
         if curves_path is not None and epoch in (1, config.epochs):
-            preds = predictions_over(config.model, config.task, params, data, matrix)
+            preds = predictions_over(forward, config.task, params, data, matrix)
             curve_blocks[epoch] = _curve_block(config.task, data, preds)
     wall_time = time.perf_counter() - started
 
     if curves_path is not None:
         save_curves(curve_blocks, curves_path)
 
-    parameter_count = runtime_census(params_tree, emb_trainable)
-    hyperparameters: dict = {
-        "batch_size": config.batch_size,
-        "d_in": d_in,
-        "epochs": config.epochs,
-        "lr": config.lr,
-        "seed": config.seed,
-        "threshold": config.threshold,
-    }
-    if config.model == "lstm":
-        hyperparameters["hidden"] = config.hidden
-    else:
-        hyperparameters["sigma_hidden"] = config.sigma_hidden
-    arrays = dict(params.tree())
+    arrays = params.tree()
     if config.task == "classify":
-        hyperparameters.update(
-            embedding_mode=matrix.source,
-            embedding_trainable=matrix.trainable,
-            max_len=data.max_len,
-        )
         arrays["embedding.rows"] = matrix.rows
-    else:
-        hyperparameters.update(n_points=len(data), window=data.inputs.shape[1])
     ckpt = Checkpoint(
         model=config.model,
         task=config.task,
@@ -592,7 +596,7 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     """Metrics over a dataset: thresholded confusion metrics for classify
     (predict 1 iff probability >= threshold), MSE for sine."""
     started = time.perf_counter()
-    params = params_from_checkpoint(ckpt)
+    params, forward = params_from_checkpoint(ckpt)
     hp = ckpt.hyperparameters
     matrix = None
     if ckpt.task == "classify":
@@ -616,7 +620,7 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     elif not isinstance(data, SineDataset):
         raise DataError("checkpoint task is sine but data is not a sine dataset")
 
-    preds = predictions_over(ckpt.model, ckpt.task, params, data, matrix)
+    preds = predictions_over(forward, ckpt.task, params, data, matrix)
 
     if ckpt.task == "classify":
         predicted = (preds >= threshold).astype(int)

@@ -33,6 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .neural import ParamTree
 from .qsim import StateVector, apply_circuit, cnot, ry, rz
 
 N_QUBITS = 4
@@ -71,7 +72,7 @@ class EvalCounter:
 
 
 @dataclass
-class VqcParams:
+class VqcParams(ParamTree):
     """All trainable values of one circuit block.
 
     in_proj/bias compress the classical input to 4 values, angles holds the
@@ -88,15 +89,6 @@ class VqcParams:
     @property
     def d_in(self) -> int:
         return self.in_proj.shape[1]
-
-    def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {
-            prefix + "in_proj": self.in_proj,
-            prefix + "bias": self.bias,
-            prefix + "angles": self.angles,
-            prefix + "out_scale": self.out_scale,
-            prefix + "out_shift": self.out_shift,
-        }
 
 
 @dataclass
@@ -121,16 +113,6 @@ def init_vqc_params(d_in: int, rng: np.random.Generator) -> VqcParams:
         angles=rng.uniform(-0.1 * np.pi, 0.1 * np.pi, size=(N_LAYERS, N_QUBITS, 3)),
         out_scale=np.array(1.0),
         out_shift=np.array(0.0),
-    )
-
-
-def zeros_like_params(params: VqcParams) -> VqcParams:
-    return VqcParams(
-        in_proj=np.zeros_like(params.in_proj),
-        bias=np.zeros_like(params.bias),
-        angles=np.zeros_like(params.angles),
-        out_scale=np.zeros_like(params.out_scale),
-        out_shift=np.zeros_like(params.out_shift),
     )
 
 

@@ -283,6 +283,75 @@ class TestExitCodes:
             assert "outside" in capsys.readouterr().err
         assert not (tmp_path / "ckpt.json").exists()
 
+    def test_malformed_encoded_split_or_vocabulary_is_data_error(
+        self, tiny_corpus_dir, tmp_path, capsys
+    ):
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        split = json.loads((enc_dir / "train.json").read_text())
+        vocab = json.loads((enc_dir / "vocab.json").read_text())
+        without = lambda doc, key: {k: v for k, v in doc.items() if k != key}
+        ragged = [row[:-1] if k == 0 else row for k, row in enumerate(split["sequences"])]
+        bad_splits = [
+            split["sequences"],
+            without(split, "max_len"),
+            {**split, "max_len": "two"},
+            {**split, "sequences": ragged},
+            {**split, "labels": ["x", "y"]},
+        ]
+        bad_vocabs = [vocab["tokens"], without(vocab, "tokens"), {**vocab, "tokens": [1, 2]}]
+        cases = [(doc, vocab) for doc in bad_splits] + [(split, doc) for doc in bad_vocabs]
+        data_path, vocab_path = tmp_path / "split.json", tmp_path / "vocab.json"
+        for k, (split_doc, vocab_doc) in enumerate(cases):
+            data_path.write_text(json.dumps(split_doc))
+            vocab_path.write_text(json.dumps(vocab_doc))
+            capsys.readouterr()
+            assert main([
+                "train", "--model", "lstm", "--task", "classify", "--data", str(data_path),
+                "--vocab", str(vocab_path), "--epochs", "1", "--hidden", "2",
+                "--d-basic", "2", "--out", str(tmp_path / "ckpt.json"),
+            ]) == 2, k
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_sine_eval_reads_checked_task_sizes(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        good = json.loads(ckpt_path.read_text())
+        for key in ("n_points", "window"):
+            for value in ("abc", None, [1]):
+                hp = {**good["hyperparameters"], key: value}
+                ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
+                capsys.readouterr()
+                assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
+                err = capsys.readouterr().err
+                assert key in err and err.count("\n") == 1, err
+        # absent sizes fall back to the sine task's defaults (100 points, window 4)
+        hp = {k: v for k, v in good["hyperparameters"].items() if k not in ("n_points", "window")}
+        ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
+        assert capsys.readouterr().out.startswith("mse=")
+
+    def test_bad_train_settings_are_data_errors(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        for flags in (["--hidden", "0"], ["--hidden", "-3"], ["--d-basic", "-1"],
+                      ["--lr", "-1"], ["--lr", "nan"], ["--lr", "inf"]):
+            capsys.readouterr()
+            assert main([
+                "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+                "--n-points", "8", "--window", "2", *flags, "--out", str(ckpt_path),
+            ]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not ckpt_path.exists()
+
 
 def _tampered_eval(tmp_path, capsys, tamper) -> tuple[int, str]:
     """Train a small sine checkpoint, apply `tamper` to its params, and

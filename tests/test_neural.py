@@ -18,7 +18,7 @@ from qvuln.neural import (
     lstm_cell_step,
     lstm_forward,
     sigmoid,
-    zeros_like_lstm,
+    zeros_like,
 )
 
 FD_STEP = 1e-5
@@ -241,9 +241,16 @@ class TestInit:
         assert params.hidden == 5
         assert params.d_in == 3
 
+    def test_tree_names(self):
+        # checkpoints store the arrays under these names, in this order
+        params = init_lstm_params(3, 2, np.random.default_rng(2))
+        assert list(params.tree()) == [
+            "w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o", "head_w", "head_b",
+        ]
+
     def test_zeros_like(self):
         params = init_lstm_params(3, 2, np.random.default_rng(2))
-        zeros = zeros_like_lstm(params)
+        zeros = zeros_like(params)
         for name, arr in zeros.tree().items():
             assert np.all(arr == 0)
             assert arr.shape == params.tree()[name].shape

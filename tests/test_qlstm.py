@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qvuln.qlstm
-from qvuln.neural import bce_from_logit, sigmoid
+from qvuln.neural import bce_from_logit, sigmoid, zeros_like
 from qvuln.qlstm import (
     HIDDEN,
     QlstmState,
@@ -15,7 +15,6 @@ from qvuln.qlstm import (
     qlstm_backward,
     qlstm_cell_step,
     qlstm_forward,
-    zeros_like_qlstm,
 )
 from qvuln.vqc import EvalCounter, vqc_gradients
 
@@ -183,10 +182,15 @@ class TestInit:
             assert f"vqc{k}.angles" in names
         assert "head_w" in names and "head_b" in names
         assert len(names) == 6 * 5 + 2
+        # checkpoints store the arrays under these names, in this order
+        block = ("in_proj", "bias", "angles", "out_scale", "out_shift")
+        assert list(params.tree()) == [
+            f"vqc{k}.{name}" for k in range(1, 7) for name in block
+        ] + ["head_w", "head_b"]
 
     def test_zeros_like(self):
         params = init_qlstm_params(2, np.random.default_rng(9))
-        zeros = zeros_like_qlstm(params)
+        zeros = zeros_like(params)
         for name, arr in zeros.tree().items():
             assert np.all(arr == 0)
             assert arr.shape == params.tree()[name].shape

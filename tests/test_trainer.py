@@ -140,6 +140,11 @@ class TestTrainConfig:
             TrainConfig(model="lstm", task="sine", batch_size=0)
         with pytest.raises(DataError):
             TrainConfig(model="lstm", task="sine", threshold=1.0)
+        for bad in (dict(hidden=0), dict(d_basic=0), dict(lr=-1e-3), dict(lr=math.nan),
+                    dict(lr=math.inf)):
+            with pytest.raises(DataError):
+                TrainConfig(model="lstm", task="sine", **bad)
+        assert TrainConfig(model="lstm", task="sine", lr=0.0).lr == 0.0
 
 
 class TestTrain:

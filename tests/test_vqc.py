@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qvuln.neural import OptimizerState, adam_step
+from qvuln.neural import OptimizerState, adam_step, zeros_like
 from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
 from qvuln.vqc import (
     EvalCounter,
@@ -17,7 +17,6 @@ from qvuln.vqc import (
     init_vqc_params,
     vqc_forward,
     vqc_gradients,
-    zeros_like_params,
 )
 
 import dense_oracle
@@ -298,7 +297,7 @@ class TestInit:
 
     def test_zeros_like(self):
         params = init_vqc_params(3, np.random.default_rng(1))
-        zeros = zeros_like_params(params)
+        zeros = zeros_like(params)
         for arr in zeros.tree().values():
             assert np.all(arr == 0)
         assert zeros.in_proj.shape == params.in_proj.shape
