@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LabeledCorpus, Vocabulary, balance, build_vocab, encode_and_pad, load_dataset, tokenize
+from .corpus import (
+    SPLITS, Vocabulary, balance, build_vocab, encode_and_pad, load_dataset, tokenize,
+)
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
 from .fileio import atomic_write
@@ -71,14 +73,17 @@ def load_vocab_file(path: str | Path) -> Vocabulary:
     return Vocabulary.from_dict(doc)
 
 
-def encode_corpus(corpus: LabeledCorpus, vocab: Vocabulary, max_len: int) -> ClassifyDataset:
-    sequences = np.zeros((len(corpus), max_len), dtype=np.int64)
-    labels = np.zeros(len(corpus), dtype=np.int64)
-    for k, (code, label) in enumerate(corpus.samples):
-        sequences[k] = encode_and_pad(tokenize(code), vocab, max_len).indices
-        labels[k] = label
+def encode_corpus(
+    token_lists: list[list[str]], labels: list[int], vocab: Vocabulary, max_len: int
+) -> ClassifyDataset:
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
+    sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
+    for k, tokens in enumerate(token_lists):
+        sequences[k] = encode_and_pad(tokens, vocab, max_len).indices
     return ClassifyDataset(
-        sequences=sequences, labels=labels, max_len=max_len, vocab_digest=vocab.digest()
+        sequences=sequences, labels=np.array(labels, dtype=np.int64), max_len=max_len,
+        vocab_digest=vocab.digest(),
     )
 
 
@@ -173,6 +178,8 @@ def _max_abs_diff(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> float:
 def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
     """Max absolute deviation between analytic gradients and central finite
     differences for each differentiation path."""
+    if trials < 1:
+        raise DataError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = {"vqc": 0.0, "lstm": 0.0, "qlstm": 0.0}
 
@@ -223,17 +230,20 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpora = {}
-    for split in ("train", "validation", "test"):
+    tokens, labels = {}, {}
+    for split in SPLITS:
         corpus = load_dataset(data_dir / f"{split}.csv", split)
         if args.balance:
             corpus = balance(corpus, args.seed)
-        corpora[split] = corpus
+        tokens[split] = [tokenize(code) for code, _ in corpus.samples]
+        labels[split] = [label for _, label in corpus.samples]
         log.info("%s: %d samples after preprocessing", split, len(corpus))
-    vocab = build_vocab(corpora["train"], args.max_vocab)
+    vocab = build_vocab(tokens["train"], args.max_vocab)
+    encoded = {
+        split: encode_corpus(tokens[split], labels[split], vocab, args.max_len) for split in SPLITS
+    }
     save_vocab_file(vocab, out_dir / "vocab.json")
-    for split, corpus in corpora.items():
-        data = encode_corpus(corpus, vocab, args.max_len)
+    for split, data in encoded.items():
         save_encoded_dataset(data, split, out_dir / f"{split}.json")
     return 0
 

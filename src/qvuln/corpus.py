@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,19 @@ SPLITS = ("train", "validation", "test")
 TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "++", "--",
                 "+=", "-=", "*=", "/=", "->", "::")
 SINGLE_CHARS = set("(){}[];,.<>=+-*/%&|^!~?:#\"'")
+
+# a line comment, a block comment (an unterminated one runs to the end), or
+# a string or char literal (backslash escapes the next character; an
+# unterminated one runs to the end)
+_COMMENT_OR_LITERAL = re.compile(
+    r"""//[^\n]*|/\*(?:.*?\*/|.*)|(["'])(?:\\.|\\$|(?!\1)[^\\])*\1?""", re.S
+)
+_SINGLE_CLASS = re.escape("".join(sorted(SINGLE_CHARS)))
+# a literal placeholder, an operator (longest first), or a word: a run of
+# characters that are neither whitespace nor punctuation
+_TOKEN = re.compile("|".join([
+    "''", '""', *map(re.escape, TWO_CHAR_OPS), f"[{_SINGLE_CLASS}]", rf"[^\s{_SINGLE_CLASS}]+",
+]))
 
 
 @dataclass
@@ -153,86 +167,28 @@ def balance(corpus: LabeledCorpus, seed: int) -> LabeledCorpus:
     return LabeledCorpus(samples=samples, split=corpus.split)
 
 
-def _strip_comments_and_literals(text: str) -> str:
-    """Drop comment text and string/char literal contents; literals become
-    space-delimited placeholder tokens so later splitting keeps them whole."""
-    out: list[str] = []
-    k = 0
-    n = len(text)
-    while k < n:
-        ch = text[k]
-        nxt = text[k + 1] if k + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            while k < n and text[k] != "\n":
-                k += 1
-            out.append(" ")
-        elif ch == "/" and nxt == "*":
-            k += 2
-            while k + 1 < n and not (text[k] == "*" and text[k + 1] == "/"):
-                k += 1
-            k = min(k + 2, n)
-            out.append(" ")
-        elif ch == '"' or ch == "'":
-            quote = ch
-            k += 1
-            while k < n and text[k] != quote:
-                k += 2 if text[k] == "\\" else 1
-            k = min(k + 1, n)
-            out.append(f" {quote}{quote} ")
-        else:
-            out.append(ch)
-            k += 1
-    return "".join(out)
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    """Maximal-munch split of one whitespace-free chunk."""
-    if chunk in ("''", '""'):
-        return [chunk]
-    tokens: list[str] = []
-    word: list[str] = []
-    k = 0
-    n = len(chunk)
-    while k < n:
-        pair = chunk[k : k + 2]
-        if pair in TWO_CHAR_OPS:
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(pair)
-            k += 2
-        elif chunk[k] in SINGLE_CHARS:
-            if word:
-                tokens.append("".join(word))
-                word = []
-            tokens.append(chunk[k])
-            k += 1
-        else:
-            word.append(chunk[k])
-            k += 1
-    if word:
-        tokens.append("".join(word))
-    return tokens
+def _placeholder(match: re.Match) -> str:
+    """A comment becomes a space; a literal becomes a space-delimited empty
+    literal of its own quote kind, so it stays one token."""
+    quote = match[1]
+    return f" {quote}{quote} " if quote else " "
 
 
 def tokenize(code_text: str) -> list[str]:
     """Whitespace split after comment/literal stripping, then operator and
     punctuation separation; identifiers and numeric literals stay whole."""
-    tokens: list[str] = []
-    for chunk in _strip_comments_and_literals(code_text).split():
-        tokens.extend(_split_chunk(chunk))
-    return tokens
+    return _TOKEN.findall(_COMMENT_OR_LITERAL.sub(_placeholder, code_text))
 
 
-def build_vocab(corpus: LabeledCorpus, max_vocab: int) -> Vocabulary:
-    """Rank tokens by descending frequency (first occurrence breaks ties) and
-    keep the top max_vocab."""
+def build_vocab(token_lists: list[list[str]], max_vocab: int) -> Vocabulary:
+    """Rank the tokens of the tokenized functions by descending frequency
+    (first occurrence breaks ties) and keep the top max_vocab."""
     if max_vocab < 1:
         raise DataError(f"max_vocab must be >= 1, got {max_vocab}")
     counts: dict[str, int] = {}
     first_seen: dict[str, int] = {}
-    for code, _ in corpus.samples:
-        for token in tokenize(code):
+    for tokens in token_lists:
+        for token in tokens:
             if token not in counts:
                 first_seen[token] = len(first_seen)
                 counts[token] = 0

@@ -73,6 +73,8 @@ def load_vectors(path: str | Path) -> VectorTable:
                 vector = np.array([float(v) for v in values])
             except ValueError:
                 raise DataError(f"{path}: line {line_num}: unparseable float") from None
+            if not np.isfinite(vector).all():
+                raise DataError(f"{path}: line {line_num}: non-finite value")
             if token not in entries:
                 entries[token] = vector
     if not entries:

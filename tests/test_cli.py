@@ -2,6 +2,7 @@
 property that every emitted file is re-readable by its loader."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -339,6 +340,46 @@ class TestExitCodes:
         assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
         assert capsys.readouterr().out.startswith("mse=")
 
+    def test_negative_max_len_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        enc_dir = tmp_path / "encoded"
+        for max_len in ("0", "-2"):
+            capsys.readouterr()
+            assert main([
+                "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", max_len,
+                "--out", str(enc_dir),
+            ]) == 2, max_len
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "max_len" in err and err.count("\n") == 1, err
+        assert not any(enc_dir.iterdir())
+
+    def test_non_finite_vector_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        vectors = tmp_path / "vectors.txt"
+        for value in ("nan", "inf", "-inf", "1e400"):
+            vectors.write_text(f"char 0.3 0.2\nint {value} 0.1\n")
+            capsys.readouterr()
+            assert main([
+                "train", "--model", "lstm", "--task", "classify",
+                "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                "--embedding", "glove", "--vectors", str(vectors), "--epochs", "1",
+                "--hidden", "2", "--out", str(tmp_path / "ckpt.json"),
+            ]) == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_gradcheck_without_trials_is_data_error(self, capsys):
+        for trials in ("0", "-1"):
+            capsys.readouterr()
+            assert main(["gradcheck", "--trials", trials]) == 2, trials
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_bad_train_settings_are_data_errors(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"
         for flags in (["--hidden", "0"], ["--hidden", "-3"], ["--d-basic", "-1"],
@@ -511,6 +552,24 @@ class TestClassifyClosure:
         assert "accuracy" in load_metrics(eval_metrics)
 
         assert main(["census", "--ckpt", str(ckpt_path)]) == 0
+
+    def test_preprocess_files_are_pinned(self, corpus_dir, tmp_path):
+        # digests of the files the character-loop tokenizer wrote for this corpus
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(corpus_dir), "--max-len", "24",
+            "--max-vocab", "200", "--seed", "7", "--out", str(enc_dir),
+        ]) == 0
+        digests = {
+            name: hashlib.sha256((enc_dir / name).read_bytes()).hexdigest()
+            for name in ("vocab.json", "train.json", "validation.json", "test.json")
+        }
+        assert digests == {
+            "vocab.json": "7604990349b5084c6f18f8aa6cb06f780e206bafcedc0f9857ba0c8c57544e71",
+            "train.json": "a78fc6061f714da47c214f22b331adc699857c57b3c2cc5831ab9f4573c99377",
+            "validation.json": "7c837d7292165ac8f8db92860291a7539d21bf2fc4385631ecc40bf3f56c37ca",
+            "test.json": "261cec1b9e3440935198ef45848d29a6cea4aea33cea33a69fc67fd74a525240",
+        }
 
     def test_identical_argv_identical_outputs(self, tiny_corpus_dir, tmp_path, capsys):
         outputs = []

@@ -2,12 +2,15 @@
 construction, and fixed-length index encoding."""
 from __future__ import annotations
 
+import string
+
 import numpy as np
 import pytest
 
 from qvuln.corpus import (
     OOV_INDEX,
     PAD_INDEX,
+    SPLITS,
     LabeledCorpus,
     Vocabulary,
     balance,
@@ -18,6 +21,8 @@ from qvuln.corpus import (
     tokenize,
 )
 from qvuln.errors import DataError
+
+import tokenizer_oracle
 
 
 def write_csv(tmp_path, text: str):
@@ -166,9 +171,38 @@ class TestTokenize:
             assert tokenize(" ".join(tokens)) == tokens
 
 
+class TestTokenizeEdgeCases:
+    """Inputs where the comment and literal scanner runs off the end of the
+    text; each output was checked against the character-loop tokenizer."""
+
+    @pytest.mark.parametrize("code, tokens", [
+        ("a /* b", ["a"]),
+        ("a /*/ b", ["a"]),
+        ("x = '\\", ["x", "=", "''"]),
+        ('s = "abc', ["s", "=", '""']),
+    ], ids=["unterminated-block-comment", "comment-opener-slash", "literal-ends-in-backslash",
+            "unterminated-string"])
+    def test_golden(self, code, tokens):
+        assert tokenize(code) == tokens
+
+
+def test_tokenize_matches_character_loop_oracle(corpus_dir):
+    rng = np.random.default_rng(2024)
+    alphabet = sorted(tokenizer_oracle.SINGLE_CHARS | set(
+        string.ascii_letters + string.digits + " \t\n\\\"'"
+    ))
+    picks = rng.integers(0, len(alphabet), size=(20_000, 20))
+    lengths = rng.integers(0, 21, size=20_000)
+    codes = ["".join(alphabet[j] for j in row[:n]) for row, n in zip(picks, lengths)]
+    for split in SPLITS:
+        codes += [code for code, _ in load_dataset(corpus_dir / f"{split}.csv", split).samples]
+    for code in codes:
+        assert tokenize(code) == tokenizer_oracle.tokenize(code), repr(code)
+
+
 class TestBuildVocab:
-    def corpus(self, *codes: str) -> LabeledCorpus:
-        return LabeledCorpus(samples=[(c, i % 2) for i, c in enumerate(codes)], split="train")
+    def corpus(self, *codes: str) -> list[list[str]]:
+        return [tokenize(c) for c in codes]
 
     def test_most_frequent_gets_index_two(self):
         vocab = build_vocab(self.corpus("a = b = c = d;", "x = y;"), max_vocab=10)
@@ -261,8 +295,9 @@ def test_full_preprocess_reproducible(tmp_path):
 
     def run():
         corpus = balance(load_dataset(path, "train"), seed=9)
-        vocab = build_vocab(corpus, max_vocab=50)
-        encoded = [encode_and_pad(tokenize(code), vocab, max_len=8).indices for code, _ in corpus.samples]
+        tokens = [tokenize(code) for code, _ in corpus.samples]
+        vocab = build_vocab(tokens, max_vocab=50)
+        encoded = [encode_and_pad(t, vocab, max_len=8).indices for t in tokens]
         return vocab.digest(), np.stack(encoded)
 
     digest_a, enc_a = run()
