@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
-from .fileio import atomic_write
+from .fileio import atomic_write, check_output_paths
 from .neural import bce_from_logit
 from .trainer import (
     MODELS,
@@ -180,6 +180,8 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
     differences for each differentiation path."""
     if trials < 1:
         raise DataError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst = {"vqc": 0.0, "lstm": 0.0, "qlstm": 0.0}
 
@@ -227,6 +229,8 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise DataError(f"seed must be >= 0, got {args.seed}")
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,6 +276,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         d_basic=args.d_basic,
         sigma_hidden=args.sigma_hidden,
     )
+    check_output_paths(args.out, args.metrics, args.curves)
     if args.task == "classify":
         if args.data is None or args.vocab is None:
             print("error: --task classify requires --data and --vocab", file=sys.stderr)
@@ -307,6 +312,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    check_output_paths(args.metrics)
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.task == "classify":
         if args.data is None:
@@ -333,6 +339,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sine_demo(args: argparse.Namespace) -> int:
     config = TrainConfig(model=args.model, task="sine", epochs=args.epochs, seed=args.seed)
+    check_output_paths(args.curves)
     train(config, sine_task(), curves_path=args.curves)
     blocks = load_curves(args.curves)
     for epoch in sorted(blocks):

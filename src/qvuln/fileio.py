@@ -6,6 +6,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from .errors import DataError
+
 
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
@@ -22,3 +24,16 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def check_output_paths(*paths: str | Path | None) -> None:
+    """Raise DataError unless every given path names a file that can be
+    written: its directory exists and it is not itself a directory.  None
+    stands for an output that is not asked for.  Commands check their
+    outputs before any work, so a bad path fails at once, not after a
+    training run."""
+    for path in (Path(p) for p in paths if p is not None):
+        if path.is_dir():
+            raise DataError(f"output path is a directory: {path}")
+        if not path.parent.is_dir():
+            raise DataError(f"output directory does not exist: {path.parent}")

@@ -57,6 +57,11 @@ CLASSIFY_DEFAULT_LR = 1e-3
 EVAL_CHUNK = 16
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise DataError(f"threshold must lie in (0, 1), got {threshold}")
+
+
 @dataclass
 class TrainConfig:
     """One training run's settings; epoch and learning-rate defaults depend
@@ -87,8 +92,9 @@ class TrainConfig:
             raise DataError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise DataError(f"batch size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.threshold < 1.0:
-            raise DataError(f"threshold must lie in (0, 1), got {self.threshold}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        _check_threshold(self.threshold)
         if self.hidden < 1 or self.d_basic < 1:
             raise DataError(
                 f"hidden and d_basic must be >= 1, got hidden={self.hidden} d_basic={self.d_basic}"
@@ -594,7 +600,9 @@ def train(
 
 def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     """Metrics over a dataset: thresholded confusion metrics for classify
-    (predict 1 iff probability >= threshold), MSE for sine."""
+    (predict 1 iff probability >= threshold), MSE for sine.  The threshold
+    must lie in (0, 1) for either task, as in TrainConfig."""
+    _check_threshold(threshold)
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
     hp = ckpt.hyperparameters

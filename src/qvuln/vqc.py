@@ -18,9 +18,9 @@ RZ.RY.RZ rotations, which `qsim` builds on the two 1-qubit basis states
 for the angles and for every parameter shift in one batch.  A small cache
 keyed on the angle values keeps the layer matrices between calls.  Each
 circuit evaluation is then a product state times a matrix, and a whole
-batch is one matrix product.  A gradient call encodes each qubit once per
-angle variant (unshifted, RY +-pi/2, RZ +-pi/2) and gathers its 17
-encoding-shifted states from those.
+batch is one matrix product.  A gradient call encodes each qubit once: its
+four variants with RY or RZ shifted by +-pi/2 follow from that state in
+closed form, and its 17 encoding-shifted states gather from these five.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
@@ -50,15 +50,18 @@ _PART_SIGNS = np.repeat(Z_SIGNS, 2, axis=0)  # (32, 4)
 # A gradient call's 17 encoding rows (unshifted, then slot k = RY of qubit
 # k and slot 4 + k = RZ of qubit k, each shifted by +SHIFT then -SHIFT) hold
 # every qubit at one of five angle variants: 0 unshifted, 1 and 2 RY
-# +-SHIFT, 3 and 4 RZ +-SHIFT.  _ENC_VARIANTS[qubit, row] names the variant.
-_RY_VARIANTS = np.array([0.0, SHIFT, -SHIFT, 0.0, 0.0])
-_RZ_VARIANTS = np.array([0.0, 0.0, 0.0, SHIFT, -SHIFT])
+# +-SHIFT, 3 and 4 RZ +-SHIFT.  _ENC_VARIANTS[qubit, row] names the variant;
+# _ENC_INDEX is the same gather as flat (variant, qubit) indices, with which
+# np.take gives each qubit contiguous rows.
 _QUBITS = np.arange(N_QUBITS)
 _ENC_VARIANTS = np.zeros((N_QUBITS, 1 + 4 * N_QUBITS), dtype=np.intp)
 _ENC_VARIANTS[_QUBITS, 1 + 2 * _QUBITS] = 1
 _ENC_VARIANTS[_QUBITS, 2 + 2 * _QUBITS] = 2
 _ENC_VARIANTS[_QUBITS, 1 + 2 * (N_QUBITS + _QUBITS)] = 3
 _ENC_VARIANTS[_QUBITS, 2 + 2 * (N_QUBITS + _QUBITS)] = 4
+_ENC_INDEX = N_QUBITS * _ENC_VARIANTS + _QUBITS[:, None]
+# RZ(z +- SHIFT) scales the two amplitudes by e^{-+i pi/4} and e^{+-i pi/4}
+_RZ_PHASES = np.exp(0.25j * np.pi * np.array([[-1.0, 1.0], [1.0, -1.0]]))[..., None, None]
 
 
 @dataclass
@@ -158,17 +161,21 @@ def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
     return _kron(_qubit_states(enc_ry, enc_rz))
 
 
-def _encoding_rows(a: np.ndarray) -> np.ndarray:
-    """(n, 4) compressed inputs -> (16, 17, n) encoded states: row 0
-    unshifted, rows 1 + 2k and 2 + 2k with encoding slot k shifted by
-    +SHIFT and -SHIFT, the slots being (arctan a, arctan a^2) as in
-    `_shift_rows`.  Each qubit is encoded once per angle variant and the
-    rows gather those states."""
-    qubits = _qubit_states(
-        np.arctan(a).T[:, None] + _RY_VARIANTS[:, None],
-        np.arctan(a * a).T[:, None] + _RZ_VARIANTS[:, None],
-    )  # (2, 4, 5, n)
-    return _kron(qubits[:, _QUBITS[:, None], _ENC_VARIANTS])
+def _encoding_rows(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
+    """(4, n) encoding angles -> (16, 17, n) encoded states: row 0
+    unshifted, rows 1 + 2k and 2 + 2k with encoding slot k (enc_ry, then
+    enc_rz, as in `_shift_rows`) shifted by +SHIFT and -SHIFT.  Each qubit
+    is encoded once: with c, s = cos, sin of y/2 and q = e^{-iz/2} its state
+    is (q (c - s), q* (c + s)) / sqrt(2), RY(y + SHIFT) gives (-q s, q* c),
+    RY(y - SHIFT) gives (q c, q* s), and RZ(z +- SHIFT) multiplies the
+    unshifted state by _RZ_PHASES.  The rows gather these five variants."""
+    c, s = np.cos(0.5 * enc_ry), np.sin(0.5 * enc_ry)
+    q = np.exp(-0.5j * enc_rz)
+    v = np.empty((2, 5) + q.shape, dtype=complex)  # (amplitude, variant, qubit, n)
+    np.multiply(q, [0.5**0.5 * (c - s), -s, c], out=v[0, :3])
+    np.multiply(q.conj(), [0.5**0.5 * (c + s), c, s], out=v[1, :3])
+    np.multiply(v[:, :1], _RZ_PHASES, out=v[:, 3:])
+    return _kron(np.take(v.reshape(2, -1, q.shape[-1]), _ENC_INDEX, axis=1))
 
 
 def _ring_matrix() -> np.ndarray:
@@ -247,6 +254,18 @@ def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = 
     return VqcOutput(values=values, cache=VqcCache(e))
 
 
+def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
+    """(4, n) encoding angles -> a gradient call's 65 pre-scaling <Z> rows
+    per sample: (17, n, 4) in `_encoding_rows` order, (n, 48, 4) in
+    `_layer_matrices` order."""
+    n = enc_ry.shape[-1]
+    states = _encoding_rows(enc_ry, enc_rz)  # (16, 17, n)
+    base, shifted = _matrices_for(params)
+    e_enc = _z_expectations(states.reshape(DIM, -1).T @ base).reshape(-1, n, N_QUBITS)
+    e_var = _z_expectations((states[:, 0].T @ shifted).reshape(-1, DIM)).reshape(n, -1, N_QUBITS)
+    return e_enc, e_var
+
+
 def vqc_gradients(
     params: VqcParams,
     x: np.ndarray,
@@ -267,33 +286,29 @@ def vqc_gradients(
     x = _checked_input(params, x)
     rows = x.reshape(-1, params.d_in)
     n = rows.shape[0]
-    upstream = np.broadcast_to(np.asarray(upstream, dtype=float), x.shape[:-1] + (N_QUBITS,))
-    upstream = upstream.reshape(n, N_QUBITS)
-    a = rows @ params.in_proj.T + params.bias
-    states = _encoding_rows(a)  # (16, 17, n)
-    base, shifted = _matrices_for(params)
-    e_enc = _z_expectations(states.reshape(DIM, -1).T @ base).reshape(-1, n, N_QUBITS)
-    e_var = _z_expectations((states[:, 0].T @ shifted).reshape(-1, DIM)).reshape(n, -1, N_QUBITS)
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != (n, N_QUBITS):
+        upstream = np.broadcast_to(upstream, x.shape[:-1] + (N_QUBITS,)).reshape(n, N_QUBITS)
+    a = params.in_proj @ rows.T + params.bias[:, None]  # (4, n)
+    aa = a * a
+    e_enc, e_var = _gradient_rows(params, np.arctan(a), np.arctan(aa))
     if counter is not None:
         counter.add(n * (e_enc.shape[0] + e_var.shape[1]))
-    e = e_enc[0]
 
-    de = upstream * float(params.out_scale)  # dL/d<Z_i>
-    # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against de
-    enc_grads = np.einsum("kni,ni->nk", 0.5 * (e_enc[1::2] - e_enc[2::2]), de)  # (n, 8)
-    var_grads = np.einsum("nki,ni->nk", 0.5 * (e_var[:, 0::2] - e_var[:, 1::2]), de)  # (n, 24)
+    # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against dL/d<Z_i>
+    de = upstream * (0.5 * float(params.out_scale))
+    enc_grads = np.einsum("kni,ni->kn", e_enc[1::2] - e_enc[2::2], de)  # (8, n)
+    var_grads = np.einsum("nki,ni->k", e_var[:, 0::2] - e_var[:, 1::2], de)  # (24,)
 
-    g_ry = enc_grads[:, :N_QUBITS]
-    g_rz = enc_grads[:, N_QUBITS:]
     # chain rule through the arctan encodings back to a = in_proj @ x + bias
-    da = g_ry / (1.0 + a * a) + g_rz * (2.0 * a) / (1.0 + a**4)
+    da = enc_grads[:N_QUBITS] / (1.0 + aa) + enc_grads[N_QUBITS:] * (2.0 * a) / (1.0 + aa * aa)
 
     grads = VqcParams(
-        in_proj=da.T @ rows,
-        bias=da.sum(axis=0),
-        angles=var_grads.sum(axis=0).reshape(N_LAYERS, N_QUBITS, 3),
-        out_scale=np.array(float(np.sum(upstream * e))),
+        in_proj=da @ rows,
+        bias=da.sum(axis=1),
+        angles=var_grads.reshape(N_LAYERS, N_QUBITS, 3),
+        out_scale=np.array(float(np.vdot(upstream, e_enc[0]))),
         out_shift=np.array(float(np.sum(upstream))),
     )
-    input_grads = (da @ params.in_proj).reshape(x.shape)
+    input_grads = (da.T @ params.in_proj).reshape(x.shape)
     return grads, input_grads

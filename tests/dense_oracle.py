@@ -47,21 +47,30 @@ def z_expectation(state: np.ndarray, qubit: int, n_qubits: int) -> float:
 
 def encode_state(a: np.ndarray) -> np.ndarray:
     """The 4-qubit data-loading stage: H, RY(arctan a_q), RZ(arctan a_q^2)."""
+    return encode_angles(np.arctan(a), np.arctan(np.asarray(a) ** 2))
+
+
+def encode_angles(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
+    """H, then RY(enc_ry[q]), then RZ(enc_rz[q]) on every qubit q of |0000>."""
     state = np.zeros(16, dtype=complex)
     state[0] = 1
     for q in range(4):
         state = on_qubit(H, q, 4) @ state
     for q in range(4):
-        state = on_qubit(ry_matrix(np.arctan(a[q])), q, 4) @ state
+        state = on_qubit(ry_matrix(enc_ry[q]), q, 4) @ state
     for q in range(4):
-        state = on_qubit(rz_matrix(np.arctan(a[q] ** 2)), q, 4) @ state
+        state = on_qubit(rz_matrix(enc_rz[q]), q, 4) @ state
     return state
 
 
 def circuit_expectations(a: np.ndarray, var_angles: np.ndarray) -> np.ndarray:
     """Full block: encoding, then two entangling layers, each a CNOT ring
     0->1,1->2,2->3,3->0 followed by per-qubit RZ, RY, RZ rotations."""
-    state = encode_state(a)
+    return layer_expectations(encode_state(a), var_angles)
+
+
+def layer_expectations(state: np.ndarray, var_angles: np.ndarray) -> np.ndarray:
+    """The two entangling layers on an encoded state, then <Z_q> per qubit."""
     for layer in range(2):
         for c in range(4):
             state = cnot_matrix(c, (c + 1) % 4, 4) @ state

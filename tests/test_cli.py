@@ -8,13 +8,15 @@ import json
 import numpy as np
 import pytest
 
+from qvuln import cli
 from qvuln.cli import (
     load_encoded_dataset,
     load_vocab_file,
     main,
     run_gradcheck,
 )
-from qvuln.trainer import load_checkpoint, load_curves, load_metrics
+from qvuln.errors import DataError
+from qvuln.trainer import evaluate, load_checkpoint, load_curves, load_metrics, sine_task
 
 TOP_HELP = """\
 usage: qvuln [-h] {preprocess,train,eval,sine-demo,gradcheck,census} ...
@@ -392,6 +394,69 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not ckpt_path.exists()
+
+    def test_negative_seed_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        probes = [
+            ["train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+             "--n-points", "8", "--window", "2", "--out", str(tmp_path / "ckpt.json")],
+            ["sine-demo", "--model", "lstm", "--epochs", "1",
+             "--curves", str(tmp_path / "curves.txt")],
+            ["preprocess", "--data-dir", str(tiny_corpus_dir), "--out", str(tmp_path / "enc")],
+            ["gradcheck", "--trials", "1"],
+        ]
+        for argv in probes:
+            capsys.readouterr()
+            assert main([*argv, "--seed", "-1"]) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            err = captured.err
+            assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1, err
+        assert not any(tmp_path.iterdir())
+
+    def test_unwritable_output_path_is_data_error(self, monkeypatch, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the output paths are checked before any work")
+
+        monkeypatch.setattr(cli, "train", no_work)
+        monkeypatch.setattr(cli, "load_checkpoint", no_work)
+        missing, a_dir = str(tmp_path / "absent" / "out.json"), str(tmp_path)
+        sine = ["train", "--model", "lstm", "--task", "sine", "--epochs", "1"]
+        probes = [
+            ([*sine, "--out", missing], "does not exist"),
+            ([*sine, "--out", a_dir], "is a directory"),
+            ([*sine, "--out", str(tmp_path / "new.json"), "--metrics", missing], "does not exist"),
+            ([*sine, "--out", str(tmp_path / "new.json"), "--curves", a_dir], "is a directory"),
+            (["sine-demo", "--model", "lstm", "--curves", missing], "does not exist"),
+            (["eval", "--ckpt", str(ckpt_path), "--metrics", missing], "does not exist"),
+        ]
+        for argv, reason in probes:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and reason in err and err.count("\n") == 1, err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt.json"]
+
+    def test_eval_threshold_outside_unit_interval_is_data_error(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        for threshold in ("2", "nan", "0", "1", "-0.5", "inf"):
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", str(ckpt_path), "--threshold", threshold]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "", threshold
+            err = captured.err
+            assert err.startswith("error: ") and "threshold" in err and err.count("\n") == 1, err
+        with pytest.raises(DataError):
+            evaluate(load_checkpoint(ckpt_path), sine_task(8, 2), threshold=2.0)
 
 
 def _tampered_eval(tmp_path, capsys, tamper) -> tuple[int, str]:

@@ -12,6 +12,7 @@ from qvuln.vqc import (
     VqcParams,
     _encode,
     _encoding_rows,
+    _gradient_rows,
     _layer_matrices,
     _shift_rows,
     init_vqc_params,
@@ -228,11 +229,50 @@ class TestKernelAgainstOracle:
                     )
 
     def test_gathered_encoding_rows_equal_encoded_shift_rows(self):
+        # the shifted variants are closed forms of each qubit's unshifted
+        # state, so they equal a fresh encoding at the shifted angles only to
+        # rounding
         rng = np.random.default_rng(43)
-        a = rng.uniform(-3, 3, size=(6, 4))
-        rows = _shift_rows(np.concatenate([np.arctan(a), np.arctan(a * a)], axis=1))  # (6, 17, 8)
+        a = rng.uniform(-3, 3, size=(4, 6))
+        enc = np.concatenate([np.arctan(a), np.arctan(a * a)])  # (8, 6)
+        rows = _shift_rows(enc.T)  # (6, 17, 8)
         want = _encode(np.moveaxis(rows[..., :4], -1, 0), np.moveaxis(rows[..., 4:], -1, 0))
-        np.testing.assert_array_equal(_encoding_rows(a), want.transpose(0, 2, 1))
+        np.testing.assert_allclose(
+            _encoding_rows(enc[:4], enc[4:]), want.transpose(0, 2, 1), rtol=0, atol=1e-15
+        )
+
+    def test_gradient_rows_match_dense_oracle_row_by_row(self):
+        # every one of a sample's 65 <Z> rows against the oracle's circuit at
+        # that row's shifted encoding or variational angles
+        rng = np.random.default_rng(47)
+        params = random_params(rng, 3)
+        enc = rng.uniform(-np.pi, np.pi, size=(8, 3))  # 4 RY then 4 RZ angles, 3 samples
+        e_enc, e_var = _gradient_rows(params, enc[:4], enc[4:])
+        assert e_enc.shape == (17, 3, 4) and e_var.shape == (3, 48, 4)
+
+        def shifted(base: np.ndarray, k: int, sign: float) -> np.ndarray:
+            moved = base.copy()
+            moved.reshape(-1)[k] += sign * np.pi / 2
+            return moved
+
+        for j in range(3):
+            state = dense_oracle.encode_angles(enc[:4, j], enc[4:, j])
+            want = dense_oracle.layer_expectations(state, params.angles)
+            np.testing.assert_allclose(e_enc[0, j], want, rtol=0, atol=1e-13)
+            for k in range(8):
+                for r, sign in ((1 + 2 * k, 1.0), (2 + 2 * k, -1.0)):
+                    moved = shifted(enc[:, j], k, sign)
+                    state_k = dense_oracle.encode_angles(moved[:4], moved[4:])
+                    want = dense_oracle.layer_expectations(state_k, params.angles)
+                    np.testing.assert_allclose(
+                        e_enc[r, j], want, rtol=0, atol=1e-13, err_msg=f"sample {j}, row {r}"
+                    )
+            for k in range(24):
+                for r, sign in ((2 * k, 1.0), (2 * k + 1, -1.0)):
+                    want = dense_oracle.layer_expectations(state, shifted(params.angles, k, sign))
+                    np.testing.assert_allclose(
+                        e_var[j, r], want, rtol=0, atol=1e-13, err_msg=f"sample {j}, angle {k}"
+                    )
 
 
 class TestEvalCounter:
