@@ -11,7 +11,7 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import logging
 import os
 import sys
@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
-from .fileio import atomic_write, check_output_paths
+from .fileio import check_output_paths, read_json, write_json
 from .neural import bce_from_logit
 from .trainer import (
     MODELS,
@@ -55,22 +55,8 @@ _TABLES_REQUIRED = {"basic": 0, "glove": 1, "fasttext": 1, "glove+fasttext": 2}
 # --- encoded corpus and vocabulary files ---
 
 
-def save_vocab_file(vocab: Vocabulary, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(vocab.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def load_vocab_file(path: str | Path) -> Vocabulary:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"vocabulary file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from None
-    return Vocabulary.from_dict(doc)
+    return Vocabulary.from_dict(read_json(path, "vocabulary file", "vocab.v1"))
 
 
 def encode_corpus(
@@ -96,9 +82,7 @@ def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) ->
         "labels": [int(v) for v in data.labels],
         "sequences": [[int(v) for v in row] for row in data.sequences],
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def _int_array(doc: dict, key: str, path: Path) -> np.ndarray:
@@ -116,18 +100,7 @@ def _int_array(doc: dict, key: str, path: Path) -> np.ndarray:
 
 
 def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"encoded dataset not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: not an encoded dataset document")
-    if doc.get("format") != "encoded.v1":
-        raise DataError(f"{path}: unsupported dataset format {doc.get('format')!r}")
+    doc = read_json(path, "encoded dataset", "encoded.v1")
     max_len = doc.get("max_len")
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise DataError(f"{path}: max_len must be a positive integer, got {max_len!r}")
@@ -139,6 +112,9 @@ def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
         raise DataError(f"{path}: labels must be a flat list")
     if sequences.shape[0] != labels.shape[0]:
         raise DataError(f"{path}: {sequences.shape[0]} sequences but {labels.shape[0]} labels")
+    # numpy reads a list that mixes ints and JSON booleans as int64
+    if bool in set(map(type, itertools.chain(doc["labels"], *doc["sequences"]))):
+        raise DataError(f"{path}: sequences and labels must hold integers, not booleans")
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise DataError(f"{path}: labels must be 0 or 1")
     if (sequences < 0).any():
@@ -233,7 +209,10 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         raise DataError(f"seed must be >= 0, got {args.seed}")
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     tokens, labels = {}, {}
     for split in SPLITS:
         corpus = load_dataset(data_dir / f"{split}.csv", split)
@@ -246,7 +225,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     encoded = {
         split: encode_corpus(tokens[split], labels[split], vocab, args.max_len) for split in SPLITS
     }
-    save_vocab_file(vocab, out_dir / "vocab.json")
+    write_json(vocab.to_dict(), out_dir / "vocab.json")
     for split, data in encoded.items():
         save_encoded_dataset(data, split, out_dir / f"{split}.json")
     return 0

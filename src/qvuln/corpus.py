@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .fileio import open_input
 
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -89,8 +90,6 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data: dict) -> Vocabulary:
-        if not isinstance(data, dict):
-            raise DataError("a vocabulary must be a JSON object")
         if data.get("format") != "vocab.v1":
             raise DataError(f"unsupported vocabulary format {data.get('format')!r}")
         tokens = data.get("tokens")
@@ -121,28 +120,27 @@ def load_dataset(path: str | Path, split: str) -> LabeledCorpus:
     in error messages."""
     if split not in SPLITS:
         raise DataError(f"unknown split {split!r}; expected one of {SPLITS}")
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"dataset file not found: {path}")
     samples: list[tuple[str, int]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path, "dataset file") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if [h.strip() for h in header] != ["code", "label"]:
+                raise DataError(f"{path}: expected header code,label, got {','.join(header)}")
+            for row_num, row in enumerate(reader, start=1):
+                if len(row) != 2:
+                    raise DataError(f"{path}: row {row_num}: expected 2 fields, got {len(row)}")
+                code = normalize_code(row[0])
+                if not code:
+                    raise DataError(f"{path}: row {row_num}: code is empty after normalization")
+                label_text = row[1].strip()
+                if label_text not in ("0", "1"):
+                    raise DataError(f"{path}: row {row_num}: label must be 0 or 1, got {row[1]!r}")
+                samples.append((code, int(label_text)))
         except StopIteration:
             raise DataError(f"{path}: empty file, expected header code,label") from None
-        if [h.strip() for h in header] != ["code", "label"]:
-            raise DataError(f"{path}: expected header code,label, got {','.join(header)}")
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise DataError(f"{path}: row {row_num}: expected 2 fields, got {len(row)}")
-            code = normalize_code(row[0])
-            if not code:
-                raise DataError(f"{path}: row {row_num}: code is empty after normalization")
-            label_text = row[1].strip()
-            if label_text not in ("0", "1"):
-                raise DataError(f"{path}: row {row_num}: label must be 0 or 1, got {row[1]!r}")
-            samples.append((code, int(label_text)))
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return LabeledCorpus(samples=samples, split=split)
 
 

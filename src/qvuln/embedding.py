@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import DataError
-from .fileio import atomic_write
+from .fileio import atomic_write, open_input
 
 MODES = ("basic", "glove", "fasttext", "glove+fasttext")
 D_BASIC_DEFAULT = 50
@@ -43,12 +43,9 @@ class EmbeddingMatrix:
 
 def load_vectors(path: str | Path) -> VectorTable:
     """Parse a text vector file; errors name the offending 1-based line."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"vector file not found: {path}")
     dim = 0
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "vector file") as fh:
         for line_num, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:

@@ -1,12 +1,50 @@
-"""Atomic text-file output shared by every writer of the pipeline."""
+"""The pipeline's file boundary: every input file is opened, decoded and,
+for JSON, parsed here, and every JSON document is written here.  The
+callers keep only their own schema checks."""
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
 from .errors import DataError
+
+
+@contextmanager
+def open_input(path: str | Path, what: str, error=DataError) -> Iterator[TextIO]:
+    """Open `path` as UTF-8 text with `newline=""` (the csv module's
+    setting; line iteration still splits on any line ending).  A missing
+    file, and bytes that are not UTF-8 anywhere the block reads, raise
+    `error` with a one-line message naming the file."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
+def read_json(path: str | Path, what: str, fmt: str, error=DataError) -> dict:
+    """The JSON object in `path`, whose `format` tag must be `fmt`; invalid
+    JSON, a document that is not an object and another tag raise `error`."""
+    with open_input(path, what, error) as fh:
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError:
+            raise
+        # a number with too many digits raises a plain ValueError, deep
+        # nesting a RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    if doc.get("format") != fmt:
+        raise error(f"{path}: unsupported format {doc.get('format')!r}, expected {fmt!r}")
+    return doc
 
 
 @contextmanager
@@ -24,6 +62,15 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(doc: dict, path: str | Path) -> None:
+    """Standard JSON, written atomically and streamed to the file: a NaN or
+    infinite value raises ValueError, instead of being written as a bare
+    NaN/Infinity token, and leaves `path` as it was."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def check_output_paths(*paths: str | Path | None) -> None:

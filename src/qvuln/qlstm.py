@@ -90,18 +90,15 @@ def initial_state() -> QlstmState:
 
 @dataclass
 class QlstmStepCache:
-    x: np.ndarray
     v: np.ndarray
     f: np.ndarray
     i: np.ndarray
     g: np.ndarray
     o: np.ndarray
     c_prev: np.ndarray
-    c: np.ndarray
     tanh_c: np.ndarray
     r: np.ndarray  # o * tanh(c), the input to vqc5/vqc6
     h: np.ndarray
-    y: np.ndarray
 
 
 def qlstm_cell_step(
@@ -127,9 +124,7 @@ def qlstm_cell_step(
     h = sigmoid(h_raw) if params.sigma_hidden else h_raw
     y = vqc_forward(params.vqc6, r, counter).values
     state = QlstmState(h=h, c=c, y=y)
-    cache = QlstmStepCache(
-        x=x_t, v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, c=c, tanh_c=tanh_c, r=r, h=h, y=y
-    )
+    cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h)
     return state, cache
 
 

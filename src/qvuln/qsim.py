@@ -18,7 +18,6 @@ import numpy as np
 MAX_QUBITS = 24
 
 ROTATION_KINDS = ("RX", "RY", "RZ")
-GATE_KINDS = ("H",) + ROTATION_KINDS + ("CNOT",)
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 

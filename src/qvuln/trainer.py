@@ -14,7 +14,6 @@ evaluate and the checkpoint schema check all build through it.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -26,7 +25,7 @@ import numpy as np
 from .corpus import PAD_INDEX
 from .embedding import EmbeddingMatrix
 from .errors import CheckpointError, DataError, DivergenceError
-from .fileio import atomic_write
+from .fileio import atomic_write, open_input, read_json, write_json
 from .neural import (
     OptimizerState,
     adam_step,
@@ -229,18 +228,19 @@ def runtime_census(arrays: dict[str, np.ndarray], embedding_trainable: bool) -> 
     return count
 
 
+def _model_census(model: str, hp: dict) -> int:
+    """Trainable scalars of `model` at the sizes the hyperparameters record."""
+    d_in = _recorded_size(hp, "d_in")
+    if model == "lstm":
+        return lstm_census(_recorded_size(hp, "hidden"), d_in)
+    return qlstm_census(d_in)
+
+
 def analytic_census(ckpt: Checkpoint) -> int:
-    """Closed-form census from checkpoint shapes (cross-checks runtime)."""
-    arrays = ckpt.arrays
-    if ckpt.model == "lstm":
-        hidden = arrays["w_f"].shape[0]
-        d_in = arrays["w_f"].shape[1] - hidden
-        count = lstm_census(hidden, d_in)
-    else:
-        d_x = arrays["vqc1.in_proj"].shape[1] - QLSTM_HIDDEN
-        count = qlstm_census(d_x)
-    if ckpt.hyperparameters.get("embedding_trainable") and "embedding.rows" in arrays:
-        emb = arrays["embedding.rows"]
+    """Closed-form census from the recorded sizes (cross-checks runtime)."""
+    count = _model_census(ckpt.model, ckpt.hyperparameters)
+    emb = ckpt.arrays.get("embedding.rows")
+    if ckpt.hyperparameters.get("embedding_trainable") and emb is not None:
         count += embedding_census(emb.shape[0], emb.shape[1])
     return count
 
@@ -257,18 +257,9 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]
 
 
-def _write_json(doc: dict, path: str | Path) -> None:
-    """Standard JSON, written atomically: a NaN or infinite value raises
-    ValueError, instead of being written as a bare NaN/Infinity token, and
-    leaves `path` as it was."""
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Versioned JSON document; float serialization round-trips bitwise."""
-    _write_json({
+    write_json({
         "format": "checkpoint.v1",
         "version": CHECKPOINT_VERSION,
         "model": ckpt.model,
@@ -283,21 +274,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: not a checkpoint document")
-    if doc.get("format") != "checkpoint.v1" or doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint format/version "
-            f"{doc.get('format')!r}/{doc.get('version')!r}"
-        )
+    doc = read_json(path, "checkpoint", "checkpoint.v1", CheckpointError)
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("model") not in MODELS or doc.get("task") not in TASKS:
         raise CheckpointError(
             f"{path}: unknown model/task {doc.get('model')!r}/{doc.get('task')!r}; "
@@ -306,11 +285,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
         raise CheckpointError(f"{path}: hyperparameters and params must be JSON objects")
     try:
-        arrays = {
-            name: np.array(entry["data"], dtype=float).reshape(entry["shape"])
-            for name, entry in doc["params"].items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
+        arrays = {}
+        for name, entry in doc["params"].items():
+            data, shape = entry["data"], entry["shape"]
+            # numpy would read "0.5" as 0.5, true as 1.0 and a null shape as "keep it"
+            if not set(map(type, data)) <= {int, float} or not isinstance(shape, list):
+                raise ValueError(f"{name!r} needs a flat list of numbers and a shape list")
+            arrays[name] = np.array(data, dtype=float).reshape(shape)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed parameter array: {exc}") from None
     return Checkpoint(
         model=doc["model"],
@@ -356,19 +338,25 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     finite values.  A classify checkpoint also holds a finite (n_rows,
     d_in) embedding.  Raises CheckpointError on any difference; with
     `extra_ok`, arrays the model does not have are let through."""
-    params, forward, _ = _model(ckpt.model, ckpt.hyperparameters, np.random.default_rng(0))
-    d_in = ckpt.hyperparameters["d_in"]
-    expected = {name: arr.shape for name, arr in params.tree().items()}
-    if ckpt.task == "classify":
-        # the vocabulary size is the checkpoint's own; the width is d_in
-        rows = ckpt.arrays.get("embedding.rows")
-        expected["embedding.rows"] = (rows.shape[0] if rows is not None and rows.ndim else 0, d_in)
-    missing = sorted(set(expected) - set(ckpt.arrays))
-    unexpected = [] if extra_ok else sorted(set(ckpt.arrays) - set(expected))
+    hp = ckpt.hyperparameters
+    # a one-unit model names the arrays, so a missing one is named; the stored
+    # values must then cover the recorded sizes before any allocation at them
+    unit, _, _ = _model(ckpt.model, {**hp, "d_in": 1, "hidden": 1}, np.random.default_rng(0))
+    names = set(unit.tree()) | ({"embedding.rows"} if ckpt.task == "classify" else set())
+    missing = sorted(names - set(ckpt.arrays))
+    unexpected = [] if extra_ok else sorted(set(ckpt.arrays) - names)
     if missing or unexpected:
         raise CheckpointError(
             f"{ckpt.model} checkpoint arrays: missing {missing}, unexpected {unexpected}"
         )
+    if _model_census(ckpt.model, hp) > sum(arr.size for arr in ckpt.arrays.values()):
+        raise CheckpointError("checkpoint hyperparameters record more parameters than it stores")
+    params, forward, _ = _model(ckpt.model, hp, np.random.default_rng(0))
+    expected = {name: arr.shape for name, arr in params.tree().items()}
+    if ckpt.task == "classify":
+        # the vocabulary size is the checkpoint's own; the width is d_in
+        rows = ckpt.arrays["embedding.rows"]
+        expected["embedding.rows"] = (rows.shape[0] if rows.ndim else 0, hp["d_in"])
     for name, shape in expected.items():
         arr = ckpt.arrays[name]
         if arr.shape != shape:
@@ -405,15 +393,11 @@ def save_metrics(report: MetricsReport, task: str, path: str | Path) -> None:
         )
     else:
         doc["mse"] = report.mse
-    _write_json(doc, path)
+    write_json(doc, path)
 
 
 def load_metrics(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "metrics.v1":
-        raise DataError(f"{path}: unsupported metrics format {doc.get('format')!r}")
-    return doc
+    return read_json(path, "metrics file", "metrics.v1")
 
 
 # --- prediction curve files ---
@@ -432,7 +416,7 @@ def save_curves(blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], pa
 
 def load_curves(path: str | Path) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     blocks: dict[int, list[list[float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "curves file") as fh:
         for line in fh:
             if not line.strip() or line.startswith("#"):
                 continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -304,6 +305,7 @@ class TestExitCodes:
             {**split, "max_len": "two"},
             {**split, "sequences": ragged},
             {**split, "labels": ["x", "y"]},
+            {**split, "labels": [True, *split["labels"][1:]]},
         ]
         bad_vocabs = [vocab["tokens"], without(vocab, "tokens"), {**vocab, "tokens": [1, 2]}]
         cases = [(doc, vocab) for doc in bad_splits] + [(split, doc) for doc in bad_vocabs]
@@ -442,6 +444,33 @@ class TestExitCodes:
             assert err.startswith("error: ") and reason in err and err.count("\n") == 1, err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt.json"]
 
+    def test_preprocess_out_existing_file_is_data_error(
+        self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the output directory is made before any CSV is read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1, err
+        assert taken.read_text() == "keep\n"
+
+    def test_csv_field_past_the_csv_limit_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        data_dir = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus_dir, data_dir)
+        train_csv = data_dir / "train.csv"
+        n_lines = len(train_csv.read_text().splitlines())
+        long_function = "int f(void) { return " + "1 + " * 50_000 + "1; }"  # 200,000+ characters
+        train_csv.write_text(train_csv.read_text() + f"{long_function},1\n")
+        assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(tmp_path / "enc")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{train_csv}: line {n_lines + 1}: field larger than field limit" in err, err
+
     def test_eval_threshold_outside_unit_interval_is_data_error(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"
         assert main([
@@ -510,6 +539,38 @@ class TestCheckpointSchema:
         code, err = _tampered_eval(tmp_path, capsys, inflate)
         assert code == 2
         assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, entry", [
+        ("head_b", {"shape": [], "data": "7"}),
+        ("head_b", {"shape": [], "data": ["0.5"]}),
+        ("head_w", {"shape": None, "data": [0.5, -0.5]}),
+        ("head_b", {"shape": [], "data": [10**400]}),
+        ("head_w", {"shape": [2], "data": [0.5, True]}),
+    ])
+    def test_non_numeric_entry_is_checkpoint_error(self, name, entry, tmp_path, capsys):
+        # numpy would read the first two as 7.0 and 0.5, take a null shape
+        # as "keep the shape" (head_w holds 2 values), overflow on the 10**400
+        # and read true as 1.0
+        code, err = _tampered_eval(tmp_path, capsys, lambda params: params.update({name: entry}))
+        assert code == 2
+        assert "malformed parameter array" in err and err.count("\n") == 1, err
+
+    def test_recorded_size_past_stored_arrays_is_checkpoint_error(self, tmp_path, capsys):
+        # fresh parameters at d_in 10**12 would need terabytes; the size is
+        # refused before any allocation
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        doc["hyperparameters"]["d_in"] = 10**12
+        ckpt_path.write_text(json.dumps(doc))
+        for command in ("eval", "census"):
+            capsys.readouterr()
+            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert "record more parameters" in err and err.count("\n") == 1, err
 
 
 class TestSineCommands:

@@ -1,0 +1,314 @@
+"""The file boundary: `qvuln.fileio` reads and writes every file, and a
+seeded mutation fuzz drives damaged copies of each input kind through
+`cli.main`, which must exit 2 with one `error:` line and no traceback."""
+from __future__ import annotations
+
+import ast
+import json
+import random
+import shutil
+from pathlib import Path
+
+import pytest
+
+import qvuln
+from qvuln.cli import main
+from qvuln.errors import CheckpointError, DataError
+from qvuln.fileio import read_json
+
+SRC = Path(qvuln.__file__).parent
+
+# byte runs that are never valid UTF-8: a stray continuation byte, a byte
+# UTF-8 never uses, and a lead byte followed by a non-continuation byte
+NOT_UTF8 = (b"\x80", b"\xff", b"\xc3\x28")
+
+
+def test_read_json_rejections_name_the_file(tmp_path):
+    path = tmp_path / "doc.json"
+    cases = [
+        (b"", "not valid JSON"),
+        (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+        (b"[1, 2]", "not a JSON object"),
+        (b'{"format": "thing.v2"}', "unsupported format 'thing.v2', expected 'thing.v1'"),
+        (b'{"format": "thing.v1", "x": "\xff"}', "not UTF-8 text"),
+    ]
+    for content, reason in cases:
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=reason) as info:
+            read_json(path, "thing", "thing.v1")
+        assert str(path) in str(info.value)
+    with pytest.raises(CheckpointError, match="thing not found"):
+        read_json(tmp_path / "absent.json", "thing", "thing.v1", CheckpointError)
+
+
+def _call_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        return "open"
+    if isinstance(func, ast.Attribute):
+        if func.attr == "open":
+            return ".open"
+        if isinstance(func.value, ast.Name) and func.value.id == "json":
+            return f"json.{func.attr}"
+    return None
+
+
+def test_only_fileio_opens_files_or_handles_json():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fileio.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = _call_name(node)
+                if name in ("open", ".open", "json.load", "json.loads", "json.dump", "json.dumps"):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+# --- seeded mutation fuzz ---
+
+MUTATIONS = ("truncate", "drop-key", "reshape", "nan", "out-of-range", "wrong-type", "not-utf8")
+KINDS = ("checkpoint-eval", "checkpoint-census", "split", "vocabulary", "csv", "vectors")
+DRAWS = 3
+
+
+@pytest.fixture(scope="module")
+def good(tiny_corpus_dir, tmp_path_factory) -> Path:
+    """A directory of valid inputs: the tiny corpus's encoded splits and
+    vocabulary, a 3-column vector table over its tokens, and a classify
+    LSTM checkpoint trained on them."""
+    root = tmp_path_factory.mktemp("good")
+    assert main([
+        "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+        "--max-vocab", "30", "--out", str(root),
+    ]) == 0
+    rng = random.Random(0)
+    tokens = json.loads((root / "vocab.json").read_text())["tokens"]
+    (root / "vectors.txt").write_text("".join(
+        f"{t} {' '.join(repr(rng.uniform(-1, 1)) for _ in range(3))}\n" for t in tokens
+    ))
+    assert main([
+        "train", "--model", "lstm", "--task", "classify", "--data", str(root / "train.json"),
+        "--vocab", str(root / "vocab.json"), "--epochs", "1", "--hidden", "2",
+        "--d-basic", "2", "--out", str(root / "ckpt.json"),
+    ]) == 0
+    return root
+
+
+def _argv(kind: str, path: Path, good: Path, work: Path) -> list[str]:
+    train = [
+        "train", "--model", "lstm", "--task", "classify", "--epochs", "1", "--hidden", "2",
+        "--d-basic", "2", "--out", str(work / "out.json"),
+    ]
+    data, vocab = ["--data", str(good / "train.json")], ["--vocab", str(good / "vocab.json")]
+    return {
+        "checkpoint-eval": ["eval", "--ckpt", str(path), "--data", str(good / "test.json")],
+        "checkpoint-census": ["census", "--ckpt", str(path)],
+        "split": [*train, "--data", str(path), *vocab],
+        "vocabulary": [*train, *data, "--vocab", str(path)],
+        "vectors": [*train, *data, *vocab, "--embedding", "glove", "--vectors", str(path)],
+        "csv": ["preprocess", "--data-dir", str(path.parent), "--out", str(work / "enc")],
+    }[kind]
+
+
+def _checkpoint(rng: random.Random, doc: dict, mutation: str) -> dict:
+    params = doc["params"]
+    name = rng.choice(sorted(params))
+    entry = params[name]
+    hp = doc["hyperparameters"]
+    # (object, key) of every field that eval and census both need
+    fields = [
+        *((doc, k) for k in ("format", "version", "model", "task", "hyperparameters", "params")),
+        (hp, "d_in"), (hp, "hidden"), (params, name), (entry, "shape"), (entry, "data"),
+    ]
+    if mutation == "drop-key":
+        where, key = rng.choice(fields)
+        del where[key]
+    elif mutation == "reshape":
+        if rng.random() < 0.5:
+            entry["shape"].append(1)
+        else:
+            entry["data"].pop()
+    elif mutation == "nan":
+        entry["data"][rng.randrange(len(entry["data"]))] = rng.choice(
+            [float("nan"), float("inf"), -float("inf")]
+        )
+    elif mutation == "out-of-range":
+        if rng.random() < 0.5:
+            hp[rng.choice(["d_in", "hidden"])] = rng.choice([0, -1, 10**12])
+        else:
+            entry["data"][rng.randrange(len(entry["data"]))] = rng.choice([10**400, -(10**309)])
+    else:  # wrong-type
+        where, key = rng.choice(fields)
+        if rng.random() < 0.3:
+            entry["data"][rng.randrange(len(entry["data"]))] = rng.choice(["0.5", True, None, [1]])
+        else:
+            where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
+    return doc
+
+
+def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
+    seqs, labels = doc["sequences"], doc["labels"]
+    row = rng.randrange(len(seqs))
+    col = rng.randrange(len(seqs[row]))
+    if mutation == "drop-key":
+        del doc[rng.choice(["format", "max_len", "sequences", "labels"])]
+    elif mutation == "reshape":
+        choice = rng.randrange(4)
+        if choice == 0:
+            doc["sequences"] = [v for r in seqs for v in r]
+        elif choice == 1:
+            seqs[row].pop() if rng.random() < 0.5 else seqs[row].append(0)
+        elif choice == 2:
+            doc["labels"] = [[v] for v in labels]
+        else:
+            labels.pop()
+    elif mutation == "nan":
+        if rng.random() < 0.5:
+            seqs[row][col] = float("nan")
+        else:
+            labels[row] = float("nan")
+    elif mutation == "out-of-range":
+        choice = rng.randrange(3)
+        if choice == 0:
+            seqs[row][col] = rng.choice([-1, n_rows, n_rows + 7, 2**63, 10**30])
+        elif choice == 1:
+            labels[row] = rng.choice([2, -1])
+        else:
+            doc["max_len"] = rng.choice([0, -6, len(seqs[0]) + 1])
+    else:  # wrong-type
+        choice = rng.randrange(3)
+        if choice == 0:
+            seqs[row][col] = rng.choice(["3", 2.5, None, [1], {}, True, False])
+        elif choice == 1:
+            doc[rng.choice(["sequences", "labels", "max_len", "format"])] = rng.choice(
+                ["7", 6.5, True, None, {}]
+            )
+        else:
+            labels[row] = rng.choice(["1", 0.5, None, True, False])
+    return doc
+
+
+def _vocabulary(rng: random.Random, doc: dict, mutation: str, max_index: int) -> dict:
+    tokens = doc["tokens"]
+    if mutation == "drop-key":
+        del doc[rng.choice(["format", "tokens"])]
+    elif mutation == "reshape":
+        doc["tokens"] = [tokens] if rng.random() < 0.5 else [[t] for t in tokens]
+    elif mutation == "nan":
+        tokens[rng.randrange(len(tokens))] = float("nan")
+    elif mutation == "out-of-range":
+        # too few tokens for the indices the split holds; the digest goes
+        # too, so the index check, not the digest check, must catch it
+        del tokens[rng.randrange(max_index - 1):]
+        del doc["digest"]
+    else:  # wrong-type
+        if rng.random() < 0.5:
+            tokens[rng.randrange(len(tokens))] = rng.choice([5, None, ["x"]])
+        else:
+            # (a null digest stands for none, so None is not among these)
+            doc[rng.choice(["format", "tokens", "digest"])] = rng.choice([5, "abc", {}, ["x"]])
+    return doc
+
+
+def _csv(rng: random.Random, lines: list[str], mutation: str) -> list[str]:
+    """`lines` holds the header, then one `"code",label` row per line."""
+    k = rng.randrange(1, len(lines))
+    code, label = lines[k].rsplit(",", 1)
+    if mutation == "truncate":
+        # end the file inside a row, before its label: that row is short
+        return [*lines[:k], lines[k][: rng.randrange(1, len(code) + 2)]]
+    if mutation == "drop-key":
+        k = rng.randrange(len(lines))
+        lines[k] = lines[k].rsplit(",", 1)[0]
+    elif mutation == "reshape":
+        lines[k] = f"{lines[k]},{label}"
+    elif mutation == "nan":
+        lines[k] = f"{code},nan"
+    elif mutation == "out-of-range":
+        lines[k] = f"{code},{rng.choice(['2', '-1', '10'])}"
+    else:  # wrong-type
+        lines[k] = rng.choice([f"{code},{rng.choice(['yes', '1.0', ''])}", f'"  ",{label}'])
+    return lines
+
+
+def _vectors(rng: random.Random, lines: list[str], mutation: str) -> list[str]:
+    """`lines` holds `token v1 v2 v3` rows."""
+    k = rng.randrange(1, len(lines))
+    fields = lines[k].split(" ")
+    if mutation == "truncate":
+        # end the file inside row k, before its last value
+        return [*lines[:k], lines[k][: rng.randrange(1, len(lines[k]) - len(fields[-1]) + 1)]]
+    j = rng.randrange(1, len(fields))
+    if mutation == "drop-key":
+        del fields[j]
+    elif mutation == "reshape":
+        fields.append(fields[j])
+    elif mutation == "nan":
+        fields[j] = rng.choice(["nan", "NaN", "-nan"])
+    elif mutation == "out-of-range":
+        fields[j] = rng.choice(["1e400", "-1e999", "inf"])
+    else:  # wrong-type
+        fields[j] = rng.choice(["abc", "0x1A", "1,5", "None"])
+    lines[k] = " ".join(fields)
+    return lines
+
+
+def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpus_dir: Path,
+            path: Path) -> None:
+    """Write a damaged copy of `kind`'s good file to `path`."""
+    source = {
+        "checkpoint-eval": good / "ckpt.json",
+        "checkpoint-census": good / "ckpt.json",
+        "split": good / "train.json",
+        "vocabulary": good / "vocab.json",
+        "vectors": good / "vectors.txt",
+        "csv": tiny_corpus_dir / "train.csv",
+    }[kind]
+    content = source.read_bytes()
+    if mutation == "not-utf8":
+        at = rng.randrange(len(content))
+        path.write_bytes(content[:at] + rng.choice(NOT_UTF8) + content[at:])
+    elif mutation == "truncate" and kind not in ("csv", "vectors"):
+        # a JSON object cut anywhere before its closing brace is invalid
+        path.write_bytes(content[: rng.randrange(len(content.rstrip()) - 1)])
+    elif kind == "csv":
+        lines = content.decode("utf-8").split("\r\n")[:-1]
+        path.write_text("".join(f"{line}\r\n" for line in _csv(rng, lines, mutation)),
+                        newline="")
+    elif kind == "vectors":
+        lines = content.decode("utf-8").splitlines()
+        path.write_text("\n".join(_vectors(rng, lines, mutation)) + "\n")
+    else:
+        doc = json.loads(content)
+        split = json.loads((good / "train.json").read_text())
+        if kind == "split":
+            n_rows = len(json.loads((good / "vocab.json").read_text())["tokens"]) + 2
+            doc = _split(rng, doc, mutation, n_rows)
+        elif kind == "vocabulary":
+            doc = _vocabulary(rng, doc, mutation, max(max(r) for r in split["sequences"]))
+        else:
+            doc = _checkpoint(rng, doc, mutation)
+        path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_mutated_input_exits_2(kind, mutation, good, tiny_corpus_dir, tmp_path, capsys):
+    rng = random.Random(f"{kind}/{mutation}")
+    if kind == "csv":
+        for split in ("validation", "test"):
+            shutil.copy(tiny_corpus_dir / f"{split}.csv", tmp_path / f"{split}.csv")
+    path = tmp_path / ("train.csv" if kind == "csv" else "input")
+    for draw in range(DRAWS):
+        _mutate(kind, mutation, rng, good, tiny_corpus_dir, path)
+        capsys.readouterr()
+        code = main(_argv(kind, path, good, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2, (draw, captured.err, path.read_bytes()[:2000])
+        err = captured.err
+        assert err.startswith("error: ") and err.count("\n") == 1, (draw, err)
+        assert "Traceback" not in err and captured.out == "", (draw, err)
+        if mutation == "not-utf8":
+            assert f"{path}: not UTF-8 text" in err, err
