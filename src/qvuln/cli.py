@@ -187,7 +187,7 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
         target = float(rng.integers(0, 2))
 
         def model_value() -> float:
-            logit, _ = forward(params, seq)
+            logit, _ = forward(params, seq, keep_caches=False)
             return bce_from_logit(logit, target)[0]
 
         logit, caches = forward(params, seq)
@@ -300,7 +300,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         data = load_encoded_dataset(args.data)
     else:
         hp = ckpt.hyperparameters
-        data = sine_task(_recorded_size(hp, "n_points", 100), _recorded_size(hp, "window", 4))
+        try:
+            data = sine_task(_recorded_size(hp, "n_points", 100), _recorded_size(hp, "window", 4))
+        except DataError as exc:
+            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
     report = evaluate(ckpt, data, args.threshold)
     if args.metrics:
         save_metrics(report, ckpt.task, args.metrics)

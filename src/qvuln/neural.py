@@ -156,19 +156,24 @@ class LstmCaches:
     h_final: np.ndarray
 
 
-def lstm_forward(params: LstmParams, sequence) -> tuple[float | np.ndarray, LstmCaches]:
+def lstm_forward(
+    params: LstmParams, sequence, *, keep_caches: bool = True
+) -> tuple[float | np.ndarray, LstmCaches | None]:
     """Run the cell from the zero state over a (T, d_in) sequence, or a list
     of T (d_in,) vectors, or a (B, T, d_in) batch.  The classification logit
     is the linear head over the final hidden state: a float for one
-    sequence, a (B,) array for a batch."""
+    sequence, a (B,) array for a batch.  With keep_caches=False each step's
+    backward cache is dropped after its step and the caches returned are
+    None, which the backward refuses."""
     xs = as_sequences(sequence)
     state = LstmState(h=np.zeros(params.hidden), c=np.zeros(params.hidden))
     steps = []
     for x_t in np.moveaxis(xs, -2, 0):
         state, cache = lstm_cell_step(params, x_t, state)
-        steps.append(cache)
+        if keep_caches:
+            steps.append(cache)
     logits = state.h @ params.head_w + params.head_b
-    caches = LstmCaches(steps=steps, h_final=state.h)
+    caches = LstmCaches(steps=steps, h_final=state.h) if keep_caches else None
     return (float(logits) if logits.ndim == 0 else logits), caches
 
 
@@ -183,6 +188,8 @@ def lstm_backward(
     (B, T, d_in) array of gradients w.r.t. each input vector (used to
     train embeddings).
     """
+    if caches is None:
+        raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
     upstream = np.asarray(upstream, dtype=float)
     hidden = params.hidden
     grads = zeros_like(params)

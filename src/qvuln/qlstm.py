@@ -138,19 +138,24 @@ def qlstm_forward(
     params: QlstmParams,
     sequence,
     counter: EvalCounter | None = None,
-) -> tuple[float | np.ndarray, QlstmCaches]:
+    *,
+    keep_caches: bool = True,
+) -> tuple[float | np.ndarray, QlstmCaches | None]:
     """Run the cell over a (T, d_x) sequence, or a list of T (d_x,) vectors,
     or a (B, T, d_x) batch.  The output is the linear head over y_T (sigmoid
     is applied by the caller for classification): a float for one
-    sequence, a (B,) array for a batch."""
+    sequence, a (B,) array for a batch.  With keep_caches=False each step's
+    backward cache is dropped after its step and the caches returned are
+    None, which the backward refuses."""
     xs = as_sequences(sequence)
     state = initial_state()
     steps = []
     for x_t in np.moveaxis(xs, -2, 0):
         state, cache = qlstm_cell_step(params, x_t, state, counter)
-        steps.append(cache)
+        if keep_caches:
+            steps.append(cache)
     logits = state.y @ params.head_w + params.head_b
-    caches = QlstmCaches(steps=steps, y_final=state.y)
+    caches = QlstmCaches(steps=steps, y_final=state.y) if keep_caches else None
     return (float(logits) if logits.ndim == 0 else logits), caches
 
 
@@ -188,6 +193,8 @@ def qlstm_backward(
     accumulating backwards through time.  Returns (gradients, dx) where dx
     is (T, d_x) or (B, T, d_x).
     """
+    if caches is None:
+        raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
     upstream = np.asarray(upstream, dtype=float)
     grads = zeros_like(params)
     T = len(caches.steps)

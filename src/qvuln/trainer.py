@@ -6,8 +6,10 @@ windowed sine-regression task, wall-clock timing, an exact parameter
 census, and versioned JSON checkpoints that round-trip bitwise.
 
 Each optimizer step is one forward and one backward call over the whole
-mini-batch, through the models' leading batch axis; evaluation runs the
-same batched forward in chunks of EVAL_CHUNK samples.  `_model` is the one
+mini-batch, through the models' leading batch axis.  Evaluation runs the
+same batched forward in chunks of EVAL_CHUNK samples without keeping
+backward caches, so its memory is bounded by one chunk's inputs and one
+step's working set, not by T steps of caches.  `_model` is the one
 place that maps a model name and the hyperparameters a checkpoint records
 to fresh parameters and the model's forward and backward functions; train,
 evaluate and the checkpoint schema check all build through it.
@@ -52,8 +54,13 @@ SINE_DEFAULT_EPOCHS = 30
 CLASSIFY_DEFAULT_EPOCHS = 10
 SINE_DEFAULT_LR = 1e-2
 CLASSIFY_DEFAULT_LR = 1e-3
-# samples per batched forward pass in evaluation; bounds its memory
-EVAL_CHUNK = 16
+# input values of the largest sine task (80 MB of float64); sizes arrive
+# from the command line and from checkpoints
+SINE_MAX_VALUES = 10**7
+# samples per cache-free forward call in evaluation: fewer calls amortize
+# the fixed per-call cost of the circuit forward; a chunk's (B, T, d_in)
+# inputs bound the memory evaluation holds at once
+EVAL_CHUNK = 64
 
 
 def _check_threshold(threshold: float) -> None:
@@ -185,14 +192,19 @@ class SineDataset:
 
 def sine_task(n_points: int = 100, window: int = 4) -> SineDataset:
     """Cyclic windows over x_j = 2*pi*j/n_points: each sample predicts
-    sin(x_j) from the previous `window` sine values."""
+    sin(x_j) from the previous `window` sine values.  The inputs hold
+    n_points * window values, at most SINE_MAX_VALUES, checked before any
+    allocation."""
     if window < 1 or n_points <= window:
         raise DataError(f"need n_points > window >= 1, got n_points={n_points} window={window}")
+    if n_points * window > SINE_MAX_VALUES:
+        raise DataError(
+            f"sine task of n_points={n_points} window={window} holds more than "
+            f"{SINE_MAX_VALUES} input values"
+        )
     x = 2.0 * np.pi * np.arange(n_points) / n_points
     s = np.sin(x)
-    inputs = np.empty((n_points, window, 1))
-    for j in range(n_points):
-        inputs[j, :, 0] = s[(np.arange(j - window, j)) % n_points]
+    inputs = s[(np.arange(n_points)[:, None] + np.arange(-window, 0)) % n_points, None]
     return SineDataset(inputs=inputs, targets=s.copy(), xs=x)
 
 
@@ -335,9 +347,10 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     """The model's parameters and its batched forward function.  The
     parameters are checked against the model's own parameter tree at the
     dimensions the checkpoint records: the same names, the same shapes,
-    finite values.  A classify checkpoint also holds a finite (n_rows,
-    d_in) embedding.  Raises CheckpointError on any difference; with
-    `extra_ok`, arrays the model does not have are let through."""
+    finite values.  A classify checkpoint also holds an embedding, and an
+    embedding on either task must be a finite (n_rows, d_in) array.
+    Raises CheckpointError on any difference; with `extra_ok`, arrays the
+    model does not have are let through."""
     hp = ckpt.hyperparameters
     # a one-unit model names the arrays, so a missing one is named; the stored
     # values must then cover the recorded sizes before any allocation at them
@@ -353,7 +366,7 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
         raise CheckpointError("checkpoint hyperparameters record more parameters than it stores")
     params, forward, _ = _model(ckpt.model, hp, np.random.default_rng(0))
     expected = {name: arr.shape for name, arr in params.tree().items()}
-    if ckpt.task == "classify":
+    if "embedding.rows" in ckpt.arrays:
         # the vocabulary size is the checkpoint's own; the width is d_in
         rows = ckpt.arrays["embedding.rows"]
         expected["embedding.rows"] = (rows.shape[0] if rows.ndim else 0, hp["d_in"])
@@ -456,12 +469,12 @@ def predictions_over(
     forward, task: str, params, data, matrix: EmbeddingMatrix | None
 ) -> np.ndarray:
     """Raw value for sine, probability for classify, one entry per sample;
-    the model's `forward` runs over chunks of EVAL_CHUNK samples."""
+    the model's `forward` runs over chunks of EVAL_CHUNK samples and keeps
+    no backward caches, so a chunk holds its inputs and one step's state."""
     out = np.empty(len(data))
     for start in range(0, len(data), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        # keep only the logits, so a chunk's caches are freed before the next
-        logits = forward(params, _inputs(task, data, chunk, matrix))[0]
+        logits, _ = forward(params, _inputs(task, data, chunk, matrix), keep_caches=False)
         out[chunk] = logits if task == "sine" else sigmoid(logits)
     return out
 
@@ -561,6 +574,9 @@ def train(
             preds = predictions_over(forward, config.task, params, data, matrix)
             curve_blocks[epoch] = _curve_block(config.task, data, preds)
     wall_time = time.perf_counter() - started
+    # Adam's moments and the last batch's gradients are done with; freed,
+    # they make room for the closing evaluate's input chunk
+    del opt, grads, acc, dx
 
     if curves_path is not None:
         save_curves(curve_blocks, curves_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -330,7 +331,8 @@ class TestExitCodes:
         ]) == 0
         good = json.loads(ckpt_path.read_text())
         for key in ("n_points", "window"):
-            for value in ("abc", None, [1]):
+            # 10**12 would allocate terabytes of sine windows
+            for value in ("abc", None, [1], 10**12):
                 hp = {**good["hyperparameters"], key: value}
                 ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
                 capsys.readouterr()
@@ -387,7 +389,8 @@ class TestExitCodes:
     def test_bad_train_settings_are_data_errors(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"
         for flags in (["--hidden", "0"], ["--hidden", "-3"], ["--d-basic", "-1"],
-                      ["--lr", "-1"], ["--lr", "nan"], ["--lr", "inf"]):
+                      ["--lr", "-1"], ["--lr", "nan"], ["--lr", "inf"],
+                      ["--n-points", str(10**12)]):
             capsys.readouterr()
             assert main([
                 "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
@@ -571,6 +574,25 @@ class TestCheckpointSchema:
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
             err = capsys.readouterr().err
             assert "record more parameters" in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("shape", [[3], [], [3, 2]])
+    def test_embedding_of_wrong_shape_is_checkpoint_error(self, shape, tmp_path, capsys):
+        # a sine checkpoint has no embedding; census lets extra arrays through
+        # to count them, but one named embedding.rows must still be (n_rows, d_in)
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        doc["hyperparameters"]["embedding_trainable"] = True
+        doc["params"]["embedding.rows"] = {"shape": shape, "data": [0.5] * math.prod(shape)}
+        ckpt_path.write_text(json.dumps(doc))
+        for command in ("census", "eval"):
+            capsys.readouterr()
+            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert "embedding.rows" in err and err.count("\n") == 1, err
 
 
 class TestSineCommands:

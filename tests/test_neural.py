@@ -3,6 +3,7 @@ finite-difference verification of the exact backward pass."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,36 @@ class TestBatch:
                 summed[name] += arr
         for name, arr in grads.tree().items():
             np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
+
+    def test_cache_free_forward_matches(self):
+        rng = np.random.default_rng(63)
+        params = init_lstm_params(4, 2, rng)
+        xs = rng.uniform(-1, 1, size=(5, 3, 2))
+        for sequence in (xs, xs[0]):
+            logits, _ = lstm_forward(params, sequence)
+            bare, caches = lstm_forward(params, sequence, keep_caches=False)
+            assert caches is None
+            assert np.array_equal(bare, logits)
+        with pytest.raises(ValueError, match="keep_caches"):
+            lstm_backward(params, caches, 1.0)
+
+    def test_cache_free_chunk_of_64_peaks_below_cached_chunk_of_16(self):
+        # the sizes of the classification workload: hidden 50, d_in 54, T 24
+        rng = np.random.default_rng(64)
+        params = init_lstm_params(50, 54, rng)
+        xs = rng.uniform(-1, 1, size=(64, 24, 54))
+
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cache_free = peak(lambda: lstm_forward(params, xs, keep_caches=False))
+        cached = peak(lambda: lstm_forward(params, xs[:16]))
+        assert cache_free < cached, (cache_free, cached)
 
     def test_bce_on_arrays_matches_floats(self):
         logits = np.array([-30.0, -1.5, 0.0, 2.0, 40.0])

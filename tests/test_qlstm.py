@@ -224,6 +224,19 @@ class TestBatch:
             np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
         assert counter.count == single.count
 
+    @pytest.mark.parametrize("sigma_hidden", [True, False])
+    def test_cache_free_forward_matches(self, sigma_hidden):
+        rng = np.random.default_rng(65)
+        params = init_qlstm_params(2, rng, sigma_hidden=sigma_hidden)
+        xs = rng.uniform(-1, 1, size=(5, 3, 2))
+        for sequence in (xs, xs[0]):
+            logits, _ = qlstm_forward(params, sequence)
+            bare, caches = qlstm_forward(params, sequence, keep_caches=False)
+            assert caches is None
+            assert np.array_equal(bare, logits)
+        with pytest.raises(ValueError, match="keep_caches"):
+            qlstm_backward(params, caches, 1.0)
+
 
 class TestCostModel:
     def test_calls_account_for_every_evaluation(self, monkeypatch):
@@ -254,3 +267,12 @@ class TestCostModel:
         # step and vqc1 at the first
         assert calls["gradients"] == 5 * steps - 1
         assert calls["forward"] + per_grad.count * calls["gradients"] == counter.count
+
+    def test_cache_free_forward_counts_six_per_step_and_sample(self):
+        rng = np.random.default_rng(66)
+        params = init_qlstm_params(3, rng)
+        steps, samples = 4, 7
+        counter = EvalCounter()
+        qlstm_forward(params, rng.uniform(-1, 1, size=(samples, steps, 3)), counter,
+                      keep_caches=False)
+        assert counter.count == 6 * steps * samples

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import qvuln.trainer
 from qvuln.corpus import Vocabulary
 from qvuln.embedding import build_embedding_matrix
 from qvuln.errors import CheckpointError, DataError, DivergenceError
@@ -27,6 +28,7 @@ from qvuln.trainer import (
     load_metrics,
     lstm_census,
     metrics,
+    predictions_over,
     qlstm_census,
     runtime_census,
     save_checkpoint,
@@ -120,6 +122,18 @@ class TestSineTask:
             sine_task(4, 4)
         with pytest.raises(DataError):
             sine_task(10, 0)
+        # refused before any allocation: these would need terabytes
+        for n_points, window in ((10**12, 4), (10**6, 10**6 - 1)):
+            with pytest.raises(DataError, match="input values"):
+                sine_task(n_points, window)
+
+    @pytest.mark.parametrize("n_points, window", [(2, 1), (9, 8), (100, 4), (37, 5)])
+    def test_windows_match_point_loop(self, n_points, window):
+        data = sine_task(n_points, window)
+        for j in range(n_points):
+            expected = data.targets[np.arange(j - window, j) % n_points]
+            assert data.inputs[j, :, 0].tobytes() == expected.tobytes()
+        assert data.inputs.shape == (n_points, window, 1)
 
 
 class TestTrainConfig:
@@ -384,6 +398,27 @@ class TestEvaluate:
         report = evaluate(ckpt, data)
         recomputed = float(np.mean((report.predictions - data.targets) ** 2))
         assert report.mse == recomputed
+
+    @pytest.mark.parametrize("model, tolerance", [("qlstm", 0.0), ("lstm", 1e-15)])
+    def test_predictions_do_not_depend_on_chunk_size(self, model, tolerance, monkeypatch):
+        # 100 samples: chunks of 16 end in a chunk of 4, chunks of 64 in one
+        # of 36; BLAS may block the LSTM's gate products differently per size
+        data = sine_task(n_points=100, window=3)
+        ckpt, _ = train(TrainConfig(model=model, task="sine", epochs=1, seed=5), data)
+        at_64 = evaluate(ckpt, data).predictions
+        monkeypatch.setattr(qvuln.trainer, "EVAL_CHUNK", 16)
+        at_16 = evaluate(ckpt, data).predictions
+        np.testing.assert_allclose(at_64, at_16, rtol=0, atol=tolerance)
+
+    def test_predictions_run_cache_free_chunks_of_64(self):
+        calls = []
+
+        def forward(params, inputs, *, keep_caches=True):
+            calls.append((len(inputs), keep_caches))
+            return np.zeros(len(inputs)), None
+
+        predictions_over(forward, "sine", None, sine_task(n_points=100, window=3), None)
+        assert calls == [(64, False), (36, False)]
 
 
 class TestReportFiles:
