@@ -28,9 +28,11 @@ from .fileio import check_output_paths, read_json, write_json
 from .neural import bce_from_logit
 from .trainer import (
     MODELS,
+    TASKS,
     ClassifyDataset,
     TrainConfig,
     _model,
+    _recorded_flag,
     _recorded_size,
     analytic_census,
     evaluate,
@@ -49,7 +51,6 @@ log = logging.getLogger("qvuln")
 
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOLERANCES = {"vqc": 1e-6, "lstm": 1e-6, "qlstm": 1e-5}
-_TABLES_REQUIRED = {"basic": 0, "glove": 1, "fasttext": 1, "glove+fasttext": 2}
 
 
 # --- encoded corpus and vocabulary files ---
@@ -66,7 +67,7 @@ def encode_corpus(
         raise DataError(f"max_len must be >= 1, got {max_len}")
     sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
     for k, tokens in enumerate(token_lists):
-        sequences[k] = encode_and_pad(tokens, vocab, max_len).indices
+        sequences[k] = encode_and_pad(tokens, vocab, max_len)
     return ClassifyDataset(
         sequences=sequences, labels=np.array(labels, dtype=np.int64), max_len=max_len,
         vocab_digest=vocab.digest(),
@@ -172,7 +173,7 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
         grads, dx = vqc_gradients(params, x, upstream)
 
         def vqc_value() -> float:
-            return float(upstream @ vqc_forward(params, x).values)
+            return float(upstream @ vqc_forward(params, x))
 
         fd = _central_fd(vqc_value, {**params.tree(), "x": x}, GRADCHECK_STEP)
         got = {**grads.tree(), "x": dx}
@@ -233,7 +234,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 def _load_tables(args: argparse.Namespace) -> list:
     vectors = args.vectors or []
-    needed = _TABLES_REQUIRED[args.embedding]
+    needed = MODES[args.embedding]
     if len(vectors) != needed:
         raise DataError(
             f"embedding mode {args.embedding!r} requires {needed} --vectors file(s), "
@@ -350,7 +351,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # exists to catch, so it is counted (a mismatch, exit 3), not rejected
     params_from_checkpoint(ckpt, extra_ok=True)
     runtime = runtime_census(
-        ckpt.arrays, bool(ckpt.hyperparameters.get("embedding_trainable"))
+        ckpt.arrays, _recorded_flag(ckpt.hyperparameters, "embedding_trainable", False)
     )
     analytic = analytic_census(ckpt)
     ok = runtime == analytic
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train", "train a model and write a checkpoint", _cmd_train)
     p.add_argument("--model", required=True, choices=MODELS, help="model kind")
-    p.add_argument("--task", required=True, choices=("classify", "sine"), help="training task")
+    p.add_argument("--task", required=True, choices=TASKS, help="training task")
     p.add_argument("--embedding", choices=MODES, default="basic", help="input representation")
     p.add_argument("--vectors", action="append", default=None, metavar="FILE",
                    help="pretrained vector file (repeat for glove+fasttext)")

@@ -64,22 +64,12 @@ class Vocabulary:
             raise DataError("vocabulary tokens must be unique")
 
     @property
-    def size(self) -> int:
-        """Count of real tokens (excludes padding and OOV)."""
-        return len(self.tokens)
-
-    @property
     def n_rows(self) -> int:
         """Row count for an aligned embedding matrix (V + 2)."""
         return len(self.tokens) + 2
 
     def index_of(self, token: str) -> int:
         return self.token_to_index.get(token, OOV_INDEX)
-
-    def token_of(self, index: int) -> str:
-        if not 2 <= index < self.n_rows:
-            raise DataError(f"index {index} has no token (valid range 2..{self.n_rows - 1})")
-        return self.tokens[index - 2]
 
     def digest(self) -> str:
         """sha256 over the ordered token list; identifies the vocabulary."""
@@ -100,14 +90,6 @@ class Vocabulary:
         if digest is not None and digest != vocab.digest():
             raise DataError("vocabulary digest mismatch")
         return vocab
-
-
-@dataclass
-class EncodedSequence:
-    """Fixed-length index sequence; positions >= true_length are padding."""
-
-    indices: np.ndarray
-    true_length: int
 
 
 def normalize_code(text: str) -> str:
@@ -195,12 +177,11 @@ def build_vocab(token_lists: list[list[str]], max_vocab: int) -> Vocabulary:
     return Vocabulary(tokens=ranked[:max_vocab])
 
 
-def encode_and_pad(tokens: list[str], vocab: Vocabulary, max_len: int) -> EncodedSequence:
-    """Map tokens to indices (unknown -> 1), keep the last max_len on
+def encode_and_pad(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
+    """Map tokens to int64 indices (unknown -> 1), keep the last max_len on
     overflow, pad the tail with 0 otherwise."""
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
     ids = [vocab.index_of(t) for t in tokens[-max_len:]]
-    true_length = len(ids)
-    ids.extend([PAD_INDEX] * (max_len - true_length))
-    return EncodedSequence(indices=np.asarray(ids, dtype=np.int64), true_length=true_length)
+    ids.extend([PAD_INDEX] * (max_len - len(ids)))
+    return np.asarray(ids, dtype=np.int64)

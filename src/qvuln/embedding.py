@@ -15,9 +15,10 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import DataError
-from .fileio import atomic_write, open_input
+from .fileio import open_input
 
-MODES = ("basic", "glove", "fasttext", "glove+fasttext")
+# each source mode and the number of vector tables it reads
+MODES = {"basic": 0, "glove": 1, "fasttext": 1, "glove+fasttext": 2}
 D_BASIC_DEFAULT = 50
 INIT_RANGE = 0.05
 
@@ -79,14 +80,6 @@ def load_vectors(path: str | Path) -> VectorTable:
     return VectorTable(dim=dim, entries=entries)
 
 
-def save_vectors(table: VectorTable, path: str | Path) -> None:
-    """Write the text format back out atomically (round-trips with
-    load_vectors)."""
-    with atomic_write(path) as fh:
-        for token, vector in table.entries.items():
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vector) + "\n")
-
-
 def _standardize_columns(rows: np.ndarray) -> np.ndarray:
     """Per-column standardization over non-padding rows (population std);
     constant columns become zero.  Row 0 is zeroed afterwards."""
@@ -119,36 +112,19 @@ def build_embedding_matrix(
     seed: int,
     d_basic: int = D_BASIC_DEFAULT,
 ) -> EmbeddingMatrix:
-    """Assemble the matrix for one source mode and standardize its columns."""
+    """Assemble the matrix for one source mode and standardize its columns:
+    random rows in basic mode, the tables' rows side by side otherwise."""
     if mode not in MODES:
-        raise DataError(f"unknown embedding mode {mode!r}; expected one of {MODES}")
-    rng = np.random.default_rng(seed)
-    if mode == "basic":
-        if tables:
-            raise DataError("basic mode takes no vector tables")
-        rows = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(vocab.n_rows, d_basic))
-        trainable = True
-    elif mode in ("glove", "fasttext"):
-        if len(tables) != 1:
-            raise DataError(f"{mode} mode requires exactly 1 vector table, got {len(tables)}")
-        rows = _lookup_rows(vocab, tables[0], rng)
-        trainable = False
-    else:
-        if len(tables) != 2:
-            raise DataError(f"{mode} mode requires exactly 2 vector tables, got {len(tables)}")
-        rows = np.concatenate(
-            [_lookup_rows(vocab, tables[0], rng), _lookup_rows(vocab, tables[1], rng)], axis=1
-        )
-        trainable = False
-    rows = _standardize_columns(rows)
-    return EmbeddingMatrix(rows=rows, trainable=trainable, source=mode)
-
-
-def embed(seq_indices: np.ndarray, matrix: EmbeddingMatrix) -> np.ndarray:
-    """Map an index sequence to its row vectors (length preserved)."""
-    indices = np.asarray(seq_indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= matrix.rows.shape[0]):
+        raise DataError(f"unknown embedding mode {mode!r}; expected one of {tuple(MODES)}")
+    if len(tables) != MODES[mode]:
         raise DataError(
-            f"sequence index out of range 0..{matrix.rows.shape[0] - 1}"
+            f"{mode} mode requires exactly {MODES[mode]} vector table(s), got {len(tables)}"
         )
-    return matrix.rows[indices]
+    rng = np.random.default_rng(seed)
+    if tables:
+        rows = np.concatenate([_lookup_rows(vocab, table, rng) for table in tables], axis=1)
+    else:
+        rows = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(vocab.n_rows, d_basic))
+    rows = _standardize_columns(rows)
+    # only the basic mode's rows are the model's own to train
+    return EmbeddingMatrix(rows=rows, trainable=not tables, source=mode)

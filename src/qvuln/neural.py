@@ -2,6 +2,10 @@
 binary cross-entropy on the logit, and the Adam optimizer over named
 parameter trees.
 
+The quantum LSTM shares the cell update c = f*c_prev + i*g, out =
+o*tanh(c): both cells build their gate input with `cell_input`, cache a
+`CellCache` per step and go back through the update with `cell_backward`.
+
 A parameter dataclass (`LstmParams` here, `VqcParams` and `QlstmParams`
 elsewhere) derives its tree of named arrays from its fields through
 `ParamTree`, and `zeros_like` gives its zero gradient accumulator.
@@ -121,44 +125,77 @@ def init_lstm_params(hidden: int, d_in: int, rng: np.random.Generator) -> LstmPa
 
 
 @dataclass
-class LstmStepCache:
-    v: np.ndarray  # concat(h_prev, x_t)
+class CellCache:
+    """What the backward pass of one cell update reads: the gate input v =
+    concat(h_prev, x_t), the four gate activations, c_prev and tanh(c)."""
+
+    v: np.ndarray
     f: np.ndarray
     i: np.ndarray
     g: np.ndarray  # candidate tanh layer
     o: np.ndarray
-    c: np.ndarray
     c_prev: np.ndarray
+    tanh_c: np.ndarray
+
+
+@dataclass
+class SequenceCaches:
+    """A forward pass's caches, one per step, and the final vector the head
+    reads (h_T for the LSTM, y_T for the QLSTM)."""
+
+    steps: list[CellCache]
+    final: np.ndarray
+
+
+def as_rows(x, width: int) -> np.ndarray:
+    """x as a float (width,) vector or (B, width) batch; other shapes raise ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"input shape {x.shape} does not match input width {width}")
+    return x
+
+
+def cell_input(x_t: np.ndarray, h_prev: np.ndarray, d_x: int) -> np.ndarray:
+    """v = concat(h_prev, x_t) for x_t of shape (d_x,) or (B, d_x); h_prev
+    broadcasts against it."""
+    x_t = as_rows(x_t, d_x)
+    h_prev = np.broadcast_to(h_prev, x_t.shape[:-1] + h_prev.shape[-1:])
+    return np.concatenate([h_prev, x_t], axis=-1)
+
+
+def cell_backward(cache: CellCache, d_out: np.ndarray, dc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Back through c = f*c_prev + i*g and out = o*tanh(c), given d_out =
+    dL/d(out) and dc = dL/dc from the later step.  Returns the gradients of
+    the f, i, g and o pre-activations, then dL/dc_prev."""
+    s = cache
+    dc = dc + d_out * s.o * (1.0 - s.tanh_c * s.tanh_c)
+    pre_f = dc * s.c_prev * s.f * (1.0 - s.f)
+    pre_i = dc * s.g * s.i * (1.0 - s.i)
+    pre_g = dc * s.i * (1.0 - s.g * s.g)
+    pre_o = d_out * s.tanh_c * s.o * (1.0 - s.o)
+    return pre_f, pre_i, pre_g, pre_o, dc * s.f
 
 
 def lstm_cell_step(
     params: LstmParams, x_t: np.ndarray, prev: LstmState
-) -> tuple[LstmState, LstmStepCache]:
+) -> tuple[LstmState, CellCache]:
     """One recurrence step: forget/input/candidate/output gates over
     v = concat(h_prev, x_t), then the cell and hidden updates.  x_t is
     (d_in,) or (B, d_in); the arrays of prev broadcast against it."""
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.ndim not in (1, 2) or x_t.shape[-1] != params.d_in:
-        raise ValueError(f"x_t shape {x_t.shape} does not match d_in {params.d_in}")
-    v = np.concatenate([np.broadcast_to(prev.h, x_t.shape[:-1] + (params.hidden,)), x_t], axis=-1)
+    v = cell_input(x_t, prev.h, params.d_in)
     f = sigmoid(v @ params.w_f.T + params.b_f)
     i = sigmoid(v @ params.w_i.T + params.b_i)
     g = np.tanh(v @ params.w_c.T + params.b_c)
-    c = prev.c * f + g * i
+    c = f * prev.c + i * g
     o = sigmoid(v @ params.w_o.T + params.b_o)
-    h = o * np.tanh(c)
-    return LstmState(h=h, c=c), LstmStepCache(v=v, f=f, i=i, g=g, o=o, c=c, c_prev=prev.c)
-
-
-@dataclass
-class LstmCaches:
-    steps: list[LstmStepCache]
-    h_final: np.ndarray
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+    return LstmState(h=h, c=c), CellCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c)
 
 
 def lstm_forward(
     params: LstmParams, sequence, *, keep_caches: bool = True
-) -> tuple[float | np.ndarray, LstmCaches | None]:
+) -> tuple[float | np.ndarray, SequenceCaches | None]:
     """Run the cell from the zero state over a (T, d_in) sequence, or a list
     of T (d_in,) vectors, or a (B, T, d_in) batch.  The classification logit
     is the linear head over the final hidden state: a float for one
@@ -173,12 +210,12 @@ def lstm_forward(
         if keep_caches:
             steps.append(cache)
     logits = state.h @ params.head_w + params.head_b
-    caches = LstmCaches(steps=steps, h_final=state.h) if keep_caches else None
+    caches = SequenceCaches(steps=steps, final=state.h) if keep_caches else None
     return (float(logits) if logits.ndim == 0 else logits), caches
 
 
 def lstm_backward(
-    params: LstmParams, caches: LstmCaches, upstream: float | np.ndarray
+    params: LstmParams, caches: SequenceCaches, upstream: float | np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
     """Exact reverse-mode gradients of the sum over samples of
     upstream * logit.
@@ -193,24 +230,14 @@ def lstm_backward(
     upstream = np.asarray(upstream, dtype=float)
     hidden = params.hidden
     grads = zeros_like(params)
-    grads.head_w += np.dot(upstream, caches.h_final)
+    grads.head_w += np.dot(upstream, caches.final)
     grads.head_b += np.sum(upstream)
     dh = upstream[..., None] * params.head_w
     dc = np.zeros_like(dh)
     dx = np.zeros(upstream.shape + (len(caches.steps), params.d_in))
     for t in range(len(caches.steps) - 1, -1, -1):
         s = caches.steps[t]
-        tc = np.tanh(s.c)
-        do = dh * tc
-        dc = dc + dh * s.o * (1.0 - tc * tc)
-        df = dc * s.c_prev
-        di = dc * s.g
-        dg = dc * s.i
-        dc_prev = dc * s.f
-        pre_f = df * s.f * (1.0 - s.f)
-        pre_i = di * s.i * (1.0 - s.i)
-        pre_g = dg * (1.0 - s.g * s.g)
-        pre_o = do * s.o * (1.0 - s.o)
+        pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dh, dc)
         # one row per sample: summing the outer products is one product
         v_rows = s.v.reshape(-1, s.v.shape[-1])
         for w, b, pre in ((grads.w_f, grads.b_f, pre_f), (grads.w_i, grads.b_i, pre_i),
@@ -221,7 +248,6 @@ def lstm_backward(
         dv = pre_f @ params.w_f + pre_i @ params.w_i + pre_g @ params.w_c + pre_o @ params.w_o
         dh = dv[..., :hidden]
         dx[..., t, :] = dv[..., hidden:]
-        dc = dc_prev
     return grads, dx
 
 

@@ -11,9 +11,11 @@ Per step, with v_t = concat(h_{t-1}, x_t):
     h_t = sigmoid(VQC5(o_t * tanh(c_t)))
     y_t = VQC6(o_t * tanh(c_t))
 
-The hidden size is pinned to 4 so circuit readouts map one-to-one onto gate
-vectors.  A flag drops the sigmoid around VQC5 for the published variant of
-the cell that emits the circuit value directly.
+The cell update and its gradient are the classical LSTM's
+(`neural.cell_input`, `CellCache`, `cell_backward`).  The hidden size is
+pinned to 4 so circuit readouts map one-to-one onto gate vectors.  A flag
+drops the sigmoid around VQC5 for the published variant of the cell that
+emits the circuit value directly.
 
 Every function takes an optional leading batch axis: a sequence is (T, d_x)
 for one sample or (B, T, d_x) for B samples.  Each block then makes one
@@ -22,11 +24,14 @@ step in the backward pass, for the whole batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import ParamTree, as_sequences, sigmoid, zeros_like
+from .neural import (
+    CellCache, ParamTree, SequenceCaches, as_sequences, cell_backward, cell_input, sigmoid,
+    zeros_like,
+)
 from .vqc import EvalCounter, VqcParams, init_vqc_params, vqc_forward, vqc_gradients
 
 HIDDEN = 4
@@ -54,9 +59,6 @@ class QlstmParams(ParamTree):
     @property
     def d_x(self) -> int:
         return self.vqc1.d_in - HIDDEN
-
-    def vqcs(self) -> tuple[VqcParams, ...]:
-        return (self.vqc1, self.vqc2, self.vqc3, self.vqc4, self.vqc5, self.vqc6)
 
 
 @dataclass
@@ -89,14 +91,7 @@ def initial_state() -> QlstmState:
 
 
 @dataclass
-class QlstmStepCache:
-    v: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c_prev: np.ndarray
-    tanh_c: np.ndarray
+class QlstmStepCache(CellCache):
     r: np.ndarray  # o * tanh(c), the input to vqc5/vqc6
     h: np.ndarray
 
@@ -109,29 +104,20 @@ def qlstm_cell_step(
 ) -> tuple[QlstmState, QlstmStepCache]:
     """One recurrence step; exactly six circuit evaluations per sample.
     x_t is (d_x,) or (B, d_x); the arrays of prev broadcast against it."""
-    x_t = np.asarray(x_t, dtype=float)
-    if x_t.ndim not in (1, 2) or x_t.shape[-1] != params.d_x:
-        raise ValueError(f"x_t shape {x_t.shape} does not match d_x {params.d_x}")
-    v = np.concatenate([np.broadcast_to(prev.h, x_t.shape[:-1] + (HIDDEN,)), x_t], axis=-1)
-    f = sigmoid(vqc_forward(params.vqc1, v, counter).values)
-    i = sigmoid(vqc_forward(params.vqc2, v, counter).values)
-    g = np.tanh(vqc_forward(params.vqc3, v, counter).values)
+    v = cell_input(x_t, prev.h, params.d_x)
+    f = sigmoid(vqc_forward(params.vqc1, v, counter))
+    i = sigmoid(vqc_forward(params.vqc2, v, counter))
+    g = np.tanh(vqc_forward(params.vqc3, v, counter))
     c = f * prev.c + i * g
-    o = sigmoid(vqc_forward(params.vqc4, v, counter).values)
+    o = sigmoid(vqc_forward(params.vqc4, v, counter))
     tanh_c = np.tanh(c)
     r = o * tanh_c
-    h_raw = vqc_forward(params.vqc5, r, counter).values
+    h_raw = vqc_forward(params.vqc5, r, counter)
     h = sigmoid(h_raw) if params.sigma_hidden else h_raw
-    y = vqc_forward(params.vqc6, r, counter).values
+    y = vqc_forward(params.vqc6, r, counter)
     state = QlstmState(h=h, c=c, y=y)
     cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h)
     return state, cache
-
-
-@dataclass
-class QlstmCaches:
-    steps: list[QlstmStepCache]
-    y_final: np.ndarray = field(repr=False, default=None)
 
 
 def qlstm_forward(
@@ -140,7 +126,7 @@ def qlstm_forward(
     counter: EvalCounter | None = None,
     *,
     keep_caches: bool = True,
-) -> tuple[float | np.ndarray, QlstmCaches | None]:
+) -> tuple[float | np.ndarray, SequenceCaches | None]:
     """Run the cell over a (T, d_x) sequence, or a list of T (d_x,) vectors,
     or a (B, T, d_x) batch.  The output is the linear head over y_T (sigmoid
     is applied by the caller for classification): a float for one
@@ -155,7 +141,7 @@ def qlstm_forward(
         if keep_caches:
             steps.append(cache)
     logits = state.y @ params.head_w + params.head_b
-    caches = QlstmCaches(steps=steps, y_final=state.y) if keep_caches else None
+    caches = SequenceCaches(steps=steps, final=state.y) if keep_caches else None
     return (float(logits) if logits.ndim == 0 else logits), caches
 
 
@@ -181,7 +167,7 @@ def _vqc_grad_into(
 
 def qlstm_backward(
     params: QlstmParams,
-    caches: QlstmCaches,
+    caches: SequenceCaches,
     upstream: float | np.ndarray,
     counter: EvalCounter | None = None,
 ) -> tuple[QlstmParams, np.ndarray]:
@@ -198,7 +184,7 @@ def qlstm_backward(
     upstream = np.asarray(upstream, dtype=float)
     grads = zeros_like(params)
     T = len(caches.steps)
-    grads.head_w += np.dot(upstream, caches.y_final)
+    grads.head_w += np.dot(upstream, caches.final)
     grads.head_b += np.sum(upstream)
     dy = upstream[..., None] * params.head_w
     dh = np.zeros_like(dy)
@@ -207,24 +193,15 @@ def qlstm_backward(
     for t in range(T - 1, -1, -1):
         s = caches.steps[t]
         # h_t and y_t both read r = o * tanh(c)
-        if params.sigma_hidden:
-            dh_raw = dh * s.h * (1.0 - s.h)
-        else:
-            dh_raw = dh
+        dh_raw = dh * s.h * (1.0 - s.h) if params.sigma_hidden else dh
         dr = _vqc_grad_into(grads.vqc5, params.vqc5, s.r, dh_raw, counter)
         dr += _vqc_grad_into(grads.vqc6, params.vqc6, s.r, dy, counter)
-        do = dr * s.tanh_c
-        dc = dc + dr * s.o * (1.0 - s.tanh_c * s.tanh_c)
-        df = dc * s.c_prev
-        di = dc * s.g
-        dg = dc * s.i
-        dc_prev = dc * s.f
-        dv = _vqc_grad_into(grads.vqc1, params.vqc1, s.v, df * s.f * (1.0 - s.f), counter)
-        dv += _vqc_grad_into(grads.vqc2, params.vqc2, s.v, di * s.i * (1.0 - s.i), counter)
-        dv += _vqc_grad_into(grads.vqc3, params.vqc3, s.v, dg * (1.0 - s.g * s.g), counter)
-        dv += _vqc_grad_into(grads.vqc4, params.vqc4, s.v, do * s.o * (1.0 - s.o), counter)
+        pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dr, dc)
+        dv = _vqc_grad_into(grads.vqc1, params.vqc1, s.v, pre_f, counter)
+        dv += _vqc_grad_into(grads.vqc2, params.vqc2, s.v, pre_i, counter)
+        dv += _vqc_grad_into(grads.vqc3, params.vqc3, s.v, pre_g, counter)
+        dv += _vqc_grad_into(grads.vqc4, params.vqc4, s.v, pre_o, counter)
         dh = dv[..., :HIDDEN]
         dx[..., t, :] = dv[..., HIDDEN:]
-        dc = dc_prev
         dy = np.zeros_like(dy)
     return grads, dx

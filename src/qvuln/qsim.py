@@ -32,9 +32,6 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
 
 @dataclass(frozen=True)
 class Gate:

@@ -101,6 +101,8 @@ class TrainConfig:
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         _check_threshold(self.threshold)
+        if not isinstance(self.sigma_hidden, bool):
+            raise DataError(f"sigma_hidden must be true or false, got {self.sigma_hidden!r}")
         if self.hidden < 1 or self.d_basic < 1:
             raise DataError(
                 f"hidden and d_basic must be >= 1, got hidden={self.hidden} d_basic={self.d_basic}"
@@ -252,7 +254,7 @@ def analytic_census(ckpt: Checkpoint) -> int:
     """Closed-form census from the recorded sizes (cross-checks runtime)."""
     count = _model_census(ckpt.model, ckpt.hyperparameters)
     emb = ckpt.arrays.get("embedding.rows")
-    if ckpt.hyperparameters.get("embedding_trainable") and emb is not None:
+    if _recorded_flag(ckpt.hyperparameters, "embedding_trainable", False) and emb is not None:
         count += embedding_census(emb.shape[0], emb.shape[1])
     return count
 
@@ -328,19 +330,27 @@ def _recorded_size(hp: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _recorded_flag(hp: dict, key: str, default: bool) -> bool:
+    """The JSON boolean `hp[key]`; an absent key gives `default`."""
+    value = hp.get(key, default)
+    if not isinstance(value, bool):
+        raise CheckpointError(f"checkpoint hyperparameter {key!r} must be true or false")
+    return value
+
+
 def _model(model: str, hp: dict, rng: np.random.Generator):
     """Fresh parameters of `model` at the sizes the hyperparameters `hp`
     record (`d_in`, plus `hidden` for the LSTM or `sigma_hidden` for the
     QLSTM), with the model's (forward, backward) pair; both take a leading
-    batch axis.  A recorded size that is not a positive integer raises
-    CheckpointError."""
+    batch axis.  A recorded size that is not a positive integer, or a
+    `sigma_hidden` that is not a boolean, raises CheckpointError."""
     # the functions are read from the module globals at call time, so a
     # wrapper put in their place (e.g. a tracer) sees every call
     d_in = _recorded_size(hp, "d_in")
     if model == "lstm":
         return init_lstm_params(_recorded_size(hp, "hidden"), d_in, rng), lstm_forward, lstm_backward
-    params = init_qlstm_params(d_in, rng, sigma_hidden=bool(hp.get("sigma_hidden", True)))
-    return params, qlstm_forward, qlstm_backward
+    sigma_hidden = _recorded_flag(hp, "sigma_hidden", True)
+    return init_qlstm_params(d_in, rng, sigma_hidden), qlstm_forward, qlstm_backward
 
 
 def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
@@ -370,6 +380,9 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
         # the vocabulary size is the checkpoint's own; the width is d_in
         rows = ckpt.arrays["embedding.rows"]
         expected["embedding.rows"] = (rows.shape[0] if rows.ndim else 0, hp["d_in"])
+        if rows.ndim == 2 and rows.shape[0] < 2:
+            raise CheckpointError(f"checkpoint array 'embedding.rows' has {len(rows)} rows, not "
+                                  "even the padding and out-of-vocabulary rows")
     for name, shape in expected.items():
         arr = ckpt.arrays[name]
         if arr.shape != shape:
@@ -444,11 +457,12 @@ def load_curves(path: str | Path) -> dict[int, tuple[np.ndarray, np.ndarray, np.
 # --- model plumbing shared by train and evaluate ---
 
 
-def _inputs(task: str, data, rows, matrix: EmbeddingMatrix | None) -> np.ndarray:
-    """(B, T, d) model inputs of the samples `rows` (index array or slice)."""
+def _inputs(task: str, data, rows, emb: np.ndarray | None) -> np.ndarray:
+    """(B, T, d) model inputs of the samples `rows` (index array or slice);
+    a classify task looks its token indices up in the embedding rows `emb`."""
     if task == "sine":
         return data.inputs[rows]
-    return matrix.rows[data.sequences[rows]]
+    return emb[data.sequences[rows]]
 
 
 def _loss(task: str, logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +480,7 @@ def _check_indices(data: ClassifyDataset, n_rows: int) -> None:
 
 
 def predictions_over(
-    forward, task: str, params, data, matrix: EmbeddingMatrix | None
+    forward, task: str, params, data, emb: np.ndarray | None
 ) -> np.ndarray:
     """Raw value for sine, probability for classify, one entry per sample;
     the model's `forward` runs over chunks of EVAL_CHUNK samples and keeps
@@ -474,7 +488,7 @@ def predictions_over(
     out = np.empty(len(data))
     for start in range(0, len(data), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        logits, _ = forward(params, _inputs(task, data, chunk, matrix), keep_caches=False)
+        logits, _ = forward(params, _inputs(task, data, chunk, emb), keep_caches=False)
         out[chunk] = logits if task == "sine" else sigmoid(logits)
     return out
 
@@ -534,9 +548,10 @@ def train(
     targets = data.targets if config.task == "sine" else data.labels
 
     params_tree = params.tree()
+    emb = None if matrix is None else matrix.rows
     emb_trainable = matrix is not None and matrix.trainable
     if emb_trainable:
-        params_tree["embedding.rows"] = matrix.rows
+        params_tree["embedding.rows"] = emb
     opt = OptimizerState(lr=config.lr)
 
     n = len(data)
@@ -548,7 +563,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            logits, caches = forward(params, _inputs(config.task, data, batch, matrix))
+            logits, caches = forward(params, _inputs(config.task, data, batch, emb))
             values, dlogits = _loss(config.task, logits, targets[batch])
             batch_loss = float(np.sum(values))
             if not np.isfinite(batch_loss):
@@ -558,7 +573,7 @@ def train(
             del caches  # else two batches' caches are alive during the next forward pass
             acc = grads.tree()
             if emb_trainable:
-                acc["embedding.rows"] = np.zeros_like(matrix.rows)
+                acc["embedding.rows"] = np.zeros_like(emb)
                 np.add.at(acc["embedding.rows"], data.sequences[batch], dx)
                 acc["embedding.rows"][PAD_INDEX] = 0.0
             scale = 1.0 / len(batch)
@@ -571,7 +586,7 @@ def train(
         loss_curve.append(mean_loss)
         log.info("epoch %d/%d: mean loss %.6f", epoch, config.epochs, mean_loss)
         if curves_path is not None and epoch in (1, config.epochs):
-            preds = predictions_over(forward, config.task, params, data, matrix)
+            preds = predictions_over(forward, config.task, params, data, emb)
             curve_blocks[epoch] = _curve_block(config.task, data, preds)
     wall_time = time.perf_counter() - started
     # Adam's moments and the last batch's gradients are done with; freed,
@@ -583,7 +598,7 @@ def train(
 
     arrays = params.tree()
     if config.task == "classify":
-        arrays["embedding.rows"] = matrix.rows
+        arrays["embedding.rows"] = emb
     ckpt = Checkpoint(
         model=config.model,
         task=config.task,
@@ -606,7 +621,8 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
     hp = ckpt.hyperparameters
-    matrix = None
+    emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
+    emb = None
     if ckpt.task == "classify":
         if not isinstance(data, ClassifyDataset):
             raise DataError("checkpoint task is classify but data is not an encoded corpus")
@@ -619,16 +635,12 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
                 "vocabulary digest mismatch: checkpoint %s..., data %s...",
                 str(ckpt.vocab_digest)[:12], str(data.vocab_digest)[:12],
             )
-        matrix = EmbeddingMatrix(
-            rows=ckpt.arrays["embedding.rows"],
-            trainable=bool(hp.get("embedding_trainable")),
-            source=str(hp.get("embedding_mode")),
-        )
-        _check_indices(data, matrix.rows.shape[0])
+        emb = ckpt.arrays["embedding.rows"]
+        _check_indices(data, len(emb))
     elif not isinstance(data, SineDataset):
         raise DataError("checkpoint task is sine but data is not a sine dataset")
 
-    preds = predictions_over(forward, ckpt.task, params, data, matrix)
+    preds = predictions_over(forward, ckpt.task, params, data, emb)
 
     if ckpt.task == "classify":
         predicted = (preds >= threshold).astype(int)
@@ -648,8 +660,6 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
             raise CheckpointError(f"checkpoint gives a non-finite mean squared error ({mse})")
         report = MetricsReport(mse=mse)
     report.predictions = preds
-    report.parameter_count = runtime_census(
-        ckpt.arrays, bool(ckpt.hyperparameters.get("embedding_trainable"))
-    )
+    report.parameter_count = runtime_census(ckpt.arrays, emb_trainable)
     report.wall_time_seconds = time.perf_counter() - started
     return report

@@ -28,12 +28,12 @@ side.  Each computed expectation row counts as one circuit evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .neural import ParamTree
+from .neural import ParamTree, as_rows
 from .qsim import StateVector, apply_circuit, cnot, ry, rz
 
 N_QUBITS = 4
@@ -70,9 +70,6 @@ class EvalCounter:
 
     count: int = 0
 
-    def add(self, n: int = 1) -> None:
-        self.count += n
-
 
 @dataclass
 class VqcParams(ParamTree):
@@ -92,19 +89,6 @@ class VqcParams(ParamTree):
     @property
     def d_in(self) -> int:
         return self.in_proj.shape[1]
-
-
-@dataclass
-class VqcCache:
-    """The forward pass's readout before the trainable scaling."""
-
-    expectations: np.ndarray  # pre-scaling <Z_i>, (..., 4)
-
-
-@dataclass
-class VqcOutput:
-    values: np.ndarray  # (..., 4) scaled readout
-    cache: VqcCache = field(repr=False, default=None)
 
 
 def init_vqc_params(d_in: int, rng: np.random.Generator) -> VqcParams:
@@ -130,18 +114,6 @@ def _shift_rows(base: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _qubit_states(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
-    """H, RY(y), RZ(z) on |0> in closed form: (e^{-iz/2} (cos y/2 - sin y/2),
-    e^{iz/2} (cos y/2 + sin y/2)) / sqrt(2).  Angles that broadcast against
-    each other to shape S give (2, *S) amplitudes."""
-    c, s = np.cos(enc_ry / 2.0), np.sin(enc_ry / 2.0)
-    phase = np.exp(-0.5j * enc_rz) * 0.5**0.5
-    v = np.empty((2,) + np.broadcast_shapes(c.shape, phase.shape), dtype=complex)
-    np.multiply(phase, c - s, out=v[0])
-    np.multiply(phase.conj(), c + s, out=v[1])
-    return v
-
-
 def _kron(factors: np.ndarray) -> np.ndarray:
     """(w, 4, *S) per-qubit factors -> (w^4, *S): one Kronecker product of
     the four qubits' factors per trailing index.  Qubit 0 is the least
@@ -155,10 +127,16 @@ def _kron(factors: np.ndarray) -> np.ndarray:
 
 
 def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
-    """The encoding H, RY(enc_ry), RZ(enc_rz) on |0000>, in closed form: the
-    product state of the four qubits' states.  (4, *S) angles, which
+    """The encoding H, RY(y), RZ(z) on |0000>, in closed form: the product
+    state of the four qubits' states (e^{-iz/2} (cos y/2 - sin y/2),
+    e^{iz/2} (cos y/2 + sin y/2)) / sqrt(2).  (4, *S) angles, which
     broadcast against each other, give (16, *S) amplitudes."""
-    return _kron(_qubit_states(enc_ry, enc_rz))
+    c, s = np.cos(enc_ry / 2.0), np.sin(enc_ry / 2.0)
+    phase = np.exp(-0.5j * enc_rz) * 0.5**0.5
+    v = np.empty((2,) + np.broadcast_shapes(c.shape, phase.shape), dtype=complex)
+    np.multiply(phase, c - s, out=v[0])
+    np.multiply(phase.conj(), c + s, out=v[1])
+    return _kron(v)
 
 
 def _encoding_rows(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
@@ -233,25 +211,17 @@ def _z_expectations(amps: np.ndarray) -> np.ndarray:
     return (parts * parts) @ _PART_SIGNS
 
 
-def _checked_input(params: VqcParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != params.d_in:
-        raise ValueError(f"input shape {x.shape} does not match in_proj width {params.d_in}")
-    return x
-
-
-def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None) -> VqcOutput:
+def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
     """One circuit evaluation per sample; returns the scaled Z expectations,
-    (4,) or (B, 4), plus the cache."""
-    x = _checked_input(params, x)
+    (4,) or (B, 4)."""
+    x = as_rows(x, params.d_in)
     a = x @ params.in_proj.T + params.bias
     base, _ = _matrices_for(params)
     states = _encode(np.arctan(a.T), np.arctan((a * a).T))  # (16,) or (16, B)
     e = _z_expectations(states.T.reshape(-1, DIM) @ base).reshape(a.shape)
     if counter is not None:
-        counter.add(e.size // N_QUBITS)
-    values = params.out_scale * e + params.out_shift
-    return VqcOutput(values=values, cache=VqcCache(e))
+        counter.count += e.size // N_QUBITS
+    return params.out_scale * e + params.out_shift
 
 
 def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
@@ -283,7 +253,7 @@ def vqc_gradients(
     states times the unshifted layer matrix, and the unshifted state times
     the 48 shifted layer matrices.
     """
-    x = _checked_input(params, x)
+    x = as_rows(x, params.d_in)
     rows = x.reshape(-1, params.d_in)
     n = rows.shape[0]
     upstream = np.asarray(upstream, dtype=float)
@@ -293,7 +263,7 @@ def vqc_gradients(
     aa = a * a
     e_enc, e_var = _gradient_rows(params, np.arctan(a), np.arctan(aa))
     if counter is not None:
-        counter.add(n * (e_enc.shape[0] + e_var.shape[1]))
+        counter.count += n * (e_enc.shape[0] + e_var.shape[1])
 
     # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against dL/d<Z_i>
     de = upstream * (0.5 * float(params.out_scale))

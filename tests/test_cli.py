@@ -575,10 +575,11 @@ class TestCheckpointSchema:
             err = capsys.readouterr().err
             assert "record more parameters" in err and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("shape", [[3], [], [3, 2]])
+    @pytest.mark.parametrize("shape", [[3], [], [3, 2], [0, 1], [1, 1]])
     def test_embedding_of_wrong_shape_is_checkpoint_error(self, shape, tmp_path, capsys):
         # a sine checkpoint has no embedding; census lets extra arrays through
-        # to count them, but one named embedding.rows must still be (n_rows, d_in)
+        # to count them, but one named embedding.rows must still be (n_rows, d_in),
+        # with at least the padding and out-of-vocabulary rows
         ckpt_path = tmp_path / "ckpt.json"
         assert main([
             "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
@@ -593,6 +594,45 @@ class TestCheckpointSchema:
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
             err = capsys.readouterr().err
             assert "embedding.rows" in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("model, key, value", [
+        ("qlstm", "sigma_hidden", "false"),
+        ("qlstm", "sigma_hidden", [0]),
+        ("qlstm", "sigma_hidden", None),
+        ("lstm", "embedding_trainable", "true"),
+        ("lstm", "embedding_trainable", 1),
+    ])
+    def test_recorded_flag_that_is_not_a_boolean_is_checkpoint_error(
+        self, model, key, value, tmp_path, capsys
+    ):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", model, "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        doc["hyperparameters"][key] = value
+        ckpt_path.write_text(json.dumps(doc))
+        for command in ("eval", "census"):
+            capsys.readouterr()
+            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert f"{key!r} must be true or false" in err and err.count("\n") == 1, err
+
+    def test_absent_sigma_hidden_means_true(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "qlstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--out", str(ckpt_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
+        recorded = capsys.readouterr().out
+        doc = json.loads(ckpt_path.read_text())
+        assert doc["hyperparameters"].pop("sigma_hidden") is True
+        ckpt_path.write_text(json.dumps(doc))
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
+        assert capsys.readouterr().out == recorded
 
 
 class TestSineCommands:
@@ -664,7 +704,7 @@ class TestClassifyClosure:
         ]) == 0
 
         vocab = load_vocab_file(enc_dir / "vocab.json")
-        assert vocab.size > 0
+        assert vocab.tokens
         splits = {}
         for split in ("train", "validation", "test"):
             splits[split] = load_encoded_dataset(enc_dir / f"{split}.json")

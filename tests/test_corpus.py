@@ -210,7 +210,7 @@ class TestBuildVocab:
 
     def test_max_vocab_one(self):
         vocab = build_vocab(self.corpus("a a a b b c"), max_vocab=1)
-        assert vocab.size == 1
+        assert len(vocab.tokens) == 1
         assert vocab.index_of("a") == 2
         assert vocab.index_of("b") == OOV_INDEX
 
@@ -221,17 +221,13 @@ class TestBuildVocab:
 
     def test_n_rows_counts_pad_and_oov(self):
         vocab = build_vocab(self.corpus("a b c"), max_vocab=100)
-        assert vocab.size == 3
+        assert len(vocab.tokens) == 3
         assert vocab.n_rows == 5
 
-    def test_token_of_inverse(self):
+    def test_index_of_follows_token_order(self):
         vocab = build_vocab(self.corpus("a b c"), max_vocab=100)
-        for token in ("a", "b", "c"):
-            assert vocab.token_of(vocab.index_of(token)) == token
-        with pytest.raises(DataError):
-            vocab.token_of(PAD_INDEX)
-        with pytest.raises(DataError):
-            vocab.token_of(vocab.n_rows)
+        assert [vocab.index_of(token) for token in vocab.tokens] == list(range(2, vocab.n_rows))
+        assert vocab.index_of("absent") == OOV_INDEX
 
 
 class TestVocabularySerialization:
@@ -260,28 +256,26 @@ class TestEncodeAndPad:
     def test_pad_to_length(self):
         vocab = Vocabulary(tokens=["if", "(", "x"])
         enc = encode_and_pad(["if", "(", "x"], vocab, max_len=5)
-        assert enc.indices.tolist() == [2, 3, 4, 0, 0]
-        assert enc.true_length == 3
+        assert enc.tolist() == [2, 3, 4, PAD_INDEX, PAD_INDEX]
 
     def test_truncation_keeps_tail(self):
         vocab = Vocabulary(tokens=[str(k) for k in range(7)])
         enc = encode_and_pad([str(k) for k in range(7)], vocab, max_len=4)
-        assert enc.indices.tolist() == [vocab.index_of(str(k)) for k in (3, 4, 5, 6)]
-        assert enc.true_length == 4
+        assert enc.tolist() == [vocab.index_of(str(k)) for k in (3, 4, 5, 6)]
+        assert PAD_INDEX not in enc.tolist()
 
     def test_oov_maps_to_one(self):
         vocab = Vocabulary(tokens=["if"])
         enc = encode_and_pad(["if", "mystery"], vocab, max_len=3)
-        assert enc.indices.tolist() == [2, OOV_INDEX, PAD_INDEX]
+        assert enc.tolist() == [2, OOV_INDEX, PAD_INDEX]
 
     def test_empty_tokens(self):
         enc = encode_and_pad([], Vocabulary(tokens=["a"]), max_len=3)
-        assert enc.indices.tolist() == [0, 0, 0]
-        assert enc.true_length == 0
+        assert enc.tolist() == [PAD_INDEX] * 3
 
     def test_index_dtype_integral(self):
         enc = encode_and_pad(["a"], Vocabulary(tokens=["a"]), max_len=2)
-        assert np.issubdtype(enc.indices.dtype, np.integer)
+        assert enc.dtype == np.int64
 
 
 def test_full_preprocess_reproducible(tmp_path):
@@ -297,7 +291,7 @@ def test_full_preprocess_reproducible(tmp_path):
         corpus = balance(load_dataset(path, "train"), seed=9)
         tokens = [tokenize(code) for code, _ in corpus.samples]
         vocab = build_vocab(tokens, max_vocab=50)
-        encoded = [encode_and_pad(t, vocab, max_len=8).indices for t in tokens]
+        encoded = [encode_and_pad(t, vocab, max_len=8) for t in tokens]
         return vocab.digest(), np.stack(encoded)
 
     digest_a, enc_a = run()

@@ -2,19 +2,15 @@
 OOV handling, column standardization, and the padding-row invariant."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from qvuln.corpus import Vocabulary
-from qvuln.embedding import (
-    INIT_RANGE,
-    VectorTable,
-    build_embedding_matrix,
-    embed,
-    load_vectors,
-    save_vectors,
-)
+from qvuln.embedding import INIT_RANGE, MODES, VectorTable, build_embedding_matrix, load_vectors
 from qvuln.errors import DataError
+from qvuln.trainer import ClassifyDataset, TrainConfig, _inputs, train
 
 
 def write_vectors(tmp_path, text: str, name: str = "vectors.txt"):
@@ -59,12 +55,14 @@ class TestLoadVectors:
         with pytest.raises(DataError, match="not found"):
             load_vectors(tmp_path / "absent.txt")
 
-    def test_save_round_trip(self, tmp_path):
+    def test_repr_text_round_trip(self, tmp_path):
+        # repr() of a float is the shortest text that parses back to it
         rng = np.random.default_rng(3)
         table = VectorTable(dim=3, entries={f"t{k}": rng.uniform(-1, 1, 3) for k in range(5)})
-        path = tmp_path / "saved.txt"
-        save_vectors(table, path)
-        again = load_vectors(path)
+        again = load_vectors(write_vectors(tmp_path, "".join(
+            token + " " + " ".join(repr(float(v)) for v in vector) + "\n"
+            for token, vector in table.entries.items()
+        )))
         assert again.dim == 3
         for token, vector in table.entries.items():
             np.testing.assert_array_equal(again.entries[token], vector)
@@ -95,11 +93,13 @@ class TestBuildBasic:
         assert not np.array_equal(one.rows, other.rows)
 
     def test_tables_rejected(self):
-        with pytest.raises(DataError):
-            build_embedding_matrix(
-                Vocabulary(tokens=["a"]), [VectorTable(dim=1, entries={"a": np.ones(1)})],
-                "basic", seed=0,
-            )
+        # every mode refuses any table count but its own
+        table = VectorTable(dim=1, entries={"a": np.ones(1)})
+        for mode, needed in MODES.items():
+            for count in {0, 1, 2, 3} - {needed}:
+                message = re.escape(f"{mode} mode requires exactly {needed}")
+                with pytest.raises(DataError, match=message):
+                    build_embedding_matrix(Vocabulary(tokens=["a"]), [table] * count, mode, seed=0)
 
 
 class TestBuildPretrained:
@@ -169,29 +169,38 @@ class TestBuildPretrained:
 
 
 class TestEmbed:
-    def matrix(self) -> tuple[Vocabulary, np.ndarray]:
+    """The pipeline embeds a batch as matrix.rows[sequences] (trainer._inputs)."""
+
+    def matrix(self):
         vocab = Vocabulary(tokens=["a", "b", "c"])
-        return vocab, build_embedding_matrix(vocab, [], "basic", seed=6, d_basic=4)
+        return build_embedding_matrix(vocab, [], "basic", seed=6, d_basic=4)
+
+    def embed(self, sequences, matrix) -> np.ndarray:
+        sequences = np.array(sequences, dtype=np.int64)
+        data = ClassifyDataset(sequences=sequences, labels=np.zeros(len(sequences), dtype=np.int64),
+                               max_len=sequences.shape[1], vocab_digest="")
+        return _inputs("classify", data, slice(None), matrix.rows)
 
     def test_all_padding_rows_zero(self):
-        _, matrix = self.matrix()
-        out = embed(np.zeros(5, dtype=np.int64), matrix)
-        np.testing.assert_array_equal(out, np.zeros((5, 4)))
+        out = self.embed([[0] * 5], self.matrix())
+        np.testing.assert_array_equal(out, np.zeros((1, 5, 4)))
 
     def test_lookup_and_padding_mix(self):
-        _, matrix = self.matrix()
-        out = embed(np.array([2, 0, 0]), matrix)
+        matrix = self.matrix()
+        out = self.embed([[2, 0, 0]], matrix)[0]
         np.testing.assert_array_equal(out[0], matrix.rows[2])
         np.testing.assert_array_equal(out[1:], np.zeros((2, 4)))
 
     def test_identical_sequences_identical_outputs(self):
-        _, matrix = self.matrix()
-        seq = np.array([2, 3, 4, 1, 0])
-        np.testing.assert_array_equal(embed(seq, matrix), embed(seq.copy(), matrix))
+        out = self.embed([[2, 3, 4, 1, 0], [2, 3, 4, 1, 0]], self.matrix())
+        np.testing.assert_array_equal(out[0], out[1])
 
     def test_out_of_range(self):
-        _, matrix = self.matrix()
-        with pytest.raises(DataError):
-            embed(np.array([99]), matrix)
-        with pytest.raises(DataError):
-            embed(np.array([-1]), matrix)
+        # train checks every index against the matrix before any lookup
+        matrix = self.matrix()
+        config = TrainConfig(model="lstm", task="classify", epochs=1, hidden=1)
+        for index in (99, -1):
+            data = ClassifyDataset(sequences=np.array([[2, index]]), labels=np.array([1]),
+                                   max_len=2, vocab_digest="")
+            with pytest.raises(DataError, match="outside the 5-row vocabulary"):
+                train(config, data, matrix=matrix)

@@ -24,7 +24,7 @@ FD_TOL = 1e-5
 
 def zeroed_vqcs(d_x: int, scale: float = 1.0, shift: float = 0.0):
     params = init_qlstm_params(d_x, np.random.default_rng(0))
-    for vqc in params.vqcs():
+    for vqc in (params.vqc1, params.vqc2, params.vqc3, params.vqc4, params.vqc5, params.vqc6):
         vqc.in_proj[...] = 0.0
         vqc.bias[...] = 0.0
         vqc.angles[...] = 0.0
@@ -98,7 +98,7 @@ class TestForward:
         params.head_b[...] = 0.0
         logit, caches = qlstm_forward(params, [np.ones(2)] * 3)
         assert logit == 0.0
-        np.testing.assert_array_equal(caches.y_final, np.zeros(4))
+        np.testing.assert_array_equal(caches.final, np.zeros(4))
 
     def test_bitwise_deterministic(self):
         rng = np.random.default_rng(11)

@@ -155,7 +155,7 @@ class TestTrainConfig:
         with pytest.raises(DataError):
             TrainConfig(model="lstm", task="sine", threshold=1.0)
         for bad in (dict(hidden=0), dict(d_basic=0), dict(lr=-1e-3), dict(lr=math.nan),
-                    dict(lr=math.inf), dict(seed=-1)):
+                    dict(lr=math.inf), dict(seed=-1), dict(sigma_hidden=1)):
             with pytest.raises(DataError):
                 TrainConfig(model="lstm", task="sine", **bad)
         assert TrainConfig(model="lstm", task="sine", lr=0.0).lr == 0.0

@@ -2,6 +2,8 @@
 agreement, and exact gradients versus central finite differences."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ def random_params(rng: np.random.Generator, d_in: int) -> VqcParams:
     return params
 
 
+def unscaled(params: VqcParams) -> VqcParams:
+    """`params` with unit scale and zero shift: the readout is then the
+    pre-scaling <Z_i>."""
+    return replace(params, out_scale=np.array(1.0), out_shift=np.array(0.0))
+
+
 def dense_layers(angles: np.ndarray) -> np.ndarray:
     """The two variational layers as one unitary, from the oracle's gates."""
     u = np.eye(16, dtype=complex)
@@ -63,9 +71,9 @@ def fd_gradient(params: VqcParams, x: np.ndarray, upstream: np.ndarray, array: n
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + FD_STEP
-        hi = float(upstream @ vqc_forward(params, x).values)
+        hi = float(upstream @ vqc_forward(params, x))
         flat[j] = orig - FD_STEP
-        lo = float(upstream @ vqc_forward(params, x).values)
+        lo = float(upstream @ vqc_forward(params, x))
         flat[j] = orig
         grad.reshape(-1)[j] = (hi - lo) / (2 * FD_STEP)
     return grad
@@ -74,7 +82,7 @@ def fd_gradient(params: VqcParams, x: np.ndarray, upstream: np.ndarray, array: n
 class TestForward:
     def test_zero_fixed_point(self):
         out = vqc_forward(manual_params(), np.zeros(4))
-        np.testing.assert_allclose(out.values, np.zeros(4), atol=1e-15)
+        np.testing.assert_allclose(out, np.zeros(4), atol=1e-15)
 
     def test_identity_projection_example(self):
         # encoding alone would leave qubit 0 at -sin(0.5); the ring's final
@@ -88,24 +96,25 @@ class TestForward:
         assert abs(dense_oracle.z_expectation(enc_only, 0, 4) - (-np.sin(0.5))) < 1e-12
 
         oracle = dense_oracle.circuit_expectations(x, np.zeros((2, 4, 3)))
-        np.testing.assert_allclose(out.values, oracle, atol=1e-12)
-        assert abs(out.values[0]) < 1e-12
+        np.testing.assert_allclose(out, oracle, atol=1e-12)
+        assert abs(out[0]) < 1e-12
 
     def test_pre_scaling_expectations_bounded(self):
+        # unit scale and zero shift give the <Z_i> themselves, exactly
         rng = np.random.default_rng(17)
         for _ in range(10):
-            params = random_params(rng, 5)
-            out = vqc_forward(params, rng.uniform(-3, 3, size=5))
-            assert np.all(np.abs(out.cache.expectations) <= 1.0 + 1e-12)
+            params = unscaled(random_params(rng, 5))
+            e = vqc_forward(params, rng.uniform(-3, 3, size=5))
+            assert np.all(np.abs(e) <= 1.0 + 1e-12)
 
     def test_scale_and_shift_applied(self):
         rng = np.random.default_rng(2)
         params = random_params(rng, 3)
         x = rng.uniform(-1, 1, size=3)
-        e = vqc_forward(params, x).cache.expectations
+        e = vqc_forward(unscaled(params), x)
         params.out_scale = np.array(3.0)
         params.out_shift = np.array(10.0)
-        np.testing.assert_allclose(vqc_forward(params, x).values, 3.0 * e + 10.0, atol=1e-14)
+        np.testing.assert_allclose(vqc_forward(params, x), 3.0 * e + 10.0, atol=1e-14)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(23)
@@ -118,14 +127,14 @@ class TestForward:
             oracle = float(params.out_scale) * dense_oracle.circuit_expectations(
                 a, params.angles
             ) + float(params.out_shift)
-            np.testing.assert_allclose(out.values, oracle, atol=1e-10)
+            np.testing.assert_allclose(out, oracle, atol=1e-10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         params = random_params(rng, 4)
         x = rng.uniform(-1, 1, size=4)
-        first = vqc_forward(params, x).values
-        second = vqc_forward(params, x).values
+        first = vqc_forward(params, x)
+        second = vqc_forward(params, x)
         assert np.array_equal(first, second)
 
     def test_input_shape_error(self):
@@ -158,7 +167,7 @@ class TestGradients:
         upstream = np.array([1.0, 1.0, 1.0, 1.0])
         grads, _ = vqc_gradients(params, x, upstream)
         assert float(grads.out_shift) == 4.0
-        expected_scale = float(upstream @ vqc_forward(params, x).cache.expectations)
+        expected_scale = float(upstream @ vqc_forward(unscaled(params), x))
         assert abs(float(grads.out_scale) - expected_scale) < 1e-12
 
     def test_matches_finite_differences(self):
@@ -176,9 +185,9 @@ class TestGradients:
             for j in range(x.size):
                 orig = x[j]
                 x[j] = orig + FD_STEP
-                hi = float(upstream @ vqc_forward(params, x).values)
+                hi = float(upstream @ vqc_forward(params, x))
                 x[j] = orig - FD_STEP
-                lo = float(upstream @ vqc_forward(params, x).values)
+                lo = float(upstream @ vqc_forward(params, x))
                 x[j] = orig
                 fd_x[j] = (hi - lo) / (2 * FD_STEP)
             np.testing.assert_allclose(dx, fd_x, atol=1e-6)
@@ -203,7 +212,7 @@ class TestLayerCache:
         assert params.angles is angles
 
         fresh = VqcParams(**{name: np.array(arr) for name, arr in vars(params).items()})
-        np.testing.assert_array_equal(vqc_forward(params, x).values, vqc_forward(fresh, x).values)
+        np.testing.assert_array_equal(vqc_forward(params, x), vqc_forward(fresh, x))
         (got, got_dx), (want, want_dx) = (vqc_gradients(p, x, upstream) for p in (params, fresh))
         for name, arr in got.tree().items():
             np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
@@ -298,14 +307,14 @@ class TestBatch:
             x = rng.uniform(-2, 2, size=(batch, d_in))
             upstream = rng.uniform(-1, 1, size=(batch, 4))
             counter = EvalCounter()
-            values = vqc_forward(params, x, counter).values
+            values = vqc_forward(params, x, counter)
             grads, dx = vqc_gradients(params, x, upstream, counter)
             assert values.shape == (batch, 4) and dx.shape == (batch, d_in)
             assert counter.count == batch * (1 + 65)
 
             summed = {name: np.zeros_like(arr) for name, arr in grads.tree().items()}
             for b in range(batch):
-                row_values = vqc_forward(params, x[b]).values
+                row_values = vqc_forward(params, x[b])
                 np.testing.assert_allclose(values[b], row_values, rtol=0, atol=1e-13)
                 row_grads, row_dx = vqc_gradients(params, x[b], upstream[b])
                 np.testing.assert_allclose(dx[b], row_dx, rtol=0, atol=1e-13)
