@@ -63,8 +63,6 @@ def load_vocab_file(path: str | Path) -> Vocabulary:
 def encode_corpus(
     token_lists: list[list[str]], labels: list[int], vocab: Vocabulary, max_len: int
 ) -> ClassifyDataset:
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
     sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
     for k, tokens in enumerate(token_lists):
         sequences[k] = encode_and_pad(tokens, vocab, max_len)
@@ -106,6 +104,8 @@ def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise DataError(f"{path}: max_len must be a positive integer, got {max_len!r}")
     sequences = _int_array(doc, "sequences", path)
+    if sequences.shape == (0,):  # an empty split: `[]` has no row length to read
+        sequences = sequences.reshape(0, max_len)
     labels = _int_array(doc, "labels", path)
     if sequences.ndim != 2 or sequences.shape[1] != max_len:
         raise DataError(f"{path}: sequence rows must all have length {max_len}")
@@ -208,6 +208,8 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise DataError(f"seed must be >= 0, got {args.seed}")
+    if args.max_len < 1 or args.max_vocab < 1:
+        raise DataError(f"max_len and max_vocab must be >= 1, got {args.max_len}, {args.max_vocab}")
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out)
     try:
@@ -273,6 +275,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
             eval_data=eval_data, curves_path=args.curves,
         )
     else:
+        classify_inputs = {"--data": args.data, "--vocab": args.vocab,
+                           "--eval-data": args.eval_data, "--vectors": args.vectors}
+        given = [flag for flag, value in classify_inputs.items() if value]
+        if given:
+            print(f"error: --task sine takes no {', '.join(given)}", file=sys.stderr)
+            return 1
         data = sine_task(args.n_points, args.window)
         ckpt, report = train(config, data, curves_path=args.curves)
     save_checkpoint(ckpt, args.out)

@@ -37,10 +37,6 @@ class EmbeddingMatrix:
     trainable: bool
     source: str
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
 
 def load_vectors(path: str | Path) -> VectorTable:
     """Parse a text vector file; errors name the offending 1-based line."""

@@ -5,14 +5,17 @@ with zero-denominator flags), seeded mini-batch training with Adam, the
 windowed sine-regression task, wall-clock timing, an exact parameter
 census, and versioned JSON checkpoints that round-trip bitwise.
 
-Each optimizer step is one forward and one backward call over the whole
-mini-batch, through the models' leading batch axis.  Evaluation runs the
-same batched forward in chunks of EVAL_CHUNK samples without keeping
-backward caches, so its memory is bounded by one chunk's inputs and one
-step's working set, not by T steps of caches.  `_model` is the one
-place that maps a model name and the hyperparameters a checkpoint records
-to fresh parameters and the model's forward and backward functions; train,
-evaluate and the checkpoint schema check all build through it.
+Both tasks are index rows into a table (token indices into the embedding
+rows, sine windows into a table of sine values), and `_check_split` checks
+a split against its table before any work.  Each optimizer step is one
+forward and one backward call over the whole mini-batch, through the
+models' leading batch axis.  Evaluation runs the same batched forward in
+chunks of EVAL_CHUNK samples without keeping backward caches, so its memory
+is bounded by one chunk's inputs and one step's working set, not by T steps
+of caches.  `_model` is the one place that maps a model name and the
+hyperparameters a checkpoint records to fresh parameters and the model's
+forward and backward functions; train, evaluate and the checkpoint schema
+check all build through it.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ SINE_DEFAULT_EPOCHS = 30
 CLASSIFY_DEFAULT_EPOCHS = 10
 SINE_DEFAULT_LR = 1e-2
 CLASSIFY_DEFAULT_LR = 1e-3
-# input values of the largest sine task (80 MB of float64); sizes arrive
+# window indices of the largest sine task (80 MB of int64); sizes arrive
 # from the command line and from checkpoints
 SINE_MAX_VALUES = 10**7
 # samples per cache-free forward call in evaluation: fewer calls amortize
@@ -184,7 +187,8 @@ class ClassifyDataset:
 class SineDataset:
     """Windowed next-value regression over one sine period."""
 
-    inputs: np.ndarray  # (N, window, 1)
+    sequences: np.ndarray  # (N, window) indices into table
+    table: np.ndarray  # (n_points, 1) sine values
     targets: np.ndarray  # (N,)
     xs: np.ndarray  # (N,) x position of each target
 
@@ -194,8 +198,8 @@ class SineDataset:
 
 def sine_task(n_points: int = 100, window: int = 4) -> SineDataset:
     """Cyclic windows over x_j = 2*pi*j/n_points: each sample predicts
-    sin(x_j) from the previous `window` sine values.  The inputs hold
-    n_points * window values, at most SINE_MAX_VALUES, checked before any
+    sin(x_j) from the previous `window` sine values.  The windows hold
+    n_points * window indices, at most SINE_MAX_VALUES, checked before any
     allocation."""
     if window < 1 or n_points <= window:
         raise DataError(f"need n_points > window >= 1, got n_points={n_points} window={window}")
@@ -206,8 +210,8 @@ def sine_task(n_points: int = 100, window: int = 4) -> SineDataset:
         )
     x = 2.0 * np.pi * np.arange(n_points) / n_points
     s = np.sin(x)
-    inputs = s[(np.arange(n_points)[:, None] + np.arange(-window, 0)) % n_points, None]
-    return SineDataset(inputs=inputs, targets=s.copy(), xs=x)
+    sequences = (np.arange(n_points)[:, None] + np.arange(-window, 0)) % n_points
+    return SineDataset(sequences=sequences, table=s[:, None], targets=s.copy(), xs=x)
 
 
 # --- parameter census ---
@@ -457,14 +461,6 @@ def load_curves(path: str | Path) -> dict[int, tuple[np.ndarray, np.ndarray, np.
 # --- model plumbing shared by train and evaluate ---
 
 
-def _inputs(task: str, data, rows, emb: np.ndarray | None) -> np.ndarray:
-    """(B, T, d) model inputs of the samples `rows` (index array or slice);
-    a classify task looks its token indices up in the embedding rows `emb`."""
-    if task == "sine":
-        return data.inputs[rows]
-    return emb[data.sequences[rows]]
-
-
 def _loss(task: str, logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample loss values and dLoss/dlogit over a batch."""
     if task == "sine":
@@ -473,22 +469,31 @@ def _loss(task: str, logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     return bce_from_logit(logits, targets)
 
 
-def _check_indices(data: ClassifyDataset, n_rows: int) -> None:
+def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None) -> np.ndarray:
+    """The table that the split `data` gathers its inputs from: the
+    embedding rows `emb` for classify, the split's own sine table for sine.
+    Raises DataError on a dataset of the other task's kind, a classify split
+    whose max_len is not `max_len`, or an index outside the table."""
+    kind = ClassifyDataset if task == "classify" else SineDataset
+    if not isinstance(data, kind):
+        raise DataError(f"the {task} task needs a {kind.__name__}, got {type(data).__name__}")
+    if task == "classify" and data.max_len != max_len:
+        raise DataError(f"max_len mismatch: model {max_len}, data {data.max_len}")
+    table, name = (emb, "vocabulary") if task == "classify" else (data.table, "sine table")
     seq = data.sequences
-    if seq.size and not 0 <= int(seq.min()) <= int(seq.max()) < n_rows:
-        raise DataError(f"data contains token indices outside the {n_rows}-row vocabulary")
+    if seq.size and not 0 <= int(seq.min()) <= int(seq.max()) < len(table):
+        raise DataError(f"data contains indices outside the {len(table)}-row {name}")
+    return table
 
 
-def predictions_over(
-    forward, task: str, params, data, emb: np.ndarray | None
-) -> np.ndarray:
+def predictions_over(forward, task: str, params, data, table: np.ndarray) -> np.ndarray:
     """Raw value for sine, probability for classify, one entry per sample;
     the model's `forward` runs over chunks of EVAL_CHUNK samples and keeps
     no backward caches, so a chunk holds its inputs and one step's state."""
     out = np.empty(len(data))
     for start in range(0, len(data), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        logits, _ = forward(params, _inputs(task, data, chunk, emb), keep_caches=False)
+        logits, _ = forward(params, table[data.sequences[chunk]], keep_caches=False)
         out[chunk] = logits if task == "sine" else sigmoid(logits)
     return out
 
@@ -512,19 +517,21 @@ def train(
 
     Records the per-epoch mean training loss, emits epoch-1 and final-epoch
     prediction curves when curves_path is given, and reports metrics over
-    eval_data (falling back to the training data).
+    eval_data (falling back to the training data), checked before the first epoch.
     """
     if len(data) == 0:
         raise DataError("training data is empty")
-    if config.task == "classify":
-        if matrix is None:
-            raise DataError("classification training requires an embedding matrix")
-        for split in (data, eval_data):
-            if split is not None:
-                _check_indices(split, matrix.rows.shape[0])
+    if (matrix is None) != (config.task == "sine"):
+        needs = "takes no" if matrix is not None else "requires an"
+        raise DataError(f"{config.task} training {needs} embedding matrix")
+    emb = None if matrix is None else matrix.rows
+    max_len = getattr(data, "max_len", None)
+    table = _check_split(config.task, data, emb, max_len)
+    if eval_data is not None:
+        _check_split(config.task, eval_data, emb, max_len)
     hyperparameters: dict = {
         "batch_size": config.batch_size,
-        "d_in": 1 if config.task == "sine" else matrix.dim,
+        "d_in": table.shape[1],
         "epochs": config.epochs,
         "lr": config.lr,
         "seed": config.seed,
@@ -535,20 +542,16 @@ def train(
     else:
         hyperparameters["sigma_hidden"] = config.sigma_hidden
     if config.task == "classify":
-        hyperparameters.update(
-            embedding_mode=matrix.source,
-            embedding_trainable=matrix.trainable,
-            max_len=data.max_len,
-        )
+        hyperparameters.update(embedding_mode=matrix.source,
+                               embedding_trainable=matrix.trainable, max_len=max_len)
     else:
-        hyperparameters.update(n_points=len(data), window=data.inputs.shape[1])
+        hyperparameters.update(n_points=len(data), window=data.sequences.shape[1])
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     params, forward, backward = _model(config.model, hyperparameters, init_rng)
     targets = data.targets if config.task == "sine" else data.labels
 
     params_tree = params.tree()
-    emb = None if matrix is None else matrix.rows
     emb_trainable = matrix is not None and matrix.trainable
     if emb_trainable:
         params_tree["embedding.rows"] = emb
@@ -563,7 +566,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            logits, caches = forward(params, _inputs(config.task, data, batch, emb))
+            logits, caches = forward(params, table[data.sequences[batch]])
             values, dlogits = _loss(config.task, logits, targets[batch])
             batch_loss = float(np.sum(values))
             if not np.isfinite(batch_loss):
@@ -586,7 +589,7 @@ def train(
         loss_curve.append(mean_loss)
         log.info("epoch %d/%d: mean loss %.6f", epoch, config.epochs, mean_loss)
         if curves_path is not None and epoch in (1, config.epochs):
-            preds = predictions_over(forward, config.task, params, data, emb)
+            preds = predictions_over(forward, config.task, params, data, table)
             curve_blocks[epoch] = _curve_block(config.task, data, preds)
     wall_time = time.perf_counter() - started
     # Adam's moments and the last batch's gradients are done with; freed,
@@ -622,25 +625,14 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     params, forward = params_from_checkpoint(ckpt)
     hp = ckpt.hyperparameters
     emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
-    emb = None
-    if ckpt.task == "classify":
-        if not isinstance(data, ClassifyDataset):
-            raise DataError("checkpoint task is classify but data is not an encoded corpus")
-        if data.max_len != hp.get("max_len"):
-            raise DataError(
-                f"max_len mismatch: checkpoint {hp.get('max_len')}, data {data.max_len}"
-            )
-        if ckpt.vocab_digest is not None and data.vocab_digest != ckpt.vocab_digest:
-            log.warning(
-                "vocabulary digest mismatch: checkpoint %s..., data %s...",
-                str(ckpt.vocab_digest)[:12], str(data.vocab_digest)[:12],
-            )
-        emb = ckpt.arrays["embedding.rows"]
-        _check_indices(data, len(emb))
-    elif not isinstance(data, SineDataset):
-        raise DataError("checkpoint task is sine but data is not a sine dataset")
+    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"))
+    if ckpt.task == "classify" and ckpt.vocab_digest not in (None, data.vocab_digest):
+        log.warning(
+            "vocabulary digest mismatch: checkpoint %s..., data %s...",
+            str(ckpt.vocab_digest)[:12], str(data.vocab_digest)[:12],
+        )
 
-    preds = predictions_over(forward, ckpt.task, params, data, emb)
+    preds = predictions_over(forward, ckpt.task, params, data, table)
 
     if ckpt.task == "classify":
         predicted = (preds >= threshold).astype(int)

@@ -10,6 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
+import qvuln.trainer
 from qvuln import cli
 from qvuln.cli import (
     load_encoded_dataset,
@@ -346,17 +347,58 @@ class TestExitCodes:
         assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
         assert capsys.readouterr().out.startswith("mse=")
 
-    def test_negative_max_len_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+    def test_negative_max_len_is_data_error(self, monkeypatch, tiny_corpus_dir, tmp_path, capsys):
         enc_dir = tmp_path / "encoded"
-        for max_len in ("0", "-2"):
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the sizes are checked before any CSV is read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        for flag, value in (("--max-len", "0"), ("--max-len", "-2"), ("--max-vocab", "0")):
             capsys.readouterr()
             assert main([
-                "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", max_len,
+                "preprocess", "--data-dir", str(tiny_corpus_dir), flag, value,
                 "--out", str(enc_dir),
-            ]) == 2, max_len
+            ]) == 2, value
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and "max_len" in err and err.count("\n") == 1, err
-        assert not any(enc_dir.iterdir())
+            name = flag[2:].replace("-", "_")
+            assert err.startswith("error: ") and name in err and err.count("\n") == 1, err
+            assert not enc_dir.exists()
+
+    def test_sine_train_refuses_classify_inputs(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        sine = ["train", "--model", "lstm", "--task", "sine", "--out", str(ckpt_path)]
+        for flag in ("--data", "--vocab", "--eval-data", "--vectors"):
+            capsys.readouterr()
+            assert main([*sine, flag, str(tmp_path / "unused.json")]) == 1, flag
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
+        assert not ckpt_path.exists()
+
+    def test_eval_split_of_another_max_len_exits_before_training(
+        self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
+    ):
+        for max_len in ("6", "8"):
+            assert main([
+                "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", max_len,
+                "--max-vocab", "30", "--out", str(tmp_path / max_len),
+            ]) == 0
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(qvuln.trainer, "lstm_forward", no_forward)
+        capsys.readouterr()
+        assert main([
+            "train", "--model", "lstm", "--task", "classify",
+            "--data", str(tmp_path / "6" / "train.json"),
+            "--eval-data", str(tmp_path / "8" / "validation.json"),
+            "--vocab", str(tmp_path / "6" / "vocab.json"), "--hidden", "2", "--d-basic", "2",
+            "--out", str(tmp_path / "ckpt.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_len" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "ckpt.json").exists()
 
     def test_non_finite_vector_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
         enc_dir = tmp_path / "encoded"
@@ -740,6 +782,20 @@ class TestClassifyClosure:
         assert "accuracy" in load_metrics(eval_metrics)
 
         assert main(["census", "--ckpt", str(ckpt_path)]) == 0
+
+    def test_empty_split_round_trips(self, tiny_corpus_dir, tmp_path):
+        data_dir = tmp_path / "csv"
+        shutil.copytree(tiny_corpus_dir, data_dir)
+        (data_dir / "validation.csv").write_text("code,label\n", encoding="utf-8")
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(data_dir), "--no-balance", "--max-len", "12",
+            "--out", str(enc_dir),
+        ]) == 0
+        assert json.loads((enc_dir / "validation.json").read_text())["sequences"] == []
+        split = load_encoded_dataset(enc_dir / "validation.json")
+        assert split.sequences.shape == (0, 12) and split.sequences.dtype == np.int64
+        assert split.labels.shape == (0,) and split.max_len == 12
 
     def test_preprocess_files_are_pinned(self, corpus_dir, tmp_path):
         # digests of the files the character-loop tokenizer wrote for this corpus

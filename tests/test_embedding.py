@@ -10,7 +10,7 @@ import pytest
 from qvuln.corpus import Vocabulary
 from qvuln.embedding import INIT_RANGE, MODES, VectorTable, build_embedding_matrix, load_vectors
 from qvuln.errors import DataError
-from qvuln.trainer import ClassifyDataset, TrainConfig, _inputs, train
+from qvuln.trainer import ClassifyDataset, TrainConfig, _check_split, train
 
 
 def write_vectors(tmp_path, text: str, name: str = "vectors.txt"):
@@ -143,7 +143,6 @@ class TestBuildPretrained:
         vocab = Vocabulary(tokens=tokens)
         matrix = build_embedding_matrix(vocab, [glove, fasttext], "glove+fasttext", seed=3)
         assert matrix.rows.shape == (len(tokens) + 2, 400)
-        assert matrix.dim == 400
         assert np.all(matrix.rows[0] == 0)
 
     def test_constant_columns_become_zero(self):
@@ -169,7 +168,8 @@ class TestBuildPretrained:
 
 
 class TestEmbed:
-    """The pipeline embeds a batch as matrix.rows[sequences] (trainer._inputs)."""
+    """The pipeline embeds a batch as table[sequences], where the table that
+    trainer._check_split returns for a classify split is the embedding."""
 
     def matrix(self):
         vocab = Vocabulary(tokens=["a", "b", "c"])
@@ -179,7 +179,7 @@ class TestEmbed:
         sequences = np.array(sequences, dtype=np.int64)
         data = ClassifyDataset(sequences=sequences, labels=np.zeros(len(sequences), dtype=np.int64),
                                max_len=sequences.shape[1], vocab_digest="")
-        return _inputs("classify", data, slice(None), matrix.rows)
+        return _check_split("classify", data, matrix.rows, data.max_len)[data.sequences]
 
     def test_all_padding_rows_zero(self):
         out = self.embed([[0] * 5], self.matrix())

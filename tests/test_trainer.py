@@ -103,8 +103,10 @@ class TestSineTask:
         data = sine_task(n_points=4, window=1)
         np.testing.assert_allclose(data.targets, [0.0, 1.0, 0.0, -1.0], atol=1e-12)
         # input of sample j is the previous point, wrapping at the start
-        np.testing.assert_allclose(data.inputs[:, 0, 0], [-1.0, 0.0, 1.0, 0.0], atol=1e-12)
-        assert data.inputs.shape == (4, 1, 1)
+        assert data.sequences.tolist() == [[3], [0], [1], [2]]
+        np.testing.assert_allclose(data.table[data.sequences][:, 0, 0], [-1.0, 0.0, 1.0, 0.0],
+                                   atol=1e-12)
+        assert data.table.shape == (4, 1)
 
     def test_targets_bounded(self):
         data = sine_task(n_points=50, window=5)
@@ -113,7 +115,8 @@ class TestSineTask:
     def test_reproducible(self):
         a = sine_task(100, 4)
         b = sine_task(100, 4)
-        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.sequences, b.sequences)
+        assert np.array_equal(a.table, b.table)
         assert np.array_equal(a.targets, b.targets)
         assert np.array_equal(a.xs, b.xs)
 
@@ -130,10 +133,11 @@ class TestSineTask:
     @pytest.mark.parametrize("n_points, window", [(2, 1), (9, 8), (100, 4), (37, 5)])
     def test_windows_match_point_loop(self, n_points, window):
         data = sine_task(n_points, window)
+        inputs = data.table[data.sequences]
         for j in range(n_points):
             expected = data.targets[np.arange(j - window, j) % n_points]
-            assert data.inputs[j, :, 0].tobytes() == expected.tobytes()
-        assert data.inputs.shape == (n_points, window, 1)
+            assert inputs[j, :, 0].tobytes() == expected.tobytes()
+        assert inputs.shape == (n_points, window, 1)
 
 
 class TestTrainConfig:
@@ -201,6 +205,42 @@ class TestTrain:
         assert report.accuracy == 1.0
         # padding row stays pinned through trainable-embedding updates
         np.testing.assert_array_equal(ckpt.arrays["embedding.rows"][0], np.zeros(4))
+
+    @pytest.mark.parametrize("flaw", ["max_len", "kind", "index"])
+    def test_bad_eval_split_refused_before_any_forward_call(self, flaw, monkeypatch):
+        vocab, data = tiny_classify_dataset()
+        _, eval_data = tiny_classify_dataset()
+        if flaw == "max_len":
+            _, eval_data = tiny_classify_dataset(max_len=2)
+        elif flaw == "kind":
+            eval_data = sine_task(10, 3)
+        else:
+            eval_data.sequences[-1, -1] = len(vocab.tokens) + 2
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            raise AssertionError("a forward call ran")
+
+        monkeypatch.setattr(qvuln.trainer, "lstm_forward", counted)
+        matrix = build_embedding_matrix(vocab, [], "basic", seed=0, d_basic=2)
+        config = TrainConfig(model="lstm", task="classify", epochs=1, hidden=2)
+        with pytest.raises(DataError, match={"max_len": "max_len mismatch",
+                                             "kind": "ClassifyDataset", "index": "outside"}[flaw]):
+            train(config, data, matrix=matrix, eval_data=eval_data)
+        assert calls == []
+
+    def test_split_of_the_other_task_or_embedding_refused(self):
+        vocab, data = tiny_classify_dataset()
+        matrix = build_embedding_matrix(vocab, [], "basic", seed=0, d_basic=2)
+        with pytest.raises(DataError, match="SineDataset"):
+            train(TrainConfig(model="lstm", task="sine", hidden=2), data)
+        with pytest.raises(DataError, match="takes no embedding"):
+            train(TrainConfig(model="lstm", task="sine", hidden=2), sine_task(10, 2), matrix=matrix)
+        with pytest.raises(DataError, match="outside the 10-row sine table"):
+            bad = sine_task(10, 2)
+            bad.sequences[0, 0] = 10
+            train(TrainConfig(model="lstm", task="sine", hidden=2), bad)
 
     def test_empty_data_rejected(self):
         with pytest.raises(DataError):
@@ -417,7 +457,8 @@ class TestEvaluate:
             calls.append((len(inputs), keep_caches))
             return np.zeros(len(inputs)), None
 
-        predictions_over(forward, "sine", None, sine_task(n_points=100, window=3), None)
+        data = sine_task(n_points=100, window=3)
+        predictions_over(forward, "sine", None, data, data.table)
         assert calls == [(64, False), (36, False)]
 
 
