@@ -2,8 +2,8 @@
 
 Subcommands: preprocess (CSV -> encoded corpus + vocabulary), train, eval,
 sine-demo, gradcheck (finite-difference verification), census (parameter
-count check).  Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 failed verification or divergence.
+count check).  Exit codes: 0 success, 1 usage error, 2 data/format error or
+memory exhaustion, 3 failed verification or divergence.
 
 Diagnostics go to stderr (QVULN_LOG_LEVEL controls verbosity); data goes to
 files or stdout.
@@ -308,6 +308,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             return 1
         data = load_encoded_dataset(args.data)
     else:
+        if args.data is not None:
+            print("error: eval of a sine checkpoint takes no --data", file=sys.stderr)
+            return 1
         hp = ckpt.hyperparameters
         try:
             data = sine_task(_recorded_size(hp, "n_points", 100), _recorded_size(hp, "window", 4))
@@ -460,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DataError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

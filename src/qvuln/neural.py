@@ -5,6 +5,8 @@ parameter trees.
 The quantum LSTM shares the cell update c = f*c_prev + i*g, out =
 o*tanh(c): both cells build their gate input with `cell_input`, cache a
 `CellCache` per step and go back through the update with `cell_backward`.
+Both also share the time loops: each supplies only its step (and step
+back) to `run_sequence` and `backprop_sequence`, over one `CellState`.
 
 A parameter dataclass (`LstmParams` here, `VqcParams` and `QlstmParams`
 elsewhere) derives its tree of named arrays from its fields through
@@ -91,9 +93,12 @@ class LstmParams(ParamTree):
 
 
 @dataclass
-class LstmState:
-    h: np.ndarray  # (hidden,) or (B, hidden)
-    c: np.ndarray  # (hidden,) or (B, hidden)
+class CellState:
+    """The recurrent state after a step; each array is (hidden,) or (B, hidden)."""
+
+    h: np.ndarray
+    c: np.ndarray
+    y: np.ndarray  # what the head reads: h itself for the LSTM, VQC6's readout for the QLSTM
 
 
 def as_sequences(sequence) -> np.ndarray:
@@ -176,9 +181,52 @@ def cell_backward(cache: CellCache, d_out: np.ndarray, dc: np.ndarray) -> tuple[
     return pre_f, pre_i, pre_g, pre_o, dc * s.f
 
 
+def run_sequence(step, params, sequence, state: CellState, keep_caches: bool):
+    """The forward time loop of both models over a (T, d) sequence, a list of
+    T (d,) vectors or a (B, T, d) batch: `step(params, x_t, state)` gives the
+    next state and its cache.  Returns the head's logit over the final y (a
+    float, or (B,) for a batch) and the caches; with keep_caches=False each
+    cache is dropped after its step and the caches are None."""
+    xs = as_sequences(sequence)
+    steps = []
+    for x_t in np.moveaxis(xs, -2, 0):
+        state, cache = step(params, x_t, state)
+        if keep_caches:
+            steps.append(cache)
+    logits = state.y @ params.head_w + params.head_b
+    caches = SequenceCaches(steps=steps, final=state.y) if keep_caches else None
+    return (float(logits) if logits.ndim == 0 else logits), caches
+
+
+def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d_x: int):
+    """The backward time loop of both models: exact gradients of the sum over
+    samples of upstream * logit (upstream is a float, or (B,) for a batch),
+    summed over the batch, and the (T, d_x) or (B, T, d_x) input gradients.
+    `step_back(params, grads, cache, dh, dy, dc)` adds a step's parameter
+    gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1}, x_t),
+    and dL/dc_{t-1}."""
+    if caches is None:
+        raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
+    upstream = np.asarray(upstream, dtype=float)
+    grads = zeros_like(params)
+    T = len(caches.steps)
+    grads.head_w += np.dot(upstream, caches.final)
+    grads.head_b += np.sum(upstream)
+    dy = upstream[..., None] * params.head_w
+    dh = np.zeros_like(dy)
+    dc = np.zeros_like(dy)
+    dx = np.zeros(upstream.shape + (T, d_x))
+    for t in range(T - 1, -1, -1):
+        dv, dc = step_back(params, grads, caches.steps[t], dh, dy, dc)
+        dh, dx[..., t, :] = dv[..., :-d_x], dv[..., -d_x:]
+        # the head reads y only at the last step
+        dy = np.zeros_like(dy)
+    return grads, dx
+
+
 def lstm_cell_step(
-    params: LstmParams, x_t: np.ndarray, prev: LstmState
-) -> tuple[LstmState, CellCache]:
+    params: LstmParams, x_t: np.ndarray, prev: CellState
+) -> tuple[CellState, CellCache]:
     """One recurrence step: forget/input/candidate/output gates over
     v = concat(h_prev, x_t), then the cell and hidden updates.  x_t is
     (d_in,) or (B, d_in); the arrays of prev broadcast against it."""
@@ -190,65 +238,39 @@ def lstm_cell_step(
     o = sigmoid(v @ params.w_o.T + params.b_o)
     tanh_c = np.tanh(c)
     h = o * tanh_c
-    return LstmState(h=h, c=c), CellCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c)
+    cache = CellCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c)
+    return CellState(h=h, c=c, y=h), cache
+
+
+def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, dh, dy, dc
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """One step of `lstm_backward`; y is h, so its gradient adds to dh."""
+    pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dh + dy, dc)
+    # one row per sample: summing the outer products is one product
+    v_rows = s.v.reshape(-1, s.v.shape[-1])
+    for w, b, pre in ((grads.w_f, grads.b_f, pre_f), (grads.w_i, grads.b_i, pre_i),
+                      (grads.w_c, grads.b_c, pre_g), (grads.w_o, grads.b_o, pre_o)):
+        pre_rows = pre.reshape(-1, params.hidden)
+        w += pre_rows.T @ v_rows
+        b += pre_rows.sum(axis=0)
+    dv = pre_f @ params.w_f + pre_i @ params.w_i + pre_g @ params.w_c + pre_o @ params.w_o
+    return dv, dc
 
 
 def lstm_forward(
     params: LstmParams, sequence, *, keep_caches: bool = True
 ) -> tuple[float | np.ndarray, SequenceCaches | None]:
-    """Run the cell from the zero state over a (T, d_in) sequence, or a list
-    of T (d_in,) vectors, or a (B, T, d_in) batch.  The classification logit
-    is the linear head over the final hidden state: a float for one
-    sequence, a (B,) array for a batch.  With keep_caches=False each step's
-    backward cache is dropped after its step and the caches returned are
-    None, which the backward refuses."""
-    xs = as_sequences(sequence)
-    state = LstmState(h=np.zeros(params.hidden), c=np.zeros(params.hidden))
-    steps = []
-    for x_t in np.moveaxis(xs, -2, 0):
-        state, cache = lstm_cell_step(params, x_t, state)
-        if keep_caches:
-            steps.append(cache)
-    logits = state.h @ params.head_w + params.head_b
-    caches = SequenceCaches(steps=steps, final=state.h) if keep_caches else None
-    return (float(logits) if logits.ndim == 0 else logits), caches
+    """`run_sequence` of the LSTM cell from the zero state, with d = d_in."""
+    zero = np.zeros(params.hidden)
+    return run_sequence(lstm_cell_step, params, sequence, CellState(h=zero, c=zero, y=zero),
+                        keep_caches)
 
 
 def lstm_backward(
     params: LstmParams, caches: SequenceCaches, upstream: float | np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
-    """Exact reverse-mode gradients of the sum over samples of
-    upstream * logit.
-
-    upstream is a float for one sequence or (B,) for a batch.  Returns
-    parameter gradients, summed over the batch, and a (T, d_in) or
-    (B, T, d_in) array of gradients w.r.t. each input vector (used to
-    train embeddings).
-    """
-    if caches is None:
-        raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
-    upstream = np.asarray(upstream, dtype=float)
-    hidden = params.hidden
-    grads = zeros_like(params)
-    grads.head_w += np.dot(upstream, caches.final)
-    grads.head_b += np.sum(upstream)
-    dh = upstream[..., None] * params.head_w
-    dc = np.zeros_like(dh)
-    dx = np.zeros(upstream.shape + (len(caches.steps), params.d_in))
-    for t in range(len(caches.steps) - 1, -1, -1):
-        s = caches.steps[t]
-        pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dh, dc)
-        # one row per sample: summing the outer products is one product
-        v_rows = s.v.reshape(-1, s.v.shape[-1])
-        for w, b, pre in ((grads.w_f, grads.b_f, pre_f), (grads.w_i, grads.b_i, pre_i),
-                          (grads.w_c, grads.b_c, pre_g), (grads.w_o, grads.b_o, pre_o)):
-            pre_rows = pre.reshape(-1, hidden)
-            w += pre_rows.T @ v_rows
-            b += pre_rows.sum(axis=0)
-        dv = pre_f @ params.w_f + pre_i @ params.w_i + pre_g @ params.w_c + pre_o @ params.w_o
-        dh = dv[..., :hidden]
-        dx[..., t, :] = dv[..., hidden:]
-    return grads, dx
+    """`backprop_sequence` of the LSTM cell."""
+    return backprop_sequence(_lstm_step_back, params, caches, upstream, params.d_in)
 
 
 def bce_from_logit(logit, target) -> tuple:

@@ -12,7 +12,8 @@ Per step, with v_t = concat(h_{t-1}, x_t):
     y_t = VQC6(o_t * tanh(c_t))
 
 The cell update and its gradient are the classical LSTM's
-(`neural.cell_input`, `CellCache`, `cell_backward`).  The hidden size is
+(`neural.cell_input`, `CellCache`, `cell_backward`), and so are the time
+loops (`neural.run_sequence`, `backprop_sequence`).  The hidden size is
 pinned to 4 so circuit readouts map one-to-one onto gate vectors.  A flag
 drops the sigmoid around VQC5 for the published variant of the cell that
 emits the circuit value directly.
@@ -25,12 +26,13 @@ step in the backward pass, for the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .neural import (
-    CellCache, ParamTree, SequenceCaches, as_sequences, cell_backward, cell_input, sigmoid,
-    zeros_like,
+    CellCache, CellState, ParamTree, SequenceCaches, backprop_sequence, cell_backward,
+    cell_input, run_sequence, sigmoid,
 )
 from .vqc import EvalCounter, VqcParams, init_vqc_params, vqc_forward, vqc_gradients
 
@@ -61,13 +63,6 @@ class QlstmParams(ParamTree):
         return self.vqc1.d_in - HIDDEN
 
 
-@dataclass
-class QlstmState:
-    h: np.ndarray  # (4,) or (B, 4)
-    c: np.ndarray  # (4,) or (B, 4)
-    y: np.ndarray  # (4,) or (B, 4)
-
-
 def init_qlstm_params(d_x: int, rng: np.random.Generator, sigma_hidden: bool = True) -> QlstmParams:
     if d_x < 1:
         raise ValueError(f"d_x must be >= 1, got {d_x}")
@@ -85,9 +80,9 @@ def init_qlstm_params(d_x: int, rng: np.random.Generator, sigma_hidden: bool = T
     )
 
 
-def initial_state() -> QlstmState:
+def initial_state() -> CellState:
     """h starts at the sigmoid image of zero, c and y at zero."""
-    return QlstmState(h=np.full(HIDDEN, 0.5), c=np.zeros(HIDDEN), y=np.zeros(HIDDEN))
+    return CellState(h=np.full(HIDDEN, 0.5), c=np.zeros(HIDDEN), y=np.zeros(HIDDEN))
 
 
 @dataclass
@@ -99,9 +94,9 @@ class QlstmStepCache(CellCache):
 def qlstm_cell_step(
     params: QlstmParams,
     x_t: np.ndarray,
-    prev: QlstmState,
+    prev: CellState,
     counter: EvalCounter | None = None,
-) -> tuple[QlstmState, QlstmStepCache]:
+) -> tuple[CellState, QlstmStepCache]:
     """One recurrence step; exactly six circuit evaluations per sample.
     x_t is (d_x,) or (B, d_x); the arrays of prev broadcast against it."""
     v = cell_input(x_t, prev.h, params.d_x)
@@ -115,34 +110,17 @@ def qlstm_cell_step(
     h_raw = vqc_forward(params.vqc5, r, counter)
     h = sigmoid(h_raw) if params.sigma_hidden else h_raw
     y = vqc_forward(params.vqc6, r, counter)
-    state = QlstmState(h=h, c=c, y=y)
+    state = CellState(h=h, c=c, y=y)
     cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h)
     return state, cache
 
 
-def qlstm_forward(
-    params: QlstmParams,
-    sequence,
-    counter: EvalCounter | None = None,
-    *,
-    keep_caches: bool = True,
-) -> tuple[float | np.ndarray, SequenceCaches | None]:
-    """Run the cell over a (T, d_x) sequence, or a list of T (d_x,) vectors,
-    or a (B, T, d_x) batch.  The output is the linear head over y_T (sigmoid
-    is applied by the caller for classification): a float for one
-    sequence, a (B,) array for a batch.  With keep_caches=False each step's
-    backward cache is dropped after its step and the caches returned are
-    None, which the backward refuses."""
-    xs = as_sequences(sequence)
-    state = initial_state()
-    steps = []
-    for x_t in np.moveaxis(xs, -2, 0):
-        state, cache = qlstm_cell_step(params, x_t, state, counter)
-        if keep_caches:
-            steps.append(cache)
-    logits = state.y @ params.head_w + params.head_b
-    caches = SequenceCaches(steps=steps, final=state.y) if keep_caches else None
-    return (float(logits) if logits.ndim == 0 else logits), caches
+def qlstm_forward(params: QlstmParams, sequence, counter: EvalCounter | None = None, *,
+                  keep_caches: bool = True) -> tuple[float | np.ndarray, SequenceCaches | None]:
+    """`neural.run_sequence` of the quantum cell from `initial_state()`,
+    with d = d_x; the sigmoid of the logit is the caller's."""
+    return run_sequence(partial(qlstm_cell_step, counter=counter), params, sequence,
+                        initial_state(), keep_caches)
 
 
 def _vqc_grad_into(
@@ -165,43 +143,24 @@ def _vqc_grad_into(
     return dx
 
 
-def qlstm_backward(
-    params: QlstmParams,
-    caches: SequenceCaches,
-    upstream: float | np.ndarray,
-    counter: EvalCounter | None = None,
-) -> tuple[QlstmParams, np.ndarray]:
-    """Exact gradients of the sum over samples of upstream * logit, for
-    every parameter (summed over the batch) and every input.
+def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache, dh, dy, dc,
+                     counter: EvalCounter | None) -> tuple[np.ndarray, np.ndarray]:
+    """One step of `qlstm_backward`: parameter-shift circuit gradients
+    chained through the gate algebra."""
+    # h_t and y_t both read r = o * tanh(c)
+    dh_raw = dh * s.h * (1.0 - s.h) if params.sigma_hidden else dh
+    dr = _vqc_grad_into(grads.vqc5, params.vqc5, s.r, dh_raw, counter)
+    dr += _vqc_grad_into(grads.vqc6, params.vqc6, s.r, dy, counter)
+    pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dr, dc)
+    dv = _vqc_grad_into(grads.vqc1, params.vqc1, s.v, pre_f, counter)
+    dv += _vqc_grad_into(grads.vqc2, params.vqc2, s.v, pre_i, counter)
+    dv += _vqc_grad_into(grads.vqc3, params.vqc3, s.v, pre_g, counter)
+    dv += _vqc_grad_into(grads.vqc4, params.vqc4, s.v, pre_o, counter)
+    return dv, dc
 
-    upstream is a float for one sequence or (B,) for a batch.  Chains
-    parameter-shift circuit gradients through the gate algebra,
-    accumulating backwards through time.  Returns (gradients, dx) where dx
-    is (T, d_x) or (B, T, d_x).
-    """
-    if caches is None:
-        raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
-    upstream = np.asarray(upstream, dtype=float)
-    grads = zeros_like(params)
-    T = len(caches.steps)
-    grads.head_w += np.dot(upstream, caches.final)
-    grads.head_b += np.sum(upstream)
-    dy = upstream[..., None] * params.head_w
-    dh = np.zeros_like(dy)
-    dc = np.zeros_like(dy)
-    dx = np.zeros(upstream.shape + (T, params.d_x))
-    for t in range(T - 1, -1, -1):
-        s = caches.steps[t]
-        # h_t and y_t both read r = o * tanh(c)
-        dh_raw = dh * s.h * (1.0 - s.h) if params.sigma_hidden else dh
-        dr = _vqc_grad_into(grads.vqc5, params.vqc5, s.r, dh_raw, counter)
-        dr += _vqc_grad_into(grads.vqc6, params.vqc6, s.r, dy, counter)
-        pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dr, dc)
-        dv = _vqc_grad_into(grads.vqc1, params.vqc1, s.v, pre_f, counter)
-        dv += _vqc_grad_into(grads.vqc2, params.vqc2, s.v, pre_i, counter)
-        dv += _vqc_grad_into(grads.vqc3, params.vqc3, s.v, pre_g, counter)
-        dv += _vqc_grad_into(grads.vqc4, params.vqc4, s.v, pre_o, counter)
-        dh = dv[..., :HIDDEN]
-        dx[..., t, :] = dv[..., HIDDEN:]
-        dy = np.zeros_like(dy)
-    return grads, dx
+
+def qlstm_backward(params: QlstmParams, caches: SequenceCaches, upstream: float | np.ndarray,
+                   counter: EvalCounter | None = None) -> tuple[QlstmParams, np.ndarray]:
+    """`neural.backprop_sequence` of the quantum cell."""
+    return backprop_sequence(partial(_qlstm_step_back, counter=counter), params, caches,
+                             upstream, params.d_x)

@@ -472,11 +472,14 @@ def _loss(task: str, logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
 def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None) -> np.ndarray:
     """The table that the split `data` gathers its inputs from: the
     embedding rows `emb` for classify, the split's own sine table for sine.
-    Raises DataError on a dataset of the other task's kind, a classify split
-    whose max_len is not `max_len`, or an index outside the table."""
+    Raises DataError on a dataset of the other task's kind, a split with no
+    samples, a classify split whose max_len is not `max_len`, or an index
+    outside the table."""
     kind = ClassifyDataset if task == "classify" else SineDataset
     if not isinstance(data, kind):
         raise DataError(f"the {task} task needs a {kind.__name__}, got {type(data).__name__}")
+    if len(data) == 0:
+        raise DataError(f"the {task} split holds no samples")
     if task == "classify" and data.max_len != max_len:
         raise DataError(f"max_len mismatch: model {max_len}, data {data.max_len}")
     table, name = (emb, "vocabulary") if task == "classify" else (data.table, "sine table")
@@ -519,8 +522,6 @@ def train(
     prediction curves when curves_path is given, and reports metrics over
     eval_data (falling back to the training data), checked before the first epoch.
     """
-    if len(data) == 0:
-        raise DataError("training data is empty")
     if (matrix is None) != (config.task == "sine"):
         needs = "takes no" if matrix is not None else "requires an"
         raise DataError(f"{config.task} training {needs} embedding matrix")
@@ -626,6 +627,9 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     hp = ckpt.hyperparameters
     emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
     table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"))
+    if table.shape[1] != hp["d_in"]:
+        raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the "
+                              f"{table.shape[1]}-wide input table")
     if ckpt.task == "classify" and ckpt.vocab_digest not in (None, data.vocab_digest):
         log.warning(
             "vocabulary digest mismatch: checkpoint %s..., data %s...",

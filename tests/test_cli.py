@@ -400,6 +400,67 @@ class TestExitCodes:
         assert err.startswith("error: ") and "max_len" in err and err.count("\n") == 1, err
         assert not (tmp_path / "ckpt.json").exists()
 
+    def test_empty_split_is_data_error(self, monkeypatch, tiny_corpus_dir, tmp_path, capsys):
+        data_dir = tmp_path / "csv"
+        shutil.copytree(tiny_corpus_dir, data_dir)
+        (data_dir / "validation.csv").write_text("code,label\n", encoding="utf-8")
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(data_dir), "--no-balance", "--max-len", "6",
+            "--out", str(enc_dir),
+        ]) == 0
+        train = ["train", "--model", "lstm", "--task", "classify",
+                 "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                 "--epochs", "1", "--hidden", "2", "--d-basic", "2"]
+        assert main([*train, "--out", str(tmp_path / "ckpt.json")]) == 0
+        capsys.readouterr()
+        assert main([
+            "eval", "--ckpt", str(tmp_path / "ckpt.json"),
+            "--data", str(enc_dir / "validation.json"), "--metrics", str(tmp_path / "m.json"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "m.json").exists()
+        assert captured.err.startswith("error: ") and "no samples" in captured.err
+        assert captured.err.count("\n") == 1, captured.err
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(qvuln.trainer, "lstm_forward", no_forward)
+        assert main([*train, "--eval-data", str(enc_dir / "validation.json"),
+                     "--out", str(tmp_path / "ckpt2.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no samples" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "ckpt2.json").exists()
+
+    def test_sine_eval_refuses_data(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(tmp_path / "x.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("error: ") and "--data" in captured.err
+
+    def test_memory_exhaustion_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        # whether a huge allocation fails at once depends on the host's
+        # overcommit policy, so the failure is injected, not requested
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(qvuln.trainer, "init_lstm_params", exhausted)
+        capsys.readouterr()
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--hidden", "100000",
+            "--out", str(tmp_path / "ckpt.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array\n"
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_non_finite_vector_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
         enc_dir = tmp_path / "encoded"
         assert main([
@@ -636,6 +697,32 @@ class TestCheckpointSchema:
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
             err = capsys.readouterr().err
             assert "embedding.rows" in err and err.count("\n") == 1, err
+
+    def test_sine_checkpoint_of_another_width_is_checkpoint_error(
+        self, tiny_corpus_dir, tmp_path, capsys
+    ):
+        # a classify checkpoint relabelled as sine records d_in 6; the sine
+        # table is 1 wide
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "classify", "--epochs", "1",
+            "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+            "--hidden", "2", "--d-basic", "6", "--out", str(ckpt_path),
+        ]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        doc["task"] = "sine"
+        del doc["params"]["embedding.rows"]
+        doc["hyperparameters"].update(n_points=20, window=4)
+        ckpt_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d_in 6" in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("model, key, value", [
         ("qlstm", "sigma_hidden", "false"),

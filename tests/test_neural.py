@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from qvuln.neural import (
+    CellState,
     LstmParams,
-    LstmState,
     OptimizerState,
     adam_step,
     bce_from_logit,
@@ -32,6 +32,12 @@ def zero_params(hidden: int, d_in: int) -> LstmParams:
     return params
 
 
+def zero_state(hidden: int) -> CellState:
+    """The LSTM's zero state, whose y is its h."""
+    zero = np.zeros(hidden)
+    return CellState(h=zero, c=zero, y=zero)
+
+
 def scalar_loss(params: LstmParams, sequence: list[np.ndarray], target: float) -> float:
     logit, _ = lstm_forward(params, sequence)
     value, _ = bce_from_logit(logit, target)
@@ -41,17 +47,19 @@ def scalar_loss(params: LstmParams, sequence: list[np.ndarray], target: float) -
 class TestCellStep:
     def test_zero_params_zero_state(self):
         params = zero_params(3, 2)
-        state, cache = lstm_cell_step(params, np.zeros(2), LstmState(np.zeros(3), np.zeros(3)))
+        state, cache = lstm_cell_step(params, np.zeros(2), zero_state(3))
         np.testing.assert_array_equal(cache.f, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.i, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.o, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.g, np.zeros(3))
         np.testing.assert_array_equal(state.c, np.zeros(3))
         np.testing.assert_array_equal(state.h, np.zeros(3))
+        assert state.y is state.h
 
     def test_zero_params_unit_cell(self):
         params = zero_params(2, 2)
-        state, _ = lstm_cell_step(params, np.ones(2), LstmState(np.zeros(2), np.ones(2)))
+        prev = CellState(h=np.zeros(2), c=np.ones(2), y=np.zeros(2))
+        state, _ = lstm_cell_step(params, np.ones(2), prev)
         np.testing.assert_allclose(state.c, 0.5 * np.ones(2), atol=1e-15)
         np.testing.assert_allclose(state.h, 0.23105857863000487 * np.ones(2), atol=1e-15)
 
@@ -61,7 +69,7 @@ class TestCellStep:
         params = zero_params(1, 1)
         for name in ("w_f", "w_i", "w_c", "w_o"):
             getattr(params, name)[...] = 1.0
-        state, _ = lstm_cell_step(params, np.array([1.0]), LstmState(np.zeros(1), np.zeros(1)))
+        state, _ = lstm_cell_step(params, np.array([1.0]), zero_state(1))
         s1 = 1.0 / (1.0 + math.exp(-1.0))
         c = s1 * math.tanh(1.0)
         h = s1 * math.tanh(c)
@@ -73,12 +81,12 @@ class TestCellStep:
     def test_dimension_mismatch(self):
         params = zero_params(2, 3)
         with pytest.raises(ValueError):
-            lstm_cell_step(params, np.zeros(2), LstmState(np.zeros(2), np.zeros(2)))
+            lstm_cell_step(params, np.zeros(2), zero_state(2))
 
     def test_h_strictly_bounded(self):
         rng = np.random.default_rng(14)
         params = init_lstm_params(4, 3, rng)
-        state = LstmState(np.zeros(4), np.zeros(4))
+        state = zero_state(4)
         for _ in range(50):
             state, _ = lstm_cell_step(params, rng.uniform(-5, 5, size=3), state)
             assert np.all(np.abs(state.h) < 1.0)
@@ -95,7 +103,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = init_lstm_params(3, 2, rng)
         x = rng.uniform(-1, 1, size=2)
-        state, _ = lstm_cell_step(params, x, LstmState(np.zeros(3), np.zeros(3)))
+        state, _ = lstm_cell_step(params, x, zero_state(3))
         logit, caches = lstm_forward(params, [x])
         assert len(caches.steps) == 1
         assert abs(logit - float(params.head_w @ state.h + params.head_b)) < 1e-15

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import qvuln.qlstm
-from qvuln.neural import bce_from_logit, sigmoid, zeros_like
+from qvuln.neural import CellState, bce_from_logit, sigmoid, zeros_like
 from qvuln.qlstm import (
     HIDDEN,
-    QlstmState,
     init_qlstm_params,
     initial_state,
     qlstm_backward,
@@ -55,7 +54,7 @@ class TestCellStep:
 
     def test_zero_vqc_halves_previous_cell(self):
         params = zeroed_vqcs(2)
-        prev = QlstmState(h=0.5 * np.ones(4), c=np.array([1.0, -2.0, 0.5, 0.0]), y=np.zeros(4))
+        prev = CellState(h=0.5 * np.ones(4), c=np.array([1.0, -2.0, 0.5, 0.0]), y=np.zeros(4))
         state, _ = qlstm_cell_step(params, np.zeros(2), prev)
         np.testing.assert_allclose(state.c, 0.5 * prev.c, atol=1e-15)
 

@@ -243,7 +243,7 @@ class TestTrain:
             train(TrainConfig(model="lstm", task="sine", hidden=2), bad)
 
     def test_empty_data_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="no samples"):
             train(
                 TrainConfig(model="lstm", task="classify", hidden=2),
                 ClassifyDataset(
