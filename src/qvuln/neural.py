@@ -13,9 +13,13 @@ elsewhere) derives its tree of named arrays from its fields through
 `ParamTree`, and `zeros_like` gives its zero gradient accumulator.
 
 The LSTM and the loss take an optional leading batch axis: a sequence is
-(T, d_in) for one sample or (B, T, d_in) for B samples, each gate is then
-one (B, hidden + d_in) x (hidden + d_in, hidden) matrix product per step,
-and parameter gradients are summed over the batch.
+(T, d_in) for one sample or (B, T, d_in) for B samples, and parameter
+gradients are summed over the batch.  Each forward or backward call stacks
+the four gates once (`GateStack`, gate order f, i, o, c), so a step is one
+(B, hidden + d_in) x (hidden + d_in, 4 hidden) product, one sigmoid over
+the f, i and o blocks and one tanh; its step back is one product for the
+weight gradients and one for dL/dv.  The gradients land in
+`LstmParams` under the gates' own names, which are the checkpoint names.
 """
 from __future__ import annotations
 
@@ -26,12 +30,16 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray:
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, from one
+    exponential e^-|x|, so none overflows.  The exponent is -x or x, not
+    -|x|, so a NaN keeps its bits.  A scalar gives a 0-d array."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.where(pos, -x, x)
+    np.exp(e, out=e)
+    out = np.where(pos, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -90,6 +98,54 @@ class LstmParams(ParamTree):
     @property
     def d_in(self) -> int:
         return self.w_f.shape[1] - self.w_f.shape[0]
+
+
+# the three sigmoid gates side by side, then the candidate
+_GATES = "fioc"
+
+
+@dataclass
+class GateStack:
+    """An LSTM's four gates as one product, stacked once per forward or
+    backward call in the order f, i, o, c.  `w` holds the gate weight
+    matrices one under another, (4 hidden, hidden + d_in), and `b` the
+    biases; a zeroed copy is the gradient accumulator, and its row blocks
+    are the gates' gradients.  The head is shared with `LstmParams`."""
+
+    w: np.ndarray
+    b: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
+
+    @property
+    def hidden(self) -> int:
+        return self.w.shape[0] // 4
+
+    @property
+    def d_in(self) -> int:
+        return self.w.shape[1] - self.hidden
+
+
+def stack_gates(params: LstmParams, order: str) -> GateStack:
+    """The gates of `params` in `_GATES` order: one copy of the weights, in
+    memory order `order`.  The forward takes "F", so its product v @ w.T
+    reads a C-contiguous matrix; the backward takes "C" for pre @ w and
+    for its zeroed copy.  numpy multiplies by a transposed right operand
+    about 1.5x slower at these sizes."""
+    w = np.empty((4 * params.hidden, params.hidden + params.d_in), order=order)
+    np.concatenate([getattr(params, "w_" + gate) for gate in _GATES], out=w)
+    return GateStack(w=w, b=np.concatenate([getattr(params, "b_" + gate) for gate in _GATES]),
+                     head_w=params.head_w, head_b=params.head_b)
+
+
+def _unstack_gates(stack: GateStack) -> LstmParams:
+    """The gates of `stack` under their own names, as views of its rows."""
+    n = stack.hidden
+    arrays = {}
+    for k, gate in enumerate(_GATES):
+        arrays["w_" + gate] = stack.w[k * n:(k + 1) * n]
+        arrays["b_" + gate] = stack.b[k * n:(k + 1) * n]
+    return LstmParams(**arrays, head_w=stack.head_w, head_b=stack.head_b)
 
 
 @dataclass
@@ -225,36 +281,36 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
 
 
 def lstm_cell_step(
-    params: LstmParams, x_t: np.ndarray, prev: CellState
+    gates: GateStack, x_t: np.ndarray, prev: CellState
 ) -> tuple[CellState, CellCache]:
-    """One recurrence step: forget/input/candidate/output gates over
-    v = concat(h_prev, x_t), then the cell and hidden updates.  x_t is
-    (d_in,) or (B, d_in); the arrays of prev broadcast against it."""
-    v = cell_input(x_t, prev.h, params.d_in)
-    f = sigmoid(v @ params.w_f.T + params.b_f)
-    i = sigmoid(v @ params.w_i.T + params.b_i)
-    g = np.tanh(v @ params.w_c.T + params.b_c)
+    """One recurrence step: the four gates over v = concat(h_prev, x_t) as
+    one product, then the cell and hidden updates.  x_t is (d_in,) or
+    (B, d_in); the arrays of prev broadcast against it."""
+    v = cell_input(x_t, prev.h, gates.d_in)
+    pre = v @ gates.w.T
+    pre += gates.b
+    n = gates.hidden
+    # one sigmoid over f, i and o, each gate's block made contiguous first
+    blocks = pre[..., :3 * n].reshape(*pre.shape[:-1], 3, n).swapaxes(0, -2)
+    f, i, o = sigmoid(np.ascontiguousarray(blocks))
+    g = np.tanh(pre[..., 3 * n:])
     c = f * prev.c + i * g
-    o = sigmoid(v @ params.w_o.T + params.b_o)
     tanh_c = np.tanh(c)
     h = o * tanh_c
     cache = CellCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c)
     return CellState(h=h, c=c, y=h), cache
 
 
-def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, dh, dy, dc
+def _lstm_step_back(gates: GateStack, grads: GateStack, s: CellCache, dh, dy, dc
                     ) -> tuple[np.ndarray, np.ndarray]:
     """One step of `lstm_backward`; y is h, so its gradient adds to dh."""
     pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dh + dy, dc)
+    pre = np.concatenate([pre_f, pre_i, pre_o, pre_g], axis=-1)
     # one row per sample: summing the outer products is one product
-    v_rows = s.v.reshape(-1, s.v.shape[-1])
-    for w, b, pre in ((grads.w_f, grads.b_f, pre_f), (grads.w_i, grads.b_i, pre_i),
-                      (grads.w_c, grads.b_c, pre_g), (grads.w_o, grads.b_o, pre_o)):
-        pre_rows = pre.reshape(-1, params.hidden)
-        w += pre_rows.T @ v_rows
-        b += pre_rows.sum(axis=0)
-    dv = pre_f @ params.w_f + pre_i @ params.w_i + pre_g @ params.w_c + pre_o @ params.w_o
-    return dv, dc
+    pre_rows = pre.reshape(-1, pre.shape[-1])
+    grads.w += pre_rows.T @ s.v.reshape(-1, s.v.shape[-1])
+    grads.b += pre_rows.sum(axis=0)
+    return pre @ gates.w, dc
 
 
 def lstm_forward(
@@ -262,15 +318,18 @@ def lstm_forward(
 ) -> tuple[float | np.ndarray, SequenceCaches | None]:
     """`run_sequence` of the LSTM cell from the zero state, with d = d_in."""
     zero = np.zeros(params.hidden)
-    return run_sequence(lstm_cell_step, params, sequence, CellState(h=zero, c=zero, y=zero),
-                        keep_caches)
+    return run_sequence(lstm_cell_step, stack_gates(params, "F"), sequence,
+                        CellState(h=zero, c=zero, y=zero), keep_caches)
 
 
 def lstm_backward(
     params: LstmParams, caches: SequenceCaches, upstream: float | np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
-    """`backprop_sequence` of the LSTM cell."""
-    return backprop_sequence(_lstm_step_back, params, caches, upstream, params.d_in)
+    """`backprop_sequence` of the LSTM cell; the gradients are views of one
+    stacked accumulator."""
+    grads, dx = backprop_sequence(_lstm_step_back, stack_gates(params, "C"), caches, upstream,
+                                  params.d_in)
+    return _unstack_gates(grads), dx
 
 
 def bce_from_logit(logit, target) -> tuple:

@@ -12,10 +12,11 @@ Parameter gradients are summed over the batch.
 
 The encoding leaves a product state, so it is the Kronecker product of the
 four per-qubit 2-vectors.  The two variational layers depend only on the
-angles.  Each is the CNOT ring, a fixed 16x16 matrix that `qsim` builds
-once on the 16 basis states, followed by the Kronecker product of four 2x2
-RZ.RY.RZ rotations, which `qsim` builds on the two 1-qubit basis states
-for the angles and for every parameter shift in one batch.  A small cache
+angles.  Each is the CNOT ring, a fixed permutation of the 16 basis
+states that `qsim` finds once and that applies as a row gather, followed
+by the Kronecker product of four 2x2 RZ.RY.RZ rotations, which `qsim`
+builds on the two 1-qubit basis states for the angles and for every
+parameter shift in one batch.  A small cache
 keyed on the angle values keeps the layer matrices between calls.  Each
 circuit evaluation is then a product state times a matrix, and a whole
 batch is one matrix product.  A gradient call encodes each qubit once: its
@@ -156,17 +157,16 @@ def _encoding_rows(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
     return _kron(np.take(v.reshape(2, -1, q.shape[-1]), _ENC_INDEX, axis=1))
 
 
-def _ring_matrix() -> np.ndarray:
-    """The CNOT ring 0->1, 1->2, 2->3, 3->0 as a read-only matrix applied as
-    `state @ M`."""
+def _ring_rows() -> np.ndarray:
+    """The CNOT ring 0->1, 1->2, 2->3, 3->0 as a row gather.  Its matrix M,
+    applied as `state @ M`, is a permutation, so M @ K is K[_RING_ROWS]."""
     # row b of the identity is basis state |b>, so the result holds U^T
     state = StateVector(N_QUBITS, np.eye(DIM, dtype=complex))
     apply_circuit(state, [cnot(c, (c + 1) % N_QUBITS) for c in range(N_QUBITS)])
-    state.amplitudes.flags.writeable = False
-    return state.amplitudes
+    return np.argmax(np.abs(state.amplitudes), axis=1)
 
 
-_RING = _ring_matrix()
+_RING_ROWS = _ring_rows()
 
 
 # one QLSTM's six blocks with two to spare; each optimizer step changes all six keys
@@ -190,10 +190,15 @@ def _layer_matrices(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     factors = rot.amplitudes.reshape(*batch, 4).transpose(3, 2, 0, 1)  # (4, qubit, layer, shift)
     kron = _kron(factors).reshape(*(2,) * 8, *batch[:2])
     kron = kron.transpose(8, 9, 0, 2, 4, 6, 1, 3, 5, 7).reshape(*batch[:2], DIM, DIM)
-    first, second = _RING @ kron
+    first, second = kron[:, :, _RING_ROWS]
     base = first[0] @ second[0]
-    shifted = np.concatenate([first[1:] @ second[0], first[0] @ second[1:]])
-    shifted = np.ascontiguousarray(shifted.transpose(1, 0, 2).reshape(DIM, -1))
+    # two 2-D products: the shifted first layers stacked against the
+    # unshifted second, and the unshifted first against the shifted second
+    # layers side by side
+    n = first.shape[0] - 1
+    lead = (first[1:].reshape(-1, DIM) @ second[0]).reshape(n, DIM, DIM)
+    trail = first[0] @ second[1:].transpose(1, 0, 2).reshape(DIM, -1)
+    shifted = np.concatenate([lead.transpose(1, 0, 2).reshape(DIM, -1), trail], axis=1)
     base.flags.writeable = False
     shifted.flags.writeable = False
     return base, shifted

@@ -2,9 +2,12 @@
 finite-difference verification of the exact backward pass."""
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
+import warnings
 
+import lstm_oracle
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from qvuln.neural import (
     lstm_cell_step,
     lstm_forward,
     sigmoid,
+    stack_gates,
     zeros_like,
 )
 
@@ -47,7 +51,7 @@ def scalar_loss(params: LstmParams, sequence: list[np.ndarray], target: float) -
 class TestCellStep:
     def test_zero_params_zero_state(self):
         params = zero_params(3, 2)
-        state, cache = lstm_cell_step(params, np.zeros(2), zero_state(3))
+        state, cache = lstm_cell_step(stack_gates(params, "F"), np.zeros(2), zero_state(3))
         np.testing.assert_array_equal(cache.f, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.i, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.o, 0.5 * np.ones(3))
@@ -59,7 +63,7 @@ class TestCellStep:
     def test_zero_params_unit_cell(self):
         params = zero_params(2, 2)
         prev = CellState(h=np.zeros(2), c=np.ones(2), y=np.zeros(2))
-        state, _ = lstm_cell_step(params, np.ones(2), prev)
+        state, _ = lstm_cell_step(stack_gates(params, "F"), np.ones(2), prev)
         np.testing.assert_allclose(state.c, 0.5 * np.ones(2), atol=1e-15)
         np.testing.assert_allclose(state.h, 0.23105857863000487 * np.ones(2), atol=1e-15)
 
@@ -69,7 +73,7 @@ class TestCellStep:
         params = zero_params(1, 1)
         for name in ("w_f", "w_i", "w_c", "w_o"):
             getattr(params, name)[...] = 1.0
-        state, _ = lstm_cell_step(params, np.array([1.0]), zero_state(1))
+        state, _ = lstm_cell_step(stack_gates(params, "F"), np.array([1.0]), zero_state(1))
         s1 = 1.0 / (1.0 + math.exp(-1.0))
         c = s1 * math.tanh(1.0)
         h = s1 * math.tanh(c)
@@ -81,14 +85,14 @@ class TestCellStep:
     def test_dimension_mismatch(self):
         params = zero_params(2, 3)
         with pytest.raises(ValueError):
-            lstm_cell_step(params, np.zeros(2), zero_state(2))
+            lstm_cell_step(stack_gates(params, "F"), np.zeros(2), zero_state(2))
 
     def test_h_strictly_bounded(self):
         rng = np.random.default_rng(14)
         params = init_lstm_params(4, 3, rng)
         state = zero_state(4)
         for _ in range(50):
-            state, _ = lstm_cell_step(params, rng.uniform(-5, 5, size=3), state)
+            state, _ = lstm_cell_step(stack_gates(params, "F"), rng.uniform(-5, 5, size=3), state)
             assert np.all(np.abs(state.h) < 1.0)
 
 
@@ -103,7 +107,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = init_lstm_params(3, 2, rng)
         x = rng.uniform(-1, 1, size=2)
-        state, _ = lstm_cell_step(params, x, zero_state(3))
+        state, _ = lstm_cell_step(stack_gates(params, "F"), x, zero_state(3))
         logit, caches = lstm_forward(params, [x])
         assert len(caches.steps) == 1
         assert abs(logit - float(params.head_w @ state.h + params.head_b)) < 1e-15
@@ -324,3 +328,94 @@ class TestBatch:
         values, dlogits = bce_from_logit(logits, targets)
         for k in range(logits.size):
             assert (values[k], dlogits[k]) == bce_from_logit(float(logits[k]), float(targets[k]))
+
+
+class TestSigmoid:
+    EDGES = [0.0, 1e-300, 36.0, 745.0, 800.0, 1e308, np.inf]
+
+    @pytest.mark.parametrize("x", [
+        np.array(EDGES + [-e for e in EDGES] + [np.nan, -np.nan]),
+        np.array(-745.0),
+        np.random.default_rng(70).normal(scale=8.0, size=(16, 150)),
+    ], ids=["edges", "0-d", "gate-block"])
+    def test_bits_equal_the_masked_formula(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(x)
+            want = lstm_oracle.masked_sigmoid(x)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def oracle_tree(params: LstmParams) -> dict[str, np.ndarray]:
+    return {name: arr.copy() for name, arr in params.tree().items()}
+
+
+class TestStackedGates:
+    """The one stacked gate product per step against the four-product
+    oracle, with hidden != d_in so a transposed block cannot fit."""
+
+    HIDDEN, D_IN, STEPS = 5, 3, 4
+
+    def sample(self, batch):
+        rng = np.random.default_rng(71)
+        params = init_lstm_params(self.HIDDEN, self.D_IN, rng)
+        for arr in params.tree().values():
+            arr += rng.normal(scale=0.3, size=arr.shape)
+        shape = (self.STEPS, self.D_IN) if batch is None else (batch, self.STEPS, self.D_IN)
+        xs = rng.uniform(-2, 2, size=shape)
+        upstream = rng.uniform(-1, 1, size=() if batch is None else (batch,))
+        return params, xs, upstream
+
+    @pytest.mark.parametrize("batch", [None, 6])
+    def test_matches_the_four_product_oracle(self, batch):
+        params, xs, upstream = self.sample(batch)
+        logits, caches = lstm_forward(params, xs)
+        want_logits, want_caches, _ = lstm_oracle.forward(oracle_tree(params), xs)
+        np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-14)
+        for got, want in zip(caches.steps, want_caches):
+            for gate in ("f", "i", "g", "o"):
+                np.testing.assert_allclose(getattr(got, gate), want[gate], rtol=0, atol=1e-14)
+
+        grads, dx = lstm_backward(params, caches, upstream)
+        want_grads, want_dx = lstm_oracle.backward(oracle_tree(params), xs, upstream)
+        np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-14)
+        assert list(grads.tree()) == list(want_grads)
+        for name, arr in grads.tree().items():
+            assert arr.shape == want_grads[name].shape, name
+            np.testing.assert_allclose(arr, want_grads[name], rtol=0, atol=1e-14, err_msg=name)
+
+    def test_gate_gradients_are_disjoint_and_scale_in_place(self):
+        # the trainer scales every tree entry in place; an entry that shared
+        # memory with another would be scaled twice
+        params, xs, upstream = self.sample(6)
+        _, caches = lstm_forward(params, xs)
+        grads, _ = lstm_backward(params, caches, upstream)
+        tree = grads.tree()
+        for (a, x), (b, y) in itertools.combinations(tree.items(), 2):
+            assert not np.shares_memory(x, y), (a, b)
+        for arr in tree.values():
+            arr *= 0.5
+        want, _ = lstm_oracle.backward(oracle_tree(params), xs, upstream)
+        for name, arr in tree.items():
+            np.testing.assert_allclose(arr, 0.5 * want[name], rtol=0, atol=1e-14, err_msg=name)
+
+    def test_each_gate_gradient_lands_under_its_own_name(self):
+        # one step from the zero state with zero weights: every gate sees
+        # v = (0, x), f, i and o are sigmoid(b) and g is tanh(b_c), and the
+        # gates' bias gradients differ, so a swapped block shows
+        params = zero_params(2, 1)
+        params.b_f[...], params.b_i[...], params.b_c[...], params.b_o[...] = 0.1, 0.2, 0.3, 0.4
+        params.head_w[...] = 1.0
+        _, caches = lstm_forward(params, np.array([[1.0]]))
+        grads, _ = lstm_backward(params, caches, 1.0)
+        want, _ = lstm_oracle.backward(oracle_tree(params), np.array([[1.0]]), 1.0)
+        # c_prev is zero, so the forget gate gets no gradient
+        assert np.all(grads.b_f == 0.0)
+        for gate in "ico":
+            assert np.all(grads.tree()["b_" + gate] != 0.0), gate
+            np.testing.assert_allclose(grads.tree()["b_" + gate], want["b_" + gate], rtol=0,
+                                       atol=1e-15)
+            np.testing.assert_allclose(grads.tree()["w_" + gate], want["w_" + gate], rtol=0,
+                                       atol=1e-15)
