@@ -217,10 +217,14 @@ def as_rows(x, width: int) -> np.ndarray:
 
 
 def cell_input(x_t: np.ndarray, h_prev: np.ndarray, d_x: int) -> np.ndarray:
-    """v = concat(h_prev, x_t) for x_t of shape (d_x,) or (B, d_x); h_prev
-    broadcasts against it."""
-    x_t = as_rows(x_t, d_x)
-    h_prev = np.broadcast_to(h_prev, x_t.shape[:-1] + h_prev.shape[-1:])
+    """v = concat(h_prev, x_t) for a float array x_t of shape (d_x,) or
+    (B, d_x); an h_prev without x_t's batch axis broadcasts against it.
+    This runs on every step of both models, so x_t is taken as the float
+    array `as_sequences` makes and only its shape is checked."""
+    if x_t.ndim not in (1, 2) or x_t.shape[-1] != d_x:
+        raise ValueError(f"input shape {x_t.shape} does not match input width {d_x}")
+    if h_prev.ndim != x_t.ndim:
+        h_prev = np.broadcast_to(h_prev, x_t.shape[:-1] + h_prev.shape[-1:])
     return np.concatenate([h_prev, x_t], axis=-1)
 
 

@@ -3,7 +3,8 @@
 Covers the binary-classification metrics (accuracy, precision, recall, F1
 with zero-denominator flags), seeded mini-batch training with Adam, the
 windowed sine-regression task, wall-clock timing, an exact parameter
-census, and versioned JSON checkpoints that round-trip bitwise.
+census, and versioned JSON checkpoints that round-trip bitwise (each array
+stored as the base64 of its float64 bytes).
 
 Both tasks are index rows into a table (token indices into the embedding
 rows, sine windows into a table of sine values), and `_check_split` checks
@@ -19,6 +20,7 @@ check all build through it.
 """
 from __future__ import annotations
 
+import base64
 import logging
 import math
 import time
@@ -51,7 +53,8 @@ log = logging.getLogger("qvuln")
 
 MODELS = ("lstm", "qlstm")
 TASKS = ("classify", "sine")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_FORMAT = f"checkpoint.v{CHECKPOINT_VERSION}"
 
 SINE_DEFAULT_EPOCHS = 30
 CLASSIFY_DEFAULT_EPOCHS = 10
@@ -276,23 +279,52 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Versioned JSON document; float serialization round-trips bitwise."""
+    """Versioned JSON document; each array's `data` is the base64 of its
+    little-endian float64 bytes in C order, so it round-trips bitwise.  An
+    array holding a non-finite value raises ValueError before anything is
+    written, and `path` is left as it was."""
+    params = {}
+    for name, arr in ckpt.arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"checkpoint array {name!r} holds non-finite values")
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        params[name] = {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
     write_json({
-        "format": "checkpoint.v1",
+        "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "model": ckpt.model,
         "task": ckpt.task,
         "hyperparameters": ckpt.hyperparameters,
         "vocab_digest": ckpt.vocab_digest,
-        "params": {
-            name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
-            for name, arr in ckpt.arrays.items()
-        },
+        "params": params,
     }, path)
 
 
+def _decoded_array(entry) -> np.ndarray:
+    """The array of one `params` entry: `shape` a list of non-negative
+    integers, `data` the base64 of 8 x prod(shape) little-endian float64
+    bytes.  Returns a writable native-order copy; any other entry raises
+    ValueError."""
+    if not isinstance(entry, dict):
+        raise ValueError("not a JSON object")
+    shape, data = entry.get("shape"), entry.get("data")
+    # numpy would take a null shape as "keep it", true as 1 and -1 as "infer it"
+    if not isinstance(shape, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    ):
+        raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
+    if not isinstance(data, str):
+        raise ValueError(f"data must be a base64 string, got {type(data).__name__}")
+    # non-ASCII text raises a plain ValueError, the rest binascii.Error
+    raw = base64.b64decode(data, validate=True)
+    n_bytes = 8 * math.prod(shape)
+    if len(raw) != n_bytes:
+        raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs {n_bytes}")
+    return np.frombuffer(raw, "<f8").astype(float).reshape(shape)
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc = read_json(path, "checkpoint", "checkpoint.v1", CheckpointError)
+    doc = read_json(path, "checkpoint", CHECKPOINT_FORMAT, CheckpointError)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("model") not in MODELS or doc.get("task") not in TASKS:
@@ -302,16 +334,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
         raise CheckpointError(f"{path}: hyperparameters and params must be JSON objects")
-    try:
-        arrays = {}
-        for name, entry in doc["params"].items():
-            data, shape = entry["data"], entry["shape"]
-            # numpy would read "0.5" as 0.5, true as 1.0 and a null shape as "keep it"
-            if not set(map(type, data)) <= {int, float} or not isinstance(shape, list):
-                raise ValueError(f"{name!r} needs a flat list of numbers and a shape list")
-            arrays[name] = np.array(data, dtype=float).reshape(shape)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"{path}: malformed parameter array: {exc}") from None
+    arrays = {}
+    for name, entry in doc["params"].items():
+        try:
+            arrays[name] = _decoded_array(entry)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: malformed parameter array {name!r}: {exc}") from None
     return Checkpoint(
         model=doc["model"],
         task=doc["task"],
@@ -489,23 +517,22 @@ def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None) -
     return table
 
 
-def predictions_over(forward, task: str, params, data, table: np.ndarray) -> np.ndarray:
-    """Raw value for sine, probability for classify, one entry per sample;
+def predictions_over(forward, params, data, table: np.ndarray) -> np.ndarray:
+    """The model's logit, one per sample (the prediction itself for sine);
     the model's `forward` runs over chunks of EVAL_CHUNK samples and keeps
     no backward caches, so a chunk holds its inputs and one step's state."""
     out = np.empty(len(data))
     for start in range(0, len(data), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        logits, _ = forward(params, table[data.sequences[chunk]], keep_caches=False)
-        out[chunk] = logits if task == "sine" else sigmoid(logits)
+        out[chunk], _ = forward(params, table[data.sequences[chunk]], keep_caches=False)
     return out
 
 
-def _curve_block(task: str, data, preds: np.ndarray):
+def _curve_block(task: str, data, logits: np.ndarray):
     if task == "sine":
-        return data.xs.copy(), data.targets.copy(), preds
+        return data.xs.copy(), data.targets.copy(), logits
     n = len(data)
-    return np.arange(n, dtype=float), data.labels.astype(float), preds
+    return np.arange(n, dtype=float), data.labels.astype(float), sigmoid(logits)
 
 
 def train(
@@ -590,8 +617,8 @@ def train(
         loss_curve.append(mean_loss)
         log.info("epoch %d/%d: mean loss %.6f", epoch, config.epochs, mean_loss)
         if curves_path is not None and epoch in (1, config.epochs):
-            preds = predictions_over(forward, config.task, params, data, table)
-            curve_blocks[epoch] = _curve_block(config.task, data, preds)
+            logits = predictions_over(forward, params, data, table)
+            curve_blocks[epoch] = _curve_block(config.task, data, logits)
     wall_time = time.perf_counter() - started
     # Adam's moments and the last batch's gradients are done with; freed,
     # they make room for the closing evaluate's input chunk
@@ -636,7 +663,13 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
             str(ckpt.vocab_digest)[:12], str(data.vocab_digest)[:12],
         )
 
-    preds = predictions_over(forward, ckpt.task, params, data, table)
+    # finite parameters can still overflow the forward pass (weights of
+    # 1e308 give inf and inf - inf); the logits are checked instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = predictions_over(forward, params, data, table)
+    if not np.all(np.isfinite(logits)):
+        raise CheckpointError("checkpoint gives non-finite logits")
+    preds = logits if ckpt.task == "sine" else sigmoid(logits)
 
     if ckpt.task == "classify":
         predicted = (preds >= threshold).astype(int)

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import shutil
 
 import numpy as np
 import pytest
 
 import qvuln.trainer
+from checkpoint_codec import array_entry, decode, encode
 from qvuln import cli
 from qvuln.cli import (
     load_encoded_dataset,
@@ -206,7 +206,7 @@ class TestExitCodes:
         assert "ok" in capsys.readouterr().out
 
         doc = json.loads(ckpt_path.read_text())
-        doc["params"]["smuggled"] = {"shape": [3], "data": [1.0, 2.0, 3.0]}
+        doc["params"]["smuggled"] = array_entry([1.0, 2.0, 3.0])
         ckpt_path.write_text(json.dumps(doc))
         assert main(["census", "--ckpt", str(ckpt_path)]) == 3
         assert "MISMATCH" in capsys.readouterr().out
@@ -630,17 +630,18 @@ class TestCheckpointSchema:
         assert "Traceback" not in err
 
     def test_non_finite_value_is_checkpoint_error(self, tmp_path, capsys):
-        def poison(params):
-            params["head_b"]["data"] = [float("nan")]
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            def poison(params):
+                params["head_b"]["data"] = encode(bad)
 
-        code, err = _tampered_eval(tmp_path, capsys, poison)
-        assert code == 2
-        assert "head_b" in err and "non-finite" in err
+            code, err = _tampered_eval(tmp_path, capsys, poison)
+            assert code == 2, bad
+            assert "head_b" in err and "non-finite" in err, err
 
     def test_overflowing_result_is_checkpoint_error(self, tmp_path, capsys):
         # finite parameters whose predictions overflow the squared error
         def inflate(params):
-            params["head_b"]["data"] = [1e200]
+            params["head_b"]["data"] = encode(1e200)
 
         code, err = _tampered_eval(tmp_path, capsys, inflate)
         assert code == 2
@@ -648,18 +649,62 @@ class TestCheckpointSchema:
 
     @pytest.mark.parametrize("name, entry", [
         ("head_b", {"shape": [], "data": "7"}),
-        ("head_b", {"shape": [], "data": ["0.5"]}),
-        ("head_w", {"shape": None, "data": [0.5, -0.5]}),
-        ("head_b", {"shape": [], "data": [10**400]}),
-        ("head_w", {"shape": [2], "data": [0.5, True]}),
+        ("head_b", {"shape": [], "data": [0.5]}),
+        ("head_w", {"shape": None, "data": encode([0.5, -0.5])}),
+        ("head_b", {"shape": [], "data": encode(0.5)[:-1]}),
+        ("head_w", {"shape": [2, True], "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": [-1], "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": [2], "data": encode([0.5])}),
+        ("head_w", {"shape": [2], "data": encode([0.5, -0.5, 0.5])}),
+        ("head_w", {"shape": [2.0], "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": 2, "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": [2], "data": encode([0.5, -0.5])[:-2] + "!="}),
+        ("head_w", {"shape": [2], "data": encode([0.5, -0.5]) + "A"}),
+        ("head_w", {"shape": [2], "data": "é" + encode([0.5, -0.5])[1:]}),
+        ("head_b", {"shape": [], "data": 0.5}),
+        ("head_b", {"shape": [], "data": None}),
+        ("head_b", {"shape": []}),
+        ("head_b", [0.5]),
     ])
     def test_non_numeric_entry_is_checkpoint_error(self, name, entry, tmp_path, capsys):
-        # numpy would read the first two as 7.0 and 0.5, take a null shape
-        # as "keep the shape" (head_w holds 2 values), overflow on the 10**400
-        # and read true as 1.0
+        # "7" and a cut-off string are bad base64 padding, and a list is v1's
+        # data; numpy would take a null shape as "keep the shape" (head_w
+        # holds 2 values), true as 1 and -1 as "infer it", so shapes are
+        # checked before any reshape; a payload 8 bytes short or over does
+        # not fill its shape
         code, err = _tampered_eval(tmp_path, capsys, lambda params: params.update({name: entry}))
         assert code == 2
-        assert "malformed parameter array" in err and err.count("\n") == 1, err
+        assert f"malformed parameter array {name!r}" in err and err.count("\n") == 1, err
+
+    def test_huge_finite_payload_is_checkpoint_error(self, tmp_path, capsys):
+        # a finite 1e308 in every weight overflows the forward pass, which
+        # must end in one error line, not a traceback
+        def inflate(params):
+            for entry in params.values():
+                entry["data"] = encode(np.full(len(decode(entry["data"])), 1e308))
+
+        code, err = _tampered_eval(tmp_path, capsys, inflate)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_checkpoint_v1_is_refused_by_format(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+        ]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        # the v1 layout: a flat list of decimal numbers per array
+        for e in doc["params"].values():
+            e["data"] = decode(e["data"]).tolist()
+        doc.update(format="checkpoint.v1", version=1)
+        ckpt_path.write_text(json.dumps(doc))
+        for command in ("eval", "census"):
+            capsys.readouterr()
+            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "'checkpoint.v1'" in err and "'checkpoint.v2'" in err, err
 
     def test_recorded_size_past_stored_arrays_is_checkpoint_error(self, tmp_path, capsys):
         # fresh parameters at d_in 10**12 would need terabytes; the size is
@@ -690,7 +735,7 @@ class TestCheckpointSchema:
         ]) == 0
         doc = json.loads(ckpt_path.read_text())
         doc["hyperparameters"]["embedding_trainable"] = True
-        doc["params"]["embedding.rows"] = {"shape": shape, "data": [0.5] * math.prod(shape)}
+        doc["params"]["embedding.rows"] = array_entry(np.full(shape, 0.5))
         ckpt_path.write_text(json.dumps(doc))
         for command in ("census", "eval"):
             capsys.readouterr()

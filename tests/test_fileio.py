@@ -9,9 +9,11 @@ import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvuln
+from checkpoint_codec import decode, encode
 from qvuln.cli import main
 from qvuln.errors import CheckpointError, DataError
 from qvuln.fileio import read_json
@@ -112,10 +114,13 @@ def _argv(kind: str, path: Path, good: Path, work: Path) -> list[str]:
     }[kind]
 
 
-def _checkpoint(rng: random.Random, doc: dict, mutation: str) -> dict:
+def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -> dict:
+    """A damaged checkpoint; `evaluated` says the command runs the model,
+    so a finite payload that overflows its forward pass is damage too."""
     params = doc["params"]
     name = rng.choice(sorted(params))
     entry = params[name]
+    values = decode(entry["data"])
     hp = doc["hyperparameters"]
     # (object, key) of every field that eval and census both need
     fields = [
@@ -129,22 +134,34 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str) -> dict:
         if rng.random() < 0.5:
             entry["shape"].append(1)
         else:
-            entry["data"].pop()
+            entry["data"] = encode(values[:-1])  # 8 bytes short
     elif mutation == "nan":
-        entry["data"][rng.randrange(len(entry["data"]))] = rng.choice(
+        values[rng.randrange(len(values))] = rng.choice(
             [float("nan"), float("inf"), -float("inf")]
         )
+        entry["data"] = encode(values)
     elif mutation == "out-of-range":
-        if rng.random() < 0.5:
+        if not evaluated or rng.random() < 0.5:
             hp[rng.choice(["d_in", "hidden"])] = rng.choice([0, -1, 10**12])
         else:
-            entry["data"][rng.randrange(len(entry["data"]))] = rng.choice([10**400, -(10**309)])
+            # every weight at 1e308: the gate products and the logit overflow
+            for e in params.values():
+                e["data"] = encode(np.full(len(decode(e["data"])), 1e308))
     else:  # wrong-type
-        where, key = rng.choice(fields)
-        if rng.random() < 0.3:
-            entry["data"][rng.randrange(len(entry["data"]))] = rng.choice(["0.5", True, None, [1]])
-        else:
+        choice = rng.randrange(3)
+        if choice == 0:
+            where, key = rng.choice(fields)
             where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
+        elif choice == 1:
+            # v1's list, a number or null where the base64 string belongs
+            entry["data"] = rng.choice([values.tolist(), 0.5, None])
+        else:
+            data = entry["data"]
+            at = rng.randrange(len(data))
+            entry["data"] = rng.choice([
+                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not base64
+                data.rstrip("=") + "A",  # bad padding, or one byte past the shape
+            ])
     return doc
 
 
@@ -289,7 +306,7 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
         elif kind == "vocabulary":
             doc = _vocabulary(rng, doc, mutation, max(max(r) for r in split["sequences"]))
         else:
-            doc = _checkpoint(rng, doc, mutation)
+            doc = _checkpoint(rng, doc, mutation, kind == "checkpoint-eval")
         path.write_text(json.dumps(doc))
 
 

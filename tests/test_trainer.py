@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qvuln.trainer
+from checkpoint_codec import encode
 from qvuln.corpus import Vocabulary
 from qvuln.embedding import build_embedding_matrix
 from qvuln.errors import CheckpointError, DataError, DivergenceError
@@ -328,8 +329,9 @@ class TestCheckpointFiles:
     def test_tampered_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_checkpoint(self.make_checkpoint(), path)
-        text = path.read_text().replace('"version": 1', '"version": 99')
-        path.write_text(text)
+        text = path.read_text()
+        assert '"version": 2' in text
+        path.write_text(text.replace('"version": 2', '"version": 99'))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -344,10 +346,52 @@ class TestCheckpointFiles:
         valid = json.loads(bad.read_text())
         no_shape = json.loads(bad.read_text())
         del no_shape["params"]["w"]["shape"]
-        for doc in ([valid], {**valid, "params": []}, no_shape):
+        no_data = json.loads(bad.read_text())
+        del no_data["params"]["w"]["data"]
+        for doc in ([valid], {**valid, "params": []}, {**valid, "params": {"w": [1.0]}},
+                    no_shape, no_data):
             bad.write_text(json.dumps(doc))
             with pytest.raises(CheckpointError):
                 load_checkpoint(bad)
+
+    def test_round_trip_bitwise_for_edge_arrays(self, tmp_path):
+        rng = np.random.default_rng(9)
+        arrays = {
+            "scalar": np.array(-0.0),
+            "empty": np.zeros((0, 3)),
+            "fortran": np.asfortranarray(rng.uniform(-1, 1, size=(3, 4))),
+            "signs": np.array([-0.0, 0.0, -1.5]),
+            "subnormal": np.array([5e-324, -2.2250738585072e-310, np.nextafter(0.0, 1.0)]),
+            "big_endian": rng.uniform(-1, 1, size=5).astype(">f8"),
+        }
+        ckpt = Checkpoint(model="lstm", task="sine", hyperparameters={},
+                          vocab_digest=None, arrays=arrays)
+        path = tmp_path / "model.json"
+        save_checkpoint(ckpt, path)
+        # the stored bytes are the little-endian float64 bytes in C order
+        doc = json.loads(path.read_text())
+        for name, arr in arrays.items():
+            assert doc["params"][name] == {"shape": list(arr.shape), "data": encode(arr)}, name
+        again = load_checkpoint(path).arrays
+        for name, arr in arrays.items():
+            got = again[name]
+            assert got.shape == arr.shape, name
+            assert got.dtype == np.dtype(float) and got.dtype.isnative, name
+            assert got.flags.writeable and got.flags.c_contiguous, name
+            assert got.astype(float).tobytes() == arr.astype(float).tobytes(), name
+        assert math.copysign(1.0, float(again["scalar"])) == -1.0
+
+    def test_save_refuses_non_finite_and_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        before = path.read_bytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            ckpt = self.make_checkpoint()
+            ckpt.arrays["b"][1] = bad
+            with pytest.raises(ValueError, match="'b'"):
+                save_checkpoint(ckpt, path)
+            assert path.read_bytes() == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 class TestEvaluate:
@@ -458,7 +502,7 @@ class TestEvaluate:
             return np.zeros(len(inputs)), None
 
         data = sine_task(n_points=100, window=3)
-        predictions_over(forward, "sine", None, data, data.table)
+        predictions_over(forward, None, data, data.table)
         assert calls == [(64, False), (36, False)]
 
 
