@@ -8,22 +8,24 @@ o*tanh(c): both cells build their gate input with `cell_input`, cache a
 Both also share the time loops: each supplies only its step (and step
 back) to `run_sequence` and `backprop_sequence`, over one `CellState`.
 
-A parameter dataclass (`LstmParams` here, `VqcParams` and `QlstmParams`
-elsewhere) derives its tree of named arrays from its fields through
-`ParamTree`, and `zeros_like` gives its zero gradient accumulator.
+A parameter dataclass (`VqcParams` and `QlstmParams` elsewhere) derives
+its tree of named arrays from its fields through `ParamTree`; `LstmParams`
+names the row blocks of its stacked gates instead.  `zeros_like` gives
+any of them its zero gradient accumulator.
 
 The LSTM and the loss take an optional leading batch axis: a sequence is
 (T, d_in) for one sample or (B, T, d_in) for B samples, and parameter
-gradients are summed over the batch.  Each forward or backward call stacks
-the four gates once (`GateStack`, gate order f, i, o, c), so a step is one
-(B, hidden + d_in) x (hidden + d_in, 4 hidden) product, one sigmoid over
-the f, i and o blocks and one tanh; its step back is one product for the
-weight gradients and one for dL/dv.  The gradients land in
-`LstmParams` under the gates' own names, which are the checkpoint names.
+gradients are summed over the batch.  `LstmParams` stores the four gates
+stacked (gate order f, i, o, c), so a step is one (B, hidden + d_in) x
+(hidden + d_in, 4 hidden) product, one sigmoid over the f, i and o blocks
+and one tanh; its step back is one product for the weight gradients and
+one for dL/dv.  Its `tree()` names each gate's rows and bias by the
+checkpoint names (`w_f`, ..., `b_o`), as views of the stack.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import TypeVar
 
 import numpy as np
@@ -51,12 +53,12 @@ class ParamTree:
 
     def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # a dataclass instance's attributes are its fields, in field order
+        for name, value in vars(self).items():
             if isinstance(value, ParamTree):
-                out.update(value.tree(f"{prefix}{f.name}."))
+                out.update(value.tree(f"{prefix}{name}."))
             elif isinstance(value, np.ndarray):
-                out[prefix + f.name] = value
+                out[prefix + name] = value
         return out
 
 
@@ -75,47 +77,23 @@ def zeros_like(params: _P) -> _P:
     return replace(params, **changes)
 
 
-@dataclass
-class LstmParams(ParamTree):
-    """Gate weight matrices (hidden x (hidden + d_in)), gate biases, and the
-    single-logit classification head."""
-
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_c: np.ndarray
-    w_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    head_w: np.ndarray  # (hidden,)
-    head_b: np.ndarray  # ()
-
-    @property
-    def hidden(self) -> int:
-        return self.w_f.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
-
-
 # the three sigmoid gates side by side, then the candidate
 _GATES = "fioc"
+# the gates' order in a checkpoint and in the initial draws
+_NAMED_GATES = "fico"
 
 
 @dataclass
-class GateStack:
-    """An LSTM's four gates as one product, stacked once per forward or
-    backward call in the order f, i, o, c.  `w` holds the gate weight
-    matrices one under another, (4 hidden, hidden + d_in), and `b` the
-    biases; a zeroed copy is the gradient accumulator, and its row blocks
-    are the gates' gradients.  The head is shared with `LstmParams`."""
+class LstmParams(ParamTree):
+    """The four gates' weight matrices (hidden x (hidden + d_in)) one under
+    another in `_GATES` order, stored row-major as one (4 hidden, hidden +
+    d_in) matrix `w`, their biases `b` in the same order, and the
+    single-logit classification head."""
 
     w: np.ndarray
     b: np.ndarray
-    head_w: np.ndarray
-    head_b: np.ndarray
+    head_w: np.ndarray  # (hidden,)
+    head_b: np.ndarray  # ()
 
     @property
     def hidden(self) -> int:
@@ -125,27 +103,16 @@ class GateStack:
     def d_in(self) -> int:
         return self.w.shape[1] - self.hidden
 
-
-def stack_gates(params: LstmParams, order: str) -> GateStack:
-    """The gates of `params` in `_GATES` order: one copy of the weights, in
-    memory order `order`.  The forward takes "F", so its product v @ w.T
-    reads a C-contiguous matrix; the backward takes "C" for pre @ w and
-    for its zeroed copy.  numpy multiplies by a transposed right operand
-    about 1.5x slower at these sizes."""
-    w = np.empty((4 * params.hidden, params.hidden + params.d_in), order=order)
-    np.concatenate([getattr(params, "w_" + gate) for gate in _GATES], out=w)
-    return GateStack(w=w, b=np.concatenate([getattr(params, "b_" + gate) for gate in _GATES]),
-                     head_w=params.head_w, head_b=params.head_b)
-
-
-def _unstack_gates(stack: GateStack) -> LstmParams:
-    """The gates of `stack` under their own names, as views of its rows."""
-    n = stack.hidden
-    arrays = {}
-    for k, gate in enumerate(_GATES):
-        arrays["w_" + gate] = stack.w[k * n:(k + 1) * n]
-        arrays["b_" + gate] = stack.b[k * n:(k + 1) * n]
-    return LstmParams(**arrays, head_w=stack.head_w, head_b=stack.head_b)
+    def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """The checkpoint names w_f, w_i, w_c, w_o, b_f, ..., head_b, each
+        gate's entry a view of its row block; the rows are C-contiguous, so
+        an in-place write (Adam, loading, finite differences) reaches `w`."""
+        n = self.hidden
+        rows = {gate: slice(k * n, (k + 1) * n) for k, gate in enumerate(_GATES)}
+        out = {f"{prefix}w_{gate}": self.w[rows[gate]] for gate in _NAMED_GATES}
+        out.update({f"{prefix}b_{gate}": self.b[rows[gate]] for gate in _NAMED_GATES})
+        out.update({prefix + "head_w": self.head_w, prefix + "head_b": self.head_b})
+        return out
 
 
 @dataclass
@@ -167,22 +134,15 @@ def as_sequences(sequence) -> np.ndarray:
 
 
 def init_lstm_params(hidden: int, d_in: int, rng: np.random.Generator) -> LstmParams:
-    """Uniform(-k, k) gate weights with k = 1/sqrt(hidden + d_in); forget-gate
-    bias starts at 1 to ease early gradient flow, other biases at zero."""
+    """Uniform(-k, k) gate weights with k = 1/sqrt(hidden + d_in), drawn gate
+    by gate in the order f, i, c, o, then the head's; forget-gate bias
+    starts at 1 to ease early gradient flow, other biases at zero."""
     k = 1.0 / np.sqrt(hidden + d_in)
-    shape = (hidden, hidden + d_in)
-    return LstmParams(
-        w_f=rng.uniform(-k, k, size=shape),
-        w_i=rng.uniform(-k, k, size=shape),
-        w_c=rng.uniform(-k, k, size=shape),
-        w_o=rng.uniform(-k, k, size=shape),
-        b_f=np.ones(hidden),
-        b_i=np.zeros(hidden),
-        b_c=np.zeros(hidden),
-        b_o=np.zeros(hidden),
-        head_w=rng.uniform(-k, k, size=hidden),
-        head_b=np.array(0.0),
-    )
+    w = {gate: rng.uniform(-k, k, size=(hidden, hidden + d_in)) for gate in _NAMED_GATES}
+    b = np.zeros(4 * hidden)
+    b[:hidden] = 1.0  # f is the first block
+    return LstmParams(w=np.concatenate([w[gate] for gate in _GATES]), b=b,
+                      head_w=rng.uniform(-k, k, size=hidden), head_b=np.array(0.0))
 
 
 @dataclass
@@ -285,15 +245,15 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
 
 
 def lstm_cell_step(
-    gates: GateStack, x_t: np.ndarray, prev: CellState
+    params: LstmParams, x_t: np.ndarray, prev: CellState
 ) -> tuple[CellState, CellCache]:
     """One recurrence step: the four gates over v = concat(h_prev, x_t) as
     one product, then the cell and hidden updates.  x_t is (d_in,) or
     (B, d_in); the arrays of prev broadcast against it."""
-    v = cell_input(x_t, prev.h, gates.d_in)
-    pre = v @ gates.w.T
-    pre += gates.b
-    n = gates.hidden
+    v = cell_input(x_t, prev.h, params.d_in)
+    pre = v @ params.w.T
+    pre += params.b
+    n = params.hidden
     # one sigmoid over f, i and o, each gate's block made contiguous first
     blocks = pre[..., :3 * n].reshape(*pre.shape[:-1], 3, n).swapaxes(0, -2)
     f, i, o = sigmoid(np.ascontiguousarray(blocks))
@@ -305,35 +265,38 @@ def lstm_cell_step(
     return CellState(h=h, c=c, y=h), cache
 
 
-def _lstm_step_back(gates: GateStack, grads: GateStack, s: CellCache, dh, dy, dc
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of `lstm_backward`; y is h, so its gradient adds to dh."""
+def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, dh, dy, dc,
+                    dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of `lstm_backward`; y is h, so its gradient adds to dh.  The
+    step's weight gradient is formed in `dw`, one buffer for every step."""
     pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dh + dy, dc)
     pre = np.concatenate([pre_f, pre_i, pre_o, pre_g], axis=-1)
     # one row per sample: summing the outer products is one product
     pre_rows = pre.reshape(-1, pre.shape[-1])
-    grads.w += pre_rows.T @ s.v.reshape(-1, s.v.shape[-1])
+    np.matmul(pre_rows.T, s.v.reshape(-1, s.v.shape[-1]), out=dw)
+    grads.w += dw
     grads.b += pre_rows.sum(axis=0)
-    return pre @ gates.w, dc
+    return pre @ params.w, dc
 
 
 def lstm_forward(
     params: LstmParams, sequence, *, keep_caches: bool = True
 ) -> tuple[float | np.ndarray, SequenceCaches | None]:
-    """`run_sequence` of the LSTM cell from the zero state, with d = d_in."""
+    """`run_sequence` of the LSTM cell from the zero state, with d = d_in.
+    The steps read one column-major copy of `w`, so v @ w.T multiplies by
+    a C-contiguous matrix; numpy multiplies by a transposed right operand
+    about 1.5x slower at these sizes."""
     zero = np.zeros(params.hidden)
-    return run_sequence(lstm_cell_step, stack_gates(params, "F"), sequence,
+    return run_sequence(lstm_cell_step, replace(params, w=np.asfortranarray(params.w)), sequence,
                         CellState(h=zero, c=zero, y=zero), keep_caches)
 
 
 def lstm_backward(
     params: LstmParams, caches: SequenceCaches, upstream: float | np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
-    """`backprop_sequence` of the LSTM cell; the gradients are views of one
-    stacked accumulator."""
-    grads, dx = backprop_sequence(_lstm_step_back, stack_gates(params, "C"), caches, upstream,
-                                  params.d_in)
-    return _unstack_gates(grads), dx
+    """`backprop_sequence` of the LSTM cell."""
+    return backprop_sequence(partial(_lstm_step_back, dw=np.empty(params.w.shape)), params,
+                             caches, upstream, params.d_in)
 
 
 def bce_from_logit(logit, target) -> tuple:

@@ -135,11 +135,8 @@ def _vqc_grad_into(
     if not np.any(upstream):
         return np.zeros_like(x)
     g, dx = vqc_gradients(params, x, upstream, counter)
-    acc.in_proj += g.in_proj
-    acc.bias += g.bias
-    acc.angles += g.angles
-    acc.out_scale += g.out_scale
-    acc.out_shift += g.out_shift
+    for total, part in zip(acc.tree().values(), g.tree().values(), strict=True):
+        total += part
     return dx
 
 

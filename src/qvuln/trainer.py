@@ -638,7 +638,11 @@ def train(
         arrays=arrays,
     )
 
-    report = evaluate(ckpt, eval_data if eval_data is not None else data, config.threshold)
+    try:
+        report = evaluate(ckpt, eval_data if eval_data is not None else data, config.threshold)
+    except CheckpointError as exc:
+        # the run built this checkpoint itself: its last Adam step diverged
+        raise DivergenceError(f"training diverged: {exc}") from None
     report.wall_time_seconds = wall_time
     report.loss_curve = loss_curve
     return ckpt, report

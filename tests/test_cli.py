@@ -211,6 +211,21 @@ class TestExitCodes:
         assert main(["census", "--ckpt", str(ckpt_path)]) == 3
         assert "MISMATCH" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sizes", [[], ["--hidden", "2"]], ids=["logits", "mse"])
+    def test_divergence_at_the_last_step_exits_three(self, tmp_path, capsys, sizes):
+        # no loss reads the last Adam step's parameters; the closing
+        # evaluation does, and the run that made them diverged
+        ckpt_path = tmp_path / "ckpt.json"
+        code = main([
+            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+            "--n-points", "8", "--window", "2", "--lr", "1e308", *sizes,
+            "--out", str(ckpt_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: training diverged: ") and err.count("\n") == 1
+        assert not ckpt_path.exists()
+
     def test_census_without_model_array_is_checkpoint_error(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"
         assert main([

@@ -22,9 +22,9 @@ from qvuln.neural import (
     lstm_cell_step,
     lstm_forward,
     sigmoid,
-    stack_gates,
     zeros_like,
 )
+from qvuln.qlstm import init_qlstm_params
 
 FD_STEP = 1e-5
 
@@ -51,7 +51,7 @@ def scalar_loss(params: LstmParams, sequence: list[np.ndarray], target: float) -
 class TestCellStep:
     def test_zero_params_zero_state(self):
         params = zero_params(3, 2)
-        state, cache = lstm_cell_step(stack_gates(params, "F"), np.zeros(2), zero_state(3))
+        state, cache = lstm_cell_step(params, np.zeros(2), zero_state(3))
         np.testing.assert_array_equal(cache.f, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.i, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.o, 0.5 * np.ones(3))
@@ -63,7 +63,7 @@ class TestCellStep:
     def test_zero_params_unit_cell(self):
         params = zero_params(2, 2)
         prev = CellState(h=np.zeros(2), c=np.ones(2), y=np.zeros(2))
-        state, _ = lstm_cell_step(stack_gates(params, "F"), np.ones(2), prev)
+        state, _ = lstm_cell_step(params, np.ones(2), prev)
         np.testing.assert_allclose(state.c, 0.5 * np.ones(2), atol=1e-15)
         np.testing.assert_allclose(state.h, 0.23105857863000487 * np.ones(2), atol=1e-15)
 
@@ -72,8 +72,8 @@ class TestCellStep:
         # all gates see v = (0, 1), so f = i = o = sigma(1), candidate tanh(1)
         params = zero_params(1, 1)
         for name in ("w_f", "w_i", "w_c", "w_o"):
-            getattr(params, name)[...] = 1.0
-        state, _ = lstm_cell_step(stack_gates(params, "F"), np.array([1.0]), zero_state(1))
+            params.tree()[name][...] = 1.0
+        state, _ = lstm_cell_step(params, np.array([1.0]), zero_state(1))
         s1 = 1.0 / (1.0 + math.exp(-1.0))
         c = s1 * math.tanh(1.0)
         h = s1 * math.tanh(c)
@@ -85,14 +85,14 @@ class TestCellStep:
     def test_dimension_mismatch(self):
         params = zero_params(2, 3)
         with pytest.raises(ValueError):
-            lstm_cell_step(stack_gates(params, "F"), np.zeros(2), zero_state(2))
+            lstm_cell_step(params, np.zeros(2), zero_state(2))
 
     def test_h_strictly_bounded(self):
         rng = np.random.default_rng(14)
         params = init_lstm_params(4, 3, rng)
         state = zero_state(4)
         for _ in range(50):
-            state, _ = lstm_cell_step(stack_gates(params, "F"), rng.uniform(-5, 5, size=3), state)
+            state, _ = lstm_cell_step(params, rng.uniform(-5, 5, size=3), state)
             assert np.all(np.abs(state.h) < 1.0)
 
 
@@ -107,7 +107,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = init_lstm_params(3, 2, rng)
         x = rng.uniform(-1, 1, size=2)
-        state, _ = lstm_cell_step(stack_gates(params, "F"), x, zero_state(3))
+        state, _ = lstm_cell_step(params, x, zero_state(3))
         logit, caches = lstm_forward(params, [x])
         assert len(caches.steps) == 1
         assert abs(logit - float(params.head_w @ state.h + params.head_b)) < 1e-15
@@ -242,13 +242,14 @@ class TestInit:
     def test_ranges_and_forget_bias(self):
         params = init_lstm_params(5, 3, np.random.default_rng(21))
         k = 1.0 / math.sqrt(5 + 3)
+        tree = params.tree()
         for name in ("w_f", "w_i", "w_c", "w_o"):
-            arr = getattr(params, name)
+            arr = tree[name]
             assert arr.shape == (5, 8)
             assert np.all(np.abs(arr) <= k)
-        np.testing.assert_array_equal(params.b_f, np.ones(5))
+        np.testing.assert_array_equal(tree["b_f"], np.ones(5))
         for name in ("b_i", "b_c", "b_o"):
-            assert np.all(getattr(params, name) == 0)
+            assert np.all(tree[name] == 0)
         assert params.head_w.shape == (5,)
         assert float(params.head_b) == 0.0
         assert params.hidden == 5
@@ -260,6 +261,33 @@ class TestInit:
         assert list(params.tree()) == [
             "w_f", "w_i", "w_c", "w_o", "b_f", "b_i", "b_c", "b_o", "head_w", "head_b",
         ]
+
+    def test_draws_gate_by_gate_in_checkpoint_order(self):
+        # the stacked layout keeps the per-gate draws, so a seed gives the
+        # same parameters as it did when each gate was its own array
+        params = init_lstm_params(3, 2, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        k = 1.0 / math.sqrt(3 + 2)
+        tree = params.tree()
+        for name in ("w_f", "w_i", "w_c", "w_o"):
+            assert tree[name].tobytes() == rng.uniform(-k, k, size=(3, 5)).tobytes(), name
+        assert tree["head_w"].tobytes() == rng.uniform(-k, k, size=3).tobytes()
+
+    @pytest.mark.parametrize("init", [
+        lambda rng: init_lstm_params(3, 2, rng),
+        lambda rng: init_qlstm_params(2, rng),
+    ], ids=["lstm", "qlstm"])
+    def test_tree_entries_are_flat_writable_views(self, init):
+        # finite differences write through reshape(-1) of each entry, and
+        # Adam and checkpoint loading write into the entries in place
+        params = init(np.random.default_rng(4))
+        for name, arr in params.tree().items():
+            assert arr.flags.c_contiguous, name
+            flat = arr.reshape(-1)
+            assert np.shares_memory(flat, arr), name
+            flat[:] = np.arange(flat.size) + 0.5
+        for name, arr in params.tree().items():
+            np.testing.assert_array_equal(arr.reshape(-1), np.arange(arr.size) + 0.5, err_msg=name)
 
     def test_zeros_like(self):
         params = init_lstm_params(3, 2, np.random.default_rng(2))
@@ -406,13 +434,14 @@ class TestStackedGates:
         # v = (0, x), f, i and o are sigmoid(b) and g is tanh(b_c), and the
         # gates' bias gradients differ, so a swapped block shows
         params = zero_params(2, 1)
-        params.b_f[...], params.b_i[...], params.b_c[...], params.b_o[...] = 0.1, 0.2, 0.3, 0.4
+        tree = params.tree()
+        tree["b_f"][...], tree["b_i"][...], tree["b_c"][...], tree["b_o"][...] = 0.1, 0.2, 0.3, 0.4
         params.head_w[...] = 1.0
         _, caches = lstm_forward(params, np.array([[1.0]]))
         grads, _ = lstm_backward(params, caches, 1.0)
         want, _ = lstm_oracle.backward(oracle_tree(params), np.array([[1.0]]), 1.0)
         # c_prev is zero, so the forget gate gets no gradient
-        assert np.all(grads.b_f == 0.0)
+        assert np.all(grads.tree()["b_f"] == 0.0)
         for gate in "ico":
             assert np.all(grads.tree()["b_" + gate] != 0.0), gate
             np.testing.assert_allclose(grads.tree()["b_" + gate], want["b_" + gate], rtol=0,
