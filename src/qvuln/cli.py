@@ -11,7 +11,6 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
-import itertools
 import logging
 import os
 import sys
@@ -24,7 +23,7 @@ from .corpus import (
 )
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
-from .fileio import check_output_paths, read_json, write_json
+from .fileio import check_output_paths, decode_array, encode_array, read_json, write_json
 from .neural import bce_from_logit
 from .trainer import (
     MODELS,
@@ -73,57 +72,36 @@ def encode_corpus(
 
 
 def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) -> None:
-    doc = {
-        "format": "encoded.v1",
+    """`encoded.v2`: `sequences` and `labels` as int64 `fileio.encode_array` entries."""
+    write_json({
+        "format": "encoded.v2",
         "split": split,
         "max_len": data.max_len,
         "vocab_digest": data.vocab_digest,
-        "labels": [int(v) for v in data.labels],
-        "sequences": [[int(v) for v in row] for row in data.sequences],
-    }
-    write_json(doc, path)
-
-
-def _int_array(doc: dict, key: str, path: Path) -> np.ndarray:
-    """`doc[key]` as an int64 array; a missing key, ragged rows or entries
-    that are not integers raise DataError."""
-    if key not in doc:
-        raise DataError(f"{path}: missing {key!r}")
-    try:
-        arr = np.array(doc[key])
-    except ValueError:  # rows of different lengths
-        raise DataError(f"{path}: {key!r} rows must all have the same length") from None
-    if arr.size and arr.dtype.kind != "i":
-        raise DataError(f"{path}: {key!r} must hold integers")
-    return arr.astype(np.int64)
+        "labels": encode_array(data.labels, "<i8"),
+        "sequences": encode_array(data.sequences, "<i8"),
+    }, path)
 
 
 def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
-    doc = read_json(path, "encoded dataset", "encoded.v1")
-    max_len = doc.get("max_len")
+    doc = read_json(path, "encoded dataset", "encoded.v2")
+    max_len, vocab_digest = doc.get("max_len"), doc.get("vocab_digest")
     if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
         raise DataError(f"{path}: max_len must be a positive integer, got {max_len!r}")
-    sequences = _int_array(doc, "sequences", path)
-    if sequences.shape == (0,):  # an empty split: `[]` has no row length to read
-        sequences = sequences.reshape(0, max_len)
-    labels = _int_array(doc, "labels", path)
-    if sequences.ndim != 2 or sequences.shape[1] != max_len:
-        raise DataError(f"{path}: sequence rows must all have length {max_len}")
-    if labels.ndim != 1:
-        raise DataError(f"{path}: labels must be a flat list")
-    if sequences.shape[0] != labels.shape[0]:
-        raise DataError(f"{path}: {sequences.shape[0]} sequences but {labels.shape[0]} labels")
-    # numpy reads a list that mixes ints and JSON booleans as int64
-    if bool in set(map(type, itertools.chain(doc["labels"], *doc["sequences"]))):
-        raise DataError(f"{path}: sequences and labels must hold integers, not booleans")
-    if labels.size and not np.isin(labels, (0, 1)).all():
+    if not isinstance(vocab_digest, str):
+        raise DataError(f"{path}: vocab_digest must be a string, got {vocab_digest!r}")
+    sequences, labels = (
+        decode_array(doc.get(key), "<i8", f"{path}: malformed {key!r} array")
+        for key in ("sequences", "labels")
+    )
+    if labels.ndim != 1 or sequences.shape != (len(labels), max_len):
+        raise DataError(f"{path}: sequences of shape {list(sequences.shape)} and labels of "
+                        f"shape {list(labels.shape)}, expected [N, {max_len}] and [N]")
+    if ((labels != 0) & (labels != 1)).any():
         raise DataError(f"{path}: labels must be 0 or 1")
     if (sequences < 0).any():
         raise DataError(f"{path}: token indices must be non-negative")
-    return ClassifyDataset(
-        sequences=sequences, labels=labels, max_len=max_len,
-        vocab_digest=str(doc.get("vocab_digest", "")),
-    )
+    return ClassifyDataset(sequences, labels, max_len, vocab_digest)
 
 
 # --- gradient verification suites ---
@@ -216,21 +194,23 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
-    tokens, labels = {}, {}
+    corpora = []
     for split in SPLITS:
         corpus = load_dataset(data_dir / f"{split}.csv", split)
         if args.balance:
             corpus = balance(corpus, args.seed)
-        tokens[split] = [tokenize(code) for code, _ in corpus.samples]
-        labels[split] = [label for _, label in corpus.samples]
         log.info("%s: %d samples after preprocessing", split, len(corpus))
-    vocab = build_vocab(tokens["train"], args.max_vocab)
-    encoded = {
-        split: encode_corpus(tokens[split], labels[split], vocab, args.max_len) for split in SPLITS
-    }
-    write_json(vocab.to_dict(), out_dir / "vocab.json")
-    for split, data in encoded.items():
-        save_encoded_dataset(data, split, out_dir / f"{split}.json")
+        corpora.append(corpus)
+    # every CSV is checked before any file is written; train's tokens make the vocabulary
+    vocab = None
+    for corpus in corpora:
+        token_lists = [tokenize(code) for code, _ in corpus.samples]
+        if vocab is None:
+            vocab = build_vocab(token_lists, args.max_vocab)
+            write_json(vocab.to_dict(), out_dir / "vocab.json")
+        data = encode_corpus(token_lists, [y for _, y in corpus.samples], vocab, args.max_len)
+        del token_lists  # else they are alive while the array is written
+        save_encoded_dataset(data, corpus.split, out_dir / f"{corpus.split}.json")
     return 0
 
 

@@ -1,13 +1,18 @@
 """The pipeline's file boundary: every input file is opened, decoded and,
-for JSON, parsed here, and every JSON document is written here.  The
-callers keep only their own schema checks."""
+for JSON, parsed here, and every JSON document is written here, with the
+one encoding of a numeric array inside a document.  The callers keep only
+their own schema checks."""
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
+
+import numpy as np
 
 from .errors import DataError
 
@@ -71,6 +76,40 @@ def write_json(doc: dict, path: str | Path) -> None:
     with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def encode_array(arr: np.ndarray, dtype: str) -> dict:
+    """`{"shape": [...], "data": ...}` of `arr`: `data` is the base64 of its
+    C-order buffer as `dtype` (`"<f8"`, `"<i8"`), with no `tobytes` copy."""
+    data = base64.b64encode(np.ascontiguousarray(arr, dtype=dtype)).decode("ascii")
+    return {"shape": list(arr.shape), "data": data}
+
+
+def decode_array(entry, dtype: str, what: str, error=DataError) -> np.ndarray:
+    """The array of one `encode_array` entry: `shape` a list of non-negative
+    integers, `data` the base64 of itemsize x prod(shape) bytes of `dtype`.
+    Returns a writable native-order copy; any other entry raises `error`
+    with a one-line message that starts with `what`."""
+    try:
+        if not isinstance(entry, dict):
+            raise ValueError("not a JSON object")
+        shape, data = entry.get("shape"), entry.get("data")
+        # numpy would take a null shape as "keep it", true as 1 and -1 as "infer it"
+        if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+        ):
+            raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
+        if not isinstance(data, str):
+            raise ValueError(f"data must be a base64 string, got {type(data).__name__}")
+        # non-ASCII text raises a plain ValueError, the rest binascii.Error
+        raw = base64.b64decode(data, validate=True)
+        dtype = np.dtype(dtype)
+        n_bytes = dtype.itemsize * math.prod(shape)
+        if len(raw) != n_bytes:
+            raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs {n_bytes}")
+        return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("=")).reshape(shape)
+    except ValueError as exc:
+        raise error(f"{what}: {exc}") from None
 
 
 def check_output_paths(*paths: str | Path | None) -> None:

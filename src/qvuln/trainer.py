@@ -4,7 +4,7 @@ Covers the binary-classification metrics (accuracy, precision, recall, F1
 with zero-denominator flags), seeded mini-batch training with Adam, the
 windowed sine-regression task, wall-clock timing, an exact parameter
 census, and versioned JSON checkpoints that round-trip bitwise (each array
-stored as the base64 of its float64 bytes).
+stored as its float64 bytes through `fileio.encode_array`).
 
 Both tasks are index rows into a table (token indices into the embedding
 rows, sine windows into a table of sine values), and `_check_split` checks
@@ -20,7 +20,6 @@ check all build through it.
 """
 from __future__ import annotations
 
-import base64
 import logging
 import math
 import time
@@ -32,7 +31,7 @@ import numpy as np
 from .corpus import PAD_INDEX
 from .embedding import EmbeddingMatrix
 from .errors import CheckpointError, DataError, DivergenceError
-from .fileio import atomic_write, open_input, read_json, write_json
+from .fileio import atomic_write, decode_array, encode_array, open_input, read_json, write_json
 from .neural import (
     OptimizerState,
     adam_step,
@@ -279,16 +278,15 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Versioned JSON document; each array's `data` is the base64 of its
-    little-endian float64 bytes in C order, so it round-trips bitwise.  An
+    """Versioned JSON document; each array is stored as its little-endian
+    float64 bytes (`fileio.encode_array`), so it round-trips bitwise.  An
     array holding a non-finite value raises ValueError before anything is
     written, and `path` is left as it was."""
     params = {}
     for name, arr in ckpt.arrays.items():
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint array {name!r} holds non-finite values")
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        params[name] = {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+        params[name] = encode_array(arr, "<f8")
     write_json({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -298,29 +296,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "vocab_digest": ckpt.vocab_digest,
         "params": params,
     }, path)
-
-
-def _decoded_array(entry) -> np.ndarray:
-    """The array of one `params` entry: `shape` a list of non-negative
-    integers, `data` the base64 of 8 x prod(shape) little-endian float64
-    bytes.  Returns a writable native-order copy; any other entry raises
-    ValueError."""
-    if not isinstance(entry, dict):
-        raise ValueError("not a JSON object")
-    shape, data = entry.get("shape"), entry.get("data")
-    # numpy would take a null shape as "keep it", true as 1 and -1 as "infer it"
-    if not isinstance(shape, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
-    ):
-        raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
-    if not isinstance(data, str):
-        raise ValueError(f"data must be a base64 string, got {type(data).__name__}")
-    # non-ASCII text raises a plain ValueError, the rest binascii.Error
-    raw = base64.b64decode(data, validate=True)
-    n_bytes = 8 * math.prod(shape)
-    if len(raw) != n_bytes:
-        raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs {n_bytes}")
-    return np.frombuffer(raw, "<f8").astype(float).reshape(shape)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -334,12 +309,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
         raise CheckpointError(f"{path}: hyperparameters and params must be JSON objects")
-    arrays = {}
-    for name, entry in doc["params"].items():
-        try:
-            arrays[name] = _decoded_array(entry)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: malformed parameter array {name!r}: {exc}") from None
+    arrays = {
+        name: decode_array(entry, "<f8", f"{path}: malformed parameter array {name!r}",
+                           CheckpointError)
+        for name, entry in doc["params"].items()
+    }
     return Checkpoint(
         model=doc["model"],
         task=doc["task"],
@@ -548,6 +522,8 @@ def train(
     Records the per-epoch mean training loss, emits epoch-1 and final-epoch
     prediction curves when curves_path is given, and reports metrics over
     eval_data (falling back to the training data), checked before the first epoch.
+    Given `vocab_digest`, a split encoded with another vocabulary raises
+    DataError before the first epoch.
     """
     if (matrix is None) != (config.task == "sine"):
         needs = "takes no" if matrix is not None else "requires an"
@@ -557,6 +533,10 @@ def train(
     table = _check_split(config.task, data, emb, max_len)
     if eval_data is not None:
         _check_split(config.task, eval_data, emb, max_len)
+    for split in (data, eval_data):
+        if vocab_digest is not None and split is not None and split.vocab_digest != vocab_digest:
+            raise DataError(f"vocabulary digest mismatch: split {split.vocab_digest[:12]}..., "
+                            f"vocabulary {vocab_digest[:12]}...")
     hyperparameters: dict = {
         "batch_size": config.batch_size,
         "d_in": table.shape[1],

@@ -1,7 +1,8 @@
-"""The checkpoint.v2 array encoding, written out independently of
-`qvuln.trainer` so that tests can build and damage checkpoint files: an
-array's `data` is the base64 of its little-endian IEEE-754 float64 bytes
-in C order."""
+"""The array encoding of `checkpoint.v2` and `encoded.v2` files, written
+out independently of `qvuln.fileio` so that tests can build and damage
+checkpoints and encoded splits: an array's `data` is the base64 of its
+little-endian bytes in C order, IEEE-754 float64 (`"<f8"`) in checkpoints
+and int64 (`"<i8"`) in encoded splits."""
 from __future__ import annotations
 
 import base64
@@ -9,17 +10,17 @@ import base64
 import numpy as np
 
 
-def encode(values) -> str:
+def encode(values, dtype: str = "<f8") -> str:
     """The `data` string of `values` (any array-like of numbers)."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes(order="C")).decode("ascii")
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes(order="C")).decode("ascii")
 
 
-def decode(data: str) -> np.ndarray:
-    """The flat float64 values of a `data` string, as a writable copy."""
-    return np.frombuffer(base64.b64decode(data, validate=True), "<f8").copy()
+def decode(data: str, dtype: str = "<f8") -> np.ndarray:
+    """The flat values of a `data` string, as a writable copy."""
+    return np.frombuffer(base64.b64decode(data, validate=True), dtype).copy()
 
 
-def array_entry(values) -> dict:
-    """A whole `params` entry, `{"shape": [...], "data": ...}`, of `values`."""
-    arr = np.asarray(values, dtype=float)
-    return {"shape": list(arr.shape), "data": encode(arr)}
+def array_entry(values, dtype: str = "<f8") -> dict:
+    """A whole array entry, `{"shape": [...], "data": ...}`, of `values`."""
+    arr = np.asarray(values, dtype=dtype)
+    return {"shape": list(arr.shape), "data": encode(arr, dtype)}

@@ -150,6 +150,14 @@ def fixed_terminal(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
 
 
+
+def _set_token(doc: dict, row: int, col: int, value: int) -> None:
+    """Write `value` at (row, col) of an `encoded.v2` split's sequences."""
+    entry = doc["sequences"]
+    seqs = decode(entry["data"], "<i8").reshape(entry["shape"])
+    seqs[row, col] = value
+    entry["data"] = encode(seqs, "<i8")
+
 class TestHelpSnapshots:
     @pytest.mark.parametrize(
         "argv,snapshot",
@@ -272,7 +280,7 @@ class TestExitCodes:
 
         assert main(train_argv(enc_dir / "train.json")) == 0
         doc = json.loads((enc_dir / "test.json").read_text())
-        doc["sequences"][0][-1] = -1
+        _set_token(doc, 0, -1, -1)
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -289,7 +297,7 @@ class TestExitCodes:
             "--max-vocab", "30", "--out", str(enc_dir),
         ]) == 0
         doc = json.loads((enc_dir / "train.json").read_text())
-        doc["sequences"][0][-1] = 1_000_000
+        _set_token(doc, 0, -1, 1_000_000)
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(doc))
         good_path = enc_dir / "train.json"
@@ -315,14 +323,19 @@ class TestExitCodes:
         split = json.loads((enc_dir / "train.json").read_text())
         vocab = json.loads((enc_dir / "vocab.json").read_text())
         without = lambda doc, key: {k: v for k, v in doc.items() if k != key}
-        ragged = [row[:-1] if k == 0 else row for k, row in enumerate(split["sequences"])]
+        seqs = decode(split["sequences"]["data"], "<i8").reshape(split["sequences"]["shape"])
+        labels = decode(split["labels"]["data"], "<i8")
         bad_splits = [
-            split["sequences"],
+            [split["sequences"]],
             without(split, "max_len"),
             {**split, "max_len": "two"},
-            {**split, "sequences": ragged},
+            # rows one token shorter than max_len
+            {**split, "sequences": array_entry(seqs[:, :-1], "<i8")},
             {**split, "labels": ["x", "y"]},
-            {**split, "labels": [True, *split["labels"][1:]]},
+            # one sample whose labels shape is [true]: a JSON boolean is not a count
+            {**split, "sequences": array_entry(seqs[:1], "<i8"),
+             "labels": {"shape": [True], "data": encode(labels[:1], "<i8")}},
+            {**split, "vocab_digest": None},
         ]
         bad_vocabs = [vocab["tokens"], without(vocab, "tokens"), {**vocab, "tokens": [1, 2]}]
         cases = [(doc, vocab) for doc in bad_splits] + [(split, doc) for doc in bad_vocabs]
@@ -414,6 +427,74 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "max_len" in err and err.count("\n") == 1, err
         assert not (tmp_path / "ckpt.json").exists()
+
+    def test_split_of_another_vocabulary_exits_before_training(
+        self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
+    ):
+        # B's vocabulary holds A's 30 tokens and 10 more, so A's indices fit
+        # B's embedding rows and only the digest tells the two apart
+        for name, max_vocab in (("a", "30"), ("b", "40")):
+            assert main([
+                "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                "--max-vocab", max_vocab, "--out", str(tmp_path / name),
+            ]) == 0
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(qvuln.trainer, "lstm_forward", no_forward)
+        a, b = tmp_path / "a", tmp_path / "b"
+        cases = ((a / "train.json", None), (b / "train.json", a / "validation.json"))
+        for data, eval_data in cases:
+            capsys.readouterr()
+            argv = [
+                "train", "--model", "lstm", "--task", "classify", "--data", str(data),
+                "--vocab", str(b / "vocab.json"), "--hidden", "2", "--d-basic", "2",
+                "--out", str(tmp_path / "ckpt.json"),
+            ]
+            if eval_data is not None:
+                argv += ["--eval-data", str(eval_data)]
+            assert main(argv) == 2, eval_data
+            err = capsys.readouterr().err
+            assert err.startswith("error: vocabulary digest mismatch"), err
+            assert err.count("\n") == 1, err
+            assert not (tmp_path / "ckpt.json").exists()
+
+    def test_v1_split_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        split = load_encoded_dataset(enc_dir / "train.json")
+        v1_path = tmp_path / "v1.json"
+        v1_path.write_text(json.dumps({
+            "format": "encoded.v1", "split": "train", "max_len": 6,
+            "vocab_digest": split.vocab_digest, "labels": split.labels.tolist(),
+            "sequences": split.sequences.tolist(),
+        }))
+        capsys.readouterr()
+        assert main([
+            "train", "--model", "lstm", "--task", "classify", "--data", str(v1_path),
+            "--vocab", str(enc_dir / "vocab.json"), "--epochs", "1", "--hidden", "2",
+            "--d-basic", "2", "--out", str(tmp_path / "ckpt.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {v1_path}: unsupported format 'encoded.v1', "
+                       "expected 'encoded.v2'\n"), err
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_malformed_later_csv_writes_no_file(self, tiny_corpus_dir, tmp_path, capsys):
+        data_dir = tmp_path / "csv"
+        shutil.copytree(tiny_corpus_dir, data_dir)
+        (data_dir / "test.csv").write_text("code,label\nint f() { return 0; },2\n",
+                                           encoding="utf-8")
+        enc_dir = tmp_path / "encoded"
+        capsys.readouterr()
+        assert main(["preprocess", "--data-dir", str(data_dir), "--out", str(enc_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "test.csv" in err and err.count("\n") == 1, err
+        assert list(enc_dir.iterdir()) == []
 
     def test_empty_split_is_data_error(self, monkeypatch, tiny_corpus_dir, tmp_path, capsys):
         data_dir = tmp_path / "csv"
@@ -939,13 +1020,17 @@ class TestClassifyClosure:
             "preprocess", "--data-dir", str(data_dir), "--no-balance", "--max-len", "12",
             "--out", str(enc_dir),
         ]) == 0
-        assert json.loads((enc_dir / "validation.json").read_text())["sequences"] == []
+        doc = json.loads((enc_dir / "validation.json").read_text())
+        assert doc["sequences"] == {"shape": [0, 12], "data": ""}
+        assert doc["labels"] == {"shape": [0], "data": ""}
         split = load_encoded_dataset(enc_dir / "validation.json")
         assert split.sequences.shape == (0, 12) and split.sequences.dtype == np.int64
         assert split.labels.shape == (0,) and split.max_len == 12
 
     def test_preprocess_files_are_pinned(self, corpus_dir, tmp_path):
-        # digests of the files the character-loop tokenizer wrote for this corpus
+        # `vocab.json` and the decoded arrays are what the character-loop
+        # tokenizer wrote for this corpus (the arrays were then decimal
+        # `encoded.v1` lists); the split files are pinned as `encoded.v2`
         enc_dir = tmp_path / "encoded"
         assert main([
             "preprocess", "--data-dir", str(corpus_dir), "--max-len", "24",
@@ -957,9 +1042,28 @@ class TestClassifyClosure:
         }
         assert digests == {
             "vocab.json": "7604990349b5084c6f18f8aa6cb06f780e206bafcedc0f9857ba0c8c57544e71",
-            "train.json": "a78fc6061f714da47c214f22b331adc699857c57b3c2cc5831ab9f4573c99377",
-            "validation.json": "7c837d7292165ac8f8db92860291a7539d21bf2fc4385631ecc40bf3f56c37ca",
-            "test.json": "261cec1b9e3440935198ef45848d29a6cea4aea33cea33a69fc67fd74a525240",
+            "train.json": "aaf0f492613d9d4f01669582374129461cfd25c10ce5d55150f9183a0fcb6675",
+            "validation.json": "b738e6a24c7a7c374bb4495543911ac420816d04cdc74fd819aca823aa020cc2",
+            "test.json": "bc26677816381759f92c02695daaf6771c7beceb8314a06b658c0ef9b57deb17",
+        }
+        arrays = {}
+        for split in ("train", "validation", "test"):
+            data = load_encoded_dataset(enc_dir / f"{split}.json")
+            assert data.sequences.dtype == data.labels.dtype == np.int64
+            arrays[split] = tuple(
+                hashlib.sha256(arr.astype("<i8").tobytes()).hexdigest()
+                for arr in (data.sequences, data.labels)
+            ) + (data.sequences.shape,)
+        assert arrays == {
+            "train": ("43e070ad70526c5eca74192acbcb359f99982014d1cc48cde55f7503856cc5f3",
+                      "91dc936e9c0c8b5d0e3547e3d5effb46fb88310542290bc9f72533bde49a5753",
+                      (200, 24)),
+            "validation": ("2e9ff273dc6426310352d4682bb1655ba557918e825f34a63ecd3cf0bb1046b2",
+                           "944188a8d6682eae7d96e1fa66f7b11d918650e0126d67527c207483c916dda6",
+                           (50, 24)),
+            "test": ("da7c16dc6c572dd192609c59f7f35405f57a73dee43fc419dedfa2105e9733a6",
+                     "c8f5d0bf6c44d69cf3adb4536b04501951c02b8662892f8306c099f7228e67d3",
+                     (50, 24)),
         }
 
     def test_identical_argv_identical_outputs(self, tiny_corpus_dir, tmp_path, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qvuln
-from checkpoint_codec import decode, encode
+from checkpoint_codec import array_entry, decode, encode
 from qvuln.cli import main
 from qvuln.errors import CheckpointError, DataError
 from qvuln.fileio import read_json
@@ -50,22 +50,31 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Attribute):
         if func.attr == "open":
             return ".open"
-        if isinstance(func.value, ast.Name) and func.value.id == "json":
-            return f"json.{func.attr}"
+        if isinstance(func.value, ast.Name) and func.value.id in ("json", "base64"):
+            return f"{func.value.id}.{func.attr}"
     return None
 
 
-def test_only_fileio_opens_files_or_handles_json():
+def _calls_outside_fileio(names: tuple[str, ...]) -> list[str]:
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "fileio.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name in ("open", ".open", "json.load", "json.loads", "json.dump", "json.dumps"):
-                    found.append(f"{path.name}:{node.lineno}: {name}")
-    assert found == []
+            if isinstance(node, ast.Call) and _call_name(node) in names:
+                found.append(f"{path.name}:{node.lineno}: {_call_name(node)}")
+    return found
+
+
+def test_only_fileio_opens_files_or_handles_json():
+    names = ("open", ".open", "json.load", "json.loads", "json.dump", "json.dumps")
+    assert _calls_outside_fileio(names) == []
+
+
+def test_only_fileio_encodes_arrays():
+    # one array codec: checkpoints and encoded splits both go through
+    # fileio.encode_array and fileio.decode_array
+    assert _calls_outside_fileio(("base64.b64encode", "base64.b64decode")) == []
 
 
 # --- seeded mutation fuzz ---
@@ -166,44 +175,76 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
 
 
 def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
-    seqs, labels = doc["sequences"], doc["labels"]
+    """A damaged `encoded.v2` split; `n_rows` is the embedding's row count."""
+    seq_entry, label_entry = doc["sequences"], doc["labels"]
+    seqs = decode(seq_entry["data"], "<i8").reshape(seq_entry["shape"])
+    labels = decode(label_entry["data"], "<i8")
     row = rng.randrange(len(seqs))
-    col = rng.randrange(len(seqs[row]))
+    col = rng.randrange(seqs.shape[1])
+    entry = rng.choice([seq_entry, label_entry])
     if mutation == "drop-key":
-        del doc[rng.choice(["format", "max_len", "sequences", "labels"])]
+        where, key = rng.choice([
+            *((doc, k) for k in ("format", "max_len", "vocab_digest", "sequences", "labels")),
+            (entry, "shape"), (entry, "data"),
+        ])
+        del where[key]
     elif mutation == "reshape":
-        choice = rng.randrange(4)
+        choice = rng.randrange(5)
         if choice == 0:
-            doc["sequences"] = [v for r in seqs for v in r]
+            seq_entry["shape"] = [seqs.size]  # flattened
         elif choice == 1:
-            seqs[row].pop() if rng.random() < 0.5 else seqs[row].append(0)
+            # each row one token short or long, its shape to match
+            width = seqs.shape[1] + rng.choice([-1, 1])
+            doc["sequences"] = array_entry(np.resize(seqs, (len(seqs), width)), "<i8")
         elif choice == 2:
-            doc["labels"] = [[v] for v in labels]
+            label_entry["shape"] = [len(labels), 1]
+        elif choice == 3:
+            doc["labels"] = array_entry(labels[:-1], "<i8")  # a label short
         else:
-            labels.pop()
+            # `data` one element short or long of its shape
+            values = decode(entry["data"], "<i8")
+            entry["data"] = encode(values[:-1] if rng.random() < 0.5 else [*values, 0], "<i8")
     elif mutation == "nan":
+        # a float64 NaN's bit pattern where an int64 belongs
+        nan = np.array([rng.choice([float("nan"), -float("nan")])]).view("<i8")[0]
         if rng.random() < 0.5:
-            seqs[row][col] = float("nan")
+            seqs[row, col] = nan
+            seq_entry["data"] = encode(seqs, "<i8")
         else:
-            labels[row] = float("nan")
+            labels[row] = nan
+            label_entry["data"] = encode(labels, "<i8")
     elif mutation == "out-of-range":
         choice = rng.randrange(3)
         if choice == 0:
-            seqs[row][col] = rng.choice([-1, n_rows, n_rows + 7, 2**63, 10**30])
+            seqs[row, col] = rng.choice([-1, n_rows, n_rows + 7, 2**63 - 1, -(2**63)])
+            seq_entry["data"] = encode(seqs, "<i8")
         elif choice == 1:
             labels[row] = rng.choice([2, -1])
+            label_entry["data"] = encode(labels, "<i8")
         else:
-            doc["max_len"] = rng.choice([0, -6, len(seqs[0]) + 1])
+            doc["max_len"] = rng.choice([0, -6, seqs.shape[1] + 1])
     else:  # wrong-type
-        choice = rng.randrange(3)
+        choice = rng.randrange(4)
         if choice == 0:
-            seqs[row][col] = rng.choice(["3", 2.5, None, [1], {}, True, False])
+            where = rng.choice([doc, entry])
+            key = rng.choice(["sequences", "labels", "max_len", "format", "vocab_digest"]
+                             if where is doc else ["shape", "data"])
+            where[key] = rng.choice(["7", 6.5, True, None, {}])
         elif choice == 1:
-            doc[rng.choice(["sequences", "labels", "max_len", "format"])] = rng.choice(
-                ["7", 6.5, True, None, {}]
+            # a bool, a float, a string or null among the shape's sizes
+            entry["shape"][rng.randrange(len(entry["shape"]))] = rng.choice(
+                [True, False, 2.5, "3", None]
             )
+        elif choice == 2:
+            # v1's decimal list where the base64 string belongs
+            entry["data"] = (seqs if entry is seq_entry else labels).tolist()
         else:
-            labels[row] = rng.choice(["1", 0.5, None, True, False])
+            data = entry["data"]
+            at = rng.randrange(len(data))
+            entry["data"] = rng.choice([
+                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not base64
+                data.rstrip("=") + "A",  # bad padding, or one byte past the shape
+            ])
     return doc
 
 
@@ -304,7 +345,8 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
             n_rows = len(json.loads((good / "vocab.json").read_text())["tokens"]) + 2
             doc = _split(rng, doc, mutation, n_rows)
         elif kind == "vocabulary":
-            doc = _vocabulary(rng, doc, mutation, max(max(r) for r in split["sequences"]))
+            max_index = int(decode(split["sequences"]["data"], "<i8").max())
+            doc = _vocabulary(rng, doc, mutation, max_index)
         else:
             doc = _checkpoint(rng, doc, mutation, kind == "checkpoint-eval")
         path.write_text(json.dumps(doc))
