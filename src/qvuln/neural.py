@@ -16,11 +16,16 @@ any of them its zero gradient accumulator.
 The LSTM and the loss take an optional leading batch axis: a sequence is
 (T, d_in) for one sample or (B, T, d_in) for B samples, and parameter
 gradients are summed over the batch.  `LstmParams` stores the four gates
-stacked (gate order f, i, o, c), so a step is one (B, hidden + d_in) x
-(hidden + d_in, 4 hidden) product, one sigmoid over the f, i and o blocks
-and one tanh; its step back is one product for the weight gradients and
-one for dL/dv.  Its `tree()` names each gate's rows and bias by the
-checkpoint names (`w_f`, ..., `b_o`), as views of the stack.
+stacked (gate order f, i, o, c).  A forward call copies them once into a
+gate-major kernel with the f, i and o blocks halved, so a step is one
+product that lands as a C-contiguous (4, B, hidden) block, one tanh over
+it and one `*0.5 + 0.5` that turns the f, i and o blocks into sigmoids,
+since sigmoid(x) = 1/2 + tanh(x/2)/2.  `sigmoid` itself stays for the
+QLSTM, the loss and the predicted probabilities: the tanh form gives
+sigmoid(-40) as exactly 0, an absolute error of about 4e-18.  The step
+back is one product for the weight gradients and one for dL/dv.  Its
+`tree()` names each gate's rows and bias by the checkpoint names (`w_f`,
+..., `b_o`), as views of the stack.
 """
 from __future__ import annotations
 
@@ -79,6 +84,8 @@ def zeros_like(params: _P) -> _P:
 
 # the three sigmoid gates side by side, then the candidate
 _GATES = "fioc"
+# per gate block of `_GATES`: the sigmoid gates' pre-activations are halved
+_GATE_SCALE = np.array([[0.5], [0.5], [0.5], [1.0]])
 # the gates' order in a checkpoint and in the initial draws
 _NAMED_GATES = "fico"
 
@@ -244,21 +251,42 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     return grads, dx
 
 
+def _gate_kernel(params: LstmParams, batch: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The gates as a step over inputs with leading axes `batch` (() or
+    (B,)) reads them: a (4, hidden + d_in, hidden) stack of each gate's
+    transposed rows in `_GATES` order, and its biases repeated over the
+    batch as (4, *batch, hidden), with the f, i and o blocks halved.
+    Halving is exact in binary floating point, so tanh of a halved
+    pre-activation x/2 gives the sigmoid as 1/2 + tanh(x/2)/2."""
+    n, d = params.hidden, params.w.shape[1]
+    w = np.ascontiguousarray(params.w.reshape(4, n, d).swapaxes(1, 2))
+    w *= _GATE_SCALE[:, None]
+    b = np.empty((4, *batch, n))
+    b[...] = (params.b.reshape(4, n) * _GATE_SCALE).reshape(4, *[1] * len(batch), n)
+    return w, b
+
+
 def lstm_cell_step(
-    params: LstmParams, x_t: np.ndarray, prev: CellState
+    params: LstmParams, x_t: np.ndarray, prev: CellState,
+    kernel: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[CellState, CellCache]:
     """One recurrence step: the four gates over v = concat(h_prev, x_t) as
-    one product, then the cell and hidden updates.  x_t is (d_in,) or
-    (B, d_in); the arrays of prev broadcast against it."""
+    one product and one tanh, then the cell and hidden updates.  x_t is
+    (d_in,) or (B, d_in); the arrays of prev broadcast against it.  The
+    step reads `kernel`, the `_gate_kernel` of `params` at x_t's batch
+    axes, built here when none is given."""
     v = cell_input(x_t, prev.h, params.d_in)
-    pre = v @ params.w.T
-    pre += params.b
-    n = params.hidden
-    # one sigmoid over f, i and o, each gate's block made contiguous first
-    blocks = pre[..., :3 * n].reshape(*pre.shape[:-1], 3, n).swapaxes(0, -2)
-    f, i, o = sigmoid(np.ascontiguousarray(blocks))
-    g = np.tanh(pre[..., 3 * n:])
-    c = f * prev.c + i * g
+    w, b = _gate_kernel(params, x_t.shape[:-1]) if kernel is None else kernel
+    # gate-major: act[k] is gate k's C-contiguous (hidden,) or (B, hidden) block
+    act = np.matmul(v, w)
+    act += b
+    np.tanh(act, out=act)
+    sig = act[:3]
+    sig *= 0.5
+    sig += 0.5
+    f, i, o, g = act
+    c = f * prev.c
+    c += i * g
     tanh_c = np.tanh(c)
     h = o * tanh_c
     cache = CellCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c)
@@ -283,12 +311,14 @@ def lstm_forward(
     params: LstmParams, sequence, *, keep_caches: bool = True
 ) -> tuple[float | np.ndarray, SequenceCaches | None]:
     """`run_sequence` of the LSTM cell from the zero state, with d = d_in.
-    The steps read one column-major copy of `w`, so v @ w.T multiplies by
-    a C-contiguous matrix; numpy multiplies by a transposed right operand
-    about 1.5x slower at these sizes."""
+    The steps read one `_gate_kernel` of `params`, built once per call: its
+    gate-major weights make each step's product land as four C-contiguous
+    gate blocks, and its halved sigmoid rows let one tanh give all four
+    gates."""
+    xs = as_sequences(sequence)
     zero = np.zeros(params.hidden)
-    return run_sequence(lstm_cell_step, replace(params, w=np.asfortranarray(params.w)), sequence,
-                        CellState(h=zero, c=zero, y=zero), keep_caches)
+    return run_sequence(partial(lstm_cell_step, kernel=_gate_kernel(params, xs.shape[:-2])),
+                        params, xs, CellState(h=zero, c=zero, y=zero), keep_caches)
 
 
 def lstm_backward(

@@ -502,6 +502,19 @@ def predictions_over(forward, params, data, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _embedding_gradient(sequences: np.ndarray, dx: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The gradient of an embedding table of `shape` given the (B, T) token
+    indices `sequences` and the (B, T, d) input gradients `dx`, with the
+    padding row zeroed.  One bincount over the flat row * d + column
+    indices adds each entry's terms in b-major order from 0.0, as
+    `np.add.at` over the rows does, so the sums are the same bits."""
+    d = shape[1]
+    flat = (sequences[..., None] * d + np.arange(d)).ravel()
+    grad = np.bincount(flat, weights=dx.ravel(), minlength=shape[0] * d).reshape(shape)
+    grad[PAD_INDEX] = 0.0
+    return grad
+
+
 def _curve_block(task: str, data, logits: np.ndarray):
     if task == "sine":
         return data.xs.copy(), data.targets.copy(), logits
@@ -528,7 +541,8 @@ def train(
     if (matrix is None) != (config.task == "sine"):
         needs = "takes no" if matrix is not None else "requires an"
         raise DataError(f"{config.task} training {needs} embedding matrix")
-    emb = None if matrix is None else matrix.rows
+    # the run trains and stores its own table, never the caller's
+    emb = None if matrix is None else matrix.rows.copy()
     max_len = getattr(data, "max_len", None)
     table = _check_split(config.task, data, emb, max_len)
     if eval_data is not None:
@@ -584,9 +598,7 @@ def train(
             del caches  # else two batches' caches are alive during the next forward pass
             acc = grads.tree()
             if emb_trainable:
-                acc["embedding.rows"] = np.zeros_like(emb)
-                np.add.at(acc["embedding.rows"], data.sequences[batch], dx)
-                acc["embedding.rows"][PAD_INDEX] = 0.0
+                acc["embedding.rows"] = _embedding_gradient(data.sequences[batch], dx, emb.shape)
             scale = 1.0 / len(batch)
             for g in acc.values():
                 g *= scale

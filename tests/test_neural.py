@@ -376,6 +376,54 @@ class TestSigmoid:
         assert got.tobytes() == want.tobytes()
 
 
+class TestGateKernel:
+    """One tanh over the gate-major block gives all four gates: the f, i and
+    o pre-activations are halved and sigmoid(x) = 1/2 + tanh(x/2)/2."""
+
+    EDGES = np.array([0.0, 36.0, 745.0, 800.0, 1e308, np.inf, np.nan])
+    PRE = np.concatenate([EDGES, -EDGES])
+
+    def edge_params(self) -> LstmParams:
+        # zero weights, so each gate's pre-activation is its bias
+        params = zero_params(self.PRE.size, 2)
+        tree = params.tree()
+        for k, gate in enumerate("fico"):
+            tree["b_" + gate][...] = np.roll(self.PRE, 3 * k)
+        return params
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_gates_at_the_edges_match_sigmoid_and_tanh(self, batch):
+        params = self.edge_params()
+        x = np.ones(2) if batch is None else np.ones((batch, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, raw = lstm_cell_step(params, x, zero_state(self.PRE.size))
+            _, caches = lstm_forward(params, x[..., None, :])
+        tree = params.tree()
+        for gate, attr in zip("fico", "figo"):
+            want = np.broadcast_to(
+                np.tanh(tree["b_c"]) if gate == "c" else lstm_oracle.masked_sigmoid(tree["b_" + gate]),
+                x.shape[:-1] + (self.PRE.size,))
+            for got in (getattr(raw, attr), getattr(caches.steps[0], attr)):
+                assert np.array_equal(np.isnan(got), np.isnan(want)), gate
+                np.testing.assert_allclose(got, want, rtol=0, atol=2.0**-52, err_msg=gate)
+            # the raw parameters and the forward's kernel give the same bits
+            assert getattr(raw, attr).tobytes() == getattr(caches.steps[0], attr).tobytes()
+
+    @pytest.mark.parametrize("batch", [None, 6])
+    def test_cached_gates_are_contiguous_and_disjoint(self, batch):
+        rng = np.random.default_rng(72)
+        params = init_lstm_params(5, 3, rng)
+        shape = (4, 3) if batch is None else (batch, 4, 3)
+        _, caches = lstm_forward(params, rng.uniform(-2, 2, size=shape))
+        for step in caches.steps:
+            gates = [step.f, step.i, step.o, step.g]
+            for gate in gates:
+                assert gate.flags.c_contiguous and gate.shape == shape[:-2] + (5,)
+            for a, b in itertools.combinations(gates, 2):
+                assert not np.shares_memory(a, b)
+
+
 def oracle_tree(params: LstmParams) -> dict[str, np.ndarray]:
     return {name: arr.copy() for name, arr in params.tree().items()}
 

@@ -11,7 +11,7 @@ import pytest
 
 import qvuln.trainer
 from checkpoint_codec import encode
-from qvuln.corpus import Vocabulary
+from qvuln.corpus import PAD_INDEX, Vocabulary
 from qvuln.embedding import build_embedding_matrix
 from qvuln.errors import CheckpointError, DataError, DivergenceError
 from qvuln.neural import init_lstm_params
@@ -37,6 +37,7 @@ from qvuln.trainer import (
     save_metrics,
     sine_task,
     train,
+    _embedding_gradient,
 )
 
 
@@ -206,6 +207,36 @@ class TestTrain:
         assert report.accuracy == 1.0
         # padding row stays pinned through trainable-embedding updates
         np.testing.assert_array_equal(ckpt.arrays["embedding.rows"][0], np.zeros(4))
+
+    def test_training_leaves_the_callers_embedding_alone(self, tmp_path):
+        vocab, data = tiny_classify_dataset()
+        matrix = build_embedding_matrix(vocab, [], "basic", seed=5, d_basic=4)
+        rows = matrix.rows.copy()
+        config = TrainConfig(model="lstm", task="classify", epochs=2, batch_size=4, seed=5,
+                             hidden=3, lr=0.05)
+        first, first_report = train(config, data, matrix=matrix)
+        kept = first.arrays["embedding.rows"].copy()
+        assert not np.array_equal(kept, rows)
+        second, second_report = train(config, data, matrix=matrix)
+        assert matrix.rows.tobytes() == rows.tobytes()
+        assert first.arrays["embedding.rows"].tobytes() == kept.tobytes()
+        assert first_report.loss_curve == second_report.loss_curve
+        save_checkpoint(first, tmp_path / "first.json")
+        save_checkpoint(second, tmp_path / "second.json")
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    def test_embedding_gradient_equals_add_at_over_rows(self):
+        # repeated rows and padding tokens, with terms from 1e-8 to 1e8 so
+        # that another summation order shows in the bits
+        rng = np.random.default_rng(8)
+        sequences = rng.integers(0, 6, size=(5, 7))
+        sequences[:, -2:] = PAD_INDEX
+        dx = rng.normal(size=(5, 7, 3)) * 10.0 ** rng.uniform(-8, 8, size=(5, 7, 3))
+        want = np.zeros((9, 3))
+        np.add.at(want, sequences, dx)
+        want[PAD_INDEX] = 0.0
+        got = _embedding_gradient(sequences, dx, (9, 3))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("flaw", ["max_len", "kind", "index"])
     def test_bad_eval_split_refused_before_any_forward_call(self, flaw, monkeypatch):
