@@ -7,6 +7,7 @@ o*tanh(c): both cells build their gate input with `cell_input`, cache a
 `CellCache` per step and go back through the update with `cell_backward`.
 Both also share the time loops: each supplies only its step (and step
 back) to `run_sequence` and `backprop_sequence`, over one `CellState`.
+A step back gets one upstream and its place in the sequence.
 
 A parameter dataclass (`VqcParams` and `QlstmParams` elsewhere) derives
 its tree of named arrays from its fields through `ParamTree`; `LstmParams`
@@ -229,9 +230,10 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     """The backward time loop of both models: exact gradients of the sum over
     samples of upstream * logit (upstream is a float, or (B,) for a batch),
     summed over the batch, and the (T, d_x) or (B, T, d_x) input gradients.
-    `step_back(params, grads, cache, dh, dy, dc)` adds a step's parameter
-    gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1}, x_t),
-    and dL/dc_{t-1}."""
+    `step_back(params, grads, cache, d_out, dc, first, last)` adds a step's
+    parameter gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1},
+    x_t), and dL/dc_{t-1}.  The head reads y only at t = T-1 (`last`), so
+    d_out is the head's gradient there and dL/dh_t before; `first` is t = 0."""
     if caches is None:
         raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
     upstream = np.asarray(upstream, dtype=float)
@@ -239,15 +241,12 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     T = len(caches.steps)
     grads.head_w += np.dot(upstream, caches.final)
     grads.head_b += np.sum(upstream)
-    dy = upstream[..., None] * params.head_w
-    dh = np.zeros_like(dy)
-    dc = np.zeros_like(dy)
+    d_out = upstream[..., None] * params.head_w
+    dc = np.zeros_like(d_out)
     dx = np.zeros(upstream.shape + (T, d_x))
     for t in range(T - 1, -1, -1):
-        dv, dc = step_back(params, grads, caches.steps[t], dh, dy, dc)
-        dh, dx[..., t, :] = dv[..., :-d_x], dv[..., -d_x:]
-        # the head reads y only at the last step
-        dy = np.zeros_like(dy)
+        dv, dc = step_back(params, grads, caches.steps[t], d_out, dc, t == 0, t == T - 1)
+        d_out, dx[..., t, :] = dv[..., :-d_x], dv[..., -d_x:]
     return grads, dx
 
 
@@ -293,11 +292,11 @@ def lstm_cell_step(
     return CellState(h=h, c=c, y=h), cache
 
 
-def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, dh, dy, dc,
+def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, d_out, dc, first, last,
                     dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step of `lstm_backward`; y is h, so its gradient adds to dh.  The
-    step's weight gradient is formed in `dw`, one buffer for every step."""
-    pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dh + dy, dc)
+    """One step of `lstm_backward`; y is h, so d_out is dL/dh_t at every
+    step.  The weight gradient is formed in `dw`, one buffer for every step."""
+    pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, d_out, dc)
     pre = np.concatenate([pre_f, pre_i, pre_o, pre_g], axis=-1)
     # one row per sample: summing the outer products is one product
     pre_rows = pre.reshape(-1, pre.shape[-1])

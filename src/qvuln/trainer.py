@@ -309,6 +309,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
         raise CheckpointError(f"{path}: hyperparameters and params must be JSON objects")
+    if not isinstance(doc.get("vocab_digest"), (str, type(None))):
+        raise CheckpointError(f"{path}: vocab_digest must be a string or null")
     arrays = {
         name: decode_array(entry, "<f8", f"{path}: malformed parameter array {name!r}",
                            CheckpointError)
@@ -471,12 +473,14 @@ def _loss(task: str, logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarra
     return bce_from_logit(logits, targets)
 
 
-def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None) -> np.ndarray:
+def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None,
+                 vocab_digest: str | None) -> np.ndarray:
     """The table that the split `data` gathers its inputs from: the
     embedding rows `emb` for classify, the split's own sine table for sine.
     Raises DataError on a dataset of the other task's kind, a split with no
-    samples, a classify split whose max_len is not `max_len`, or an index
-    outside the table."""
+    samples, a classify split whose max_len is not `max_len`, a classify
+    split encoded with another vocabulary than the one of digest
+    `vocab_digest` (None checks nothing), or an index outside the table."""
     kind = ClassifyDataset if task == "classify" else SineDataset
     if not isinstance(data, kind):
         raise DataError(f"the {task} task needs a {kind.__name__}, got {type(data).__name__}")
@@ -484,6 +488,9 @@ def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None) -
         raise DataError(f"the {task} split holds no samples")
     if task == "classify" and data.max_len != max_len:
         raise DataError(f"max_len mismatch: model {max_len}, data {data.max_len}")
+    if task == "classify" and vocab_digest is not None and data.vocab_digest != vocab_digest:
+        raise DataError(f"vocabulary digest mismatch: split {data.vocab_digest[:12]}..., "
+                        f"vocabulary {vocab_digest[:12]}...")
     table, name = (emb, "vocabulary") if task == "classify" else (data.table, "sine table")
     seq = data.sequences
     if seq.size and not 0 <= int(seq.min()) <= int(seq.max()) < len(table):
@@ -544,13 +551,9 @@ def train(
     # the run trains and stores its own table, never the caller's
     emb = None if matrix is None else matrix.rows.copy()
     max_len = getattr(data, "max_len", None)
-    table = _check_split(config.task, data, emb, max_len)
+    table = _check_split(config.task, data, emb, max_len, vocab_digest)
     if eval_data is not None:
-        _check_split(config.task, eval_data, emb, max_len)
-    for split in (data, eval_data):
-        if vocab_digest is not None and split is not None and split.vocab_digest != vocab_digest:
-            raise DataError(f"vocabulary digest mismatch: split {split.vocab_digest[:12]}..., "
-                            f"vocabulary {vocab_digest[:12]}...")
+        _check_split(config.task, eval_data, emb, max_len, vocab_digest)
     hyperparameters: dict = {
         "batch_size": config.batch_size,
         "d_in": table.shape[1],
@@ -643,21 +646,18 @@ def train(
 def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     """Metrics over a dataset: thresholded confusion metrics for classify
     (predict 1 iff probability >= threshold), MSE for sine.  The threshold
-    must lie in (0, 1) for either task, as in TrainConfig."""
+    must lie in (0, 1) for either task, as in TrainConfig.  The split is
+    checked as in `train`, against the checkpoint's vocabulary digest."""
     _check_threshold(threshold)
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
     hp = ckpt.hyperparameters
     emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
-    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"))
+    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"),
+                         ckpt.vocab_digest)
     if table.shape[1] != hp["d_in"]:
         raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the "
                               f"{table.shape[1]}-wide input table")
-    if ckpt.task == "classify" and ckpt.vocab_digest not in (None, data.vocab_digest):
-        log.warning(
-            "vocabulary digest mismatch: checkpoint %s..., data %s...",
-            str(ckpt.vocab_digest)[:12], str(data.vocab_digest)[:12],
-        )
 
     # finite parameters can still overflow the forward pass (weights of
     # 1e308 give inf and inf - inf); the logits are checked instead

@@ -1,0 +1,154 @@
+"""The output-identity matrix: one fixed list of command-line runs on a tiny
+generated corpus, each output reduced to its SHA-256 digest.
+
+    python tests/identity_matrix.py TREE_A TREE_B
+
+generates the corpus once, runs the list against each tree's `src`, each
+tree in one fresh process, prints the outputs whose digests differ and exits
+1 if any do (0 if none).  Each tree's digests are written to
+`digests-a.json` and `digests-b.json` in the working directory.
+
+The list: `preprocess`; `train` of the LSTM and the QLSTM on classify (with
+`--eval-data`) and on sine, with `--curves` and `--metrics`; a QLSTM sine
+run with `--no-sigma-hidden`; `eval` (with `--metrics`) and `census` of
+each checkpoint; `gradcheck --trials 3`.  Every file a run writes and every
+run's stdout is an output.  In a metrics file `wall_time_seconds` is masked,
+since it is the one value that differs from run to run.
+
+`test_identity_matrix.py` runs the list twice against this tree and requires
+equal digests.  It pins no digest: OpenBLAS picks its kernels by CPU, so
+another host may give other bits.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CORPUS = {"seed": 5, "train_per_class": 8, "other_per_class": 4}
+EPOCHS = "2"
+CHECKPOINTS = {
+    "lstm-classify": ("lstm", "classify", []),
+    "lstm-sine": ("lstm", "sine", []),
+    "qlstm-classify": ("qlstm", "classify", []),
+    "qlstm-sine": ("qlstm", "sine", []),
+    "qlstm-sine-raw-hidden": ("qlstm", "sine", ["--no-sigma-hidden"]),
+}
+
+
+def make_corpus(out_dir: Path) -> Path:
+    """The tiny generated corpus that the list runs on."""
+    sys.path.insert(0, str(HERE))
+    from conftest import generate_corpus
+
+    return generate_corpus(out_dir, **CORPUS)
+
+
+def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(name, argv, files written) of each run, in order; the files are
+    relative to the working directory."""
+    out = [("preprocess", ["preprocess", "--data-dir", str(corpus), "--max-len", "6",
+                           "--max-vocab", "30", "--out", "enc"],
+            [f"enc/{split}.json" for split in ("train", "validation", "test", "vocab")])]
+    for name, (model, task, flags) in CHECKPOINTS.items():
+        if task == "classify":
+            inputs = ["--data", "enc/train.json", "--eval-data", "enc/validation.json",
+                      "--vocab", "enc/vocab.json", "--d-basic", "2"]
+        else:
+            inputs = ["--n-points", "12", "--window", "3"]
+        files = [f"{name}.json", f"{name}-curves.json", f"{name}-metrics.json"]
+        out.append((f"train {name}", ["train", "--model", model, "--task", task, *inputs,
+                                      "--epochs", EPOCHS, "--hidden", "2", *flags,
+                                      "--out", files[0], "--curves", files[1],
+                                      "--metrics", files[2]], files))
+    for name, (_, task, _) in CHECKPOINTS.items():
+        data = ["--data", "enc/test.json"] if task == "classify" else []
+        out.append((f"eval {name}", ["eval", "--ckpt", f"{name}.json", *data,
+                                     "--metrics", f"{name}-eval-metrics.json"],
+                    [f"{name}-eval-metrics.json"]))
+        out.append((f"census {name}", ["census", "--ckpt", f"{name}.json"], []))
+    out.append(("gradcheck", ["gradcheck", "--trials", "3"], []))
+    return out
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_matrix(corpus: Path) -> dict[str, str]:
+    """Run the list in the working directory with the `qvuln` on sys.path;
+    returns the digest of each output, keyed `<file>` or `<run>: stdout`."""
+    from qvuln.cli import main
+
+    digests = {}
+    for name, argv, files in runs(corpus):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        digests[f"{name}: stdout"] = _digest(stdout.getvalue().encode())
+        for path in files:
+            data = Path(path).read_bytes()
+            if path.endswith("metrics.json"):
+                data = re.sub(rb'"wall_time_seconds": [^,\n}]+', b'"wall_time_seconds": null',
+                              data)
+            digests[path] = _digest(data)
+    return digests
+
+
+def tree_digests(tree: Path, corpus: Path) -> dict[str, str]:
+    """The matrix's digests for `tree/src`, run in one fresh process."""
+    src = (tree / "src").resolve()
+    with tempfile.TemporaryDirectory() as work:
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        warnings = [f"-W{option}" for option in sys.warnoptions]
+        subprocess.run([sys.executable, *warnings, __file__, "--run", str(corpus.resolve())],
+                       cwd=work, env=env, check=True)
+        return json.loads((Path(work) / "digests.json").read_text())
+
+
+def _run_here(corpus: str) -> None:
+    """The child process: the list in the working directory, its digests
+    written to `digests.json` there."""
+    import qvuln
+
+    src = Path(os.environ["PYTHONPATH"]).resolve()
+    if src not in Path(qvuln.__file__).resolve().parents:
+        raise SystemExit(f"qvuln imported from {qvuln.__file__}, not from {src}")
+    _write(Path("digests.json"), run_matrix(Path(corpus)))
+
+
+def _write(path: Path, digests: dict[str, str]) -> None:
+    path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+
+
+def compare(tree_a: Path, tree_b: Path) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = make_corpus(Path(tmp) / "csv")
+        a = tree_digests(tree_a, corpus)
+        b = tree_digests(tree_b, corpus)
+    _write(Path("digests-a.json"), a)
+    _write(Path("digests-b.json"), b)
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run"] and len(sys.argv) == 3:
+        _run_here(sys.argv[2])
+    elif len(sys.argv) == 3:
+        sys.exit(compare(Path(sys.argv[1]), Path(sys.argv[2])))
+    else:
+        sys.exit(f"usage: python {sys.argv[0]} TREE_A TREE_B")

@@ -460,6 +460,36 @@ class TestExitCodes:
             assert err.count("\n") == 1, err
             assert not (tmp_path / "ckpt.json").exists()
 
+    def test_eval_of_a_split_of_another_vocabulary_exits_two(
+        self, tiny_corpus_dir, tmp_path, capsys
+    ):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for enc_dir, max_vocab in ((a, "30"), (b, "40")):
+            assert main([
+                "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                "--max-vocab", max_vocab, "--out", str(enc_dir),
+            ]) == 0
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([
+            "train", "--model", "lstm", "--task", "classify", "--data", str(a / "train.json"),
+            "--vocab", str(a / "vocab.json"), "--epochs", "1", "--hidden", "2",
+            "--d-basic", "2", "--out", str(ckpt_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(b / "test.json"),
+                     "--metrics", str(tmp_path / "metrics.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vocabulary digest mismatch") and err.count("\n") == 1, err
+        assert not (tmp_path / "metrics.json").exists()
+
+        # the recorded digest is checkpoint input: a number is a schema error
+        doc = json.loads(ckpt_path.read_text())
+        doc["vocab_digest"] = 5
+        ckpt_path.write_text(json.dumps(doc))
+        assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(a / "test.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vocab_digest" in err and err.count("\n") == 1, err
+
     def test_v1_split_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
         enc_dir = tmp_path / "encoded"
         assert main([

@@ -179,7 +179,7 @@ class TestEmbed:
         sequences = np.array(sequences, dtype=np.int64)
         data = ClassifyDataset(sequences=sequences, labels=np.zeros(len(sequences), dtype=np.int64),
                                max_len=sequences.shape[1], vocab_digest="")
-        return _check_split("classify", data, matrix.rows, data.max_len)[data.sequences]
+        return _check_split("classify", data, matrix.rows, data.max_len, None)[data.sequences]
 
     def test_all_padding_rows_zero(self):
         out = self.embed([[0] * 5], self.matrix())

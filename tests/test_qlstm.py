@@ -267,6 +267,35 @@ class TestCostModel:
         assert calls["gradients"] == 5 * steps - 1
         assert calls["forward"] + per_grad.count * calls["gradients"] == counter.count
 
+    def test_saturated_gate_keeps_the_count(self):
+        # vqc2 reads out at least 59, so i = sigmoid(>= 59) is exactly 1.0 and
+        # the input gate's upstream dc * g * i * (1 - i) is zero at every step:
+        # the blocks differentiated depend on the step's place, not the data
+        batch, steps, d_x = 3, 4, 2
+        rng = np.random.default_rng(67)
+        params = init_qlstm_params(d_x, rng)
+        params.vqc2.out_shift[...] = 60.0
+        xs = rng.uniform(-1, 1, size=(batch, steps, d_x))
+        upstream = rng.uniform(-1, 1, size=batch)
+
+        counter = EvalCounter()
+        _, caches = qlstm_forward(params, xs, counter)
+        assert all(np.all(step.i == 1.0) for step in caches.steps)
+        grads, dx = qlstm_backward(params, caches, upstream, counter)
+        assert counter.count == batch * (6 * steps + 65 * (5 * steps - 1))
+        for name, arr in grads.vqc2.tree().items():
+            assert np.all(arr == 0), name
+
+        summed = zeros_like(params)
+        for b in range(batch):
+            _, sample_caches = qlstm_forward(params, xs[b])
+            sample_grads, sample_dx = qlstm_backward(params, sample_caches, upstream[b])
+            np.testing.assert_allclose(dx[b], sample_dx, rtol=0, atol=1e-13)
+            for total, part in zip(summed.tree().values(), sample_grads.tree().values()):
+                total += part
+        for name, arr in grads.tree().items():
+            np.testing.assert_allclose(arr, summed.tree()[name], rtol=0, atol=1e-13, err_msg=name)
+
     def test_cache_free_forward_counts_six_per_step_and_sample(self):
         rng = np.random.default_rng(66)
         params = init_qlstm_params(3, rng)

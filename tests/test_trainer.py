@@ -3,7 +3,6 @@ persistence."""
 from __future__ import annotations
 
 import json
-import logging
 import math
 
 import numpy as np
@@ -486,12 +485,14 @@ class TestEvaluate:
         with pytest.raises(DataError, match="max_len"):
             evaluate(ckpt, bad)
 
-    def test_digest_mismatch_warns(self, caplog):
+    def test_digest_mismatch_is_data_error(self):
         ckpt, data = self.perfect_checkpoint()
         data.vocab_digest = "0" * 64
-        with caplog.at_level(logging.WARNING):
+        with pytest.raises(DataError, match="vocabulary digest mismatch"):
             evaluate(ckpt, data)
-        assert any("digest" in record.message for record in caplog.records)
+        # a checkpoint that records no vocabulary is not checked
+        ckpt.vocab_digest = None
+        assert evaluate(ckpt, data).accuracy == 1.0
 
     def test_out_of_vocabulary_index_rejected(self):
         ckpt, data = self.perfect_checkpoint()
