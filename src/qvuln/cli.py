@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    SPLITS, Vocabulary, balance, build_vocab, encode_and_pad, load_dataset, tokenize,
+    SPLITS, Vocabulary, balance, build_vocab, load_dataset, tokenize,
 )
 from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
@@ -62,9 +62,16 @@ def load_vocab_file(path: str | Path) -> Vocabulary:
 def encode_corpus(
     token_lists: list[list[str]], labels: list[int], vocab: Vocabulary, max_len: int
 ) -> ClassifyDataset:
+    """Each function's last max_len token indices (unknown -> 1) at the
+    head of its int64 row, padded with 0."""
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
+    # np.zeros, not np.full(PAD_INDEX): the padding index is 0, and the
+    # benchmark's in-process training read 4-6% slower after np.full
     sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
-    for k, tokens in enumerate(token_lists):
-        sequences[k] = encode_and_pad(tokens, vocab, max_len)
+    for row, tokens in zip(sequences, token_lists):
+        ids = [vocab.index_of(t) for t in tokens[-max_len:]]
+        row[:len(ids)] = ids
     return ClassifyDataset(
         sequences=sequences, labels=np.array(labels, dtype=np.int64), max_len=max_len,
         vocab_digest=vocab.digest(),
@@ -238,7 +245,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         d_basic=args.d_basic,
         sigma_hidden=args.sigma_hidden,
     )
-    check_output_paths(args.out, args.metrics, args.curves)
+    check_output_paths(
+        [args.out, args.metrics, args.curves],
+        [args.data, args.eval_data, args.vocab, *(args.vectors or [])],
+    )
     if args.task == "classify":
         if args.data is None or args.vocab is None:
             print("error: --task classify requires --data and --vocab", file=sys.stderr)
@@ -280,7 +290,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    check_output_paths(args.metrics)
+    check_output_paths([args.metrics], [args.ckpt, args.data])
     ckpt = load_checkpoint(args.ckpt)
     if ckpt.task == "classify":
         if args.data is None:
@@ -293,7 +303,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             return 1
         hp = ckpt.hyperparameters
         try:
-            data = sine_task(_recorded_size(hp, "n_points", 100), _recorded_size(hp, "window", 4))
+            data = sine_task(_recorded_size(hp, "n_points"), _recorded_size(hp, "window"))
         except DataError as exc:
             raise CheckpointError(f"checkpoint task sizes: {exc}") from None
     report = evaluate(ckpt, data, args.threshold)
@@ -313,7 +323,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sine_demo(args: argparse.Namespace) -> int:
     config = TrainConfig(model=args.model, task="sine", epochs=args.epochs, seed=args.seed)
-    check_output_paths(args.curves)
+    check_output_paths([args.curves])
     train(config, sine_task(), curves_path=args.curves)
     blocks = load_curves(args.curves)
     for epoch in sorted(blocks):

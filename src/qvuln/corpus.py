@@ -1,12 +1,14 @@
 """Labeled code corpora: CSV loading, class balancing, code-aware
-tokenization, vocabulary construction, and fixed-length integer encoding.
+tokenization and vocabulary construction.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -165,23 +167,6 @@ def build_vocab(token_lists: list[list[str]], max_vocab: int) -> Vocabulary:
     (first occurrence breaks ties) and keep the top max_vocab."""
     if max_vocab < 1:
         raise DataError(f"max_vocab must be >= 1, got {max_vocab}")
-    counts: dict[str, int] = {}
-    first_seen: dict[str, int] = {}
-    for tokens in token_lists:
-        for token in tokens:
-            if token not in counts:
-                first_seen[token] = len(first_seen)
-                counts[token] = 0
-            counts[token] += 1
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
-    return Vocabulary(tokens=ranked[:max_vocab])
-
-
-def encode_and_pad(tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
-    """Map tokens to int64 indices (unknown -> 1), keep the last max_len on
-    overflow, pad the tail with 0 otherwise."""
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.index_of(t) for t in tokens[-max_len:]]
-    ids.extend([PAD_INDEX] * (max_len - len(ids)))
-    return np.asarray(ids, dtype=np.int64)
+    # most_common orders equal counts by first occurrence
+    counts = Counter(chain.from_iterable(token_lists))
+    return Vocabulary(tokens=[token for token, _ in counts.most_common(max_vocab)])

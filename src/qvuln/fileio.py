@@ -10,7 +10,7 @@ import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -112,14 +112,21 @@ def decode_array(entry, dtype: str, what: str, error=DataError) -> np.ndarray:
         raise error(f"{what}: {exc}") from None
 
 
-def check_output_paths(*paths: str | Path | None) -> None:
-    """Raise DataError unless every given path names a file that can be
-    written: its directory exists and it is not itself a directory.  None
-    stands for an output that is not asked for.  Commands check their
-    outputs before any work, so a bad path fails at once, not after a
-    training run."""
-    for path in (Path(p) for p in paths if p is not None):
+def check_output_paths(
+    outputs: Iterable[str | Path | None], inputs: Iterable[str | Path | None] = ()
+) -> None:
+    """Raise DataError unless every output path names a file that can be
+    written: its directory exists, it is not itself a directory, and it is
+    not the same file as an input or another output.  None stands for a
+    file that is not asked for.  Commands check their outputs before any
+    work, so a bad path fails at once, not after a training run."""
+    seen = {Path(p).resolve(): f"input {p}" for p in inputs if p is not None}
+    for path in (Path(p) for p in outputs if p is not None):
         if path.is_dir():
             raise DataError(f"output path is a directory: {path}")
         if not path.parent.is_dir():
             raise DataError(f"output directory does not exist: {path.parent}")
+        resolved = path.resolve()
+        if resolved in seen:
+            raise DataError(f"output {path} is the same file as {seen[resolved]}")
+        seen[resolved] = f"output {path}"

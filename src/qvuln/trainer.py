@@ -325,11 +325,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     )
 
 
-def _recorded_size(hp: dict, key: str, default: int | None = None) -> int:
-    """The positive integer `hp[key]`; an absent key gives `default` when
-    one is set."""
-    if key not in hp and default is not None:
-        return default
+def _recorded_size(hp: dict, key: str) -> int:
+    """The positive integer `hp[key]`; an absent key is an error."""
     value = hp.get(key)
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise CheckpointError(

@@ -145,6 +145,12 @@ options:
 """
 
 
+SINE_TRAIN = [
+    "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
+    "--n-points", "8", "--window", "2", "--hidden", "2",
+]
+
+
 @pytest.fixture(autouse=True)
 def fixed_terminal(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
@@ -368,12 +374,20 @@ class TestExitCodes:
                 assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
                 err = capsys.readouterr().err
                 assert key in err and err.count("\n") == 1, err
-        # absent sizes fall back to the sine task's defaults (100 points, window 4)
-        hp = {k: v for k, v in good["hyperparameters"].items() if k not in ("n_points", "window")}
-        ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
-        capsys.readouterr()
-        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
-        assert capsys.readouterr().out.startswith("mse=")
+
+    def test_sine_eval_without_task_sizes_is_checkpoint_error(self, tmp_path, capsys):
+        # train always records both sizes; a default would evaluate on
+        # another task than the one trained
+        ckpt_path = self._sine_checkpoint(tmp_path)
+        good = json.loads(ckpt_path.read_text())
+        for key in ("n_points", "window"):
+            hp = {k: v for k, v in good["hyperparameters"].items() if k != key}
+            ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", str(ckpt_path)]) == 2, key
+            captured = capsys.readouterr()
+            assert captured.out == "", key
+            assert repr(key) in captured.err and captured.err.count("\n") == 1, captured.err
 
     def test_negative_max_len_is_data_error(self, monkeypatch, tiny_corpus_dir, tmp_path, capsys):
         enc_dir = tmp_path / "encoded"
@@ -675,6 +689,55 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and reason in err and err.count("\n") == 1, err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt.json"]
+
+    def _refuses_same_file(self, argv: list[str], kept: list, capsys) -> None:
+        """`argv` exits 2 with one error line and leaves the `kept` files as they were."""
+        before = [path.read_bytes() for path in kept]
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err
+        assert err.startswith("error: ") and "same file" in err and err.count("\n") == 1, err
+        assert [path.read_bytes() for path in kept] == before
+
+    def _sine_checkpoint(self, tmp_path):
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([*SINE_TRAIN, "--out", str(ckpt_path)]) == 0
+        return ckpt_path
+
+    def test_train_out_and_metrics_of_one_file_is_data_error(self, tmp_path, capsys):
+        ckpt_path = self._sine_checkpoint(tmp_path)
+        argv = [*SINE_TRAIN, "--out", str(ckpt_path), "--metrics", str(ckpt_path)]
+        self._refuses_same_file(argv, [ckpt_path], capsys)
+
+    def test_train_curves_and_out_of_one_file_is_data_error(self, tmp_path, capsys):
+        ckpt_path = self._sine_checkpoint(tmp_path)
+        (tmp_path / "sub").mkdir()
+        alias = tmp_path / "sub" / ".." / "ckpt.json"
+        argv = [*SINE_TRAIN, "--curves", str(ckpt_path), "--out", str(alias)]
+        self._refuses_same_file(argv, [ckpt_path], capsys)
+
+    def test_eval_metrics_over_its_checkpoint_is_data_error(self, tmp_path, capsys):
+        ckpt_path = self._sine_checkpoint(tmp_path)
+        argv = ["eval", "--ckpt", str(ckpt_path), "--metrics", str(ckpt_path)]
+        self._refuses_same_file(argv, [ckpt_path], capsys)
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
+
+    def test_train_out_over_its_training_split_is_data_error(
+        self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", "enc",
+        ]) == 0
+        argv = [
+            "train", "--model", "lstm", "--task", "classify", "--epochs", "1",
+            "--data", "enc/train.json", "--vocab", "enc/vocab.json", "--hidden", "2",
+            "--d-basic", "2", "--out", str(tmp_path / "enc" / "train.json"),
+        ]
+        self._refuses_same_file(argv, sorted((tmp_path / "enc").iterdir()), capsys)
 
     def test_preprocess_out_existing_file_is_data_error(
         self, monkeypatch, tiny_corpus_dir, tmp_path, capsys

@@ -7,6 +7,7 @@ import string
 import numpy as np
 import pytest
 
+from qvuln.cli import encode_corpus
 from qvuln.corpus import (
     OOV_INDEX,
     PAD_INDEX,
@@ -15,7 +16,6 @@ from qvuln.corpus import (
     Vocabulary,
     balance,
     build_vocab,
-    encode_and_pad,
     load_dataset,
     normalize_code,
     tokenize,
@@ -224,6 +224,23 @@ class TestBuildVocab:
         assert len(vocab.tokens) == 3
         assert vocab.n_rows == 5
 
+    def test_ranking_is_count_then_first_occurrence(self):
+        # a six-token alphabet makes ties common, and the cut often falls
+        # inside one
+        rng = np.random.default_rng(5)
+        cuts_inside_a_tie = 0
+        for _ in range(300):
+            token_lists = [[f"t{k}" for k in rng.integers(0, 6, size=rng.integers(0, 7))]
+                           for _ in range(rng.integers(1, 6))]
+            flat = [token for tokens in token_lists for token in tokens]
+            expected = sorted(set(flat), key=lambda t: (-flat.count(t), flat.index(t)))
+            max_vocab = int(rng.integers(1, len(expected) + 2))
+            assert build_vocab(token_lists, max_vocab).tokens == expected[:max_vocab]
+            if 0 < max_vocab < len(expected):
+                last_kept, first_cut = expected[max_vocab - 1], expected[max_vocab]
+                cuts_inside_a_tie += flat.count(last_kept) == flat.count(first_cut)
+        assert cuts_inside_a_tie >= 50
+
     def test_index_of_follows_token_order(self):
         vocab = build_vocab(self.corpus("a b c"), max_vocab=100)
         assert [vocab.index_of(token) for token in vocab.tokens] == list(range(2, vocab.n_rows))
@@ -253,29 +270,44 @@ class TestVocabularySerialization:
 
 
 class TestEncodeAndPad:
+    """Encoding and padding, as `cli.encode_corpus` writes each row."""
+
+    def encode(self, tokens: list[str], vocab: Vocabulary, max_len: int) -> np.ndarray:
+        return encode_corpus([tokens], [0], vocab, max_len).sequences[0]
+
     def test_pad_to_length(self):
         vocab = Vocabulary(tokens=["if", "(", "x"])
-        enc = encode_and_pad(["if", "(", "x"], vocab, max_len=5)
+        enc = self.encode(["if", "(", "x"], vocab, max_len=5)
         assert enc.tolist() == [2, 3, 4, PAD_INDEX, PAD_INDEX]
 
     def test_truncation_keeps_tail(self):
         vocab = Vocabulary(tokens=[str(k) for k in range(7)])
-        enc = encode_and_pad([str(k) for k in range(7)], vocab, max_len=4)
+        enc = self.encode([str(k) for k in range(7)], vocab, max_len=4)
         assert enc.tolist() == [vocab.index_of(str(k)) for k in (3, 4, 5, 6)]
         assert PAD_INDEX not in enc.tolist()
 
     def test_oov_maps_to_one(self):
         vocab = Vocabulary(tokens=["if"])
-        enc = encode_and_pad(["if", "mystery"], vocab, max_len=3)
+        enc = self.encode(["if", "mystery"], vocab, max_len=3)
         assert enc.tolist() == [2, OOV_INDEX, PAD_INDEX]
 
     def test_empty_tokens(self):
-        enc = encode_and_pad([], Vocabulary(tokens=["a"]), max_len=3)
+        enc = self.encode([], Vocabulary(tokens=["a"]), max_len=3)
         assert enc.tolist() == [PAD_INDEX] * 3
 
     def test_index_dtype_integral(self):
-        enc = encode_and_pad(["a"], Vocabulary(tokens=["a"]), max_len=2)
-        assert enc.dtype == np.int64
+        data = encode_corpus([["a"]], [0], Vocabulary(tokens=["a"]), max_len=2)
+        assert data.sequences.dtype == np.int64
+
+    def test_rows_of_one_split_are_encoded_apart(self):
+        vocab = Vocabulary(tokens=["a", "b", "c"])
+        data = encode_corpus([["a", "b", "c"], [], ["c"]], [1, 0, 1], vocab, max_len=2)
+        assert data.sequences.tolist() == [[3, 4], [PAD_INDEX] * 2, [4, PAD_INDEX]]
+        assert data.labels.tolist() == [1, 0, 1]
+
+    def test_max_len_below_one_is_data_error(self):
+        with pytest.raises(DataError, match="max_len must be >= 1, got 0"):
+            encode_corpus([["a"]], [0], Vocabulary(tokens=["a"]), max_len=0)
 
 
 def test_full_preprocess_reproducible(tmp_path):
@@ -291,8 +323,8 @@ def test_full_preprocess_reproducible(tmp_path):
         corpus = balance(load_dataset(path, "train"), seed=9)
         tokens = [tokenize(code) for code, _ in corpus.samples]
         vocab = build_vocab(tokens, max_vocab=50)
-        encoded = [encode_and_pad(t, vocab, max_len=8) for t in tokens]
-        return vocab.digest(), np.stack(encoded)
+        labels = [y for _, y in corpus.samples]
+        return vocab.digest(), encode_corpus(tokens, labels, vocab, max_len=8).sequences
 
     digest_a, enc_a = run()
     digest_b, enc_b = run()
