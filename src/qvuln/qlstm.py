@@ -20,11 +20,16 @@ emits the circuit value directly.
 
 Every function takes an optional leading batch axis: a sequence is (T, d_x)
 for one sample or (B, T, d_x) for B samples.  Each block then makes one
-`vqc_forward` call per time step, and one `vqc_gradients` call per time
-step in the backward pass, for the whole batch, except where the
-sequence's structure makes a block's gradient zero (`_qlstm_step_back`).
-So B samples over T steps cost B * (6T + 65 (5T - 1)) evaluations, whatever
-the data.
+`vqc_forward` call per time step for the whole batch.  One rule,
+`_differentiated`, names the blocks whose gradient a step needs, by the
+step's place alone: the sequence's structure makes the others' gradient
+zero.  A forward that keeps its caches forms those blocks' 65 gradient
+rows per sample in their `vqc_forward` calls and counts them there; the
+backward makes one `vqc_gradients` call per such block and step, which
+only contracts the rows and counts nothing.  So B samples over T steps
+cost B * (6T + 65 (5T - 1)) evaluations, whatever the data, all counted
+by the forward.  A cache-free forward forms the readouts only, 6T per
+sample, with the same bits.
 """
 from __future__ import annotations
 
@@ -37,7 +42,9 @@ from .neural import (
     CellCache, CellState, ParamTree, SequenceCaches, backprop_sequence, cell_backward,
     cell_input, run_sequence, sigmoid,
 )
-from .vqc import EvalCounter, VqcParams, init_vqc_params, vqc_forward, vqc_gradients
+from .vqc import (
+    EvalCounter, GradientRows, VqcParams, init_vqc_params, vqc_forward, vqc_gradients,
+)
 
 HIDDEN = 4
 
@@ -88,10 +95,21 @@ def initial_state() -> CellState:
     return CellState(h=np.full(HIDDEN, 0.5), c=np.zeros(HIDDEN), y=np.zeros(HIDDEN))
 
 
+def _differentiated(first: bool, last: bool) -> tuple[str, ...]:
+    """The blocks whose gradient a step's backward needs, by the step's
+    place alone: vqc6 at the last step (only the head reads y), vqc5 before
+    it, vqc2-4 always, and vqc1 but at the first step, where c_prev = 0
+    makes the forget gate's gradient exactly zero.  The forward forms the
+    shift rows of these blocks, and the backward contracts them."""
+    return (("vqc6",) if last else ("vqc5",)) + (() if first else ("vqc1",)) + (
+        "vqc2", "vqc3", "vqc4")
+
+
 @dataclass
 class QlstmStepCache(CellCache):
     r: np.ndarray  # o * tanh(c), the input to vqc5/vqc6
     h: np.ndarray
+    rows: dict[str, GradientRows]  # the `_differentiated` blocks' shift rows
 
 
 def qlstm_cell_step(
@@ -99,22 +117,37 @@ def qlstm_cell_step(
     x_t: np.ndarray,
     prev: CellState,
     counter: EvalCounter | None = None,
+    first: bool | None = None,
+    last: bool | None = None,
 ) -> tuple[CellState, QlstmStepCache]:
-    """One recurrence step; exactly six circuit evaluations per sample.
-    x_t is (d_x,) or (B, d_x); the arrays of prev broadcast against it."""
+    """One recurrence step; six circuit readouts per sample.  x_t is (d_x,)
+    or (B, d_x); the arrays of prev broadcast against it.  Given its place
+    in the sequence, as a caching `run_sequence` gives it, the step also
+    forms the gradient rows of each `_differentiated` block in that block's
+    `vqc_forward` call; without it the cache holds no rows."""
+    with_rows = () if first is None else _differentiated(first, last)
+    rows = {}
+
+    def block(name: str, inputs: np.ndarray) -> np.ndarray:
+        if name not in with_rows:
+            return vqc_forward(getattr(params, name), inputs, counter)
+        out, rows[name] = vqc_forward(getattr(params, name), inputs, counter, keep_rows=True)
+        return out
+
     v = cell_input(x_t, prev.h, params.d_x)
-    f = sigmoid(vqc_forward(params.vqc1, v, counter))
-    i = sigmoid(vqc_forward(params.vqc2, v, counter))
-    g = np.tanh(vqc_forward(params.vqc3, v, counter))
+    f = sigmoid(block("vqc1", v))
+    i = sigmoid(block("vqc2", v))
+    g = np.tanh(block("vqc3", v))
     c = f * prev.c + i * g
-    o = sigmoid(vqc_forward(params.vqc4, v, counter))
+    o = sigmoid(block("vqc4", v))
     tanh_c = np.tanh(c)
     r = o * tanh_c
-    h_raw = vqc_forward(params.vqc5, r, counter)
+    h_raw = block("vqc5", r)
     h = sigmoid(h_raw) if params.sigma_hidden else h_raw
-    y = vqc_forward(params.vqc6, r, counter)
+    y = block("vqc6", r)
     state = CellState(h=h, c=c, y=y)
-    cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h)
+    cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h,
+                           rows=rows)
     return state, cache
 
 
@@ -126,37 +159,35 @@ def qlstm_forward(params: QlstmParams, sequence, counter: EvalCounter | None = N
                         initial_state(), keep_caches)
 
 
-def _vqc_grad_into(acc: VqcParams, params: VqcParams, x: np.ndarray, upstream: np.ndarray,
-                   counter: EvalCounter | None) -> np.ndarray:
-    """Add one circuit's parameter gradients to `acc`; returns dL/dx."""
-    g, dx = vqc_gradients(params, x, upstream, counter)
-    for total, part in zip(acc.tree().values(), g.tree().values(), strict=True):
-        total += part
-    return dx
-
-
 def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache, d_out, dc,
-                     first, last, counter: EvalCounter | None) -> tuple[np.ndarray, np.ndarray]:
-    """One step of `qlstm_backward`: parameter-shift circuit gradients
-    chained through the gate algebra.  The step's place alone decides the
-    blocks: vqc6 at the last step (only the head reads y), vqc5 before it,
-    vqc2-4 always, and vqc1 but at the first step, where c_prev = 0 makes
-    the forget gate's gradient exactly zero."""
-    if last:
-        dr = _vqc_grad_into(grads.vqc6, params.vqc6, s.r, d_out, counter)
+                     first, last) -> tuple[np.ndarray, np.ndarray]:
+    """One step of `qlstm_backward`: the circuit gradients of the
+    `_differentiated` blocks, contracted from the rows their forward formed,
+    chained through the gate algebra."""
+    blocks = _differentiated(first, last)
+
+    def grad(name: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        """Add one block's parameter gradients to `grads`; returns dL/dx."""
+        g, dx = vqc_gradients(getattr(params, name), x, upstream, rows=s.rows[name])
+        acc = getattr(grads, name)
+        for total, part in zip(acc.tree().values(), g.tree().values(), strict=True):
+            total += part
+        return dx
+
+    if "vqc6" in blocks:
+        dr = grad("vqc6", s.r, d_out)
     else:
-        dh_raw = d_out * s.h * (1.0 - s.h) if params.sigma_hidden else d_out
-        dr = _vqc_grad_into(grads.vqc5, params.vqc5, s.r, dh_raw, counter)
+        dr = grad("vqc5", s.r, d_out * s.h * (1.0 - s.h) if params.sigma_hidden else d_out)
     pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dr, dc)
-    gates = ((grads.vqc1, params.vqc1, pre_f), (grads.vqc2, params.vqc2, pre_i),
-             (grads.vqc3, params.vqc3, pre_g), (grads.vqc4, params.vqc4, pre_o))
-    dvs = [_vqc_grad_into(acc, block, s.v, pre, counter)
-           for acc, block, pre in (gates[1:] if first else gates)]
+    dvs = [grad(name, s.v, pre) for name, pre in
+           (("vqc1", pre_f), ("vqc2", pre_i), ("vqc3", pre_g), ("vqc4", pre_o)) if name in blocks]
     return sum(dvs[1:], start=dvs[0]), dc
 
 
 def qlstm_backward(params: QlstmParams, caches: SequenceCaches, upstream: float | np.ndarray,
                    counter: EvalCounter | None = None) -> tuple[QlstmParams, np.ndarray]:
-    """`neural.backprop_sequence` of the quantum cell."""
-    return backprop_sequence(partial(_qlstm_step_back, counter=counter), params, caches,
-                             upstream, params.d_x)
+    """`neural.backprop_sequence` of the quantum cell.  It makes no circuit
+    evaluation: the forward formed and counted every row it contracts, so
+    `counter`, which callers pass for the forward and backward alike, is
+    left as it is."""
+    return backprop_sequence(_qlstm_step_back, params, caches, upstream, params.d_x)

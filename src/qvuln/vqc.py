@@ -16,16 +16,29 @@ angles.  Each is the CNOT ring, a fixed permutation of the 16 basis
 states that `qsim` finds once and that applies as a row gather, followed
 by the Kronecker product of four 2x2 RZ.RY.RZ rotations, which `qsim`
 builds on the two 1-qubit basis states for the angles and for every
-parameter shift in one batch.  A small cache
-keyed on the angle values keeps the layer matrices between calls.  Each
-circuit evaluation is then a product state times a matrix, and a whole
-batch is one matrix product.  A gradient call encodes each qubit once: its
-four variants with RY or RZ shifted by +-pi/2 follow from that state in
-closed form, and its 17 encoding-shifted states gather from these five.
+parameter shift in one batch.  A small cache keyed on the angle values
+keeps the layer matrices between calls.  Each circuit evaluation is then a
+product state times a matrix, and a whole batch is one matrix product.
+
+A gradient needs 65 rows per sample: the unshifted circuit and, for each
+of the 8 encoding slots and 24 variational angles, the circuit with it
+shifted by +-pi/2.  Each qubit is encoded once; its two RY-shifted
+variants follow in closed form and gather into 8 product states, an RZ
+shift is a phase per basis state that the cached layer matrices fold in,
+and the unshifted state times the 56 shifted layer matrices is one
+product.  A training forward forms the rows in its `vqc_forward` call
+(keep_rows=True), reads its readout from the unshifted row and keeps the
+shift differences as `GradientRows`, which the backward's `vqc_gradients`
+only contracts; called without them, `vqc_gradients` forms its own.  An
+evaluation forms the unshifted row only, through the same helpers
+(`_encode`, `_readout`), so its readout has the same bits.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
-side.  Each computed expectation row counts as one circuit evaluation.
+side.  Each expectation row counts as one circuit evaluation where it is
+formed: 1 per sample for a readout, 1 + 65 for a readout that forms its
+gradient rows, 65 for a gradient that forms its own, none for a
+contraction.
 """
 from __future__ import annotations
 
@@ -41,6 +54,9 @@ N_QUBITS = 4
 N_LAYERS = 2
 DIM = 1 << N_QUBITS
 SHIFT = np.pi / 2.0
+# a gradient's rows per sample: the unshifted circuit, then each of the 8
+# encoding slots and 24 variational angles shifted by +SHIFT and -SHIFT
+_GRADIENT_ROWS = 1 + 2 * (2 * N_QUBITS + N_LAYERS * N_QUBITS * 3)
 
 # Z_SIGNS[b, q] = +1 if bit q of basis index b is 0 else -1
 _BASIS = np.arange(DIM)
@@ -48,21 +64,22 @@ Z_SIGNS = 1.0 - 2.0 * ((_BASIS[:, None] >> np.arange(N_QUBITS)[None, :]) & 1)
 # the float view of 16 complex amplitudes holds (re, im) of each in turn
 _PART_SIGNS = np.repeat(Z_SIGNS, 2, axis=0)  # (32, 4)
 
-# A gradient call's 17 encoding rows (unshifted, then slot k = RY of qubit
-# k and slot 4 + k = RZ of qubit k, each shifted by +SHIFT then -SHIFT) hold
-# every qubit at one of five angle variants: 0 unshifted, 1 and 2 RY
-# +-SHIFT, 3 and 4 RZ +-SHIFT.  _ENC_VARIANTS[qubit, row] names the variant;
-# _ENC_INDEX is the same gather as flat (variant, qubit) indices, with which
-# np.take gives each qubit contiguous rows.
+# The 8 RY-shifted encoding rows (slot k = RY of qubit k, shifted by +SHIFT
+# then -SHIFT) hold every qubit at one of three angle variants: 0
+# unshifted, 1 and 2 RY +-SHIFT.  _RY_VARIANTS[qubit, row] names the
+# variant; _RY_INDEX is the same gather as flat (variant, qubit) indices,
+# with which np.take gives each qubit contiguous rows.
 _QUBITS = np.arange(N_QUBITS)
-_ENC_VARIANTS = np.zeros((N_QUBITS, 1 + 4 * N_QUBITS), dtype=np.intp)
-_ENC_VARIANTS[_QUBITS, 1 + 2 * _QUBITS] = 1
-_ENC_VARIANTS[_QUBITS, 2 + 2 * _QUBITS] = 2
-_ENC_VARIANTS[_QUBITS, 1 + 2 * (N_QUBITS + _QUBITS)] = 3
-_ENC_VARIANTS[_QUBITS, 2 + 2 * (N_QUBITS + _QUBITS)] = 4
-_ENC_INDEX = N_QUBITS * _ENC_VARIANTS + _QUBITS[:, None]
-# RZ(z +- SHIFT) scales the two amplitudes by e^{-+i pi/4} and e^{+-i pi/4}
-_RZ_PHASES = np.exp(0.25j * np.pi * np.array([[-1.0, 1.0], [1.0, -1.0]]))[..., None, None]
+_RY_VARIANTS = np.zeros((N_QUBITS, 2 * N_QUBITS), dtype=np.intp)
+_RY_VARIANTS[_QUBITS, 2 * _QUBITS] = 1
+_RY_VARIANTS[_QUBITS, 1 + 2 * _QUBITS] = 2
+_RY_INDEX = N_QUBITS * _RY_VARIANTS + _QUBITS[:, None]
+# RZ(z +- SHIFT) = RZ(+-SHIFT) RZ(z) ends the encoding of its qubit, so it
+# multiplies the encoded state by a phase per basis state:
+# _RZ_DIAG[2k + j, b] = e^{-+i pi/4 Z_SIGNS[b, k]} for slot 4 + k shifted by
+# +SHIFT (j = 0) and -SHIFT (j = 1)
+_RZ_DIAG = np.exp(-0.25j * np.pi * np.multiply.outer([1.0, -1.0], Z_SIGNS.T)
+                  ).transpose(1, 0, 2).reshape(2 * N_QUBITS, DIM)
 
 
 @dataclass
@@ -118,43 +135,42 @@ def _shift_rows(base: np.ndarray) -> np.ndarray:
 def _kron(factors: np.ndarray) -> np.ndarray:
     """(w, 4, *S) per-qubit factors -> (w^4, *S): one Kronecker product of
     the four qubits' factors per trailing index.  Qubit 0 is the least
-    significant bit of the basis index, so the product runs from qubit 3
-    down.  The trailing axes are innermost, so every multiply runs over
-    long rows."""
-    out = factors[:, 3]
-    for q in (2, 1, 0):
-        out = (out[:, None] * factors[None, :, q]).reshape(-1, *out.shape[1:])
-    return out
+    significant bit of the basis index, so qubits 3 and 2 make the high
+    pair and qubits 1 and 0 the low pair, and the product is high times
+    low.  The trailing axes are innermost, so every multiply runs over long
+    rows."""
+    w = factors.shape[0]
+    high = (factors[:, None, 3] * factors[None, :, 2]).reshape(w * w, *factors.shape[2:])
+    low = (factors[:, None, 1] * factors[None, :, 0]).reshape(w * w, *factors.shape[2:])
+    return (high[:, None] * low[None, :]).reshape(-1, *factors.shape[2:])
 
 
-def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
+def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray):
     """The encoding H, RY(y), RZ(z) on |0000>, in closed form: the product
-    state of the four qubits' states (e^{-iz/2} (cos y/2 - sin y/2),
-    e^{iz/2} (cos y/2 + sin y/2)) / sqrt(2).  (4, *S) angles, which
-    broadcast against each other, give (16, *S) amplitudes."""
-    c, s = np.cos(enc_ry / 2.0), np.sin(enc_ry / 2.0)
-    phase = np.exp(-0.5j * enc_rz) * 0.5**0.5
-    v = np.empty((2,) + np.broadcast_shapes(c.shape, phase.shape), dtype=complex)
-    np.multiply(phase, c - s, out=v[0])
-    np.multiply(phase.conj(), c + s, out=v[1])
-    return _kron(v)
-
-
-def _encoding_rows(enc_ry: np.ndarray, enc_rz: np.ndarray) -> np.ndarray:
-    """(4, n) encoding angles -> (16, 17, n) encoded states: row 0
-    unshifted, rows 1 + 2k and 2 + 2k with encoding slot k (enc_ry, then
-    enc_rz, as in `_shift_rows`) shifted by +SHIFT and -SHIFT.  Each qubit
-    is encoded once: with c, s = cos, sin of y/2 and q = e^{-iz/2} its state
-    is (q (c - s), q* (c + s)) / sqrt(2), RY(y + SHIFT) gives (-q s, q* c),
-    RY(y - SHIFT) gives (q c, q* s), and RZ(z +- SHIFT) multiplies the
-    unshifted state by _RZ_PHASES.  The rows gather these five variants."""
-    c, s = np.cos(0.5 * enc_ry), np.sin(0.5 * enc_ry)
+    state of the four qubits' states (q (c - s), q* (c + s)) / sqrt(2), with
+    c, s = cos, sin of y/2 and q = e^{-iz/2}.  (4, *S) angles of one shape
+    give the (16, *S) amplitudes and, for `_ry_encodings`, the (2, 4, *S)
+    qubit states with their c, s and q."""
+    half = 0.5 * enc_ry
+    c, s = np.cos(half), np.sin(half)
     q = np.exp(-0.5j * enc_rz)
-    v = np.empty((2, 5) + q.shape, dtype=complex)  # (amplitude, variant, qubit, n)
-    np.multiply(q, [0.5**0.5 * (c - s), -s, c], out=v[0, :3])
-    np.multiply(q.conj(), [0.5**0.5 * (c + s), c, s], out=v[1, :3])
-    np.multiply(v[:, :1], _RZ_PHASES, out=v[:, 3:])
-    return _kron(np.take(v.reshape(2, -1, q.shape[-1]), _ENC_INDEX, axis=1))
+    v = np.empty((2,) + q.shape, dtype=complex)
+    np.multiply(q, 0.5**0.5 * (c - s), out=v[0])
+    np.multiply(q.conj(), 0.5**0.5 * (c + s), out=v[1])
+    return _kron(v), (v, c, s, q)
+
+
+def _ry_encodings(v: np.ndarray, c: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The qubit states of `_encode` over (4, n) angles -> the (16, 8, n)
+    RY-shifted product states: rows 2k and 2k + 1 with the RY of qubit k
+    shifted by +SHIFT and -SHIFT.  RY(y + SHIFT) gives (-q s, q* c) and
+    RY(y - SHIFT) gives (q c, q* s); the rows gather these variants and the
+    unshifted state of the other qubits."""
+    variants = np.empty((2, 3) + q.shape, dtype=complex)  # (amplitude, variant, qubit, n)
+    variants[:, 0] = v
+    np.multiply(q, [-s, c], out=variants[0, 1:])
+    np.multiply(q.conj(), [c, s], out=variants[1, 1:])
+    return _kron(np.take(variants.reshape(2, -1, q.shape[-1]), _RY_INDEX, axis=1))
 
 
 def _ring_rows() -> np.ndarray:
@@ -169,14 +185,16 @@ def _ring_rows() -> np.ndarray:
 _RING_ROWS = _ring_rows()
 
 
-# one QLSTM's six blocks with two to spare; each optimizer step changes all six keys
-@lru_cache(maxsize=8)
+# one QLSTM's six blocks, which a forward reads in turn and a backward not
+# at all; each optimizer step changes all six keys
+@lru_cache(maxsize=6)
 def _layer_matrices(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     """The two variational layers as matrices applied as `state @ M`: the
-    (16, 16) matrix for the angles themselves, and the 48 matrices for
-    angle k shifted by +SHIFT (slot 2k) and -SHIFT (slot 2k + 1), side by
-    side as one (16, 48 * 16) matrix, so one product applies them all.
-    Read-only, since the cache shares them."""
+    (16, 16) matrix for the angles themselves, and side by side as one
+    (16, 56 * 16) matrix, so one product applies them all, the 48 matrices
+    for angle k shifted by +SHIFT (slot 2k) and -SHIFT (slot 2k + 1), then
+    the 8 that apply the RZ encoding shifts (`_RZ_DIAG`) before the
+    unshifted layers.  Read-only, since the cache shares them."""
     # a shift changes one layer only, so each layer is built once per own shift
     rows = _shift_rows(np.frombuffer(angle_bytes).reshape(N_LAYERS, -1))
     angles = rows.reshape(N_LAYERS, -1, N_QUBITS, 3)  # (layer, shift, qubit, slot)
@@ -198,7 +216,8 @@ def _layer_matrices(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     n = first.shape[0] - 1
     lead = (first[1:].reshape(-1, DIM) @ second[0]).reshape(n, DIM, DIM)
     trail = first[0] @ second[1:].transpose(1, 0, 2).reshape(DIM, -1)
-    shifted = np.concatenate([lead.transpose(1, 0, 2).reshape(DIM, -1), trail], axis=1)
+    phased = (_RZ_DIAG[:, :, None] * base).transpose(1, 0, 2).reshape(DIM, -1)
+    shifted = np.concatenate([lead.transpose(1, 0, 2).reshape(DIM, -1), trail, phased], axis=1)
     base.flags.writeable = False
     shifted.flags.writeable = False
     return base, shifted
@@ -211,34 +230,91 @@ def _matrices_for(params: VqcParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _z_expectations(amps: np.ndarray) -> np.ndarray:
     """(..., 16) contiguous amplitudes -> (..., 4) <Z_q>: |amp|^2 as the
-    squares of the float view, summed with each basis state's signs."""
+    squares of the float view, summed with each basis state's signs.  The
+    squares overwrite `amps`, a product's output that no caller reads
+    again, so the largest temporary of a gradient's rows is not copied."""
     parts = amps.view(float)
-    return (parts * parts) @ _PART_SIGNS
+    np.multiply(parts, parts, out=parts)
+    return parts @ _PART_SIGNS
 
 
-def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None) -> np.ndarray:
-    """One circuit evaluation per sample; returns the scaled Z expectations,
-    (4,) or (B, 4)."""
-    x = as_rows(x, params.d_in)
-    a = x @ params.in_proj.T + params.bias
-    base, _ = _matrices_for(params)
-    states = _encode(np.arctan(a.T), np.arctan((a * a).T))  # (16,) or (16, B)
-    e = _z_expectations(states.T.reshape(-1, DIM) @ base).reshape(a.shape)
-    if counter is not None:
-        counter.count += e.size // N_QUBITS
-    return params.out_scale * e + params.out_shift
+def _compress(params: VqcParams, x: np.ndarray) -> np.ndarray:
+    """(d_in,) or (B, d_in) inputs -> the (4, n) values a = in_proj x + bias
+    that the encoding loads."""
+    return params.in_proj @ x.reshape(-1, params.d_in).T + params.bias[:, None]
+
+
+def _readout(state: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """(16, n) encoded states -> the (n, 4) pre-scaling <Z> of the unshifted
+    circuit.  It is one product of its own in both forward paths, so the
+    readout of a forward that forms gradient rows has the bits of one that
+    does not."""
+    return _z_expectations(state.T @ base)
+
+
+@dataclass
+class GradientRows:
+    """What a gradient contracts, per sample: the unshifted pre-scaling
+    readout (n, 4); for each of the 4 compressed inputs a_j, d<Z_i>/da_j
+    times two (4, n, 4), from the differences <Z> at +SHIFT minus <Z> at
+    -SHIFT of its RY and RZ encoding slots, chained through the arctans;
+    and those differences of the 24 variational angles (n, 24, 4), in
+    (layer, qubit, slot) order."""
+
+    readout: np.ndarray
+    enc: np.ndarray
+    var: np.ndarray
 
 
 def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
-    """(4, n) encoding angles -> a gradient call's 65 pre-scaling <Z> rows
-    per sample: (17, n, 4) in `_encoding_rows` order, (n, 48, 4) in
-    `_layer_matrices` order."""
+    """(4, n) encoding angles -> a sample's 65 pre-scaling <Z> rows: the
+    unshifted readout (n, 4), the 16 encoding-shifted rows (16, n, 4) in
+    slot order (RY of each qubit, then RZ, each +SHIFT then -SHIFT) and the
+    48 variational rows (n, 48, 4) in `_layer_matrices` order.  The
+    unshifted row is `_readout`'s product; the RY-shifted states times the
+    unshifted layer matrix are a second; the unshifted state times the 48
+    shifted layer matrices and the 8 RZ-phased ones are a third."""
     n = enc_ry.shape[-1]
-    states = _encoding_rows(enc_ry, enc_rz)  # (16, 17, n)
+    state, qubits = _encode(enc_ry, enc_rz)  # (16, n)
     base, shifted = _matrices_for(params)
-    e_enc = _z_expectations(states.reshape(DIM, -1).T @ base).reshape(-1, n, N_QUBITS)
-    e_var = _z_expectations((states[:, 0].T @ shifted).reshape(-1, DIM)).reshape(n, -1, N_QUBITS)
-    return e_enc, e_var
+    e_ry = _z_expectations(_ry_encodings(*qubits).reshape(DIM, -1).T @ base)
+    e_var = _z_expectations((state.T @ shifted).reshape(-1, DIM)).reshape(n, -1, N_QUBITS)
+    n_var = 2 * N_LAYERS * N_QUBITS * 3  # the variational rows come first
+    e_enc = np.concatenate([e_ry.reshape(-1, n, N_QUBITS), e_var[:, n_var:].transpose(1, 0, 2)])
+    return _readout(state, base), e_enc, e_var[:, :n_var]
+
+
+def _rows_of(params: VqcParams, a: np.ndarray) -> GradientRows:
+    """The `GradientRows` of compressed inputs a, (4, n)."""
+    aa = a * a
+    readout, e_enc, e_var = _gradient_rows(params, np.arctan(a), np.arctan(aa))
+    diff = e_enc[0::2] - e_enc[1::2]  # (8, n, 4): RY of each qubit, then RZ
+    # d arctan(a)/da = 1 / (1 + a^2) and d arctan(a^2)/da = 2a / (1 + a^4)
+    enc = diff[:N_QUBITS] / (1.0 + aa)[..., None]
+    enc += diff[N_QUBITS:] * ((2.0 * a) / (1.0 + aa * aa))[..., None]
+    return GradientRows(readout=readout, enc=enc, var=e_var[:, 0::2] - e_var[:, 1::2])
+
+
+def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None, *,
+                keep_rows: bool = False):
+    """One circuit evaluation per sample; returns the scaled Z expectations,
+    (4,) or (B, 4).  With keep_rows=True the call also forms the 64 shifted
+    rows per sample that a gradient needs, counts 1 + 65 evaluations per
+    sample and returns the readout with the `GradientRows` that
+    `vqc_gradients` contracts.  The readout is the unshifted row either
+    way, with the same bits."""
+    x = as_rows(x, params.d_in)
+    a = _compress(params, x)
+    if keep_rows:
+        rows = _rows_of(params, a)
+        e = rows.readout
+    else:
+        state, _ = _encode(np.arctan(a), np.arctan(a * a))
+        e = _readout(state, _matrices_for(params)[0])
+    if counter is not None:
+        counter.count += e.shape[0] * (1 + _GRADIENT_ROWS if keep_rows else 1)
+    values = (params.out_scale * e + params.out_shift).reshape(x.shape[:-1] + (N_QUBITS,))
+    return (values, rows) if keep_rows else values
 
 
 def vqc_gradients(
@@ -246,43 +322,38 @@ def vqc_gradients(
     x: np.ndarray,
     upstream: np.ndarray,
     counter: EvalCounter | None = None,
+    rows: GradientRows | None = None,
 ) -> tuple[VqcParams, np.ndarray]:
     """Exact gradients of the sum over samples of upstream . values, w.r.t.
     params (summed over the batch) and each sample's input.
 
-    x is (d_in,) or (B, d_in) and upstream (4,) or (B, 4).  Costs, per
-    sample, one unshifted evaluation plus two per rotation angle (65 for
-    the default shape).  The 65 rows, in slot order (4 encoding RY, 4
-    encoding RZ, then the 24 variational angles in (layer, qubit, slot)
-    order), are the unshifted circuit, the 16 encoding-shifted product
-    states times the unshifted layer matrix, and the unshifted state times
-    the 48 shifted layer matrices.
+    x is (d_in,) or (B, d_in) and upstream (4,) or (B, 4).  `rows` are the
+    `GradientRows` that `vqc_forward(params, x, keep_rows=True)` formed;
+    the call then only contracts them and counts nothing.  Without them it
+    forms them first (`_gradient_rows`) and counts one unshifted evaluation
+    plus two per rotation angle per sample, 65 for the default shape.
     """
     x = as_rows(x, params.d_in)
-    rows = x.reshape(-1, params.d_in)
-    n = rows.shape[0]
+    inputs = x.reshape(-1, params.d_in)
+    n = inputs.shape[0]
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (n, N_QUBITS):
         upstream = np.broadcast_to(upstream, x.shape[:-1] + (N_QUBITS,)).reshape(n, N_QUBITS)
-    a = params.in_proj @ rows.T + params.bias[:, None]  # (4, n)
-    aa = a * a
-    e_enc, e_var = _gradient_rows(params, np.arctan(a), np.arctan(aa))
-    if counter is not None:
-        counter.count += n * (e_enc.shape[0] + e_var.shape[1])
+    if rows is None:
+        rows = _rows_of(params, _compress(params, x))
+        if counter is not None:
+            counter.count += n * _GRADIENT_ROWS
 
     # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against dL/d<Z_i>
     de = upstream * (0.5 * float(params.out_scale))
-    enc_grads = np.einsum("kni,ni->kn", e_enc[1::2] - e_enc[2::2], de)  # (8, n)
-    var_grads = np.einsum("nki,ni->k", e_var[:, 0::2] - e_var[:, 1::2], de)  # (24,)
-
-    # chain rule through the arctan encodings back to a = in_proj @ x + bias
-    da = enc_grads[:N_QUBITS] / (1.0 + aa) + enc_grads[N_QUBITS:] * (2.0 * a) / (1.0 + aa * aa)
+    da = np.einsum("jni,ni->jn", rows.enc, de)  # (4, n), a = in_proj @ x + bias
+    var_grads = np.einsum("nki,ni->k", rows.var, de)  # (24,)
 
     grads = VqcParams(
-        in_proj=da @ rows,
+        in_proj=da @ inputs,
         bias=da.sum(axis=1),
         angles=var_grads.reshape(N_LAYERS, N_QUBITS, 3),
-        out_scale=np.array(float(np.vdot(upstream, e_enc[0]))),
+        out_scale=np.array(float(np.vdot(upstream, rows.readout))),
         out_shift=np.array(float(np.sum(upstream))),
     )
     input_grads = (da.T @ params.in_proj).reshape(x.shape)

@@ -5,8 +5,12 @@ generated corpus, each output reduced to its SHA-256 digest.
 
 generates the corpus once, runs the list against each tree's `src`, each
 tree in one fresh process, prints the outputs whose digests differ and exits
-1 if any do (0 if none).  Each tree's digests are written to
-`digests-a.json` and `digests-b.json` in the working directory.
+1 if any do (0 if none).  Under each differing output it prints how large
+the difference is: max |a - b| / max |a| of each array (a checkpoint's
+parameters, a split's arrays, a JSON list), column (of a curves file) or
+number (a JSON value) that differs, and of the numbers of a differing
+stdout in order.  Each tree's digests are written to `digests-a.json` and
+`digests-b.json` in the working directory.
 
 The list: `preprocess`; `train` of the LSTM and the QLSTM on classify (with
 `--eval-data`) and on sine, with `--curves` and `--metrics`; a QLSTM sine
@@ -32,7 +36,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+import checkpoint_codec  # noqa: E402
 CORPUS = {"seed": 5, "train_per_class": 8, "other_per_class": 4}
 EPOCHS = "2"
 CHECKPOINTS = {
@@ -46,7 +54,6 @@ CHECKPOINTS = {
 
 def make_corpus(out_dir: Path) -> Path:
     """The tiny generated corpus that the list runs on."""
-    sys.path.insert(0, str(HERE))
     from conftest import generate_corpus
 
     return generate_corpus(out_dir, **CORPUS)
@@ -83,18 +90,25 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _stdout_file(name: str) -> Path:
+    return Path("stdout") / f"{name}.txt"
+
+
 def run_matrix(corpus: Path) -> dict[str, str]:
     """Run the list in the working directory with the `qvuln` on sys.path;
-    returns the digest of each output, keyed `<file>` or `<run>: stdout`."""
+    returns the digest of each output, keyed `<file>` or `<run>: stdout`.
+    Each run's stdout is also kept in `stdout/<run>.txt`."""
     from qvuln.cli import main
 
     digests = {}
+    _stdout_file("").parent.mkdir(exist_ok=True)
     for name, argv, files in runs(corpus):
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = main(argv)
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
+        _stdout_file(name).write_text(stdout.getvalue())
         digests[f"{name}: stdout"] = _digest(stdout.getvalue().encode())
         for path in files:
             data = Path(path).read_bytes()
@@ -105,15 +119,73 @@ def run_matrix(corpus: Path) -> dict[str, str]:
     return digests
 
 
-def tree_digests(tree: Path, corpus: Path) -> dict[str, str]:
-    """The matrix's digests for `tree/src`, run in one fresh process."""
+def tree_digests(tree: Path, corpus: Path, work: Path | None = None) -> dict[str, str]:
+    """The matrix's digests for `tree/src`, run in one fresh process in the
+    directory `work`, which keeps the outputs (a temporary one if None)."""
+    if work is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            return tree_digests(tree, corpus, Path(tmp))
     src = (tree / "src").resolve()
-    with tempfile.TemporaryDirectory() as work:
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        warnings = [f"-W{option}" for option in sys.warnoptions]
-        subprocess.run([sys.executable, *warnings, __file__, "--run", str(corpus.resolve())],
-                       cwd=work, env=env, check=True)
-        return json.loads((Path(work) / "digests.json").read_text())
+    work.mkdir(parents=True, exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    warnings = [f"-W{option}" for option in sys.warnoptions]
+    subprocess.run([sys.executable, *warnings, __file__, "--run", str(corpus.resolve())],
+                   cwd=work, env=env, check=True)
+    return json.loads((work / "digests.json").read_text())
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _json_numbers(value, key: str, dtype: str, out: dict[str, np.ndarray]) -> None:
+    """Each array (an encoded `{"shape", "data"}` entry or a list of
+    numbers) and each number of a JSON value, keyed by its path."""
+    if isinstance(value, dict) and set(value) == {"shape", "data"}:
+        out[key] = checkpoint_codec.decode(value["data"], dtype).reshape(value["shape"])
+    elif isinstance(value, dict):
+        for name, item in value.items():
+            if name != "wall_time_seconds":
+                _json_numbers(item, f"{key}.{name}" if key else name, dtype, out)
+    elif isinstance(value, list) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        out[key] = np.array(value, dtype=float)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        out[key] = np.array(float(value))
+
+
+def output_numbers(work: Path, output: str) -> dict[str, np.ndarray]:
+    """The named numbers of one output of a run of the list in `work`: the
+    columns of a curves file (named by its `#` header), the arrays and
+    numbers of a JSON file, and the numbers of a stdout in order."""
+    if output.endswith(": stdout"):
+        text = (work / _stdout_file(output.removesuffix(": stdout"))).read_text()
+        return {"numbers": np.array([float(v) for v in _NUMBER.findall(text)])}
+    text = (work / output).read_text()
+    if text.startswith("#"):
+        header, *lines = text.splitlines()
+        table = np.array([[float(v) for v in line.split()] for line in lines if line.strip()])
+        return {name: table[:, k] for k, name in enumerate(header[1:].split())}
+    doc = json.loads(text)
+    out: dict[str, np.ndarray] = {}
+    _json_numbers(doc, "", "<i8" if doc.get("format") == "encoded.v2" else "<f8", out)
+    return out
+
+
+def relative_differences(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> list[str]:
+    """One line per name whose values differ: max |a - b| / max |a|, or why
+    the two cannot be compared."""
+    lines = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            lines.append(f"{name}: only in {'a' if name in a else 'b'}")
+        elif a[name].shape != b[name].shape:
+            lines.append(f"{name}: shape {a[name].shape} against {b[name].shape}")
+        elif not np.array_equal(a[name], b[name]):
+            diff = np.max(np.abs(a[name] - b[name].astype(float)))
+            scale = np.max(np.abs(a[name]))
+            size = f"{diff / scale:.3g}" if scale else f"{diff:.3g} (max |a| = 0)"
+            lines.append(f"{name}: {size}")
+    return lines
 
 
 def _run_here(corpus: str) -> None:
@@ -133,14 +205,20 @@ def _write(path: Path, digests: dict[str, str]) -> None:
 
 def compare(tree_a: Path, tree_b: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        corpus = make_corpus(Path(tmp) / "csv")
-        a = tree_digests(tree_a, corpus)
-        b = tree_digests(tree_b, corpus)
-    _write(Path("digests-a.json"), a)
-    _write(Path("digests-b.json"), b)
-    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
-    for name in differ:
-        print(f"differs: {name}")
+        tmp = Path(tmp)
+        corpus = make_corpus(tmp / "csv")
+        a = tree_digests(tree_a, corpus, tmp / "a")
+        b = tree_digests(tree_b, corpus, tmp / "b")
+        _write(Path("digests-a.json"), a)
+        _write(Path("digests-b.json"), b)
+        differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+        for name in differ:
+            print(f"differs: {name}")
+            if name in a and name in b:
+                sizes = relative_differences(output_numbers(tmp / "a", name),
+                                             output_numbers(tmp / "b", name))
+                for line in sizes or ["no number differs"]:
+                    print(f"    {line}")
     print(f"{len(differ)} of {len(a.keys() | b.keys())} outputs differ")
     return 1 if differ else 0
 

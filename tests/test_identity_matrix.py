@@ -1,10 +1,13 @@
 """Run-to-run determinism of every command-line output: the identity matrix
 (`identity_matrix.py`) run twice against this tree, each time in a fresh
-process, gives the same digest for each output."""
+process, gives the same digest for each output; and the matrix's report of
+how large a difference is."""
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+import checkpoint_codec
 import identity_matrix
 
 
@@ -16,3 +19,28 @@ def test_two_fresh_processes_give_equal_digests(tmp_path):
     outputs = sum(1 + len(files) for _, _, files in identity_matrix.runs(corpus))
     assert len(first) == outputs
     assert first == second
+
+
+def test_differing_outputs_report_each_array_column_and_number(tmp_path):
+    # b's values sit 1e-12 (relative) off a's in one array of a checkpoint,
+    # one column of a curves file, one list of a metrics file and one number
+    # of a stdout; equal values and `wall_time_seconds` are not reported
+    outputs = {}
+    for side, moved in (("a", 1.0), ("b", 1.0 + 1e-12)):
+        work = tmp_path / side
+        (work / "stdout").mkdir(parents=True)
+        params = {"w": checkpoint_codec.array_entry([2.0, -4.0 * moved]),
+                  "b": checkpoint_codec.array_entry([1.0])}
+        (work / "ck.json").write_text(json.dumps({"format": "checkpoint.v2", "params": params}))
+        (work / "curves.json").write_text(f"# x actual predicted epoch\n0.5 1.0 {0.25 * moved!r} 1\n")
+        (work / "metrics.json").write_text(json.dumps(
+            {"format": "metrics.v1", "wall_time_seconds": moved, "loss_curve": [0.5, 0.5 * moved],
+             "accuracy": 1.0}))
+        (work / "stdout" / "eval x.txt").write_text(f"accuracy=0.5 loss={0.75 * moved!r}\n")
+        outputs[side] = work
+    sizes = {name: identity_matrix.relative_differences(
+                 identity_matrix.output_numbers(outputs["a"], name),
+                 identity_matrix.output_numbers(outputs["b"], name))
+             for name in ("ck.json", "curves.json", "metrics.json", "eval x: stdout")}
+    assert sizes == {"ck.json": ["params.w: 1e-12"], "curves.json": ["predicted: 1e-12"],
+                     "metrics.json": ["loss_curve: 1e-12"], "eval x: stdout": ["numbers: 1e-12"]}

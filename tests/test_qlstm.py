@@ -86,10 +86,18 @@ class TestCellStep:
 
 class TestForward:
     def test_six_evaluations_per_step(self):
+        # six readouts per step; a caching forward also forms the 65 rows of
+        # each of the 5T - 1 block gradients, which the backward only contracts
         params = init_qlstm_params(2, np.random.default_rng(2))
+        steps = 5
+        bare = EvalCounter()
+        qlstm_forward(params, [np.zeros(2)] * steps, bare, keep_caches=False)
+        assert bare.count == 6 * steps
         counter = EvalCounter()
-        qlstm_forward(params, [np.zeros(2)] * 5, counter)
-        assert counter.count == 30
+        _, caches = qlstm_forward(params, [np.zeros(2)] * steps, counter)
+        assert counter.count == 6 * steps + 65 * (5 * steps - 1)
+        qlstm_backward(params, caches, 1.0, counter)
+        assert counter.count == 6 * steps + 65 * (5 * steps - 1)
 
     def test_zero_vqcs_give_zero_logit(self):
         params = zeroed_vqcs(2)
@@ -126,7 +134,7 @@ class TestBackward:
         assert np.all(dx == 0)
 
     @pytest.mark.parametrize("sigma_hidden", [True, False])
-    @pytest.mark.parametrize("d_x,steps", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("d_x,steps", [(3, 2), (2, 3), (2, 1)])
     def test_matches_finite_differences(self, d_x, steps, sigma_hidden):
         rng = np.random.default_rng(40 + d_x + steps)
         params = init_qlstm_params(d_x, rng, sigma_hidden=sigma_hidden)
@@ -266,6 +274,37 @@ class TestCostModel:
         # step and vqc1 at the first
         assert calls["gradients"] == 5 * steps - 1
         assert calls["forward"] + per_grad.count * calls["gradients"] == counter.count
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_forward_rows_are_the_blocks_differentiated(self, monkeypatch, steps, batch):
+        # the forward forms rows for exactly the blocks whose gradient the
+        # backward contracts, by the closed-form rule, and counts them all;
+        # at steps = 1 the first step is also the last
+        rng = np.random.default_rng(68 + 10 * steps + batch)
+        params = init_qlstm_params(2, rng)
+        total = batch * (6 * steps + 65 * (5 * steps - 1))
+        counter = EvalCounter()
+        _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, 2)), counter)
+        assert counter.count == total
+        cached = {(t, name): id(rows) for t, step in enumerate(caches.steps)
+                  for name, rows in step.rows.items()}
+        want = set()
+        for t in range(steps):
+            names = {"vqc2", "vqc3", "vqc4", "vqc6" if t == steps - 1 else "vqc5"}
+            want |= {(t, name) for name in names | ({"vqc1"} if t > 0 else set())}
+        assert set(cached) == want
+
+        contracted = []
+
+        def recording(block, x, upstream, counter=None, rows=None):
+            contracted.append(id(rows))
+            return vqc_gradients(block, x, upstream, counter, rows=rows)
+
+        monkeypatch.setattr(qvuln.qlstm, "vqc_gradients", recording)
+        qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch), counter)
+        assert sorted(contracted) == sorted(cached.values())
+        assert counter.count == total
 
     def test_saturated_gate_keeps_the_count(self):
         # vqc2 reads out at least 59, so i = sigmoid(>= 59) is exactly 1.0 and

@@ -12,10 +12,11 @@ from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
 from qvuln.vqc import (
     EvalCounter,
     VqcParams,
+    _RZ_DIAG,
     _encode,
-    _encoding_rows,
     _gradient_rows,
     _layer_matrices,
+    _ry_encodings,
     _shift_rows,
     init_vqc_params,
     vqc_forward,
@@ -192,6 +193,27 @@ class TestGradients:
                 fd_x[j] = (hi - lo) / (2 * FD_STEP)
             np.testing.assert_allclose(dx, fd_x, atol=1e-6)
 
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (5, 6)])
+    def test_forward_rows_give_the_same_bits(self, shape):
+        # rows formed by the forward, contracted, give the bits of a call
+        # that forms its own; the forward's readout has the bits of a
+        # forward that forms no rows, and the contraction counts nothing
+        rng = np.random.default_rng(33)
+        params = random_params(rng, 6)
+        x = rng.uniform(-2, 2, size=shape)
+        upstream = rng.uniform(-1, 1, size=shape[:-1] + (4,))
+        samples = x.size // 6
+        counter = EvalCounter()
+        values, rows = vqc_forward(params, x, counter, keep_rows=True)
+        assert counter.count == samples * (1 + 65)
+        np.testing.assert_array_equal(values, vqc_forward(params, x))
+        got, got_dx = vqc_gradients(params, x, upstream, counter, rows=rows)
+        assert counter.count == samples * (1 + 65)
+        want, want_dx = vqc_gradients(params, x, upstream)
+        for name, arr in got.tree().items():
+            np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
+        np.testing.assert_array_equal(got_dx, want_dx)
+
     def test_input_shape_error(self):
         for x in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 3, 4))):
             with pytest.raises(ValueError):
@@ -238,17 +260,19 @@ class TestKernelAgainstOracle:
                     )
 
     def test_gathered_encoding_rows_equal_encoded_shift_rows(self):
-        # the shifted variants are closed forms of each qubit's unshifted
-        # state, so they equal a fresh encoding at the shifted angles only to
-        # rounding
+        # the RY-shifted variants are closed forms of each qubit's unshifted
+        # state, and an RZ shift multiplies the encoded state by a phase per
+        # basis state, so they equal a fresh encoding at the shifted angles
+        # only to rounding
         rng = np.random.default_rng(43)
         a = rng.uniform(-3, 3, size=(4, 6))
         enc = np.concatenate([np.arctan(a), np.arctan(a * a)])  # (8, 6)
         rows = _shift_rows(enc.T)  # (6, 17, 8)
-        want = _encode(np.moveaxis(rows[..., :4], -1, 0), np.moveaxis(rows[..., 4:], -1, 0))
-        np.testing.assert_allclose(
-            _encoding_rows(enc[:4], enc[4:]), want.transpose(0, 2, 1), rtol=0, atol=1e-15
-        )
+        want, _ = _encode(np.moveaxis(rows[..., :4], -1, 0), np.moveaxis(rows[..., 4:], -1, 0))
+        state, qubits = _encode(enc[:4], enc[4:])
+        rz = state[:, None] * _RZ_DIAG.T[:, :, None]
+        got = np.concatenate([state[:, None], _ry_encodings(*qubits), rz], axis=1)  # (16, 17, 6)
+        np.testing.assert_allclose(got, want.transpose(0, 2, 1), rtol=0, atol=1e-15)
 
     def test_gradient_rows_match_dense_oracle_row_by_row(self):
         # every one of a sample's 65 <Z> rows against the oracle's circuit at
@@ -256,8 +280,9 @@ class TestKernelAgainstOracle:
         rng = np.random.default_rng(47)
         params = random_params(rng, 3)
         enc = rng.uniform(-np.pi, np.pi, size=(8, 3))  # 4 RY then 4 RZ angles, 3 samples
-        e_enc, e_var = _gradient_rows(params, enc[:4], enc[4:])
-        assert e_enc.shape == (17, 3, 4) and e_var.shape == (3, 48, 4)
+        readout, e_enc, e_var = _gradient_rows(params, enc[:4], enc[4:])
+        assert readout.shape == (3, 4) and e_enc.shape == (16, 3, 4) and e_var.shape == (3, 48, 4)
+        e_enc = np.concatenate([readout[None], e_enc])  # row 0 unshifted, as `_shift_rows`
 
         def shifted(base: np.ndarray, k: int, sign: float) -> np.ndarray:
             moved = base.copy()
