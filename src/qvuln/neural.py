@@ -7,8 +7,7 @@ o*tanh(c): both cells build their gate input with `cell_input`, cache a
 `CellCache` per step and go back through the update with `cell_backward`.
 Both also share the time loops: each supplies only its step (and step
 back) to `run_sequence` and `backprop_sequence`, over one `CellState`.
-A step back gets one upstream and its place in the sequence, and so does
-the step of a forward that keeps its caches.
+A step back gets one upstream and its place in the sequence.
 
 A parameter dataclass (`VqcParams` and `QlstmParams` elsewhere) derives
 its tree of named arrays from its fields through `ParamTree`; `LstmParams`
@@ -215,18 +214,12 @@ def run_sequence(step, params, sequence, state: CellState, keep_caches: bool):
     T (d,) vectors or a (B, T, d) batch: `step(params, x_t, state)` gives the
     next state and its cache.  Returns the head's logit over the final y (a
     float, or (B,) for a batch) and the caches; with keep_caches=False each
-    cache is dropped after its step and the caches are None.  A caching
-    forward also tells each step its place, as `backprop_sequence` does:
-    `step(params, x_t, state, first=t == 0, last=t == T-1)`."""
-    xs = as_sequences(sequence)
+    cache is dropped after its step and the caches are None."""
     steps = []
-    T = xs.shape[-2]
-    for t, x_t in enumerate(np.moveaxis(xs, -2, 0)):
+    for x_t in np.moveaxis(as_sequences(sequence), -2, 0):
+        state, cache = step(params, x_t, state)
         if keep_caches:
-            state, cache = step(params, x_t, state, first=t == 0, last=t == T - 1)
             steps.append(cache)
-        else:
-            state, _ = step(params, x_t, state)
     logits = state.y @ params.head_w + params.head_b
     caches = SequenceCaches(steps=steps, final=state.y) if keep_caches else None
     return (float(logits) if logits.ndim == 0 else logits), caches
@@ -274,14 +267,12 @@ def _gate_kernel(params: LstmParams, batch: tuple[int, ...]) -> tuple[np.ndarray
 def lstm_cell_step(
     params: LstmParams, x_t: np.ndarray, prev: CellState,
     kernel: tuple[np.ndarray, np.ndarray] | None = None,
-    first: bool | None = None, last: bool | None = None,
 ) -> tuple[CellState, CellCache]:
     """One recurrence step: the four gates over v = concat(h_prev, x_t) as
     one product and one tanh, then the cell and hidden updates.  x_t is
     (d_in,) or (B, d_in); the arrays of prev broadcast against it.  The
     step reads `kernel`, the `_gate_kernel` of `params` at x_t's batch
-    axes, built here when none is given.  Every step caches the same, so
-    the step's place (first, last) goes unread."""
+    axes, built here when none is given."""
     v = cell_input(x_t, prev.h, params.d_in)
     w, b = _gate_kernel(params, x_t.shape[:-1]) if kernel is None else kernel
     # gate-major: act[k] is gate k's C-contiguous (hidden,) or (B, hidden) block

@@ -20,16 +20,19 @@ emits the circuit value directly.
 
 Every function takes an optional leading batch axis: a sequence is (T, d_x)
 for one sample or (B, T, d_x) for B samples.  Each block then makes one
-`vqc_forward` call per time step for the whole batch.  One rule,
+readout `vqc_forward` call per time step for the whole batch.  One rule,
 `_differentiated`, names the blocks whose gradient a step needs, by the
 step's place alone: the sequence's structure makes the others' gradient
 zero.  A forward that keeps its caches forms those blocks' 65 gradient
-rows per sample in their `vqc_forward` calls and counts them there; the
-backward makes one `vqc_gradients` call per such block and step, which
-only contracts the rows and counts nothing.  So B samples over T steps
-cost B * (6T + 65 (5T - 1)) evaluations, whatever the data, all counted
-by the forward.  A cache-free forward forms the readouts only, 6T per
-sample, with the same bits.
+rows per sample after its time loop, from the inputs v_t and r_t that the
+step caches hold, and counts them there.  A block's layer matrices are the
+same at every step, so the rows of several steps share one `vqc_rows`
+product of up to `ROWS_PER_PRODUCT` rows, and each step keeps views of its
+own.  The backward makes one `vqc_gradients` call per such block and step,
+which only contracts the rows and counts nothing.  So B samples over T
+steps cost B * (6T + 65 (5T - 1)) evaluations, whatever the data, all
+counted by the forward.  A cache-free forward forms the readouts only, 6T
+per sample, with the same bits.
 """
 from __future__ import annotations
 
@@ -43,10 +46,14 @@ from .neural import (
     cell_input, run_sequence, sigmoid,
 )
 from .vqc import (
-    EvalCounter, GradientRows, VqcParams, init_vqc_params, vqc_forward, vqc_gradients,
+    EvalCounter, GradientRows, VqcParams, init_vqc_params, vqc_forward, vqc_gradients, vqc_rows,
 )
 
 HIDDEN = 4
+# the most rows one `vqc_rows` call of a caching forward forms: a product
+# holds the rows of ROWS_PER_PRODUCT // B steps of a B-sample batch (B > 1),
+# at least one; per-sample cost falls with rows up to about this size
+ROWS_PER_PRODUCT = 128
 
 
 @dataclass
@@ -109,7 +116,7 @@ def _differentiated(first: bool, last: bool) -> tuple[str, ...]:
 class QlstmStepCache(CellCache):
     r: np.ndarray  # o * tanh(c), the input to vqc5/vqc6
     h: np.ndarray
-    rows: dict[str, GradientRows]  # the `_differentiated` blocks' shift rows
+    rows: dict[str, GradientRows]  # the `_differentiated` blocks' shift rows, once formed
 
 
 def qlstm_cell_step(
@@ -117,46 +124,61 @@ def qlstm_cell_step(
     x_t: np.ndarray,
     prev: CellState,
     counter: EvalCounter | None = None,
-    first: bool | None = None,
-    last: bool | None = None,
 ) -> tuple[CellState, QlstmStepCache]:
     """One recurrence step; six circuit readouts per sample.  x_t is (d_x,)
-    or (B, d_x); the arrays of prev broadcast against it.  Given its place
-    in the sequence, as a caching `run_sequence` gives it, the step also
-    forms the gradient rows of each `_differentiated` block in that block's
-    `vqc_forward` call; without it the cache holds no rows."""
-    with_rows = () if first is None else _differentiated(first, last)
-    rows = {}
-
-    def block(name: str, inputs: np.ndarray) -> np.ndarray:
-        if name not in with_rows:
-            return vqc_forward(getattr(params, name), inputs, counter)
-        out, rows[name] = vqc_forward(getattr(params, name), inputs, counter, keep_rows=True)
-        return out
-
+    or (B, d_x); the arrays of prev broadcast against it.  The cache holds
+    no rows yet: `qlstm_forward` forms them after its time loop."""
     v = cell_input(x_t, prev.h, params.d_x)
-    f = sigmoid(block("vqc1", v))
-    i = sigmoid(block("vqc2", v))
-    g = np.tanh(block("vqc3", v))
+    f = sigmoid(vqc_forward(params.vqc1, v, counter))
+    i = sigmoid(vqc_forward(params.vqc2, v, counter))
+    g = np.tanh(vqc_forward(params.vqc3, v, counter))
     c = f * prev.c + i * g
-    o = sigmoid(block("vqc4", v))
+    o = sigmoid(vqc_forward(params.vqc4, v, counter))
     tanh_c = np.tanh(c)
     r = o * tanh_c
-    h_raw = block("vqc5", r)
+    h_raw = vqc_forward(params.vqc5, r, counter)
     h = sigmoid(h_raw) if params.sigma_hidden else h_raw
-    y = block("vqc6", r)
+    y = vqc_forward(params.vqc6, r, counter)
     state = CellState(h=h, c=c, y=y)
     cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h,
-                           rows=rows)
+                           rows={})
     return state, cache
+
+
+def _form_rows(params: QlstmParams, steps: list[QlstmStepCache],
+               counter: EvalCounter | None) -> None:
+    """Form the shift rows of every `_differentiated` block and step into
+    the steps' `rows`.  Per block, the inputs of consecutive steps that
+    need its rows are stacked, ROWS_PER_PRODUCT // B steps (at least one)
+    to a `vqc_rows` call, and each step keeps views of its own rows.  A
+    step's rows have the same bits whatever the product size."""
+    T = len(steps)
+    n = steps[0].r.size // HIDDEN  # a step's rows: B, or 1 for one sample
+    # numpy forms a one-row product as a matrix-vector product, whose bits
+    # differ from a matrix product's row, so one-row steps stay apart
+    per = max(1, ROWS_PER_PRODUCT // n) if n > 1 else 1
+    for name in ("vqc1", "vqc2", "vqc3", "vqc4", "vqc5", "vqc6"):
+        need = [s for t, s in enumerate(steps) if name in _differentiated(t == 0, t == T - 1)]
+        for start in range(0, len(need), per):
+            chunk = need[start:start + per]
+            x = np.concatenate([(s.r if name in ("vqc5", "vqc6") else s.v).reshape(n, -1)
+                                for s in chunk])
+            rows = vqc_rows(getattr(params, name), x, counter)
+            for k, s in enumerate(chunk):
+                s.rows[name] = rows.samples(k * n, (k + 1) * n)
 
 
 def qlstm_forward(params: QlstmParams, sequence, counter: EvalCounter | None = None, *,
                   keep_caches: bool = True) -> tuple[float | np.ndarray, SequenceCaches | None]:
     """`neural.run_sequence` of the quantum cell from `initial_state()`,
-    with d = d_x; the sigmoid of the logit is the caller's."""
-    return run_sequence(partial(qlstm_cell_step, counter=counter), params, sequence,
-                        initial_state(), keep_caches)
+    with d = d_x; the sigmoid of the logit is the caller's.  With
+    keep_caches the forward then forms the rows that the backward
+    contracts (`_form_rows`)."""
+    logit, caches = run_sequence(partial(qlstm_cell_step, counter=counter), params, sequence,
+                                 initial_state(), keep_caches)
+    if caches is not None:
+        _form_rows(params, caches.steps, counter)
+    return logit, caches
 
 
 def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache, d_out, dc,
@@ -169,8 +191,9 @@ def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache,
     def grad(name: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Add one block's parameter gradients to `grads`; returns dL/dx."""
         g, dx = vqc_gradients(getattr(params, name), x, upstream, rows=s.rows[name])
-        acc = getattr(grads, name)
-        for total, part in zip(acc.tree().values(), g.tree().values(), strict=True):
+        # a VqcParams' attributes are its arrays, in field order
+        for total, part in zip(vars(getattr(grads, name)).values(), vars(g).values(),
+                               strict=True):
             total += part
         return dx
 

@@ -26,19 +26,20 @@ shifted by +-pi/2.  Each qubit is encoded once; its two RY-shifted
 variants follow in closed form and gather into 8 product states, an RZ
 shift is a phase per basis state that the cached layer matrices fold in,
 and the unshifted state times the 56 shifted layer matrices is one
-product.  A training forward forms the rows in its `vqc_forward` call
-(keep_rows=True), reads its readout from the unshifted row and keeps the
-shift differences as `GradientRows`, which the backward's `vqc_gradients`
-only contracts; called without them, `vqc_gradients` forms its own.  An
-evaluation forms the unshifted row only, through the same helpers
-(`_encode`, `_readout`), so its readout has the same bits.
+product.  `vqc_rows` forms them and keeps the shift differences as
+`GradientRows`, which `vqc_gradients` only contracts; called without
+them, `vqc_gradients` forms its own through `vqc_rows`.  Rows are
+independent of each other, so one `vqc_rows` call may hold the samples of
+several forward steps, and `GradientRows.samples` gives each step views of
+its own.  A readout (`vqc_forward`) forms the unshifted row only, through
+the same helpers (`_encode`, `_readout`), so it has the bits of the
+unshifted row that `vqc_rows` forms.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
 side.  Each expectation row counts as one circuit evaluation where it is
-formed: 1 per sample for a readout, 1 + 65 for a readout that forms its
-gradient rows, 65 for a gradient that forms its own, none for a
-contraction.
+formed: 1 per sample for a readout, 65 per sample where gradient rows are
+formed, none for a contraction.
 """
 from __future__ import annotations
 
@@ -246,9 +247,8 @@ def _compress(params: VqcParams, x: np.ndarray) -> np.ndarray:
 
 def _readout(state: np.ndarray, base: np.ndarray) -> np.ndarray:
     """(16, n) encoded states -> the (n, 4) pre-scaling <Z> of the unshifted
-    circuit.  It is one product of its own in both forward paths, so the
-    readout of a forward that forms gradient rows has the bits of one that
-    does not."""
+    circuit.  It is one product of its own for a readout and for gradient
+    rows alike, so both have the same bits."""
     return _z_expectations(state.T @ base)
 
 
@@ -264,6 +264,11 @@ class GradientRows:
     readout: np.ndarray
     enc: np.ndarray
     var: np.ndarray
+
+    def samples(self, start: int, stop: int) -> GradientRows:
+        """The rows of samples start..stop-1, as views."""
+        part = slice(start, stop)
+        return GradientRows(readout=self.readout[part], enc=self.enc[:, part], var=self.var[part])
 
 
 def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
@@ -284,37 +289,33 @@ def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
     return _readout(state, base), e_enc, e_var[:, :n_var]
 
 
-def _rows_of(params: VqcParams, a: np.ndarray) -> GradientRows:
-    """The `GradientRows` of compressed inputs a, (4, n)."""
+def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
+             ) -> GradientRows:
+    """The `GradientRows` of inputs x, (d_in,) or (B, d_in): the 65 rows per
+    sample that a gradient contracts, each counted here as one evaluation."""
+    a = _compress(params, as_rows(x, params.d_in))
     aa = a * a
     readout, e_enc, e_var = _gradient_rows(params, np.arctan(a), np.arctan(aa))
     diff = e_enc[0::2] - e_enc[1::2]  # (8, n, 4): RY of each qubit, then RZ
     # d arctan(a)/da = 1 / (1 + a^2) and d arctan(a^2)/da = 2a / (1 + a^4)
     enc = diff[:N_QUBITS] / (1.0 + aa)[..., None]
     enc += diff[N_QUBITS:] * ((2.0 * a) / (1.0 + aa * aa))[..., None]
+    if counter is not None:
+        counter.count += readout.shape[0] * _GRADIENT_ROWS
     return GradientRows(readout=readout, enc=enc, var=e_var[:, 0::2] - e_var[:, 1::2])
 
 
-def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None, *,
-                keep_rows: bool = False):
-    """One circuit evaluation per sample; returns the scaled Z expectations,
-    (4,) or (B, 4).  With keep_rows=True the call also forms the 64 shifted
-    rows per sample that a gradient needs, counts 1 + 65 evaluations per
-    sample and returns the readout with the `GradientRows` that
-    `vqc_gradients` contracts.  The readout is the unshifted row either
-    way, with the same bits."""
+def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
+                ) -> np.ndarray:
+    """One circuit evaluation per sample, counted here; returns the scaled Z
+    expectations, (4,) or (B, 4)."""
     x = as_rows(x, params.d_in)
     a = _compress(params, x)
-    if keep_rows:
-        rows = _rows_of(params, a)
-        e = rows.readout
-    else:
-        state, _ = _encode(np.arctan(a), np.arctan(a * a))
-        e = _readout(state, _matrices_for(params)[0])
+    state, _ = _encode(np.arctan(a), np.arctan(a * a))
+    e = _readout(state, _matrices_for(params)[0])
     if counter is not None:
-        counter.count += e.shape[0] * (1 + _GRADIENT_ROWS if keep_rows else 1)
-    values = (params.out_scale * e + params.out_shift).reshape(x.shape[:-1] + (N_QUBITS,))
-    return (values, rows) if keep_rows else values
+        counter.count += e.shape[0]
+    return (params.out_scale * e + params.out_shift).reshape(x.shape[:-1] + (N_QUBITS,))
 
 
 def vqc_gradients(
@@ -328,10 +329,9 @@ def vqc_gradients(
     params (summed over the batch) and each sample's input.
 
     x is (d_in,) or (B, d_in) and upstream (4,) or (B, 4).  `rows` are the
-    `GradientRows` that `vqc_forward(params, x, keep_rows=True)` formed;
-    the call then only contracts them and counts nothing.  Without them it
-    forms them first (`_gradient_rows`) and counts one unshifted evaluation
-    plus two per rotation angle per sample, 65 for the default shape.
+    `GradientRows` that `vqc_rows(params, x)` formed; the call then only
+    contracts them and counts nothing.  Without them it forms them first
+    through `vqc_rows`, which counts 65 per sample.
     """
     x = as_rows(x, params.d_in)
     inputs = x.reshape(-1, params.d_in)
@@ -340,9 +340,7 @@ def vqc_gradients(
     if upstream.shape != (n, N_QUBITS):
         upstream = np.broadcast_to(upstream, x.shape[:-1] + (N_QUBITS,)).reshape(n, N_QUBITS)
     if rows is None:
-        rows = _rows_of(params, _compress(params, x))
-        if counter is not None:
-            counter.count += n * _GRADIENT_ROWS
+        rows = vqc_rows(params, x, counter)
 
     # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against dL/d<Z_i>
     de = upstream * (0.5 * float(params.out_scale))

@@ -275,12 +275,14 @@ class TestCostModel:
         assert calls["gradients"] == 5 * steps - 1
         assert calls["forward"] + per_grad.count * calls["gradients"] == counter.count
 
-    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 3, 48])
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_forward_rows_are_the_blocks_differentiated(self, monkeypatch, steps, batch):
         # the forward forms rows for exactly the blocks whose gradient the
         # backward contracts, by the closed-form rule, and counts them all;
-        # at steps = 1 the first step is also the last
+        # at steps = 1 the first step is also the last, and at batch 48 a
+        # product holds two steps, so five steps end in a partial product
+        monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", 128)
         rng = np.random.default_rng(68 + 10 * steps + batch)
         params = init_qlstm_params(2, rng)
         total = batch * (6 * steps + 65 * (5 * steps - 1))
@@ -305,6 +307,29 @@ class TestCostModel:
         qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch), counter)
         assert sorted(contracted) == sorted(cached.values())
         assert counter.count == total
+
+    @pytest.mark.parametrize("steps, batch", [(5, 48), (1, 48), (5, 1), (24, 16)])
+    def test_rows_in_products_equal_rows_step_by_step(self, monkeypatch, steps, batch):
+        # a product of several steps' rows gives each step the bits that a
+        # product of its own rows gives; (5, 48) at 128 rows ends in a
+        # partial product, at one step the first step is the last, and
+        # one-row steps keep products of their own
+        rng = np.random.default_rng(90 + steps + batch)
+        params = init_qlstm_params(2, rng)
+        xs = rng.uniform(-1, 1, size=(batch, steps, 2))
+        formed = {}
+        for rows_per_product in (128, 1):
+            monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", rows_per_product)
+            counter = EvalCounter()
+            _, caches = qlstm_forward(params, xs, counter)
+            assert counter.count == batch * (6 * steps + 65 * (5 * steps - 1))
+            formed[rows_per_product] = {(t, name): rows for t, step in enumerate(caches.steps)
+                                        for name, rows in step.rows.items()}
+        assert formed[128].keys() == formed[1].keys()
+        for key, rows in formed[128].items():
+            for part in ("readout", "enc", "var"):
+                np.testing.assert_array_equal(getattr(rows, part), getattr(formed[1][key], part),
+                                              err_msg=f"{key} {part}")
 
     def test_saturated_gate_keeps_the_count(self):
         # vqc2 reads out at least 59, so i = sigmoid(>= 59) is exactly 1.0 and

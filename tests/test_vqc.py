@@ -21,6 +21,7 @@ from qvuln.vqc import (
     init_vqc_params,
     vqc_forward,
     vqc_gradients,
+    vqc_rows,
 )
 
 import dense_oracle
@@ -195,20 +196,22 @@ class TestGradients:
 
     @pytest.mark.parametrize("shape", [(6,), (1, 6), (5, 6)])
     def test_forward_rows_give_the_same_bits(self, shape):
-        # rows formed by the forward, contracted, give the bits of a call
-        # that forms its own; the forward's readout has the bits of a
-        # forward that forms no rows, and the contraction counts nothing
+        # the rows a caching forward forms through vqc_rows, contracted,
+        # give the bits of a call that forms its own; their unshifted row,
+        # scaled, has the bits of the readout, and the contraction counts
+        # nothing
         rng = np.random.default_rng(33)
         params = random_params(rng, 6)
         x = rng.uniform(-2, 2, size=shape)
         upstream = rng.uniform(-1, 1, size=shape[:-1] + (4,))
         samples = x.size // 6
         counter = EvalCounter()
-        values, rows = vqc_forward(params, x, counter, keep_rows=True)
-        assert counter.count == samples * (1 + 65)
-        np.testing.assert_array_equal(values, vqc_forward(params, x))
+        rows = vqc_rows(params, x, counter)
+        assert counter.count == samples * 65
+        values = params.out_scale * rows.readout + params.out_shift
+        np.testing.assert_array_equal(values.reshape(shape[:-1] + (4,)), vqc_forward(params, x))
         got, got_dx = vqc_gradients(params, x, upstream, counter, rows=rows)
-        assert counter.count == samples * (1 + 65)
+        assert counter.count == samples * 65
         want, want_dx = vqc_gradients(params, x, upstream)
         for name, arr in got.tree().items():
             np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
