@@ -1,6 +1,6 @@
 """Classical numerics: LSTM cell with exact backpropagation through time,
-binary cross-entropy on the logit, and the Adam optimizer over named
-parameter trees.
+binary cross-entropy on the logit, and the Adam optimizer over one
+parameter vector.
 
 The quantum LSTM shares the cell update c = f*c_prev + i*g, out =
 o*tanh(c): both cells build their gate input with `cell_input`, cache a
@@ -11,8 +11,9 @@ A step back gets one upstream and its place in the sequence.
 
 A parameter dataclass (`VqcParams` and `QlstmParams` elsewhere) derives
 its tree of named arrays from its fields through `ParamTree`; `LstmParams`
-names the row blocks of its stacked gates instead.  `zeros_like` gives
-any of them its zero gradient accumulator.
+names the row blocks of its stacked gates instead.  `laid_out` makes a
+model's arrays views of one float64 `vector`, so a gradient is one vector
+of the same layout and Adam one elementwise update of it.
 
 The LSTM and the loss take an optional leading batch axis: a sequence is
 (T, d_in) for one sample or (B, T, d_in) for B samples, and parameter
@@ -30,7 +31,7 @@ back is one product for the weight gradients and one for dL/dv.  Its
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import TypeVar
 
@@ -55,32 +56,54 @@ class ParamTree:
     """Base of the parameter dataclasses: their array fields, in field
     order, form a tree of named arrays.  A field that is itself a
     ParamTree contributes its arrays under `field.`, e.g. `vqc1.in_proj`;
-    other fields (flags) are not parameters."""
+    other fields (flags) are not parameters.  `vector` is the float64
+    vector that `laid_out` made the arrays views of, None until then."""
+
+    vector: np.ndarray | None = None
 
     def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        # a dataclass instance's attributes are its fields, in field order
-        for name, value in vars(self).items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, ParamTree):
-                out.update(value.tree(f"{prefix}{name}."))
+                out.update(value.tree(f"{prefix}{f.name}."))
             elif isinstance(value, np.ndarray):
-                out[prefix + name] = value
+                out[prefix + f.name] = value
         return out
 
 
 _P = TypeVar("_P", bound=ParamTree)
 
 
-def zeros_like(params: _P) -> _P:
-    """A copy of `params` with every array zeroed; other fields are kept."""
+def laid_out(params: _P, vector: np.ndarray | None = None) -> _P:
+    """A copy of `params` whose arrays are views of one float64 vector, the
+    copy's `vector`, in field order (a nested ParamTree's in its field's
+    place) with no gap or overlap.  The views read `vector` as it stands;
+    without one, a fresh vector holds the values of params' arrays."""
+    fresh = vector is None
+    vector = np.empty(sum(a.size for a in params.tree().values())) if fresh else vector
+    out, end = _views(params, vector, 0, fresh)
+    if end != vector.size:
+        raise ValueError(f"a vector of {vector.size} values does not hold {end} parameters")
+    out.vector = vector
+    return out
+
+
+def _views(block: _P, vector: np.ndarray, start: int, fresh: bool) -> tuple[_P, int]:
+    """`laid_out`'s walk from vector[start]; returns the copy and where it ends.
+    A module function, not a recursive closure, whose reference cycle would
+    keep each vector alive until the cyclic garbage collector ran."""
     changes = {}
-    for f in fields(params):
-        value = getattr(params, f.name)
+    for f in fields(block):
+        value = getattr(block, f.name)
         if isinstance(value, ParamTree):
-            changes[f.name] = zeros_like(value)
+            changes[f.name], start = _views(value, vector, start, fresh)
         elif isinstance(value, np.ndarray):
-            changes[f.name] = np.zeros_like(value)
-    return replace(params, **changes)
+            changes[f.name] = vector[start:start + value.size].reshape(value.shape)
+            if fresh:
+                changes[f.name][...] = value
+            start += value.size
+    return replace(block, **changes), start
 
 
 # the three sigmoid gates side by side, then the candidate
@@ -114,7 +137,7 @@ class LstmParams(ParamTree):
     def tree(self, prefix: str = "") -> dict[str, np.ndarray]:
         """The checkpoint names w_f, w_i, w_c, w_o, b_f, ..., head_b, each
         gate's entry a view of its row block; the rows are C-contiguous, so
-        an in-place write (Adam, loading, finite differences) reaches `w`."""
+        an in-place write (loading, finite differences) reaches `w`."""
         n = self.hidden
         rows = {gate: slice(k * n, (k + 1) * n) for k, gate in enumerate(_GATES)}
         out = {f"{prefix}w_{gate}": self.w[rows[gate]] for gate in _NAMED_GATES}
@@ -149,8 +172,8 @@ def init_lstm_params(hidden: int, d_in: int, rng: np.random.Generator) -> LstmPa
     w = {gate: rng.uniform(-k, k, size=(hidden, hidden + d_in)) for gate in _NAMED_GATES}
     b = np.zeros(4 * hidden)
     b[:hidden] = 1.0  # f is the first block
-    return LstmParams(w=np.concatenate([w[gate] for gate in _GATES]), b=b,
-                      head_w=rng.uniform(-k, k, size=hidden), head_b=np.array(0.0))
+    return laid_out(LstmParams(w=np.concatenate([w[gate] for gate in _GATES]), b=b,
+                               head_w=rng.uniform(-k, k, size=hidden), head_b=np.array(0.0)))
 
 
 @dataclass
@@ -229,6 +252,7 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     """The backward time loop of both models: exact gradients of the sum over
     samples of upstream * logit (upstream is a float, or (B,) for a batch),
     summed over the batch, and the (T, d_x) or (B, T, d_x) input gradients.
+    The parameter gradients are `laid_out` like `params`, on a fresh vector.
     `step_back(params, grads, cache, d_out, dc, first, last)` adds a step's
     parameter gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1},
     x_t), and dL/dc_{t-1}.  The head reads y only at t = T-1 (`last`), so
@@ -236,7 +260,7 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     if caches is None:
         raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
     upstream = np.asarray(upstream, dtype=float)
-    grads = zeros_like(params)
+    grads = laid_out(params, np.zeros(params.vector.size))
     T = len(caches.steps)
     grads.head_w += np.dot(upstream, caches.final)
     grads.head_b += np.sum(upstream)
@@ -339,40 +363,37 @@ def bce_from_logit(logit, target) -> tuple:
     return value, dlogit
 
 
-@dataclass
+# Adam's decay rates and guard [Kingma & Ba 2015]; only the learning rate varies
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class OptimizerState:
-    """Adam moments keyed by parameter name, plus the step counter."""
+    """Adam over `size` parameters: the learning rate, the step count and
+    `rows`, an allocation of its own for the moments m, v and two work rows."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, size: int, lr: float) -> None:
+        self.lr = lr
+        self.step = 0
+        self.rows = np.zeros((4, size))
 
 
-def adam_step(
-    opt: OptimizerState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
-) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """Bias-corrected Adam update, applied in place in sorted-name order."""
+def adam_step(opt: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of the vector `theta`, in place and
+    through `opt`'s rows, so with no temporaries; elementwise, so each value
+    gets the bits of the per-array formula."""
     opt.step += 1
-    t = opt.step
-    for name in sorted(params):
-        p = params[name]
-        g = grads[name]
-        if np.shape(g) != p.shape:
-            raise ValueError(f"gradient shape {np.shape(g)} != param shape {p.shape} for {name!r}")
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(p)
-            opt.v[name] = np.zeros_like(p)
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        m_hat = m / (1.0 - opt.beta1**t)
-        v_hat = v / (1.0 - opt.beta2**t)
-        p -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
-    return params, opt
+    m, v, a, b = opt.rows
+    m *= BETA1
+    np.multiply(grad, 1.0 - BETA1, out=a)
+    m += a
+    v *= BETA2
+    np.multiply(grad, grad, out=a)
+    a *= 1.0 - BETA2
+    v += a
+    np.divide(m, 1.0 - BETA1**opt.step, out=a)
+    a *= opt.lr
+    np.divide(v, 1.0 - BETA2**opt.step, out=b)
+    np.sqrt(b, out=b)
+    b += EPS
+    a /= b
+    theta -= a

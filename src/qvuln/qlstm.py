@@ -29,10 +29,11 @@ step caches hold, and counts them there.  A block's layer matrices are the
 same at every step, so the rows of several steps share one `vqc_rows`
 product of up to `ROWS_PER_PRODUCT` rows, and each step keeps views of its
 own.  The backward makes one `vqc_gradients` call per such block and step,
-which only contracts the rows and counts nothing.  So B samples over T
-steps cost B * (6T + 65 (5T - 1)) evaluations, whatever the data, all
-counted by the forward.  A cache-free forward forms the readouts only, 6T
-per sample, with the same bits.
+which only contracts the rows into the block's views of the gradient
+vector and counts nothing.  So B samples over T steps cost B * (6T + 65
+(5T - 1)) evaluations, whatever the data, all counted by the forward.  A
+cache-free forward forms the readouts only, 6T per sample, with the same
+bits.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .neural import (
     CellCache, CellState, ParamTree, SequenceCaches, backprop_sequence, cell_backward,
-    cell_input, run_sequence, sigmoid,
+    cell_input, laid_out, run_sequence, sigmoid,
 )
 from .vqc import (
     EvalCounter, GradientRows, VqcParams, init_vqc_params, vqc_forward, vqc_gradients, vqc_rows,
@@ -84,17 +85,10 @@ def init_qlstm_params(d_x: int, rng: np.random.Generator, sigma_hidden: bool = T
     if d_x < 1:
         raise ValueError(f"d_x must be >= 1, got {d_x}")
     k = 1.0 / np.sqrt(HIDDEN)
-    return QlstmParams(
-        vqc1=init_vqc_params(HIDDEN + d_x, rng),
-        vqc2=init_vqc_params(HIDDEN + d_x, rng),
-        vqc3=init_vqc_params(HIDDEN + d_x, rng),
-        vqc4=init_vqc_params(HIDDEN + d_x, rng),
-        vqc5=init_vqc_params(HIDDEN, rng),
-        vqc6=init_vqc_params(HIDDEN, rng),
-        head_w=rng.uniform(-k, k, size=HIDDEN),
-        head_b=np.array(0.0),
-        sigma_hidden=sigma_hidden,
-    )
+    # drawn in order: vqc1-4 read v_t, vqc5-6 read o * tanh(c), then the head
+    blocks = [init_vqc_params(HIDDEN + d_x if j < 4 else HIDDEN, rng) for j in range(6)]
+    return laid_out(QlstmParams(*blocks, head_w=rng.uniform(-k, k, size=HIDDEN),
+                                head_b=np.array(0.0), sigma_hidden=sigma_hidden))
 
 
 def initial_state() -> CellState:
@@ -189,13 +183,9 @@ def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache,
     blocks = _differentiated(first, last)
 
     def grad(name: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        """Add one block's parameter gradients to `grads`; returns dL/dx."""
-        g, dx = vqc_gradients(getattr(params, name), x, upstream, rows=s.rows[name])
-        # a VqcParams' attributes are its arrays, in field order
-        for total, part in zip(vars(getattr(grads, name)).values(), vars(g).values(),
-                               strict=True):
-            total += part
-        return dx
+        """Add one block's gradient into its views in `grads`; returns dL/dx."""
+        return vqc_gradients(getattr(params, name), x, upstream, rows=s.rows[name],
+                             into=getattr(grads, name))[1]
 
     if "vqc6" in blocks:
         dr = grad("vqc6", s.r, d_out)

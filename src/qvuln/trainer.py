@@ -10,13 +10,15 @@ Both tasks are index rows into a table (token indices into the embedding
 rows, sine windows into a table of sine values), and `_check_split` checks
 a split against its table before any work.  Each optimizer step is one
 forward and one backward call over the whole mini-batch, through the
-models' leading batch axis.  Evaluation runs the same batched forward in
-chunks of EVAL_CHUNK samples without keeping backward caches, so its memory
-is bounded by one chunk's inputs and one step's working set, not by T steps
-of caches.  `_model` is the one place that maps a model name and the
-hyperparameters a checkpoint records to fresh parameters and the model's
-forward and backward functions; train, evaluate and the checkpoint schema
-check all build through it.
+models' leading batch axis.  Adam updates one vector theta, the model's
+(`neural.laid_out`) and then a trainable table's rows, by a gradient
+vector of the same layout; a frozen table stays outside.  Evaluation runs
+the same batched forward in chunks of EVAL_CHUNK samples without keeping
+backward caches, so its memory is bounded by one chunk's inputs and one
+step's working set, not by T steps of caches.  `_model` is the one place
+that maps a model name and the hyperparameters a checkpoint records to
+fresh parameters and the model's forward and backward functions; train,
+evaluate and the checkpoint schema check all build through it.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ from .neural import (
     adam_step,
     bce_from_logit,
     init_lstm_params,
+    laid_out,
     lstm_backward,
     lstm_forward,
     sigmoid,
@@ -316,13 +319,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                            CheckpointError)
         for name, entry in doc["params"].items()
     }
-    return Checkpoint(
-        model=doc["model"],
-        task=doc["task"],
-        hyperparameters=doc["hyperparameters"],
-        vocab_digest=doc.get("vocab_digest"),
-        arrays=arrays,
-    )
+    return Checkpoint(model=doc["model"], task=doc["task"], hyperparameters=doc["hyperparameters"],
+                      vocab_digest=doc.get("vocab_digest"), arrays=arrays)
 
 
 def _recorded_size(hp: dict, key: str) -> int:
@@ -545,20 +543,14 @@ def train(
     if (matrix is None) != (config.task == "sine"):
         needs = "takes no" if matrix is not None else "requires an"
         raise DataError(f"{config.task} training {needs} embedding matrix")
-    # the run trains and stores its own table, never the caller's
-    emb = None if matrix is None else matrix.rows.copy()
+    rows = None if matrix is None else matrix.rows
     max_len = getattr(data, "max_len", None)
-    table = _check_split(config.task, data, emb, max_len, vocab_digest)
+    table = _check_split(config.task, data, rows, max_len, vocab_digest)
     if eval_data is not None:
-        _check_split(config.task, eval_data, emb, max_len, vocab_digest)
-    hyperparameters: dict = {
-        "batch_size": config.batch_size,
-        "d_in": table.shape[1],
-        "epochs": config.epochs,
-        "lr": config.lr,
-        "seed": config.seed,
-        "threshold": config.threshold,
-    }
+        _check_split(config.task, eval_data, rows, max_len, vocab_digest)
+    hyperparameters: dict = {"batch_size": config.batch_size, "d_in": table.shape[1],
+                             "epochs": config.epochs, "lr": config.lr, "seed": config.seed,
+                             "threshold": config.threshold}
     if config.model == "lstm":
         hyperparameters["hidden"] = config.hidden
     else:
@@ -573,11 +565,15 @@ def train(
     params, forward, backward = _model(config.model, hyperparameters, init_rng)
     targets = data.targets if config.task == "sine" else data.labels
 
-    params_tree = params.tree()
+    # theta, the vector Adam updates: the model's, then a trainable table's
+    # rows; the run trains and stores its own table, never the caller's
     emb_trainable = matrix is not None and matrix.trainable
-    if emb_trainable:
-        params_tree["embedding.rows"] = emb
-    opt = OptimizerState(lr=config.lr)
+    n_model = params.vector.size
+    theta = np.concatenate([params.vector, rows.ravel()]) if emb_trainable else params.vector
+    params = laid_out(params, theta[:n_model])
+    if matrix is not None:
+        table = emb = theta[n_model:].reshape(rows.shape) if emb_trainable else rows.copy()
+    opt = OptimizerState(theta.size, config.lr)
 
     n = len(data)
     loss_curve: list[float] = []
@@ -596,13 +592,12 @@ def train(
             epoch_loss += batch_loss
             grads, dx = backward(params, caches, dlogits)
             del caches  # else two batches' caches are alive during the next forward pass
-            acc = grads.tree()
+            grad = grads.vector
             if emb_trainable:
-                acc["embedding.rows"] = _embedding_gradient(data.sequences[batch], dx, emb.shape)
-            scale = 1.0 / len(batch)
-            for g in acc.values():
-                g *= scale
-            adam_step(opt, params_tree, acc)
+                grad = np.concatenate(
+                    [grad, _embedding_gradient(data.sequences[batch], dx, emb.shape).ravel()])
+            grad *= 1.0 / len(batch)
+            adam_step(opt, theta, grad)
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
@@ -614,7 +609,7 @@ def train(
     wall_time = time.perf_counter() - started
     # Adam's moments and the last batch's gradients are done with; freed,
     # they make room for the closing evaluate's input chunk
-    del opt, grads, acc, dx
+    del opt, grads, grad, dx
 
     if curves_path is not None:
         save_curves(curve_blocks, curves_path)
@@ -622,13 +617,8 @@ def train(
     arrays = params.tree()
     if config.task == "classify":
         arrays["embedding.rows"] = emb
-    ckpt = Checkpoint(
-        model=config.model,
-        task=config.task,
-        hyperparameters=hyperparameters,
-        vocab_digest=vocab_digest,
-        arrays=arrays,
-    )
+    ckpt = Checkpoint(model=config.model, task=config.task, hyperparameters=hyperparameters,
+                      vocab_digest=vocab_digest, arrays=arrays)
 
     try:
         report = evaluate(ckpt, eval_data if eval_data is not None else data, config.threshold)

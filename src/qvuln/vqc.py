@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .neural import ParamTree, as_rows
+from .neural import ParamTree, as_rows, laid_out
 from .qsim import StateVector, apply_circuit, cnot, ry, rz
 
 N_QUBITS = 4
@@ -225,7 +225,7 @@ def _layer_matrices(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matrices_for(params: VqcParams) -> tuple[np.ndarray, np.ndarray]:
-    # keyed on content: adam_step updates the angle arrays in place
+    # keyed on content: adam_step updates the angles in place
     return _layer_matrices(np.ascontiguousarray(params.angles, dtype=float).tobytes())
 
 
@@ -324,6 +324,7 @@ def vqc_gradients(
     upstream: np.ndarray,
     counter: EvalCounter | None = None,
     rows: GradientRows | None = None,
+    into: VqcParams | None = None,
 ) -> tuple[VqcParams, np.ndarray]:
     """Exact gradients of the sum over samples of upstream . values, w.r.t.
     params (summed over the batch) and each sample's input.
@@ -331,7 +332,8 @@ def vqc_gradients(
     x is (d_in,) or (B, d_in) and upstream (4,) or (B, 4).  `rows` are the
     `GradientRows` that `vqc_rows(params, x)` formed; the call then only
     contracts them and counts nothing.  Without them it forms them first
-    through `vqc_rows`, which counts 65 per sample.
+    through `vqc_rows`, which counts 65 per sample.  The parameter gradients
+    are added into and returned as `into` (a fresh zero copy of params if None).
     """
     x = as_rows(x, params.d_in)
     inputs = x.reshape(-1, params.d_in)
@@ -347,12 +349,12 @@ def vqc_gradients(
     da = np.einsum("jni,ni->jn", rows.enc, de)  # (4, n), a = in_proj @ x + bias
     var_grads = np.einsum("nki,ni->k", rows.var, de)  # (24,)
 
-    grads = VqcParams(
-        in_proj=da @ inputs,
-        bias=da.sum(axis=1),
-        angles=var_grads.reshape(N_LAYERS, N_QUBITS, 3),
-        out_scale=np.array(float(np.vdot(upstream, rows.readout))),
-        out_shift=np.array(float(np.sum(upstream))),
-    )
-    input_grads = (da.T @ params.in_proj).reshape(x.shape)
-    return grads, input_grads
+    if into is None:
+        into = laid_out(params)
+        into.vector.fill(0.0)
+    into.in_proj += da @ inputs
+    into.bias += da.sum(axis=1)
+    into.angles += var_grads.reshape(N_LAYERS, N_QUBITS, 3)
+    into.out_scale += np.vdot(upstream, rows.readout)
+    into.out_shift += np.sum(upstream)
+    return into, (da.T @ params.in_proj).reshape(x.shape)

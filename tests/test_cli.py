@@ -18,6 +18,7 @@ from qvuln.cli import (
     main,
     run_gradcheck,
 )
+from qvuln.embedding import build_embedding_matrix
 from qvuln.errors import DataError
 from qvuln.trainer import evaluate, load_checkpoint, load_curves, load_metrics, sine_task
 
@@ -1103,6 +1104,49 @@ class TestClassifyClosure:
         assert "accuracy" in load_metrics(eval_metrics)
 
         assert main(["census", "--ckpt", str(ckpt_path)]) == 0
+
+    @pytest.mark.parametrize("model", ["lstm", "qlstm"])
+    def test_frozen_table_trains_end_to_end(self, model, monkeypatch, tiny_corpus_dir, tmp_path,
+                                            capsys):
+        # glove mode reads a vector file, so the table is frozen: it stays
+        # outside the vector Adam updates and is stored as it was built
+        enc_dir = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        tokens = load_vocab_file(enc_dir / "vocab.json").tokens
+        rng = np.random.default_rng(17)
+        vectors = tmp_path / "vectors.txt"
+        # every other token has a vector; the rest share the OOV row
+        lines = [" ".join([token, *map(repr, rng.normal(size=3).tolist())])
+                 for token in tokens[::2]]
+        vectors.write_text("\n".join(lines) + "\n")
+        built = []
+
+        def recording(*args, **kwargs):
+            matrix = build_embedding_matrix(*args, **kwargs)
+            built.append(matrix.rows.copy())
+            return matrix
+
+        monkeypatch.setattr(cli, "build_embedding_matrix", recording)
+        ckpt_path, metrics_path = tmp_path / "ckpt.json", tmp_path / "metrics.json"
+        assert main([
+            "train", "--model", model, "--task", "classify",
+            "--data", str(enc_dir / "train.json"), "--eval-data", str(enc_dir / "validation.json"),
+            "--vocab", str(enc_dir / "vocab.json"), "--embedding", "glove",
+            "--vectors", str(vectors), "--epochs", "1", "--hidden", "3",
+            "--out", str(ckpt_path), "--metrics", str(metrics_path),
+        ]) == 0
+        doc = load_metrics(metrics_path)
+        assert len(doc["loss_curve"]) == 1
+        assert all(np.isfinite(doc[key]) for key in ("accuracy", "precision", "recall", "f1"))
+        assert np.all(np.isfinite(doc["loss_curve"]))
+        ckpt = load_checkpoint(ckpt_path)
+        assert ckpt.hyperparameters["embedding_trainable"] is False
+        assert len(built) == 1 and built[0].shape == (len(tokens) + 2, 3)
+        assert ckpt.arrays["embedding.rows"].tobytes() == built[0].tobytes()
+        capsys.readouterr()
+        assert main(["census", "--ckpt", str(ckpt_path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" ok")
 
     def test_empty_split_round_trips(self, tiny_corpus_dir, tmp_path):
         data_dir = tmp_path / "csv"

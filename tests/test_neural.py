@@ -2,10 +2,12 @@
 finite-difference verification of the exact backward pass."""
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import lstm_oracle
 import numpy as np
@@ -18,13 +20,13 @@ from qvuln.neural import (
     adam_step,
     bce_from_logit,
     init_lstm_params,
+    laid_out,
     lstm_backward,
     lstm_cell_step,
     lstm_forward,
     sigmoid,
-    zeros_like,
 )
-from qvuln.qlstm import init_qlstm_params
+from qvuln.qlstm import init_qlstm_params, qlstm_backward, qlstm_forward
 
 FD_STEP = 1e-5
 
@@ -199,43 +201,75 @@ class TestLoss:
         assert value == 800.0
 
 
+def per_leaf_adam(state: dict, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+                  lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """The per-array Adam step that the one-vector `adam_step` replaced, kept
+    as its reference: moments per name, set up on first use, updated in
+    sorted-name order, each array through fresh temporaries."""
+    state["step"] = t = state.get("step", 0) + 1
+    for name in sorted(params):
+        p, g = params[name], grads[name]
+        if name not in state:
+            state[name] = (np.zeros_like(p), np.zeros_like(p))
+        m, v = state[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestAdam:
     def test_zero_gradients_only_advance_step(self):
-        params = {"a": np.array([1.0, 2.0]), "b": np.array(3.0)}
-        grads = {"a": np.zeros(2), "b": np.array(0.0)}
-        opt = OptimizerState(lr=0.1)
-        updated, opt = adam_step(opt, params, grads)
+        theta = np.array([1.0, 2.0, 3.0])
+        opt = OptimizerState(3, lr=0.1)
+        adam_step(opt, theta, np.zeros(3))
         assert opt.step == 1
-        np.testing.assert_array_equal(updated["a"], [1.0, 2.0])
-        assert float(updated["b"]) == 3.0
+        np.testing.assert_array_equal(theta, [1.0, 2.0, 3.0])
 
     def test_scalar_hand_formula(self):
         # m_hat = g, v_hat = g^2, update = lr * g / (|g| + eps) for step one
-        params = {"p": np.array(2.0)}
-        opt = OptimizerState(lr=0.1)
-        updated, _ = adam_step(opt, params, {"p": np.array(1.0)})
-        assert abs(float(updated["p"]) - 1.900000001) < 1e-12
+        theta = np.array([2.0])
+        adam_step(OptimizerState(1, lr=0.1), theta, np.array([1.0]))
+        assert abs(float(theta[0]) - 1.900000001) < 1e-12
 
     def test_equal_gradients_equal_updates(self):
-        params = {"a": np.array(1.0), "b": np.array(1.0)}
-        grads = {"a": np.array(0.3), "b": np.array(0.3)}
-        updated, _ = adam_step(OptimizerState(lr=0.05), params, grads)
-        assert float(updated["a"]) == float(updated["b"])
+        theta = np.array([1.0, 1.0])
+        adam_step(OptimizerState(2, lr=0.05), theta, np.array([0.3, 0.3]))
+        assert theta[0] == theta[1]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step(OptimizerState(), {"a": np.zeros(2)}, {"a": np.zeros(3)})
+            adam_step(OptimizerState(2, lr=0.1), np.zeros(2), np.zeros(3))
 
-    def test_iteration_order_is_canonical(self):
-        rng = np.random.default_rng(8)
-        values = {name: rng.uniform(-1, 1, size=3) for name in ("x", "y", "z")}
-        grads = {name: rng.uniform(-1, 1, size=3) for name in ("x", "y", "z")}
-        first = {k: v.copy() for k, v in values.items()}
-        second = {k: v.copy() for k, v in reversed(values.items())}
-        adam_step(OptimizerState(lr=0.01), first, dict(grads))
-        adam_step(OptimizerState(lr=0.01), second, dict(reversed(grads.items())))
-        for name in values:
-            np.testing.assert_array_equal(first[name], second[name])
+    @pytest.mark.parametrize("init", [
+        lambda rng: init_lstm_params(50, 50, rng),
+        lambda rng: init_qlstm_params(50, rng),
+    ], ids=["lstm", "qlstm"])
+    def test_vector_update_has_the_per_leaf_bits(self, init):
+        # gate-5 sizes: hidden 50 and 50-wide inputs from a trainable 202-row
+        # table, which theta holds after the model, as training lays it out
+        rng = np.random.default_rng(31)
+        params = init(rng)
+        table = rng.uniform(-1, 1, size=(202, 50))
+        n = params.vector.size
+        theta = np.concatenate([params.vector, table.ravel()])
+        params = laid_out(params, theta[:n])
+        named = {**params.tree(), "embedding.rows": theta[n:].reshape(table.shape)}
+        want = {name: arr.copy() for name, arr in named.items()}
+        opt, state = OptimizerState(theta.size, lr=1e-3), {}
+        for _ in range(5):
+            # magnitudes from 1e-8 to 1e8, so another rounding shows in the bits
+            grad = rng.normal(size=theta.size) * 10.0 ** rng.uniform(-8, 8, size=theta.size)
+            grads = {**laid_out(params, grad[:n]).tree(),
+                     "embedding.rows": grad[n:].reshape(table.shape)}
+            per_leaf_adam(state, want, grads, lr=1e-3)
+            adam_step(opt, theta, grad)
+        assert opt.step == 5
+        for name, arr in named.items():
+            assert arr.tobytes() == want[name].tobytes(), name
 
 
 class TestInit:
@@ -278,8 +312,8 @@ class TestInit:
         lambda rng: init_qlstm_params(2, rng),
     ], ids=["lstm", "qlstm"])
     def test_tree_entries_are_flat_writable_views(self, init):
-        # finite differences write through reshape(-1) of each entry, and
-        # Adam and checkpoint loading write into the entries in place
+        # checkpoint loading writes into the entries in place, and a flat
+        # write through reshape(-1) of an entry must reach it too
         params = init(np.random.default_rng(4))
         for name, arr in params.tree().items():
             assert arr.flags.c_contiguous, name
@@ -290,11 +324,98 @@ class TestInit:
             np.testing.assert_array_equal(arr.reshape(-1), np.arange(arr.size) + 0.5, err_msg=name)
 
     def test_zeros_like(self):
+        # a zero gradient: the model's layout on a zero vector
         params = init_lstm_params(3, 2, np.random.default_rng(2))
-        zeros = zeros_like(params)
+        zeros = laid_out(params, np.zeros(params.vector.size))
         for name, arr in zeros.tree().items():
             assert np.all(arr == 0)
             assert arr.shape == params.tree()[name].shape
+            assert np.shares_memory(arr, zeros.vector), name
+
+
+def positions(arr: np.ndarray, vector: np.ndarray) -> slice:
+    """The slice of `vector` that the C-contiguous view `arr` covers."""
+    start = arr.__array_interface__["data"][0] - vector.__array_interface__["data"][0]
+    assert start % vector.itemsize == 0
+    start //= vector.itemsize
+    return slice(start, start + arr.size)
+
+
+def assert_covers_once(params) -> None:
+    """Every array of `params.tree()` is a C-contiguous view of its float64
+    vector, and together they cover the vector once, with no gap and no
+    overlap."""
+    vector = params.vector
+    assert vector.dtype == np.float64 and vector.ndim == 1 and vector.flags.c_contiguous
+    covered = np.zeros(vector.size, dtype=int)
+    for name, arr in params.tree().items():
+        assert arr.flags.c_contiguous and np.shares_memory(arr, vector), name
+        covered[positions(arr, vector)] += 1
+    np.testing.assert_array_equal(covered, 1)
+
+
+LAYOUT_MODELS = {
+    # hidden != d_in, so that a transposed gate block would not fit
+    "lstm": (lambda rng: init_lstm_params(5, 3, rng), lstm_forward, lstm_backward),
+    "qlstm": (lambda rng: init_qlstm_params(3, rng, sigma_hidden=False), qlstm_forward,
+              qlstm_backward),
+}
+
+
+@pytest.mark.parametrize("model", LAYOUT_MODELS)
+class TestLayout:
+    def test_parameters_and_gradient_cover_their_vector_once(self, model):
+        init, forward, backward = LAYOUT_MODELS[model]
+        rng = np.random.default_rng(12)
+        params = init(rng)
+        assert_covers_once(params)
+        # the nested blocks and the stacked gates are views too
+        for arr in [params.w, params.b] if model == "lstm" else [params.vqc1.angles,
+                                                                  params.vqc6.in_proj]:
+            assert np.shares_memory(arr, params.vector)
+        _, caches = forward(params, rng.uniform(-1, 1, size=(2, 3, 3)))
+        grads, _ = backward(params, caches, np.array([0.4, -0.7]))
+        assert_covers_once(grads)
+        assert grads.vector.size == params.vector.size
+        assert not np.shares_memory(grads.vector, params.vector)
+
+    def test_writes_through_the_tree_reach_the_vector(self, model):
+        params = LAYOUT_MODELS[model][0](np.random.default_rng(13))
+        for arr in params.tree().values():
+            at = positions(arr, params.vector)
+            arr[...] = np.arange(at.start, at.stop).reshape(arr.shape)
+        np.testing.assert_array_equal(params.vector, np.arange(params.vector.size))
+
+    def test_a_vector_dies_with_its_last_view(self, model):
+        # a gradient vector is freed by reference counting once its layout
+        # is dropped, not held by a cycle until the garbage collector runs
+        params = LAYOUT_MODELS[model][0](np.random.default_rng(15))
+        gc.disable()
+        try:
+            for given in (True, False):
+                grads = laid_out(params, np.zeros(params.vector.size) if given else None)
+                ref = weakref.ref(grads.vector)
+                del grads
+                assert ref() is None, given
+        finally:
+            gc.enable()
+
+    def test_a_given_vector_is_viewed_as_it_stands(self, model):
+        # the trainer lays a model onto the head of theta, ahead of the table
+        params = LAYOUT_MODELS[model][0](np.random.default_rng(14))
+        n = params.vector.size
+        theta = np.concatenate([params.vector, np.full(7, 9.0)])
+        moved = laid_out(params, theta[:n])
+        assert_covers_once(moved)
+        assert moved.vector.size == n and np.shares_memory(moved.vector, theta)
+        for name, arr in moved.tree().items():
+            assert np.shares_memory(arr, theta), name
+            assert arr.tobytes() == params.tree()[name].tobytes(), name
+        if model == "qlstm":
+            assert moved.sigma_hidden is False
+        for size in (n - 1, n + 1):
+            with pytest.raises(ValueError):
+                laid_out(params, np.zeros(size))
 
 
 class TestBatch:

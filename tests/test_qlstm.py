@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qvuln.qlstm
-from qvuln.neural import CellState, bce_from_logit, sigmoid, zeros_like
+from qvuln.neural import CellState, bce_from_logit, laid_out, sigmoid
 from qvuln.qlstm import (
     HIDDEN,
     init_qlstm_params,
@@ -196,8 +196,9 @@ class TestInit:
         ] + ["head_w", "head_b"]
 
     def test_zeros_like(self):
-        params = init_qlstm_params(2, np.random.default_rng(9))
-        zeros = zeros_like(params)
+        # a zero gradient: the model's layout on a zero vector
+        params = init_qlstm_params(2, np.random.default_rng(9), sigma_hidden=False)
+        zeros = laid_out(params, np.zeros(params.vector.size))
         for name, arr in zeros.tree().items():
             assert np.all(arr == 0)
             assert arr.shape == params.tree()[name].shape
@@ -299,9 +300,9 @@ class TestCostModel:
 
         contracted = []
 
-        def recording(block, x, upstream, counter=None, rows=None):
+        def recording(block, x, upstream, counter=None, rows=None, into=None):
             contracted.append(id(rows))
-            return vqc_gradients(block, x, upstream, counter, rows=rows)
+            return vqc_gradients(block, x, upstream, counter, rows=rows, into=into)
 
         monkeypatch.setattr(qvuln.qlstm, "vqc_gradients", recording)
         qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch), counter)
@@ -350,13 +351,12 @@ class TestCostModel:
         for name, arr in grads.vqc2.tree().items():
             assert np.all(arr == 0), name
 
-        summed = zeros_like(params)
+        summed = laid_out(params, np.zeros(params.vector.size))
         for b in range(batch):
             _, sample_caches = qlstm_forward(params, xs[b])
             sample_grads, sample_dx = qlstm_backward(params, sample_caches, upstream[b])
             np.testing.assert_allclose(dx[b], sample_dx, rtol=0, atol=1e-13)
-            for total, part in zip(summed.tree().values(), sample_grads.tree().values()):
-                total += part
+            summed.vector += sample_grads.vector
         for name, arr in grads.tree().items():
             np.testing.assert_allclose(arr, summed.tree()[name], rtol=0, atol=1e-13, err_msg=name)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -223,6 +224,48 @@ class TestTrain:
         save_checkpoint(first, tmp_path / "first.json")
         save_checkpoint(second, tmp_path / "second.json")
         assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    @pytest.mark.parametrize("model", ["lstm", "qlstm"])
+    def test_training_forward_reads_the_trained_table(self, model, tmp_path):
+        # the table Adam trains is a view of theta; a forward that read the
+        # copy made before the layout would give the last epoch's curve
+        # other probabilities than the checkpoint gives
+        vocab, data = tiny_classify_dataset()
+        matrix = build_embedding_matrix(vocab, [], "basic", seed=5, d_basic=4)
+        config = TrainConfig(model=model, task="classify", epochs=2, batch_size=4, seed=5,
+                             hidden=3, lr=0.05)
+        ckpt, report = train(config, data, matrix=matrix, curves_path=tmp_path / "curves.txt")
+        assert not np.array_equal(ckpt.arrays["embedding.rows"], matrix.rows)
+        _, _, last = load_curves(tmp_path / "curves.txt")[2]
+        assert last.tobytes() == report.predictions.tobytes()
+
+    @pytest.mark.parametrize("model", ["lstm", "qlstm"])
+    def test_adam_state_is_freed_before_the_closing_evaluate(self, model, monkeypatch):
+        # the checkpoint's arrays are views of theta, so Adam's rows must be
+        # an allocation of their own, freed with the optimizer
+        vocab, data = tiny_classify_dataset()
+        matrix = build_embedding_matrix(vocab, [], "basic", seed=5, d_basic=4)
+        adam, evaluate = qvuln.trainer.adam_step, qvuln.trainer.evaluate
+        rows, alive_at_evaluate = [], []
+
+        def spy(opt, theta, grad):
+            rows.append(weakref.ref(opt.rows))
+            return adam(opt, theta, grad)
+
+        def checked(*args, **kwargs):
+            alive_at_evaluate.extend(ref() is not None for ref in rows)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(qvuln.trainer, "adam_step", spy)
+        monkeypatch.setattr(qvuln.trainer, "evaluate", checked)
+        config = TrainConfig(model=model, task="classify", epochs=2, batch_size=4, seed=5,
+                             hidden=3, lr=0.05)
+        ckpt, _ = train(config, data, matrix=matrix)
+        # 10 samples in batches of 4: three optimizer steps an epoch
+        assert len(rows) == 6
+        assert alive_at_evaluate == [False] * 6
+        assert all(ref() is None for ref in rows)
+        assert ckpt.arrays["embedding.rows"].shape == matrix.rows.shape
 
     def test_embedding_gradient_equals_add_at_over_rows(self):
         # repeated rows and padding tokens, with terms from 1e-8 to 1e8 so

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qvuln.neural import OptimizerState, adam_step, zeros_like
+from qvuln.neural import OptimizerState, adam_step, laid_out
 from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
 from qvuln.vqc import (
     EvalCounter,
@@ -223,20 +223,38 @@ class TestGradients:
                 vqc_gradients(manual_params(d_in=4), x, np.ones(x.shape[:-1] + (4,)))
 
 
+class TestInto:
+    def test_gradients_add_into_the_given_views(self):
+        # the QLSTM's backward adds each block's gradient into that block's
+        # views of the model's gradient vector
+        rng = np.random.default_rng(15)
+        params = laid_out(random_params(rng, 4))
+        x = rng.uniform(-1, 1, size=(3, 4))
+        upstream = rng.uniform(-1, 1, size=(3, 4))
+        want, want_dx = vqc_gradients(params, x, upstream)
+        into = laid_out(params, np.full(params.vector.size, 0.5))
+        got, got_dx = vqc_gradients(params, x, upstream, into=into)
+        assert got is into
+        np.testing.assert_array_equal(into.vector, 0.5 + want.vector)
+        np.testing.assert_array_equal(got_dx, want_dx)
+
+
 class TestLayerCache:
     def test_in_place_angle_update_is_not_stale(self):
-        # adam_step rewrites the angle array in place, keeping its identity
+        # adam_step rewrites the parameter vector in place, so the angle
+        # array, a view of it, keeps its identity
         rng = np.random.default_rng(14)
-        params = random_params(rng, 4)
+        params = laid_out(random_params(rng, 4))
         x = rng.uniform(-1, 1, size=4)
         upstream = rng.uniform(-1, 1, size=4)
         vqc_forward(params, x)
         grads, _ = vqc_gradients(params, x, upstream)
-        angles = params.angles
-        adam_step(OptimizerState(lr=0.1), params.tree(), grads.tree())
+        angles, before = params.angles, params.angles.copy()
+        adam_step(OptimizerState(params.vector.size, lr=0.1), params.vector, grads.vector)
         assert params.angles is angles
+        assert not np.array_equal(params.angles, before)
 
-        fresh = VqcParams(**{name: np.array(arr) for name, arr in vars(params).items()})
+        fresh = VqcParams(**{name: np.array(arr) for name, arr in params.tree().items()})
         np.testing.assert_array_equal(vqc_forward(params, x), vqc_forward(fresh, x))
         (got, got_dx), (want, want_dx) = (vqc_gradients(p, x, upstream) for p in (params, fresh))
         for name, arr in got.tree().items():
@@ -373,8 +391,9 @@ class TestInit:
             assert np.array_equal(arr, b.tree()[name])
 
     def test_zeros_like(self):
-        params = init_vqc_params(3, np.random.default_rng(1))
-        zeros = zeros_like(params)
+        # a zero gradient: the block's layout on a zero vector
+        params = laid_out(init_vqc_params(3, np.random.default_rng(1)))
+        zeros = laid_out(params, np.zeros(params.vector.size))
         for arr in zeros.tree().values():
             assert np.all(arr == 0)
         assert zeros.in_proj.shape == params.in_proj.shape
