@@ -253,9 +253,10 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     samples of upstream * logit (upstream is a float, or (B,) for a batch),
     summed over the batch, and the (T, d_x) or (B, T, d_x) input gradients.
     The parameter gradients are `laid_out` like `params`, on a fresh vector.
-    `step_back(params, grads, cache, d_out, dc, first, last)` adds a step's
+    `step_back(params, grads, step, d_out, dc, first, last)` adds a step's
     parameter gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1},
-    x_t), and dL/dc_{t-1}.  The head reads y only at t = T-1 (`last`), so
+    x_t), and dL/dc_{t-1}; `step` is `caches.steps[t]`, which this loop
+    passes through unread.  The head reads y only at t = T-1 (`last`), so
     d_out is the head's gradient there and dL/dh_t before; `first` is t = 0."""
     if caches is None:
         raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")

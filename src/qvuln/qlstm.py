@@ -19,25 +19,24 @@ drops the sigmoid around VQC5 for the published variant of the cell that
 emits the circuit value directly.
 
 Every function takes an optional leading batch axis: a sequence is (T, d_x)
-for one sample or (B, T, d_x) for B samples.  Each block then makes one
-readout `vqc_forward` call per time step for the whole batch.  One rule,
-`_differentiated`, names the blocks whose gradient a step needs, by the
-step's place alone: the sequence's structure makes the others' gradient
-zero.  A forward that keeps its caches forms those blocks' 65 gradient
-rows per sample after its time loop, from the inputs v_t and r_t that the
-step caches hold, and counts them there.  A block's layer matrices are the
-same at every step, so the rows of several steps share one `vqc_rows`
-product of up to `ROWS_PER_PRODUCT` rows, and each step keeps views of its
-own.  The backward makes one `vqc_gradients` call per such block and step,
-which only contracts the rows into the block's views of the gradient
-vector and counts nothing.  So B samples over T steps cost B * (6T + 65
-(5T - 1)) evaluations, whatever the data, all counted by the forward.  A
-cache-free forward forms the readouts only, 6T per sample, with the same
-bits.
+for one sample or (B, T, d_x) for B samples.  A forward makes one readout
+`vqc_forward` call per block and time step for the whole batch and counts
+6T evaluations per sample, whether or not it keeps its caches, which
+record the forward only.  One rule, `_differentiated`, names the blocks
+whose gradient a step needs, by the step's place alone: the sequence's
+structure makes the others' gradient zero.  The backward first forms and
+counts those blocks' 65 gradient rows per sample from the inputs v_t and
+r_t that the step caches hold (`_form_rows`).  A block's layer matrices
+are the same at every step, so the rows of several steps share one
+`vqc_rows` product of up to `ROWS_PER_PRODUCT` rows, and each step gets
+views of its own.  It then makes one `vqc_gradients` call per such block
+and step, which only contracts the rows into the block's views of the
+gradient vector.  So B samples over T steps cost B * 6T evaluations
+forward and B * 65 (5T - 1) backward, whatever the data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -51,7 +50,7 @@ from .vqc import (
 )
 
 HIDDEN = 4
-# the most rows one `vqc_rows` call of a caching forward forms: a product
+# the most rows one `vqc_rows` call of a backward forms: a product
 # holds the rows of ROWS_PER_PRODUCT // B steps of a B-sample batch (B > 1),
 # at least one; per-sample cost falls with rows up to about this size
 ROWS_PER_PRODUCT = 128
@@ -100,8 +99,7 @@ def _differentiated(first: bool, last: bool) -> tuple[str, ...]:
     """The blocks whose gradient a step's backward needs, by the step's
     place alone: vqc6 at the last step (only the head reads y), vqc5 before
     it, vqc2-4 always, and vqc1 but at the first step, where c_prev = 0
-    makes the forget gate's gradient exactly zero.  The forward forms the
-    shift rows of these blocks, and the backward contracts them."""
+    makes the forget gate's gradient exactly zero."""
     return (("vqc6",) if last else ("vqc5",)) + (() if first else ("vqc1",)) + (
         "vqc2", "vqc3", "vqc4")
 
@@ -110,7 +108,6 @@ def _differentiated(first: bool, last: bool) -> tuple[str, ...]:
 class QlstmStepCache(CellCache):
     r: np.ndarray  # o * tanh(c), the input to vqc5/vqc6
     h: np.ndarray
-    rows: dict[str, GradientRows]  # the `_differentiated` blocks' shift rows, once formed
 
 
 def qlstm_cell_step(
@@ -120,8 +117,7 @@ def qlstm_cell_step(
     counter: EvalCounter | None = None,
 ) -> tuple[CellState, QlstmStepCache]:
     """One recurrence step; six circuit readouts per sample.  x_t is (d_x,)
-    or (B, d_x); the arrays of prev broadcast against it.  The cache holds
-    no rows yet: `qlstm_forward` forms them after its time loop."""
+    or (B, d_x); the arrays of prev broadcast against it."""
     v = cell_input(x_t, prev.h, params.d_x)
     f = sigmoid(vqc_forward(params.vqc1, v, counter))
     i = sigmoid(vqc_forward(params.vqc2, v, counter))
@@ -134,57 +130,53 @@ def qlstm_cell_step(
     h = sigmoid(h_raw) if params.sigma_hidden else h_raw
     y = vqc_forward(params.vqc6, r, counter)
     state = CellState(h=h, c=c, y=y)
-    cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h,
-                           rows={})
+    cache = QlstmStepCache(v=v, f=f, i=i, g=g, o=o, c_prev=prev.c, tanh_c=tanh_c, r=r, h=h)
     return state, cache
 
 
 def _form_rows(params: QlstmParams, steps: list[QlstmStepCache],
-               counter: EvalCounter | None) -> None:
-    """Form the shift rows of every `_differentiated` block and step into
-    the steps' `rows`.  Per block, the inputs of consecutive steps that
-    need its rows are stacked, ROWS_PER_PRODUCT // B steps (at least one)
-    to a `vqc_rows` call, and each step keeps views of its own rows.  A
-    step's rows have the same bits whatever the product size."""
+               counter: EvalCounter | None) -> list[dict[str, GradientRows]]:
+    """The shift rows of every `_differentiated` block, by step.  Per block,
+    the inputs of consecutive steps that need its rows are stacked,
+    ROWS_PER_PRODUCT // B steps (at least one) to a `vqc_rows` call; each
+    step gets views of its own rows, with the same bits at any product size."""
     T = len(steps)
     n = steps[0].r.size // HIDDEN  # a step's rows: B, or 1 for one sample
     # numpy forms a one-row product as a matrix-vector product, whose bits
     # differ from a matrix product's row, so one-row steps stay apart
     per = max(1, ROWS_PER_PRODUCT // n) if n > 1 else 1
+    rows = [{} for _ in steps]
     for name in ("vqc1", "vqc2", "vqc3", "vqc4", "vqc5", "vqc6"):
-        need = [s for t, s in enumerate(steps) if name in _differentiated(t == 0, t == T - 1)]
+        need = [t for t in range(T) if name in _differentiated(t == 0, t == T - 1)]
         for start in range(0, len(need), per):
             chunk = need[start:start + per]
-            x = np.concatenate([(s.r if name in ("vqc5", "vqc6") else s.v).reshape(n, -1)
-                                for s in chunk])
-            rows = vqc_rows(getattr(params, name), x, counter)
-            for k, s in enumerate(chunk):
-                s.rows[name] = rows.samples(k * n, (k + 1) * n)
+            x = np.concatenate([(steps[t].r if name in ("vqc5", "vqc6") else steps[t].v)
+                                .reshape(n, -1) for t in chunk])
+            formed = vqc_rows(getattr(params, name), x, counter)
+            for k, t in enumerate(chunk):
+                rows[t][name] = formed.samples(k * n, (k + 1) * n)
+    return rows
 
 
 def qlstm_forward(params: QlstmParams, sequence, counter: EvalCounter | None = None, *,
                   keep_caches: bool = True) -> tuple[float | np.ndarray, SequenceCaches | None]:
     """`neural.run_sequence` of the quantum cell from `initial_state()`,
-    with d = d_x; the sigmoid of the logit is the caller's.  With
-    keep_caches the forward then forms the rows that the backward
-    contracts (`_form_rows`)."""
-    logit, caches = run_sequence(partial(qlstm_cell_step, counter=counter), params, sequence,
-                                 initial_state(), keep_caches)
-    if caches is not None:
-        _form_rows(params, caches.steps, counter)
-    return logit, caches
+    with d = d_x; the sigmoid of the logit is the caller's."""
+    return run_sequence(partial(qlstm_cell_step, counter=counter), params, sequence,
+                        initial_state(), keep_caches)
 
 
-def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache, d_out, dc,
-                     first, last) -> tuple[np.ndarray, np.ndarray]:
-    """One step of `qlstm_backward`: the circuit gradients of the
-    `_differentiated` blocks, contracted from the rows their forward formed,
-    chained through the gate algebra."""
+def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, step, d_out, dc, first,
+                     last) -> tuple[np.ndarray, np.ndarray]:
+    """One step of `qlstm_backward`, given the pair `step` of the step's
+    cache and its rows: the circuit gradients of the `_differentiated`
+    blocks, contracted from the rows, chained through the gate algebra."""
+    s, rows = step
     blocks = _differentiated(first, last)
 
     def grad(name: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Add one block's gradient into its views in `grads`; returns dL/dx."""
-        return vqc_gradients(getattr(params, name), x, upstream, rows=s.rows[name],
+        return vqc_gradients(getattr(params, name), x, upstream, rows=rows[name],
                              into=getattr(grads, name))[1]
 
     if "vqc6" in blocks:
@@ -199,8 +191,11 @@ def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, s: QlstmStepCache,
 
 def qlstm_backward(params: QlstmParams, caches: SequenceCaches, upstream: float | np.ndarray,
                    counter: EvalCounter | None = None) -> tuple[QlstmParams, np.ndarray]:
-    """`neural.backprop_sequence` of the quantum cell.  It makes no circuit
-    evaluation: the forward formed and counted every row it contracts, so
-    `counter`, which callers pass for the forward and backward alike, is
-    left as it is."""
+    """`neural.backprop_sequence` of the quantum cell.  It forms the rows
+    it contracts (`_form_rows`), 65 per sample and block gradient, counted
+    on `counter`, and pairs each step's cache with its rows, so the
+    forward's caches stay as they were."""
+    if caches is not None:
+        rows = _form_rows(params, caches.steps, counter)
+        caches = replace(caches, steps=list(zip(caches.steps, rows)))
     return backprop_sequence(_qlstm_step_back, params, caches, upstream, params.d_x)

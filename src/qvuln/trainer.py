@@ -640,7 +640,8 @@ def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
     params, forward = params_from_checkpoint(ckpt)
     hp = ckpt.hyperparameters
     emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
-    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"),
+    max_len = _recorded_size(hp, "max_len") if ckpt.task == "classify" else None
+    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), max_len,
                          ckpt.vocab_digest)
     if table.shape[1] != hp["d_in"]:
         raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the "

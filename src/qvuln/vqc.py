@@ -20,20 +20,23 @@ parameter shift in one batch.  A small cache keyed on the angle values
 keeps the layer matrices between calls.  Each circuit evaluation is then a
 product state times a matrix, and a whole batch is one matrix product.
 
-A gradient needs 65 rows per sample: the unshifted circuit and, for each
-of the 8 encoding slots and 24 variational angles, the circuit with it
-shifted by +-pi/2.  Each qubit is encoded once; its two RY-shifted
-variants follow in closed form and gather into 8 product states, an RZ
-shift is a phase per basis state that the cached layer matrices fold in,
-and the unshifted state times the 56 shifted layer matrices is one
-product.  `vqc_rows` forms them and keeps the shift differences as
-`GradientRows`, which `vqc_gradients` only contracts; called without
-them, `vqc_gradients` forms its own through `vqc_rows`.  Rows are
-independent of each other, so one `vqc_rows` call may hold the samples of
-several forward steps, and `GradientRows.samples` gives each step views of
-its own.  A readout (`vqc_forward`) forms the unshifted row only, through
-the same helpers (`_encode`, `_readout`), so it has the bits of the
-unshifted row that `vqc_rows` forms.
+A gradient needs 65 rows per sample: the unshifted circuit and, for each of
+the 8 encoding slots and 24 variational angles, the circuit with it shifted
+by +-pi/2.  Layer 2 ends each qubit with an RZ that commutes with the Z
+readout, so those 4 angles never get a gradient (their shift differences
+are rounding noise), but their 8 rows are formed: the cost model counts
+them.  Each qubit is encoded once; its two RY-shifted variants follow in
+closed form and gather into 8 product states, an RZ shift is a phase per
+basis state that the cached layer matrices fold in, and the unshifted state
+times the 56 shifted layer matrices is one product.  `vqc_rows` forms them
+and keeps the shift differences as `GradientRows`, which `vqc_gradients`
+only contracts; called without them, `vqc_gradients` forms its own through
+`vqc_rows`.  Rows are independent of each other, so one `vqc_rows` call
+may hold the samples of several steps of a sequence, and
+`GradientRows.samples` gives each step views of its own.  A readout
+(`vqc_forward`) forms the unshifted row only, through the same helpers
+(`_encode`, `_readout`), so it has the bits of the unshifted row that
+`vqc_rows` forms.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding

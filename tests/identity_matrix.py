@@ -14,10 +14,13 @@ stdout in order.  Each tree's digests are written to `digests-a.json` and
 
 The list: `preprocess`; `train` of the LSTM and the QLSTM on classify (with
 `--eval-data`) and on sine, with `--curves` and `--metrics`; a QLSTM sine
-run with `--no-sigma-hidden`; `eval` (with `--metrics`) and `census` of
-each checkpoint; `gradcheck --trials 3`.  Every file a run writes and every
-run's stdout is an output.  In a metrics file `wall_time_seconds` is masked,
-since it is the one value that differs from run to run.
+run with `--no-sigma-hidden`; a classify run of each model in
+`glove+fasttext` mode, on two vector files that `make_corpus` writes with
+fixed seeds from the training split's tokens; `eval` (with `--metrics`)
+and `census` of each checkpoint; `gradcheck --trials 3`.  Every file a run
+writes and every run's stdout is an output.  In a metrics file
+`wall_time_seconds` is masked, since it is the one value that differs from
+run to run.
 
 `test_identity_matrix.py` runs the list twice against this tree and requires
 equal digests.  It pins no digest: OpenBLAS picks its kernels by CPU, so
@@ -26,6 +29,7 @@ another host may give other bits.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -49,14 +53,31 @@ CHECKPOINTS = {
     "qlstm-classify": ("qlstm", "classify", []),
     "qlstm-sine": ("qlstm", "sine", []),
     "qlstm-sine-raw-hidden": ("qlstm", "sine", ["--no-sigma-hidden"]),
+    "lstm-glove+fasttext": ("lstm", "classify", ["--embedding", "glove+fasttext"]),
+    "qlstm-glove+fasttext": ("qlstm", "classify", ["--embedding", "glove+fasttext"]),
 }
+# the vector files of the glove+fasttext runs: (file, width, seed, stride),
+# a vector for every stride-th token; the glove-like file covers every other
+# token, so the out-of-vocabulary row is read too
+VECTOR_FILES = (("glove.txt", 3, 31, 2), ("fasttext.txt", 2, 32, 1))
 
 
 def make_corpus(out_dir: Path) -> Path:
-    """The tiny generated corpus that the list runs on."""
+    """The tiny generated corpus that the list runs on, with its vector
+    files: seeded normal vectors for the sorted distinct tokens of the
+    training split, as the reference tokenizer splits them."""
     from conftest import generate_corpus
+    from tokenizer_oracle import tokenize
 
-    return generate_corpus(out_dir, **CORPUS)
+    corpus = generate_corpus(out_dir, **CORPUS)
+    with open(corpus / "train.csv", newline="", encoding="utf-8") as fh:
+        tokens = sorted({token for row in csv.DictReader(fh) for token in tokenize(row["code"])})
+    for name, width, seed, stride in VECTOR_FILES:
+        rng = np.random.default_rng(seed)
+        (corpus / name).write_text("".join(
+            " ".join([token, *map(repr, rng.normal(size=width).tolist())]) + "\n"
+            for token in tokens[::stride]))
+    return corpus
 
 
 def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
@@ -68,7 +89,10 @@ def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
     for name, (model, task, flags) in CHECKPOINTS.items():
         if task == "classify":
             inputs = ["--data", "enc/train.json", "--eval-data", "enc/validation.json",
-                      "--vocab", "enc/vocab.json", "--d-basic", "2"]
+                      "--vocab", "enc/vocab.json"]
+            vectors = [arg for file, *_ in VECTOR_FILES
+                       for arg in ("--vectors", str(corpus / file))]
+            inputs += vectors if "--embedding" in flags else ["--d-basic", "2"]
         else:
             inputs = ["--n-points", "12", "--window", "3"]
         files = [f"{name}.json", f"{name}-curves.json", f"{name}-metrics.json"]

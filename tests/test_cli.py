@@ -376,6 +376,31 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert key in err and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("value, max_len", [(None, 6), ("6", 6), (True, 1), (0, 6)],
+                             ids=["missing", "string", "true", "zero"])
+    def test_classify_eval_reads_a_checked_max_len(self, value, max_len, tiny_corpus_dir,
+                                                   tmp_path, capsys):
+        # None drops the key; a JSON true equals a 1-token split's max_len,
+        # so it must not evaluate that split
+        enc_dir = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", str(max_len),
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main(["train", "--model", "lstm", "--task", "classify", "--epochs", "1",
+                     "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                     "--hidden", "2", "--d-basic", "2", "--out", str(ckpt_path)]) == 0
+        doc = json.loads(ckpt_path.read_text())
+        hp = {k: v for k, v in doc["hyperparameters"].items() if k != "max_len"}
+        if value is not None:
+            hp["max_len"] = value
+        ckpt_path.write_text(json.dumps({**doc, "hyperparameters": hp}))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(enc_dir / "test.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "checkpoint hyperparameter 'max_len' must be a positive integer" in captured.err
+        assert captured.err.count("\n") == 1, captured.err
+
     def test_sine_eval_without_task_sizes_is_checkpoint_error(self, tmp_path, capsys):
         # train always records both sizes; a default would evaluate on
         # another task than the one trained
@@ -1108,18 +1133,14 @@ class TestClassifyClosure:
     @pytest.mark.parametrize("model", ["lstm", "qlstm"])
     def test_frozen_table_trains_end_to_end(self, model, monkeypatch, tiny_corpus_dir, tmp_path,
                                             capsys):
-        # glove mode reads a vector file, so the table is frozen: it stays
-        # outside the vector Adam updates and is stored as it was built
+        # each vector mode reads one vector file per table, so the table is
+        # frozen: it stays outside the vector Adam updates and is stored as
+        # it was built
         enc_dir = tmp_path / "encoded"
         assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
                      "--max-vocab", "30", "--out", str(enc_dir)]) == 0
         tokens = load_vocab_file(enc_dir / "vocab.json").tokens
         rng = np.random.default_rng(17)
-        vectors = tmp_path / "vectors.txt"
-        # every other token has a vector; the rest share the OOV row
-        lines = [" ".join([token, *map(repr, rng.normal(size=3).tolist())])
-                 for token in tokens[::2]]
-        vectors.write_text("\n".join(lines) + "\n")
         built = []
 
         def recording(*args, **kwargs):
@@ -1128,25 +1149,36 @@ class TestClassifyClosure:
             return matrix
 
         monkeypatch.setattr(cli, "build_embedding_matrix", recording)
-        ckpt_path, metrics_path = tmp_path / "ckpt.json", tmp_path / "metrics.json"
-        assert main([
-            "train", "--model", model, "--task", "classify",
-            "--data", str(enc_dir / "train.json"), "--eval-data", str(enc_dir / "validation.json"),
-            "--vocab", str(enc_dir / "vocab.json"), "--embedding", "glove",
-            "--vectors", str(vectors), "--epochs", "1", "--hidden", "3",
-            "--out", str(ckpt_path), "--metrics", str(metrics_path),
-        ]) == 0
-        doc = load_metrics(metrics_path)
-        assert len(doc["loss_curve"]) == 1
-        assert all(np.isfinite(doc[key]) for key in ("accuracy", "precision", "recall", "f1"))
-        assert np.all(np.isfinite(doc["loss_curve"]))
-        ckpt = load_checkpoint(ckpt_path)
-        assert ckpt.hyperparameters["embedding_trainable"] is False
-        assert len(built) == 1 and built[0].shape == (len(tokens) + 2, 3)
-        assert ckpt.arrays["embedding.rows"].tobytes() == built[0].tobytes()
-        capsys.readouterr()
-        assert main(["census", "--ckpt", str(ckpt_path)]) == 0
-        assert capsys.readouterr().out.rstrip().endswith(" ok")
+        for mode, widths in (("glove", [3]), ("fasttext", [2]), ("glove+fasttext", [3, 2])):
+            vectors = []
+            for k, width in enumerate(widths):
+                path = tmp_path / f"{mode}-{k}.txt"
+                # every other token has a vector; the rest share the OOV row
+                path.write_text("".join(
+                    " ".join([token, *map(repr, rng.normal(size=width).tolist())]) + "\n"
+                    for token in tokens[k::2]))
+                vectors += ["--vectors", str(path)]
+            ckpt_path, metrics_path = tmp_path / f"{mode}.json", tmp_path / f"{mode}-metrics.json"
+            built.clear()
+            assert main([
+                "train", "--model", model, "--task", "classify",
+                "--data", str(enc_dir / "train.json"),
+                "--eval-data", str(enc_dir / "validation.json"),
+                "--vocab", str(enc_dir / "vocab.json"), "--embedding", mode, *vectors,
+                "--epochs", "1", "--hidden", "3",
+                "--out", str(ckpt_path), "--metrics", str(metrics_path),
+            ]) == 0, mode
+            doc = load_metrics(metrics_path)
+            assert len(doc["loss_curve"]) == 1
+            assert all(np.isfinite(doc[key]) for key in ("accuracy", "precision", "recall", "f1"))
+            assert np.all(np.isfinite(doc["loss_curve"]))
+            ckpt = load_checkpoint(ckpt_path)
+            assert ckpt.hyperparameters["embedding_trainable"] is False
+            assert len(built) == 1 and built[0].shape == (len(tokens) + 2, sum(widths))
+            assert ckpt.arrays["embedding.rows"].tobytes() == built[0].tobytes()
+            capsys.readouterr()
+            assert main(["census", "--ckpt", str(ckpt_path)]) == 0
+            assert capsys.readouterr().out.rstrip().endswith(" ok")
 
     def test_empty_split_round_trips(self, tiny_corpus_dir, tmp_path):
         data_dir = tmp_path / "csv"

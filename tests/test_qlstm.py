@@ -2,6 +2,8 @@
 finite-difference verification of the composed backward pass."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ import qvuln.qlstm
 from qvuln.neural import CellState, bce_from_logit, laid_out, sigmoid
 from qvuln.qlstm import (
     HIDDEN,
+    QlstmStepCache,
     init_qlstm_params,
     initial_state,
     qlstm_backward,
@@ -19,6 +22,10 @@ from qvuln.vqc import EvalCounter, vqc_gradients
 
 FD_STEP = 1e-5
 FD_TOL = 1e-5
+# (batch, steps) of the count tests: one step, where the first step is the
+# last; one sample without a batch axis; gate 5's shape, whose rows span
+# several products; and a batch whose last product is partial
+COUNTED_SHAPES = [(1, 1), (1, 5), (16, 24), (48, 5)]
 
 
 def zeroed_vqcs(d_x: int, scale: float = 1.0, shift: float = 0.0):
@@ -85,19 +92,17 @@ class TestCellStep:
 
 
 class TestForward:
-    def test_six_evaluations_per_step(self):
-        # six readouts per step; a caching forward also forms the 65 rows of
-        # each of the 5T - 1 block gradients, which the backward only contracts
-        params = init_qlstm_params(2, np.random.default_rng(2))
-        steps = 5
-        bare = EvalCounter()
-        qlstm_forward(params, [np.zeros(2)] * steps, bare, keep_caches=False)
-        assert bare.count == 6 * steps
+    @pytest.mark.parametrize("keep_caches", [True, False])
+    @pytest.mark.parametrize("batch, steps", COUNTED_SHAPES)
+    def test_six_evaluations_per_step(self, batch, steps, keep_caches):
+        # six readouts per step, whether or not the forward keeps its
+        # caches; at batch 1 the sequence has no batch axis
+        rng = np.random.default_rng(66 + batch + steps)
+        params = init_qlstm_params(3, rng)
+        xs = rng.uniform(-1, 1, size=(batch, steps, 3))
         counter = EvalCounter()
-        _, caches = qlstm_forward(params, [np.zeros(2)] * steps, counter)
-        assert counter.count == 6 * steps + 65 * (5 * steps - 1)
-        qlstm_backward(params, caches, 1.0, counter)
-        assert counter.count == 6 * steps + 65 * (5 * steps - 1)
+        qlstm_forward(params, xs[0] if batch == 1 else xs, counter, keep_caches=keep_caches)
+        assert counter.count == 6 * batch * steps
 
     def test_zero_vqcs_give_zero_logit(self):
         params = zeroed_vqcs(2)
@@ -276,38 +281,58 @@ class TestCostModel:
         assert calls["gradients"] == 5 * steps - 1
         assert calls["forward"] + per_grad.count * calls["gradients"] == counter.count
 
+    @pytest.mark.parametrize("batch, steps", COUNTED_SHAPES)
+    def test_backward_counts_65_per_block_gradient_each_time(self, batch, steps):
+        # the backward forms and counts the rows of the 5T - 1 block
+        # gradients and leaves the forward's caches as they were, so a
+        # second backward on them counts and gives the same again
+        assert "rows" not in {field.name for field in dataclasses.fields(QlstmStepCache)}
+        rng = np.random.default_rng(70 + batch + steps)
+        params = init_qlstm_params(2, rng)
+        xs = rng.uniform(-1, 1, size=(batch, steps, 2))
+        _, caches = qlstm_forward(params, xs[0] if batch == 1 else xs)
+        upstream = rng.uniform(-1, 1) if batch == 1 else rng.uniform(-1, 1, size=batch)
+        results = []
+        for _ in range(2):
+            counter = EvalCounter()
+            grads, dx = qlstm_backward(params, caches, upstream, counter)
+            assert counter.count == 65 * batch * (5 * steps - 1)
+            results.append((grads.vector.tobytes(), dx.tobytes()))
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("batch", [1, 3, 48])
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_forward_rows_are_the_blocks_differentiated(self, monkeypatch, steps, batch):
-        # the forward forms rows for exactly the blocks whose gradient the
-        # backward contracts, by the closed-form rule, and counts them all;
-        # at steps = 1 the first step is also the last, and at batch 48 a
+        # the backward forms rows from the forward's step caches for exactly
+        # the blocks whose gradient it contracts, by the closed-form rule; at
+        # steps = 1 the first step is also the last, and at batch 48 a
         # product holds two steps, so five steps end in a partial product
         monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", 128)
         rng = np.random.default_rng(68 + 10 * steps + batch)
         params = init_qlstm_params(2, rng)
-        total = batch * (6 * steps + 65 * (5 * steps - 1))
-        counter = EvalCounter()
-        _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, 2)), counter)
-        assert counter.count == total
-        cached = {(t, name): id(rows) for t, step in enumerate(caches.steps)
-                  for name, rows in step.rows.items()}
-        want = set()
-        for t in range(steps):
-            names = {"vqc2", "vqc3", "vqc4", "vqc6" if t == steps - 1 else "vqc5"}
-            want |= {(t, name) for name in names | ({"vqc1"} if t > 0 else set())}
-        assert set(cached) == want
+        _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, 2)))
+        formed, contracted, form_rows = [], [], qvuln.qlstm._form_rows
 
-        contracted = []
+        def forming(*args):
+            rows = form_rows(*args)
+            formed.extend(rows)
+            return rows
 
         def recording(block, x, upstream, counter=None, rows=None, into=None):
             contracted.append(id(rows))
             return vqc_gradients(block, x, upstream, counter, rows=rows, into=into)
 
+        monkeypatch.setattr(qvuln.qlstm, "_form_rows", forming)
         monkeypatch.setattr(qvuln.qlstm, "vqc_gradients", recording)
-        qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch), counter)
+        qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch))
+        cached = {(t, name): id(rows) for t, step in enumerate(formed)
+                  for name, rows in step.items()}
+        want = set()
+        for t in range(steps):
+            names = {"vqc2", "vqc3", "vqc4", "vqc6" if t == steps - 1 else "vqc5"}
+            want |= {(t, name) for name in names | ({"vqc1"} if t > 0 else set())}
+        assert set(cached) == want
         assert sorted(contracted) == sorted(cached.values())
-        assert counter.count == total
 
     @pytest.mark.parametrize("steps, batch", [(5, 48), (1, 48), (5, 1), (24, 16)])
     def test_rows_in_products_equal_rows_step_by_step(self, monkeypatch, steps, batch):
@@ -317,15 +342,15 @@ class TestCostModel:
         # one-row steps keep products of their own
         rng = np.random.default_rng(90 + steps + batch)
         params = init_qlstm_params(2, rng)
-        xs = rng.uniform(-1, 1, size=(batch, steps, 2))
+        _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, 2)))
         formed = {}
         for rows_per_product in (128, 1):
             monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", rows_per_product)
             counter = EvalCounter()
-            _, caches = qlstm_forward(params, xs, counter)
-            assert counter.count == batch * (6 * steps + 65 * (5 * steps - 1))
-            formed[rows_per_product] = {(t, name): rows for t, step in enumerate(caches.steps)
-                                        for name, rows in step.rows.items()}
+            rows = qvuln.qlstm._form_rows(params, caches.steps, counter)
+            assert counter.count == 65 * batch * (5 * steps - 1)
+            formed[rows_per_product] = {(t, name): block for t, step in enumerate(rows)
+                                        for name, block in step.items()}
         assert formed[128].keys() == formed[1].keys()
         for key, rows in formed[128].items():
             for part in ("readout", "enc", "var"):
@@ -359,12 +384,3 @@ class TestCostModel:
             summed.vector += sample_grads.vector
         for name, arr in grads.tree().items():
             np.testing.assert_allclose(arr, summed.tree()[name], rtol=0, atol=1e-13, err_msg=name)
-
-    def test_cache_free_forward_counts_six_per_step_and_sample(self):
-        rng = np.random.default_rng(66)
-        params = init_qlstm_params(3, rng)
-        steps, samples = 4, 7
-        counter = EvalCounter()
-        qlstm_forward(params, rng.uniform(-1, 1, size=(samples, steps, 3)), counter,
-                      keep_caches=False)
-        assert counter.count == 6 * steps * samples

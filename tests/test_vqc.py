@@ -196,7 +196,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("shape", [(6,), (1, 6), (5, 6)])
     def test_forward_rows_give_the_same_bits(self, shape):
-        # the rows a caching forward forms through vqc_rows, contracted,
+        # the rows a QLSTM backward forms through vqc_rows, contracted,
         # give the bits of a call that forms its own; their unshifted row,
         # scaled, has the bits of the readout, and the contraction counts
         # nothing
@@ -216,6 +216,20 @@ class TestGradients:
         for name, arr in got.tree().items():
             np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
         np.testing.assert_array_equal(got_dx, want_dx)
+
+    def test_last_rz_of_layer_2_gets_no_gradient(self):
+        # layer 2 ends each qubit with an RZ right before the Z readout; it
+        # commutes with Z, so the +-pi/2 differences of slot 2 in layer 2 are
+        # rounding noise, while every other angle's differ.  Their rows stay
+        # formed and counted, since the cost model counts them
+        rng = np.random.default_rng(34)
+        params = random_params(rng, 4)
+        var = vqc_rows(params, rng.uniform(-2, 2, size=(64, 4))).var
+        largest = np.abs(var).max(axis=(0, 2)).reshape(2, 4, 3)  # (layer, qubit, slot)
+        assert np.all(largest[1, :, 2] < 1e-12)
+        others = np.ones((2, 4, 3), dtype=bool)
+        others[1, :, 2] = False
+        assert np.all(largest[others] > 1e-3)
 
     def test_input_shape_error(self):
         for x in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 3, 4))):
