@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import (
     SPLITS, Vocabulary, balance, build_vocab, load_dataset, tokenize,
 )
-from .embedding import MODES, build_embedding_matrix, load_vectors
+from .embedding import D_BASIC_DEFAULT, MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError
 from .fileio import check_output_paths, decode_array, encode_array, read_json, write_json
 from .neural import bce_from_logit, laid_out
@@ -227,6 +227,10 @@ def _load_tables(args: argparse.Namespace) -> list:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    if args.d_basic is not None and args.embedding != "basic":
+        raise DataError(f"--d-basic sets the basic table's width; embedding mode "
+                        f"{args.embedding!r} takes its width from the --vectors file(s)")
+    d_basic = D_BASIC_DEFAULT if args.d_basic is None else args.d_basic
     config = TrainConfig(
         model=args.model,
         task=args.task,
@@ -236,7 +240,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         lr=args.lr,
         threshold=args.threshold,
         hidden=args.hidden,
-        d_basic=args.d_basic,
+        d_basic=d_basic,
         sigma_hidden=args.sigma_hidden,
     )
     check_output_paths(
@@ -252,7 +256,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         eval_data = load_encoded_dataset(args.eval_data) if args.eval_data else None
         tables = _load_tables(args)
         matrix = build_embedding_matrix(
-            vocab, tables, args.embedding, seed=args.seed, d_basic=args.d_basic
+            vocab, tables, args.embedding, seed=args.seed, d_basic=d_basic
         )
         ckpt, report = train(
             config, data, matrix=matrix, vocab_digest=vocab.digest(),
@@ -399,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="seed for init and shuffling")
     p.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
     p.add_argument("--hidden", type=int, default=50, help="classical hidden units")
-    p.add_argument("--d-basic", type=int, default=50, help="trainable embedding dimension")
+    p.add_argument("--d-basic", type=int, default=None,
+                   help=f"trainable embedding dimension, basic mode only "
+                        f"(default: {D_BASIC_DEFAULT})")
     p.add_argument("--n-points", type=int, default=100, help="sine task sample count")
     p.add_argument("--window", type=int, default=4, help="sine task input window")
     p.add_argument("--sigma-hidden", action=argparse.BooleanOptionalAction, default=True,

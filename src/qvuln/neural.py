@@ -7,7 +7,10 @@ o*tanh(c): both cells build their gate input with `cell_input`, cache a
 `CellCache` per step and go back through the update with `cell_backward`.
 Both also share the time loops: each supplies only its step (and step
 back) to `run_sequence` and `backprop_sequence`, over one `CellState`.
-A step back gets one upstream and its place in the sequence.
+A step back gets one upstream and its place in the sequence, and
+`backprop_sequence` takes the steps it passes to it in the order it uses
+them, last to first: the LSTM's caches reversed, and the QLSTM's pairs of
+a cache and its gradient rows, formed a window at a time as they are used.
 
 A parameter dataclass (`VqcParams` and `QlstmParams` elsewhere) derives
 its tree of named arrays from its fields through `ParamTree`; `LstmParams`
@@ -248,16 +251,19 @@ def run_sequence(step, params, sequence, state: CellState, keep_caches: bool):
     return (float(logits) if logits.ndim == 0 else logits), caches
 
 
-def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d_x: int):
+def backprop_sequence(step_back, params: _P, caches: SequenceCaches, steps, upstream, d_x: int):
     """The backward time loop of both models: exact gradients of the sum over
     samples of upstream * logit (upstream is a float, or (B,) for a batch),
     summed over the batch, and the (T, d_x) or (B, T, d_x) input gradients.
     The parameter gradients are `laid_out` like `params`, on a fresh vector.
     `step_back(params, grads, step, d_out, dc, first, last)` adds a step's
     parameter gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1},
-    x_t), and dL/dc_{t-1}; `step` is `caches.steps[t]`, which this loop
-    passes through unread.  The head reads y only at t = T-1 (`last`), so
-    d_out is the head's gradient there and dL/dh_t before; `first` is t = 0."""
+    x_t), and dL/dc_{t-1}.  `steps` gives the `step` of each t in the order
+    the loop uses them, t = T-1 down to 0, and the loop passes each through
+    unread and binds it to no name, so a step's data is freed when its step
+    back returns.  `caches` gives T and the final y.  The head reads y only
+    at t = T-1 (`last`), so d_out is the head's gradient there and dL/dh_t
+    before; `first` is t = 0."""
     if caches is None:
         raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
     upstream = np.asarray(upstream, dtype=float)
@@ -268,8 +274,9 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, upstream, d
     d_out = upstream[..., None] * params.head_w
     dc = np.zeros_like(d_out)
     dx = np.zeros(upstream.shape + (T, d_x))
+    steps = iter(steps)
     for t in range(T - 1, -1, -1):
-        dv, dc = step_back(params, grads, caches.steps[t], d_out, dc, t == 0, t == T - 1)
+        dv, dc = step_back(params, grads, next(steps), d_out, dc, t == 0, t == T - 1)
         d_out, dx[..., t, :] = dv[..., :-d_x], dv[..., -d_x:]
     return grads, dx
 
@@ -347,9 +354,11 @@ def lstm_forward(
 def lstm_backward(
     params: LstmParams, caches: SequenceCaches, upstream: float | np.ndarray
 ) -> tuple[LstmParams, np.ndarray]:
-    """`backprop_sequence` of the LSTM cell."""
+    """`backprop_sequence` of the LSTM cell over its step caches, last to first."""
+    # a missing `caches` is backprop_sequence's error to raise
+    steps = None if caches is None else reversed(caches.steps)
     return backprop_sequence(partial(_lstm_step_back, dw=np.empty(params.w.shape)), params,
-                             caches, upstream, params.d_in)
+                             caches, steps, upstream, params.d_in)
 
 
 def bce_from_logit(logit, target) -> tuple:

@@ -24,19 +24,22 @@ for one sample or (B, T, d_x) for B samples.  A forward makes one readout
 6T evaluations per sample, whether or not it keeps its caches, which
 record the forward only.  One rule, `_differentiated`, names the blocks
 whose gradient a step needs, by the step's place alone: the sequence's
-structure makes the others' gradient zero.  The backward first forms and
-counts those blocks' 65 gradient rows per sample from the inputs v_t and
-r_t that the step caches hold (`_form_rows`).  A block's layer matrices
-are the same at every step, so the rows of several steps share one
-`vqc_rows` product of up to `ROWS_PER_PRODUCT` rows, and each step gets
-views of its own.  It then makes one `vqc_gradients` call per such block
-and step, which only contracts the rows into the block's views of the
-gradient vector.  So B samples over T steps cost B * 6T evaluations
-forward and B * 65 (5T - 1) backward, whatever the data.
+structure makes the others' gradient zero.  The backward forms and counts
+those blocks' 65 gradient rows per sample from the inputs v_t and r_t that
+the step caches hold, a window of steps at a time (`_backward_steps`): a
+block's layer matrices are the same at every step, so the rows of the
+`ROWS_PER_PRODUCT // B` steps that end at the step the loop has reached
+share one `vqc_rows` product per block, each step gets views of its own,
+and the window's rows are dropped as the loop leaves it.  So the rows
+alive at a time are one window's, however long the sequence.  It then
+makes one `vqc_gradients` call per such block and step, which only
+contracts the rows into the block's views of the gradient vector.  So B
+samples over T steps cost B * 6T evaluations forward and B * 65 (5T - 1)
+backward, whatever the data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -50,9 +53,10 @@ from .vqc import (
 )
 
 HIDDEN = 4
-# the most rows one `vqc_rows` call of a backward forms: a product
-# holds the rows of ROWS_PER_PRODUCT // B steps of a B-sample batch (B > 1),
-# at least one; per-sample cost falls with rows up to about this size
+# the most rows one `vqc_rows` call of a backward forms: a window holds
+# ROWS_PER_PRODUCT // B steps of a B-sample batch (B > 1), at least one;
+# per-sample cost falls with rows up to about this size, and a backward's
+# live rows are one window's, so its memory does not grow with T
 ROWS_PER_PRODUCT = 128
 
 
@@ -134,28 +138,43 @@ def qlstm_cell_step(
     return state, cache
 
 
-def _form_rows(params: QlstmParams, steps: list[QlstmStepCache],
-               counter: EvalCounter | None) -> list[dict[str, GradientRows]]:
-    """The shift rows of every `_differentiated` block, by step.  Per block,
-    the inputs of consecutive steps that need its rows are stacked,
-    ROWS_PER_PRODUCT // B steps (at least one) to a `vqc_rows` call; each
-    step gets views of its own rows, with the same bits at any product size."""
+def _window_rows(params: QlstmParams, steps: list[QlstmStepCache], window: range,
+                 counter: EvalCounter | None) -> dict[int, dict[str, GradientRows]]:
+    """The shift rows of every `_differentiated` block of each step in
+    `window`.  Per block, the inputs of the window's steps that need its
+    rows are stacked into one `vqc_rows` call; each step gets views of its
+    own rows, with the same bits at any product size."""
     T = len(steps)
     n = steps[0].r.size // HIDDEN  # a step's rows: B, or 1 for one sample
+    rows = {t: {} for t in window}
+    for name in ("vqc1", "vqc2", "vqc3", "vqc4", "vqc5", "vqc6"):
+        need = [t for t in window if name in _differentiated(t == 0, t == T - 1)]
+        if need:
+            x = np.concatenate([(steps[t].r if name in ("vqc5", "vqc6") else steps[t].v)
+                                .reshape(n, -1) for t in need])
+            formed = vqc_rows(getattr(params, name), x, counter)
+            for k, t in enumerate(need):
+                rows[t][name] = formed.samples(k * n, (k + 1) * n)
+    return rows
+
+
+def _backward_steps(params: QlstmParams, caches: SequenceCaches, counter: EvalCounter | None):
+    """The pair (cache, rows) of each step, last to first, as
+    `backprop_sequence` uses them.  The rows are formed a window at a time:
+    the ROWS_PER_PRODUCT // B steps (at least one) that end at the step the
+    loop has reached, windows counted from the last step, so the first
+    window may be partial.  A window's rows are dropped as the loop leaves
+    its steps, so one window's rows are alive at a time."""
+    steps = caches.steps
+    n = steps[0].r.size // HIDDEN
     # numpy forms a one-row product as a matrix-vector product, whose bits
     # differ from a matrix product's row, so one-row steps stay apart
     per = max(1, ROWS_PER_PRODUCT // n) if n > 1 else 1
-    rows = [{} for _ in steps]
-    for name in ("vqc1", "vqc2", "vqc3", "vqc4", "vqc5", "vqc6"):
-        need = [t for t in range(T) if name in _differentiated(t == 0, t == T - 1)]
-        for start in range(0, len(need), per):
-            chunk = need[start:start + per]
-            x = np.concatenate([(steps[t].r if name in ("vqc5", "vqc6") else steps[t].v)
-                                .reshape(n, -1) for t in chunk])
-            formed = vqc_rows(getattr(params, name), x, counter)
-            for k, t in enumerate(chunk):
-                rows[t][name] = formed.samples(k * n, (k + 1) * n)
-    return rows
+    for stop in range(len(steps), 0, -per):
+        window = range(max(0, stop - per), stop)
+        rows = _window_rows(params, steps, window, counter)
+        for t in reversed(window):
+            yield steps[t], rows.pop(t)
 
 
 def qlstm_forward(params: QlstmParams, sequence, counter: EvalCounter | None = None, *,
@@ -191,11 +210,11 @@ def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, step, d_out, dc, f
 
 def qlstm_backward(params: QlstmParams, caches: SequenceCaches, upstream: float | np.ndarray,
                    counter: EvalCounter | None = None) -> tuple[QlstmParams, np.ndarray]:
-    """`neural.backprop_sequence` of the quantum cell.  It forms the rows
-    it contracts (`_form_rows`), 65 per sample and block gradient, counted
-    on `counter`, and pairs each step's cache with its rows, so the
+    """`neural.backprop_sequence` of the quantum cell over `_backward_steps`.
+    It forms the rows it contracts, 65 per sample and block gradient,
+    counted on `counter`, and pairs each step's cache with its rows, so the
     forward's caches stay as they were."""
-    if caches is not None:
-        rows = _form_rows(params, caches.steps, counter)
-        caches = replace(caches, steps=list(zip(caches.steps, rows)))
-    return backprop_sequence(_qlstm_step_back, params, caches, upstream, params.d_x)
+    # the generator reads `caches` only when the loop starts, so a missing
+    # `caches` is backprop_sequence's error to raise
+    return backprop_sequence(_qlstm_step_back, params, caches,
+                             _backward_steps(params, caches, counter), upstream, params.d_x)

@@ -28,15 +28,17 @@ are rounding noise), but their 8 rows are formed: the cost model counts
 them.  Each qubit is encoded once; its two RY-shifted variants follow in
 closed form and gather into 8 product states, an RZ shift is a phase per
 basis state that the cached layer matrices fold in, and the unshifted state
-times the 56 shifted layer matrices is one product.  `vqc_rows` forms them
-and keeps the shift differences as `GradientRows`, which `vqc_gradients`
-only contracts; called without them, `vqc_gradients` forms its own through
-`vqc_rows`.  Rows are independent of each other, so one `vqc_rows` call
-may hold the samples of several steps of a sequence, and
-`GradientRows.samples` gives each step views of its own.  A readout
-(`vqc_forward`) forms the unshifted row only, through the same helpers
-(`_encode`, `_readout`), so it has the bits of the unshifted row that
-`vqc_rows` forms.
+times the 56 shifted layer matrices is one product per slab of
+`_SLAB_ROWS` samples, each read out before the next slab is formed, so
+the largest temporary does not grow with the samples of a call.
+`vqc_rows` forms them and keeps the shift differences as `GradientRows`,
+which `vqc_gradients` only contracts; called without them,
+`vqc_gradients` forms its own through `vqc_rows`.  Rows are independent
+of each other, so one `vqc_rows` call may hold the samples of several
+steps of a sequence, and `GradientRows.samples` gives each step views of
+its own.  A readout (`vqc_forward`) forms the unshifted row only, through
+the same helpers (`_encode`, `_readout`), so it has the bits of the
+unshifted row that `vqc_rows` forms.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
@@ -61,6 +63,12 @@ SHIFT = np.pi / 2.0
 # a gradient's rows per sample: the unshifted circuit, then each of the 8
 # encoding slots and 24 variational angles shifted by +SHIFT and -SHIFT
 _GRADIENT_ROWS = 1 + 2 * (2 * N_QUBITS + N_LAYERS * N_QUBITS * 3)
+# the samples per slab of a gradient's largest product, the states times the
+# 56 shifted layer matrices: each slab is read out before the next is formed,
+# so that product's temporary is a (32, 896) complex array of 459 KB, not
+# one that grows with the rows of a call; per-sample cost is flat down to
+# about this size
+_SLAB_ROWS = 32
 
 # Z_SIGNS[b, q] = +1 if bit q of basis index b is 0 else -1
 _BASIS = np.arange(DIM)
@@ -274,6 +282,15 @@ class GradientRows:
         return GradientRows(readout=self.readout[part], enc=self.enc[:, part], var=self.var[part])
 
 
+def _slabs(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) row slabs of an n-row product: _SLAB_ROWS rows each,
+    but a lone last row joins the slab before it, since numpy forms a
+    one-row product as a matrix-vector product, whose bits differ from a
+    matrix product's row."""
+    starts = list(range(0, n - 1, _SLAB_ROWS)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
     """(4, n) encoding angles -> a sample's 65 pre-scaling <Z> rows: the
     unshifted readout (n, 4), the 16 encoding-shifted rows (16, n, 4) in
@@ -281,12 +298,16 @@ def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
     48 variational rows (n, 48, 4) in `_layer_matrices` order.  The
     unshifted row is `_readout`'s product; the RY-shifted states times the
     unshifted layer matrix are a second; the unshifted state times the 48
-    shifted layer matrices and the 8 RZ-phased ones are a third."""
+    shifted layer matrices and the 8 RZ-phased ones are a third, formed and
+    read out a slab of samples at a time (`_slabs`)."""
     n = enc_ry.shape[-1]
     state, qubits = _encode(enc_ry, enc_rz)  # (16, n)
     base, shifted = _matrices_for(params)
     e_ry = _z_expectations(_ry_encodings(*qubits).reshape(DIM, -1).T @ base)
-    e_var = _z_expectations((state.T @ shifted).reshape(-1, DIM)).reshape(n, -1, N_QUBITS)
+    e_var = np.empty((n, shifted.shape[1] // DIM, N_QUBITS))
+    for start, stop in _slabs(n):
+        e_var[start:stop] = _z_expectations((state.T[start:stop] @ shifted).reshape(-1, DIM)
+                                            ).reshape(stop - start, -1, N_QUBITS)
     n_var = 2 * N_LAYERS * N_QUBITS * 3  # the variational rows come first
     e_enc = np.concatenate([e_ry.reshape(-1, n, N_QUBITS), e_var[:, n_var:].transpose(1, 0, 2)])
     return _readout(state, base), e_enc, e_var[:, :n_var]

@@ -12,15 +12,16 @@ number (a JSON value) that differs, and of the numbers of a differing
 stdout in order.  Each tree's digests are written to `digests-a.json` and
 `digests-b.json` in the working directory.
 
-The list: `preprocess`; `train` of the LSTM and the QLSTM on classify (with
-`--eval-data`) and on sine, with `--curves` and `--metrics`; a QLSTM sine
-run with `--no-sigma-hidden`; a classify run of each model in
-`glove+fasttext` mode, on two vector files that `make_corpus` writes with
-fixed seeds from the training split's tokens; `eval` (with `--metrics`)
-and `census` of each checkpoint; `gradcheck --trials 3`.  Every file a run
-writes and every run's stdout is an output.  In a metrics file
-`wall_time_seconds` is masked, since it is the one value that differs from
-run to run.
+The list: `preprocess` at `--max-len` 6 and at 20; `train` of the LSTM and
+the QLSTM on classify (with `--eval-data`) and on sine, with `--curves` and
+`--metrics`; a QLSTM sine run with `--no-sigma-hidden`; a classify run of
+each model in `glove+fasttext` mode, on two vector files that `make_corpus`
+writes with fixed seeds from the training split's tokens; a QLSTM classify
+run on the 20-step splits in batches of 16, whose backward forms its
+gradient rows in three windows; `eval` (with `--metrics`) and `census` of
+each checkpoint; `gradcheck --trials 3`.  Every file a run writes and
+every run's stdout is an output.  In a metrics file `wall_time_seconds` is
+masked, since it is the one value that differs from run to run.
 
 `test_identity_matrix.py` runs the list twice against this tree and requires
 equal digests.  It pins no digest: OpenBLAS picks its kernels by CPU, so
@@ -47,14 +48,20 @@ sys.path.insert(0, str(HERE))
 import checkpoint_codec  # noqa: E402
 CORPUS = {"seed": 5, "train_per_class": 8, "other_per_class": 4}
 EPOCHS = "2"
+# the encoded splits: output directory and --max-len of each preprocess run
+ENCODED = {"enc": "6", "enc-long": "20"}
+# name: (model, task, encoded splits of a classify run, flags)
 CHECKPOINTS = {
-    "lstm-classify": ("lstm", "classify", []),
-    "lstm-sine": ("lstm", "sine", []),
-    "qlstm-classify": ("qlstm", "classify", []),
-    "qlstm-sine": ("qlstm", "sine", []),
-    "qlstm-sine-raw-hidden": ("qlstm", "sine", ["--no-sigma-hidden"]),
-    "lstm-glove+fasttext": ("lstm", "classify", ["--embedding", "glove+fasttext"]),
-    "qlstm-glove+fasttext": ("qlstm", "classify", ["--embedding", "glove+fasttext"]),
+    "lstm-classify": ("lstm", "classify", "enc", []),
+    "lstm-sine": ("lstm", "sine", None, []),
+    "qlstm-classify": ("qlstm", "classify", "enc", []),
+    "qlstm-sine": ("qlstm", "sine", None, []),
+    "qlstm-sine-raw-hidden": ("qlstm", "sine", None, ["--no-sigma-hidden"]),
+    "lstm-glove+fasttext": ("lstm", "classify", "enc", ["--embedding", "glove+fasttext"]),
+    "qlstm-glove+fasttext": ("qlstm", "classify", "enc", ["--embedding", "glove+fasttext"]),
+    # 20 steps at 16 samples: the backward's row windows of 8 steps are three,
+    # the last of them partial
+    "qlstm-classify-long": ("qlstm", "classify", "enc-long", ["--batch", "16"]),
 }
 # the vector files of the glove+fasttext runs: (file, width, seed, stride),
 # a vector for every stride-th token; the glove-like file covers every other
@@ -83,13 +90,15 @@ def make_corpus(out_dir: Path) -> Path:
 def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
     """(name, argv, files written) of each run, in order; the files are
     relative to the working directory."""
-    out = [("preprocess", ["preprocess", "--data-dir", str(corpus), "--max-len", "6",
-                           "--max-vocab", "30", "--out", "enc"],
-            [f"enc/{split}.json" for split in ("train", "validation", "test", "vocab")])]
-    for name, (model, task, flags) in CHECKPOINTS.items():
+    out = [(f"preprocess {enc}" if enc != "enc" else "preprocess",
+            ["preprocess", "--data-dir", str(corpus), "--max-len", max_len, "--max-vocab", "30",
+             "--out", enc],
+            [f"{enc}/{split}.json" for split in ("train", "validation", "test", "vocab")])
+           for enc, max_len in ENCODED.items()]
+    for name, (model, task, enc, flags) in CHECKPOINTS.items():
         if task == "classify":
-            inputs = ["--data", "enc/train.json", "--eval-data", "enc/validation.json",
-                      "--vocab", "enc/vocab.json"]
+            inputs = ["--data", f"{enc}/train.json", "--eval-data", f"{enc}/validation.json",
+                      "--vocab", f"{enc}/vocab.json"]
             vectors = [arg for file, *_ in VECTOR_FILES
                        for arg in ("--vectors", str(corpus / file))]
             inputs += vectors if "--embedding" in flags else ["--d-basic", "2"]
@@ -100,8 +109,8 @@ def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
                                       "--epochs", EPOCHS, "--hidden", "2", *flags,
                                       "--out", files[0], "--curves", files[1],
                                       "--metrics", files[2]], files))
-    for name, (_, task, _) in CHECKPOINTS.items():
-        data = ["--data", "enc/test.json"] if task == "classify" else []
+    for name, (_, task, enc, _) in CHECKPOINTS.items():
+        data = ["--data", f"{enc}/test.json"] if task == "classify" else []
         out.append((f"eval {name}", ["eval", "--ckpt", f"{name}.json", *data,
                                      "--metrics", f"{name}-eval-metrics.json"],
                     [f"{name}-eval-metrics.json"]))

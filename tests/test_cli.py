@@ -92,7 +92,8 @@ options:
   --threshold THRESHOLD
                         decision threshold (default: 0.5)
   --hidden HIDDEN       classical hidden units (default: 50)
-  --d-basic D_BASIC     trainable embedding dimension (default: 50)
+  --d-basic D_BASIC     trainable embedding dimension, basic mode only
+                        (default: 50) (default: None)
   --n-points N_POINTS   sine task sample count (default: 100)
   --window WINDOW       sine task input window (default: 4)
   --sigma-hidden, --no-sigma-hidden
@@ -646,6 +647,34 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "line 2" in err and err.count("\n") == 1, err
         assert not (tmp_path / "ckpt.json").exists()
+
+    def test_d_basic_applies_to_basic_mode_only(self, tiny_corpus_dir, tmp_path, capsys):
+        # a vector mode takes its width from its vector files, so a given
+        # --d-basic is refused, not dropped; basic mode checks its range and
+        # defaults to 50
+        enc_dir = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        tokens = load_vocab_file(enc_dir / "vocab.json").tokens
+        (tmp_path / "v.txt").write_text("".join(f"{token} 0.5 -0.25\n" for token in tokens))
+        ckpt_path = tmp_path / "ckpt.json"
+        common = ["train", "--model", "lstm", "--task", "classify",
+                  "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                  "--epochs", "1", "--hidden", "2", "--out", str(ckpt_path)]
+        for mode in ("glove", "fasttext", "glove+fasttext"):
+            vectors = ["--vectors", str(tmp_path / "v.txt")] * (2 if "+" in mode else 1)
+            capsys.readouterr()
+            assert main([*common, "--embedding", mode, *vectors, "--d-basic", "7"]) == 2, mode
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--d-basic" in err and err.count("\n") == 1, err
+            assert not ckpt_path.exists()
+        assert main([*common, "--d-basic", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d_basic" in err and err.count("\n") == 1, err
+        assert main(common) == 0
+        ckpt = load_checkpoint(ckpt_path)
+        assert ckpt.hyperparameters["d_in"] == 50
+        assert ckpt.arrays["embedding.rows"].shape == (len(tokens) + 2, 50)
 
     def test_gradcheck_without_trials_is_data_error(self, capsys):
         for trials in ("0", "-1"):

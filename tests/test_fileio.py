@@ -110,14 +110,15 @@ def good(tiny_corpus_dir, tmp_path_factory) -> Path:
 def _argv(kind: str, path: Path, good: Path, work: Path) -> list[str]:
     train = [
         "train", "--model", "lstm", "--task", "classify", "--epochs", "1", "--hidden", "2",
-        "--d-basic", "2", "--out", str(work / "out.json"),
+        "--out", str(work / "out.json"),
     ]
+    basic = [*train, "--d-basic", "2"]  # a vector mode takes its width from its file
     data, vocab = ["--data", str(good / "train.json")], ["--vocab", str(good / "vocab.json")]
     return {
         "checkpoint-eval": ["eval", "--ckpt", str(path), "--data", str(good / "test.json")],
         "checkpoint-census": ["census", "--ckpt", str(path)],
-        "split": [*train, "--data", str(path), *vocab],
-        "vocabulary": [*train, *data, "--vocab", str(path)],
+        "split": [*basic, "--data", str(path), *vocab],
+        "vocabulary": [*basic, *data, "--vocab", str(path)],
         "vectors": [*train, *data, *vocab, "--embedding", "glove", "--vectors", str(path)],
         "csv": ["preprocess", "--data-dir", str(path.parent), "--out", str(work / "enc")],
     }[kind]

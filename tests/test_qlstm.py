@@ -3,6 +3,7 @@ finite-difference verification of the composed backward pass."""
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ FD_TOL = 1e-5
 # last; one sample without a batch axis; gate 5's shape, whose rows span
 # several products; and a batch whose last product is partial
 COUNTED_SHAPES = [(1, 1), (1, 5), (16, 24), (48, 5)]
+# (batch, steps) of the window tests: at 128 rows a product, a batch of 16
+# takes 8 steps a window, so 17 steps end in a one-step window and 24 steps
+# fill three; 48 samples take two steps a window, and one sample one
+WINDOWED_SHAPES = [(1, 1), (1, 5), (16, 17), (16, 24), (48, 5)]
 
 
 def zeroed_vqcs(d_x: int, scale: float = 1.0, shift: float = 0.0):
@@ -303,42 +308,49 @@ class TestCostModel:
     @pytest.mark.parametrize("batch", [1, 3, 48])
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_forward_rows_are_the_blocks_differentiated(self, monkeypatch, steps, batch):
-        # the backward forms rows from the forward's step caches for exactly
-        # the blocks whose gradient it contracts, by the closed-form rule; at
-        # steps = 1 the first step is also the last, and at batch 48 a
-        # product holds two steps, so five steps end in a partial product
+        # the backward forms rows from the forward's step caches, a window at
+        # a time, for exactly the blocks whose gradient it contracts, by the
+        # closed-form rule, and each window holds at most
+        # ROWS_PER_PRODUCT // batch steps; at steps = 1 the first step is
+        # also the last, and at batch 48 a window holds two steps, so five
+        # steps end in a partial window
         monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", 128)
         rng = np.random.default_rng(68 + 10 * steps + batch)
         params = init_qlstm_params(2, rng)
         _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, 2)))
-        formed, contracted, form_rows = [], [], qvuln.qlstm._form_rows
+        formed, windows, contracted = {}, [], []
+        window_rows = qvuln.qlstm._window_rows
 
-        def forming(*args):
-            rows = form_rows(*args)
-            formed.extend(rows)
+        def forming(params, steps, window, counter):
+            rows = window_rows(params, steps, window, counter)
+            windows.append(window)
+            # the rows are kept here, so no two of them share an id
+            formed.update({(t, name): block for t, step in rows.items()
+                           for name, block in step.items()})
             return rows
 
         def recording(block, x, upstream, counter=None, rows=None, into=None):
-            contracted.append(id(rows))
+            contracted.append(rows)
             return vqc_gradients(block, x, upstream, counter, rows=rows, into=into)
 
-        monkeypatch.setattr(qvuln.qlstm, "_form_rows", forming)
+        monkeypatch.setattr(qvuln.qlstm, "_window_rows", forming)
         monkeypatch.setattr(qvuln.qlstm, "vqc_gradients", recording)
         qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch))
-        cached = {(t, name): id(rows) for t, step in enumerate(formed)
-                  for name, rows in step.items()}
+        per = 1 if batch == 1 else 128 // batch
+        assert [list(w) for w in windows] == [
+            list(range(max(0, stop - per), stop)) for stop in range(steps, 0, -per)]
         want = set()
         for t in range(steps):
             names = {"vqc2", "vqc3", "vqc4", "vqc6" if t == steps - 1 else "vqc5"}
             want |= {(t, name) for name in names | ({"vqc1"} if t > 0 else set())}
-        assert set(cached) == want
-        assert sorted(contracted) == sorted(cached.values())
+        assert set(formed) == want
+        assert sorted(map(id, contracted)) == sorted(map(id, formed.values()))
 
     @pytest.mark.parametrize("steps, batch", [(5, 48), (1, 48), (5, 1), (24, 16)])
     def test_rows_in_products_equal_rows_step_by_step(self, monkeypatch, steps, batch):
-        # a product of several steps' rows gives each step the bits that a
-        # product of its own rows gives; (5, 48) at 128 rows ends in a
-        # partial product, at one step the first step is the last, and
+        # a window's product of several steps' rows gives each step the bits
+        # that a product of its own rows gives; (5, 48) at 128 rows ends in a
+        # partial window, at one step the first step is the last, and
         # one-row steps keep products of their own
         rng = np.random.default_rng(90 + steps + batch)
         params = init_qlstm_params(2, rng)
@@ -347,15 +359,55 @@ class TestCostModel:
         for rows_per_product in (128, 1):
             monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", rows_per_product)
             counter = EvalCounter()
-            rows = qvuln.qlstm._form_rows(params, caches.steps, counter)
+            pairs = list(qvuln.qlstm._backward_steps(params, caches, counter))
             assert counter.count == 65 * batch * (5 * steps - 1)
-            formed[rows_per_product] = {(t, name): block for t, step in enumerate(rows)
-                                        for name, block in step.items()}
+            assert [cache for cache, _ in pairs] == caches.steps[::-1]
+            formed[rows_per_product] = {(steps - 1 - k, name): block
+                                        for k, (_, rows) in enumerate(pairs)
+                                        for name, block in rows.items()}
         assert formed[128].keys() == formed[1].keys()
         for key, rows in formed[128].items():
             for part in ("readout", "enc", "var"):
                 np.testing.assert_array_equal(getattr(rows, part), getattr(formed[1][key], part),
                                               err_msg=f"{key} {part}")
+
+    @pytest.mark.parametrize("batch, steps", WINDOWED_SHAPES)
+    def test_windows_give_the_gradients_of_one_window_per_step(self, monkeypatch, batch, steps):
+        # the gradients of a backward whose windows hold several steps equal,
+        # bit for bit, those of a backward with one window per step
+        rng = np.random.default_rng(110 + batch + steps)
+        params = init_qlstm_params(3, rng)
+        xs = rng.uniform(-1, 1, size=(batch, steps, 3))
+        _, caches = qlstm_forward(params, xs[0] if batch == 1 else xs)
+        upstream = rng.uniform(-1, 1) if batch == 1 else rng.uniform(-1, 1, size=batch)
+        results = []
+        for rows_per_product in (qvuln.qlstm.ROWS_PER_PRODUCT, 1):
+            monkeypatch.setattr(qvuln.qlstm, "ROWS_PER_PRODUCT", rows_per_product)
+            grads, dx = qlstm_backward(params, caches, upstream)
+            results.append((grads.vector.tobytes(), dx.tobytes()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("steps, bound_mib", [(24, 2.0), (100, 2.5)])
+    def test_backward_memory_does_not_grow_with_steps(self, steps, bound_mib):
+        # one window of rows and one slab of their largest product are alive
+        # at a time, so the traced heap a backward adds above its start stays
+        # under a bound that all of a sequence's rows would exceed (16
+        # samples over 100 steps hold 7.1 MiB of rows alone); d_x is gate
+        # 5's basic embedding width
+        batch, d_x = 16, 50
+        rng = np.random.default_rng(120 + steps)
+        params = init_qlstm_params(d_x, rng)
+        _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, d_x)))
+        upstream = rng.uniform(-1, 1, size=batch)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = qlstm_backward(params, caches, upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak - start <= bound_mib * 2**20, (peak - start) / 2**20
 
     def test_saturated_gate_keeps_the_count(self):
         # vqc2 reads out at least 59, so i = sigmoid(>= 59) is exactly 1.0 and

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qvuln.vqc
 from qvuln.neural import OptimizerState, adam_step, laid_out
 from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
 from qvuln.vqc import (
@@ -382,6 +383,24 @@ class TestBatch:
                     summed[name] += arr
             for name, arr in grads.tree().items():
                 np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("n", [2, 31, 33, 34, 65, 70])
+    def test_rows_do_not_depend_on_the_slabs(self, monkeypatch, n):
+        # the largest product is formed a slab of samples at a time; the
+        # rows have the bits of one product over all n samples, also where
+        # a lone last row joins the slab before it (33, 65)
+        rng = np.random.default_rng(50 + n)
+        params = random_params(rng, 6)
+        x = rng.uniform(-2, 2, size=(n, 6))
+        slabs = qvuln.vqc._slabs(n)
+        assert slabs[0][0] == 0 and slabs[-1][1] == n
+        assert [start for start, _ in slabs[1:]] == [stop for _, stop in slabs[:-1]]
+        assert all(1 < stop - start <= 33 for start, stop in slabs)
+        slabbed = vqc_rows(params, x)
+        monkeypatch.setattr(qvuln.vqc, "_SLAB_ROWS", n)
+        whole = vqc_rows(params, x)
+        for part in ("readout", "enc", "var"):
+            np.testing.assert_array_equal(getattr(slabbed, part), getattr(whole, part), part)
 
 
 class TestInit:
