@@ -227,9 +227,6 @@ def _load_tables(args: argparse.Namespace) -> list:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    if args.d_basic is not None and args.embedding != "basic":
-        raise DataError(f"--d-basic sets the basic table's width; embedding mode "
-                        f"{args.embedding!r} takes its width from the --vectors file(s)")
     d_basic = D_BASIC_DEFAULT if args.d_basic is None else args.d_basic
     config = TrainConfig(
         model=args.model,
@@ -251,6 +248,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.data is None or args.vocab is None:
             print("error: --task classify requires --data and --vocab", file=sys.stderr)
             return 1
+        if args.d_basic is not None and args.embedding != "basic":
+            raise DataError(f"--d-basic sets the basic table's width; embedding mode "
+                            f"{args.embedding!r} takes its width from the --vectors file(s)")
         vocab = load_vocab_file(args.vocab)
         data = load_encoded_dataset(args.data)
         eval_data = load_encoded_dataset(args.eval_data) if args.eval_data else None
@@ -263,8 +263,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
             eval_data=eval_data, curves_path=args.curves,
         )
     else:
+        # the classify-only inputs, each flagged as given; the defaults read as not
         classify_inputs = {"--data": args.data, "--vocab": args.vocab,
-                           "--eval-data": args.eval_data, "--vectors": args.vectors}
+                           "--eval-data": args.eval_data, "--vectors": args.vectors,
+                           "--d-basic": args.d_basic is not None,
+                           "--embedding": args.embedding != "basic"}
         given = [flag for flag, value in classify_inputs.items() if value]
         if given:
             print(f"error: --task sine takes no {', '.join(given)}", file=sys.stderr)

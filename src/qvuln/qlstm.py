@@ -27,7 +27,7 @@ whose gradient a step needs, by the step's place alone: the sequence's
 structure makes the others' gradient zero.  The backward forms and counts
 those blocks' 65 gradient rows per sample from the inputs v_t and r_t that
 the step caches hold, a window of steps at a time (`_backward_steps`): a
-block's layer matrices are the same at every step, so the rows of the
+block's angles are the same at every step, so the rows of the
 `ROWS_PER_PRODUCT // B` steps that end at the step the loop has reached
 share one `vqc_rows` product per block, each step gets views of its own,
 and the window's rows are dropped as the loop leaves it.  So the rows

@@ -10,35 +10,54 @@ Inputs take an optional leading batch axis: x is (d_in,) for one sample or
 (B, d_in) for B samples, and every per-sample output keeps that axis.
 Parameter gradients are summed over the batch.
 
-The encoding leaves a product state, so it is the Kronecker product of the
-four per-qubit 2-vectors.  The two variational layers depend only on the
-angles.  Each is the CNOT ring, a fixed permutation of the 16 basis
-states that `qsim` finds once and that applies as a row gather, followed
-by the Kronecker product of four 2x2 RZ.RY.RZ rotations, which `qsim`
-builds on the two 1-qubit basis states for the angles and for every
-parameter shift in one batch.  A small cache keyed on the angle values
-keeps the layer matrices between calls.  Each circuit evaluation is then a
-product state times a matrix, and a whole batch is one matrix product.
+The kernel works in the Heisenberg picture.  The encoding leaves a product
+state, so its Pauli vector, the 256 expectations <P_s> of the Pauli strings
+P_s, is the real Kronecker product of the four qubits' Bloch 4-vectors
+(1, <X>, <Y>, <Z>).  Their entries follow from a alone, with no arctan,
+cos, sin or complex exp (`_bloch`): the vector is (1, cy cz, cy sz, -sy),
+with cy, sy the cosine and sine of arctan a and cz, sz those of
+arctan a^2, each from a ratio of hypot that stays finite for any finite a.
+Each <Z_q> of a circuit is then a real dot
+product of that vector with the Pauli coefficients of the observable
+U^dag Z_q U, which depends on the angles only.  `_observables` builds
+those coefficients once per angle set (a small cache keyed on the angle
+values keeps them between calls): Z_q goes back through the qubit's layer-2
+rotation to a Bloch direction, through the ring, which maps each Pauli
+string to one other string with a sign, through the layer-1 rotations,
+each a 4x4 real transfer matrix acting on its qubit's factor, and through
+the ring again.  The transfer matrices and the ring's signed permutation
+are built from `qsim`'s gates, so `qsim` stays the one gate source.  No
+complex state is formed: a batch's readouts and shift rows are real matrix
+products.
 
 A gradient needs 65 rows per sample: the unshifted circuit and, for each of
 the 8 encoding slots and 24 variational angles, the circuit with it shifted
-by +-pi/2.  Layer 2 ends each qubit with an RZ that commutes with the Z
-readout, so those 4 angles never get a gradient (their shift differences
-are rounding noise), but their 8 rows are formed: the cost model counts
-them.  Each qubit is encoded once; its two RY-shifted variants follow in
-closed form and gather into 8 product states, an RZ shift is a phase per
-basis state that the cached layer matrices fold in, and the unshifted state
-times the 56 shifted layer matrices is one product per slab of
-`_SLAB_ROWS` samples, each read out before the next slab is formed, so
-the largest temporary does not grow with the samples of a call.
+by +-pi/2.  Each row's four <Z> values are formed, and the gradient takes
+the differences of the +SHIFT and -SHIFT rows (the parameter-shift rule);
+no observable is differenced in advance.  They come from three products:
+- the unshifted readout contracts the low pair's (qubits 1, 0) Kronecker
+  products with the 4 unshifted columns in one product, then each
+  sample's high pair's (qubits 3, 2); `vqc_forward` and `vqc_rows` share
+  it (`_readout`), so both have its bits;
+- the 24 layer-1-shifted circuits (96 columns) and the 16 layer-2 ones
+  shifted in slot 0 or 1 (one column each) are one product of the encoded
+  state's full Pauli vector.  A
+  layer-2 rotation on qubit q lies in the light cone of Z_q alone, so a
+  layer-2 shift leaves the other three <Z> at the unshifted readout.  Layer
+  2 ends each qubit with an RZ that commutes with the Z readout, so a slot-2
+  shift changes no <Z> at all: its rows are the unshifted readout, their
+  differences exactly zero, and those 4 angles never get a gradient.  Their
+  8 rows are still formed and counted, since the cost model counts them;
+- an encoding shift swaps one qubit's Bloch vector for its RY or RZ
+  +-pi/2 variant, in closed form, so its rows contract the unshifted
+  columns with the other three qubits' vectors first (one product per
+  qubit) and then with the variant.
 `vqc_rows` forms them and keeps the shift differences as `GradientRows`,
 which `vqc_gradients` only contracts; called without them,
-`vqc_gradients` forms its own through `vqc_rows`.  Rows are independent
-of each other, so one `vqc_rows` call may hold the samples of several
-steps of a sequence, and `GradientRows.samples` gives each step views of
-its own.  A readout (`vqc_forward`) forms the unshifted row only, through
-the same helpers (`_encode`, `_readout`), so it has the bits of the
-unshifted row that `vqc_rows` forms.
+`vqc_gradients` forms its own through `vqc_rows`.  A sample's rows have
+the same bits whatever the other samples of its product, so one
+`vqc_rows` call may hold the samples of several steps of a sequence, and
+`GradientRows.samples` gives each step views of its own.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
@@ -63,35 +82,10 @@ SHIFT = np.pi / 2.0
 # a gradient's rows per sample: the unshifted circuit, then each of the 8
 # encoding slots and 24 variational angles shifted by +SHIFT and -SHIFT
 _GRADIENT_ROWS = 1 + 2 * (2 * N_QUBITS + N_LAYERS * N_QUBITS * 3)
-# the samples per slab of a gradient's largest product, the states times the
-# 56 shifted layer matrices: each slab is read out before the next is formed,
-# so that product's temporary is a (32, 896) complex array of 459 KB, not
-# one that grows with the rows of a call; per-sample cost is flat down to
-# about this size
-_SLAB_ROWS = 32
 
-# Z_SIGNS[b, q] = +1 if bit q of basis index b is 0 else -1
-_BASIS = np.arange(DIM)
-Z_SIGNS = 1.0 - 2.0 * ((_BASIS[:, None] >> np.arange(N_QUBITS)[None, :]) & 1)
-# the float view of 16 complex amplitudes holds (re, im) of each in turn
-_PART_SIGNS = np.repeat(Z_SIGNS, 2, axis=0)  # (32, 4)
-
-# The 8 RY-shifted encoding rows (slot k = RY of qubit k, shifted by +SHIFT
-# then -SHIFT) hold every qubit at one of three angle variants: 0
-# unshifted, 1 and 2 RY +-SHIFT.  _RY_VARIANTS[qubit, row] names the
-# variant; _RY_INDEX is the same gather as flat (variant, qubit) indices,
-# with which np.take gives each qubit contiguous rows.
-_QUBITS = np.arange(N_QUBITS)
-_RY_VARIANTS = np.zeros((N_QUBITS, 2 * N_QUBITS), dtype=np.intp)
-_RY_VARIANTS[_QUBITS, 2 * _QUBITS] = 1
-_RY_VARIANTS[_QUBITS, 1 + 2 * _QUBITS] = 2
-_RY_INDEX = N_QUBITS * _RY_VARIANTS + _QUBITS[:, None]
-# RZ(z +- SHIFT) = RZ(+-SHIFT) RZ(z) ends the encoding of its qubit, so it
-# multiplies the encoded state by a phase per basis state:
-# _RZ_DIAG[2k + j, b] = e^{-+i pi/4 Z_SIGNS[b, k]} for slot 4 + k shifted by
-# +SHIFT (j = 0) and -SHIFT (j = 1)
-_RZ_DIAG = np.exp(-0.25j * np.pi * np.multiply.outer([1.0, -1.0], Z_SIGNS.T)
-                  ).transpose(1, 0, 2).reshape(2 * N_QUBITS, DIM)
+# I, X, Y, Z; a Pauli string s = (p3 p2 p1 p0) in base 4 is their Kronecker
+# product from qubit 3 down to qubit 0, the order of the basis index bits
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass
@@ -144,110 +138,143 @@ def _shift_rows(base: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _kron(factors: np.ndarray) -> np.ndarray:
-    """(w, 4, *S) per-qubit factors -> (w^4, *S): one Kronecker product of
-    the four qubits' factors per trailing index.  Qubit 0 is the least
-    significant bit of the basis index, so qubits 3 and 2 make the high
-    pair and qubits 1 and 0 the low pair, and the product is high times
-    low.  The trailing axes are innermost, so every multiply runs over long
-    rows."""
-    w = factors.shape[0]
-    high = (factors[:, None, 3] * factors[None, :, 2]).reshape(w * w, *factors.shape[2:])
-    low = (factors[:, None, 1] * factors[None, :, 0]).reshape(w * w, *factors.shape[2:])
-    return (high[:, None] * low[None, :]).reshape(-1, *factors.shape[2:])
+def _ring_transfer() -> tuple[np.ndarray, np.ndarray]:
+    """The CNOT ring 0->1, 1->2, 2->3, 3->0 in the Heisenberg picture: its
+    transfer matrix T[t, s] = Tr(P_t U^dag P_s U) / 16, so that column s
+    holds the Pauli coefficients of U^dag P_s U, and an observable's
+    coefficients o become T @ o, those of the observable read before U.
+    The ring is a Clifford circuit, so T is a signed permutation: it maps
+    each string to one string with a sign.  It is returned as the row
+    gather and signs that apply it, T @ o = _RING_SIGNS * o[_RING_GATHER],
+    composed from one CNOT's transfer on the digits of its two qubits."""
+    # the CNOT with control 0 and target 1 on two qubits; row b of the
+    # identity is basis state |b>, so the result holds U^T
+    state = StateVector(2, np.eye(4, dtype=complex))
+    apply_circuit(state, [cnot(0, 1)])
+    u = state.amplitudes.T
+    strings = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)  # 4 p_target + p_control
+    pair = np.einsum("tab,cb,scd,da->ts", strings, u.conj(), strings, u).real / 4
+    pair_gather = np.argmax(np.abs(pair), axis=1)
+    pair_signs = pair[np.arange(pair_gather.size), pair_gather]
+    index = np.arange(4**N_QUBITS)
+    digits = index[:, None] // 4 ** np.arange(N_QUBITS) % 4  # (string, qubit)
+    gather, signs = index, np.ones(index.size)
+    # U = C30 C23 C12 C01, so T = T_01 T_12 T_23 T_30, multiplied left to right
+    for c in range(N_QUBITS):
+        t = (c + 1) % N_QUBITS
+        pairs = 4 * digits[:, t] + digits[:, c]
+        source = pair_gather[pairs]
+        cnot_gather = index + (source // 4 - digits[:, t]) * 4**t + (source % 4 - digits[:, c]) * 4**c
+        gather, signs = cnot_gather[gather], signs * pair_signs[pairs][gather]
+    return gather, signs
 
 
-def _encode(enc_ry: np.ndarray, enc_rz: np.ndarray):
-    """The encoding H, RY(y), RZ(z) on |0000>, in closed form: the product
-    state of the four qubits' states (q (c - s), q* (c + s)) / sqrt(2), with
-    c, s = cos, sin of y/2 and q = e^{-iz/2}.  (4, *S) angles of one shape
-    give the (16, *S) amplitudes and, for `_ry_encodings`, the (2, 4, *S)
-    qubit states with their c, s and q."""
-    half = 0.5 * enc_ry
-    c, s = np.cos(half), np.sin(half)
-    q = np.exp(-0.5j * enc_rz)
-    v = np.empty((2,) + q.shape, dtype=complex)
-    np.multiply(q, 0.5**0.5 * (c - s), out=v[0])
-    np.multiply(q.conj(), 0.5**0.5 * (c + s), out=v[1])
-    return _kron(v), (v, c, s, q)
+_RING_GATHER, _RING_SIGNS = _ring_transfer()
 
 
-def _ry_encodings(v: np.ndarray, c: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The qubit states of `_encode` over (4, n) angles -> the (16, 8, n)
-    RY-shifted product states: rows 2k and 2k + 1 with the RY of qubit k
-    shifted by +SHIFT and -SHIFT.  RY(y + SHIFT) gives (-q s, q* c) and
-    RY(y - SHIFT) gives (q c, q* s); the rows gather these variants and the
-    unshifted state of the other qubits."""
-    variants = np.empty((2, 3) + q.shape, dtype=complex)  # (amplitude, variant, qubit, n)
-    variants[:, 0] = v
-    np.multiply(q, [-s, c], out=variants[0, 1:])
-    np.multiply(q.conj(), [c, s], out=variants[1, 1:])
-    return _kron(np.take(variants.reshape(2, -1, q.shape[-1]), _RY_INDEX, axis=1))
+def _ring_images() -> tuple[np.ndarray, np.ndarray]:
+    """What the ring maps X_q, Y_q, Z_q back to: for each (Pauli, qubit q)
+    the string's base-4 digits by qubit, (3, 4 q, 4 qubit), qubit 0 first,
+    and its sign, (3, 4 q)."""
+    singles = np.arange(1, 4)[:, None] * 4 ** np.arange(N_QUBITS)  # (Pauli, qubit)
+    # T[t, gather[t]] is the one nonzero of row t, so string s maps to the
+    # t with gather[t] = s
+    images = np.empty_like(_RING_GATHER)
+    images[_RING_GATHER] = np.arange(_RING_GATHER.size)
+    images = images[singles]
+    return images[..., None] // 4 ** np.arange(N_QUBITS) % 4, _RING_SIGNS[images]
 
 
-def _ring_rows() -> np.ndarray:
-    """The CNOT ring 0->1, 1->2, 2->3, 3->0 as a row gather.  Its matrix M,
-    applied as `state @ M`, is a permutation, so M @ K is K[_RING_ROWS]."""
-    # row b of the identity is basis state |b>, so the result holds U^T
-    state = StateVector(N_QUBITS, np.eye(DIM, dtype=complex))
-    apply_circuit(state, [cnot(c, (c + 1) % N_QUBITS) for c in range(N_QUBITS)])
-    return np.argmax(np.abs(state.amplitudes), axis=1)
+_IMAGE_DIGITS, _IMAGE_SIGNS = _ring_images()
+
+# _KERNEL[(t, s), (c, b, d, a)] = sigma_t[a, b] sigma_s[c, d] / 2, so that a
+# one-qubit transfer matrix is _KERNEL times the products conj(u[c, b]) u[d, a]
+_KERNEL = (np.einsum("tab,scd->tscbda", _PAULIS, _PAULIS) / 2.0).reshape(16, 16)
 
 
-_RING_ROWS = _ring_rows()
+def _transfers(u: np.ndarray) -> np.ndarray:
+    """(2, 2, *S) one-qubit unitaries, laid out as `qsim.Gate.matrix` gives
+    them -> their (4, 4, *S) real transfer matrices in the Heisenberg
+    picture, T[t, s] = Tr(sigma_t u^dag sigma_s u) / 2, as for the ring."""
+    products = (u.conj()[:, :, None, None] * u[None, None]).reshape(16, -1)
+    return (_KERNEL @ products).real.reshape(4, 4, *u.shape[2:])
+
+
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """(N, 3) angles of a qubit's RZ, RY, RZ slots -> the (2, 2, N)
+    unitaries that apply them in turn, from `qsim`'s gates."""
+    z0, y, z1 = (gate(angles[:, slot], 0).matrix() for slot, gate in enumerate((rz, ry, rz)))
+    u = (y[:, :, None] * z0[None]).sum(axis=1)
+    return (z1[:, :, None] * u[None]).sum(axis=1)
+
+
+# the circuits of a build: layer 1's 25 (unshifted, then each of its 12
+# angles +SHIFT and -SHIFT)
+_N_FIRST = 1 + 2 * N_QUBITS * 3
+# a build's 29 products of Pauli strings, one column per qubit q each: the
+# 25 circuits' with Z_q's unshifted direction, then circuit 0's with the
+# four shifted directions of Z_q's own layer-2 rotation
+_PRODUCT_CIRCUITS = np.r_[np.arange(_N_FIRST), np.zeros(4, dtype=np.intp)]
+_PRODUCT_DIRECTIONS = np.r_[np.zeros(_N_FIRST, dtype=np.intp), np.arange(1, 5)]
+# _OPEN_ROWS[k, o, p]: the string with qubit k's digit p and the other three
+# digits o, from qubit 3 down
+_OPEN_ROWS = np.stack([np.moveaxis(np.arange(DIM * DIM).reshape((4,) * N_QUBITS), N_QUBITS - 1 - k, -1)
+                       .reshape(-1, 4) for k in range(N_QUBITS)])
 
 
 # one QLSTM's six blocks, which a forward reads in turn and a backward not
 # at all; each optimizer step changes all six keys
 @lru_cache(maxsize=6)
-def _layer_matrices(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The two variational layers as matrices applied as `state @ M`: the
-    (16, 16) matrix for the angles themselves, and side by side as one
-    (16, 56 * 16) matrix, so one product applies them all, the 48 matrices
-    for angle k shifted by +SHIFT (slot 2k) and -SHIFT (slot 2k + 1), then
-    the 8 that apply the RZ encoding shifts (`_RZ_DIAG`) before the
-    unshifted layers.  Read-only, since the cache shares them."""
-    # a shift changes one layer only, so each layer is built once per own shift
-    rows = _shift_rows(np.frombuffer(angle_bytes).reshape(N_LAYERS, -1))
-    angles = rows.reshape(N_LAYERS, -1, N_QUBITS, 3)  # (layer, shift, qubit, slot)
-    batch = angles.shape[:3]
-    # each qubit's RZ, RY, RZ on the two 1-qubit basis states, one angle per
-    # (layer, shift, qubit); as for the ring, the rows hold the transpose
-    rot = StateVector(1, np.tile(np.eye(2, dtype=complex), (*batch, 1, 1)))
-    apply_circuit(rot, [gate(angles[..., slot, None], 0) for slot, gate in enumerate((rz, ry, rz))])
-    # the Kronecker product of the flattened 2x2 factors orders the bits
-    # (r3 c3 r2 c2 r1 c1 r0 c0); regroup them as row (r3..r0), column (c3..c0)
-    factors = rot.amplitudes.reshape(*batch, 4).transpose(3, 2, 0, 1)  # (4, qubit, layer, shift)
-    kron = _kron(factors).reshape(*(2,) * 8, *batch[:2])
-    kron = kron.transpose(8, 9, 0, 2, 4, 6, 1, 3, 5, 7).reshape(*batch[:2], DIM, DIM)
-    first, second = kron[:, :, _RING_ROWS]
-    base = first[0] @ second[0]
-    # two 2-D products: the shifted first layers stacked against the
-    # unshifted second, and the unshifted first against the shifted second
-    # layers side by side
-    n = first.shape[0] - 1
-    lead = (first[1:].reshape(-1, DIM) @ second[0]).reshape(n, DIM, DIM)
-    trail = first[0] @ second[1:].transpose(1, 0, 2).reshape(DIM, -1)
-    phased = (_RZ_DIAG[:, :, None] * base).transpose(1, 0, 2).reshape(DIM, -1)
-    shifted = np.concatenate([lead.transpose(1, 0, 2).reshape(DIM, -1), trail, phased], axis=1)
-    base.flags.writeable = False
-    shifted.flags.writeable = False
-    return base, shifted
+def _observables(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Pauli coefficients of the observables that give <Z_q>, one
+    column each, for the angles and their shifts; read-only, since the
+    cache shares them:
+    - (16, 64): the unshifted circuit's, for qubits q = 0..3, with rows
+      the low pair's digits (qubits 1, 0) and columns (the high pair's
+      digits, q);
+    - (256, 112): the 24 layer-1-shifted circuits' (angle k of layer 1
+      shifted by +SHIFT, then -SHIFT, in (qubit, slot) order; 4 columns
+      each), then the 16 of Z_q with its qubit's layer-2 slot 0 or 1
+      shifted, by (slot, sign, q);
+    - (4, 64, 16): the unshifted columns with qubit k's digit open, for
+      k = 0..3: rows the other three digits from qubit 3 down, columns
+      (digit of qubit k, q)."""
+    angles = np.frombuffer(angle_bytes).reshape(N_LAYERS, N_QUBITS, 3)
+    # layer 1's four qubits in each of its circuits, then for each qubit of
+    # layer 2 its rotation unshifted and with slot 0 or 1 shifted
+    first = _shift_rows(angles[0].reshape(-1)).reshape(-1, 3)
+    second = _shift_rows(angles[1])[:, :5].reshape(-1, 3)
+    transfer = _transfers(_rotations(np.concatenate([first, second])))  # (4, 4, rotation)
+    n_first = first.shape[0]  # (circuit, qubit)
+    # Z_q read before its qubit's layer-2 rotation is a direction over X,
+    # Y, Z; each of its Paulis is read before the ring as one string, whose
+    # sign joins the direction: (Pauli, q, 5 rotations)
+    direction = transfer[1:, 3, n_first:].reshape(3, N_QUBITS, 5) * _IMAGE_SIGNS[:, :, None]
+    # each such string read before layer 1 is the Kronecker product of each
+    # qubit's transfer column of its digit: (qubit, Pauli, q, component,
+    # circuit), multiplied out in pairs, qubits 3, 2 high and 1, 0 low
+    layer = transfer[:, :, :n_first].reshape(4, 4, _N_FIRST, N_QUBITS).transpose(3, 1, 0, 2)
+    factors = layer[np.arange(N_QUBITS)[:, None, None], _IMAGE_DIGITS.transpose(2, 0, 1)]
+    high = (factors[3][:, :, :, None] * factors[2][:, :, None]).reshape(3, N_QUBITS, 16, -1)
+    low = (factors[1][:, :, :, None] * factors[0][:, :, None]).reshape(3, N_QUBITS, 16, -1)
+    # a column sums its three strings, each weighted by its direction's entry
+    weighted = high[..., _PRODUCT_CIRCUITS] * direction[:, :, None, _PRODUCT_DIRECTIONS]
+    cols = np.matmul(weighted.transpose(1, 3, 2, 0), low[..., _PRODUCT_CIRCUITS].transpose(1, 3, 0, 2))
+    # back through the first ring: (string, product, q)
+    cols = cols.reshape(N_QUBITS, -1, DIM * DIM).transpose(2, 1, 0)[_RING_GATHER]
+    cols *= _RING_SIGNS[:, None, None]
+    base = cols[:, 0]
+    by_low = np.ascontiguousarray(base.reshape(16, 16, N_QUBITS).transpose(1, 0, 2)).reshape(16, -1)
+    wide = cols[:, 1:].reshape(DIM * DIM, -1)
+    open_ = base[_OPEN_ROWS].reshape(N_QUBITS, -1, 4 * N_QUBITS)
+    for array in (by_low, wide, open_):
+        array.flags.writeable = False
+    return by_low, wide, open_
 
 
-def _matrices_for(params: VqcParams) -> tuple[np.ndarray, np.ndarray]:
+def _observables_for(params: VqcParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # keyed on content: adam_step updates the angles in place
-    return _layer_matrices(np.ascontiguousarray(params.angles, dtype=float).tobytes())
-
-
-def _z_expectations(amps: np.ndarray) -> np.ndarray:
-    """(..., 16) contiguous amplitudes -> (..., 4) <Z_q>: |amp|^2 as the
-    squares of the float view, summed with each basis state's signs.  The
-    squares overwrite `amps`, a product's output that no caller reads
-    again, so the largest temporary of a gradient's rows is not copied."""
-    parts = amps.view(float)
-    np.multiply(parts, parts, out=parts)
-    return parts @ _PART_SIGNS
+    return _observables(np.ascontiguousarray(params.angles, dtype=float).tobytes())
 
 
 def _compress(params: VqcParams, x: np.ndarray) -> np.ndarray:
@@ -256,11 +283,41 @@ def _compress(params: VqcParams, x: np.ndarray) -> np.ndarray:
     return params.in_proj @ x.reshape(-1, params.d_in).T + params.bias[:, None]
 
 
-def _readout(state: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """(16, n) encoded states -> the (n, 4) pre-scaling <Z> of the unshifted
-    circuit.  It is one product of its own for a readout and for gradient
-    rows alike, so both have the same bits."""
-    return _z_expectations(state.T @ base)
+def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(4, n) compressed inputs -> the (4 component, 4 qubit, n) Bloch
+    4-vectors (1, <X>, <Y>, <Z>) of H, RY(arctan a), RZ(arctan a^2) on |0>,
+    (1, cy cz, cy sz, -sy), and cy.  cy = 1/hypot(1, a) and sy = a cy are
+    the cosine and sine of arctan a; with h = hypot(cy^2, sy^2), cz = cy^2/h
+    and sz = sy^2/h are those of arctan a^2, 1/sqrt(1 + a^4) and
+    a^2/sqrt(1 + a^4).  No intermediate overflows for any finite a, where
+    a^2 and a^4 would."""
+    cy = 1.0 / np.hypot(1.0, a)
+    sy = a * cy
+    cy2, sy2 = cy * cy, sy * sy
+    w = cy / np.hypot(cy2, sy2)
+    r = np.empty((4,) + a.shape)
+    r[0] = 1.0
+    np.multiply(cy2, w, out=r[1])
+    np.multiply(sy2, w, out=r[2])
+    np.negative(sy, out=r[3])
+    return r, cy
+
+
+def _pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_bloch` vectors -> the (16, n) Kronecker products of the high pair's
+    (qubits 3, 2) and the low pair's (qubits 1, 0); the Pauli vector of the
+    encoded state is high times low."""
+    n = r.shape[-1]
+    return (r[:, None, 3] * r[None, :, 2]).reshape(16, n), (r[:, None, 1] * r[None, :, 0]).reshape(16, n)
+
+
+def _readout(high: np.ndarray, low: np.ndarray, by_low: np.ndarray) -> np.ndarray:
+    """The `_pairs` of n samples -> the (n, 4) pre-scaling <Z> of the
+    unshifted circuit: the low pair's products times the unshifted columns
+    in one product, then each sample's high pair's.  It is the same
+    function for a readout and for gradient rows, so both have its bits."""
+    g = (low.T @ by_low).reshape(-1, 16, N_QUBITS)
+    return (high.T[:, None, :] @ g)[:, 0]
 
 
 @dataclass
@@ -282,35 +339,59 @@ class GradientRows:
         return GradientRows(readout=self.readout[part], enc=self.enc[:, part], var=self.var[part])
 
 
-def _slabs(n: int) -> list[tuple[int, int]]:
-    """The (start, stop) row slabs of an n-row product: _SLAB_ROWS rows each,
-    but a lone last row joins the slab before it, since numpy forms a
-    one-row product as a matrix-vector product, whose bits differ from a
-    matrix product's row."""
-    starts = list(range(0, n - 1, _SLAB_ROWS)) or [0]
-    return list(zip(starts, starts[1:] + [n]))
+def _encoding_rows(r: np.ndarray, cy: np.ndarray, high: np.ndarray, low: np.ndarray,
+                   a: np.ndarray, open_: np.ndarray) -> np.ndarray:
+    """The `_bloch` vectors r and cy and the `_pairs` of (4, n) inputs a ->
+    the (16, n, 4) <Z> rows of the encoding shifts, in slot order (RY of
+    each qubit, then RZ, each +SHIFT then -SHIFT).  A shift swaps one
+    qubit's vector for a closed-form variant: RY +-SHIFT gives
+    (1, -+sy cz, -+sy sz, -+cy), sy cz and sy sz being a cy cz and a cy sz,
+    and RZ +-SHIFT gives (1, -+cy sz, +-cy cz, -sy).  The unshifted columns
+    with qubit k's
+    digit open are contracted with the other three qubits' vectors first,
+    one product per qubit, and then with each variant of qubit k."""
+    n = a.shape[-1]
+    # for qubits 0, 1 then 2, 3: the other three qubits' digits, qubit 3 first
+    others = np.empty((2, 2, 64, n))
+    np.multiply(high[:, None], r[:, 1::-1].transpose(1, 0, 2)[:, None], out=others[0].reshape(2, 16, 4, n))
+    np.multiply(r[:, :1:-1].transpose(1, 0, 2)[:, :, None], low, out=others[1].reshape(2, 4, 16, n))
+    partial = others.reshape(N_QUBITS, 64, n).transpose(0, 2, 1) @ open_  # (qubit, n, (digit, q))
+    variants = np.empty((4, 4, N_QUBITS, n))  # (RY+ RY- RZ+ RZ-, component, qubit, n)
+    variants[:, 0] = 1.0
+    np.multiply(a, r[1:3], out=variants[1, 1:3])
+    variants[1, 3] = cy
+    np.negative(variants[1, 1:], out=variants[0, 1:])
+    variants[2, 1], variants[2, 2] = -r[2], r[1]
+    variants[3, 1], variants[3, 2] = r[2], -r[1]
+    variants[2:, 3] = r[3]
+    e = variants.transpose(2, 3, 0, 1) @ partial.reshape(N_QUBITS, n, 4, N_QUBITS)  # (qubit, n, variant, q)
+    return e.reshape(N_QUBITS, n, 2, 2, N_QUBITS).transpose(2, 0, 3, 1, 4).reshape(-1, n, N_QUBITS)
 
 
-def _gradient_rows(params: VqcParams, enc_ry: np.ndarray, enc_rz: np.ndarray):
-    """(4, n) encoding angles -> a sample's 65 pre-scaling <Z> rows: the
+def _gradient_rows(params: VqcParams, a: np.ndarray):
+    """(4, n) compressed inputs -> a sample's 65 pre-scaling <Z> rows: the
     unshifted readout (n, 4), the 16 encoding-shifted rows (16, n, 4) in
     slot order (RY of each qubit, then RZ, each +SHIFT then -SHIFT) and the
-    48 variational rows (n, 48, 4) in `_layer_matrices` order.  The
-    unshifted row is `_readout`'s product; the RY-shifted states times the
-    unshifted layer matrix are a second; the unshifted state times the 48
-    shifted layer matrices and the 8 RZ-phased ones are a third, formed and
-    read out a slab of samples at a time (`_slabs`)."""
-    n = enc_ry.shape[-1]
-    state, qubits = _encode(enc_ry, enc_rz)  # (16, n)
-    base, shifted = _matrices_for(params)
-    e_ry = _z_expectations(_ry_encodings(*qubits).reshape(DIM, -1).T @ base)
-    e_var = np.empty((n, shifted.shape[1] // DIM, N_QUBITS))
-    for start, stop in _slabs(n):
-        e_var[start:stop] = _z_expectations((state.T[start:stop] @ shifted).reshape(-1, DIM)
-                                            ).reshape(stop - start, -1, N_QUBITS)
-    n_var = 2 * N_LAYERS * N_QUBITS * 3  # the variational rows come first
-    e_enc = np.concatenate([e_ry.reshape(-1, n, N_QUBITS), e_var[:, n_var:].transpose(1, 0, 2)])
-    return _readout(state, base), e_enc, e_var[:, :n_var]
+    48 variational rows (n, 48, 4), angle k's +SHIFT then -SHIFT row in
+    (layer, qubit, slot) order.  The readout is `_readout`'s; the layer-1
+    rows and each layer-2 row's own column are one product of the encoded
+    state's Pauli vector; a layer-2 row's other columns, and all four of a
+    slot-2 row, are the readout."""
+    n = a.shape[-1]
+    r, cy = _bloch(a)
+    high, low = _pairs(r)
+    by_low, wide, open_ = _observables_for(params)
+    readout = _readout(high, low, by_low)
+    # 112 columns: with OpenBLAS a row of a product with 100 or 108 columns
+    # had other bits at other row counts, which the windows must not see
+    shifted = (high[:, None] * low[None, :]).reshape(DIM * DIM, n).T @ wide
+    e_var = np.empty((n, N_LAYERS, N_QUBITS, 3, 2, N_QUBITS))  # (n, layer, qubit, slot, sign, q)
+    n_first = N_QUBITS * 3 * 2 * N_QUBITS  # layer 1's columns
+    e_var[:, 0] = shifted[:, :n_first].reshape(n, N_QUBITS, 3, 2, N_QUBITS)
+    e_var[:, 1] = readout[:, None, None, None, :]
+    q = np.arange(N_QUBITS)
+    e_var[:, 1, q, :2, :, q] = shifted[:, n_first:].reshape(n, 2, 2, N_QUBITS).transpose(3, 0, 1, 2)
+    return readout, _encoding_rows(r, cy, high, low, a, open_), e_var.reshape(n, -1, N_QUBITS)
 
 
 def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
@@ -318,10 +399,10 @@ def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = Non
     """The `GradientRows` of inputs x, (d_in,) or (B, d_in): the 65 rows per
     sample that a gradient contracts, each counted here as one evaluation."""
     a = _compress(params, as_rows(x, params.d_in))
-    aa = a * a
-    readout, e_enc, e_var = _gradient_rows(params, np.arctan(a), np.arctan(aa))
+    readout, e_enc, e_var = _gradient_rows(params, a)
     diff = e_enc[0::2] - e_enc[1::2]  # (8, n, 4): RY of each qubit, then RZ
     # d arctan(a)/da = 1 / (1 + a^2) and d arctan(a^2)/da = 2a / (1 + a^4)
+    aa = a * a
     enc = diff[:N_QUBITS] / (1.0 + aa)[..., None]
     enc += diff[N_QUBITS:] * ((2.0 * a) / (1.0 + aa * aa))[..., None]
     if counter is not None:
@@ -334,9 +415,7 @@ def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = 
     """One circuit evaluation per sample, counted here; returns the scaled Z
     expectations, (4,) or (B, 4)."""
     x = as_rows(x, params.d_in)
-    a = _compress(params, x)
-    state, _ = _encode(np.arctan(a), np.arctan(a * a))
-    e = _readout(state, _matrices_for(params)[0])
+    e = _readout(*_pairs(_bloch(_compress(params, x))[0]), _observables_for(params)[0])
     if counter is not None:
         counter.count += e.shape[0]
     return (params.out_scale * e + params.out_shift).reshape(x.shape[:-1] + (N_QUBITS,))

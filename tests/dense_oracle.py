@@ -7,6 +7,7 @@ import numpy as np
 I2 = np.eye(2, dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]])
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -39,6 +40,25 @@ def cnot_matrix(control: int, target: int, n_qubits: int) -> np.ndarray:
     for b in range(dim):
         m[b ^ (((b >> control) & 1) << target), b] = 1
     return m
+
+
+def pauli_strings(n_qubits: int = 4) -> np.ndarray:
+    """The (4^n, 2^n, 2^n) Pauli strings: string s has digit (s // 4^k) % 4
+    on qubit k, 0..3 for I, X, Y, Z."""
+    paulis = (I2, X, Y, Z)
+    strings = []
+    for s in range(4**n_qubits):
+        full = np.eye(1 << n_qubits, dtype=complex)
+        for k in range(n_qubits):
+            full = on_qubit(paulis[(s >> (2 * k)) & 3], k, n_qubits) @ full
+        strings.append(full)
+    return np.array(strings)
+
+
+def pauli_vector(op: np.ndarray, strings: np.ndarray) -> np.ndarray:
+    """The real coefficients c of a Hermitian op = sum_s c_s P_s over
+    `pauli_strings`, c_s = Tr(P_s op) / 2^n."""
+    return np.real(np.einsum("sab,ba->s", strings, op)) / op.shape[0]
 
 
 def z_expectation(state: np.ndarray, qubit: int, n_qubits: int) -> float:

@@ -437,11 +437,19 @@ class TestExitCodes:
     def test_sine_train_refuses_classify_inputs(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"
         sine = ["train", "--model", "lstm", "--task", "sine", "--out", str(ckpt_path)]
-        for flag in ("--data", "--vocab", "--eval-data", "--vectors"):
+        given = [[flag, str(tmp_path / "unused.json")]
+                 for flag in ("--data", "--vocab", "--eval-data", "--vectors")]
+        # the basic table's width and a vector mode, with or without its
+        # --vectors file, are classify-only too (an out-of-range width is
+        # refused first, by the settings' range check)
+        given += [["--d-basic", "7"], ["--embedding", "glove"],
+                  ["--embedding", "glove", "--d-basic", "7"]]
+        for args in given:
             capsys.readouterr()
-            assert main([*sine, flag, str(tmp_path / "unused.json")]) == 1, flag
+            assert main([*sine, *args]) == 1, args
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and flag in err and err.count("\n") == 1, err
+            assert err.startswith("error: --task sine takes no ") and err.count("\n") == 1, err
+            assert all(flag in err for flag in args if flag.startswith("--")), err
         assert not ckpt_path.exists()
 
     def test_eval_split_of_another_max_len_exits_before_training(

@@ -389,11 +389,11 @@ class TestCostModel:
 
     @pytest.mark.parametrize("steps, bound_mib", [(24, 2.0), (100, 2.5)])
     def test_backward_memory_does_not_grow_with_steps(self, steps, bound_mib):
-        # one window of rows and one slab of their largest product are alive
-        # at a time, so the traced heap a backward adds above its start stays
-        # under a bound that all of a sequence's rows would exceed (16
-        # samples over 100 steps hold 7.1 MiB of rows alone); d_x is gate
-        # 5's basic embedding width
+        # one window of rows and the temporaries of one `vqc_rows` call are
+        # alive at a time, so the traced heap a backward adds above its
+        # start stays under a bound that all of a sequence's rows would
+        # exceed (16 samples over 100 steps hold 7.1 MiB of rows alone); d_x
+        # is gate 5's basic embedding width
         batch, d_x = 16, 50
         rng = np.random.default_rng(120 + steps)
         params = init_qlstm_params(d_x, rng)

@@ -2,23 +2,20 @@
 agreement, and exact gradients versus central finite differences."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import qvuln.vqc
 from qvuln.neural import OptimizerState, adam_step, laid_out
-from qvuln.qsim import apply_gate, expect_z, h, init_state, ry
+from qvuln.qsim import apply_gate, expect_z, h, init_state, ry, rz
 from qvuln.vqc import (
     EvalCounter,
     VqcParams,
-    _RZ_DIAG,
-    _encode,
+    _bloch,
     _gradient_rows,
-    _layer_matrices,
-    _ry_encodings,
-    _shift_rows,
+    _observables,
     init_vqc_params,
     vqc_forward,
     vqc_gradients,
@@ -220,14 +217,15 @@ class TestGradients:
 
     def test_last_rz_of_layer_2_gets_no_gradient(self):
         # layer 2 ends each qubit with an RZ right before the Z readout; it
-        # commutes with Z, so the +-pi/2 differences of slot 2 in layer 2 are
-        # rounding noise, while every other angle's differ.  Their rows stay
-        # formed and counted, since the cost model counts them
+        # commutes with Z, so the rows with slot 2 of layer 2 shifted are the
+        # unshifted readout and their +-pi/2 differences exactly zero, while
+        # every other angle's differ.  Their rows stay formed and counted,
+        # since the cost model counts them
         rng = np.random.default_rng(34)
         params = random_params(rng, 4)
         var = vqc_rows(params, rng.uniform(-2, 2, size=(64, 4))).var
         largest = np.abs(var).max(axis=(0, 2)).reshape(2, 4, 3)  # (layer, qubit, slot)
-        assert np.all(largest[1, :, 2] < 1e-12)
+        assert np.all(largest[1, :, 2] == 0.0)
         others = np.ones((2, 4, 3), dtype=bool)
         others[1, :, 2] = False
         assert np.all(largest[others] > 1e-3)
@@ -277,53 +275,89 @@ class TestLayerCache:
         np.testing.assert_array_equal(got_dx, want_dx)
 
 
+def unshifted_columns(by_low: np.ndarray) -> np.ndarray:
+    """The kernel's (16, 64) low-first readout columns as (256, 4), one row
+    per Pauli string s = 64 p3 + 16 p2 + 4 p1 + p0."""
+    return by_low.reshape(16, 16, 4).transpose(1, 0, 2).reshape(256, 4)
+
+
+def shifted_angles(base: np.ndarray, k: int, sign: float) -> np.ndarray:
+    moved = base.copy()
+    moved.reshape(-1)[k] += sign * np.pi / 2
+    return moved
+
+
 class TestKernelAgainstOracle:
-    def test_each_layer_matrix_matches_dense_product(self):
-        # the kernel applies M as `state @ M`, so M is the unitary's transpose
+    def test_each_transfer_column_matches_the_dense_observable(self):
+        # each column holds the Pauli coefficients of U^dag Z_q U for the
+        # oracle's two layers U, at the angles and at each shifted angle the
+        # kernel builds a column for; a layer-2 shift leaves the other
+        # qubits' observables as they are, and a slot-2 shift all four, so
+        # those rows share the unshifted columns (the columns with a digit
+        # open regroup the unshifted ones; the encoding rows check them)
         rng = np.random.default_rng(41)
+        strings = dense_oracle.pauli_strings()
+
+        def observables(angles: np.ndarray) -> np.ndarray:
+            u = dense_layers(angles)
+            return np.stack([dense_oracle.pauli_vector(u.conj().T @ dense_oracle.on_qubit(
+                dense_oracle.Z, q, 4) @ u, strings) for q in range(4)], axis=1)  # (256, 4)
+
         for _ in range(3):
             angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
-            base, shifted = _layer_matrices(angles.tobytes())
-            np.testing.assert_allclose(base, dense_layers(angles).T, rtol=0, atol=1e-13)
-            for k in range(angles.size):
-                for j, sign in enumerate((1.0, -1.0)):
-                    moved = angles.copy()
-                    moved.reshape(-1)[k] += sign * np.pi / 2
-                    col = (2 * k + j) * 16
+            by_low, wide, _ = _observables(angles.tobytes())
+            base = unshifted_columns(by_low)
+            np.testing.assert_allclose(base, observables(angles), rtol=0, atol=1e-13)
+            first = wide[:, :96].reshape(256, 12, 2, 4)  # (string, angle, sign, q)
+            own = wide[:, 96:].reshape(256, 2, 2, 4)  # (string, slot, sign, q)
+            for j, sign in enumerate((1.0, -1.0)):
+                for k in range(12):
                     np.testing.assert_allclose(
-                        shifted[:, col : col + 16], dense_layers(moved).T,
-                        rtol=0, atol=1e-13, err_msg=f"angle {k}, shift {sign:+}",
-                    )
+                        first[:, k, j], observables(shifted_angles(angles, k, sign)),
+                        rtol=0, atol=1e-13, err_msg=f"layer 1, angle {k}, shift {sign:+}")
+                for qubit in range(4):
+                    for slot in range(3):
+                        want = observables(shifted_angles(angles, 12 + 3 * qubit + slot, sign))
+                        got = base.copy()
+                        if slot < 2:
+                            got[:, qubit] = own[:, slot, j, qubit]
+                        np.testing.assert_allclose(
+                            got, want, rtol=0, atol=1e-13,
+                            err_msg=f"layer 2, qubit {qubit}, slot {slot}, shift {sign:+}")
 
-    def test_gathered_encoding_rows_equal_encoded_shift_rows(self):
-        # the RY-shifted variants are closed forms of each qubit's unshifted
-        # state, and an RZ shift multiplies the encoded state by a phase per
-        # basis state, so they equal a fresh encoding at the shifted angles
-        # only to rounding
-        rng = np.random.default_rng(43)
-        a = rng.uniform(-3, 3, size=(4, 6))
-        enc = np.concatenate([np.arctan(a), np.arctan(a * a)])  # (8, 6)
-        rows = _shift_rows(enc.T)  # (6, 17, 8)
-        want, _ = _encode(np.moveaxis(rows[..., :4], -1, 0), np.moveaxis(rows[..., 4:], -1, 0))
-        state, qubits = _encode(enc[:4], enc[4:])
-        rz = state[:, None] * _RZ_DIAG.T[:, :, None]
-        got = np.concatenate([state[:, None], _ry_encodings(*qubits), rz], axis=1)  # (16, 17, 6)
-        np.testing.assert_allclose(got, want.transpose(0, 2, 1), rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("a", [0.0, 1e-8, -1e-8, 1.0, -1.0, 1e8, -1e8, 1e100, -1e100,
+                                   1e300, -1e300])
+    def test_bloch_vectors_match_the_qsim_encoding(self, a):
+        # the closed-form Bloch vector (1, <X>, <Y>, <Z>) of H, RY(arctan a),
+        # RZ(arctan a^2) on |0>, against qsim's gates; it stays finite where
+        # a^4 (from 1e77) and a^2 (from 1e154) overflow, with no
+        # floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, cy = _bloch(np.full((4, 1), a))
+        assert np.all(np.isfinite(r)) and np.all(np.isfinite(cy))
+        # arctan(a^2) = arctan2(1, (1/a)^2) for a != 0, without forming a^2
+        z = np.arctan2(1.0, (1.0 / a) ** 2) if a else 0.0
+        state = init_state(1)
+        for gate in (h(0), ry(np.arctan(a), 0), rz(z, 0)):
+            apply_gate(state, gate)
+        zero, one = state.amplitudes
+        cross = np.conj(zero) * one
+        want = [1.0, 2 * cross.real, 2 * cross.imag, abs(zero) ** 2 - abs(one) ** 2]
+        for q in range(4):
+            np.testing.assert_allclose(r[:, q, 0], want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cy[:, 0], np.cos(np.arctan(a)), rtol=0, atol=1e-15)
 
     def test_gradient_rows_match_dense_oracle_row_by_row(self):
         # every one of a sample's 65 <Z> rows against the oracle's circuit at
         # that row's shifted encoding or variational angles
         rng = np.random.default_rng(47)
         params = random_params(rng, 3)
-        enc = rng.uniform(-np.pi, np.pi, size=(8, 3))  # 4 RY then 4 RZ angles, 3 samples
-        readout, e_enc, e_var = _gradient_rows(params, enc[:4], enc[4:])
+        a = rng.uniform(-3, 3, size=(4, 3))  # 3 samples
+        readout, e_enc, e_var = _gradient_rows(params, a)
         assert readout.shape == (3, 4) and e_enc.shape == (16, 3, 4) and e_var.shape == (3, 48, 4)
-        e_enc = np.concatenate([readout[None], e_enc])  # row 0 unshifted, as `_shift_rows`
-
-        def shifted(base: np.ndarray, k: int, sign: float) -> np.ndarray:
-            moved = base.copy()
-            moved.reshape(-1)[k] += sign * np.pi / 2
-            return moved
+        enc = np.concatenate([np.arctan(a), np.arctan(a * a)])  # 4 RY then 4 RZ angles
+        e_enc = np.concatenate([readout[None], e_enc])  # row 0 unshifted, then 1 + 2k, 2 + 2k
 
         for j in range(3):
             state = dense_oracle.encode_angles(enc[:4, j], enc[4:, j])
@@ -331,7 +365,7 @@ class TestKernelAgainstOracle:
             np.testing.assert_allclose(e_enc[0, j], want, rtol=0, atol=1e-13)
             for k in range(8):
                 for r, sign in ((1 + 2 * k, 1.0), (2 + 2 * k, -1.0)):
-                    moved = shifted(enc[:, j], k, sign)
+                    moved = shifted_angles(enc[:, j], k, sign)
                     state_k = dense_oracle.encode_angles(moved[:4], moved[4:])
                     want = dense_oracle.layer_expectations(state_k, params.angles)
                     np.testing.assert_allclose(
@@ -339,7 +373,7 @@ class TestKernelAgainstOracle:
                     )
             for k in range(24):
                 for r, sign in ((2 * k, 1.0), (2 * k + 1, -1.0)):
-                    want = dense_oracle.layer_expectations(state, shifted(params.angles, k, sign))
+                    want = dense_oracle.layer_expectations(state, shifted_angles(params.angles, k, sign))
                     np.testing.assert_allclose(
                         e_var[j, r], want, rtol=0, atol=1e-13, err_msg=f"sample {j}, angle {k}"
                     )
@@ -385,22 +419,19 @@ class TestBatch:
                 np.testing.assert_allclose(arr, summed[name], rtol=0, atol=1e-13, err_msg=name)
 
     @pytest.mark.parametrize("n", [2, 31, 33, 34, 65, 70])
-    def test_rows_do_not_depend_on_the_slabs(self, monkeypatch, n):
-        # the largest product is formed a slab of samples at a time; the
-        # rows have the bits of one product over all n samples, also where
-        # a lone last row joins the slab before it (33, 65)
+    def test_rows_do_not_depend_on_the_product_size(self, n):
+        # a sample's rows have the same bits in a product of n samples as in
+        # one of 70, first or last in it: a QLSTM backward forms several
+        # steps' rows in one product and gives each step views of its own
         rng = np.random.default_rng(50 + n)
         params = random_params(rng, 6)
-        x = rng.uniform(-2, 2, size=(n, 6))
-        slabs = qvuln.vqc._slabs(n)
-        assert slabs[0][0] == 0 and slabs[-1][1] == n
-        assert [start for start, _ in slabs[1:]] == [stop for _, stop in slabs[:-1]]
-        assert all(1 < stop - start <= 33 for start, stop in slabs)
-        slabbed = vqc_rows(params, x)
-        monkeypatch.setattr(qvuln.vqc, "_SLAB_ROWS", n)
+        x = rng.uniform(-2, 2, size=(70, 6))
         whole = vqc_rows(params, x)
-        for part in ("readout", "enc", "var"):
-            np.testing.assert_array_equal(getattr(slabbed, part), getattr(whole, part), part)
+        for start in (0, 70 - n):
+            part = vqc_rows(params, x[start:start + n])
+            for name in ("readout", "enc", "var"):
+                np.testing.assert_array_equal(getattr(part, name),
+                                              getattr(whole.samples(start, start + n), name), name)
 
 
 class TestInit:
