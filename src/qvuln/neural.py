@@ -256,14 +256,13 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, steps, upst
     samples of upstream * logit (upstream is a float, or (B,) for a batch),
     summed over the batch, and the (T, d_x) or (B, T, d_x) input gradients.
     The parameter gradients are `laid_out` like `params`, on a fresh vector.
-    `step_back(params, grads, step, d_out, dc, first, last)` adds a step's
-    parameter gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1},
-    x_t), and dL/dc_{t-1}.  `steps` gives the `step` of each t in the order
-    the loop uses them, t = T-1 down to 0, and the loop passes each through
+    `step_back(params, grads, step, d_out, dc)` adds a step's parameter
+    gradients to `grads` and returns dL/dv_t, v_t = concat(h_{t-1}, x_t),
+    and dL/dc_{t-1}.  `steps` gives the `step` of each t in the order the
+    loop uses them, t = T-1 down to 0, and the loop passes each through
     unread and binds it to no name, so a step's data is freed when its step
     back returns.  `caches` gives T and the final y.  The head reads y only
-    at t = T-1 (`last`), so d_out is the head's gradient there and dL/dh_t
-    before; `first` is t = 0."""
+    at t = T-1, so d_out is the head's gradient there and dL/dh_t before."""
     if caches is None:
         raise ValueError("no caches to differentiate: the forward ran with keep_caches=False")
     upstream = np.asarray(upstream, dtype=float)
@@ -276,7 +275,7 @@ def backprop_sequence(step_back, params: _P, caches: SequenceCaches, steps, upst
     dx = np.zeros(upstream.shape + (T, d_x))
     steps = iter(steps)
     for t in range(T - 1, -1, -1):
-        dv, dc = step_back(params, grads, next(steps), d_out, dc, t == 0, t == T - 1)
+        dv, dc = step_back(params, grads, next(steps), d_out, dc)
         d_out, dx[..., t, :] = dv[..., :-d_x], dv[..., -d_x:]
     return grads, dx
 
@@ -323,7 +322,7 @@ def lstm_cell_step(
     return CellState(h=h, c=c, y=h), cache
 
 
-def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, d_out, dc, first, last,
+def _lstm_step_back(params: LstmParams, grads: LstmParams, s: CellCache, d_out, dc,
                     dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step of `lstm_backward`; y is h, so d_out is dL/dh_t at every
     step.  The weight gradient is formed in `dw`, one buffer for every step."""

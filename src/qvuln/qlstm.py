@@ -185,26 +185,26 @@ def qlstm_forward(params: QlstmParams, sequence, counter: EvalCounter | None = N
                         initial_state(), keep_caches)
 
 
-def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, step, d_out, dc, first,
-                     last) -> tuple[np.ndarray, np.ndarray]:
+def _qlstm_step_back(params: QlstmParams, grads: QlstmParams, step, d_out, dc
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """One step of `qlstm_backward`, given the pair `step` of the step's
-    cache and its rows: the circuit gradients of the `_differentiated`
-    blocks, contracted from the rows, chained through the gate algebra."""
+    cache and its rows: the circuit gradients of the blocks its rows name,
+    the step's `_differentiated` blocks, contracted from the rows and
+    chained through the gate algebra."""
     s, rows = step
-    blocks = _differentiated(first, last)
 
     def grad(name: str, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Add one block's gradient into its views in `grads`; returns dL/dx."""
         return vqc_gradients(getattr(params, name), x, upstream, rows=rows[name],
                              into=getattr(grads, name))[1]
 
-    if "vqc6" in blocks:
+    if "vqc6" in rows:
         dr = grad("vqc6", s.r, d_out)
     else:
         dr = grad("vqc5", s.r, d_out * s.h * (1.0 - s.h) if params.sigma_hidden else d_out)
     pre_f, pre_i, pre_g, pre_o, dc = cell_backward(s, dr, dc)
     dvs = [grad(name, s.v, pre) for name, pre in
-           (("vqc1", pre_f), ("vqc2", pre_i), ("vqc3", pre_g), ("vqc4", pre_o)) if name in blocks]
+           (("vqc1", pre_f), ("vqc2", pre_i), ("vqc3", pre_g), ("vqc4", pre_o)) if name in rows]
     return sum(dvs[1:], start=dvs[0]), dc
 
 

@@ -3,11 +3,8 @@
 Convention: qubit 0 is the least-significant bit of the basis index, so
 basis state |q3 q2 q1 q0> = |0010> lives at index 2.  Amplitudes are
 complex128 and gate application mutates the state in place over strided
-index pairs.
-
-Amplitudes may carry leading batch axes, shape (..., 2^n): every gate acts
-on the last axis.  A rotation angle is a float, or an array that broadcasts
-against the leading axes to give one angle per row.
+index pairs.  A gate's matrix takes an array of angles too, one rotation
+per angle; `vqc` builds its transfer matrices from those.
 """
 from __future__ import annotations
 
@@ -109,31 +106,22 @@ def _check_targets(state: StateVector, gate: Gate) -> None:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply `gate` to `state` in place, on every row of the leading axes,
-    and return the state."""
+    """Apply `gate` to `state` in place and return the state."""
     _check_targets(state, gate)
     amps = state.amplitudes
     if gate.kind == "CNOT":
         control, target = gate.targets
-        b = np.arange(amps.shape[-1])
+        b = np.arange(amps.size)
         src = b[(((b >> control) & 1) == 1) & (((b >> target) & 1) == 0)]
         dst = src | (1 << target)
-        amps[..., src], amps[..., dst] = amps[..., dst], amps[..., src]
+        amps[src], amps[dst] = amps[dst], amps[src]
         return state
-    q = gate.targets[0]
-    # m[i, j] has shape (*angle shape, 1, 1): one coefficient per leading row
-    m = gate.matrix().reshape(2, 2, *np.shape(gate.angle), 1, 1)
-    view = amps.reshape(*amps.shape[:-1], -1, 2, 1 << q)
-    lo = view[..., 0, :].copy()
-    hi = view[..., 1, :]
-    view[..., 0, :] = m[0, 0] * lo + m[0, 1] * hi
-    view[..., 1, :] = m[1, 0] * lo + m[1, 1] * hi
-    return state
-
-
-def apply_circuit(state: StateVector, gates: list[Gate] | tuple[Gate, ...]) -> StateVector:
-    for gate in gates:
-        apply_gate(state, gate)
+    m = gate.matrix()
+    view = amps.reshape(-1, 2, 1 << gate.targets[0])
+    lo = view[:, 0].copy()
+    hi = view[:, 1]
+    view[:, 0] = m[0, 0] * lo + m[0, 1] * hi
+    view[:, 1] = m[1, 0] * lo + m[1, 1] * hi
     return state
 
 

@@ -34,36 +34,45 @@ A gradient needs 65 rows per sample: the unshifted circuit and, for each of
 the 8 encoding slots and 24 variational angles, the circuit with it shifted
 by +-pi/2.  Each row's four <Z> values are formed, and the gradient takes
 the differences of the +SHIFT and -SHIFT rows (the parameter-shift rule);
-no observable is differenced in advance.  They come from three products:
-- the unshifted readout contracts the low pair's (qubits 1, 0) Kronecker
-  products with the 4 unshifted columns in one product, then each
-  sample's high pair's (qubits 3, 2); `vqc_forward` and `vqc_rows` share
-  it (`_readout`), so both have its bits;
-- the 24 layer-1-shifted circuits (96 columns) and the 16 layer-2 ones
-  shifted in slot 0 or 1 (one column each) are one product of the encoded
-  state's full Pauli vector.  A
-  layer-2 rotation on qubit q lies in the light cone of Z_q alone, so a
-  layer-2 shift leaves the other three <Z> at the unshifted readout.  Layer
-  2 ends each qubit with an RZ that commutes with the Z readout, so a slot-2
-  shift changes no <Z> at all: its rows are the unshifted readout, their
-  differences exactly zero, and those 4 angles never get a gradient.  Their
-  8 rows are still formed and counted, since the cost model counts them;
-- an encoding shift swaps one qubit's Bloch vector for its RY or RZ
-  +-pi/2 variant, in closed form, so its rows contract the unshifted
-  columns with the other three qubits' vectors first (one product per
-  qubit) and then with the variant.
-`vqc_rows` forms them and keeps the shift differences as `GradientRows`,
-which `vqc_gradients` only contracts; called without them,
-`vqc_gradients` forms its own through `vqc_rows`.  A sample's rows have
-the same bits whatever the other samples of its product, so one
-`vqc_rows` call may hold the samples of several steps of a sequence, and
-`GradientRows.samples` gives each step views of its own.
+no observable is differenced in advance.  `_gradient_rows` forms the
+values in three products and returns each in the layout its product gives:
+- the unshifted readout, (n, 4), contracts the low pair's (qubits 1, 0)
+  Kronecker products with the 4 unshifted columns in one product, then
+  each sample's high pair's (qubits 3, 2); `vqc_forward` and `vqc_rows`
+  share it (`_readout`), so both have its bits;
+- the shifted product, (n, 112), of the encoded state's full Pauli vector:
+  the 24 layer-1-shifted circuits, 4 columns each, then the 16 layer-2
+  ones shifted in slot 0 or 1, one column each.  A layer-2 rotation on
+  qubit q lies in the light cone of Z_q alone, so a layer-2 shift leaves
+  the other three <Z> at the unshifted readout.  Layer 2 ends each qubit
+  with an RZ that commutes with the Z readout, so a slot-2 shift changes no
+  <Z> at all: its rows are the unshifted readout, and those 4 angles never
+  get a gradient.  Their 8 rows are still counted, since the cost model
+  counts them;
+- the encoding rows, (qubit, n, variant, q): an encoding shift swaps one
+  qubit's Bloch vector for its RY or RZ +-pi/2 variant, in closed form, so
+  its rows contract the unshifted columns with the other three qubits'
+  vectors first (one product per qubit) and then, in a last product, with
+  the four variants.
+`vqc_rows` takes every +SHIFT minus -SHIFT difference from those arrays:
+layer 1's 48 column pairs into a zeroed (n, layer, qubit, slot, q) array,
+the 16 layer-2 columns into each qubit's own column of slots 0 and 1 (the
+other 40 differences, readout minus readout, are the +0.0 left there),
+and the RY and RZ variant pairs straight into the chain through the
+arctans.  It keeps the differences as `GradientRows`, which `vqc_gradients`
+only contracts; called without them, `vqc_gradients` forms its own through
+`vqc_rows`.  A sample's rows have the same bits whatever the other samples
+of its product, so one `vqc_rows` call may hold the samples of several
+steps of a sequence, and `GradientRows.samples` gives each step views of
+its own.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
-side.  Each expectation row counts as one circuit evaluation where it is
-formed: 1 per sample for a readout, 65 per sample where gradient rows are
-formed, none for a contraction.
+side.  The arctans' slopes, 1/(1 + a^2) and 2a/(1 + a^4), are formed from
+`_bloch`'s parts as cy^2 and 2 (a cz) cz, so neither overflows.  Each
+expectation row counts as one circuit evaluation where it is formed: 1 per
+sample for a readout, 65 per sample where gradient rows are formed, none
+for a contraction.
 """
 from __future__ import annotations
 
@@ -73,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .neural import ParamTree, as_rows, laid_out
-from .qsim import StateVector, apply_circuit, cnot, ry, rz
+from .qsim import cnot, ry, rz
 
 N_QUBITS = 4
 N_LAYERS = 2
@@ -147,11 +156,7 @@ def _ring_transfer() -> tuple[np.ndarray, np.ndarray]:
     each string to one string with a sign.  It is returned as the row
     gather and signs that apply it, T @ o = _RING_SIGNS * o[_RING_GATHER],
     composed from one CNOT's transfer on the digits of its two qubits."""
-    # the CNOT with control 0 and target 1 on two qubits; row b of the
-    # identity is basis state |b>, so the result holds U^T
-    state = StateVector(2, np.eye(4, dtype=complex))
-    apply_circuit(state, [cnot(0, 1)])
-    u = state.amplitudes.T
+    u = cnot(0, 1).matrix()  # on two qubits, control 0 and target 1
     strings = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(16, 4, 4)  # 4 p_target + p_control
     pair = np.einsum("tab,cb,scd,da->ts", strings, u.conj(), strings, u).real / 4
     pair_gather = np.argmax(np.abs(pair), axis=1)
@@ -222,8 +227,8 @@ _OPEN_ROWS = np.stack([np.moveaxis(np.arange(DIM * DIM).reshape((4,) * N_QUBITS)
                        .reshape(-1, 4) for k in range(N_QUBITS)])
 
 
-# one QLSTM's six blocks, which a forward reads in turn and a backward not
-# at all; each optimizer step changes all six keys
+# one QLSTM's six blocks: a forward reads them in turn, and a backward again
+# through `vqc_rows`; each optimizer step changes all six keys
 @lru_cache(maxsize=6)
 def _observables(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Pauli coefficients of the observables that give <Z_q>, one
@@ -283,24 +288,25 @@ def _compress(params: VqcParams, x: np.ndarray) -> np.ndarray:
     return params.in_proj @ x.reshape(-1, params.d_in).T + params.bias[:, None]
 
 
-def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(4, n) compressed inputs -> the (4 component, 4 qubit, n) Bloch
     4-vectors (1, <X>, <Y>, <Z>) of H, RY(arctan a), RZ(arctan a^2) on |0>,
-    (1, cy cz, cy sz, -sy), and cy.  cy = 1/hypot(1, a) and sy = a cy are
-    the cosine and sine of arctan a; with h = hypot(cy^2, sy^2), cz = cy^2/h
-    and sz = sy^2/h are those of arctan a^2, 1/sqrt(1 + a^4) and
-    a^2/sqrt(1 + a^4).  No intermediate overflows for any finite a, where
-    a^2 and a^4 would."""
+    (1, cy cz, cy sz, -sy), then cy and h.  cy = 1/hypot(1, a) and sy = a cy
+    are the cosine and sine of arctan a; with h = hypot(cy^2, sy^2),
+    cz = cy^2/h and sz = sy^2/h are those of arctan a^2, 1/sqrt(1 + a^4)
+    and a^2/sqrt(1 + a^4).  No intermediate overflows for any finite a,
+    where a^2 and a^4 would."""
     cy = 1.0 / np.hypot(1.0, a)
     sy = a * cy
     cy2, sy2 = cy * cy, sy * sy
-    w = cy / np.hypot(cy2, sy2)
+    h = np.hypot(cy2, sy2)
+    w = cy / h
     r = np.empty((4,) + a.shape)
     r[0] = 1.0
     np.multiply(cy2, w, out=r[1])
     np.multiply(sy2, w, out=r[2])
     np.negative(sy, out=r[3])
-    return r, cy
+    return r, cy, h
 
 
 def _pairs(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,14 +348,14 @@ class GradientRows:
 def _encoding_rows(r: np.ndarray, cy: np.ndarray, high: np.ndarray, low: np.ndarray,
                    a: np.ndarray, open_: np.ndarray) -> np.ndarray:
     """The `_bloch` vectors r and cy and the `_pairs` of (4, n) inputs a ->
-    the (16, n, 4) <Z> rows of the encoding shifts, in slot order (RY of
-    each qubit, then RZ, each +SHIFT then -SHIFT).  A shift swaps one
-    qubit's vector for a closed-form variant: RY +-SHIFT gives
-    (1, -+sy cz, -+sy sz, -+cy), sy cz and sy sz being a cy cz and a cy sz,
-    and RZ +-SHIFT gives (1, -+cy sz, +-cy cz, -sy).  The unshifted columns
-    with qubit k's
-    digit open are contracted with the other three qubits' vectors first,
-    one product per qubit, and then with each variant of qubit k."""
+    the <Z> rows of the encoding shifts as their last product gives them,
+    (qubit, n, variant, q), the variants RY +SHIFT, RY -SHIFT, RZ +SHIFT,
+    RZ -SHIFT of that qubit.  A shift swaps one qubit's vector for a
+    closed-form variant: RY +-SHIFT gives (1, -+sy cz, -+sy sz, -+cy), sy cz
+    and sy sz being a cy cz and a cy sz, and RZ +-SHIFT gives
+    (1, -+cy sz, +-cy cz, -sy).  The unshifted columns with qubit k's digit
+    open are contracted with the other three qubits' vectors first, one
+    product per qubit, and then with each variant of qubit k."""
     n = a.shape[-1]
     # for qubits 0, 1 then 2, 3: the other three qubits' digits, qubit 3 first
     others = np.empty((2, 2, 64, n))
@@ -364,34 +370,26 @@ def _encoding_rows(r: np.ndarray, cy: np.ndarray, high: np.ndarray, low: np.ndar
     variants[2, 1], variants[2, 2] = -r[2], r[1]
     variants[3, 1], variants[3, 2] = r[2], -r[1]
     variants[2:, 3] = r[3]
-    e = variants.transpose(2, 3, 0, 1) @ partial.reshape(N_QUBITS, n, 4, N_QUBITS)  # (qubit, n, variant, q)
-    return e.reshape(N_QUBITS, n, 2, 2, N_QUBITS).transpose(2, 0, 3, 1, 4).reshape(-1, n, N_QUBITS)
+    return variants.transpose(2, 3, 0, 1) @ partial.reshape(N_QUBITS, n, 4, N_QUBITS)
 
 
-def _gradient_rows(params: VqcParams, a: np.ndarray):
-    """(4, n) compressed inputs -> a sample's 65 pre-scaling <Z> rows: the
-    unshifted readout (n, 4), the 16 encoding-shifted rows (16, n, 4) in
-    slot order (RY of each qubit, then RZ, each +SHIFT then -SHIFT) and the
-    48 variational rows (n, 48, 4), angle k's +SHIFT then -SHIFT row in
-    (layer, qubit, slot) order.  The readout is `_readout`'s; the layer-1
-    rows and each layer-2 row's own column are one product of the encoded
-    state's Pauli vector; a layer-2 row's other columns, and all four of a
-    slot-2 row, are the readout."""
-    n = a.shape[-1]
-    r, cy = _bloch(a)
+def _gradient_rows(params: VqcParams, a: np.ndarray, r: np.ndarray, cy: np.ndarray):
+    """(4, n) compressed inputs and their `_bloch` vectors r and cy -> the
+    values of a sample's 65 pre-scaling <Z> rows, in the layouts the
+    kernel's products form them: the unshifted readout (n, 4); the 16
+    encoding-shifted rows (qubit, n, variant, q), `_encoding_rows`' RY
+    +-SHIFT and RZ +-SHIFT variants of each qubit; and the shifted product
+    (n, 112), whose first 96 columns are layer 1's (qubit, slot, sign, q)
+    and last 16 layer 2's (slot, sign, q), each the <Z_q> with qubit q's
+    own layer-2 slot 0 or 1 shifted.  A layer-2 row's other three columns,
+    and all four of a slot-2 row, are the readout, so they are not formed
+    again; `vqc_rows` takes every difference."""
     high, low = _pairs(r)
     by_low, wide, open_ = _observables_for(params)
-    readout = _readout(high, low, by_low)
     # 112 columns: with OpenBLAS a row of a product with 100 or 108 columns
     # had other bits at other row counts, which the windows must not see
-    shifted = (high[:, None] * low[None, :]).reshape(DIM * DIM, n).T @ wide
-    e_var = np.empty((n, N_LAYERS, N_QUBITS, 3, 2, N_QUBITS))  # (n, layer, qubit, slot, sign, q)
-    n_first = N_QUBITS * 3 * 2 * N_QUBITS  # layer 1's columns
-    e_var[:, 0] = shifted[:, :n_first].reshape(n, N_QUBITS, 3, 2, N_QUBITS)
-    e_var[:, 1] = readout[:, None, None, None, :]
-    q = np.arange(N_QUBITS)
-    e_var[:, 1, q, :2, :, q] = shifted[:, n_first:].reshape(n, 2, 2, N_QUBITS).transpose(3, 0, 1, 2)
-    return readout, _encoding_rows(r, cy, high, low, a, open_), e_var.reshape(n, -1, N_QUBITS)
+    shifted = (high[:, None] * low[None, :]).reshape(DIM * DIM, -1).T @ wide
+    return _readout(high, low, by_low), _encoding_rows(r, cy, high, low, a, open_), shifted
 
 
 def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
@@ -399,15 +397,26 @@ def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = Non
     """The `GradientRows` of inputs x, (d_in,) or (B, d_in): the 65 rows per
     sample that a gradient contracts, each counted here as one evaluation."""
     a = _compress(params, as_rows(x, params.d_in))
-    readout, e_enc, e_var = _gradient_rows(params, a)
-    diff = e_enc[0::2] - e_enc[1::2]  # (8, n, 4): RY of each qubit, then RZ
-    # d arctan(a)/da = 1 / (1 + a^2) and d arctan(a^2)/da = 2a / (1 + a^4)
-    aa = a * a
-    enc = diff[:N_QUBITS] / (1.0 + aa)[..., None]
-    enc += diff[N_QUBITS:] * ((2.0 * a) / (1.0 + aa * aa))[..., None]
+    r, cy, h = _bloch(a)
+    readout, e_enc, shifted = _gradient_rows(params, a, r, cy)
+    n = readout.shape[0]
+    # d arctan(a)/da = 1 / (1 + a^2) = cy^2 and d arctan(a^2)/da =
+    # 2a / (1 + a^4) = 2a cz^2, formed as 2 (a cz) cz: neither overflows
+    cy2 = cy * cy
+    cz = cy2 / h
+    enc = (e_enc[:, :, 0] - e_enc[:, :, 1]) * cy2[..., None]
+    enc += (e_enc[:, :, 2] - e_enc[:, :, 3]) * (2.0 * (a * cz) * cz)[..., None]
+    # the light cone's layer-2 differences, readout minus readout, are +0.0
+    var = np.zeros((n, N_LAYERS, N_QUBITS, 3, N_QUBITS))  # (n, layer, qubit, slot, q)
+    pairs = shifted.reshape(n, -1, 2, N_QUBITS)  # (n, layer-1 angle, then layer-2 slot; sign; q)
+    first = pairs[:, :N_QUBITS * 3].reshape(n, N_QUBITS, 3, 2, N_QUBITS)
+    np.subtract(first[..., 0, :], first[..., 1, :], out=var[:, 0])
+    own = pairs[:, N_QUBITS * 3:]  # (n, slot, sign, q)
+    q = np.arange(N_QUBITS)
+    var[:, 1, q, :2, q] = (own[:, :, 0] - own[:, :, 1]).transpose(2, 0, 1)
     if counter is not None:
-        counter.count += readout.shape[0] * _GRADIENT_ROWS
-    return GradientRows(readout=readout, enc=enc, var=e_var[:, 0::2] - e_var[:, 1::2])
+        counter.count += n * _GRADIENT_ROWS
+    return GradientRows(readout=readout, enc=enc, var=var.reshape(n, -1, N_QUBITS))
 
 
 def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None

@@ -12,13 +12,15 @@ number (a JSON value) that differs, and of the numbers of a differing
 stdout in order.  Each tree's digests are written to `digests-a.json` and
 `digests-b.json` in the working directory.
 
-The list: `preprocess` at `--max-len` 6 and at 20; `train` of the LSTM and
+The list: `preprocess` at `--max-len` 6, 20 and 1; `train` of the LSTM and
 the QLSTM on classify (with `--eval-data`) and on sine, with `--curves` and
 `--metrics`; a QLSTM sine run with `--no-sigma-hidden`; a classify run of
 each model in `glove+fasttext` mode, on two vector files that `make_corpus`
 writes with fixed seeds from the training split's tokens; a QLSTM classify
 run on the 20-step splits in batches of 16, whose backward forms its
-gradient rows in three windows; `eval` (with `--metrics`) and `census` of
+gradient rows in three windows; a QLSTM classify run on the one-step
+splits, and one on the 6-step splits in batches of one sample, whose
+steps form one-row products; `eval` (with `--metrics`) and `census` of
 each checkpoint; `gradcheck --trials 3`.  Every file a run writes and
 every run's stdout is an output.  In a metrics file `wall_time_seconds` is
 masked, since it is the one value that differs from run to run.
@@ -49,7 +51,7 @@ import checkpoint_codec  # noqa: E402
 CORPUS = {"seed": 5, "train_per_class": 8, "other_per_class": 4}
 EPOCHS = "2"
 # the encoded splits: output directory and --max-len of each preprocess run
-ENCODED = {"enc": "6", "enc-long": "20"}
+ENCODED = {"enc": "6", "enc-long": "20", "enc-one": "1"}
 # name: (model, task, encoded splits of a classify run, flags)
 CHECKPOINTS = {
     "lstm-classify": ("lstm", "classify", "enc", []),
@@ -62,6 +64,11 @@ CHECKPOINTS = {
     # 20 steps at 16 samples: the backward's row windows of 8 steps are three,
     # the last of them partial
     "qlstm-classify-long": ("qlstm", "classify", "enc-long", ["--batch", "16"]),
+    # one step: the first step is also the last, so its rows are vqc6's and
+    # vqc2-4's only
+    "qlstm-classify-one": ("qlstm", "classify", "enc-one", []),
+    # one sample a batch: each step's rows are a one-row product of their own
+    "qlstm-classify-batch-1": ("qlstm", "classify", "enc", ["--batch", "1"]),
 }
 # the vector files of the glove+fasttext runs: (file, width, seed, stride),
 # a vector for every stride-th token; the glove-like file covers every other

@@ -7,10 +7,7 @@ import pytest
 
 from qvuln.qsim import (
     MAX_QUBITS,
-    ROTATION_KINDS,
     Gate,
-    StateVector,
-    apply_circuit,
     apply_gate,
     cnot,
     expect_z,
@@ -100,39 +97,14 @@ class TestApplyGate:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             gates = [random_gate(rng, n) for _ in range(15)]
-            state = apply_circuit(init_state(n), gates)
+            state = init_state(n)
+            for gate in gates:
+                apply_gate(state, gate)
             dense = np.zeros(1 << n, dtype=complex)
             dense[0] = 1
             for gate in gates:
                 dense = apply_gate_dense(dense, gate, n)
             np.testing.assert_allclose(state.amplitudes, dense, atol=1e-12)
-
-    def test_batched_rows_match_single_states_and_dense_reference(self):
-        # one angle per row over leading axes (2, 3); each row starts random
-        rng = np.random.default_rng(5)
-        lead = (2, 3)
-        for _ in range(10):
-            n = int(rng.integers(1, 5))
-            start = rng.normal(size=(*lead, 1 << n)) + 1j * rng.normal(size=(*lead, 1 << n))
-            start /= np.linalg.norm(start, axis=-1, keepdims=True)
-            gates = []
-            for _ in range(15):
-                gate = random_gate(rng, n)
-                if gate.kind in ROTATION_KINDS:
-                    gate = Gate(gate.kind, gate.targets, rng.uniform(-np.pi, np.pi, size=lead))
-                gates.append(gate)
-            batched = apply_circuit(StateVector(n, start.copy()), gates)
-            for row in np.ndindex(*lead):
-                row_gates = [
-                    Gate(g.kind, g.targets, float(g.angle[row])) if g.kind in ROTATION_KINDS else g
-                    for g in gates
-                ]
-                single = apply_circuit(StateVector(n, start[row].copy()), row_gates)
-                np.testing.assert_allclose(batched.amplitudes[row], single.amplitudes, atol=1e-15)
-                dense = start[row]
-                for gate in row_gates:
-                    dense = apply_gate_dense(dense, gate, n)
-                np.testing.assert_allclose(batched.amplitudes[row], dense, atol=1e-12)
 
 
 class TestGateMatrices:

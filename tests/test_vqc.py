@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qvuln.vqc
 from qvuln.neural import OptimizerState, adam_step, laid_out
 from qvuln.qsim import apply_gate, expect_z, h, init_state, ry, rz
 from qvuln.vqc import (
@@ -219,16 +220,58 @@ class TestGradients:
         # layer 2 ends each qubit with an RZ right before the Z readout; it
         # commutes with Z, so the rows with slot 2 of layer 2 shifted are the
         # unshifted readout and their +-pi/2 differences exactly zero, while
-        # every other angle's differ.  Their rows stay formed and counted,
-        # since the cost model counts them
+        # every other angle's differ.  Their rows stay counted, since the
+        # cost model counts them.  A layer-2 rotation on qubit q
+        # reaches Z_q alone, so the other three columns of its slot 0 and 1
+        # differences are exactly zero too: 40 entries in all
         rng = np.random.default_rng(34)
         params = random_params(rng, 4)
-        var = vqc_rows(params, rng.uniform(-2, 2, size=(64, 4))).var
-        largest = np.abs(var).max(axis=(0, 2)).reshape(2, 4, 3)  # (layer, qubit, slot)
+        var = vqc_rows(params, rng.uniform(-2, 2, size=(64, 4))).var.reshape(64, 2, 4, 3, 4)
+        light_cone = np.ones((4, 3, 4), dtype=bool)  # (qubit, slot, q) of layer 2
+        light_cone[np.arange(4), :2, np.arange(4)] = False
+        assert light_cone.sum() == 40 and np.all(var[:, 1][:, light_cone] == 0.0)
+        largest = np.abs(var).max(axis=(0, 4))  # (layer, qubit, slot)
         assert np.all(largest[1, :, 2] == 0.0)
         others = np.ones((2, 4, 3), dtype=bool)
         others[1, :, 2] = False
         assert np.all(largest[others] > 1e-3)
+
+    def test_encoding_slopes_do_not_overflow(self, monkeypatch):
+        # the RY and RZ differences are chained through d arctan(a)/da =
+        # 1/(1 + a^2) and d arctan(a^2)/da = 2a/(1 + a^4); neither slope
+        # overflows where a^2 (from 1.3e154) or a^4 (from 1e77) would, and
+        # each is within a few ulp of a reference written in 1/a for |a| >= 1
+        values = np.array([0.0, 0.5, -2.0, 3.0, 1e77, -1e80, 1e80, -1e154,
+                           1e160, -1e160, 1e300, -1e300])
+        params = manual_params()
+        params.in_proj = np.eye(4)
+        x = values.reshape(-1, 4)  # the compressed a is x itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = vqc_rows(params, x)
+        for name in ("readout", "enc", "var"):
+            assert np.all(np.isfinite(getattr(rows, name))), name
+
+        def unit_differences(params, a, r, cy):
+            # RY differences of 1 in column 0 and RZ differences of 1 in
+            # column 1, so that those columns of `enc` are the two slopes
+            n = a.shape[1]
+            e_enc = np.zeros((4, n, 4, 4))  # (qubit, n, RY+ RY- RZ+ RZ-, q)
+            e_enc[:, :, 0, 0] = e_enc[:, :, 2, 1] = 1.0
+            return np.zeros((n, 4)), e_enc, np.zeros((n, 112))
+
+        monkeypatch.setattr(qvuln.vqc, "_gradient_rows", unit_differences)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            enc = vqc_rows(params, x).enc
+        a = x.T
+        big = np.abs(a) >= 1.0
+        u, small = 1.0 / np.where(big, a, 1.0), np.where(big, 0.0, a)
+        want_y = np.where(big, u * u / (1.0 + u * u), 1.0 / (1.0 + small * small))
+        want_z = np.where(big, 2.0 * u**3 / (1.0 + u**4), 2.0 * small / (1.0 + small**4))
+        ulps = 8 * np.finfo(float).eps
+        np.testing.assert_allclose(enc[:, :, 0], want_y, rtol=ulps, atol=0)
+        np.testing.assert_allclose(enc[:, :, 1], want_z, rtol=ulps, atol=0)
 
     def test_input_shape_error(self):
         for x in (np.zeros(5), np.zeros((2, 5)), np.zeros((2, 3, 4))):
@@ -334,7 +377,7 @@ class TestKernelAgainstOracle:
         # floating-point warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r, cy = _bloch(np.full((4, 1), a))
+            r, cy, _ = _bloch(np.full((4, 1), a))
         assert np.all(np.isfinite(r)) and np.all(np.isfinite(cy))
         # arctan(a^2) = arctan2(1, (1/a)^2) for a != 0, without forming a^2
         z = np.arctan2(1.0, (1.0 / a) ** 2) if a else 0.0
@@ -349,34 +392,44 @@ class TestKernelAgainstOracle:
         np.testing.assert_allclose(cy[:, 0], np.cos(np.arctan(a)), rtol=0, atol=1e-15)
 
     def test_gradient_rows_match_dense_oracle_row_by_row(self):
-        # every one of a sample's 65 <Z> rows against the oracle's circuit at
-        # that row's shifted encoding or variational angles
+        # every value of a sample's 65 <Z> rows that the kernel forms (the
+        # readout, the 16 encoding-shifted rows and the 112 shifted
+        # columns) against the oracle's circuit at that row's shifted
+        # encoding or variational angles; a layer-2 column is its own
+        # qubit's <Z_q>
         rng = np.random.default_rng(47)
         params = random_params(rng, 3)
         a = rng.uniform(-3, 3, size=(4, 3))  # 3 samples
-        readout, e_enc, e_var = _gradient_rows(params, a)
-        assert readout.shape == (3, 4) and e_enc.shape == (16, 3, 4) and e_var.shape == (3, 48, 4)
+        readout, e_enc, shifted = _gradient_rows(params, a, *_bloch(a)[:2])
+        assert readout.shape == (3, 4) and e_enc.shape == (4, 3, 4, 4) and shifted.shape == (3, 112)
         enc = np.concatenate([np.arctan(a), np.arctan(a * a)])  # 4 RY then 4 RZ angles
-        e_enc = np.concatenate([readout[None], e_enc])  # row 0 unshifted, then 1 + 2k, 2 + 2k
+        first = shifted[:, :96].reshape(3, 12, 2, 4)  # (sample, layer-1 angle, sign, q)
+        own = shifted[:, 96:].reshape(3, 2, 2, 4)  # (sample, layer-2 slot, sign, q)
+
+        def expectations(encoding: np.ndarray, angles: np.ndarray) -> np.ndarray:
+            state = dense_oracle.encode_angles(encoding[:4], encoding[4:])
+            return dense_oracle.layer_expectations(state, angles)
 
         for j in range(3):
-            state = dense_oracle.encode_angles(enc[:4, j], enc[4:, j])
-            want = dense_oracle.layer_expectations(state, params.angles)
-            np.testing.assert_allclose(e_enc[0, j], want, rtol=0, atol=1e-13)
-            for k in range(8):
-                for r, sign in ((1 + 2 * k, 1.0), (2 + 2 * k, -1.0)):
-                    moved = shifted_angles(enc[:, j], k, sign)
-                    state_k = dense_oracle.encode_angles(moved[:4], moved[4:])
-                    want = dense_oracle.layer_expectations(state_k, params.angles)
+            np.testing.assert_allclose(readout[j], expectations(enc[:, j], params.angles),
+                                       rtol=0, atol=1e-13, err_msg=f"sample {j}")
+            for s, sign in enumerate((1.0, -1.0)):
+                for k in range(8):  # RY of qubit k, then RZ of qubit k - 4
+                    want = expectations(shifted_angles(enc[:, j], k, sign), params.angles)
                     np.testing.assert_allclose(
-                        e_enc[r, j], want, rtol=0, atol=1e-13, err_msg=f"sample {j}, row {r}"
-                    )
-            for k in range(24):
-                for r, sign in ((2 * k, 1.0), (2 * k + 1, -1.0)):
-                    want = dense_oracle.layer_expectations(state, shifted_angles(params.angles, k, sign))
+                        e_enc[k % 4, j, 2 * (k // 4) + s], want, rtol=0, atol=1e-13,
+                        err_msg=f"sample {j}, encoding slot {k}, shift {sign:+}")
+                for k in range(12):
+                    want = expectations(enc[:, j], shifted_angles(params.angles, k, sign))
                     np.testing.assert_allclose(
-                        e_var[j, r], want, rtol=0, atol=1e-13, err_msg=f"sample {j}, angle {k}"
-                    )
+                        first[j, k, s], want, rtol=0, atol=1e-13,
+                        err_msg=f"sample {j}, layer-1 angle {k}, shift {sign:+}")
+                for q in range(4):
+                    for slot in range(2):
+                        angles = shifted_angles(params.angles, 12 + 3 * q + slot, sign)
+                        np.testing.assert_allclose(
+                            own[j, slot, s, q], expectations(enc[:, j], angles)[q], rtol=0,
+                            atol=1e-13, err_msg=f"sample {j}, qubit {q}, slot {slot}, shift {sign:+}")
 
 
 class TestEvalCounter:
