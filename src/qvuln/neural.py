@@ -296,16 +296,15 @@ def _gate_kernel(params: LstmParams, batch: tuple[int, ...]) -> tuple[np.ndarray
 
 
 def lstm_cell_step(
-    params: LstmParams, x_t: np.ndarray, prev: CellState,
-    kernel: tuple[np.ndarray, np.ndarray] | None = None,
+    params: LstmParams, x_t: np.ndarray, prev: CellState, kernel: tuple[np.ndarray, np.ndarray],
 ) -> tuple[CellState, CellCache]:
     """One recurrence step: the four gates over v = concat(h_prev, x_t) as
     one product and one tanh, then the cell and hidden updates.  x_t is
     (d_in,) or (B, d_in); the arrays of prev broadcast against it.  The
     step reads `kernel`, the `_gate_kernel` of `params` at x_t's batch
-    axes, built here when none is given."""
+    axes."""
     v = cell_input(x_t, prev.h, params.d_in)
-    w, b = _gate_kernel(params, x_t.shape[:-1]) if kernel is None else kernel
+    w, b = kernel
     # gate-major: act[k] is gate k's C-contiguous (hidden,) or (B, hidden) block
     act = np.matmul(v, w)
     act += b

@@ -54,7 +54,7 @@ from .vqc import (
 
 HIDDEN = 4
 # the most rows one `vqc_rows` call of a backward forms: a window holds
-# ROWS_PER_PRODUCT // B steps of a B-sample batch (B > 1), at least one;
+# ROWS_PER_PRODUCT // B steps of a B-sample batch, at least one;
 # per-sample cost falls with rows up to about this size, and a backward's
 # live rows are one window's, so its memory does not grow with T
 ROWS_PER_PRODUCT = 128
@@ -166,10 +166,7 @@ def _backward_steps(params: QlstmParams, caches: SequenceCaches, counter: EvalCo
     window may be partial.  A window's rows are dropped as the loop leaves
     its steps, so one window's rows are alive at a time."""
     steps = caches.steps
-    n = steps[0].r.size // HIDDEN
-    # numpy forms a one-row product as a matrix-vector product, whose bits
-    # differ from a matrix product's row, so one-row steps stay apart
-    per = max(1, ROWS_PER_PRODUCT // n) if n > 1 else 1
+    per = max(1, ROWS_PER_PRODUCT // (steps[0].r.size // HIDDEN))
     for stop in range(len(steps), 0, -per):
         window = range(max(0, stop - per), stop)
         rows = _window_rows(params, steps, window, counter)

@@ -61,10 +61,19 @@ other 40 differences, readout minus readout, are the +0.0 left there),
 and the RY and RZ variant pairs straight into the chain through the
 arctans.  It keeps the differences as `GradientRows`, which `vqc_gradients`
 only contracts; called without them, `vqc_gradients` forms its own through
-`vqc_rows`.  A sample's rows have the same bits whatever the other samples
-of its product, so one `vqc_rows` call may hold the samples of several
-steps of a sequence, and `GradientRows.samples` gives each step views of
-its own.
+`vqc_rows`.
+
+One rule keeps a sample's bits apart from the other samples of its call:
+`_compress` pads the n samples of every `vqc_forward` and `vqc_rows` call
+with zero inputs up to a multiple of 8, so each of the kernel's products,
+the compression first, has a whole number of 8-row blocks, and the results
+are sliced back to the n real samples.  Without it, numpy forms a one-row
+product as a matrix-vector product, and OpenBLAS's Haswell, Sandybridge
+and Prescott kernels give a product's tail rows other bits than its full
+blocks; with it, a sample's values have the same bits at any batch size
+under all of these and SkylakeX.  So one `vqc_rows` call may hold the
+samples of several steps of a sequence, and `GradientRows.samples` gives
+each step views of its own.  The padded rows are never counted.
 
 Gradients are exact: the parameter-shift rule (+-pi/2) for every rotation
 angle, chained through arctan and the affine compression for the encoding
@@ -283,9 +292,13 @@ def _observables_for(params: VqcParams) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _compress(params: VqcParams, x: np.ndarray) -> np.ndarray:
-    """(d_in,) or (B, d_in) inputs -> the (4, n) values a = in_proj x + bias
-    that the encoding loads."""
-    return params.in_proj @ x.reshape(-1, params.d_in).T + params.bias[:, None]
+    """(d_in,) or (B, d_in) inputs -> the (4, m) values a = in_proj x + bias
+    that the encoding loads: the n samples' columns, then those of zero
+    inputs up to m, n rounded up to a multiple of 8 (the module's one rule
+    on product shapes)."""
+    rows = x.reshape(-1, params.d_in)
+    padded = np.concatenate([rows, np.zeros((-len(rows) % 8, params.d_in))])
+    return params.in_proj @ padded.T + params.bias[:, None]
 
 
 def _bloch(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,10 +409,11 @@ def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = Non
              ) -> GradientRows:
     """The `GradientRows` of inputs x, (d_in,) or (B, d_in): the 65 rows per
     sample that a gradient contracts, each counted here as one evaluation."""
-    a = _compress(params, as_rows(x, params.d_in))
+    x = as_rows(x, params.d_in)
+    a = _compress(params, x)
     r, cy, h = _bloch(a)
     readout, e_enc, shifted = _gradient_rows(params, a, r, cy)
-    n = readout.shape[0]
+    m = readout.shape[0]  # the padded rows; the first n are returned
     # d arctan(a)/da = 1 / (1 + a^2) = cy^2 and d arctan(a^2)/da =
     # 2a / (1 + a^4) = 2a cz^2, formed as 2 (a cz) cz: neither overflows
     cy2 = cy * cy
@@ -407,16 +421,17 @@ def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = Non
     enc = (e_enc[:, :, 0] - e_enc[:, :, 1]) * cy2[..., None]
     enc += (e_enc[:, :, 2] - e_enc[:, :, 3]) * (2.0 * (a * cz) * cz)[..., None]
     # the light cone's layer-2 differences, readout minus readout, are +0.0
-    var = np.zeros((n, N_LAYERS, N_QUBITS, 3, N_QUBITS))  # (n, layer, qubit, slot, q)
-    pairs = shifted.reshape(n, -1, 2, N_QUBITS)  # (n, layer-1 angle, then layer-2 slot; sign; q)
-    first = pairs[:, :N_QUBITS * 3].reshape(n, N_QUBITS, 3, 2, N_QUBITS)
+    var = np.zeros((m, N_LAYERS, N_QUBITS, 3, N_QUBITS))  # (m, layer, qubit, slot, q)
+    pairs = shifted.reshape(m, -1, 2, N_QUBITS)  # (m, layer-1 angle, then layer-2 slot; sign; q)
+    first = pairs[:, :N_QUBITS * 3].reshape(m, N_QUBITS, 3, 2, N_QUBITS)
     np.subtract(first[..., 0, :], first[..., 1, :], out=var[:, 0])
-    own = pairs[:, N_QUBITS * 3:]  # (n, slot, sign, q)
+    own = pairs[:, N_QUBITS * 3:]  # (m, slot, sign, q)
     q = np.arange(N_QUBITS)
     var[:, 1, q, :2, q] = (own[:, :, 0] - own[:, :, 1]).transpose(2, 0, 1)
+    n = x.size // params.d_in
     if counter is not None:
         counter.count += n * _GRADIENT_ROWS
-    return GradientRows(readout=readout, enc=enc, var=var.reshape(n, -1, N_QUBITS))
+    return GradientRows(readout=readout, enc=enc, var=var.reshape(m, -1, N_QUBITS)).samples(0, n)
 
 
 def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
@@ -424,9 +439,10 @@ def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = 
     """One circuit evaluation per sample, counted here; returns the scaled Z
     expectations, (4,) or (B, 4)."""
     x = as_rows(x, params.d_in)
-    e = _readout(*_pairs(_bloch(_compress(params, x))[0]), _observables_for(params)[0])
+    n = x.size // params.d_in
+    e = _readout(*_pairs(_bloch(_compress(params, x))[0]), _observables_for(params)[0])[:n]
     if counter is not None:
-        counter.count += e.shape[0]
+        counter.count += n
     return (params.out_scale * e + params.out_shift).reshape(x.shape[:-1] + (N_QUBITS,))
 
 
@@ -441,18 +457,17 @@ def vqc_gradients(
     """Exact gradients of the sum over samples of upstream . values, w.r.t.
     params (summed over the batch) and each sample's input.
 
-    x is (d_in,) or (B, d_in) and upstream (4,) or (B, 4).  `rows` are the
-    `GradientRows` that `vqc_rows(params, x)` formed; the call then only
-    contracts them and counts nothing.  Without them it forms them first
-    through `vqc_rows`, which counts 65 per sample.  The parameter gradients
-    are added into and returned as `into` (a fresh zero copy of params if None).
+    x is (d_in,) or (B, d_in) and upstream has x's leading shape, (4,) or
+    (B, 4).  `rows` are the `GradientRows` that `vqc_rows(params, x)`
+    formed; the call then only contracts them and counts nothing.  Without
+    them it forms them first through `vqc_rows`, which counts 65 per sample.
+    The parameter gradients are added into and returned as `into` (a fresh
+    zero copy of params if None).
     """
     x = as_rows(x, params.d_in)
     inputs = x.reshape(-1, params.d_in)
     n = inputs.shape[0]
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (n, N_QUBITS):
-        upstream = np.broadcast_to(upstream, x.shape[:-1] + (N_QUBITS,)).reshape(n, N_QUBITS)
+    upstream = np.asarray(upstream, dtype=float).reshape(n, N_QUBITS)
     if rows is None:
         rows = vqc_rows(params, x, counter)
 

@@ -20,10 +20,11 @@ writes with fixed seeds from the training split's tokens; a QLSTM classify
 run on the 20-step splits in batches of 16, whose backward forms its
 gradient rows in three windows; a QLSTM classify run on the one-step
 splits, and one on the 6-step splits in batches of one sample, whose
-steps form one-row products; `eval` (with `--metrics`) and `census` of
-each checkpoint; `gradcheck --trials 3`.  Every file a run writes and
-every run's stdout is an output.  In a metrics file `wall_time_seconds` is
-masked, since it is the one value that differs from run to run.
+backward forms all six steps' rows in one window; `eval` (with
+`--metrics`) and `census` of each checkpoint; `gradcheck --trials 3`.
+Every file a run writes and every run's stdout is an output.  In a metrics
+file `wall_time_seconds` is masked, since it is the one value that differs
+from run to run.
 
 `test_identity_matrix.py` runs the list twice against this tree and requires
 equal digests.  It pins no digest: OpenBLAS picks its kernels by CPU, so
@@ -67,7 +68,7 @@ CHECKPOINTS = {
     # one step: the first step is also the last, so its rows are vqc6's and
     # vqc2-4's only
     "qlstm-classify-one": ("qlstm", "classify", "enc-one", []),
-    # one sample a batch: each step's rows are a one-row product of their own
+    # one sample a batch: the backward forms all six steps' rows in one window
     "qlstm-classify-batch-1": ("qlstm", "classify", "enc", ["--batch", "1"]),
 }
 # the vector files of the glove+fasttext runs: (file, width, seed, stride),

@@ -17,6 +17,7 @@ from qvuln.neural import (
     CellState,
     LstmParams,
     OptimizerState,
+    _gate_kernel,
     adam_step,
     bce_from_logit,
     init_lstm_params,
@@ -44,6 +45,11 @@ def zero_state(hidden: int) -> CellState:
     return CellState(h=zero, c=zero, y=zero)
 
 
+def cell_step(params: LstmParams, x_t: np.ndarray, prev: CellState):
+    """`lstm_cell_step` reading the gate kernel that `lstm_forward` builds."""
+    return lstm_cell_step(params, x_t, prev, _gate_kernel(params, x_t.shape[:-1]))
+
+
 def scalar_loss(params: LstmParams, sequence: list[np.ndarray], target: float) -> float:
     logit, _ = lstm_forward(params, sequence)
     value, _ = bce_from_logit(logit, target)
@@ -53,7 +59,7 @@ def scalar_loss(params: LstmParams, sequence: list[np.ndarray], target: float) -
 class TestCellStep:
     def test_zero_params_zero_state(self):
         params = zero_params(3, 2)
-        state, cache = lstm_cell_step(params, np.zeros(2), zero_state(3))
+        state, cache = cell_step(params, np.zeros(2), zero_state(3))
         np.testing.assert_array_equal(cache.f, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.i, 0.5 * np.ones(3))
         np.testing.assert_array_equal(cache.o, 0.5 * np.ones(3))
@@ -65,7 +71,7 @@ class TestCellStep:
     def test_zero_params_unit_cell(self):
         params = zero_params(2, 2)
         prev = CellState(h=np.zeros(2), c=np.ones(2), y=np.zeros(2))
-        state, _ = lstm_cell_step(params, np.ones(2), prev)
+        state, _ = cell_step(params, np.ones(2), prev)
         np.testing.assert_allclose(state.c, 0.5 * np.ones(2), atol=1e-15)
         np.testing.assert_allclose(state.h, 0.23105857863000487 * np.ones(2), atol=1e-15)
 
@@ -75,7 +81,7 @@ class TestCellStep:
         params = zero_params(1, 1)
         for name in ("w_f", "w_i", "w_c", "w_o"):
             params.tree()[name][...] = 1.0
-        state, _ = lstm_cell_step(params, np.array([1.0]), zero_state(1))
+        state, _ = cell_step(params, np.array([1.0]), zero_state(1))
         s1 = 1.0 / (1.0 + math.exp(-1.0))
         c = s1 * math.tanh(1.0)
         h = s1 * math.tanh(c)
@@ -87,14 +93,14 @@ class TestCellStep:
     def test_dimension_mismatch(self):
         params = zero_params(2, 3)
         with pytest.raises(ValueError):
-            lstm_cell_step(params, np.zeros(2), zero_state(2))
+            cell_step(params, np.zeros(2), zero_state(2))
 
     def test_h_strictly_bounded(self):
         rng = np.random.default_rng(14)
         params = init_lstm_params(4, 3, rng)
         state = zero_state(4)
         for _ in range(50):
-            state, _ = lstm_cell_step(params, rng.uniform(-5, 5, size=3), state)
+            state, _ = cell_step(params, rng.uniform(-5, 5, size=3), state)
             assert np.all(np.abs(state.h) < 1.0)
 
 
@@ -109,7 +115,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         params = init_lstm_params(3, 2, rng)
         x = rng.uniform(-1, 1, size=2)
-        state, _ = lstm_cell_step(params, x, zero_state(3))
+        state, _ = cell_step(params, x, zero_state(3))
         logit, caches = lstm_forward(params, [x])
         assert len(caches.steps) == 1
         assert abs(logit - float(params.head_w @ state.h + params.head_b)) < 1e-15
@@ -518,7 +524,7 @@ class TestGateKernel:
         x = np.ones(2) if batch is None else np.ones((batch, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, raw = lstm_cell_step(params, x, zero_state(self.PRE.size))
+            _, raw = cell_step(params, x, zero_state(self.PRE.size))
             _, caches = lstm_forward(params, x[..., None, :])
         tree = params.tree()
         for gate, attr in zip("fico", "figo"):

@@ -29,7 +29,7 @@ FD_TOL = 1e-5
 COUNTED_SHAPES = [(1, 1), (1, 5), (16, 24), (48, 5)]
 # (batch, steps) of the window tests: at 128 rows a product, a batch of 16
 # takes 8 steps a window, so 17 steps end in a one-step window and 24 steps
-# fill three; 48 samples take two steps a window, and one sample one
+# fill three; 48 samples take two steps a window, and one sample 128
 WINDOWED_SHAPES = [(1, 1), (1, 5), (16, 17), (16, 24), (48, 5)]
 
 
@@ -336,7 +336,7 @@ class TestCostModel:
         monkeypatch.setattr(qvuln.qlstm, "_window_rows", forming)
         monkeypatch.setattr(qvuln.qlstm, "vqc_gradients", recording)
         qlstm_backward(params, caches, rng.uniform(-1, 1, size=batch))
-        per = 1 if batch == 1 else 128 // batch
+        per = 128 // batch
         assert [list(w) for w in windows] == [
             list(range(max(0, stop - per), stop)) for stop in range(steps, 0, -per)]
         want = set()
@@ -350,8 +350,7 @@ class TestCostModel:
     def test_rows_in_products_equal_rows_step_by_step(self, monkeypatch, steps, batch):
         # a window's product of several steps' rows gives each step the bits
         # that a product of its own rows gives; (5, 48) at 128 rows ends in a
-        # partial window, at one step the first step is the last, and
-        # one-row steps keep products of their own
+        # partial window, and at one step the first step is the last
         rng = np.random.default_rng(90 + steps + batch)
         params = init_qlstm_params(2, rng)
         _, caches = qlstm_forward(params, rng.uniform(-1, 1, size=(batch, steps, 2)))
