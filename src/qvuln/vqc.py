@@ -40,28 +40,30 @@ values in three products and returns each in the layout its product gives:
   Kronecker products with the 4 unshifted columns in one product, then
   each sample's high pair's (qubits 3, 2); `vqc_forward` and `vqc_rows`
   share it (`_readout`), so both have its bits;
-- the shifted product, (n, 112), of the encoded state's full Pauli vector:
-  the 24 layer-1-shifted circuits, 4 columns each, then the 16 layer-2
-  ones shifted in slot 0 or 1, one column each.  A layer-2 rotation on
-  qubit q lies in the light cone of Z_q alone, so a layer-2 shift leaves
-  the other three <Z> at the unshifted readout.  Layer 2 ends each qubit
-  with an RZ that commutes with the Z readout, so a slot-2 shift changes no
-  <Z> at all: its rows are the unshifted readout, and those 4 angles never
-  get a gradient.  Their 8 rows are still counted, since the cost model
-  counts them;
+- the shifted product, (n, 112), of the encoded state's full Pauli vector,
+  the (256, n) `pauli`: the 14 +SHIFT circuits, then the 14 -SHIFT ones,
+  each half layer 1's 12 shifted angles, 4 columns each, then layer 2's
+  slot 0 and 1, whose 4 columns each shift the slot on the qubit q of
+  their <Z_q>.  A layer-2 rotation on qubit q lies in the light cone of
+  Z_q alone, so a layer-2 shift leaves the other three <Z> at the
+  unshifted readout.  Layer 2 ends each qubit with an RZ that commutes
+  with the Z readout, so a slot-2 shift changes no <Z> at all: its rows
+  are the unshifted readout, and those 4 angles never get a gradient.
+  Their 8 rows are still counted, since the cost model counts them;
 - the encoding rows, (qubit, n, variant, q): an encoding shift swaps one
   qubit's Bloch vector for its RY or RZ +-pi/2 variant, in closed form, so
   its rows contract the unshifted columns with the other three qubits'
-  vectors first (one product per qubit) and then, in a last product, with
-  the four variants.
+  Kronecker product first (one product per qubit), and then, in a last
+  product, with the four variants.  That Kronecker product is `pauli`'s
+  64 strings whose digit on the qubit is I, since `_bloch` writes exactly
+  1.0 as each identity component.
 `vqc_rows` takes every +SHIFT minus -SHIFT difference from those arrays:
-layer 1's 48 column pairs into a zeroed (n, layer, qubit, slot, q) array,
-the 16 layer-2 columns into each qubit's own column of slots 0 and 1 (the
-other 40 differences, readout minus readout, are the +0.0 left there),
-and the RY and RZ variant pairs straight into the chain through the
-arctans.  It keeps the differences as `GradientRows`, which `vqc_gradients`
-only contracts; called without them, `vqc_gradients` forms its own through
-`vqc_rows`.
+the 56 variational ones as one subtraction of the shifted product's two
+halves, and the RY and RZ variant pairs straight into the chain through
+the arctans.  The 40 layer-2 differences outside the light cone, readout
+minus readout, and the slot-2 angles' are not stored.  It keeps the
+differences as `GradientRows`, which `vqc_gradients` only contracts; called
+without them, `vqc_gradients` forms its own through `vqc_rows`.
 
 One rule keeps a sample's bits apart from the other samples of its call:
 `_compress` pads the n samples of every `vqc_forward` and `vqc_rows` call
@@ -226,10 +228,13 @@ def _rotations(angles: np.ndarray) -> np.ndarray:
 # angles +SHIFT and -SHIFT)
 _N_FIRST = 1 + 2 * N_QUBITS * 3
 # a build's 29 products of Pauli strings, one column per qubit q each: the
-# 25 circuits' with Z_q's unshifted direction, then circuit 0's with the
-# four shifted directions of Z_q's own layer-2 rotation
-_PRODUCT_CIRCUITS = np.r_[np.arange(_N_FIRST), np.zeros(4, dtype=np.intp)]
-_PRODUCT_DIRECTIONS = np.r_[np.zeros(_N_FIRST, dtype=np.intp), np.arange(1, 5)]
+# unshifted circuit's, then those of +SHIFT and then of -SHIFT (sign, 14):
+# layer 1's 12 circuits with that angle shifted, in Z_q's unshifted
+# direction, then circuit 0's in the direction with Z_q's own layer-2 slot 0
+# or 1 shifted; `_shift_rows` puts slot k's +SHIFT at 1 + 2k, its -SHIFT at 2 + 2k
+_SIGN = np.arange(2)[:, None]
+_PRODUCT_CIRCUITS = np.r_[0, np.hstack([1 + 2 * np.arange(12) + _SIGN, np.zeros((2, 2), np.intp)]).ravel()]
+_PRODUCT_DIRECTIONS = np.r_[0, np.hstack([np.zeros((2, 12), np.intp), 1 + 2 * np.arange(2) + _SIGN]).ravel()]
 # _OPEN_ROWS[k, o, p]: the string with qubit k's digit p and the other three
 # digits o, from qubit 3 down
 _OPEN_ROWS = np.stack([np.moveaxis(np.arange(DIM * DIM).reshape((4,) * N_QUBITS), N_QUBITS - 1 - k, -1)
@@ -246,10 +251,10 @@ def _observables(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray
     - (16, 64): the unshifted circuit's, for qubits q = 0..3, with rows
       the low pair's digits (qubits 1, 0) and columns (the high pair's
       digits, q);
-    - (256, 112): the 24 layer-1-shifted circuits' (angle k of layer 1
-      shifted by +SHIFT, then -SHIFT, in (qubit, slot) order; 4 columns
-      each), then the 16 of Z_q with its qubit's layer-2 slot 0 or 1
-      shifted, by (slot, sign, q);
+    - (256, 112): the shifted circuits', by (sign, 14, q), the 14 +SHIFT
+      ones before the 14 -SHIFT ones: layer 1's 12 angles in (qubit, slot)
+      order, then layer 2's slot 0 and 1, whose column q is Z_q with its
+      own qubit's slot shifted;
     - (4, 64, 16): the unshifted columns with qubit k's digit open, for
       k = 0..3: rows the other three digits from qubit 3 down, columns
       (digit of qubit k, q)."""
@@ -345,8 +350,10 @@ class GradientRows:
     readout (n, 4); for each of the 4 compressed inputs a_j, d<Z_i>/da_j
     times two (4, n, 4), from the differences <Z> at +SHIFT minus <Z> at
     -SHIFT of its RY and RZ encoding slots, chained through the arctans;
-    and those differences of the 24 variational angles (n, 24, 4), in
-    (layer, qubit, slot) order."""
+    and those differences of the variational angles (n, 14, 4): layer 1's
+    12 angles in (qubit, slot) order against each Z_q, then layer 2's slot
+    0 and 1, whose column q is qubit q's own angle against Z_q.  The other
+    layer-2 differences, and all of slot 2's, are zero and not stored."""
 
     readout: np.ndarray
     enc: np.ndarray
@@ -358,23 +365,25 @@ class GradientRows:
         return GradientRows(readout=self.readout[part], enc=self.enc[:, part], var=self.var[part])
 
 
-def _encoding_rows(r: np.ndarray, cy: np.ndarray, high: np.ndarray, low: np.ndarray,
-                   a: np.ndarray, open_: np.ndarray) -> np.ndarray:
-    """The `_bloch` vectors r and cy and the `_pairs` of (4, n) inputs a ->
-    the <Z> rows of the encoding shifts as their last product gives them,
-    (qubit, n, variant, q), the variants RY +SHIFT, RY -SHIFT, RZ +SHIFT,
-    RZ -SHIFT of that qubit.  A shift swaps one qubit's vector for a
-    closed-form variant: RY +-SHIFT gives (1, -+sy cz, -+sy sz, -+cy), sy cz
-    and sy sz being a cy cz and a cy sz, and RZ +-SHIFT gives
+def _encoding_rows(r: np.ndarray, cy: np.ndarray, pauli: np.ndarray, a: np.ndarray,
+                   open_: np.ndarray) -> np.ndarray:
+    """The `_bloch` vectors r and cy and the (256, n) Pauli vectors of (4, n)
+    inputs a -> the <Z> rows of the encoding shifts as their last product
+    gives them, (qubit, n, variant, q), the variants RY +SHIFT, RY -SHIFT,
+    RZ +SHIFT, RZ -SHIFT of that qubit.  A shift swaps one qubit's vector
+    for a closed-form variant: RY +-SHIFT gives (1, -+sy cz, -+sy sz, -+cy),
+    sy cz and sy sz being a cy cz and a cy sz, and RZ +-SHIFT gives
     (1, -+cy sz, +-cy cz, -sy).  The unshifted columns with qubit k's digit
-    open are contracted with the other three qubits' vectors first, one
-    product per qubit, and then with each variant of qubit k."""
+    open are contracted with the Kronecker product of the other three
+    qubits' vectors first, one product per qubit, and then with each variant
+    of qubit k.  That Kronecker product is the 64 strings of the Pauli
+    vector whose digit on qubit k is I, bit for bit, since `_bloch` writes
+    exactly 1.0 as each identity component."""
     n = a.shape[-1]
-    # for qubits 0, 1 then 2, 3: the other three qubits' digits, qubit 3 first
-    others = np.empty((2, 2, 64, n))
-    np.multiply(high[:, None], r[:, 1::-1].transpose(1, 0, 2)[:, None], out=others[0].reshape(2, 16, 4, n))
-    np.multiply(r[:, :1:-1].transpose(1, 0, 2)[:, :, None], low, out=others[1].reshape(2, 4, 16, n))
-    partial = others.reshape(N_QUBITS, 64, n).transpose(0, 2, 1) @ open_  # (qubit, n, (digit, q))
+    # (qubit, n, (digit, q)), one qubit's rows gathered at a time: one
+    # (4, 64, n) gather beside `pauli` grows the heap past glibc's trim
+    # threshold, and each call then faults its pages in again
+    partial = np.stack([pauli[rows].T @ o for rows, o in zip(_OPEN_ROWS[..., 0], open_)])
     variants = np.empty((4, 4, N_QUBITS, n))  # (RY+ RY- RZ+ RZ-, component, qubit, n)
     variants[:, 0] = 1.0
     np.multiply(a, r[1:3], out=variants[1, 1:3])
@@ -392,17 +401,18 @@ def _gradient_rows(params: VqcParams, a: np.ndarray, r: np.ndarray, cy: np.ndarr
     kernel's products form them: the unshifted readout (n, 4); the 16
     encoding-shifted rows (qubit, n, variant, q), `_encoding_rows`' RY
     +-SHIFT and RZ +-SHIFT variants of each qubit; and the shifted product
-    (n, 112), whose first 96 columns are layer 1's (qubit, slot, sign, q)
-    and last 16 layer 2's (slot, sign, q), each the <Z_q> with qubit q's
-    own layer-2 slot 0 or 1 shifted.  A layer-2 row's other three columns,
-    and all four of a slot-2 row, are the readout, so they are not formed
-    again; `vqc_rows` takes every difference."""
+    (n, 112), by (sign, 14, q) as `_observables` lays out its columns: the
+    +SHIFT half, then the -SHIFT half, each with layer 1's 12 angles and
+    then layer 2's slot 0 and 1, whose column q is the <Z_q> with qubit q's
+    own slot shifted.  A layer-2 row's other three columns, and all four of
+    a slot-2 row, are the readout, so they are not formed again; `vqc_rows`
+    takes every difference."""
     high, low = _pairs(r)
     by_low, wide, open_ = _observables_for(params)
+    pauli = (high[:, None] * low[None, :]).reshape(DIM * DIM, -1)
     # 112 columns: with OpenBLAS a row of a product with 100 or 108 columns
     # had other bits at other row counts, which the windows must not see
-    shifted = (high[:, None] * low[None, :]).reshape(DIM * DIM, -1).T @ wide
-    return _readout(high, low, by_low), _encoding_rows(r, cy, high, low, a, open_), shifted
+    return _readout(high, low, by_low), _encoding_rows(r, cy, pauli, a, open_), pauli.T @ wide
 
 
 def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
@@ -413,25 +423,18 @@ def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = Non
     a = _compress(params, x)
     r, cy, h = _bloch(a)
     readout, e_enc, shifted = _gradient_rows(params, a, r, cy)
-    m = readout.shape[0]  # the padded rows; the first n are returned
     # d arctan(a)/da = 1 / (1 + a^2) = cy^2 and d arctan(a^2)/da =
     # 2a / (1 + a^4) = 2a cz^2, formed as 2 (a cz) cz: neither overflows
     cy2 = cy * cy
     cz = cy2 / h
     enc = (e_enc[:, :, 0] - e_enc[:, :, 1]) * cy2[..., None]
     enc += (e_enc[:, :, 2] - e_enc[:, :, 3]) * (2.0 * (a * cz) * cz)[..., None]
-    # the light cone's layer-2 differences, readout minus readout, are +0.0
-    var = np.zeros((m, N_LAYERS, N_QUBITS, 3, N_QUBITS))  # (m, layer, qubit, slot, q)
-    pairs = shifted.reshape(m, -1, 2, N_QUBITS)  # (m, layer-1 angle, then layer-2 slot; sign; q)
-    first = pairs[:, :N_QUBITS * 3].reshape(m, N_QUBITS, 3, 2, N_QUBITS)
-    np.subtract(first[..., 0, :], first[..., 1, :], out=var[:, 0])
-    own = pairs[:, N_QUBITS * 3:]  # (m, slot, sign, q)
-    q = np.arange(N_QUBITS)
-    var[:, 1, q, :2, q] = (own[:, :, 0] - own[:, :, 1]).transpose(2, 0, 1)
+    half = shifted.shape[1] // 2
+    var = (shifted[:, :half] - shifted[:, half:]).reshape(len(shifted), -1, N_QUBITS)
     n = x.size // params.d_in
     if counter is not None:
         counter.count += n * _GRADIENT_ROWS
-    return GradientRows(readout=readout, enc=enc, var=var.reshape(m, -1, N_QUBITS)).samples(0, n)
+    return GradientRows(readout=readout, enc=enc, var=var).samples(0, n)
 
 
 def vqc_forward(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None
@@ -474,14 +477,18 @@ def vqc_gradients(
     # (<Z_i> at +SHIFT - <Z_i> at -SHIFT) / 2 = d<Z_i>/d(angle), summed against dL/d<Z_i>
     de = upstream * (0.5 * float(params.out_scale))
     da = np.einsum("jni,ni->jn", rows.enc, de)  # (4, n), a = in_proj @ x + bias
-    var_grads = np.einsum("nki,ni->k", rows.var, de)  # (24,)
+    # layer 1's angles reach every Z_q, layer 2's slot 0 and 1 on qubit q
+    # only Z_q; slot 2 commutes with the readout and keeps a gradient of 0.0
+    first = np.einsum("nki,ni->k", rows.var[:, :N_QUBITS * 3], de)
+    own = np.einsum("nsq,nq->qs", rows.var[:, N_QUBITS * 3:], de)
 
     if into is None:
         into = laid_out(params)
         into.vector.fill(0.0)
     into.in_proj += da @ inputs
     into.bias += da.sum(axis=1)
-    into.angles += var_grads.reshape(N_LAYERS, N_QUBITS, 3)
+    into.angles[0] += first.reshape(N_QUBITS, 3)
+    into.angles[1, :, :2] += own
     into.out_scale += np.vdot(upstream, rows.readout)
     into.out_shift += np.sum(upstream)
     return into, (da.T @ params.in_proj).reshape(x.shape)

@@ -219,22 +219,22 @@ class TestGradients:
     def test_last_rz_of_layer_2_gets_no_gradient(self):
         # layer 2 ends each qubit with an RZ right before the Z readout; it
         # commutes with Z, so the rows with slot 2 of layer 2 shifted are the
-        # unshifted readout and their +-pi/2 differences exactly zero, while
-        # every other angle's differ.  Their rows stay counted, since the
-        # cost model counts them.  A layer-2 rotation on qubit q
-        # reaches Z_q alone, so the other three columns of its slot 0 and 1
-        # differences are exactly zero too: 40 entries in all
+        # unshifted readout, and those four angles' gradients are exactly
+        # 0.0, while every other angle's rows differ.  Their rows stay
+        # counted, since the cost model counts them.  A layer-2 rotation on
+        # qubit q reaches Z_q alone, so its slot 0 and 1 differences are
+        # kept on Z_q's column only
         rng = np.random.default_rng(34)
         params = random_params(rng, 4)
-        var = vqc_rows(params, rng.uniform(-2, 2, size=(64, 4))).var.reshape(64, 2, 4, 3, 4)
-        light_cone = np.ones((4, 3, 4), dtype=bool)  # (qubit, slot, q) of layer 2
-        light_cone[np.arange(4), :2, np.arange(4)] = False
-        assert light_cone.sum() == 40 and np.all(var[:, 1][:, light_cone] == 0.0)
-        largest = np.abs(var).max(axis=(0, 4))  # (layer, qubit, slot)
-        assert np.all(largest[1, :, 2] == 0.0)
-        others = np.ones((2, 4, 3), dtype=bool)
-        others[1, :, 2] = False
-        assert np.all(largest[others] > 1e-3)
+        x = rng.uniform(-2, 2, size=(64, 4))
+        grads, _ = vqc_gradients(params, x, rng.uniform(-1, 1, size=(64, 4)))
+        assert np.all(grads.angles[1, :, 2] == 0.0)
+        var = vqc_rows(params, x).var
+        assert var.shape == (64, 14, 4)
+        first = np.abs(var[:, :12]).max(axis=(0, 2))  # layer 1's 12 angles, any q
+        own = np.abs(var[:, 12:]).max(axis=0)  # layer 2's (slot 0 or 1, qubit q) on Z_q
+        assert first.size + own.size == 20
+        assert np.all(first > 1e-3) and np.all(own > 1e-3)
 
     def test_encoding_slopes_do_not_overflow(self, monkeypatch):
         # the RY and RZ differences are chained through d arctan(a)/da =
@@ -351,19 +351,18 @@ class TestKernelAgainstOracle:
             by_low, wide, _ = _observables(angles.tobytes())
             base = unshifted_columns(by_low)
             np.testing.assert_allclose(base, observables(angles), rtol=0, atol=1e-13)
-            first = wide[:, :96].reshape(256, 12, 2, 4)  # (string, angle, sign, q)
-            own = wide[:, 96:].reshape(256, 2, 2, 4)  # (string, slot, sign, q)
+            halves = wide.reshape(256, 2, 14, 4)  # (string, sign, angle, q)
             for j, sign in enumerate((1.0, -1.0)):
                 for k in range(12):
                     np.testing.assert_allclose(
-                        first[:, k, j], observables(shifted_angles(angles, k, sign)),
+                        halves[:, j, k], observables(shifted_angles(angles, k, sign)),
                         rtol=0, atol=1e-13, err_msg=f"layer 1, angle {k}, shift {sign:+}")
                 for qubit in range(4):
                     for slot in range(3):
                         want = observables(shifted_angles(angles, 12 + 3 * qubit + slot, sign))
                         got = base.copy()
                         if slot < 2:
-                            got[:, qubit] = own[:, slot, j, qubit]
+                            got[:, qubit] = halves[:, j, 12 + slot, qubit]
                         np.testing.assert_allclose(
                             got, want, rtol=0, atol=1e-13,
                             err_msg=f"layer 2, qubit {qubit}, slot {slot}, shift {sign:+}")
@@ -391,6 +390,40 @@ class TestKernelAgainstOracle:
             np.testing.assert_allclose(r[:, q, 0], want, rtol=0, atol=1e-15)
         np.testing.assert_allclose(cy[:, 0], np.cos(np.arctan(a)), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [8, 16, 128])
+    def test_identity_digit_rows_are_the_other_qubits_products(self, n, monkeypatch):
+        # the encoding rows read each qubit k's partial products from the
+        # Pauli vector's strings whose digit on k is I; those rows equal the
+        # Kronecker product of the other three qubits' Bloch vectors, in the
+        # kernel's pairs (qubits 3, 2 and 1, 0), bit for bit, as long as
+        # `_bloch` writes exactly 1.0 as every identity component
+        rng = np.random.default_rng(49)
+        a = rng.uniform(-3, 3, size=(4, n))
+        a[:, :5] = [0.0, 1e8, -1e8, 1e300, -1e300]
+        a[:, 5] = [0.0, -1e300, 1e8, -1e8]
+        seen = []
+        encoding_rows = qvuln.vqc._encoding_rows
+
+        def spy(r, cy, pauli, a, open_):
+            seen.append(pauli)
+            return encoding_rows(r, cy, pauli, a, open_)
+
+        monkeypatch.setattr(qvuln.vqc, "_encoding_rows", spy)
+        r, cy, _ = _bloch(a)
+        _gradient_rows(random_params(rng, 4), a, r, cy)
+        (pauli,) = seen
+        assert pauli.shape == (256, n)
+
+        def kron(u, v):
+            return (u[:, None] * v[None, :]).reshape(-1, n)
+
+        q = r.transpose(1, 0, 2)  # (qubit, component, n)
+        high, low = kron(q[3], q[2]), kron(q[1], q[0])
+        others = [kron(high, q[1]), kron(high, q[0]), kron(q[3], low), kron(q[2], low)]
+        digits = np.arange(256)[:, None] // 4 ** np.arange(4) % 4  # (string, qubit)
+        for k in range(4):
+            assert pauli[digits[:, k] == 0].tobytes() == others[k].tobytes(), f"qubit {k}"
+
     def test_gradient_rows_match_dense_oracle_row_by_row(self):
         # every value of a sample's 65 <Z> rows that the kernel forms (the
         # readout, the 16 encoding-shifted rows and the 112 shifted
@@ -403,8 +436,8 @@ class TestKernelAgainstOracle:
         readout, e_enc, shifted = _gradient_rows(params, a, *_bloch(a)[:2])
         assert readout.shape == (3, 4) and e_enc.shape == (4, 3, 4, 4) and shifted.shape == (3, 112)
         enc = np.concatenate([np.arctan(a), np.arctan(a * a)])  # 4 RY then 4 RZ angles
-        first = shifted[:, :96].reshape(3, 12, 2, 4)  # (sample, layer-1 angle, sign, q)
-        own = shifted[:, 96:].reshape(3, 2, 2, 4)  # (sample, layer-2 slot, sign, q)
+        # (sample, sign, layer-1 angle then layer-2 slot 0 and 1, q)
+        halves = shifted.reshape(3, 2, 14, 4)
 
         def expectations(encoding: np.ndarray, angles: np.ndarray) -> np.ndarray:
             state = dense_oracle.encode_angles(encoding[:4], encoding[4:])
@@ -422,13 +455,13 @@ class TestKernelAgainstOracle:
                 for k in range(12):
                     want = expectations(enc[:, j], shifted_angles(params.angles, k, sign))
                     np.testing.assert_allclose(
-                        first[j, k, s], want, rtol=0, atol=1e-13,
+                        halves[j, s, k], want, rtol=0, atol=1e-13,
                         err_msg=f"sample {j}, layer-1 angle {k}, shift {sign:+}")
                 for q in range(4):
                     for slot in range(2):
                         angles = shifted_angles(params.angles, 12 + 3 * q + slot, sign)
                         np.testing.assert_allclose(
-                            own[j, slot, s, q], expectations(enc[:, j], angles)[q], rtol=0,
+                            halves[j, s, 12 + slot, q], expectations(enc[:, j], angles)[q], rtol=0,
                             atol=1e-13, err_msg=f"sample {j}, qubit {q}, slot {slot}, shift {sign:+}")
 
 
