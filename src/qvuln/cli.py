@@ -31,14 +31,10 @@ from .trainer import (
     ClassifyDataset,
     TrainConfig,
     _model,
-    _recorded_flag,
-    _recorded_size,
-    analytic_census,
+    census,
     evaluate,
     load_checkpoint,
     load_curves,
-    params_from_checkpoint,
-    runtime_census,
     save_checkpoint,
     save_metrics,
     sine_task,
@@ -66,8 +62,8 @@ def encode_corpus(
     head of its int64 row, padded with 0."""
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
-    # np.zeros, not np.full(PAD_INDEX): the padding index is 0, and the
-    # benchmark's in-process training read 4-6% slower after np.full
+    # np.zeros pads with PAD_INDEX, which is 0; a measured slowdown after
+    # np.full(PAD_INDEX) was heap-layout noise, not the fill
     sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
     for row, tokens in zip(sequences, token_lists):
         ids = [vocab.index_of(t) for t in tokens[-max_len:]]
@@ -195,6 +191,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    check_output_paths([out_dir / f"{name}.json" for name in ("vocab", *SPLITS)],
+                       [data_dir / f"{split}.csv" for split in SPLITS])
     corpora = []
     for split in SPLITS:
         corpus = load_dataset(data_dir / f"{split}.csv", split)
@@ -293,20 +291,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     check_output_paths([args.metrics], [args.ckpt, args.data])
     ckpt = load_checkpoint(args.ckpt)
-    if ckpt.task == "classify":
-        if args.data is None:
-            print("error: eval of a classify checkpoint requires --data", file=sys.stderr)
-            return 1
-        data = load_encoded_dataset(args.data)
-    else:
-        if args.data is not None:
-            print("error: eval of a sine checkpoint takes no --data", file=sys.stderr)
-            return 1
-        hp = ckpt.hyperparameters
-        try:
-            data = sine_task(_recorded_size(hp, "n_points"), _recorded_size(hp, "window"))
-        except DataError as exc:
-            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
+    if (args.data is None) == (ckpt.task == "classify"):
+        rule = "requires" if ckpt.task == "classify" else "takes no"
+        print(f"error: eval of a {ckpt.task} checkpoint {rule} --data", file=sys.stderr)
+        return 1
+    data = load_encoded_dataset(args.data) if ckpt.task == "classify" else None
     report = evaluate(ckpt, data, args.threshold)
     if args.metrics:
         save_metrics(report, ckpt.task, args.metrics)
@@ -348,14 +337,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    # the analytic count reads the model's arrays by name, so they must pass
-    # the schema check; an array the model does not have is what the census
-    # exists to catch, so it is counted (a mismatch, exit 3), not rejected
-    params_from_checkpoint(ckpt, extra_ok=True)
-    runtime = runtime_census(
-        ckpt.arrays, _recorded_flag(ckpt.hyperparameters, "embedding_trainable", False)
-    )
-    analytic = analytic_census(ckpt)
+    runtime, analytic = census(ckpt)
     ok = runtime == analytic
     print(f"model={ckpt.model} runtime={runtime} analytic={analytic} "
           f"{'ok' if ok else 'MISMATCH'}")
@@ -420,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval", "evaluate a checkpoint on a dataset", _cmd_eval)
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", default=None, help="encoded dataset (classify checkpoints)")
-    p.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
+    p.add_argument("--threshold", type=float, default=None,
+                   help="decision threshold (default: the checkpoint's)")
     p.add_argument("--metrics", default=None, help="metrics report output path")
 
     p = add("sine-demo", "train on the sine task and dump prediction curves", _cmd_sine_demo)

@@ -112,6 +112,8 @@ def build_embedding_matrix(
     random rows in basic mode, the tables' rows side by side otherwise."""
     if mode not in MODES:
         raise DataError(f"unknown embedding mode {mode!r}; expected one of {tuple(MODES)}")
+    if d_basic < 1:
+        raise DataError(f"d_basic must be >= 1, got {d_basic}")
     if len(tables) != MODES[mode]:
         raise DataError(
             f"{mode} mode requires exactly {MODES[mode]} vector table(s), got {len(tables)}"

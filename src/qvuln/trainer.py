@@ -18,7 +18,10 @@ backward caches, so its memory is bounded by one chunk's inputs and one
 step's working set, not by T steps of caches.  `_model` is the one place
 that maps a model name and the hyperparameters a checkpoint records to
 fresh parameters and the model's forward and backward functions; train,
-evaluate and the checkpoint schema check all build through it.
+evaluate and the checkpoint schema check all build through it.  This
+module is the one reader of a checkpoint's recorded hyperparameters:
+`evaluate` takes its decision threshold and, for sine, its task from
+them, and `census` its embedding's trainable flag.
 """
 from __future__ import annotations
 
@@ -71,9 +74,11 @@ SINE_MAX_VALUES = 10**7
 EVAL_CHUNK = 64
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise DataError(f"threshold must lie in (0, 1), got {threshold}")
+def _check_threshold(threshold: float, error=DataError, what: str = "threshold") -> None:
+    # a string or None is refused before the comparison; no integer, JSON's
+    # true and false included, lies strictly inside (0, 1)
+    if not (isinstance(threshold, (float, np.floating)) and 0.0 < threshold < 1.0):
+        raise error(f"{what} must lie in (0, 1), got {threshold!r}")
 
 
 @dataclass
@@ -259,13 +264,19 @@ def _model_census(model: str, hp: dict) -> int:
     return qlstm_census(d_in)
 
 
-def analytic_census(ckpt: Checkpoint) -> int:
-    """Closed-form census from the recorded sizes (cross-checks runtime)."""
-    count = _model_census(ckpt.model, ckpt.hyperparameters)
+def census(ckpt: Checkpoint) -> tuple[int, int]:
+    """The (runtime, analytic) trainable-scalar counts of a checkpoint: the
+    count of its arrays, and the closed form at the sizes it records.  The
+    model's own arrays must pass the schema check; an array the model does
+    not have is what the census exists to catch, so it is counted (the two
+    counts differ), not rejected."""
+    params_from_checkpoint(ckpt, extra_ok=True)
+    trainable = _recorded_flag(ckpt.hyperparameters, "embedding_trainable", False)
+    analytic = _model_census(ckpt.model, ckpt.hyperparameters)
     emb = ckpt.arrays.get("embedding.rows")
-    if _recorded_flag(ckpt.hyperparameters, "embedding_trainable", False) and emb is not None:
-        count += embedding_census(emb.shape[0], emb.shape[1])
-    return count
+    if trainable and emb is not None:
+        analytic += embedding_census(emb.shape[0], emb.shape[1])
+    return runtime_census(ckpt.arrays, trainable), analytic
 
 
 # --- checkpoints ---
@@ -621,7 +632,7 @@ def train(
                       vocab_digest=vocab_digest, arrays=arrays)
 
     try:
-        report = evaluate(ckpt, eval_data if eval_data is not None else data, config.threshold)
+        report = evaluate(ckpt, eval_data if eval_data is not None else data)
     except CheckpointError as exc:
         # the run built this checkpoint itself: its last Adam step diverged
         raise DivergenceError(f"training diverged: {exc}") from None
@@ -630,15 +641,27 @@ def train(
     return ckpt, report
 
 
-def evaluate(ckpt: Checkpoint, data, threshold: float = 0.5) -> MetricsReport:
+def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> MetricsReport:
     """Metrics over a dataset: thresholded confusion metrics for classify
     (predict 1 iff probability >= threshold), MSE for sine.  The threshold
-    must lie in (0, 1) for either task, as in TrainConfig.  The split is
-    checked as in `train`, against the checkpoint's vocabulary digest."""
-    _check_threshold(threshold)
+    must lie in (0, 1) for either task, as in TrainConfig; None reads the
+    checkpoint's recorded `threshold` (0.5 if absent).  `data` None
+    rebuilds a sine checkpoint's recorded task; a classify checkpoint needs
+    a split.  The split is checked as in `train`, against the checkpoint's
+    vocabulary digest."""
+    hp = ckpt.hyperparameters
+    if data is None and ckpt.task == "sine":
+        try:
+            data = sine_task(_recorded_size(hp, "n_points"), _recorded_size(hp, "window"))
+        except DataError as exc:
+            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
+    if threshold is None:
+        threshold = hp.get("threshold", 0.5)
+        _check_threshold(threshold, CheckpointError, "checkpoint hyperparameter 'threshold'")
+    else:
+        _check_threshold(threshold)
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
-    hp = ckpt.hyperparameters
     emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
     max_len = _recorded_size(hp, "max_len") if ckpt.task == "classify" else None
     table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), max_len,

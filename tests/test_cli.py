@@ -18,7 +18,7 @@ from qvuln.cli import (
     main,
     run_gradcheck,
 )
-from qvuln.embedding import build_embedding_matrix
+from qvuln.embedding import MODES, build_embedding_matrix
 from qvuln.errors import DataError
 from qvuln.trainer import evaluate, load_checkpoint, load_curves, load_metrics, sine_task
 
@@ -113,7 +113,8 @@ options:
   --ckpt CKPT           checkpoint path (default: None)
   --data DATA           encoded dataset (classify checkpoints) (default: None)
   --threshold THRESHOLD
-                        decision threshold (default: 0.5)
+                        decision threshold (default: the checkpoint's)
+                        (default: None)
   --metrics METRICS     metrics report output path (default: None)
 """
 
@@ -817,6 +818,49 @@ class TestExitCodes:
         assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1, err
         assert taken.read_text() == "keep\n"
 
+    def test_preprocess_output_that_is_a_directory_writes_nothing(
+        self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the output files are checked before any CSV is read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        for name in ("vocab", "train", "test"):
+            enc_dir = tmp_path / name
+            (enc_dir / f"{name}.json").mkdir(parents=True)
+            capsys.readouterr()
+            assert main(["preprocess", "--data-dir", str(tiny_corpus_dir),
+                         "--out", str(enc_dir)]) == 2, name
+            captured = capsys.readouterr()
+            assert captured.out == "", name
+            err = captured.err
+            assert err == f"error: output path is a directory: {enc_dir / name}.json\n", err
+            assert [path.name for path in enc_dir.iterdir()] == [f"{name}.json"]
+
+    def test_vector_file_count_is_checked_before_any_is_read(
+        self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
+    ):
+        enc_dir = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a vector file was read")
+
+        monkeypatch.setattr(cli, "load_vectors", no_read)
+        common = ["train", "--model", "lstm", "--task", "classify",
+                  "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                  "--epochs", "1", "--hidden", "2", "--out", str(tmp_path / "ckpt.json")]
+        for mode, given in (("glove", 0), ("glove", 2), ("glove+fasttext", 1)):
+            capsys.readouterr()
+            vectors = ["--vectors", str(tmp_path / "v.txt")] * given
+            assert main([*common, "--embedding", mode, *vectors]) == 2, (mode, given)
+            err = capsys.readouterr().err
+            needed = MODES[mode]
+            assert err == (f"error: embedding mode {mode!r} requires {needed} --vectors "
+                           f"file(s), got {given}\n"), err
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_csv_field_past_the_csv_limit_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
         data_dir = tmp_path / "corpus"
         shutil.copytree(tiny_corpus_dir, data_dir)
@@ -1059,6 +1103,72 @@ class TestCheckpointSchema:
         ckpt_path.write_text(json.dumps(doc))
         assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
         assert capsys.readouterr().out == recorded
+
+
+class TestEvalReadsTheRecord:
+    """`eval` of a classify checkpoint: the split comes from --data, the
+    decision threshold from the checkpoint unless --threshold is given."""
+
+    CLASSIFY_FIELDS = ("accuracy", "precision", "recall", "f1", "tp", "fp", "tn", "fn")
+
+    def _trained(self, corpus_dir, tmp_path, threshold: str):
+        """A one-epoch LSTM checkpoint trained at `threshold`, with its
+        metrics over the test split; returns (checkpoint, test split, metrics)."""
+        enc_dir = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        ckpt_path, metrics_path = tmp_path / "ckpt.json", tmp_path / "train-metrics.json"
+        assert main(["train", "--model", "lstm", "--task", "classify", "--epochs", "1",
+                     "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                     "--eval-data", str(enc_dir / "test.json"), "--hidden", "2",
+                     "--d-basic", "2", "--threshold", threshold, "--out", str(ckpt_path),
+                     "--metrics", str(metrics_path)]) == 0
+        return ckpt_path, enc_dir / "test.json", metrics_path
+
+    def _eval_fields(self, ckpt_path, split, metrics_path, *flags) -> dict:
+        assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(split),
+                     "--metrics", str(metrics_path), *flags]) == 0
+        doc = load_metrics(metrics_path)
+        return {key: doc[key] for key in self.CLASSIFY_FIELDS}
+
+    def test_eval_uses_the_threshold_the_run_recorded(self, tiny_corpus_dir, tmp_path, capsys):
+        ckpt_path, split, trained = self._trained(tiny_corpus_dir, tmp_path, "0.9")
+        expected = {key: load_metrics(trained)[key] for key in self.CLASSIFY_FIELDS}
+        assert self._eval_fields(ckpt_path, split, tmp_path / "m.json") == expected
+        # --threshold overrides the record, and here it moves the counts
+        at_half = self._eval_fields(ckpt_path, split, tmp_path / "m.json", "--threshold", "0.5")
+        report = evaluate(load_checkpoint(ckpt_path), load_encoded_dataset(split), 0.5)
+        cm = report.confusion
+        assert at_half == {"accuracy": report.accuracy, "precision": report.precision,
+                           "recall": report.recall, "f1": report.f1,
+                           "tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
+        assert at_half != expected
+
+    def test_recorded_threshold_is_checked_and_defaults_to_half(self, tiny_corpus_dir, tmp_path,
+                                                               capsys):
+        ckpt_path, split, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")
+        at_half = self._eval_fields(ckpt_path, split, tmp_path / "m.json")
+        doc = json.loads(ckpt_path.read_text())
+        for value in ("x", True, 1.5):
+            doc["hyperparameters"]["threshold"] = value
+            ckpt_path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(split)]) == 2, value
+            captured = capsys.readouterr()
+            assert captured.out == "", value
+            assert captured.err == ("error: checkpoint hyperparameter 'threshold' must lie in "
+                                    f"(0, 1), got {value!r}\n"), captured.err
+        del doc["hyperparameters"]["threshold"]
+        ckpt_path.write_text(json.dumps(doc))
+        assert self._eval_fields(ckpt_path, split, tmp_path / "m.json") == at_half
+
+    def test_classify_eval_requires_data(self, tiny_corpus_dir, tmp_path, capsys):
+        ckpt_path, _, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eval of a classify checkpoint requires --data\n"
 
 
 class TestSineCommands:

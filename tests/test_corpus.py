@@ -59,6 +59,8 @@ class TestLoadDataset:
     def test_wrong_header(self, tmp_path):
         with pytest.raises(DataError, match="header"):
             load_dataset(write_csv(tmp_path, "snippet,y\nfoo,1\n"), "train")
+        with pytest.raises(DataError, match="empty file, expected header code,label"):
+            load_dataset(write_csv(tmp_path, ""), "train")
 
     def test_wrong_field_count(self, tmp_path):
         path = write_csv(tmp_path, "code,label\nunquoted, with, commas,1\n")
@@ -101,9 +103,10 @@ class TestBalance:
         return LabeledCorpus(samples=samples, split="train")
 
     def test_downsamples_majority(self):
-        out = balance(self.make(10, 4), seed=7)
-        labels = [y for _, y in out.samples]
-        assert labels.count(1) == 4 and labels.count(0) == 4
+        for positives, negatives in ((10, 4), (4, 10)):
+            out = balance(self.make(positives, negatives), seed=7)
+            labels = [y for _, y in out.samples]
+            assert labels.count(1) == 4 and labels.count(0) == 4
 
     def test_already_balanced_keeps_multiset(self):
         corpus = self.make(5, 5)

@@ -21,7 +21,8 @@ def write_vectors(tmp_path, text: str, name: str = "vectors.txt"):
 
 class TestLoadVectors:
     def test_two_line_parse(self, tmp_path):
-        table = load_vectors(write_vectors(tmp_path, "if 0.1 0.2\nfor 0.3 0.4\n"))
+        # blank lines, the first one included, are skipped
+        table = load_vectors(write_vectors(tmp_path, "\nif 0.1 0.2\n  \n\nfor 0.3 0.4\n\n"))
         assert table.dim == 2
         assert set(table.entries) == {"if", "for"}
         np.testing.assert_array_equal(table.entries["if"], [0.1, 0.2])
@@ -37,6 +38,10 @@ class TestLoadVectors:
     def test_dim_mismatch_names_line(self, tmp_path):
         path = write_vectors(tmp_path, "if 0.1 0.2\nfor 0.3 0.4\nx 0.1\n")
         with pytest.raises(DataError, match="line 3"):
+            load_vectors(path)
+        # a token with no values is refused, not read as a zero-width vector
+        path = write_vectors(tmp_path, "if 0.1 0.2\nfor\n")
+        with pytest.raises(DataError, match="line 2: no vector values"):
             load_vectors(path)
 
     def test_unparseable_float(self, tmp_path):
@@ -91,6 +96,12 @@ class TestBuildBasic:
         other = build_embedding_matrix(vocab, [], "basic", seed=8, d_basic=4)
         assert np.array_equal(one.rows, two.rows)
         assert not np.array_equal(one.rows, other.rows)
+
+    def test_d_basic_below_one_is_data_error(self):
+        for d_basic in (0, -1):
+            with pytest.raises(DataError, match=f"d_basic must be >= 1, got {d_basic}"):
+                build_embedding_matrix(Vocabulary(tokens=["a"]), [], "basic", seed=0,
+                                       d_basic=d_basic)
 
     def test_tables_rejected(self):
         # every mode refuses any table count but its own

@@ -21,7 +21,7 @@ from qvuln.trainer import (
     ClassifyDataset,
     ConfusionMatrix,
     TrainConfig,
-    analytic_census,
+    census,
     embedding_census,
     evaluate,
     load_checkpoint,
@@ -357,13 +357,13 @@ class TestCensus:
             TrainConfig(model="lstm", task="classify", epochs=1, seed=2, hidden=3),
             data, matrix=matrix, vocab_digest=data.vocab_digest,
         )
-        assert analytic_census(ckpt) == report.parameter_count
+        assert census(ckpt) == (report.parameter_count, report.parameter_count)
         sine_ckpt, sine_report = train(
             TrainConfig(model="qlstm", task="sine", epochs=1, seed=2, batch_size=8),
             sine_task(10, 2),
         )
-        assert analytic_census(sine_ckpt) == sine_report.parameter_count
-        assert analytic_census(sine_ckpt) == qlstm_census(1)
+        assert census(sine_ckpt) == (sine_report.parameter_count, qlstm_census(1))
+        assert sine_report.parameter_count == qlstm_census(1)
 
 
 class TestCheckpointFiles:
@@ -516,6 +516,33 @@ class TestEvaluate:
         assert report.recall == 1.0
         assert report.accuracy == 0.6
         assert report.confusion.fp == 8 and report.confusion.fn == 0
+
+    def test_recorded_threshold_is_the_default(self):
+        ckpt, data = self.perfect_checkpoint()
+        for name in ("w_c", "b_i", "b_o", "head_w"):
+            ckpt.arrays[name] = np.zeros_like(ckpt.arrays[name])
+        # probability 0.5 everywhere: predicted 1 at a threshold of 0.5, 0 at 0.6
+        hp = ckpt.hyperparameters
+        assert "threshold" not in hp and evaluate(ckpt, data).confusion.fn == 0
+        hp["threshold"] = 0.6
+        assert evaluate(ckpt, data).confusion.tp == 0
+        assert evaluate(ckpt, data, 0.5).confusion.fn == 0
+        for value in ("x", True, 1.5, 0, 1, float("nan"), float("inf"), None):
+            hp["threshold"] = value
+            with pytest.raises(CheckpointError, match="'threshold' must lie in"):
+                evaluate(ckpt, data)
+
+    def test_classify_checkpoint_without_split_is_data_error(self):
+        ckpt, _ = self.perfect_checkpoint()
+        with pytest.raises(DataError, match="needs a ClassifyDataset, got NoneType"):
+            evaluate(ckpt)
+
+    def test_sine_checkpoint_rebuilds_its_recorded_task(self):
+        ckpt, _ = train(TrainConfig(model="lstm", task="sine", epochs=1, seed=4, hidden=3),
+                        sine_task(n_points=10, window=2))
+        rebuilt, given = evaluate(ckpt), evaluate(ckpt, sine_task(10, 2))
+        assert rebuilt.mse == given.mse
+        assert rebuilt.predictions.tobytes() == given.predictions.tobytes()
 
     def test_max_len_mismatch(self):
         ckpt, data = self.perfect_checkpoint()
