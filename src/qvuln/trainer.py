@@ -19,9 +19,13 @@ step's working set, not by T steps of caches.  `_model` is the one place
 that maps a model name and the hyperparameters a checkpoint records to
 fresh parameters and the model's forward and backward functions; train,
 evaluate and the checkpoint schema check all build through it.  This
-module is the one reader of a checkpoint's recorded hyperparameters:
-`evaluate` takes its decision threshold and, for sine, its task from
-them, and `census` its embedding's trainable flag.
+module is the one reader of a checkpoint's recorded hyperparameters, and
+`params_from_checkpoint` the one check of a checkpoint's arrays and of
+every recorded key its model and task read.  `evaluate` and `census` both
+call it first, so a checkpoint one refuses the other refuses too; the
+census alone lets through, and counts, arrays the model does not have.
+`evaluate` then takes the decision threshold and, for sine, the task from
+the checked record, and `census` the embedding's trainable flag.
 """
 from __future__ import annotations
 
@@ -206,11 +210,9 @@ class SineDataset:
         return len(self.targets)
 
 
-def sine_task(n_points: int = 100, window: int = 4) -> SineDataset:
-    """Cyclic windows over x_j = 2*pi*j/n_points: each sample predicts
-    sin(x_j) from the previous `window` sine values.  The windows hold
-    n_points * window indices, at most SINE_MAX_VALUES, checked before any
-    allocation."""
+def _check_sine_sizes(n_points: int, window: int) -> None:
+    """Raises DataError unless n_points > window >= 1 and the windows'
+    n_points * window indices number at most SINE_MAX_VALUES."""
     if window < 1 or n_points <= window:
         raise DataError(f"need n_points > window >= 1, got n_points={n_points} window={window}")
     if n_points * window > SINE_MAX_VALUES:
@@ -218,6 +220,13 @@ def sine_task(n_points: int = 100, window: int = 4) -> SineDataset:
             f"sine task of n_points={n_points} window={window} holds more than "
             f"{SINE_MAX_VALUES} input values"
         )
+
+
+def sine_task(n_points: int = 100, window: int = 4) -> SineDataset:
+    """Cyclic windows over x_j = 2*pi*j/n_points: each sample predicts
+    sin(x_j) from the previous `window` sine values.  The sizes pass
+    `_check_sine_sizes` before any allocation."""
+    _check_sine_sizes(n_points, window)
     x = 2.0 * np.pi * np.arange(n_points) / n_points
     s = np.sin(x)
     sequences = (np.arange(n_points)[:, None] + np.arange(-window, 0)) % n_points
@@ -267,15 +276,19 @@ def _model_census(model: str, hp: dict) -> int:
 def census(ckpt: Checkpoint) -> tuple[int, int]:
     """The (runtime, analytic) trainable-scalar counts of a checkpoint: the
     count of its arrays, and the closed form at the sizes it records.  The
-    model's own arrays must pass the schema check; an array the model does
-    not have is what the census exists to catch, so it is counted (the two
-    counts differ), not rejected."""
+    checkpoint must pass the check `evaluate` makes, `params_from_checkpoint`,
+    with one difference: an array the model does not have is what the
+    census exists to catch, so it is counted (the two counts differ), not
+    rejected.  A sine model has no table, so a sine checkpoint's
+    `embedding.rows` is such an array and counts in full."""
     params_from_checkpoint(ckpt, extra_ok=True)
-    trainable = _recorded_flag(ckpt.hyperparameters, "embedding_trainable", False)
-    analytic = _model_census(ckpt.model, ckpt.hyperparameters)
-    emb = ckpt.arrays.get("embedding.rows")
-    if trainable and emb is not None:
-        analytic += embedding_census(emb.shape[0], emb.shape[1])
+    hp = ckpt.hyperparameters
+    analytic = _model_census(ckpt.model, hp)
+    if ckpt.task == "sine":
+        return sum(arr.size for arr in ckpt.arrays.values()), analytic
+    trainable = hp.get("embedding_trainable", False)
+    if trainable:
+        analytic += embedding_census(*ckpt.arrays["embedding.rows"].shape)
     return runtime_census(ckpt.arrays, trainable), analytic
 
 
@@ -368,13 +381,18 @@ def _model(model: str, hp: dict, rng: np.random.Generator):
 
 
 def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
-    """The model's parameters and its batched forward function.  The
-    parameters are checked against the model's own parameter tree at the
-    dimensions the checkpoint records: the same names, the same shapes,
-    finite values.  A classify checkpoint also holds an embedding, and an
-    embedding on either task must be a finite (n_rows, d_in) array.
-    Raises CheckpointError on any difference; with `extra_ok`, arrays the
-    model does not have are let through."""
+    """The model's parameters and its batched forward function, after the
+    one check of a checkpoint's own contents.  The parameters are checked
+    against the model's own parameter tree at the dimensions the checkpoint
+    records: the same names, the same shapes, finite values.  A classify
+    checkpoint also holds an embedding, and an embedding on either task
+    must be a finite (n_rows, d_in) array.  Then every recorded key that
+    the model and its task read: a present `threshold` lies in (0, 1), a
+    present `embedding_trainable` is a boolean, a classify record's
+    `max_len` is a positive integer, and a sine record's `n_points` and
+    `window` pass `sine_task`'s size rule and its `d_in` is 1, the sine
+    table's width.  Raises CheckpointError on any difference; with
+    `extra_ok`, arrays the model does not have are let through."""
     hp = ckpt.hyperparameters
     # a one-unit model names the arrays, so a missing one is named; the stored
     # values must then cover the recorded sizes before any allocation at them
@@ -405,6 +423,19 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
             )
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
+    _check_threshold(hp.get("threshold", 0.5), CheckpointError,
+                     "checkpoint hyperparameter 'threshold'")
+    _recorded_flag(hp, "embedding_trainable", False)
+    if ckpt.task == "classify":
+        _recorded_size(hp, "max_len")
+    else:
+        try:
+            _check_sine_sizes(_recorded_size(hp, "n_points"), _recorded_size(hp, "window"))
+        except DataError as exc:
+            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
+        if hp["d_in"] != 1:
+            raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the "
+                                  "1-wide input table")
     for name, arr in params.tree().items():
         arr[...] = ckpt.arrays[name]
     return params, forward
@@ -643,32 +674,24 @@ def train(
 
 def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> MetricsReport:
     """Metrics over a dataset: thresholded confusion metrics for classify
-    (predict 1 iff probability >= threshold), MSE for sine.  The threshold
-    must lie in (0, 1) for either task, as in TrainConfig; None reads the
-    checkpoint's recorded `threshold` (0.5 if absent).  `data` None
-    rebuilds a sine checkpoint's recorded task; a classify checkpoint needs
-    a split.  The split is checked as in `train`, against the checkpoint's
-    vocabulary digest."""
+    (predict 1 iff probability >= threshold), MSE for sine.  The checkpoint
+    first passes `params_from_checkpoint`, so its record is read here
+    unchecked.  A given threshold must lie in (0, 1) for either task, as in
+    TrainConfig; None reads the checkpoint's recorded `threshold` (0.5 if
+    absent).  `data` None rebuilds a sine checkpoint's recorded task; a
+    classify checkpoint needs a split.  The split is checked as in `train`,
+    against the checkpoint's vocabulary digest."""
     hp = ckpt.hyperparameters
-    if data is None and ckpt.task == "sine":
-        try:
-            data = sine_task(_recorded_size(hp, "n_points"), _recorded_size(hp, "window"))
-        except DataError as exc:
-            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
-    if threshold is None:
-        threshold = hp.get("threshold", 0.5)
-        _check_threshold(threshold, CheckpointError, "checkpoint hyperparameter 'threshold'")
-    else:
-        _check_threshold(threshold)
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
-    emb_trainable = _recorded_flag(hp, "embedding_trainable", False)
-    max_len = _recorded_size(hp, "max_len") if ckpt.task == "classify" else None
-    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), max_len,
+    if data is None and ckpt.task == "sine":
+        data = sine_task(hp["n_points"], hp["window"])
+    if threshold is None:
+        threshold = hp.get("threshold", 0.5)
+    else:
+        _check_threshold(threshold)
+    table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"),
                          ckpt.vocab_digest)
-    if table.shape[1] != hp["d_in"]:
-        raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the "
-                              f"{table.shape[1]}-wide input table")
 
     # finite parameters can still overflow the forward pass (weights of
     # 1e308 give inf and inf - inf); the logits are checked instead
@@ -696,6 +719,6 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
             raise CheckpointError(f"checkpoint gives a non-finite mean squared error ({mse})")
         report = MetricsReport(mse=mse)
     report.predictions = preds
-    report.parameter_count = runtime_census(ckpt.arrays, emb_trainable)
+    report.parameter_count = runtime_census(ckpt.arrays, hp.get("embedding_trainable", False))
     report.wall_time_seconds = time.perf_counter() - started
     return report

@@ -1019,11 +1019,13 @@ class TestCheckpointSchema:
             err = capsys.readouterr().err
             assert "record more parameters" in err and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("shape", [[3], [], [3, 2], [0, 1], [1, 1]])
+    @pytest.mark.parametrize("shape", [[3], [], [3, 2], [0, 1], [1, 1], [3, 1]])
     def test_embedding_of_wrong_shape_is_checkpoint_error(self, shape, tmp_path, capsys):
-        # a sine checkpoint has no embedding; census lets extra arrays through
-        # to count them, but one named embedding.rows must still be (n_rows, d_in),
-        # with at least the padding and out-of-vocabulary rows
+        # a sine checkpoint has no embedding, so eval refuses one; census lets
+        # arrays the model does not have through to count them, but one named
+        # embedding.rows must still be (n_rows, d_in), with at least the
+        # padding and out-of-vocabulary rows.  The one right-shaped (3, 1)
+        # table counts in full on the runtime side only: a census mismatch
         ckpt_path = tmp_path / "ckpt.json"
         assert main([
             "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
@@ -1033,11 +1035,17 @@ class TestCheckpointSchema:
         doc["hyperparameters"]["embedding_trainable"] = True
         doc["params"]["embedding.rows"] = array_entry(np.full(shape, 0.5))
         ckpt_path.write_text(json.dumps(doc))
-        for command in ("census", "eval"):
-            capsys.readouterr()
-            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
-            err = capsys.readouterr().err
-            assert "embedding.rows" in err and err.count("\n") == 1, err
+        right_shaped = shape == [3, 1]
+        capsys.readouterr()
+        assert main(["census", "--ckpt", str(ckpt_path)]) == (3 if right_shaped else 2)
+        captured = capsys.readouterr()
+        if right_shaped:
+            assert captured.out == "model=lstm runtime=38 analytic=35 MISMATCH\n", captured
+        else:
+            assert "embedding.rows" in captured.err and captured.err.count("\n") == 1, captured
+        assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
+        err = capsys.readouterr().err
+        assert "embedding.rows" in err and err.count("\n") == 1, err
 
     def test_sine_checkpoint_of_another_width_is_checkpoint_error(
         self, tiny_corpus_dir, tmp_path, capsys
@@ -1060,10 +1068,11 @@ class TestCheckpointSchema:
         del doc["params"]["embedding.rows"]
         doc["hyperparameters"].update(n_points=20, window=4)
         ckpt_path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "d_in 6" in err and err.count("\n") == 1, err
+        for command in ("eval", "census"):
+            capsys.readouterr()
+            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "d_in 6" in err and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("model, key, value", [
         ("qlstm", "sigma_hidden", "false"),
@@ -1103,6 +1112,77 @@ class TestCheckpointSchema:
         ckpt_path.write_text(json.dumps(doc))
         assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
         assert capsys.readouterr().out == recorded
+
+
+def _sine_embedding(doc: dict) -> None:
+    doc["params"]["embedding.rows"] = array_entry(np.full((3, 1), 0.5))
+
+
+def _sine_trainable_embedding(doc: dict) -> None:
+    _sine_embedding(doc)
+    doc["hyperparameters"]["embedding_trainable"] = True
+
+
+def _relabelled_without_table(doc: dict) -> None:
+    doc["task"] = "sine"
+    doc["hyperparameters"].update(n_points=20, window=4)
+    del doc["params"]["embedding.rows"]
+
+
+# name: (the checkpoint it damages, the damage); a sine checkpoint of
+# SINE_TRAIN or an LSTM classify checkpoint at --max-len 6 and --d-basic 2
+DAMAGED_RECORDS = {
+    "sine-embedding": ("sine", _sine_embedding),
+    "sine-trainable-embedding": ("sine", _sine_trainable_embedding),
+    "threshold-string": ("classify", lambda doc: doc["hyperparameters"].update(threshold="x")),
+    "sine-without-n-points": ("sine", lambda doc: doc["hyperparameters"].pop("n_points")),
+    "sine-window-past-limit": ("sine", lambda doc: doc["hyperparameters"].update(window=10**8)),
+    "max-len-zero": ("classify", lambda doc: doc["hyperparameters"].update(max_len=0)),
+    "classify-relabelled-sine": ("classify", lambda doc: doc.update(task="sine")),
+    "relabelled-with-sizes-without-table": ("classify", _relabelled_without_table),
+}
+
+
+class TestOneCheckpointCheck:
+    """`census` refuses every checkpoint `eval` refuses: both run one check,
+    and only an array the model does not have is a census mismatch (exit
+    3) where `eval` exits 2."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_corpus_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        enc_dir = root / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        assert main([*SINE_TRAIN, "--out", str(root / "sine.json")]) == 0
+        assert main(["train", "--model", "lstm", "--task", "classify", "--epochs", "1",
+                     "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+                     "--hidden", "2", "--d-basic", "2", "--out", str(root / "classify.json")]) == 0
+        return root
+
+    @pytest.mark.parametrize("name", DAMAGED_RECORDS)
+    def test_census_and_eval_refuse_a_damaged_checkpoint(self, name, trained, tmp_path, capsys):
+        source, damage = DAMAGED_RECORDS[name]
+        doc = json.loads((trained / f"{source}.json").read_text())
+        damage(doc)
+        ckpt_path = tmp_path / "ckpt.json"
+        ckpt_path.write_text(json.dumps(doc))
+        classify = doc["task"] == "classify"
+        data = ["--data", str(trained / "encoded" / "test.json")] if classify else []
+        capsys.readouterr()
+        code = main(["census", "--ckpt", str(ckpt_path)])
+        captured = capsys.readouterr()
+        if name in ("sine-embedding", "sine-trainable-embedding"):
+            assert code == 3 and "MISMATCH" in captured.out, captured
+        else:
+            assert code == 2 and captured.out == "", captured
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured
+        runs = [data, [*data, "--threshold", "0.5"]] if name == "threshold-string" else [data]
+        for flags in runs:
+            assert main(["eval", "--ckpt", str(ckpt_path), *flags]) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: "), captured
+            assert captured.err.count("\n") == 1, captured
 
 
 class TestEvalReadsTheRecord:
@@ -1152,12 +1232,14 @@ class TestEvalReadsTheRecord:
         for value in ("x", True, 1.5):
             doc["hyperparameters"]["threshold"] = value
             ckpt_path.write_text(json.dumps(doc))
-            capsys.readouterr()
-            assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(split)]) == 2, value
-            captured = capsys.readouterr()
-            assert captured.out == "", value
-            assert captured.err == ("error: checkpoint hyperparameter 'threshold' must lie in "
-                                    f"(0, 1), got {value!r}\n"), captured.err
+            for argv in (["eval", "--ckpt", str(ckpt_path), "--data", str(split)],
+                         ["census", "--ckpt", str(ckpt_path)]):
+                capsys.readouterr()
+                assert main(argv) == 2, (argv[0], value)
+                captured = capsys.readouterr()
+                assert captured.out == "", (argv[0], value)
+                assert captured.err == ("error: checkpoint hyperparameter 'threshold' must lie "
+                                        f"in (0, 1), got {value!r}\n"), captured.err
         del doc["hyperparameters"]["threshold"]
         ckpt_path.write_text(json.dumps(doc))
         assert self._eval_fields(ckpt_path, split, tmp_path / "m.json") == at_half

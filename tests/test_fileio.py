@@ -87,8 +87,8 @@ DRAWS = 3
 @pytest.fixture(scope="module")
 def good(tiny_corpus_dir, tmp_path_factory) -> Path:
     """A directory of valid inputs: the tiny corpus's encoded splits and
-    vocabulary, a 3-column vector table over its tokens, and a classify
-    LSTM checkpoint trained on them."""
+    vocabulary, a 3-column vector table over its tokens, a classify LSTM
+    checkpoint trained on them, and a sine LSTM checkpoint."""
     root = tmp_path_factory.mktemp("good")
     assert main([
         "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
@@ -104,10 +104,14 @@ def good(tiny_corpus_dir, tmp_path_factory) -> Path:
         "--vocab", str(root / "vocab.json"), "--epochs", "1", "--hidden", "2",
         "--d-basic", "2", "--out", str(root / "ckpt.json"),
     ]) == 0
+    assert main([
+        "train", "--model", "lstm", "--task", "sine", "--epochs", "1", "--n-points", "8",
+        "--window", "2", "--hidden", "2", "--out", str(root / "sine.json"),
+    ]) == 0
     return root
 
 
-def _argv(kind: str, path: Path, good: Path, work: Path) -> list[str]:
+def _argv(kind: str, path: Path, good: Path, work: Path, sine: bool) -> list[str]:
     train = [
         "train", "--model", "lstm", "--task", "classify", "--epochs", "1", "--hidden", "2",
         "--out", str(work / "out.json"),
@@ -115,7 +119,8 @@ def _argv(kind: str, path: Path, good: Path, work: Path) -> list[str]:
     basic = [*train, "--d-basic", "2"]  # a vector mode takes its width from its file
     data, vocab = ["--data", str(good / "train.json")], ["--vocab", str(good / "vocab.json")]
     return {
-        "checkpoint-eval": ["eval", "--ckpt", str(path), "--data", str(good / "test.json")],
+        "checkpoint-eval": ["eval", "--ckpt", str(path),
+                            *([] if sine else ["--data", str(good / "test.json")])],
         "checkpoint-census": ["census", "--ckpt", str(path)],
         "split": [*basic, "--data", str(path), *vocab],
         "vocabulary": [*basic, *data, "--vocab", str(path)],
@@ -132,10 +137,14 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     entry = params[name]
     values = decode(entry["data"])
     hp = doc["hyperparameters"]
-    # (object, key) of every field that eval and census both need
+    # (object, key) of every field that eval and census both need; an absent
+    # threshold or embedding_trainable reads as a default, so those two are
+    # only given a wrong type
+    sizes = ("max_len",) if doc["task"] == "classify" else ("n_points", "window")
     fields = [
         *((doc, k) for k in ("format", "version", "model", "task", "hyperparameters", "params")),
-        (hp, "d_in"), (hp, "hidden"), (params, name), (entry, "shape"), (entry, "data"),
+        (hp, "d_in"), (hp, "hidden"), *((hp, k) for k in sizes), (params, name),
+        (entry, "shape"), (entry, "data"),
     ]
     if mutation == "drop-key":
         where, key = rng.choice(fields)
@@ -160,7 +169,7 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     else:  # wrong-type
         choice = rng.randrange(3)
         if choice == 0:
-            where, key = rng.choice(fields)
+            where, key = rng.choice([*fields, (hp, "threshold"), (hp, "embedding_trainable")])
             where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
         elif choice == 1:
             # v1's list, a number or null where the base64 string belongs
@@ -315,11 +324,13 @@ def _vectors(rng: random.Random, lines: list[str], mutation: str) -> list[str]:
 
 
 def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpus_dir: Path,
-            path: Path) -> None:
-    """Write a damaged copy of `kind`'s good file to `path`."""
+            path: Path, sine: bool) -> None:
+    """Write a damaged copy of `kind`'s good file to `path`; `sine` picks
+    the sine checkpoint over the classify one."""
+    checkpoint = good / ("sine.json" if sine else "ckpt.json")
     source = {
-        "checkpoint-eval": good / "ckpt.json",
-        "checkpoint-census": good / "ckpt.json",
+        "checkpoint-eval": checkpoint,
+        "checkpoint-census": checkpoint,
         "split": good / "train.json",
         "vocabulary": good / "vocab.json",
         "vectors": good / "vectors.txt",
@@ -356,15 +367,19 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_mutated_input_exits_2(kind, mutation, good, tiny_corpus_dir, tmp_path, capsys):
-    rng = random.Random(f"{kind}/{mutation}")
+    # eval and census share a seed, so they read the same damaged checkpoints
+    # (all but out-of-range's, where eval may overflow its forward pass instead)
+    rng = random.Random(f"{kind.split('-')[0]}/{mutation}")
     if kind == "csv":
         for split in ("validation", "test"):
             shutil.copy(tiny_corpus_dir / f"{split}.csv", tmp_path / f"{split}.csv")
     path = tmp_path / ("train.csv" if kind == "csv" else "input")
     for draw in range(DRAWS):
-        _mutate(kind, mutation, rng, good, tiny_corpus_dir, path)
+        # checkpoint draws alternate between the classify and the sine checkpoint
+        sine = draw % 2 == 1
+        _mutate(kind, mutation, rng, good, tiny_corpus_dir, path, sine)
         capsys.readouterr()
-        code = main(_argv(kind, path, good, tmp_path))
+        code = main(_argv(kind, path, good, tmp_path, sine))
         captured = capsys.readouterr()
         assert code == 2, (draw, captured.err, path.read_bytes()[:2000])
         err = captured.err
