@@ -22,7 +22,7 @@ from .corpus import (
     SPLITS, Vocabulary, balance, build_vocab, load_dataset, tokenize,
 )
 from .embedding import D_BASIC_DEFAULT, MODES, build_embedding_matrix, load_vectors
-from .errors import CheckpointError, DataError, DivergenceError
+from .errors import CheckpointError, DataError, DivergenceError, _check_settings
 from .fileio import check_output_paths, decode_array, encode_array, read_json, write_json
 from .neural import bce_from_logit, laid_out
 from .trainer import (
@@ -60,8 +60,7 @@ def encode_corpus(
 ) -> ClassifyDataset:
     """Each function's last max_len token indices (unknown -> 1) at the
     head of its int64 row, padded with 0."""
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
+    _check_settings({"max_len": max_len})
     # np.zeros pads with PAD_INDEX, which is 0; a measured slowdown after
     # np.full(PAD_INDEX) was heap-layout noise, not the fill
     sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
@@ -88,9 +87,8 @@ def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) ->
 
 def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
     doc = read_json(path, "encoded dataset", "encoded.v2")
-    max_len, vocab_digest = doc.get("max_len"), doc.get("vocab_digest")
-    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 1:
-        raise DataError(f"{path}: max_len must be a positive integer, got {max_len!r}")
+    _check_settings(doc, ("max_len",), prefix=f"{path}: ")
+    max_len, vocab_digest = doc["max_len"], doc.get("vocab_digest")
     if not isinstance(vocab_digest, str):
         raise DataError(f"{path}: vocab_digest must be a string, got {vocab_digest!r}")
     sequences, labels = (
@@ -131,10 +129,7 @@ def _fd_deviation(value_fn, arrays: list, analytic: np.ndarray, step: float) -> 
 def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
     """Max absolute deviation between analytic gradients and central finite
     differences for each differentiation path."""
-    if trials < 1:
-        raise DataError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
+    _check_settings({"trials": trials, "seed": seed})
     rng = np.random.default_rng(seed)
     worst = {"vqc": 0.0, "lstm": 0.0, "qlstm": 0.0}
 
@@ -181,10 +176,7 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise DataError(f"seed must be >= 0, got {args.seed}")
-    if args.max_len < 1 or args.max_vocab < 1:
-        raise DataError(f"max_len and max_vocab must be >= 1, got {args.max_len}, {args.max_vocab}")
+    _check_settings(vars(args), ("seed", "max_len", "max_vocab"))
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out)
     try:

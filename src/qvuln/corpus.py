@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_settings
 from .fileio import open_input
 
 PAD_INDEX = 0
@@ -165,8 +165,7 @@ def tokenize(code_text: str) -> list[str]:
 def build_vocab(token_lists: list[list[str]], max_vocab: int) -> Vocabulary:
     """Rank the tokens of the tokenized functions by descending frequency
     (first occurrence breaks ties) and keep the top max_vocab."""
-    if max_vocab < 1:
-        raise DataError(f"max_vocab must be >= 1, got {max_vocab}")
+    _check_settings({"max_vocab": max_vocab})
     # most_common orders equal counts by first occurrence
     counts = Counter(chain.from_iterable(token_lists))
     return Vocabulary(tokens=[token for token, _ in counts.most_common(max_vocab)])

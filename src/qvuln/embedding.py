@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import DataError
+from .errors import DataError, _check_settings
 from .fileio import open_input
 
 # each source mode and the number of vector tables it reads
@@ -112,8 +112,7 @@ def build_embedding_matrix(
     random rows in basic mode, the tables' rows side by side otherwise."""
     if mode not in MODES:
         raise DataError(f"unknown embedding mode {mode!r}; expected one of {tuple(MODES)}")
-    if d_basic < 1:
-        raise DataError(f"d_basic must be >= 1, got {d_basic}")
+    _check_settings({"d_basic": d_basic})
     if len(tables) != MODES[mode]:
         raise DataError(
             f"{mode} mode requires exactly {MODES[mode]} vector table(s), got {len(tables)}"

@@ -21,16 +21,17 @@ fresh parameters and the model's forward and backward functions; train,
 evaluate and the checkpoint schema check all build through it.  This
 module is the one reader of a checkpoint's recorded hyperparameters, and
 `params_from_checkpoint` the one check of a checkpoint's arrays and of
-every recorded key its model and task read.  `evaluate` and `census` both
-call it first, so a checkpoint one refuses the other refuses too; the
-census alone lets through, and counts, arrays the model does not have.
+every recorded key its model and task read (`_record_keys`), each by its
+row in `errors._SETTINGS`, the table `TrainConfig` is checked against
+too.  `evaluate` and `census` both call it first, so a checkpoint one
+refuses the other refuses too; the census alone lets through, and
+counts, arrays the model does not have.
 `evaluate` then takes the decision threshold and, for sine, the task from
 the checked record, and `census` the embedding's trainable flag.
 """
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +40,7 @@ import numpy as np
 
 from .corpus import PAD_INDEX
 from .embedding import EmbeddingMatrix
-from .errors import CheckpointError, DataError, DivergenceError
+from .errors import CheckpointError, DataError, DivergenceError, _check_settings
 from .fileio import atomic_write, decode_array, encode_array, open_input, read_json, write_json
 from .neural import (
     OptimizerState,
@@ -78,17 +79,12 @@ SINE_MAX_VALUES = 10**7
 EVAL_CHUNK = 64
 
 
-def _check_threshold(threshold: float, error=DataError, what: str = "threshold") -> None:
-    # a string or None is refused before the comparison; no integer, JSON's
-    # true and false included, lies strictly inside (0, 1)
-    if not (isinstance(threshold, (float, np.floating)) and 0.0 < threshold < 1.0):
-        raise error(f"{what} must lie in (0, 1), got {threshold!r}")
-
-
 @dataclass
 class TrainConfig:
     """One training run's settings; epoch and learning-rate defaults depend
-    on the task (30 epochs / 1e-2 for sine, 10 / 1e-3 for classify)."""
+    on the task (30 epochs / 1e-2 for sine, 10 / 1e-3 for classify).  Every
+    setting but the model and the task is checked against its rule in
+    `errors._SETTINGS` and raises DataError."""
 
     model: str
     task: str
@@ -111,22 +107,9 @@ class TrainConfig:
             self.epochs = SINE_DEFAULT_EPOCHS if self.task == "sine" else CLASSIFY_DEFAULT_EPOCHS
         if self.lr is None:
             self.lr = SINE_DEFAULT_LR if self.task == "sine" else CLASSIFY_DEFAULT_LR
-        if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise DataError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
-        _check_threshold(self.threshold)
-        if not isinstance(self.sigma_hidden, bool):
-            raise DataError(f"sigma_hidden must be true or false, got {self.sigma_hidden!r}")
-        if self.hidden < 1 or self.d_basic < 1:
-            raise DataError(
-                f"hidden and d_basic must be >= 1, got hidden={self.hidden} d_basic={self.d_basic}"
-            )
-        # zero is allowed: a zero learning rate leaves the parameters as initialized
-        if not (math.isfinite(self.lr) and self.lr >= 0.0):
-            raise DataError(f"learning rate must be finite and >= 0, got {self.lr}")
+        # a zero learning rate is allowed: it leaves the parameters as initialized
+        _check_settings(vars(self), ("epochs", "batch_size", "seed", "lr", "max_len", "threshold",
+                                     "hidden", "d_basic", "sigma_hidden"))
 
 
 @dataclass
@@ -211,10 +194,12 @@ class SineDataset:
 
 
 def _check_sine_sizes(n_points: int, window: int) -> None:
-    """Raises DataError unless n_points > window >= 1 and the windows'
-    n_points * window indices number at most SINE_MAX_VALUES."""
-    if window < 1 or n_points <= window:
-        raise DataError(f"need n_points > window >= 1, got n_points={n_points} window={window}")
+    """Raises DataError unless both sizes pass their rule in
+    `errors._SETTINGS`, n_points > window, and the windows' n_points *
+    window indices number at most SINE_MAX_VALUES."""
+    _check_settings({"n_points": n_points, "window": window})
+    if n_points <= window:
+        raise DataError(f"need n_points > window, got n_points={n_points} window={window}")
     if n_points * window > SINE_MAX_VALUES:
         raise DataError(
             f"sine task of n_points={n_points} window={window} holds more than "
@@ -267,10 +252,9 @@ def runtime_census(arrays: dict[str, np.ndarray], embedding_trainable: bool) -> 
 
 def _model_census(model: str, hp: dict) -> int:
     """Trainable scalars of `model` at the sizes the hyperparameters record."""
-    d_in = _recorded_size(hp, "d_in")
     if model == "lstm":
-        return lstm_census(_recorded_size(hp, "hidden"), d_in)
-    return qlstm_census(d_in)
+        return lstm_census(hp["hidden"], hp["d_in"])
+    return qlstm_census(hp["d_in"])
 
 
 def census(ckpt: Checkpoint) -> tuple[int, int]:
@@ -347,53 +331,52 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                       vocab_digest=doc.get("vocab_digest"), arrays=arrays)
 
 
-def _recorded_size(hp: dict, key: str) -> int:
-    """The positive integer `hp[key]`; an absent key is an error."""
-    value = hp.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise CheckpointError(
-            f"checkpoint hyperparameter {key!r} must be a positive integer, got {value!r}"
-        )
-    return value
-
-
-def _recorded_flag(hp: dict, key: str, default: bool) -> bool:
-    """The JSON boolean `hp[key]`; an absent key gives `default`."""
-    value = hp.get(key, default)
-    if not isinstance(value, bool):
-        raise CheckpointError(f"checkpoint hyperparameter {key!r} must be true or false")
-    return value
+def _record_keys(model: str, task: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The recorded keys that the model and the task read: those a `model`
+    checkpoint of `task` must hold, and those it may hold (an absent one
+    reads as its default)."""
+    sizes = ("max_len",) if task == "classify" else ("n_points", "window")
+    if model == "lstm":
+        return ("d_in", "hidden", *sizes), ("threshold", "embedding_trainable")
+    return ("d_in", *sizes), ("threshold", "embedding_trainable", "sigma_hidden")
 
 
 def _model(model: str, hp: dict, rng: np.random.Generator):
     """Fresh parameters of `model` at the sizes the hyperparameters `hp`
-    record (`d_in`, plus `hidden` for the LSTM or `sigma_hidden` for the
-    QLSTM), with the model's (forward, backward) pair; both take a leading
-    batch axis.  A recorded size that is not a positive integer, or a
-    `sigma_hidden` that is not a boolean, raises CheckpointError."""
+    record (`d_in`, plus `hidden` for the LSTM or `sigma_hidden`, true if
+    absent, for the QLSTM), with the model's (forward, backward) pair; both
+    take a leading batch axis.  The record is read unchecked: `TrainConfig`
+    or `params_from_checkpoint` has checked it."""
     # the functions are read from the module globals at call time, so a
     # wrapper put in their place (e.g. a tracer) sees every call
-    d_in = _recorded_size(hp, "d_in")
     if model == "lstm":
-        return init_lstm_params(_recorded_size(hp, "hidden"), d_in, rng), lstm_forward, lstm_backward
-    sigma_hidden = _recorded_flag(hp, "sigma_hidden", True)
-    return init_qlstm_params(d_in, rng, sigma_hidden), qlstm_forward, qlstm_backward
+        return init_lstm_params(hp["hidden"], hp["d_in"], rng), lstm_forward, lstm_backward
+    sigma_hidden = hp.get("sigma_hidden", True)
+    return init_qlstm_params(hp["d_in"], rng, sigma_hidden), qlstm_forward, qlstm_backward
 
 
 def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     """The model's parameters and its batched forward function, after the
-    one check of a checkpoint's own contents.  The parameters are checked
-    against the model's own parameter tree at the dimensions the checkpoint
+    one check of a checkpoint's own contents.  First the record: each key
+    of `_record_keys` must pass its rule in `errors._SETTINGS` (an optional
+    key only if present), and a sine record's `n_points` and `window` must
+    pass `sine_task`'s size rule.  Then the parameters are checked against
+    the model's own parameter tree at the dimensions the checkpoint
     records: the same names, the same shapes, finite values.  A classify
     checkpoint also holds an embedding, and an embedding on either task
-    must be a finite (n_rows, d_in) array.  Then every recorded key that
-    the model and its task read: a present `threshold` lies in (0, 1), a
-    present `embedding_trainable` is a boolean, a classify record's
-    `max_len` is a positive integer, and a sine record's `n_points` and
-    `window` pass `sine_task`'s size rule and its `d_in` is 1, the sine
-    table's width.  Raises CheckpointError on any difference; with
-    `extra_ok`, arrays the model does not have are let through."""
+    must be a finite (n_rows, d_in) array.  Last, a sine record's `d_in`
+    must be 1, the sine table's width.  Raises CheckpointError on any
+    difference; with `extra_ok`, arrays the model does not have are let
+    through."""
     hp = ckpt.hyperparameters
+    required, optional = _record_keys(ckpt.model, ckpt.task)
+    _check_settings(hp, [*required, *(key for key in optional if key in hp)], CheckpointError,
+                    "checkpoint hyperparameter ")
+    if ckpt.task == "sine":
+        try:
+            _check_sine_sizes(hp["n_points"], hp["window"])
+        except DataError as exc:
+            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
     # a one-unit model names the arrays, so a missing one is named; the stored
     # values must then cover the recorded sizes before any allocation at them
     unit, _, _ = _model(ckpt.model, {**hp, "d_in": 1, "hidden": 1}, np.random.default_rng(0))
@@ -423,19 +406,8 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
             )
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
-    _check_threshold(hp.get("threshold", 0.5), CheckpointError,
-                     "checkpoint hyperparameter 'threshold'")
-    _recorded_flag(hp, "embedding_trainable", False)
-    if ckpt.task == "classify":
-        _recorded_size(hp, "max_len")
-    else:
-        try:
-            _check_sine_sizes(_recorded_size(hp, "n_points"), _recorded_size(hp, "window"))
-        except DataError as exc:
-            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
-        if hp["d_in"] != 1:
-            raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the "
-                                  "1-wide input table")
+    if ckpt.task == "sine" and hp["d_in"] != 1:
+        raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the 1-wide input table")
     for name, arr in params.tree().items():
         arr[...] = ckpt.arrays[name]
     return params, forward
@@ -676,11 +648,11 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
     """Metrics over a dataset: thresholded confusion metrics for classify
     (predict 1 iff probability >= threshold), MSE for sine.  The checkpoint
     first passes `params_from_checkpoint`, so its record is read here
-    unchecked.  A given threshold must lie in (0, 1) for either task, as in
-    TrainConfig; None reads the checkpoint's recorded `threshold` (0.5 if
-    absent).  `data` None rebuilds a sine checkpoint's recorded task; a
-    classify checkpoint needs a split.  The split is checked as in `train`,
-    against the checkpoint's vocabulary digest."""
+    unchecked.  A given threshold must pass the rule `TrainConfig` checks,
+    in (0, 1), for either task; None reads the checkpoint's recorded
+    `threshold` (0.5 if absent).  `data` None rebuilds a sine checkpoint's
+    recorded task; a classify checkpoint needs a split.  The split is
+    checked as in `train`, against the checkpoint's vocabulary digest."""
     hp = ckpt.hyperparameters
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
@@ -689,7 +661,7 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
     if threshold is None:
         threshold = hp.get("threshold", 0.5)
     else:
-        _check_threshold(threshold)
+        _check_settings({"threshold": threshold})
     table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"),
                          ckpt.vocab_digest)
 

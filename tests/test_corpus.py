@@ -309,7 +309,7 @@ class TestEncodeAndPad:
         assert data.labels.tolist() == [1, 0, 1]
 
     def test_max_len_below_one_is_data_error(self):
-        with pytest.raises(DataError, match="max_len must be >= 1, got 0"):
+        with pytest.raises(DataError, match="'max_len' must be a positive integer, got 0"):
             encode_corpus([["a"]], [0], Vocabulary(tokens=["a"]), max_len=0)
 
 

@@ -99,7 +99,7 @@ class TestBuildBasic:
 
     def test_d_basic_below_one_is_data_error(self):
         for d_basic in (0, -1):
-            with pytest.raises(DataError, match=f"d_basic must be >= 1, got {d_basic}"):
+            with pytest.raises(DataError, match=f"'d_basic' must be a positive integer, got {d_basic}"):
                 build_embedding_matrix(Vocabulary(tokens=["a"]), [], "basic", seed=0,
                                        d_basic=d_basic)
 

@@ -17,6 +17,7 @@ from checkpoint_codec import array_entry, decode, encode
 from qvuln.cli import main
 from qvuln.errors import CheckpointError, DataError
 from qvuln.fileio import read_json
+from qvuln.trainer import _record_keys
 
 SRC = Path(qvuln.__file__).parent
 
@@ -137,14 +138,13 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     entry = params[name]
     values = decode(entry["data"])
     hp = doc["hyperparameters"]
-    # (object, key) of every field that eval and census both need; an absent
-    # threshold or embedding_trainable reads as a default, so those two are
-    # only given a wrong type
-    sizes = ("max_len",) if doc["task"] == "classify" else ("n_points", "window")
+    # (object, key) of every field that eval and census both need, the record
+    # keys as the check reads them; an absent optional key reads as a
+    # default, so those are only given a wrong type
+    required, optional = _record_keys(doc["model"], doc["task"])
     fields = [
         *((doc, k) for k in ("format", "version", "model", "task", "hyperparameters", "params")),
-        (hp, "d_in"), (hp, "hidden"), *((hp, k) for k in sizes), (params, name),
-        (entry, "shape"), (entry, "data"),
+        *((hp, k) for k in required), (params, name), (entry, "shape"), (entry, "data"),
     ]
     if mutation == "drop-key":
         where, key = rng.choice(fields)
@@ -169,7 +169,7 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     else:  # wrong-type
         choice = rng.randrange(3)
         if choice == 0:
-            where, key = rng.choice([*fields, (hp, "threshold"), (hp, "embedding_trainable")])
+            where, key = rng.choice([*fields, *((hp, k) for k in optional)])
             where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
         elif choice == 1:
             # v1's list, a number or null where the base64 string belongs

@@ -127,6 +127,10 @@ class TestSineTask:
             sine_task(4, 4)
         with pytest.raises(DataError):
             sine_task(10, 0)
+        # each size passes its own rule first: a float or a bool is no size
+        for n_points, window in ((2.5, 1), (8, True)):
+            with pytest.raises(DataError, match="must be a positive integer"):
+                sine_task(n_points, window)
         # refused before any allocation: these would need terabytes
         for n_points, window in ((10**12, 4), (10**6, 10**6 - 1)):
             with pytest.raises(DataError, match="input values"):
@@ -160,8 +164,11 @@ class TestTrainConfig:
             TrainConfig(model="lstm", task="sine", batch_size=0)
         with pytest.raises(DataError):
             TrainConfig(model="lstm", task="sine", threshold=1.0)
+        # past the range, or of a type train cannot use (a bool is no number)
         for bad in (dict(hidden=0), dict(d_basic=0), dict(lr=-1e-3), dict(lr=math.nan),
-                    dict(lr=math.inf), dict(seed=-1), dict(sigma_hidden=1)):
+                    dict(lr=math.inf), dict(seed=-1), dict(sigma_hidden=1), dict(epochs=2.5),
+                    dict(batch_size=2.5), dict(seed=1.5), dict(hidden=2.5), dict(lr="0.1"),
+                    dict(epochs=True), dict(max_len=0)):
             with pytest.raises(DataError):
                 TrainConfig(model="lstm", task="sine", **bad)
         assert TrainConfig(model="lstm", task="sine", lr=0.0).lr == 0.0
