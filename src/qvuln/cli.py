@@ -3,7 +3,14 @@
 Subcommands: preprocess (CSV -> encoded corpus + vocabulary), train, eval,
 sine-demo, gradcheck (finite-difference verification), census (parameter
 count check).  Exit codes: 0 success, 1 usage error, 2 data/format error or
-memory exhaustion, 3 failed verification or divergence.
+memory exhaustion, 3 failed verification or divergence.  A flag that only
+one model or one task reads (`--hidden` the LSTM's, `--[no-]sigma-hidden`
+the QLSTM's, the inputs of classify, `--n-points`/`--window` of sine) is a
+usage error when the run does not read it.
+
+`preprocess` writes `encoded.v3` splits: the token indices as the hex of
+the narrowest unsigned type that holds them, the labels as bytes; loading
+widens both to int64.  Files of an older format are refused, not read.
 
 Diagnostics go to stderr (QVULN_LOG_LEVEL controls verbosity); data goes to
 files or stdout.
@@ -44,6 +51,7 @@ from .vqc import init_vqc_params, vqc_forward, vqc_gradients
 
 log = logging.getLogger("qvuln")
 
+ENCODED_FORMAT = "encoded.v3"
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOLERANCES = {"vqc": 1e-6, "lstm": 1e-6, "qlstm": 1e-5}
 
@@ -74,34 +82,38 @@ def encode_corpus(
 
 
 def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) -> None:
-    """`encoded.v2`: `sequences` and `labels` as int64 `fileio.encode_array` entries."""
+    """`encoded.v3`: `sequences` and `labels` as `fileio.encode_array`
+    entries.  The token indices take the narrowest unsigned type that holds
+    the split's largest one (`<u2` up to 65,535, and for an empty split,
+    else `<u4`); the labels take `|u1`."""
+    seqs = data.sequences
+    index_dtype = "<u2" if seqs.size == 0 or seqs.max() <= 0xFFFF else "<u4"
     write_json({
-        "format": "encoded.v2",
+        "format": ENCODED_FORMAT,
         "split": split,
         "max_len": data.max_len,
         "vocab_digest": data.vocab_digest,
-        "labels": encode_array(data.labels, "<i8"),
-        "sequences": encode_array(data.sequences, "<i8"),
+        "labels": encode_array(data.labels, "|u1"),
+        "sequences": encode_array(seqs, index_dtype),
     }, path)
 
 
 def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
-    doc = read_json(path, "encoded dataset", "encoded.v2")
+    """An `encoded.v3` split, its indices and labels widened to int64."""
+    doc = read_json(path, "encoded dataset", ENCODED_FORMAT)
     _check_settings(doc, ("max_len",), prefix=f"{path}: ")
     max_len, vocab_digest = doc["max_len"], doc.get("vocab_digest")
     if not isinstance(vocab_digest, str):
         raise DataError(f"{path}: vocab_digest must be a string, got {vocab_digest!r}")
     sequences, labels = (
-        decode_array(doc.get(key), "<i8", f"{path}: malformed {key!r} array")
-        for key in ("sequences", "labels")
+        decode_array(doc.get(key), dtypes, f"{path}: malformed {key!r} array").astype(np.int64)
+        for key, dtypes in (("sequences", ("<u2", "<u4")), ("labels", ("|u1",)))
     )
     if labels.ndim != 1 or sequences.shape != (len(labels), max_len):
         raise DataError(f"{path}: sequences of shape {list(sequences.shape)} and labels of "
                         f"shape {list(labels.shape)}, expected [N, {max_len}] and [N]")
     if ((labels != 0) & (labels != 1)).any():
         raise DataError(f"{path}: labels must be 0 or 1")
-    if (sequences < 0).any():
-        raise DataError(f"{path}: token indices must be non-negative")
     return ClassifyDataset(sequences, labels, max_len, vocab_digest)
 
 
@@ -216,6 +228,33 @@ def _load_tables(args: argparse.Namespace) -> list:
     return [load_vectors(p) for p in vectors]
 
 
+def _given(**values) -> dict:
+    """The values that are not None: the flags given on the command line,
+    so that an unset one takes its documented default from the callee."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _unread_flags(args: argparse.Namespace) -> str | None:
+    """The error line for given flags that the run's model or task does not
+    read, or None.  These flags default to None, so a given one is never
+    mistaken for its default (`--embedding` reads as given unless basic)."""
+    only = {
+        ("model", "lstm"): {"--hidden": args.hidden},
+        ("model", "qlstm"): {"--sigma-hidden/--no-sigma-hidden": args.sigma_hidden},
+        ("task", "classify"): {
+            "--data": args.data, "--vocab": args.vocab, "--eval-data": args.eval_data,
+            "--vectors": args.vectors, "--d-basic": args.d_basic,
+            "--embedding": None if args.embedding == "basic" else args.embedding,
+        },
+        ("task", "sine"): {"--n-points": args.n_points, "--window": args.window},
+    }
+    for (option, owner), flags in only.items():
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given and getattr(args, option) != owner:
+            return f"error: --{option} {getattr(args, option)} takes no {', '.join(given)}"
+    return None
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     d_basic = D_BASIC_DEFAULT if args.d_basic is None else args.d_basic
     config = TrainConfig(
@@ -226,14 +265,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         lr=args.lr,
         threshold=args.threshold,
-        hidden=args.hidden,
         d_basic=d_basic,
-        sigma_hidden=args.sigma_hidden,
+        **_given(hidden=args.hidden, sigma_hidden=args.sigma_hidden),
     )
     check_output_paths(
         [args.out, args.metrics, args.curves],
         [args.data, args.eval_data, args.vocab, *(args.vectors or [])],
     )
+    # after the settings' range checks, before any input is read
+    unread = _unread_flags(args)
+    if unread:
+        print(unread, file=sys.stderr)
+        return 1
     if args.task == "classify":
         if args.data is None or args.vocab is None:
             print("error: --task classify requires --data and --vocab", file=sys.stderr)
@@ -253,16 +296,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             eval_data=eval_data, curves_path=args.curves,
         )
     else:
-        # the classify-only inputs, each flagged as given; the defaults read as not
-        classify_inputs = {"--data": args.data, "--vocab": args.vocab,
-                           "--eval-data": args.eval_data, "--vectors": args.vectors,
-                           "--d-basic": args.d_basic is not None,
-                           "--embedding": args.embedding != "basic"}
-        given = [flag for flag, value in classify_inputs.items() if value]
-        if given:
-            print(f"error: --task sine takes no {', '.join(given)}", file=sys.stderr)
-            return 1
-        data = sine_task(args.n_points, args.window)
+        data = sine_task(**_given(n_points=args.n_points, window=args.window))
         ckpt, report = train(config, data, curves_path=args.curves)
     save_checkpoint(ckpt, args.out)
     if args.metrics:
@@ -379,14 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="learning rate (default: 1e-2 sine, 1e-3 classify)")
     p.add_argument("--seed", type=int, default=42, help="seed for init and shuffling")
     p.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
-    p.add_argument("--hidden", type=int, default=50, help="classical hidden units")
+    p.add_argument("--hidden", type=int, default=None,
+                   help="classical hidden units, lstm only (default: 50)")
     p.add_argument("--d-basic", type=int, default=None,
                    help=f"trainable embedding dimension, basic mode only "
                         f"(default: {D_BASIC_DEFAULT})")
-    p.add_argument("--n-points", type=int, default=100, help="sine task sample count")
-    p.add_argument("--window", type=int, default=4, help="sine task input window")
-    p.add_argument("--sigma-hidden", action=argparse.BooleanOptionalAction, default=True,
-                   help="wrap the quantum hidden-state block in a sigmoid")
+    p.add_argument("--n-points", type=int, default=None,
+                   help="sine task sample count (default: 100)")
+    p.add_argument("--window", type=int, default=None, help="sine task input window (default: 4)")
+    p.add_argument("--sigma-hidden", action=argparse.BooleanOptionalAction, default=None,
+                   help="wrap the quantum hidden-state block in a sigmoid, qlstm only "
+                        "(default: true)")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--metrics", default=None, help="metrics report output path")
     p.add_argument("--curves", default=None, help="prediction curve output path")

@@ -3,8 +3,10 @@
 Covers the binary-classification metrics (accuracy, precision, recall, F1
 with zero-denominator flags), seeded mini-batch training with Adam, the
 windowed sine-regression task, wall-clock timing, an exact parameter
-census, and versioned JSON checkpoints that round-trip bitwise (each array
-stored as its float64 bytes through `fileio.encode_array`).
+census, and versioned JSON checkpoints (`checkpoint.v3`) that round-trip
+bitwise: each array is stored as the hex of its little-endian float64
+bytes through `fileio.encode_array`, and a file of another format version
+is refused, not converted.
 
 Both tasks are index rows into a table (token indices into the embedding
 rows, sine windows into a table of sine values), and `_check_split` checks
@@ -63,7 +65,7 @@ log = logging.getLogger("qvuln")
 
 MODELS = ("lstm", "qlstm")
 TASKS = ("classify", "sine")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 CHECKPOINT_FORMAT = f"checkpoint.v{CHECKPOINT_VERSION}"
 
 SINE_DEFAULT_EPOCHS = 30
@@ -289,10 +291,10 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Versioned JSON document; each array is stored as its little-endian
-    float64 bytes (`fileio.encode_array`), so it round-trips bitwise.  An
-    array holding a non-finite value raises ValueError before anything is
-    written, and `path` is left as it was."""
+    """Versioned JSON document; each array is stored as the hex of its
+    little-endian float64 bytes (`fileio.encode_array`, dtype `"<f8"`), so
+    it round-trips bitwise.  An array holding a non-finite value raises
+    ValueError before anything is written, and `path` is left as it was."""
     params = {}
     for name, arr in ckpt.arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -323,7 +325,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(doc.get("vocab_digest"), (str, type(None))):
         raise CheckpointError(f"{path}: vocab_digest must be a string or null")
     arrays = {
-        name: decode_array(entry, "<f8", f"{path}: malformed parameter array {name!r}",
+        name: decode_array(entry, ("<f8",), f"{path}: malformed parameter array {name!r}",
                            CheckpointError)
         for name, entry in doc["params"].items()
     }

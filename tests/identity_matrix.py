@@ -9,7 +9,9 @@ tree in one fresh process, prints the outputs whose digests differ and exits
 the difference is: max |a - b| / max |a| of each array (a checkpoint's
 parameters, a split's arrays, a JSON list), column (of a curves file) or
 number (a JSON value) that differs, and of the numbers of a differing
-stdout in order.  Each tree's digests are written to `digests-a.json` and
+stdout in order.  Arrays are compared by value, so a v2 file (base64
+int64 or float64) and a v3 file (hex of the recorded dtype) holding the
+same arrays show no difference but their `version`.  Each tree's digests are written to `digests-a.json` and
 `digests-b.json` in the working directory.
 
 The list: `preprocess` at `--max-len` 6, 20 and 1; `train` of the LSTM and
@@ -32,6 +34,7 @@ another host may give other bits.
 """
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import hashlib
@@ -113,8 +116,9 @@ def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
         else:
             inputs = ["--n-points", "12", "--window", "3"]
         files = [f"{name}.json", f"{name}-curves.json", f"{name}-metrics.json"]
+        hidden = ["--hidden", "2"] if model == "lstm" else []
         out.append((f"train {name}", ["train", "--model", model, "--task", task, *inputs,
-                                      "--epochs", EPOCHS, "--hidden", "2", *flags,
+                                      "--epochs", EPOCHS, *hidden, *flags,
                                       "--out", files[0], "--curves", files[1],
                                       "--metrics", files[2]], files))
     for name, (_, task, enc, _) in CHECKPOINTS.items():
@@ -178,11 +182,21 @@ def tree_digests(tree: Path, corpus: Path, work: Path | None = None) -> dict[str
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _entry_array(entry: dict, v2_dtype: str) -> np.ndarray:
+    """The array of an encoded entry: a v3 `{"shape", "dtype", "data"}`
+    entry read as its recorded dtype, a v2 `{"shape", "data"}` entry (the
+    base64 of its bytes) as `v2_dtype`."""
+    if "dtype" in entry:
+        return checkpoint_codec.entry_values(entry)
+    raw = base64.b64decode(entry["data"], validate=True)
+    return np.frombuffer(raw, v2_dtype).reshape(entry["shape"])
+
+
 def _json_numbers(value, key: str, dtype: str, out: dict[str, np.ndarray]) -> None:
-    """Each array (an encoded `{"shape", "data"}` entry or a list of
-    numbers) and each number of a JSON value, keyed by its path."""
-    if isinstance(value, dict) and set(value) == {"shape", "data"}:
-        out[key] = checkpoint_codec.decode(value["data"], dtype).reshape(value["shape"])
+    """Each array (an encoded entry or a list of numbers) and each number
+    of a JSON value, keyed by its path; `dtype` is a v2 entry's."""
+    if isinstance(value, dict) and set(value) - {"dtype"} == {"shape", "data"}:
+        out[key] = _entry_array(value, dtype)
     elif isinstance(value, dict):
         for name, item in value.items():
             if name != "wall_time_seconds":

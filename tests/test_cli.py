@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qvuln.trainer
-from checkpoint_codec import array_entry, decode, encode
+from checkpoint_codec import array_entry, decode, encode, entry_values, index_entry
 from qvuln import cli
 from qvuln.cli import (
     load_encoded_dataset,
@@ -91,14 +91,15 @@ options:
   --seed SEED           seed for init and shuffling (default: 42)
   --threshold THRESHOLD
                         decision threshold (default: 0.5)
-  --hidden HIDDEN       classical hidden units (default: 50)
+  --hidden HIDDEN       classical hidden units, lstm only (default: 50)
+                        (default: None)
   --d-basic D_BASIC     trainable embedding dimension, basic mode only
                         (default: 50) (default: None)
-  --n-points N_POINTS   sine task sample count (default: 100)
-  --window WINDOW       sine task input window (default: 4)
+  --n-points N_POINTS   sine task sample count (default: 100) (default: None)
+  --window WINDOW       sine task input window (default: 4) (default: None)
   --sigma-hidden, --no-sigma-hidden
-                        wrap the quantum hidden-state block in a sigmoid
-                        (default: True)
+                        wrap the quantum hidden-state block in a sigmoid,
+                        qlstm only (default: true) (default: None)
   --out OUT             checkpoint output path (default: None)
   --metrics METRICS     metrics report output path (default: None)
   --curves CURVES       prediction curve output path (default: None)
@@ -161,11 +162,11 @@ def fixed_terminal(monkeypatch):
 
 
 def _set_token(doc: dict, row: int, col: int, value: int) -> None:
-    """Write `value` at (row, col) of an `encoded.v2` split's sequences."""
-    entry = doc["sequences"]
-    seqs = decode(entry["data"], "<i8").reshape(entry["shape"])
+    """Write `value` at (row, col) of an `encoded.v3` split's sequences,
+    stored as `checkpoint_codec.index_entry` stores them."""
+    seqs = entry_values(doc["sequences"]).astype(np.int64)
     seqs[row, col] = value
-    entry["data"] = encode(seqs, "<i8")
+    doc["sequences"] = index_entry(seqs)
 
 class TestHelpSnapshots:
     @pytest.mark.parametrize(
@@ -294,9 +295,11 @@ class TestExitCodes:
         bad_path.write_text(json.dumps(doc))
         capsys.readouterr()
         eval_argv = ["eval", "--ckpt", str(ckpt_path), "--data", str(bad_path)]
+        # no dtype a split may use holds a negative index
         for argv in (train_argv(bad_path), eval_argv):
             assert main(argv) == 2
-            assert "non-negative" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "dtype must be one of '<u2', '<u4', got '<i8'" in err, err
 
 
     def test_token_index_past_vocabulary_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
@@ -332,18 +335,18 @@ class TestExitCodes:
         split = json.loads((enc_dir / "train.json").read_text())
         vocab = json.loads((enc_dir / "vocab.json").read_text())
         without = lambda doc, key: {k: v for k, v in doc.items() if k != key}
-        seqs = decode(split["sequences"]["data"], "<i8").reshape(split["sequences"]["shape"])
-        labels = decode(split["labels"]["data"], "<i8")
+        seqs, labels = entry_values(split["sequences"]), entry_values(split["labels"])
+        index = split["sequences"]["dtype"]
         bad_splits = [
             [split["sequences"]],
             without(split, "max_len"),
             {**split, "max_len": "two"},
             # rows one token shorter than max_len
-            {**split, "sequences": array_entry(seqs[:, :-1], "<i8")},
+            {**split, "sequences": array_entry(seqs[:, :-1], index)},
             {**split, "labels": ["x", "y"]},
             # one sample whose labels shape is [true]: a JSON boolean is not a count
-            {**split, "sequences": array_entry(seqs[:1], "<i8"),
-             "labels": {"shape": [True], "data": encode(labels[:1], "<i8")}},
+            {**split, "sequences": array_entry(seqs[:1], index),
+             "labels": {"shape": [True], "dtype": "|u1", "data": encode(labels[:1], "|u1")}},
             {**split, "vocab_digest": None},
         ]
         bad_vocabs = [vocab["tokens"], without(vocab, "tokens"), {**vocab, "tokens": [1, 2]}]
@@ -453,6 +456,37 @@ class TestExitCodes:
             assert all(flag in err for flag in args if flag.startswith("--")), err
         assert not ckpt_path.exists()
 
+    @pytest.mark.parametrize("model, task, flags, owner", [
+        ("qlstm", "sine", ["--hidden", "7"], "--model qlstm"),
+        ("lstm", "sine", ["--sigma-hidden"], "--model lstm"),
+        ("lstm", "sine", ["--no-sigma-hidden"], "--model lstm"),
+        ("lstm", "classify", ["--n-points", "8"], "--task classify"),
+        ("lstm", "classify", ["--window", "2"], "--task classify"),
+    ], ids=["hidden", "sigma-hidden", "no-sigma-hidden", "n-points", "window"])
+    def test_flag_the_run_does_not_read_is_usage_error(self, model, task, flags, owner,
+                                                       tmp_path, capsys):
+        # the flag is refused, not dropped, before any input is read
+        ckpt_path = tmp_path / "ckpt.json"
+        inputs = (["--data", str(tmp_path / "absent.json"), "--vocab", str(tmp_path / "v.json")]
+                  if task == "classify" else [])
+        capsys.readouterr()
+        assert main(["train", "--model", model, "--task", task, *inputs, *flags,
+                     "--out", str(ckpt_path)]) == 1
+        err = capsys.readouterr().err
+        taken = "--sigma-hidden/--no-sigma-hidden" if "sigma" in flags[0] else flags[0]
+        assert err == f"error: {owner} takes no {taken}\n", err
+        assert not ckpt_path.exists()
+
+    def test_unset_flags_take_their_documented_values(self, tmp_path):
+        for model, sizes in (("lstm", []), ("qlstm", ["--n-points", "8", "--window", "2"])):
+            ckpt_path = tmp_path / f"{model}.json"
+            assert main(["train", "--model", model, "--task", "sine", "--epochs", "1", *sizes,
+                         "--out", str(ckpt_path)]) == 0
+            hp = load_checkpoint(ckpt_path).hyperparameters
+            assert (hp.get("hidden"), hp.get("sigma_hidden")) == (
+                (50, None) if model == "lstm" else (None, True)), model
+            assert (hp["n_points"], hp["window"]) == ((100, 4) if model == "lstm" else (8, 2))
+
     def test_eval_split_of_another_max_len_exits_before_training(
         self, monkeypatch, tiny_corpus_dir, tmp_path, capsys
     ):
@@ -561,7 +595,7 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert err == (f"error: {v1_path}: unsupported format 'encoded.v1', "
-                       "expected 'encoded.v2'\n"), err
+                       "expected 'encoded.v3'\n"), err
         assert not (tmp_path / "ckpt.json").exists()
 
     def test_malformed_later_csv_writes_no_file(self, tiny_corpus_dir, tmp_path, capsys):
@@ -944,26 +978,27 @@ class TestCheckpointSchema:
         assert "non-finite" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name, entry", [
-        ("head_b", {"shape": [], "data": "7"}),
-        ("head_b", {"shape": [], "data": [0.5]}),
-        ("head_w", {"shape": None, "data": encode([0.5, -0.5])}),
-        ("head_b", {"shape": [], "data": encode(0.5)[:-1]}),
-        ("head_w", {"shape": [2, True], "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": [-1], "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": [2], "data": encode([0.5])}),
-        ("head_w", {"shape": [2], "data": encode([0.5, -0.5, 0.5])}),
-        ("head_w", {"shape": [2.0], "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": 2, "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": [2], "data": encode([0.5, -0.5])[:-2] + "!="}),
-        ("head_w", {"shape": [2], "data": encode([0.5, -0.5]) + "A"}),
-        ("head_w", {"shape": [2], "data": "é" + encode([0.5, -0.5])[1:]}),
-        ("head_b", {"shape": [], "data": 0.5}),
-        ("head_b", {"shape": [], "data": None}),
-        ("head_b", {"shape": []}),
+        ("head_b", {"shape": [], "dtype": "<f8", "data": "7"}),
+        ("head_b", {"shape": [], "dtype": "<f8", "data": [0.5]}),
+        ("head_w", {"shape": None, "dtype": "<f8", "data": encode([0.5, -0.5])}),
+        ("head_b", {"shape": [], "dtype": "<f8", "data": encode(0.5)[:-1]}),
+        ("head_w", {"shape": [2, True], "dtype": "<f8", "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": [-1], "dtype": "<f8", "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5])}),
+        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5, -0.5, 0.5])}),
+        ("head_w", {"shape": [2.0], "dtype": "<f8", "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": 2, "dtype": "<f8", "data": encode([0.5, -0.5])}),
+        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5, -0.5])[:-2] + "!="}),
+        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5, -0.5]) + "A"}),
+        ("head_w", {"shape": [2], "dtype": "<f8", "data": "é" + encode([0.5, -0.5])[1:]}),
+        ("head_b", {"shape": [], "dtype": "<f8", "data": 0.5}),
+        ("head_b", {"shape": [], "dtype": "<f8", "data": None}),
+        ("head_b", {"shape": [], "dtype": "<f8"}),
         ("head_b", [0.5]),
     ])
     def test_non_numeric_entry_is_checkpoint_error(self, name, entry, tmp_path, capsys):
-        # "7" and a cut-off string are bad base64 padding, and a list is v1's
+        # "7" and a cut-off string have an odd number of hex digits, "!" is no
+        # hex digit and "é" no ASCII character, and a list is v1's
         # data; numpy would take a null shape as "keep the shape" (head_w
         # holds 2 values), true as 1 and -1 as "infer it", so shapes are
         # checked before any reshape; a payload 8 bytes short or over does
@@ -1000,7 +1035,7 @@ class TestCheckpointSchema:
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert "'checkpoint.v1'" in err and "'checkpoint.v2'" in err, err
+            assert "'checkpoint.v1'" in err and "'checkpoint.v3'" in err, err
 
     def test_recorded_size_past_stored_arrays_is_checkpoint_error(self, tmp_path, capsys):
         # fresh parameters at d_in 10**12 would need terabytes; the size is
@@ -1087,7 +1122,8 @@ class TestCheckpointSchema:
         ckpt_path = tmp_path / "ckpt.json"
         assert main([
             "train", "--model", model, "--task", "sine", "--epochs", "1",
-            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+            "--n-points", "8", "--window", "2", *(["--hidden", "2"] if model == "lstm" else []),
+            "--out", str(ckpt_path),
         ]) == 0
         doc = json.loads(ckpt_path.read_text())
         doc["hyperparameters"][key] = value
@@ -1394,7 +1430,7 @@ class TestClassifyClosure:
                 "--data", str(enc_dir / "train.json"),
                 "--eval-data", str(enc_dir / "validation.json"),
                 "--vocab", str(enc_dir / "vocab.json"), "--embedding", mode, *vectors,
-                "--epochs", "1", "--hidden", "3",
+                "--epochs", "1", *(["--hidden", "3"] if model == "lstm" else []),
                 "--out", str(ckpt_path), "--metrics", str(metrics_path),
             ]) == 0, mode
             doc = load_metrics(metrics_path)
@@ -1419,8 +1455,8 @@ class TestClassifyClosure:
             "--out", str(enc_dir),
         ]) == 0
         doc = json.loads((enc_dir / "validation.json").read_text())
-        assert doc["sequences"] == {"shape": [0, 12], "data": ""}
-        assert doc["labels"] == {"shape": [0], "data": ""}
+        assert doc["sequences"] == {"shape": [0, 12], "dtype": "<u2", "data": ""}
+        assert doc["labels"] == {"shape": [0], "dtype": "|u1", "data": ""}
         split = load_encoded_dataset(enc_dir / "validation.json")
         assert split.sequences.shape == (0, 12) and split.sequences.dtype == np.int64
         assert split.labels.shape == (0,) and split.max_len == 12
@@ -1428,7 +1464,7 @@ class TestClassifyClosure:
     def test_preprocess_files_are_pinned(self, corpus_dir, tmp_path):
         # `vocab.json` and the decoded arrays are what the character-loop
         # tokenizer wrote for this corpus (the arrays were then decimal
-        # `encoded.v1` lists); the split files are pinned as `encoded.v2`
+        # `encoded.v1` lists); the split files are pinned as `encoded.v3`
         enc_dir = tmp_path / "encoded"
         assert main([
             "preprocess", "--data-dir", str(corpus_dir), "--max-len", "24",
@@ -1440,9 +1476,9 @@ class TestClassifyClosure:
         }
         assert digests == {
             "vocab.json": "7604990349b5084c6f18f8aa6cb06f780e206bafcedc0f9857ba0c8c57544e71",
-            "train.json": "aaf0f492613d9d4f01669582374129461cfd25c10ce5d55150f9183a0fcb6675",
-            "validation.json": "b738e6a24c7a7c374bb4495543911ac420816d04cdc74fd819aca823aa020cc2",
-            "test.json": "bc26677816381759f92c02695daaf6771c7beceb8314a06b658c0ef9b57deb17",
+            "train.json": "d77033e6a151efe9565fd6ae6b109459a61135890dd0adff2550f75a7695172f",
+            "validation.json": "ff075dc1d8b37a7f7075395ebcd52285a118cb6518948347b375c6abb65f7eb7",
+            "test.json": "d4bf8a6160eb8be8ab53ab129fd6a3f0a33c3edbea8563b8359506a7b370f52f",
         }
         arrays = {}
         for split in ("train", "validation", "test"):

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import qvuln
-from checkpoint_codec import array_entry, decode, encode
-from qvuln.cli import main
+from checkpoint_codec import array_entry, decode, encode, entry_values, index_entry
+from qvuln.cli import load_encoded_dataset, main, save_encoded_dataset
 from qvuln.errors import CheckpointError, DataError
-from qvuln.fileio import read_json
-from qvuln.trainer import _record_keys
+from qvuln.fileio import decode_array, encode_array, read_json
+from qvuln.trainer import ClassifyDataset, _record_keys
 
 SRC = Path(qvuln.__file__).parent
 
@@ -51,7 +51,7 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Attribute):
         if func.attr == "open":
             return ".open"
-        if isinstance(func.value, ast.Name) and func.value.id in ("json", "base64"):
+        if isinstance(func.value, ast.Name) and func.value.id in ("json", "binascii"):
             return f"{func.value.id}.{func.attr}"
     return None
 
@@ -75,7 +75,98 @@ def test_only_fileio_opens_files_or_handles_json():
 def test_only_fileio_encodes_arrays():
     # one array codec: checkpoints and encoded splits both go through
     # fileio.encode_array and fileio.decode_array
-    assert _calls_outside_fileio(("base64.b64encode", "base64.b64decode")) == []
+    assert _calls_outside_fileio(("binascii.b2a_hex", "binascii.a2b_hex")) == []
+
+
+# --- the array codec ---
+
+CODEC_VALUES = {
+    "<f8": [[-0.0, 5e-324, -1.7976931348623157e308], [0.1, np.nextafter(1.0, 2.0), 1e-310]],
+    "<u2": [[0, 1, 65_535], [256, 255, 65_534]],
+    "<u4": [[0, 65_536, 2**32 - 1], [2**31, 1, 16_777_216]],
+    "|u1": [[0, 1, 255], [128, 127, 2]],
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(CODEC_VALUES))
+def test_codec_round_trips_each_dtype(dtype):
+    for arr in (np.array(CODEC_VALUES[dtype], dtype), np.array(CODEC_VALUES[dtype], dtype).T,
+                np.zeros((0, 3), dtype), np.array(CODEC_VALUES[dtype][0][2], dtype)):
+        entry = json.loads(json.dumps(encode_array(arr, dtype)))
+        # the independent codec writes the same text
+        assert entry == array_entry(arr, dtype)
+        back = decode_array(entry, (dtype,), "x")
+        assert back.shape == arr.shape and back.dtype == np.dtype(dtype).newbyteorder("=")
+        assert back.flags.writeable and back.flags.c_contiguous
+        assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("largest, dtype", [(65_535, "<u2"), (65_536, "<u4"), (None, "<u2")],
+                         ids=["65535", "65536", "empty"])
+def test_split_indices_take_the_narrowest_type(largest, dtype, tmp_path):
+    sequences = np.array([[2, 0], [largest, 1]]) if largest else np.zeros((0, 2), np.int64)
+    labels = np.arange(len(sequences)) % 2
+    path = tmp_path / "split.json"
+    save_encoded_dataset(ClassifyDataset(sequences, labels, 2, "d"), "train", path)
+    doc = json.loads(path.read_text())
+    assert (doc["sequences"]["dtype"], doc["labels"]["dtype"]) == (dtype, "|u1")
+    data = load_encoded_dataset(path)
+    assert data.sequences.dtype == data.labels.dtype == np.int64
+    assert np.array_equal(data.sequences, sequences) and np.array_equal(data.labels, labels)
+
+
+def _damage(entry: dict, damage: str) -> None:
+    data, dtype = entry["data"], entry["dtype"]
+    entry.update({
+        "odd length": {"data": data[:-1]},
+        "non-hex digit": {"data": "g" + data[1:]},
+        "non-ASCII text": {"data": "\u00e9" + data[1:]},
+        "dtype not allowed": {"dtype": "<i8" if dtype != "<f8" else ">f8"},
+        "byte count": {"data": data[:-2 * np.dtype(dtype).itemsize]},
+    }[damage])
+
+
+DAMAGE_REASONS = {
+    "odd length": "Odd-length string",
+    "non-hex digit": "Non-hexadecimal digit found",
+    "non-ASCII text": "only ASCII characters",
+    "dtype not allowed": "dtype must be one of",
+    "byte count": "bytes, shape",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE_REASONS)
+@pytest.mark.parametrize("kind", ["checkpoint-eval", "checkpoint-census", "split"])
+def test_damaged_array_text_exits_2(kind, damage, good, tmp_path, capsys):
+    source = good / ("train.json" if kind == "split" else "ckpt.json")
+    doc = json.loads(source.read_text())
+    entries = (doc["sequences"], doc["labels"]) if kind == "split" else doc["params"].values()
+    for k, entry in enumerate(entries):
+        original = dict(entry)
+        _damage(entry, damage)
+        path = tmp_path / "input"
+        path.write_text(json.dumps(doc))
+        entry.update(original)
+        capsys.readouterr()
+        assert main(_argv(kind, path, good, tmp_path, sine=False)) == 2, k
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (k, err)
+        assert "malformed" in err and DAMAGE_REASONS[damage] in err, (k, err)
+
+
+def test_v2_files_exit_2_naming_the_expected_format(good, tmp_path, capsys):
+    # old files are refused by their tag, whatever they hold; no reader converts them
+    for kind, source, tag in (("checkpoint-eval", "ckpt.json", "checkpoint"),
+                              ("checkpoint-census", "ckpt.json", "checkpoint"),
+                              ("split", "train.json", "encoded")):
+        doc = json.loads((good / source).read_text())
+        path = tmp_path / f"{tag}-v2.json"
+        path.write_text(json.dumps({**doc, "format": f"{tag}.v2"}))
+        capsys.readouterr()
+        assert main(_argv(kind, path, good, tmp_path, sine=False)) == 2, kind
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: unsupported format '{tag}.v2', "
+                       f"expected '{tag}.v3'\n"), err
 
 
 # --- seeded mutation fuzz ---
@@ -144,7 +235,8 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     required, optional = _record_keys(doc["model"], doc["task"])
     fields = [
         *((doc, k) for k in ("format", "version", "model", "task", "hyperparameters", "params")),
-        *((hp, k) for k in required), (params, name), (entry, "shape"), (entry, "data"),
+        *((hp, k) for k in required), (params, name),
+        *((entry, k) for k in ("shape", "dtype", "data")),
     ]
     if mutation == "drop-key":
         where, key = rng.choice(fields)
@@ -172,30 +264,30 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
             where, key = rng.choice([*fields, *((hp, k) for k in optional)])
             where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
         elif choice == 1:
-            # v1's list, a number or null where the base64 string belongs
+            # v1's list, a number or null where the hex string belongs
             entry["data"] = rng.choice([values.tolist(), 0.5, None])
         else:
             data = entry["data"]
             at = rng.randrange(len(data))
             entry["data"] = rng.choice([
-                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not base64
-                data.rstrip("=") + "A",  # bad padding, or one byte past the shape
+                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not hex
+                data + "a",  # an odd number of hex digits
             ])
     return doc
 
 
 def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
-    """A damaged `encoded.v2` split; `n_rows` is the embedding's row count."""
+    """A damaged `encoded.v3` split; `n_rows` is the embedding's row count."""
     seq_entry, label_entry = doc["sequences"], doc["labels"]
-    seqs = decode(seq_entry["data"], "<i8").reshape(seq_entry["shape"])
-    labels = decode(label_entry["data"], "<i8")
+    index = seq_entry["dtype"]
+    seqs, labels = entry_values(seq_entry), entry_values(label_entry)
     row = rng.randrange(len(seqs))
     col = rng.randrange(seqs.shape[1])
     entry = rng.choice([seq_entry, label_entry])
     if mutation == "drop-key":
         where, key = rng.choice([
             *((doc, k) for k in ("format", "max_len", "vocab_digest", "sequences", "labels")),
-            (entry, "shape"), (entry, "data"),
+            (entry, "shape"), (entry, "dtype"), (entry, "data"),
         ])
         del where[key]
     elif mutation == "reshape":
@@ -205,32 +297,37 @@ def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
         elif choice == 1:
             # each row one token short or long, its shape to match
             width = seqs.shape[1] + rng.choice([-1, 1])
-            doc["sequences"] = array_entry(np.resize(seqs, (len(seqs), width)), "<i8")
+            doc["sequences"] = array_entry(np.resize(seqs, (len(seqs), width)), index)
         elif choice == 2:
             label_entry["shape"] = [len(labels), 1]
         elif choice == 3:
-            doc["labels"] = array_entry(labels[:-1], "<i8")  # a label short
+            doc["labels"] = array_entry(labels[:-1], "|u1")  # a label short
         else:
             # `data` one element short or long of its shape
-            values = decode(entry["data"], "<i8")
-            entry["data"] = encode(values[:-1] if rng.random() < 0.5 else [*values, 0], "<i8")
+            values = decode(entry["data"], entry["dtype"])
+            entry["data"] = encode(values[:-1] if rng.random() < 0.5 else [*values, 0],
+                                   entry["dtype"])
     elif mutation == "nan":
-        # a float64 NaN's bit pattern where an int64 belongs
-        nan = np.array([rng.choice([float("nan"), -float("nan")])]).view("<i8")[0]
+        # a float64 NaN's bit pattern where an index or a label belongs: its
+        # most significant bytes, as many as the entry's type holds
+        nan = np.array([rng.choice([float("nan"), -float("nan")])], "<f8")
         if rng.random() < 0.5:
-            seqs[row, col] = nan
-            seq_entry["data"] = encode(seqs, "<i8")
+            seqs[row, col] = nan.view(index)[-1]
+            seq_entry["data"] = encode(seqs, index)
         else:
-            labels[row] = nan
-            label_entry["data"] = encode(labels, "<i8")
+            labels[row] = nan.view("|u1")[-1]
+            label_entry["data"] = encode(labels, "|u1")
     elif mutation == "out-of-range":
         choice = rng.randrange(3)
         if choice == 0:
-            seqs[row, col] = rng.choice([-1, n_rows, n_rows + 7, 2**63 - 1, -(2**63)])
-            seq_entry["data"] = encode(seqs, "<i8")
+            # in the narrowest type that holds it; a negative index or one
+            # past 2**32 - 1 as int64, which a split may not use
+            seqs = seqs.astype(np.int64)
+            seqs[row, col] = rng.choice([-1, n_rows, n_rows + 7, 2**16, 2**63 - 1, -(2**63)])
+            doc["sequences"] = index_entry(seqs)
         elif choice == 1:
-            labels[row] = rng.choice([2, -1])
-            label_entry["data"] = encode(labels, "<i8")
+            labels[row] = rng.choice([2, 255])  # 255 is -1's byte
+            label_entry["data"] = encode(labels, "|u1")
         else:
             doc["max_len"] = rng.choice([0, -6, seqs.shape[1] + 1])
     else:  # wrong-type
@@ -238,7 +335,7 @@ def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
         if choice == 0:
             where = rng.choice([doc, entry])
             key = rng.choice(["sequences", "labels", "max_len", "format", "vocab_digest"]
-                             if where is doc else ["shape", "data"])
+                             if where is doc else ["shape", "dtype", "data"])
             where[key] = rng.choice(["7", 6.5, True, None, {}])
         elif choice == 1:
             # a bool, a float, a string or null among the shape's sizes
@@ -246,14 +343,14 @@ def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
                 [True, False, 2.5, "3", None]
             )
         elif choice == 2:
-            # v1's decimal list where the base64 string belongs
+            # v1's decimal list where the hex string belongs
             entry["data"] = (seqs if entry is seq_entry else labels).tolist()
         else:
             data = entry["data"]
             at = rng.randrange(len(data))
             entry["data"] = rng.choice([
-                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not base64
-                data.rstrip("=") + "A",  # bad padding, or one byte past the shape
+                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not hex
+                data + "a",  # an odd number of hex digits
             ])
     return doc
 
@@ -357,7 +454,7 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
             n_rows = len(json.loads((good / "vocab.json").read_text())["tokens"]) + 2
             doc = _split(rng, doc, mutation, n_rows)
         elif kind == "vocabulary":
-            max_index = int(decode(split["sequences"]["data"], "<i8").max())
+            max_index = int(entry_values(split["sequences"]).max())
             doc = _vocabulary(rng, doc, mutation, max_index)
         else:
             doc = _checkpoint(rng, doc, mutation, kind == "checkpoint-eval")

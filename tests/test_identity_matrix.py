@@ -4,8 +4,11 @@ process, gives the same digest for each output; and the matrix's report of
 how large a difference is."""
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
+
+import numpy as np
 
 import checkpoint_codec
 import identity_matrix
@@ -24,14 +27,26 @@ def test_two_fresh_processes_give_equal_digests(tmp_path):
 def test_differing_outputs_report_each_array_column_and_number(tmp_path):
     # b's values sit 1e-12 (relative) off a's in one array of a checkpoint,
     # one column of a curves file, one list of a metrics file and one number
-    # of a stdout; equal values and `wall_time_seconds` are not reported
+    # of a stdout; equal values and `wall_time_seconds` are not reported,
+    # nor a split whose v2 int64 arrays hold the values of its v3 narrow ones
     outputs = {}
     for side, moved in (("a", 1.0), ("b", 1.0 + 1e-12)):
         work = tmp_path / side
         (work / "stdout").mkdir(parents=True)
         params = {"w": checkpoint_codec.array_entry([2.0, -4.0 * moved]),
                   "b": checkpoint_codec.array_entry([1.0])}
-        (work / "ck.json").write_text(json.dumps({"format": "checkpoint.v2", "params": params}))
+        (work / "ck.json").write_text(json.dumps({"format": "checkpoint.v3", "params": params}))
+        sequences, labels = [[2, 65_535], [0, 1]], [1, 0]
+        if side == "a":
+            split = {"format": "encoded.v2", **{
+                key: {"shape": list(np.shape(values)), "data": base64.b64encode(
+                    np.array(values, "<i8").tobytes()).decode("ascii")}
+                for key, values in (("sequences", sequences), ("labels", labels))}}
+        else:
+            split = {"format": "encoded.v3",
+                     "sequences": checkpoint_codec.array_entry(sequences, "<u2"),
+                     "labels": checkpoint_codec.array_entry(labels, "|u1")}
+        (work / "split.json").write_text(json.dumps(split))
         (work / "curves.json").write_text(f"# x actual predicted epoch\n0.5 1.0 {0.25 * moved!r} 1\n")
         (work / "metrics.json").write_text(json.dumps(
             {"format": "metrics.v1", "wall_time_seconds": moved, "loss_curve": [0.5, 0.5 * moved],
@@ -41,6 +56,7 @@ def test_differing_outputs_report_each_array_column_and_number(tmp_path):
     sizes = {name: identity_matrix.relative_differences(
                  identity_matrix.output_numbers(outputs["a"], name),
                  identity_matrix.output_numbers(outputs["b"], name))
-             for name in ("ck.json", "curves.json", "metrics.json", "eval x: stdout")}
-    assert sizes == {"ck.json": ["params.w: 1e-12"], "curves.json": ["predicted: 1e-12"],
+             for name in ("ck.json", "split.json", "curves.json", "metrics.json", "eval x: stdout")}
+    assert sizes == {"ck.json": ["params.w: 1e-12"], "split.json": [],
+                     "curves.json": ["predicted: 1e-12"],
                      "metrics.json": ["loss_curve: 1e-12"], "eval x: stdout": ["numbers: 1e-12"]}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qvuln.trainer
-from checkpoint_codec import encode
+from checkpoint_codec import array_entry
 from qvuln.corpus import PAD_INDEX, Vocabulary
 from qvuln.embedding import build_embedding_matrix
 from qvuln.errors import CheckpointError, DataError, DivergenceError
@@ -410,8 +410,8 @@ class TestCheckpointFiles:
         path = tmp_path / "model.json"
         save_checkpoint(self.make_checkpoint(), path)
         text = path.read_text()
-        assert '"version": 2' in text
-        path.write_text(text.replace('"version": 2', '"version": 99'))
+        assert '"version": 3' in text
+        path.write_text(text.replace('"version": 3', '"version": 99'))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -451,7 +451,7 @@ class TestCheckpointFiles:
         # the stored bytes are the little-endian float64 bytes in C order
         doc = json.loads(path.read_text())
         for name, arr in arrays.items():
-            assert doc["params"][name] == {"shape": list(arr.shape), "data": encode(arr)}, name
+            assert doc["params"][name] == array_entry(arr), name
         again = load_checkpoint(path).arrays
         for name, arr in arrays.items():
             got = again[name]
