@@ -4,9 +4,12 @@ Subcommands: preprocess (CSV -> encoded corpus + vocabulary), train, eval,
 sine-demo, gradcheck (finite-difference verification), census (parameter
 count check).  Exit codes: 0 success, 1 usage error, 2 data/format error or
 memory exhaustion, 3 failed verification or divergence.  A flag that only
-one model or one task reads (`--hidden` the LSTM's, `--[no-]sigma-hidden`
-the QLSTM's, the inputs of classify, `--n-points`/`--window` of sine) is a
-usage error when the run does not read it.
+one model or one task reads is a usage error when the run does not read
+it: `--hidden`, `--[no-]sigma-hidden`, `--threshold`, `--n-points` and
+`--window` set the settings `trainer._record_keys` lists, and its list
+says which model and task read each; the inputs of classify are
+classify's, and `--d-basic` is basic mode's.  `eval` of a sine
+checkpoint takes no `--threshold`.
 
 `preprocess` writes `encoded.v3` splits: the token indices as the hex of
 the narrowest unsigned type that holds them, the labels as bytes; loading
@@ -38,6 +41,7 @@ from .trainer import (
     ClassifyDataset,
     TrainConfig,
     _model,
+    _record_keys,
     census,
     evaluate,
     load_checkpoint,
@@ -164,7 +168,7 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
 
     # (model, recorded sizes, sequence length) of each model instance
     instances = [("lstm", {"d_in": 2, "hidden": 3}, T) for T in (1, 2, 3, 4)]
-    instances += [("qlstm", {"d_in": 2}, 2), ("qlstm", {"d_in": 3}, 3)]
+    instances += [("qlstm", {"d_in": d_in, "sigma_hidden": True}, d_in) for d_in in (2, 3)]
     for model, hp, T in instances:
         params, forward, backward = _model(model, hp, rng)
         seq = [rng.normal(size=hp["d_in"]) for _ in range(T)]
@@ -217,13 +221,12 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_tables(args: argparse.Namespace) -> list:
-    vectors = args.vectors or []
-    needed = MODES[args.embedding]
+def _load_tables(vectors: list[str] | None, mode: str) -> list:
+    vectors = vectors or []
+    needed = MODES[mode]
     if len(vectors) != needed:
         raise DataError(
-            f"embedding mode {args.embedding!r} requires {needed} --vectors file(s), "
-            f"got {len(vectors)}"
+            f"embedding mode {mode!r} requires {needed} --vectors file(s), got {len(vectors)}"
         )
     return [load_vectors(p) for p in vectors]
 
@@ -234,29 +237,38 @@ def _given(**values) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
+# the train flags that set a recorded setting, and the setting's key
+_RECORD_FLAGS = {"--hidden": "hidden", "--sigma-hidden/--no-sigma-hidden": "sigma_hidden",
+                 "--threshold": "threshold", "--n-points": "n_points", "--window": "window"}
+
+
 def _unread_flags(args: argparse.Namespace) -> str | None:
-    """The error line for given flags that the run's model or task does not
-    read, or None.  These flags default to None, so a given one is never
-    mistaken for its default (`--embedding` reads as given unless basic)."""
-    only = {
-        ("model", "lstm"): {"--hidden": args.hidden},
-        ("model", "qlstm"): {"--sigma-hidden/--no-sigma-hidden": args.sigma_hidden},
-        ("task", "classify"): {
-            "--data": args.data, "--vocab": args.vocab, "--eval-data": args.eval_data,
-            "--vectors": args.vectors, "--d-basic": args.d_basic,
-            "--embedding": None if args.embedding == "basic" else args.embedding,
-        },
-        ("task", "sine"): {"--n-points": args.n_points, "--window": args.window},
-    }
-    for (option, owner), flags in only.items():
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given and getattr(args, option) != owner:
-            return f"error: --{option} {getattr(args, option)} takes no {', '.join(given)}"
-    return None
+    """The error line for given flags that the run does not read, or None.
+    A flag of `_RECORD_FLAGS` is read iff `trainer._record_keys` lists its
+    key for the run's model and task; an unread one is the task's to refuse
+    if no model reads it on that task, else the model's.  The classify
+    inputs are read by classify only, and `--d-basic` by basic mode only.
+    These flags default to None, so a given one is never mistaken for its
+    default."""
+    reads = lambda model: _record_keys(model, args.task)
+    classify = args.task == "classify"
+    # (the option whose value leaves the flag unread, flag, its value, read)
+    rows = [("model" if any(key in reads(m) for m in MODELS) else "task", flag,
+             getattr(args, key), key in reads(args.model)) for flag, key in _RECORD_FLAGS.items()]
+    rows += [("task", flag, getattr(args, flag[2:].replace("-", "_")), classify)
+             for flag in ("--data", "--vocab", "--eval-data", "--vectors", "--embedding")]
+    rows.append(("embedding" if classify else "task", "--d-basic", args.d_basic,
+                 classify and args.embedding in (None, "basic")))
+    unread = [(option, flag) for option, flag, value, read in rows
+              if value is not None and not read]
+    if not unread:
+        return None
+    option = unread[0][0]
+    flags = ", ".join(flag for owner, flag in unread if owner == option)
+    return f"error: --{option} {getattr(args, option)} takes no {flags}"
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    d_basic = D_BASIC_DEFAULT if args.d_basic is None else args.d_basic
     config = TrainConfig(
         model=args.model,
         task=args.task,
@@ -264,9 +276,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         batch_size=args.batch,
         seed=args.seed,
         lr=args.lr,
-        threshold=args.threshold,
-        d_basic=d_basic,
-        **_given(hidden=args.hidden, sigma_hidden=args.sigma_hidden),
+        **_given(hidden=args.hidden, sigma_hidden=args.sigma_hidden, threshold=args.threshold,
+                 d_basic=args.d_basic),
     )
     check_output_paths(
         [args.out, args.metrics, args.curves],
@@ -281,16 +292,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.data is None or args.vocab is None:
             print("error: --task classify requires --data and --vocab", file=sys.stderr)
             return 1
-        if args.d_basic is not None and args.embedding != "basic":
-            raise DataError(f"--d-basic sets the basic table's width; embedding mode "
-                            f"{args.embedding!r} takes its width from the --vectors file(s)")
+        mode = args.embedding or "basic"
         vocab = load_vocab_file(args.vocab)
         data = load_encoded_dataset(args.data)
         eval_data = load_encoded_dataset(args.eval_data) if args.eval_data else None
-        tables = _load_tables(args)
-        matrix = build_embedding_matrix(
-            vocab, tables, args.embedding, seed=args.seed, d_basic=d_basic
-        )
+        tables = _load_tables(args.vectors, mode)
+        matrix = build_embedding_matrix(vocab, tables, mode, seed=args.seed,
+                                        **_given(d_basic=args.d_basic))
         ckpt, report = train(
             config, data, matrix=matrix, vocab_digest=vocab.digest(),
             eval_data=eval_data, curves_path=args.curves,
@@ -320,6 +328,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if (args.data is None) == (ckpt.task == "classify"):
         rule = "requires" if ckpt.task == "classify" else "takes no"
         print(f"error: eval of a {ckpt.task} checkpoint {rule} --data", file=sys.stderr)
+        return 1
+    if ckpt.task == "sine" and args.threshold is not None:
+        print("error: eval of a sine checkpoint takes no --threshold", file=sys.stderr)
         return 1
     data = load_encoded_dataset(args.data) if ckpt.task == "classify" else None
     report = evaluate(ckpt, data, args.threshold)
@@ -401,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", "train a model and write a checkpoint", _cmd_train)
     p.add_argument("--model", required=True, choices=MODELS, help="model kind")
     p.add_argument("--task", required=True, choices=TASKS, help="training task")
-    p.add_argument("--embedding", choices=MODES, default="basic", help="input representation")
+    p.add_argument("--embedding", choices=MODES, default=None,
+                   help="input representation (default: basic)")
     p.add_argument("--vectors", action="append", default=None, metavar="FILE",
                    help="pretrained vector file (repeat for glove+fasttext)")
     p.add_argument("--data", default=None, help="encoded training split (classify)")
@@ -412,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None,
                    help="learning rate (default: 1e-2 sine, 1e-3 classify)")
     p.add_argument("--seed", type=int, default=42, help="seed for init and shuffling")
-    p.add_argument("--threshold", type=float, default=0.5, help="decision threshold")
+    p.add_argument("--threshold", type=float, default=None,
+                   help="decision threshold, classify only (default: 0.5)")
     p.add_argument("--hidden", type=int, default=None,
                    help="classical hidden units, lstm only (default: 50)")
     p.add_argument("--d-basic", type=int, default=None,

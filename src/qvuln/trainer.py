@@ -21,14 +21,18 @@ step's working set, not by T steps of caches.  `_model` is the one place
 that maps a model name and the hyperparameters a checkpoint records to
 fresh parameters and the model's forward and backward functions; train,
 evaluate and the checkpoint schema check all build through it.  This
-module is the one reader of a checkpoint's recorded hyperparameters, and
-`params_from_checkpoint` the one check of a checkpoint's arrays and of
-every recorded key its model and task read (`_record_keys`), each by its
-row in `errors._SETTINGS`, the table `TrainConfig` is checked against
-too.  `evaluate` and `census` both call it first, so a checkpoint one
+module is the one reader of a checkpoint's recorded hyperparameters.
+`_record_keys` is the one list of the settings each model and task read:
+`train` records exactly those, plus the keys it only writes down, and the
+command line refuses a flag whose setting the run does not read.
+`params_from_checkpoint` is the one check of a checkpoint's arrays and of
+its record: every key of `_record_keys` must be present and pass its row
+in `errors._SETTINGS`, the table `TrainConfig` is checked against too, so
+no recorded key is read with a default; a key outside the list is
+ignored.  `evaluate` and `census` both call it first, so a checkpoint one
 refuses the other refuses too; the census alone lets through, and
-counts, arrays the model does not have.
-`evaluate` then takes the decision threshold and, for sine, the task from
+counts, arrays the model does not have.  `evaluate` then takes the
+decision threshold (classify only; sine reads none) or the sine task from
 the checked record, and `census` the embedding's trainable flag.
 """
 from __future__ import annotations
@@ -86,7 +90,8 @@ class TrainConfig:
     """One training run's settings; epoch and learning-rate defaults depend
     on the task (30 epochs / 1e-2 for sine, 10 / 1e-3 for classify).  Every
     setting but the model and the task is checked against its rule in
-    `errors._SETTINGS` and raises DataError."""
+    `errors._SETTINGS` and raises DataError; `train` reads and records
+    those `_record_keys` lists for the run's model and task."""
 
     model: str
     task: str
@@ -272,7 +277,7 @@ def census(ckpt: Checkpoint) -> tuple[int, int]:
     analytic = _model_census(ckpt.model, hp)
     if ckpt.task == "sine":
         return sum(arr.size for arr in ckpt.arrays.values()), analytic
-    trainable = hp.get("embedding_trainable", False)
+    trainable = hp["embedding_trainable"]
     if trainable:
         analytic += embedding_census(*ckpt.arrays["embedding.rows"].shape)
     return runtime_census(ckpt.arrays, trainable), analytic
@@ -333,46 +338,51 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                       vocab_digest=doc.get("vocab_digest"), arrays=arrays)
 
 
-def _record_keys(model: str, task: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The recorded keys that the model and the task read: those a `model`
-    checkpoint of `task` must hold, and those it may hold (an absent one
-    reads as its default)."""
-    sizes = ("max_len",) if task == "classify" else ("n_points", "window")
-    if model == "lstm":
-        return ("d_in", "hidden", *sizes), ("threshold", "embedding_trainable")
-    return ("d_in", *sizes), ("threshold", "embedding_trainable", "sigma_hidden")
+def _record_keys(model: str, task: str) -> tuple[str, ...]:
+    """The settings a `model` run of `task` reads, and so records: `d_in`,
+    then `hidden` (LSTM) or `sigma_hidden` (QLSTM), then `max_len`,
+    `threshold` and `embedding_trainable` (classify) or `n_points` and
+    `window` (sine).  This tuple alone says which model and task read which
+    setting: `train` records these keys, `params_from_checkpoint` requires
+    each of them, and the command line refuses a flag whose key the run
+    does not read.  A checkpoint holds other keys the run writes but never
+    reads (`batch_size`, `epochs`, `lr`, `seed`, `embedding_mode`); those,
+    and any key outside the tuple, are ignored."""
+    task_keys = ("max_len", "threshold", "embedding_trainable") if task == "classify" else (
+        "n_points", "window")
+    return ("d_in", "hidden" if model == "lstm" else "sigma_hidden", *task_keys)
 
 
 def _model(model: str, hp: dict, rng: np.random.Generator):
-    """Fresh parameters of `model` at the sizes the hyperparameters `hp`
-    record (`d_in`, plus `hidden` for the LSTM or `sigma_hidden`, true if
-    absent, for the QLSTM), with the model's (forward, backward) pair; both
-    take a leading batch axis.  The record is read unchecked: `TrainConfig`
-    or `params_from_checkpoint` has checked it."""
+    """Fresh parameters of `model` at the settings the hyperparameters `hp`
+    record (`d_in`, plus `hidden` for the LSTM or `sigma_hidden` for the
+    QLSTM), with the model's (forward, backward) pair; both take a leading
+    batch axis.  The record is read unchecked and with no defaults:
+    `TrainConfig` or `params_from_checkpoint` has checked it."""
     # the functions are read from the module globals at call time, so a
     # wrapper put in their place (e.g. a tracer) sees every call
     if model == "lstm":
         return init_lstm_params(hp["hidden"], hp["d_in"], rng), lstm_forward, lstm_backward
-    sigma_hidden = hp.get("sigma_hidden", True)
-    return init_qlstm_params(hp["d_in"], rng, sigma_hidden), qlstm_forward, qlstm_backward
+    return init_qlstm_params(hp["d_in"], rng, hp["sigma_hidden"]), qlstm_forward, qlstm_backward
 
 
 def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     """The model's parameters and its batched forward function, after the
     one check of a checkpoint's own contents.  First the record: each key
-    of `_record_keys` must pass its rule in `errors._SETTINGS` (an optional
-    key only if present), and a sine record's `n_points` and `window` must
-    pass `sine_task`'s size rule.  Then the parameters are checked against
-    the model's own parameter tree at the dimensions the checkpoint
-    records: the same names, the same shapes, finite values.  A classify
+    of `_record_keys` must be present and pass its rule in
+    `errors._SETTINGS` (an absent key reads as None, which no rule
+    accepts), and a sine record's `n_points` and `window` must pass
+    `sine_task`'s size rule; no other recorded key is read.  Then the
+    parameters are checked against the model's own parameter tree at the
+    dimensions the checkpoint records: the same names, the same shapes,
+    finite values.  A classify
     checkpoint also holds an embedding, and an embedding on either task
     must be a finite (n_rows, d_in) array.  Last, a sine record's `d_in`
     must be 1, the sine table's width.  Raises CheckpointError on any
     difference; with `extra_ok`, arrays the model does not have are let
     through."""
     hp = ckpt.hyperparameters
-    required, optional = _record_keys(ckpt.model, ckpt.task)
-    _check_settings(hp, [*required, *(key for key in optional if key in hp)], CheckpointError,
+    _check_settings(hp, _record_keys(ckpt.model, ckpt.task), CheckpointError,
                     "checkpoint hyperparameter ")
     if ckpt.task == "sine":
         try:
@@ -564,18 +574,17 @@ def train(
     table = _check_split(config.task, data, rows, max_len, vocab_digest)
     if eval_data is not None:
         _check_split(config.task, eval_data, rows, max_len, vocab_digest)
-    hyperparameters: dict = {"batch_size": config.batch_size, "d_in": table.shape[1],
-                             "epochs": config.epochs, "lr": config.lr, "seed": config.seed,
-                             "threshold": config.threshold}
-    if config.model == "lstm":
-        hyperparameters["hidden"] = config.hidden
-    else:
-        hyperparameters["sigma_hidden"] = config.sigma_hidden
-    if config.task == "classify":
-        hyperparameters.update(embedding_mode=matrix.source,
-                               embedding_trainable=matrix.trainable, max_len=max_len)
-    else:
-        hyperparameters.update(n_points=len(data), window=data.sequences.shape[1])
+    emb_trainable = matrix is not None and matrix.trainable
+    # the record: the settings the run reads, the keys `_record_keys` names
+    # (a classify run's max_len is its split's), then those it only writes
+    read = {"d_in": table.shape[1], "hidden": config.hidden, "sigma_hidden": config.sigma_hidden,
+            "max_len": max_len, "threshold": config.threshold, "embedding_trainable": emb_trainable,
+            "n_points": len(data), "window": data.sequences.shape[1]}
+    hyperparameters = {key: read[key] for key in _record_keys(config.model, config.task)}
+    hyperparameters.update(batch_size=config.batch_size, epochs=config.epochs, lr=config.lr,
+                           seed=config.seed)
+    if matrix is not None:
+        hyperparameters["embedding_mode"] = matrix.source
     init_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     params, forward, backward = _model(config.model, hyperparameters, init_rng)
@@ -583,7 +592,6 @@ def train(
 
     # theta, the vector Adam updates: the model's, then a trainable table's
     # rows; the run trains and stores its own table, never the caller's
-    emb_trainable = matrix is not None and matrix.trainable
     n_model = params.vector.size
     theta = np.concatenate([params.vector, rows.ravel()]) if emb_trainable else params.vector
     params = laid_out(params, theta[:n_model])
@@ -650,18 +658,22 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
     """Metrics over a dataset: thresholded confusion metrics for classify
     (predict 1 iff probability >= threshold), MSE for sine.  The checkpoint
     first passes `params_from_checkpoint`, so its record is read here
-    unchecked.  A given threshold must pass the rule `TrainConfig` checks,
-    in (0, 1), for either task; None reads the checkpoint's recorded
-    `threshold` (0.5 if absent).  `data` None rebuilds a sine checkpoint's
-    recorded task; a classify checkpoint needs a split.  The split is
-    checked as in `train`, against the checkpoint's vocabulary digest."""
+    unchecked and with no defaults.  For classify, a given threshold must
+    pass the rule `TrainConfig` checks, in (0, 1), and None reads the
+    checkpoint's recorded `threshold`; sine reads no threshold, so a given
+    one raises DataError.  `data` None rebuilds a sine checkpoint's recorded
+    task; a classify checkpoint needs a split.  The split is checked as in
+    `train`, against the checkpoint's vocabulary digest."""
     hp = ckpt.hyperparameters
     started = time.perf_counter()
     params, forward = params_from_checkpoint(ckpt)
-    if data is None and ckpt.task == "sine":
-        data = sine_task(hp["n_points"], hp["window"])
-    if threshold is None:
-        threshold = hp.get("threshold", 0.5)
+    classify = ckpt.task == "classify"
+    if not classify:
+        if threshold is not None:
+            raise DataError("sine evaluation takes no threshold")
+        data = sine_task(hp["n_points"], hp["window"]) if data is None else data
+    elif threshold is None:
+        threshold = hp["threshold"]
     else:
         _check_settings({"threshold": threshold})
     table = _check_split(ckpt.task, data, ckpt.arrays.get("embedding.rows"), hp.get("max_len"),
@@ -673,9 +685,9 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
         logits = predictions_over(forward, params, data, table)
     if not np.all(np.isfinite(logits)):
         raise CheckpointError("checkpoint gives non-finite logits")
-    preds = logits if ckpt.task == "sine" else sigmoid(logits)
+    preds = sigmoid(logits) if classify else logits
 
-    if ckpt.task == "classify":
+    if classify:
         predicted = (preds >= threshold).astype(int)
         actual = np.asarray(data.labels, dtype=int)
         cm = ConfusionMatrix(
@@ -693,6 +705,6 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
             raise CheckpointError(f"checkpoint gives a non-finite mean squared error ({mse})")
         report = MetricsReport(mse=mse)
     report.predictions = preds
-    report.parameter_count = runtime_census(ckpt.arrays, hp.get("embedding_trainable", False))
+    report.parameter_count = runtime_census(ckpt.arrays, classify and hp["embedding_trainable"])
     report.wall_time_seconds = time.perf_counter() - started
     return report

@@ -20,7 +20,9 @@ from qvuln.cli import (
 )
 from qvuln.embedding import MODES, build_embedding_matrix
 from qvuln.errors import DataError
-from qvuln.trainer import evaluate, load_checkpoint, load_curves, load_metrics, sine_task
+from qvuln.trainer import (
+    _record_keys, evaluate, load_checkpoint, load_curves, load_metrics, sine_task,
+)
 
 TOP_HELP = """\
 usage: qvuln [-h] {preprocess,train,eval,sine-demo,gradcheck,census} ...
@@ -77,7 +79,7 @@ options:
   --task {classify,sine}
                         training task (default: None)
   --embedding {basic,glove,fasttext,glove+fasttext}
-                        input representation (default: basic)
+                        input representation (default: basic) (default: None)
   --vectors FILE        pretrained vector file (repeat for glove+fasttext)
                         (default: None)
   --data DATA           encoded training split (classify) (default: None)
@@ -90,7 +92,8 @@ options:
                         (default: None)
   --seed SEED           seed for init and shuffling (default: 42)
   --threshold THRESHOLD
-                        decision threshold (default: 0.5)
+                        decision threshold, classify only (default: 0.5)
+                        (default: None)
   --hidden HIDDEN       classical hidden units, lstm only (default: 50)
                         (default: None)
   --d-basic D_BASIC     trainable embedding dimension, basic mode only
@@ -443,10 +446,11 @@ class TestExitCodes:
         sine = ["train", "--model", "lstm", "--task", "sine", "--out", str(ckpt_path)]
         given = [[flag, str(tmp_path / "unused.json")]
                  for flag in ("--data", "--vocab", "--eval-data", "--vectors")]
-        # the basic table's width and a vector mode, with or without its
-        # --vectors file, are classify-only too (an out-of-range width is
-        # refused first, by the settings' range check)
-        given += [["--d-basic", "7"], ["--embedding", "glove"],
+        # the basic table's width and any embedding mode, basic given
+        # explicitly too, with or without its --vectors file, are
+        # classify-only too (an out-of-range width is refused first, by the
+        # settings' range check)
+        given += [["--d-basic", "7"], ["--embedding", "glove"], ["--embedding", "basic"],
                   ["--embedding", "glove", "--d-basic", "7"]]
         for args in given:
             capsys.readouterr()
@@ -462,7 +466,8 @@ class TestExitCodes:
         ("lstm", "sine", ["--no-sigma-hidden"], "--model lstm"),
         ("lstm", "classify", ["--n-points", "8"], "--task classify"),
         ("lstm", "classify", ["--window", "2"], "--task classify"),
-    ], ids=["hidden", "sigma-hidden", "no-sigma-hidden", "n-points", "window"])
+        ("qlstm", "sine", ["--threshold", "0.7"], "--task sine"),
+    ], ids=["hidden", "sigma-hidden", "no-sigma-hidden", "n-points", "window", "threshold"])
     def test_flag_the_run_does_not_read_is_usage_error(self, model, task, flags, owner,
                                                        tmp_path, capsys):
         # the flag is refused, not dropped, before any input is read
@@ -693,8 +698,8 @@ class TestExitCodes:
 
     def test_d_basic_applies_to_basic_mode_only(self, tiny_corpus_dir, tmp_path, capsys):
         # a vector mode takes its width from its vector files, so a given
-        # --d-basic is refused, not dropped; basic mode checks its range and
-        # defaults to 50
+        # --d-basic is a usage error like every flag a run does not read;
+        # basic mode checks its range and defaults to 50
         enc_dir = tmp_path / "encoded"
         assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
                      "--max-vocab", "30", "--out", str(enc_dir)]) == 0
@@ -707,9 +712,8 @@ class TestExitCodes:
         for mode in ("glove", "fasttext", "glove+fasttext"):
             vectors = ["--vectors", str(tmp_path / "v.txt")] * (2 if "+" in mode else 1)
             capsys.readouterr()
-            assert main([*common, "--embedding", mode, *vectors, "--d-basic", "7"]) == 2, mode
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and "--d-basic" in err and err.count("\n") == 1, err
+            assert main([*common, "--embedding", mode, *vectors, "--d-basic", "7"]) == 1, mode
+            assert capsys.readouterr().err == f"error: --embedding {mode} takes no --d-basic\n"
             assert not ckpt_path.exists()
         assert main([*common, "--d-basic", "-1"]) == 2
         err = capsys.readouterr().err
@@ -907,21 +911,41 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"{train_csv}: line {n_lines + 1}: field larger than field limit" in err, err
 
-    def test_eval_threshold_outside_unit_interval_is_data_error(self, tmp_path, capsys):
-        ckpt_path = tmp_path / "ckpt.json"
+    def test_eval_threshold_outside_unit_interval_is_data_error(self, tiny_corpus_dir, tmp_path,
+                                                               capsys):
+        enc_dir = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        ckpt_path, split = tmp_path / "ckpt.json", enc_dir / "test.json"
         assert main([
-            "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
-            "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
+            "train", "--model", "lstm", "--task", "classify", "--epochs", "1",
+            "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
+            "--hidden", "2", "--d-basic", "2", "--out", str(ckpt_path),
         ]) == 0
         for threshold in ("2", "nan", "0", "1", "-0.5", "inf"):
             capsys.readouterr()
-            assert main(["eval", "--ckpt", str(ckpt_path), "--threshold", threshold]) == 2
+            assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(split),
+                         "--threshold", threshold]) == 2
             captured = capsys.readouterr()
             assert captured.out == "", threshold
             err = captured.err
             assert err.startswith("error: ") and "threshold" in err and err.count("\n") == 1, err
-        with pytest.raises(DataError):
-            evaluate(load_checkpoint(ckpt_path), sine_task(8, 2), threshold=2.0)
+        with pytest.raises(DataError, match="'threshold' must lie in"):
+            evaluate(load_checkpoint(ckpt_path), load_encoded_dataset(split), threshold=2.0)
+
+    def test_sine_eval_takes_no_threshold(self, tmp_path, capsys):
+        # sine is scored by MSE, which reads no threshold: a given one is
+        # refused, not dropped, as --data is
+        ckpt_path = tmp_path / "ckpt.json"
+        assert main([*SINE_TRAIN, "--out", str(ckpt_path)]) == 0
+        for threshold in ("0.7", "2"):
+            capsys.readouterr()
+            assert main(["eval", "--ckpt", str(ckpt_path), "--threshold", threshold]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: eval of a sine checkpoint takes no --threshold\n"
+        with pytest.raises(DataError, match="takes no threshold"):
+            evaluate(load_checkpoint(ckpt_path), threshold=0.7)
 
 
 def _tampered_eval(tmp_path, capsys, tamper) -> tuple[int, str]:
@@ -1117,37 +1141,108 @@ class TestCheckpointSchema:
         ("lstm", "embedding_trainable", 1),
     ])
     def test_recorded_flag_that_is_not_a_boolean_is_checkpoint_error(
-        self, model, key, value, tmp_path, capsys
+        self, model, key, value, tiny_corpus_dir, tmp_path, capsys
     ):
-        ckpt_path = tmp_path / "ckpt.json"
+        # only classify reads the embedding's trainable flag
+        ckpt_path, enc_dir = tmp_path / "ckpt.json", tmp_path / "encoded"
+        if key == "embedding_trainable":
+            assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                         "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+            task = ["--task", "classify", "--data", str(enc_dir / "train.json"),
+                    "--vocab", str(enc_dir / "vocab.json"), "--d-basic", "2"]
+        else:
+            task = ["--task", "sine", "--n-points", "8", "--window", "2"]
         assert main([
-            "train", "--model", model, "--task", "sine", "--epochs", "1",
-            "--n-points", "8", "--window", "2", *(["--hidden", "2"] if model == "lstm" else []),
-            "--out", str(ckpt_path),
+            "train", "--model", model, *task, "--epochs", "1",
+            *(["--hidden", "2"] if model == "lstm" else []), "--out", str(ckpt_path),
         ]) == 0
         doc = json.loads(ckpt_path.read_text())
         doc["hyperparameters"][key] = value
         ckpt_path.write_text(json.dumps(doc))
-        for command in ("eval", "census"):
+        data = ["--data", str(enc_dir / "test.json")] if key == "embedding_trainable" else []
+        for argv in (["eval", "--ckpt", str(ckpt_path), *data],
+                     ["census", "--ckpt", str(ckpt_path)]):
             capsys.readouterr()
-            assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
+            assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert f"{key!r} must be true or false" in err and err.count("\n") == 1, err
 
-    def test_absent_sigma_hidden_means_true(self, tmp_path, capsys):
+
+# every (model, task) pair, and the keys a run of each task records but never reads
+PAIRS = [(model, task) for model in ("lstm", "qlstm") for task in ("classify", "sine")]
+WRITTEN_ONLY = {"classify": {"batch_size", "epochs", "lr", "seed", "embedding_mode"},
+                "sine": {"batch_size", "epochs", "lr", "seed"}}
+
+
+class TestRecordKeys:
+    """`trainer._record_keys` is the one list of the settings each model and
+    task read: `train` records exactly those and the keys it only writes
+    down, the check requires every one of them, and any other recorded key
+    is ignored."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tiny_corpus_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("record")
+        enc_dir = root / "encoded"
+        assert main(["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(enc_dir)]) == 0
+        for model, task in PAIRS:
+            inputs = (["--data", str(enc_dir / "train.json"),
+                       "--vocab", str(enc_dir / "vocab.json"), "--d-basic", "2"]
+                      if task == "classify" else ["--n-points", "8", "--window", "2"])
+            assert main(["train", "--model", model, "--task", task, *inputs, "--epochs", "1",
+                         *(["--hidden", "2"] if model == "lstm" else []),
+                         "--out", str(root / f"{model}-{task}.json")]) == 0
+        return root
+
+    @staticmethod
+    def _eval_and_census(trained, ckpt_path, task, capsys) -> list[tuple[int, str, str]]:
+        """The exit code, stdout and stderr of `eval` and of `census`."""
+        data = ["--data", str(trained / "encoded" / "test.json")] if task == "classify" else []
+        results = []
+        for argv in (["eval", "--ckpt", str(ckpt_path), *data],
+                     ["census", "--ckpt", str(ckpt_path)]):
+            capsys.readouterr()
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    @pytest.mark.parametrize("model, task", PAIRS)
+    def test_train_records_the_keys_the_run_reads(self, model, task, trained):
+        hp = load_checkpoint(trained / f"{model}-{task}.json").hyperparameters
+        assert set(hp) == set(_record_keys(model, task)) | WRITTEN_ONLY[task]
+        if task == "classify":
+            # the split's max_len, not TrainConfig's default of 100
+            assert hp["max_len"] == 6
+
+    @pytest.mark.parametrize("model, task", PAIRS)
+    def test_each_recorded_key_is_required(self, model, task, trained, tmp_path, capsys):
+        doc = json.loads((trained / f"{model}-{task}.json").read_text())
         ckpt_path = tmp_path / "ckpt.json"
-        assert main([
-            "train", "--model", "qlstm", "--task", "sine", "--epochs", "1",
-            "--n-points", "8", "--window", "2", "--out", str(ckpt_path),
-        ]) == 0
-        capsys.readouterr()
-        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
-        recorded = capsys.readouterr().out
-        doc = json.loads(ckpt_path.read_text())
-        assert doc["hyperparameters"].pop("sigma_hidden") is True
-        ckpt_path.write_text(json.dumps(doc))
-        assert main(["eval", "--ckpt", str(ckpt_path)]) == 0
-        assert capsys.readouterr().out == recorded
+        for key in _record_keys(model, task):
+            hp = {k: v for k, v in doc["hyperparameters"].items() if k != key}
+            ckpt_path.write_text(json.dumps({**doc, "hyperparameters": hp}))
+            for code, out, err in self._eval_and_census(trained, ckpt_path, task, capsys):
+                assert code == 2 and out == "", (key, err)
+                assert err.startswith(f"error: checkpoint hyperparameter {key!r} must "), err
+                assert err.endswith(", got None\n") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("model, task", PAIRS)
+    def test_keys_the_run_does_not_read_are_ignored(self, model, task, trained, tmp_path, capsys):
+        # every key another model or task reads, each "x"; and a sine record
+        # that still holds a threshold, as sine runs once recorded
+        source = trained / f"{model}-{task}.json"
+        expected = self._eval_and_census(trained, source, task, capsys)
+        assert [code for code, _, _ in expected] == [0, 0]
+        doc = json.loads(source.read_text())
+        reads = set(_record_keys(model, task))
+        others = {key for pair in PAIRS for key in _record_keys(*pair)} - reads
+        extras = [dict.fromkeys(others, "x"), *([{"threshold": 0.5}] if task == "sine" else [])]
+        ckpt_path = tmp_path / "ckpt.json"
+        for extra in extras:
+            hp = {**doc["hyperparameters"], **extra}
+            ckpt_path.write_text(json.dumps({**doc, "hyperparameters": hp}))
+            assert self._eval_and_census(trained, ckpt_path, task, capsys) == expected, extra
 
 
 def _sine_embedding(doc: dict) -> None:
@@ -1260,10 +1355,8 @@ class TestEvalReadsTheRecord:
                            "tp": cm.tp, "fp": cm.fp, "tn": cm.tn, "fn": cm.fn}
         assert at_half != expected
 
-    def test_recorded_threshold_is_checked_and_defaults_to_half(self, tiny_corpus_dir, tmp_path,
-                                                               capsys):
+    def test_recorded_threshold_is_checked(self, tiny_corpus_dir, tmp_path, capsys):
         ckpt_path, split, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")
-        at_half = self._eval_fields(ckpt_path, split, tmp_path / "m.json")
         doc = json.loads(ckpt_path.read_text())
         for value in ("x", True, 1.5):
             doc["hyperparameters"]["threshold"] = value
@@ -1276,9 +1369,6 @@ class TestEvalReadsTheRecord:
                 assert captured.out == "", (argv[0], value)
                 assert captured.err == ("error: checkpoint hyperparameter 'threshold' must lie "
                                         f"in (0, 1), got {value!r}\n"), captured.err
-        del doc["hyperparameters"]["threshold"]
-        ckpt_path.write_text(json.dumps(doc))
-        assert self._eval_fields(ckpt_path, split, tmp_path / "m.json") == at_half
 
     def test_classify_eval_requires_data(self, tiny_corpus_dir, tmp_path, capsys):
         ckpt_path, _, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")

@@ -230,12 +230,10 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     values = decode(entry["data"])
     hp = doc["hyperparameters"]
     # (object, key) of every field that eval and census both need, the record
-    # keys as the check reads them; an absent optional key reads as a
-    # default, so those are only given a wrong type
-    required, optional = _record_keys(doc["model"], doc["task"])
+    # keys as the check reads them: every one is required
     fields = [
         *((doc, k) for k in ("format", "version", "model", "task", "hyperparameters", "params")),
-        *((hp, k) for k in required), (params, name),
+        *((hp, k) for k in _record_keys(doc["model"], doc["task"])), (params, name),
         *((entry, k) for k in ("shape", "dtype", "data")),
     ]
     if mutation == "drop-key":
@@ -261,7 +259,7 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
     else:  # wrong-type
         choice = rng.randrange(3)
         if choice == 0:
-            where, key = rng.choice([*fields, *((hp, k) for k in optional)])
+            where, key = rng.choice(fields)
             where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
         elif choice == 1:
             # v1's list, a number or null where the hex string belongs

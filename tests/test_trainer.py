@@ -495,7 +495,7 @@ class TestEvaluate:
             model="lstm",
             task="classify",
             hyperparameters={
-                "hidden": hidden, "d_in": 1, "max_len": 1,
+                "hidden": hidden, "d_in": 1, "max_len": 1, "threshold": 0.5,
                 "embedding_mode": "basic", "embedding_trainable": True,
             },
             vocab_digest=data.vocab_digest,
@@ -530,7 +530,7 @@ class TestEvaluate:
             ckpt.arrays[name] = np.zeros_like(ckpt.arrays[name])
         # probability 0.5 everywhere: predicted 1 at a threshold of 0.5, 0 at 0.6
         hp = ckpt.hyperparameters
-        assert "threshold" not in hp and evaluate(ckpt, data).confusion.fn == 0
+        assert hp["threshold"] == 0.5 and evaluate(ckpt, data).confusion.fn == 0
         hp["threshold"] = 0.6
         assert evaluate(ckpt, data).confusion.tp == 0
         assert evaluate(ckpt, data, 0.5).confusion.fn == 0
