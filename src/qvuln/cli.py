@@ -11,6 +11,10 @@ says which model and task read each; the inputs of classify are
 classify's, and `--d-basic` is basic mode's.  `eval` of a sine
 checkpoint takes no `--threshold`.
 
+A flag whose setting has a default in the library has none in the parser:
+an unset one is not passed (`_given`), so the callee's default applies,
+and its `--help` line reads that default from the callee.
+
 `preprocess` writes `encoded.v3` splits: the token indices as the hex of
 the narrowest unsigned type that holds them, the labels as bytes; loading
 widens both to int64.  Files of an older format are refused, not read.
@@ -21,6 +25,7 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -29,15 +34,16 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
-    SPLITS, Vocabulary, balance, build_vocab, load_dataset, tokenize,
+    SPLITS, VOCAB_FORMAT, Vocabulary, balance, build_vocab, load_dataset, tokenize,
 )
-from .embedding import D_BASIC_DEFAULT, MODES, build_embedding_matrix, load_vectors
+from .embedding import MODES, build_embedding_matrix, load_vectors
 from .errors import CheckpointError, DataError, DivergenceError, _check_settings
 from .fileio import check_output_paths, decode_array, encode_array, read_json, write_json
 from .neural import bce_from_logit, laid_out
 from .trainer import (
     MODELS,
     TASKS,
+    _TASK_DEFAULTS,
     ClassifyDataset,
     TrainConfig,
     _model,
@@ -64,7 +70,7 @@ GRADCHECK_TOLERANCES = {"vqc": 1e-6, "lstm": 1e-6, "qlstm": 1e-5}
 
 
 def load_vocab_file(path: str | Path) -> Vocabulary:
-    return Vocabulary.from_dict(read_json(path, "vocabulary file", "vocab.v1"))
+    return Vocabulary.from_dict(read_json(path, "vocabulary file", VOCAB_FORMAT))
 
 
 def encode_corpus(
@@ -269,16 +275,9 @@ def _unread_flags(args: argparse.Namespace) -> str | None:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = TrainConfig(
-        model=args.model,
-        task=args.task,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-        lr=args.lr,
-        **_given(hidden=args.hidden, sigma_hidden=args.sigma_hidden, threshold=args.threshold,
-                 d_basic=args.d_basic),
-    )
+    config = TrainConfig(model=args.model, task=args.task, **_given(
+        epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr=args.lr, hidden=args.hidden,
+        sigma_hidden=args.sigma_hidden, threshold=args.threshold, d_basic=args.d_basic))
     check_output_paths(
         [args.out, args.metrics, args.curves],
         [args.data, args.eval_data, args.vocab, *(args.vectors or [])],
@@ -297,8 +296,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         data = load_encoded_dataset(args.data)
         eval_data = load_encoded_dataset(args.eval_data) if args.eval_data else None
         tables = _load_tables(args.vectors, mode)
-        matrix = build_embedding_matrix(vocab, tables, mode, seed=args.seed,
-                                        **_given(d_basic=args.d_basic))
+        matrix = build_embedding_matrix(vocab, tables, mode, config.seed, config.d_basic)
         ckpt, report = train(
             config, data, matrix=matrix, vocab_digest=vocab.digest(),
             eval_data=eval_data, curves_path=args.curves,
@@ -349,7 +347,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_sine_demo(args: argparse.Namespace) -> int:
-    config = TrainConfig(model=args.model, task="sine", epochs=args.epochs, seed=args.seed)
+    config = TrainConfig(model=args.model, task="sine",
+                         **_given(epochs=args.epochs, seed=args.seed))
     check_output_paths([args.curves])
     train(config, sine_task(), curves_path=args.curves)
     blocks = load_curves(args.curves)
@@ -361,7 +360,7 @@ def _cmd_sine_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    worst = run_gradcheck(seed=args.seed, trials=args.trials)
+    worst = run_gradcheck(**_given(seed=args.seed, trials=args.trials))
     failed = False
     for name in ("vqc", "lstm", "qlstm"):
         tol = GRADCHECK_TOLERANCES[name]
@@ -384,6 +383,19 @@ def _cmd_census(args: argparse.Namespace) -> int:
 # --- parser ---
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """argparse's `(default: X)` for a default argparse holds.  A flag whose
+    default is None is unset unless given, and the code it is passed to
+    applies the default; its help text names that default, read from that
+    code, so argparse adds nothing.  A subclass, not a plain formatter:
+    on Python 3.10 `BooleanOptionalAction` writes its own `(default: X)`
+    into the help, which argparse's formatter then leaves alone, so
+    `--balance` reads the same on every version."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qvuln",
@@ -393,11 +405,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
-        p = sub.add_parser(
-            name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
-        )
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         p.set_defaults(func=handler)
         return p
+
+    # the defaults that the callees of unset flags apply, which the help texts state
+    config, sine, gradcheck = (
+        {arg.name: arg.default for arg in inspect.signature(f).parameters.values()}
+        for f in (TrainConfig, sine_task, run_gradcheck))
+    per_task = lambda name: ", ".join(f"{d[name]} {task}" for task, d in _TASK_DEFAULTS.items())
 
     p = add("preprocess", "encode CSV corpora into fixed-length index sequences", _cmd_preprocess)
     p.add_argument("--data-dir", required=True,
@@ -412,51 +428,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", "train a model and write a checkpoint", _cmd_train)
     p.add_argument("--model", required=True, choices=MODELS, help="model kind")
     p.add_argument("--task", required=True, choices=TASKS, help="training task")
-    p.add_argument("--embedding", choices=MODES, default=None,
-                   help="input representation (default: basic)")
-    p.add_argument("--vectors", action="append", default=None, metavar="FILE",
+    p.add_argument("--embedding", choices=MODES, help="input representation (default: basic)")
+    p.add_argument("--vectors", action="append", metavar="FILE",
                    help="pretrained vector file (repeat for glove+fasttext)")
-    p.add_argument("--data", default=None, help="encoded training split (classify)")
-    p.add_argument("--eval-data", default=None, help="encoded split for the metrics report")
-    p.add_argument("--vocab", default=None, help="vocabulary file (classify)")
-    p.add_argument("--epochs", type=int, default=None, help="epochs (default: 30 sine, 10 classify)")
-    p.add_argument("--batch", type=int, default=16, help="mini-batch size")
-    p.add_argument("--lr", type=float, default=None,
-                   help="learning rate (default: 1e-2 sine, 1e-3 classify)")
-    p.add_argument("--seed", type=int, default=42, help="seed for init and shuffling")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="decision threshold, classify only (default: 0.5)")
-    p.add_argument("--hidden", type=int, default=None,
-                   help="classical hidden units, lstm only (default: 50)")
-    p.add_argument("--d-basic", type=int, default=None,
-                   help=f"trainable embedding dimension, basic mode only "
-                        f"(default: {D_BASIC_DEFAULT})")
-    p.add_argument("--n-points", type=int, default=None,
-                   help="sine task sample count (default: 100)")
-    p.add_argument("--window", type=int, default=None, help="sine task input window (default: 4)")
-    p.add_argument("--sigma-hidden", action=argparse.BooleanOptionalAction, default=None,
+    p.add_argument("--data", help="encoded training split (classify)")
+    p.add_argument("--eval-data", help="encoded split for the metrics report")
+    p.add_argument("--vocab", help="vocabulary file (classify)")
+    p.add_argument("--epochs", type=int, help=f"epochs (default: {per_task('epochs')})")
+    p.add_argument("--batch", type=int, help=f"mini-batch size (default: {config['batch_size']})")
+    p.add_argument("--lr", type=float, help=f"learning rate (default: {per_task('lr')})")
+    p.add_argument("--seed", type=int,
+                   help=f"seed for init and shuffling (default: {config['seed']})")
+    p.add_argument("--threshold", type=float,
+                   help=f"decision threshold, classify only (default: {config['threshold']})")
+    p.add_argument("--hidden", type=int,
+                   help=f"classical hidden units, lstm only (default: {config['hidden']})")
+    p.add_argument("--d-basic", type=int, help="trainable embedding dimension, basic mode only "
+                                               f"(default: {config['d_basic']})")
+    p.add_argument("--n-points", type=int,
+                   help=f"sine task sample count (default: {sine['n_points']})")
+    p.add_argument("--window", type=int, help=f"sine task input window (default: {sine['window']})")
+    p.add_argument("--sigma-hidden", action=argparse.BooleanOptionalAction,
                    help="wrap the quantum hidden-state block in a sigmoid, qlstm only "
-                        "(default: true)")
+                        f"(default: {config['sigma_hidden']})")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--metrics", default=None, help="metrics report output path")
-    p.add_argument("--curves", default=None, help="prediction curve output path")
+    p.add_argument("--metrics", help="metrics report output path")
+    p.add_argument("--curves", help="prediction curve output path")
 
     p = add("eval", "evaluate a checkpoint on a dataset", _cmd_eval)
     p.add_argument("--ckpt", required=True, help="checkpoint path")
-    p.add_argument("--data", default=None, help="encoded dataset (classify checkpoints)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="decision threshold (default: the checkpoint's)")
-    p.add_argument("--metrics", default=None, help="metrics report output path")
+    p.add_argument("--data", help="encoded dataset (classify checkpoints)")
+    p.add_argument("--threshold", type=float, help="decision threshold, the checkpoint's if unset")
+    p.add_argument("--metrics", help="metrics report output path")
 
     p = add("sine-demo", "train on the sine task and dump prediction curves", _cmd_sine_demo)
     p.add_argument("--model", required=True, choices=MODELS, help="model kind")
-    p.add_argument("--epochs", type=int, default=30, help="training epochs")
-    p.add_argument("--seed", type=int, default=42, help="seed for init and shuffling")
+    p.add_argument("--epochs", type=int,
+                   help=f"training epochs (default: {_TASK_DEFAULTS['sine']['epochs']})")
+    p.add_argument("--seed", type=int,
+                   help=f"seed for init and shuffling (default: {config['seed']})")
     p.add_argument("--curves", required=True, help="curve output path")
 
     p = add("gradcheck", "verify analytic gradients against finite differences", _cmd_gradcheck)
-    p.add_argument("--seed", type=int, default=42, help="seed for random instances")
-    p.add_argument("--trials", type=int, default=20, help="random circuit draws")
+    p.add_argument("--seed", type=int,
+                   help=f"seed for random instances (default: {gradcheck['seed']})")
+    p.add_argument("--trials", type=int,
+                   help=f"random circuit draws (default: {gradcheck['trials']})")
 
     p = add("census", "compare runtime parameter count with the analytic formula", _cmd_census)
     p.add_argument("--ckpt", required=True, help="checkpoint path")

@@ -18,6 +18,7 @@ from .fileio import open_input
 
 PAD_INDEX = 0
 OOV_INDEX = 1
+VOCAB_FORMAT = "vocab.v1"
 
 SPLITS = ("train", "validation", "test")
 
@@ -78,11 +79,11 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     def to_dict(self) -> dict:
-        return {"format": "vocab.v1", "tokens": list(self.tokens), "digest": self.digest()}
+        return {"format": VOCAB_FORMAT, "tokens": list(self.tokens), "digest": self.digest()}
 
     @classmethod
     def from_dict(cls, data: dict) -> Vocabulary:
-        if data.get("format") != "vocab.v1":
+        if data.get("format") != VOCAB_FORMAT:
             raise DataError(f"unsupported vocabulary format {data.get('format')!r}")
         tokens = data.get("tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):

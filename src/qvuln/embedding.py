@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import OOV_INDEX, PAD_INDEX, Vocabulary
 from .errors import DataError, _check_settings
 from .fileio import open_input
 
@@ -78,26 +78,27 @@ def load_vectors(path: str | Path) -> VectorTable:
 
 def _standardize_columns(rows: np.ndarray) -> np.ndarray:
     """Per-column standardization over non-padding rows (population std);
-    constant columns become zero.  Row 0 is zeroed afterwards."""
-    body = rows[1:]
+    constant columns become zero.  The padding row is zeroed afterwards."""
+    body = rows[PAD_INDEX + 1:]  # the padding row is the first
     mean = body.mean(axis=0)
     std = body.std(axis=0)
     constant = std < 1e-12
     safe = np.where(constant, 1.0, std)
     rows = (rows - mean) / safe
     rows[:, constant] = 0.0
-    rows[0] = 0.0
+    rows[PAD_INDEX] = 0.0
     return rows
 
 
 def _lookup_rows(vocab: Vocabulary, table: VectorTable, rng: np.random.Generator) -> np.ndarray:
-    """Rows 1.. for one table; unknown tokens share one random OOV vector."""
+    """The rows of one table, each at its vocabulary index; the padding row
+    is zero, and unknown tokens share one random OOV vector."""
     oov = rng.uniform(-INIT_RANGE, INIT_RANGE, size=table.dim)
     rows = np.zeros((vocab.n_rows, table.dim))
-    rows[1] = oov
-    for k, token in enumerate(vocab.tokens):
+    rows[OOV_INDEX] = oov
+    for token, k in vocab.token_to_index.items():
         vector = table.entries.get(token)
-        rows[k + 2] = oov if vector is None else vector
+        rows[k] = oov if vector is None else vector
     return rows
 
 

@@ -23,14 +23,15 @@ from .errors import DataError
 @contextmanager
 def open_input(path: str | Path, what: str, error=DataError) -> Iterator[TextIO]:
     """Open `path` as UTF-8 text with `newline=""` (the csv module's
-    setting; line iteration still splits on any line ending).  A missing
+    setting; line iteration still splits on any line ending).  A leading
+    byte-order mark, as spreadsheet programs write, is skipped.  A missing
     file, and bytes that are not UTF-8 anywhere the block reads, raise
     `error` with a one-line message naming the file."""
     path = Path(path)
     if not path.is_file():
         raise error(f"{what} not found: {path}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import PAD_INDEX
-from .embedding import EmbeddingMatrix
+from .embedding import D_BASIC_DEFAULT, EmbeddingMatrix
 from .errors import CheckpointError, DataError, DivergenceError, _check_settings
 from .fileio import atomic_write, decode_array, encode_array, open_input, read_json, write_json
 from .neural import (
@@ -72,10 +72,8 @@ TASKS = ("classify", "sine")
 CHECKPOINT_VERSION = 3
 CHECKPOINT_FORMAT = f"checkpoint.v{CHECKPOINT_VERSION}"
 
-SINE_DEFAULT_EPOCHS = 30
-CLASSIFY_DEFAULT_EPOCHS = 10
-SINE_DEFAULT_LR = 1e-2
-CLASSIFY_DEFAULT_LR = 1e-3
+# each task's default epochs and learning rate
+_TASK_DEFAULTS = {"sine": {"epochs": 30, "lr": 1e-2}, "classify": {"epochs": 10, "lr": 1e-3}}
 # window indices of the largest sine task (80 MB of int64); sizes arrive
 # from the command line and from checkpoints
 SINE_MAX_VALUES = 10**7
@@ -87,10 +85,11 @@ EVAL_CHUNK = 64
 
 @dataclass
 class TrainConfig:
-    """One training run's settings; epoch and learning-rate defaults depend
-    on the task (30 epochs / 1e-2 for sine, 10 / 1e-3 for classify).  Every
-    setting but the model and the task is checked against its rule in
-    `errors._SETTINGS` and raises DataError; `train` reads and records
+    """One training run's settings, and the one place their defaults are
+    written; an unset `epochs` or `lr` takes its task's value in
+    `_TASK_DEFAULTS`, and `d_basic` defaults to `embedding.D_BASIC_DEFAULT`.
+    Every setting but the model and the task is checked against its rule
+    in `errors._SETTINGS` and raises DataError; `train` reads and records
     those `_record_keys` lists for the run's model and task."""
 
     model: str
@@ -102,7 +101,7 @@ class TrainConfig:
     max_len: int = 100
     threshold: float = 0.5
     hidden: int = 50
-    d_basic: int = 50
+    d_basic: int = D_BASIC_DEFAULT
     sigma_hidden: bool = True
 
     def __post_init__(self) -> None:
@@ -110,10 +109,9 @@ class TrainConfig:
             raise DataError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.task not in TASKS:
             raise DataError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.epochs is None:
-            self.epochs = SINE_DEFAULT_EPOCHS if self.task == "sine" else CLASSIFY_DEFAULT_EPOCHS
-        if self.lr is None:
-            self.lr = SINE_DEFAULT_LR if self.task == "sine" else CLASSIFY_DEFAULT_LR
+        for name, value in _TASK_DEFAULTS[self.task].items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
         # a zero learning rate is allowed: it leaves the parameters as initialized
         _check_settings(vars(self), ("epochs", "batch_size", "seed", "lr", "max_len", "threshold",
                                      "hidden", "d_basic", "sigma_hidden"))

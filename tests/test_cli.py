@@ -2,8 +2,11 @@
 property that every emitted file is re-readable by its loader."""
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
+import re
 import shutil
 
 import numpy as np
@@ -21,7 +24,7 @@ from qvuln.cli import (
 from qvuln.embedding import MODES, build_embedding_matrix
 from qvuln.errors import DataError
 from qvuln.trainer import (
-    _record_keys, evaluate, load_checkpoint, load_curves, load_metrics, sine_task,
+    TASKS, _record_keys, evaluate, load_checkpoint, load_curves, load_metrics, sine_task,
 )
 
 TOP_HELP = """\
@@ -52,7 +55,6 @@ usage: qvuln preprocess [-h] --data-dir DATA_DIR [--max-len MAX_LEN]
 options:
   -h, --help            show this help message and exit
   --data-dir DATA_DIR   directory holding train.csv, validation.csv, test.csv
-                        (default: None)
   --max-len MAX_LEN     sequence length after padding (default: 100)
   --max-vocab MAX_VOCAB
                         vocabulary size cap (default: 10000)
@@ -60,7 +62,7 @@ options:
                         down-sample the majority class in every split
                         (default: True)
   --seed SEED           balancing seed (default: 42)
-  --out OUT             output directory for encoded files (default: None)
+  --out OUT             output directory for encoded files
 """
 
 TRAIN_HELP = """\
@@ -75,37 +77,33 @@ usage: qvuln train [-h] --model {lstm,qlstm} --task {classify,sine}
 
 options:
   -h, --help            show this help message and exit
-  --model {lstm,qlstm}  model kind (default: None)
+  --model {lstm,qlstm}  model kind
   --task {classify,sine}
-                        training task (default: None)
+                        training task
   --embedding {basic,glove,fasttext,glove+fasttext}
-                        input representation (default: basic) (default: None)
+                        input representation (default: basic)
   --vectors FILE        pretrained vector file (repeat for glove+fasttext)
-                        (default: None)
-  --data DATA           encoded training split (classify) (default: None)
+  --data DATA           encoded training split (classify)
   --eval-data EVAL_DATA
-                        encoded split for the metrics report (default: None)
-  --vocab VOCAB         vocabulary file (classify) (default: None)
-  --epochs EPOCHS       epochs (default: 30 sine, 10 classify) (default: None)
+                        encoded split for the metrics report
+  --vocab VOCAB         vocabulary file (classify)
+  --epochs EPOCHS       epochs (default: 30 sine, 10 classify)
   --batch BATCH         mini-batch size (default: 16)
-  --lr LR               learning rate (default: 1e-2 sine, 1e-3 classify)
-                        (default: None)
+  --lr LR               learning rate (default: 0.01 sine, 0.001 classify)
   --seed SEED           seed for init and shuffling (default: 42)
   --threshold THRESHOLD
                         decision threshold, classify only (default: 0.5)
-                        (default: None)
   --hidden HIDDEN       classical hidden units, lstm only (default: 50)
-                        (default: None)
   --d-basic D_BASIC     trainable embedding dimension, basic mode only
-                        (default: 50) (default: None)
-  --n-points N_POINTS   sine task sample count (default: 100) (default: None)
-  --window WINDOW       sine task input window (default: 4) (default: None)
+                        (default: 50)
+  --n-points N_POINTS   sine task sample count (default: 100)
+  --window WINDOW       sine task input window (default: 4)
   --sigma-hidden, --no-sigma-hidden
                         wrap the quantum hidden-state block in a sigmoid,
-                        qlstm only (default: true) (default: None)
-  --out OUT             checkpoint output path (default: None)
-  --metrics METRICS     metrics report output path (default: None)
-  --curves CURVES       prediction curve output path (default: None)
+                        qlstm only (default: True)
+  --out OUT             checkpoint output path
+  --metrics METRICS     metrics report output path
+  --curves CURVES       prediction curve output path
 """
 
 EVAL_HELP = """\
@@ -114,12 +112,11 @@ usage: qvuln eval [-h] --ckpt CKPT [--data DATA] [--threshold THRESHOLD]
 
 options:
   -h, --help            show this help message and exit
-  --ckpt CKPT           checkpoint path (default: None)
-  --data DATA           encoded dataset (classify checkpoints) (default: None)
+  --ckpt CKPT           checkpoint path
+  --data DATA           encoded dataset (classify checkpoints)
   --threshold THRESHOLD
-                        decision threshold (default: the checkpoint's)
-                        (default: None)
-  --metrics METRICS     metrics report output path (default: None)
+                        decision threshold, the checkpoint's if unset
+  --metrics METRICS     metrics report output path
 """
 
 SINE_DEMO_HELP = """\
@@ -128,10 +125,10 @@ usage: qvuln sine-demo [-h] --model {lstm,qlstm} [--epochs EPOCHS]
 
 options:
   -h, --help            show this help message and exit
-  --model {lstm,qlstm}  model kind (default: None)
+  --model {lstm,qlstm}  model kind
   --epochs EPOCHS       training epochs (default: 30)
   --seed SEED           seed for init and shuffling (default: 42)
-  --curves CURVES       curve output path (default: None)
+  --curves CURVES       curve output path
 """
 
 GRADCHECK_HELP = """\
@@ -148,7 +145,7 @@ usage: qvuln census [-h] --ckpt CKPT
 
 options:
   -h, --help   show this help message and exit
-  --ckpt CKPT  checkpoint path (default: None)
+  --ckpt CKPT  checkpoint path
 """
 
 
@@ -188,6 +185,89 @@ class TestHelpSnapshots:
     def test_snapshot(self, argv, snapshot, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == snapshot
+
+    @pytest.mark.parametrize(
+        "command", ["preprocess", "train", "eval", "sine-demo", "gradcheck", "census"])
+    def test_each_stated_default_is_the_one_the_handler_applies(
+            self, command, monkeypatch, tiny_corpus_dir, tmp_path, capsys):
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert not [line for line in text.splitlines() if "(default: None)" in line]
+        # each flag's help entry, joined onto one line: its defaults
+        stated = {}
+        for entry in re.split(r"\n(?=  -)", text.split("\noptions:\n", 1)[1]):
+            entry = " ".join(entry.split())
+            stated[entry.split()[0].rstrip(",")] = re.findall(r"\(default: ([^)]*)\)", entry)
+        assert {flag: found for flag, found in stated.items() if len(found) > 1} == {}
+        resolved = _resolved_defaults(command, monkeypatch, tiny_corpus_dir, tmp_path)
+        for flag, found in stated.items():
+            for default in found:
+                # "30 sine, 10 classify" states one default per task
+                parts = [part.rsplit(" ", 1) for part in default.split(", ")]
+                if all(len(part) == 2 and part[1] in TASKS for part in parts):
+                    expected = {task: value for value, task in parts}
+                else:
+                    expected = {task: default for task, run in resolved.items() if flag in run}
+                assert expected, f"no run of {command} reads {flag}"
+                assert {task: str(resolved[task][flag]) for task in expected} == expected, flag
+
+
+class _Built(Exception):
+    """Raised in place of `train`, carrying the settings and inputs the
+    handler built for it."""
+
+
+def _resolved_defaults(command, monkeypatch, corpus_dir, tmp_path) -> dict:
+    """{task (None for a command without one): {flag: the value that the
+    handler applies when the flag is unset}}, read from the calls the
+    handler makes: `train`'s settings and inputs (the table's width and
+    mode, the sine task's sizes) and `run_gradcheck`'s arguments."""
+
+    def no_training(config, data, matrix=None, **_):
+        raise _Built(config, data, matrix)
+
+    def built(argv) -> dict:
+        monkeypatch.setattr(cli, "train", no_training)
+        with pytest.raises(_Built) as info:
+            main([*argv, "--model", "lstm"])
+        config, data, matrix = info.value.args
+        run = {"--epochs": config.epochs, "--batch": config.batch_size, "--lr": config.lr,
+               "--seed": config.seed, "--threshold": config.threshold,
+               "--hidden": config.hidden, "--sigma-hidden": config.sigma_hidden}
+        if matrix is None:
+            run.update({"--n-points": len(data), "--window": data.sequences.shape[1]})
+        else:
+            run.update({"--d-basic": matrix.rows.shape[1], "--embedding": matrix.source})
+        return run
+
+    if command in ("train", "sine-demo"):
+        out, curves = ["--out", str(tmp_path / "ck.json")], ["--curves", str(tmp_path / "c.txt")]
+        if command == "sine-demo":
+            return {"sine": built(["sine-demo", *curves])}
+        enc = tmp_path / "encoded"
+        assert main(["preprocess", "--data-dir", str(corpus_dir), "--max-len", "6",
+                     "--out", str(enc)]) == 0
+        return {"sine": built(["train", "--task", "sine", *out]),
+                "classify": built(["train", "--task", "classify", "--data", str(enc / "train.json"),
+                                   "--vocab", str(enc / "vocab.json"), *out])}
+    if command == "gradcheck":
+        calls = []
+
+        @functools.wraps(run_gradcheck)  # the parser reads its defaults too
+        def recording(**kwargs):
+            bound = inspect.signature(run_gradcheck).bind(**kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return dict.fromkeys(("vqc", "lstm", "qlstm"), 0.0)
+
+        monkeypatch.setattr(cli, "run_gradcheck", recording)
+        assert main(["gradcheck"]) == 0
+        return {None: {"--seed": calls[0]["seed"], "--trials": calls[0]["trials"]}}
+    if command == "preprocess":  # its handler reads argparse's own defaults
+        args = cli.build_parser().parse_args(["preprocess", "--data-dir", "in", "--out", "out"])
+        return {None: {"--max-len": args.max_len, "--max-vocab": args.max_vocab,
+                       "--balance": args.balance, "--seed": args.seed}}
+    return {}  # eval and census state no default
 
 
 class TestExitCodes:

@@ -14,7 +14,9 @@ import pytest
 
 import qvuln
 from checkpoint_codec import array_entry, decode, encode, entry_values, index_entry
-from qvuln.cli import load_encoded_dataset, main, save_encoded_dataset
+from qvuln.cli import load_encoded_dataset, load_vocab_file, main, save_encoded_dataset
+from qvuln.corpus import SPLITS
+from qvuln.embedding import load_vectors
 from qvuln.errors import CheckpointError, DataError
 from qvuln.fileio import decode_array, encode_array, read_json
 from qvuln.trainer import ClassifyDataset, _record_keys
@@ -42,6 +44,34 @@ def test_read_json_rejections_name_the_file(tmp_path):
         assert str(path) in str(info.value)
     with pytest.raises(CheckpointError, match="thing not found"):
         read_json(tmp_path / "absent.json", "thing", "thing.v1", CheckpointError)
+
+
+def test_a_leading_byte_order_mark_is_skipped(tiny_corpus_dir, tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with one; a file read with it
+    # reads as its twin without it
+    bom = b"\xef\xbb\xbf"
+    bom_dir = tmp_path / "bom-csv"
+    bom_dir.mkdir()
+    for split in SPLITS:
+        (bom_dir / f"{split}.csv").write_bytes(bom + (tiny_corpus_dir / f"{split}.csv").read_bytes())
+    for data_dir, out in ((tiny_corpus_dir, "plain"), (bom_dir, "bom")):
+        assert main(["preprocess", "--data-dir", str(data_dir), "--max-len", "6",
+                     "--max-vocab", "30", "--out", str(tmp_path / out)]) == 0
+    for name in ("vocab", *SPLITS):
+        assert ((tmp_path / "bom" / f"{name}.json").read_bytes()
+                == (tmp_path / "plain" / f"{name}.json").read_bytes()), name
+
+    vocab = tmp_path / "vocab-bom.json"
+    vocab.write_bytes(bom + (tmp_path / "plain" / "vocab.json").read_bytes())
+    assert load_vocab_file(vocab) == load_vocab_file(tmp_path / "plain" / "vocab.json")
+    for content in (b"strcpy 0.5 -1.0\nbuf 0.25 0.0\n", b"2 2\nstrcpy 0.5 -1.0\nbuf 0.25 0.0\n"):
+        (tmp_path / "v.txt").write_bytes(content)
+        (tmp_path / "v-bom.txt").write_bytes(bom + content)
+        plain, with_bom = load_vectors(tmp_path / "v.txt"), load_vectors(tmp_path / "v-bom.txt")
+        assert with_bom.dim == plain.dim == 2
+        assert list(with_bom.entries) == list(plain.entries) == ["strcpy", "buf"]
+        for token, vector in plain.entries.items():
+            assert with_bom.entries[token].tobytes() == vector.tobytes()
 
 
 def _call_name(node: ast.Call) -> str | None:
