@@ -2,14 +2,16 @@
 
 Subcommands: preprocess (CSV -> encoded corpus + vocabulary), train, eval,
 sine-demo, gradcheck (finite-difference verification), census (parameter
-count check).  Exit codes: 0 success, 1 usage error, 2 data/format error or
-memory exhaustion, 3 failed verification or divergence.  A flag that only
-one model or one task reads is a usage error when the run does not read
-it: `--hidden`, `--[no-]sigma-hidden`, `--threshold`, `--n-points` and
-`--window` set the settings `trainer._record_keys` lists, and its list
-says which model and task read each; the inputs of classify are
-classify's, and `--d-basic` is basic mode's.  `eval` of a sine
-checkpoint takes no `--threshold`.
+count check).  Exit codes: 0 success, 1 usage error, 2 a refused input
+(`DataError`: a bad file, checkpoint, split or setting) or memory
+exhaustion, 3 a diverged run (`DivergenceError`) or failed verification.
+A flag that only one model or one task reads is a usage error when the
+run does not read it: `--hidden`, `--[no-]sigma-hidden`, `--threshold`,
+`--n-points` and `--window` set the settings `trainer._record_keys`
+lists, and its list says which model and task read each; the inputs of
+classify are classify's, and `--d-basic` is basic mode's.  `eval` of a sine
+checkpoint takes no `--threshold`, and `preprocess --no-balance` no
+`--seed`.
 
 A flag whose setting has a default in the library has none in the parser:
 an unset one is not passed (`_given`), so the callee's default applies,
@@ -36,8 +38,8 @@ import numpy as np
 from .corpus import (
     SPLITS, VOCAB_FORMAT, Vocabulary, balance, build_vocab, load_dataset, tokenize,
 )
-from .embedding import MODES, build_embedding_matrix, load_vectors
-from .errors import CheckpointError, DataError, DivergenceError, _check_settings
+from .embedding import MODES, _check_table_count, build_embedding_matrix, load_vectors
+from .errors import DataError, DivergenceError, _check_settings
 from .fileio import check_output_paths, decode_array, encode_array, read_json, write_json
 from .neural import bce_from_logit, laid_out
 from .trainer import (
@@ -198,7 +200,11 @@ def run_gradcheck(seed: int = 42, trials: int = 20) -> dict[str, float]:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    _check_settings(vars(args), ("seed", "max_len", "max_vocab"))
+    _check_settings(_given(seed=args.seed, max_len=args.max_len, max_vocab=args.max_vocab))
+    # after the settings' range checks, before the output directory is made
+    if args.seed is not None and not args.balance:
+        print("error: --no-balance takes no --seed", file=sys.stderr)
+        return 1
     data_dir = Path(args.data_dir)
     out_dir = Path(args.out)
     try:
@@ -211,7 +217,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     for split in SPLITS:
         corpus = load_dataset(data_dir / f"{split}.csv", split)
         if args.balance:
-            corpus = balance(corpus, args.seed)
+            corpus = balance(corpus, **_given(seed=args.seed))
         log.info("%s: %d samples after preprocessing", split, len(corpus))
         corpora.append(corpus)
     # every CSV is checked before any file is written; train's tokens make the vocabulary
@@ -225,16 +231,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         del token_lists  # else they are alive while the array is written
         save_encoded_dataset(data, corpus.split, out_dir / f"{corpus.split}.json")
     return 0
-
-
-def _load_tables(vectors: list[str] | None, mode: str) -> list:
-    vectors = vectors or []
-    needed = MODES[mode]
-    if len(vectors) != needed:
-        raise DataError(
-            f"embedding mode {mode!r} requires {needed} --vectors file(s), got {len(vectors)}"
-        )
-    return [load_vectors(p) for p in vectors]
 
 
 def _given(**values) -> dict:
@@ -295,7 +291,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         vocab = load_vocab_file(args.vocab)
         data = load_encoded_dataset(args.data)
         eval_data = load_encoded_dataset(args.eval_data) if args.eval_data else None
-        tables = _load_tables(args.vectors, mode)
+        _check_table_count(mode, len(args.vectors or []))  # before any vector file is read
+        tables = [load_vectors(path) for path in args.vectors or []]
         matrix = build_embedding_matrix(vocab, tables, mode, config.seed, config.d_basic)
         ckpt, report = train(
             config, data, matrix=matrix, vocab_digest=vocab.digest(),
@@ -410,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     # the defaults that the callees of unset flags apply, which the help texts state
-    config, sine, gradcheck = (
+    config, sine, gradcheck, balancing = (
         {arg.name: arg.default for arg in inspect.signature(f).parameters.values()}
-        for f in (TrainConfig, sine_task, run_gradcheck))
+        for f in (TrainConfig, sine_task, run_gradcheck, balance))
     per_task = lambda name: ", ".join(f"{d[name]} {task}" for task, d in _TASK_DEFAULTS.items())
 
     p = add("preprocess", "encode CSV corpora into fixed-length index sequences", _cmd_preprocess)
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vocab", type=int, default=10000, help="vocabulary size cap")
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=True,
                    help="down-sample the majority class in every split")
-    p.add_argument("--seed", type=int, default=42, help="balancing seed")
+    p.add_argument("--seed", type=int, help=f"balancing seed (default: {balancing['seed']})")
     p.add_argument("--out", required=True, help="output directory for encoded files")
 
     p = add("train", "train a model and write a checkpoint", _cmd_train)
@@ -496,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, CheckpointError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -129,7 +129,7 @@ def load_dataset(path: str | Path, split: str) -> LabeledCorpus:
     return LabeledCorpus(samples=samples, split=split)
 
 
-def balance(corpus: LabeledCorpus, seed: int) -> LabeledCorpus:
+def balance(corpus: LabeledCorpus, seed: int = 42) -> LabeledCorpus:
     """Down-sample the majority class to the minority count (seeded choice
     without replacement), then return a seeded shuffle of the result."""
     if len(corpus) == 0:

@@ -102,6 +102,14 @@ def _lookup_rows(vocab: Vocabulary, table: VectorTable, rng: np.random.Generator
     return rows
 
 
+def _check_table_count(mode: str, count: int) -> None:
+    """Raises DataError unless `count`, the vector tables given (one per
+    vector file), is the number source mode `mode` reads."""
+    if count != MODES[mode]:
+        raise DataError(f"embedding mode {mode!r} requires {MODES[mode]} vector table(s), "
+                        f"got {count}")
+
+
 def build_embedding_matrix(
     vocab: Vocabulary,
     tables: list[VectorTable],
@@ -114,10 +122,7 @@ def build_embedding_matrix(
     if mode not in MODES:
         raise DataError(f"unknown embedding mode {mode!r}; expected one of {tuple(MODES)}")
     _check_settings({"d_basic": d_basic})
-    if len(tables) != MODES[mode]:
-        raise DataError(
-            f"{mode} mode requires exactly {MODES[mode]} vector table(s), got {len(tables)}"
-        )
+    _check_table_count(mode, len(tables))
     rng = np.random.default_rng(seed)
     if tables:
         rows = np.concatenate([_lookup_rows(vocab, table, rng) for table in tables], axis=1)

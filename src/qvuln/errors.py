@@ -1,23 +1,24 @@
-"""Shared exception types, and the one rule of every size, rate and flag
-setting: `_SETTINGS` maps each name to its test and its error words, and
-`_check_settings` checks the names a caller gives it.  Training settings,
-command-line sizes, encoded splits and a checkpoint's record all go
-through it; this module imports none of the package's others."""
+"""The package's two error classes, one per failing exit code:
+`DataError` for any refused input, a checkpoint included (exit 2), and
+`DivergenceError` for a run that diverged (exit 3).  And the one rule of
+every size, rate and flag setting: `_SETTINGS` maps each name to its test
+and its error words, and `_check_settings` checks the names a caller gives
+it.  Training settings, command-line sizes, encoded splits and a
+checkpoint's record all go through it; this module imports none of the
+package's others."""
 from __future__ import annotations
 
 import math
 
 
 class DataError(ValueError):
-    """Malformed input data: bad CSV rows, vector files, or corpus contents."""
-
-
-class CheckpointError(ValueError):
-    """Unreadable or incompatible checkpoint file."""
+    """A refused input: a bad CSV row, vector file, split, setting or
+    checkpoint.  The command line exits 2 on it."""
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """A training run's loss or final values became non-finite.  The
+    command line exits 3 on it."""
 
 
 # the values JSON records: Python ints and floats (numpy's float64 is a
@@ -45,13 +46,12 @@ _SETTINGS = {
 }
 
 
-def _check_settings(settings: dict, names=None, error: type[Exception] = DataError,
-                    prefix: str = "") -> None:
-    """Raises `error`, its message led by `prefix`, on the first of `names`
+def _check_settings(settings: dict, names=None, prefix: str = "") -> None:
+    """Raises DataError, its message led by `prefix`, on the first of `names`
     (all of `settings` by default) whose value breaks its rule; an absent
     name reads as None, which no rule accepts."""
     for name in settings if names is None else names:
         accepts, rule = _SETTINGS[name]
         value = settings.get(name)
         if not accepts(value):
-            raise error(f"{prefix}{name!r} must {rule}, got {value!r}")
+            raise DataError(f"{prefix}{name!r} must {rule}, got {value!r}")

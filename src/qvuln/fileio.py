@@ -4,7 +4,8 @@ one encoding of a numeric array inside a document: its shape, its dtype
 and the hex of its bytes.  Hex, not base64, because CPython's
 `binascii.a2b_hex` decodes 2-5x faster per byte than `a2b_base64` on
 3.10-3.13, and decoding was most of a checkpoint's load time.  The
-callers keep only their own schema checks."""
+callers keep only their own schema checks.  Every refusal here, of a
+checkpoint as of any other file, is a one-line DataError."""
 from __future__ import annotations
 
 import binascii
@@ -21,26 +22,26 @@ from .errors import DataError
 
 
 @contextmanager
-def open_input(path: str | Path, what: str, error=DataError) -> Iterator[TextIO]:
+def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
     """Open `path` as UTF-8 text with `newline=""` (the csv module's
     setting; line iteration still splits on any line ending).  A leading
     byte-order mark, as spreadsheet programs write, is skipped.  A missing
     file, and bytes that are not UTF-8 anywhere the block reads, raise
-    `error` with a one-line message naming the file."""
+    DataError with a one-line message naming the file."""
     path = Path(path)
     if not path.is_file():
-        raise error(f"{what} not found: {path}")
+        raise DataError(f"{what} not found: {path}")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
     except UnicodeDecodeError:
-        raise error(f"{path}: not UTF-8 text") from None
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def read_json(path: str | Path, what: str, fmt: str, error=DataError) -> dict:
+def read_json(path: str | Path, what: str, fmt: str) -> dict:
     """The JSON object in `path`, whose `format` tag must be `fmt`; invalid
-    JSON, a document that is not an object and another tag raise `error`."""
-    with open_input(path, what, error) as fh:
+    JSON, a document that is not an object and another tag raise DataError."""
+    with open_input(path, what) as fh:
         try:
             doc = json.load(fh)
         except UnicodeDecodeError:
@@ -48,11 +49,11 @@ def read_json(path: str | Path, what: str, fmt: str, error=DataError) -> dict:
         # a number with too many digits raises a plain ValueError, deep
         # nesting a RecursionError
         except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: not valid JSON: {exc}") from None
+            raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise error(f"{path}: not a JSON object")
+        raise DataError(f"{path}: not a JSON object")
     if doc.get("format") != fmt:
-        raise error(f"{path}: unsupported format {doc.get('format')!r}, expected {fmt!r}")
+        raise DataError(f"{path}: unsupported format {doc.get('format')!r}, expected {fmt!r}")
     return doc
 
 
@@ -90,11 +91,11 @@ def encode_array(arr: np.ndarray, dtype: str) -> dict:
     return {"shape": list(arr.shape), "dtype": np.dtype(dtype).str, "data": data}
 
 
-def decode_array(entry, dtypes: tuple[str, ...], what: str, error=DataError) -> np.ndarray:
+def decode_array(entry, dtypes: tuple[str, ...], what: str) -> np.ndarray:
     """The array of one `encode_array` entry: `shape` a list of non-negative
     integers, `dtype` one of `dtypes` (the types the caller's field allows)
     and `data` the hex of itemsize x prod(shape) bytes of it.  Returns a
-    writable native-order copy; any other entry raises `error` with a
+    writable native-order copy; any other entry raises DataError with a
     one-line message that starts with `what`."""
     try:
         if not isinstance(entry, dict):
@@ -119,7 +120,7 @@ def decode_array(entry, dtypes: tuple[str, ...], what: str, error=DataError) -> 
             raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs {n_bytes}")
         return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("=")).reshape(shape)
     except ValueError as exc:
-        raise error(f"{what}: {exc}") from None
+        raise DataError(f"{what}: {exc}") from None
 
 
 def check_output_paths(

@@ -10,11 +10,14 @@ is refused, not converted.
 
 Both tasks are index rows into a table (token indices into the embedding
 rows, sine windows into a table of sine values), and `_check_split` checks
-a split against its table before any work.  Each optimizer step is one
-forward and one backward call over the whole mini-batch, through the
-models' leading batch axis.  Adam updates one vector theta, the model's
-(`neural.laid_out`) and then a trainable table's rows, by a gradient
-vector of the same layout; a frozen table stays outside.  Evaluation runs
+a split against its table before any work.  `train` also checks its record
+as the checkpoint check will, so the one refusal left to its closing
+evaluation is of the run's own non-finite values, a DivergenceError.
+Each optimizer step is one forward and one backward call over the whole
+mini-batch, through the models' leading batch axis.  Adam updates one
+vector theta, the model's (`neural.laid_out`) and then a trainable
+table's rows, by a gradient vector of the same layout; a frozen table
+stays outside.  Evaluation runs
 the same batched forward in chunks of EVAL_CHUNK samples without keeping
 backward caches, so its memory is bounded by one chunk's inputs and one
 step's working set, not by T steps of caches.  `_model` is the one place
@@ -33,7 +36,9 @@ ignored.  `evaluate` and `census` both call it first, so a checkpoint one
 refuses the other refuses too; the census alone lets through, and
 counts, arrays the model does not have.  `evaluate` then takes the
 decision threshold (classify only; sine reads none) or the sine task from
-the checked record, and `census` the embedding's trainable flag.
+the checked record, and `census` the embedding's trainable flag.  A
+checkpoint that this check or `load_checkpoint` refuses raises DataError,
+as any other refused input does.
 """
 from __future__ import annotations
 
@@ -46,7 +51,7 @@ import numpy as np
 
 from .corpus import PAD_INDEX
 from .embedding import D_BASIC_DEFAULT, EmbeddingMatrix
-from .errors import CheckpointError, DataError, DivergenceError, _check_settings
+from .errors import DataError, DivergenceError, _check_settings
 from .fileio import atomic_write, decode_array, encode_array, open_input, read_json, write_json
 from .neural import (
     OptimizerState,
@@ -198,16 +203,16 @@ class SineDataset:
         return len(self.targets)
 
 
-def _check_sine_sizes(n_points: int, window: int) -> None:
-    """Raises DataError unless both sizes pass their rule in
-    `errors._SETTINGS`, n_points > window, and the windows' n_points *
-    window indices number at most SINE_MAX_VALUES."""
-    _check_settings({"n_points": n_points, "window": window})
+def _check_sine_sizes(n_points: int, window: int, prefix: str = "") -> None:
+    """Raises DataError, its message led by `prefix`, unless both sizes pass
+    their rule in `errors._SETTINGS`, n_points > window, and the windows'
+    n_points * window indices number at most SINE_MAX_VALUES."""
+    _check_settings({"n_points": n_points, "window": window}, None, prefix)
     if n_points <= window:
-        raise DataError(f"need n_points > window, got n_points={n_points} window={window}")
+        raise DataError(f"{prefix}need n_points > window, got n_points={n_points} window={window}")
     if n_points * window > SINE_MAX_VALUES:
         raise DataError(
-            f"sine task of n_points={n_points} window={window} holds more than "
+            f"{prefix}sine task of n_points={n_points} window={window} holds more than "
             f"{SINE_MAX_VALUES} input values"
         )
 
@@ -315,21 +320,20 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc = read_json(path, "checkpoint", CHECKPOINT_FORMAT, CheckpointError)
+    doc = read_json(path, "checkpoint", CHECKPOINT_FORMAT)
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+        raise DataError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
     if doc.get("model") not in MODELS or doc.get("task") not in TASKS:
-        raise CheckpointError(
+        raise DataError(
             f"{path}: unknown model/task {doc.get('model')!r}/{doc.get('task')!r}; "
             f"expected a model in {MODELS} and a task in {TASKS}"
         )
     if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
-        raise CheckpointError(f"{path}: hyperparameters and params must be JSON objects")
+        raise DataError(f"{path}: hyperparameters and params must be JSON objects")
     if not isinstance(doc.get("vocab_digest"), (str, type(None))):
-        raise CheckpointError(f"{path}: vocab_digest must be a string or null")
+        raise DataError(f"{path}: vocab_digest must be a string or null")
     arrays = {
-        name: decode_array(entry, ("<f8",), f"{path}: malformed parameter array {name!r}",
-                           CheckpointError)
+        name: decode_array(entry, ("<f8",), f"{path}: malformed parameter array {name!r}")
         for name, entry in doc["params"].items()
     }
     return Checkpoint(model=doc["model"], task=doc["task"], hyperparameters=doc["hyperparameters"],
@@ -376,17 +380,13 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     finite values.  A classify
     checkpoint also holds an embedding, and an embedding on either task
     must be a finite (n_rows, d_in) array.  Last, a sine record's `d_in`
-    must be 1, the sine table's width.  Raises CheckpointError on any
+    must be 1, the sine table's width.  Raises DataError on any
     difference; with `extra_ok`, arrays the model does not have are let
     through."""
     hp = ckpt.hyperparameters
-    _check_settings(hp, _record_keys(ckpt.model, ckpt.task), CheckpointError,
-                    "checkpoint hyperparameter ")
+    _check_settings(hp, _record_keys(ckpt.model, ckpt.task), "checkpoint hyperparameter ")
     if ckpt.task == "sine":
-        try:
-            _check_sine_sizes(hp["n_points"], hp["window"])
-        except DataError as exc:
-            raise CheckpointError(f"checkpoint task sizes: {exc}") from None
+        _check_sine_sizes(hp["n_points"], hp["window"], "checkpoint task sizes: ")
     # a one-unit model names the arrays, so a missing one is named; the stored
     # values must then cover the recorded sizes before any allocation at them
     unit, _, _ = _model(ckpt.model, {**hp, "d_in": 1, "hidden": 1}, np.random.default_rng(0))
@@ -394,11 +394,10 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     missing = sorted(names - set(ckpt.arrays))
     unexpected = [] if extra_ok else sorted(set(ckpt.arrays) - names)
     if missing or unexpected:
-        raise CheckpointError(
-            f"{ckpt.model} checkpoint arrays: missing {missing}, unexpected {unexpected}"
-        )
+        raise DataError(f"{ckpt.model} checkpoint arrays: missing {missing}, "
+                        f"unexpected {unexpected}")
     if _model_census(ckpt.model, hp) > sum(arr.size for arr in ckpt.arrays.values()):
-        raise CheckpointError("checkpoint hyperparameters record more parameters than it stores")
+        raise DataError("checkpoint hyperparameters record more parameters than it stores")
     params, forward, _ = _model(ckpt.model, hp, np.random.default_rng(0))
     expected = {name: arr.shape for name, arr in params.tree().items()}
     if "embedding.rows" in ckpt.arrays:
@@ -406,18 +405,16 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
         rows = ckpt.arrays["embedding.rows"]
         expected["embedding.rows"] = (rows.shape[0] if rows.ndim else 0, hp["d_in"])
         if rows.ndim == 2 and rows.shape[0] < 2:
-            raise CheckpointError(f"checkpoint array 'embedding.rows' has {len(rows)} rows, not "
-                                  "even the padding and out-of-vocabulary rows")
+            raise DataError(f"checkpoint array 'embedding.rows' has {len(rows)} rows, not "
+                            "even the padding and out-of-vocabulary rows")
     for name, shape in expected.items():
         arr = ckpt.arrays[name]
         if arr.shape != shape:
-            raise CheckpointError(
-                f"checkpoint array {name!r} has shape {arr.shape}, expected {shape}"
-            )
+            raise DataError(f"checkpoint array {name!r} has shape {arr.shape}, expected {shape}")
         if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
+            raise DataError(f"checkpoint array {name!r} holds non-finite values")
     if ckpt.task == "sine" and hp["d_in"] != 1:
-        raise CheckpointError(f"checkpoint d_in {hp['d_in']} does not match the 1-wide input table")
+        raise DataError(f"checkpoint d_in {hp['d_in']} does not match the 1-wide input table")
     for name, arr in params.tree().items():
         arr[...] = ckpt.arrays[name]
     return params, forward
@@ -499,7 +496,10 @@ def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None,
     Raises DataError on a dataset of the other task's kind, a split with no
     samples, a classify split whose max_len is not `max_len`, a classify
     split encoded with another vocabulary than the one of digest
-    `vocab_digest` (None checks nothing), or an index outside the table."""
+    `vocab_digest` (None checks nothing), a sine split whose sizes break
+    `_check_sine_sizes` or whose table is not one column wide, a vocabulary
+    table without its padding and unknown rows, a table holding a
+    non-finite value, or an index outside the table."""
     kind = ClassifyDataset if task == "classify" else SineDataset
     if not isinstance(data, kind):
         raise DataError(f"the {task} task needs a {kind.__name__}, got {type(data).__name__}")
@@ -512,6 +512,14 @@ def _check_split(task: str, data, emb: np.ndarray | None, max_len: int | None,
                         f"vocabulary {vocab_digest[:12]}...")
     table, name = (emb, "vocabulary") if task == "classify" else (data.table, "sine table")
     seq = data.sequences
+    if task == "sine":
+        _check_sine_sizes(len(data), seq.shape[1])
+        if table.shape[1] != 1:
+            raise DataError(f"the sine table must be 1 column wide, got {table.shape[1]}")
+    elif len(table) < 2:
+        raise DataError(f"the {len(table)}-row vocabulary lacks the padding and unknown rows")
+    if not np.all(np.isfinite(table)):
+        raise DataError(f"the {name} holds non-finite values")
     if seq.size and not 0 <= int(seq.min()) <= int(seq.max()) < len(table):
         raise DataError(f"data contains indices outside the {len(table)}-row {name}")
     return table
@@ -562,7 +570,9 @@ def train(
     prediction curves when curves_path is given, and reports metrics over
     eval_data (falling back to the training data), checked before the first epoch.
     Given `vocab_digest`, a split encoded with another vocabulary raises
-    DataError before the first epoch.
+    DataError before the first epoch.  So does every input the closing
+    evaluation's checkpoint check would refuse, so that evaluation raises
+    DivergenceError, not DataError, on the run's own non-finite values.
     """
     if (matrix is None) != (config.task == "sine"):
         needs = "takes no" if matrix is not None else "requires an"
@@ -579,6 +589,8 @@ def train(
             "max_len": max_len, "threshold": config.threshold, "embedding_trainable": emb_trainable,
             "n_points": len(data), "window": data.sequences.shape[1]}
     hyperparameters = {key: read[key] for key in _record_keys(config.model, config.task)}
+    # the rule the checkpoint check applies to them, e.g. a table's width d_in >= 1
+    _check_settings(hyperparameters)
     hyperparameters.update(batch_size=config.batch_size, epochs=config.epochs, lr=config.lr,
                            seed=config.seed)
     if matrix is not None:
@@ -644,8 +656,10 @@ def train(
 
     try:
         report = evaluate(ckpt, eval_data if eval_data is not None else data)
-    except CheckpointError as exc:
-        # the run built this checkpoint itself: its last Adam step diverged
+    except DataError as exc:
+        # the splits, the table and the record passed, before the first
+        # epoch, every check the checkpoint check repeats; what is left to
+        # refuse is the run's own values: non-finite arrays, logits or MSE
         raise DivergenceError(f"training diverged: {exc}") from None
     report.wall_time_seconds = wall_time
     report.loss_curve = loss_curve
@@ -682,7 +696,7 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
     with np.errstate(over="ignore", invalid="ignore"):
         logits = predictions_over(forward, params, data, table)
     if not np.all(np.isfinite(logits)):
-        raise CheckpointError("checkpoint gives non-finite logits")
+        raise DataError("checkpoint gives non-finite logits")
     preds = sigmoid(logits) if classify else logits
 
     if classify:
@@ -700,7 +714,7 @@ def evaluate(ckpt: Checkpoint, data=None, threshold: float | None = None) -> Met
         with np.errstate(over="ignore"):
             mse = float(np.mean((preds - data.targets) ** 2))
         if not np.isfinite(mse):
-            raise CheckpointError(f"checkpoint gives a non-finite mean squared error ({mse})")
+            raise DataError(f"checkpoint gives a non-finite mean squared error ({mse})")
         report = MetricsReport(mse=mse)
     report.predictions = preds
     report.parameter_count = runtime_census(ckpt.arrays, classify and hp["embedding_trainable"])

@@ -21,6 +21,7 @@ from qvuln.cli import (
     main,
     run_gradcheck,
 )
+from qvuln.corpus import balance
 from qvuln.embedding import MODES, build_embedding_matrix
 from qvuln.errors import DataError
 from qvuln.trainer import (
@@ -221,7 +222,8 @@ def _resolved_defaults(command, monkeypatch, corpus_dir, tmp_path) -> dict:
     """{task (None for a command without one): {flag: the value that the
     handler applies when the flag is unset}}, read from the calls the
     handler makes: `train`'s settings and inputs (the table's width and
-    mode, the sine task's sizes) and `run_gradcheck`'s arguments."""
+    mode, the sine task's sizes), `run_gradcheck`'s arguments and the seed
+    `balance` is called with."""
 
     def no_training(config, data, matrix=None, **_):
         raise _Built(config, data, matrix)
@@ -263,10 +265,23 @@ def _resolved_defaults(command, monkeypatch, corpus_dir, tmp_path) -> dict:
         monkeypatch.setattr(cli, "run_gradcheck", recording)
         assert main(["gradcheck"]) == 0
         return {None: {"--seed": calls[0]["seed"], "--trials": calls[0]["trials"]}}
-    if command == "preprocess":  # its handler reads argparse's own defaults
+    if command == "preprocess":  # argparse's own defaults, and the seed `balance` applies
+        seeds = []
+
+        @functools.wraps(balance)  # the parser reads its defaults too
+        def balancing(corpus, **kwargs):
+            bound = inspect.signature(balance).bind(corpus, **kwargs)
+            bound.apply_defaults()
+            seeds.append(bound.arguments["seed"])
+            return balance(corpus, **kwargs)
+
+        monkeypatch.setattr(cli, "balance", balancing)
+        assert main(["preprocess", "--data-dir", str(corpus_dir),
+                     "--out", str(tmp_path / "enc")]) == 0
+        assert len(set(seeds)) == 1, seeds
         args = cli.build_parser().parse_args(["preprocess", "--data-dir", "in", "--out", "out"])
         return {None: {"--max-len": args.max_len, "--max-vocab": args.max_vocab,
-                       "--balance": args.balance, "--seed": args.seed}}
+                       "--balance": args.balance, "--seed": seeds[0]}}
     return {}  # eval and census state no default
 
 
@@ -520,6 +535,23 @@ class TestExitCodes:
             name = flag[2:].replace("-", "_")
             assert err.startswith("error: ") and name in err and err.count("\n") == 1, err
             assert not enc_dir.exists()
+
+    def test_no_balance_refuses_a_seed(self, monkeypatch, tiny_corpus_dir, tmp_path, capsys):
+        enc_dir = tmp_path / "encoded"
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the flags are checked before any CSV is read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        argv = ["preprocess", "--data-dir", str(tiny_corpus_dir), "--no-balance", "--out",
+                str(enc_dir)]
+        assert main([*argv, "--seed", "7"]) == 1
+        assert capsys.readouterr().err == "error: --no-balance takes no --seed\n"
+        assert not enc_dir.exists()
+        # the seed's range is checked first, as train checks its settings first
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: 'seed' must be an integer >= 0, got -1\n"
+        assert not enc_dir.exists()
 
     def test_sine_train_refuses_classify_inputs(self, tmp_path, capsys):
         ckpt_path = tmp_path / "ckpt.json"
@@ -975,8 +1007,8 @@ class TestExitCodes:
             assert main([*common, "--embedding", mode, *vectors]) == 2, (mode, given)
             err = capsys.readouterr().err
             needed = MODES[mode]
-            assert err == (f"error: embedding mode {mode!r} requires {needed} --vectors "
-                           f"file(s), got {given}\n"), err
+            assert err == (f"error: embedding mode {mode!r} requires {needed} vector "
+                           f"table(s), got {given}\n"), err
         assert not (tmp_path / "ckpt.json").exists()
 
     def test_csv_field_past_the_csv_limit_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):

@@ -108,8 +108,8 @@ class TestBuildBasic:
         table = VectorTable(dim=1, entries={"a": np.ones(1)})
         for mode, needed in MODES.items():
             for count in {0, 1, 2, 3} - {needed}:
-                message = re.escape(f"{mode} mode requires exactly {needed}")
-                with pytest.raises(DataError, match=message):
+                message = f"embedding mode {mode!r} requires {needed} vector table(s), got {count}"
+                with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
                     build_embedding_matrix(Vocabulary(tokens=["a"]), [table] * count, mode, seed=0)
 
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qvuln.errors import _SETTINGS, CheckpointError, DataError, _check_settings
+from qvuln.errors import _SETTINGS, DataError, _check_settings
 
 FLAG = "be true or false"
 # each rule's words: (values it accepts, its boundary among them; values
@@ -37,6 +37,6 @@ def test_each_rule_refuses_the_wrong_type_and_accepts_its_boundary(name):
         message = re.escape(f"{name!r} must {rule}, got {value!r}")
         with pytest.raises(DataError, match=message):
             _check_settings({name: value})
-    # an absent name is refused, with the caller's error class and prefix
-    with pytest.raises(CheckpointError, match=re.escape(f"ckpt: {name!r} must {rule}, got None")):
-        _check_settings({}, (name,), CheckpointError, "ckpt: ")
+    # an absent name is refused, with the caller's prefix
+    with pytest.raises(DataError, match=re.escape(f"ckpt: {name!r} must {rule}, got None")):
+        _check_settings({}, (name,), "ckpt: ")

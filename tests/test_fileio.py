@@ -17,7 +17,7 @@ from checkpoint_codec import array_entry, decode, encode, entry_values, index_en
 from qvuln.cli import load_encoded_dataset, load_vocab_file, main, save_encoded_dataset
 from qvuln.corpus import SPLITS
 from qvuln.embedding import load_vectors
-from qvuln.errors import CheckpointError, DataError
+from qvuln.errors import DataError
 from qvuln.fileio import decode_array, encode_array, read_json
 from qvuln.trainer import ClassifyDataset, _record_keys
 
@@ -42,8 +42,9 @@ def test_read_json_rejections_name_the_file(tmp_path):
         with pytest.raises(DataError, match=reason) as info:
             read_json(path, "thing", "thing.v1")
         assert str(path) in str(info.value)
-    with pytest.raises(CheckpointError, match="thing not found"):
-        read_json(tmp_path / "absent.json", "thing", "thing.v1", CheckpointError)
+    with pytest.raises(DataError, match="thing not found") as info:
+        read_json(tmp_path / "absent.json", "thing", "thing.v1")
+    assert type(info.value) is DataError
 
 
 def test_a_leading_byte_order_mark_is_skipped(tiny_corpus_dir, tmp_path):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import qvuln.trainer
 from checkpoint_codec import array_entry
 from qvuln.corpus import PAD_INDEX, Vocabulary
 from qvuln.embedding import build_embedding_matrix
-from qvuln.errors import CheckpointError, DataError, DivergenceError
+from qvuln.errors import DataError, DivergenceError
 from qvuln.neural import init_lstm_params
 from qvuln.qlstm import init_qlstm_params
 from qvuln.trainer import (
@@ -323,6 +325,44 @@ class TestTrain:
             bad.sequences[0, 0] = 10
             train(TrainConfig(model="lstm", task="sine", hidden=2), bad)
 
+    @pytest.mark.parametrize("model", ["lstm", "qlstm"])
+    def test_input_the_checkpoint_check_would_refuse_is_refused_before_any_epoch(
+            self, model, monkeypatch):
+        # each of these once trained every epoch and then failed as a
+        # divergence in the closing evaluation, or failed with a traceback
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward call ran")
+
+        monkeypatch.setattr(qvuln.trainer, f"{model}_forward", no_forward)
+        sine = sine_task(10, 4)
+        three_windows = replace(sine, sequences=sine.sequences[:3], targets=sine.targets[:3],
+                                xs=sine.xs[:3])
+        vocab, data = tiny_classify_dataset()
+        matrix = build_embedding_matrix(vocab, [], "basic", seed=0, d_basic=2)
+        nan_rows = matrix.rows.copy()
+        nan_rows[1, 0] = np.nan  # the out-of-vocabulary row, which no sample reads
+        cases = [
+            (three_windows, None, "need n_points > window, got n_points=3 window=4"),
+            (replace(sine, table=np.hstack([sine.table] * 2)), None,
+             "the sine table must be 1 column wide, got 2"),
+            (replace(sine, table=sine.table[:, :0]), None,
+             "the sine table must be 1 column wide, got 0"),
+            (data, replace(matrix, rows=matrix.rows[:, :0]),
+             "'d_in' must be a positive integer, got 0"),
+            (replace(data, sequences=np.zeros_like(data.sequences)),
+             replace(matrix, rows=matrix.rows[:1]),
+             "the 1-row vocabulary lacks the padding and unknown rows"),
+            (data, replace(matrix, rows=nan_rows, trainable=False),
+             "the vocabulary holds non-finite values"),
+            (data, replace(matrix, trainable=1),
+             "'embedding_trainable' must be true or false, got 1"),
+        ]
+        for split, table, message in cases:
+            config = TrainConfig(model=model, task="sine" if table is None else "classify",
+                                 epochs=1, **({"hidden": 2} if model == "lstm" else {}))
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                train(config, split, matrix=table)
+
     def test_empty_data_rejected(self):
         with pytest.raises(DataError, match="no samples"):
             train(
@@ -412,15 +452,17 @@ class TestCheckpointFiles:
         text = path.read_text()
         assert '"version": 3' in text
         path.write_text(text.replace('"version": 3', '"version": 99'))
-        with pytest.raises(CheckpointError):
+        message = f"{path}: unsupported checkpoint version 99"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_checkpoint(path)
 
     def test_missing_and_malformed(self, tmp_path):
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "absent.json")
+        absent = tmp_path / "absent.json"
+        with pytest.raises(DataError, match=re.escape(f"checkpoint not found: {absent}")):
+            load_checkpoint(absent)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataError, match=re.escape(f"{bad}: not valid JSON: ")):
             load_checkpoint(bad)
         save_checkpoint(self.make_checkpoint(), bad)
         valid = json.loads(bad.read_text())
@@ -428,10 +470,16 @@ class TestCheckpointFiles:
         del no_shape["params"]["w"]["shape"]
         no_data = json.loads(bad.read_text())
         del no_data["params"]["w"]["data"]
-        for doc in ([valid], {**valid, "params": []}, {**valid, "params": {"w": [1.0]}},
-                    no_shape, no_data):
+        malformed = f"{bad}: malformed parameter array 'w': "
+        for doc, message in (
+            ([valid], f"{bad}: not a JSON object"),
+            ({**valid, "params": []}, f"{bad}: hyperparameters and params must be JSON objects"),
+            ({**valid, "params": {"w": [1.0]}}, f"{malformed}not a JSON object"),
+            (no_shape, f"{malformed}shape must be a list of non-negative integers, got None"),
+            (no_data, f"{malformed}data must be a hex string, got NoneType"),
+        ):
             bad.write_text(json.dumps(doc))
-            with pytest.raises(CheckpointError):
+            with pytest.raises(DataError, match=re.escape(message)):
                 load_checkpoint(bad)
 
     def test_round_trip_bitwise_for_edge_arrays(self, tmp_path):
@@ -536,7 +584,8 @@ class TestEvaluate:
         assert evaluate(ckpt, data, 0.5).confusion.fn == 0
         for value in ("x", True, 1.5, 0, 1, float("nan"), float("inf"), None):
             hp["threshold"] = value
-            with pytest.raises(CheckpointError, match="'threshold' must lie in"):
+            with pytest.raises(DataError,
+                               match="^checkpoint hyperparameter 'threshold' must lie in"):
                 evaluate(ckpt, data)
 
     def test_classify_checkpoint_without_split_is_data_error(self):
