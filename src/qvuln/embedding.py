@@ -78,11 +78,23 @@ def load_vectors(path: str | Path) -> VectorTable:
 
 def _standardize_columns(rows: np.ndarray) -> np.ndarray:
     """Per-column standardization over non-padding rows (population std);
-    constant columns become zero.  The padding row is zeroed afterwards."""
+    constant columns, whose std is below 1e-12 in the table's units, become
+    zero.  The padding row is zeroed afterwards.
+
+    Each column is first divided by the power of two 2^e just above its
+    largest |value|.  That division is exact, so where no intermediate is
+    subnormal the scaled column's mean and std are the unscaled ones times
+    2^-e bit for bit, and the standardized values are the same; but no sum
+    or square of values below 1 overflows, so every finite table, up to
+    +-1.8e308, gives a finite matrix."""
+    _, exponent = np.frexp(np.abs(rows[PAD_INDEX + 1:]).max(axis=0))
+    rows = np.ldexp(rows, -exponent)
     body = rows[PAD_INDEX + 1:]  # the padding row is the first
     mean = body.mean(axis=0)
     std = body.std(axis=0)
-    constant = std < 1e-12
+    # a column below 2^-1000 is constant in any case; the cap keeps the
+    # threshold, 1e-12 in the table's units, finite
+    constant = std < np.ldexp(1e-12, np.minimum(-exponent, 1000))
     safe = np.where(constant, 1.0, std)
     rows = (rows - mean) / safe
     rows[:, constant] = 0.0

@@ -40,16 +40,25 @@ values in three products and returns each in the layout its product gives:
   Kronecker products with the 4 unshifted columns in one product, then
   each sample's high pair's (qubits 3, 2); `vqc_forward` and `vqc_rows`
   share it (`_readout`), so both have its bits;
-- the shifted product, (n, 112), of the encoded state's full Pauli vector,
-  the (256, n) `pauli`: the 14 +SHIFT circuits, then the 14 -SHIFT ones,
-  each half layer 1's 12 shifted angles, 4 columns each, then layer 2's
-  slot 0 and 1, whose 4 columns each shift the slot on the qubit q of
-  their <Z_q>.  A layer-2 rotation on qubit q lies in the light cone of
-  Z_q alone, so a layer-2 shift leaves the other three <Z> at the
+- the shifted product, (n, 112): the 14 +SHIFT circuits, then the 14
+  -SHIFT ones, each half layer 1's 12 shifted angles, 4 columns each, then
+  layer 2's slot 0 and 1, whose 4 columns each shift the slot on the qubit
+  q of their <Z_q>.  A layer-2 rotation on qubit q lies in the light cone
+  of Z_q alone, so a layer-2 shift leaves the other three <Z> at the
   unshifted readout.  Layer 2 ends each qubit with an RZ that commutes
   with the Z readout, so a slot-2 shift changes no <Z> at all: its rows
   are the unshifted readout, and those 4 angles never get a gradient.
-  Their 8 rows are still counted, since the cost model counts them;
+  Their 8 rows are still counted, since the cost model counts them.
+  Each <Z_q> column contracts only the strings of the encoded state's
+  (256, n) Pauli vector `pauli` in Z_q's backward light cone S_q, 117, 45,
+  117 and 108 of the 256 for q = 0..3 (`_light_cones`): its observable
+  before layer 1 weights only strings whose non-identity digits sit
+  exactly where the second ring's image of X_q, Y_q or Z_q has them, since
+  a one-qubit rotation maps I to I and X, Y, Z among themselves, and the
+  first ring permutes strings.  Its coefficients off S_q are exact zeros
+  or rounding residue (at most about 5e-17), so the product is four
+  products `pauli[S_q].T @ block_q`, 10,836 multiply-adds a sample in
+  place of 28,672, and the cache keeps the four (|S_q|, 28) blocks only;
 - the encoding rows, (qubit, n, variant, q): an encoding shift swaps one
   qubit's Bloch vector for its RY or RZ +-pi/2 variant, in closed form, so
   its rows contract the unshifted columns with the other three qubits'
@@ -203,6 +212,23 @@ def _ring_images() -> tuple[np.ndarray, np.ndarray]:
 
 _IMAGE_DIGITS, _IMAGE_SIGNS = _ring_images()
 
+
+def _light_cones() -> tuple[np.ndarray, ...]:
+    """Each qubit q's backward light cone S_q: the ascending strings t of the
+    encoded state's Pauli vector that an observable of <Z_q> can weight.
+    Z_q read before layer 2 is a direction over X_q, Y_q, Z_q; the second
+    ring maps each to one string, and layer 1's rotations turn each of its
+    non-identity digits into some mix of X, Y and Z but keep each identity
+    digit; the first ring then sends string t's coefficient to the string
+    `_RING_GATHER[t]`.  So t is in S_q iff `_RING_GATHER[t]` has non-identity
+    digits exactly where one of the three images has them."""
+    support = _RING_GATHER[:, None] // 4 ** np.arange(N_QUBITS) % 4 > 0  # (string, qubit)
+    inside = (support[:, None, None] == (_IMAGE_DIGITS > 0)).all(axis=-1).any(axis=1)
+    return tuple(np.flatnonzero(inside[:, q]) for q in range(N_QUBITS))
+
+
+_CONES = _light_cones()
+
 # _KERNEL[(t, s), (c, b, d, a)] = sigma_t[a, b] sigma_s[c, d] / 2, so that a
 # one-qubit transfer matrix is _KERNEL times the products conj(u[c, b]) u[d, a]
 _KERNEL = (np.einsum("tab,scd->tscbda", _PAULIS, _PAULIS) / 2.0).reshape(16, 16)
@@ -244,17 +270,17 @@ _OPEN_ROWS = np.stack([np.moveaxis(np.arange(DIM * DIM).reshape((4,) * N_QUBITS)
 # one QLSTM's six blocks: a forward reads them in turn, and a backward again
 # through `vqc_rows`; each optimizer step changes all six keys
 @lru_cache(maxsize=6)
-def _observables(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _observables(angle_bytes: bytes) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """The Pauli coefficients of the observables that give <Z_q>, one
     column each, for the angles and their shifts; read-only, since the
     cache shares them:
     - (16, 64): the unshifted circuit's, for qubits q = 0..3, with rows
       the low pair's digits (qubits 1, 0) and columns (the high pair's
       digits, q);
-    - (256, 112): the shifted circuits', by (sign, 14, q), the 14 +SHIFT
-      ones before the 14 -SHIFT ones: layer 1's 12 angles in (qubit, slot)
-      order, then layer 2's slot 0 and 1, whose column q is Z_q with its
-      own qubit's slot shifted;
+    - four (|S_q|, 28) blocks, one per qubit q: the shifted circuits'
+      observables of <Z_q> on its light cone S_q, by (sign, 14), the 14
+      +SHIFT ones before the 14 -SHIFT ones: layer 1's 12 angles in
+      (qubit, slot) order, then layer 2's slot 0 and 1 of qubit q;
     - (4, 64, 16): the unshifted columns with qubit k's digit open, for
       k = 0..3: rows the other three digits from qubit 3 down, columns
       (digit of qubit k, q)."""
@@ -284,14 +310,15 @@ def _observables(angle_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray
     cols *= _RING_SIGNS[:, None, None]
     base = cols[:, 0]
     by_low = np.ascontiguousarray(base.reshape(16, 16, N_QUBITS).transpose(1, 0, 2)).reshape(16, -1)
-    wide = cols[:, 1:].reshape(DIM * DIM, -1)
+    # off its cone a column holds exact zeros, or rounding residue
+    blocks = tuple(cols[cone, 1:, q] for q, cone in enumerate(_CONES))
     open_ = base[_OPEN_ROWS].reshape(N_QUBITS, -1, 4 * N_QUBITS)
-    for array in (by_low, wide, open_):
+    for array in (by_low, *blocks, open_):
         array.flags.writeable = False
-    return by_low, wide, open_
+    return by_low, blocks, open_
 
 
-def _observables_for(params: VqcParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _observables_for(params: VqcParams) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     # keyed on content: adam_step updates the angles in place
     return _observables(np.ascontiguousarray(params.angles, dtype=float).tobytes())
 
@@ -401,18 +428,25 @@ def _gradient_rows(params: VqcParams, a: np.ndarray, r: np.ndarray, cy: np.ndarr
     kernel's products form them: the unshifted readout (n, 4); the 16
     encoding-shifted rows (qubit, n, variant, q), `_encoding_rows`' RY
     +-SHIFT and RZ +-SHIFT variants of each qubit; and the shifted product
-    (n, 112), by (sign, 14, q) as `_observables` lays out its columns: the
-    +SHIFT half, then the -SHIFT half, each with layer 1's 12 angles and
-    then layer 2's slot 0 and 1, whose column q is the <Z_q> with qubit q's
-    own slot shifted.  A layer-2 row's other three columns, and all four of
-    a slot-2 row, are the readout, so they are not formed again; `vqc_rows`
-    takes every difference."""
+    (n, 112), by (sign, 14, q), column q the product of Z_q's light cone
+    with `_observables`' block q: the +SHIFT half, then the -SHIFT half,
+    each with layer 1's 12 angles and then layer 2's slot 0 and 1, whose
+    column q is the <Z_q> with qubit q's own slot shifted.  A layer-2 row's
+    other three columns, and all four of a slot-2 row, are the readout, so
+    they are not formed again; `vqc_rows` takes every difference."""
     high, low = _pairs(r)
-    by_low, wide, open_ = _observables_for(params)
+    by_low, blocks, open_ = _observables_for(params)
     pauli = (high[:, None] * low[None, :]).reshape(DIM * DIM, -1)
-    # 112 columns: with OpenBLAS a row of a product with 100 or 108 columns
-    # had other bits at other row counts, which the windows must not see
-    return _readout(high, low, by_low), _encoding_rows(r, cy, pauli, a, open_), pauli.T @ wide
+    # products of 28 columns: `tests/test_blas_kernels.py`'s bit tests hold
+    # for them under OpenBLAS's SkylakeX, Haswell, Sandybridge and Prescott
+    # kernels, where a product with 100 or 108 columns gave a row other bits
+    # at other row counts, which the windows must not see.  `parts` stays
+    # alive while the other rows are formed: freed before them, it made a
+    # QLSTM training batch take about 1,000 minor page faults in place of 14
+    parts = [pauli[cone].T @ block for cone, block in zip(_CONES, blocks)]
+    shifted = np.stack(parts, axis=-1)
+    return (_readout(high, low, by_low), _encoding_rows(r, cy, pauli, a, open_),
+            shifted.reshape(len(shifted), -1))
 
 
 def vqc_rows(params: VqcParams, x: np.ndarray, counter: EvalCounter | None = None

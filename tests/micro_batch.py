@@ -4,8 +4,10 @@ It imports `qvuln` from TREE's `src` and runs a seeded batch (B 16, T 24,
 d_x 50), forward, backward and Adam, 5 warm-ups and then 40 timed, on one
 BLAS thread and one CPU.  It prints the median and minimum ms a batch, the
 minor page faults a batch (`ru_minflt`), and one 50-sample forward right
-after an Adam step, so with no observables cached.  Compare trees in
-alternating processes, since a shared host's speed drifts.
+after an Adam step, so with no observables cached; then the process's peak
+RSS (`ru_maxrss`) and the bytes of the arrays that the six blocks' cached
+observables hold.  Compare trees in alternating processes, since a shared
+host's speed drifts.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ def main(tree: str) -> None:
     import numpy as np
     from qvuln.neural import OptimizerState, adam_step, bce_from_logit
     from qvuln.qlstm import init_qlstm_params, qlstm_backward, qlstm_forward
+    from qvuln.vqc import _observables_for
 
     rng = np.random.default_rng(7)
     params = init_qlstm_params(D_X, rng)
@@ -54,8 +57,18 @@ def main(tree: str) -> None:
     start = time.perf_counter()
     qlstm_forward(params, eval_x, keep_caches=False)
     forward = time.perf_counter() - start
+    blocks = [getattr(params, f"vqc{k}") for k in range(1, 7)]
+    cached = sum(_nbytes(_observables_for(block)) for block in blocks)
     print(f"batch median {1e3 * statistics.median(times):.2f} ms, min {1e3 * min(times):.2f} ms, "
           f"{faults / TIMED:.1f} minor faults a batch; 50-sample forward {1e3 * forward:.2f} ms")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MiB; "
+          f"six cached observables {cached / 1e6:.3f} MB")
+
+
+def _nbytes(value) -> int:
+    """The bytes of an array, or of the arrays of a nested tuple."""
+    return value.nbytes if hasattr(value, "nbytes") else sum(_nbytes(v) for v in value)
 
 
 if __name__ == "__main__":

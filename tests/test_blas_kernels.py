@@ -3,9 +3,10 @@ another OpenBLAS kernel either.  `vqc` pads every product to a multiple of
 8 rows so that this holds whichever kernel OpenBLAS picks for the host,
 but a suite run exercises the host's kernel only.  This re-runs the tests
 that compare products of different sizes bit for bit in a subprocess under
-the Haswell kernel, the one OpenBLAS picks on AVX2-only Intel and AMD Zen
-CPUs; without the padding, its tail tiles give a row other bits than its
-full ones."""
+each of the Haswell kernel, the one OpenBLAS picks on AVX2-only Intel and
+AMD Zen CPUs, the Sandybridge kernel (AVX) and the Prescott kernel (SSE3);
+without the padding, their tail tiles give a row other bits than its full
+ones."""
 from __future__ import annotations
 
 import os
@@ -39,19 +40,31 @@ def _dynamic_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-def _has_avx2() -> bool:
-    """Whether this CPU can run the Haswell kernel's instructions."""
+def _cpu_flags() -> set[str]:
+    """The instruction-set flags this CPU reports, empty if unknown."""
     try:
-        return re.search(r"^flags\b.*\bavx2\b", Path("/proc/cpuinfo").read_text(), re.M) is not None
+        found = re.search(r"^flags\b.*$", Path("/proc/cpuinfo").read_text(), re.M)
     except OSError:
-        return False
+        return set()
+    return set(found.group().split()) if found else set()
+
+
+# OPENBLAS_CORETYPE: (the CPU flag its kernel needs, the names a run may
+# report for it); an x86-64 OpenBLAS reports its Prescott kernel as Katmai,
+# the older core that shares it
+KERNELS = {"Haswell": ("avx2", ("Haswell",)),
+           "Sandybridge": ("avx", ("Sandybridge",)),
+           "Prescott": ("pni", ("Prescott", "Katmai"))}
 
 
 @pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
-@pytest.mark.skipif(not _has_avx2(), reason="the CPU has no AVX2 for OpenBLAS's Haswell kernel")
-def test_product_size_tests_pass_under_the_haswell_kernel():
+@pytest.mark.parametrize("core", KERNELS)
+def test_product_size_tests_pass_under_the_kernel(core):
+    flag, names = KERNELS[core]
+    if flag not in _cpu_flags():
+        pytest.skip(f"the CPU has no {flag} for OpenBLAS's {core} kernel")
     src = str(Path(qvuln.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2",
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_VERBOSE": "2",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # --capture=sys lets OpenBLAS's report of its kernel, written to the
     # process's stderr when numpy loads, through
@@ -59,5 +72,6 @@ def test_product_size_tests_pass_under_the_haswell_kernel():
         [sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider",
          "--capture=sys", *BIT_TESTS],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert "Core: Haswell" in done.stderr, done.stderr
+    reported = re.findall(r"^Core: (\w+)", done.stderr, re.M)
+    assert reported and set(reported) <= set(names), done.stderr
     assert done.returncode == 0, done.stdout[-4000:]

@@ -3,6 +3,7 @@ OOV handling, column standardization, and the padding-row invariant."""
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,70 @@ class TestBuildPretrained:
             build_embedding_matrix(vocab, [table], "glove+fasttext", seed=0)
         with pytest.raises(DataError):
             build_embedding_matrix(vocab, [table], "word2vec", seed=0)
+
+
+def long_double_standardized(rows: np.ndarray) -> np.ndarray:
+    """The standardization of `rows` worked in long double, whose range
+    holds the squares of every finite float64, then rounded to float64."""
+    wide = rows.astype(np.longdouble)
+    body = wide[1:]
+    out = (wide - body.mean(axis=0)) / body.std(axis=0)
+    out[0] = 0.0
+    return out.astype(float)
+
+
+class TestExtremeValues:
+    """A finite vector file gives a finite matrix, however large or small its
+    values: no column sum or square overflows, and no column is zeroed
+    unless it is constant."""
+
+    def build(self, tmp_path, lines: list[str], tokens: list[str]) -> np.ndarray:
+        path = write_vectors(tmp_path, "".join(line + "\n" for line in lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = build_embedding_matrix(Vocabulary(tokens=tokens), [load_vectors(path)], "glove",
+                                          seed=0).rows
+        assert np.all(np.isfinite(rows))
+        return rows
+
+    def pre(self, tokens: list[str], vectors: list[list[float]]) -> np.ndarray:
+        """The rows before standardization: padding, the seed-0 OOV vector,
+        then each token's vector."""
+        dim = len(vectors[0])
+        oov = np.random.default_rng(0).uniform(-INIT_RANGE, INIT_RANGE, size=dim)
+        return np.vstack([np.zeros(dim), oov, np.array(vectors)])
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1e-308, 1.7976931348623157e308])
+    def test_every_token_at_one_extreme_value(self, tmp_path, value):
+        # each column holds the OOV row's value and the tokens' one value, so
+        # it is not constant and standardizes to the same two values at any
+        # scale
+        tokens = ["a", "b", "c"]
+        rows = self.build(tmp_path, [f"{t} {value!r} {value!r}" for t in tokens], tokens)
+        want = long_double_standardized(self.pre(tokens, [[value, value]] * 3))
+        np.testing.assert_allclose(rows, want, rtol=1e-12, atol=0)
+        assert np.all(rows[1:] != 0.0)
+
+    def test_mixed_sign_column_near_the_overflow(self, tmp_path):
+        # a column of +-1e300 beside an ordinary one: its std, 1e300, is
+        # formed without squaring 1e300, and the column is not zeroed
+        tokens = ["a", "b", "c", "d"]
+        vectors = [[1e300, 0.5], [-1e300, -0.25], [1e300, 2.0], [-3e299, 1.0]]
+        rows = self.build(tmp_path, [f"{t} {x!r} {y!r}" for t, (x, y) in zip(tokens, vectors)], tokens)
+        np.testing.assert_allclose(rows, long_double_standardized(self.pre(tokens, vectors)),
+                                   rtol=1e-12, atol=0)
+        assert np.all(rows[2:, 0] != 0.0)
+
+    def test_constant_rule_reads_the_table_units(self, tmp_path):
+        # every token misses the table, so each column is the OOV value
+        # alone and is zeroed; a known token at 1e-300 beside an OOV row of
+        # about 0.05 is not constant
+        table = VectorTable(dim=2, entries={"a": np.array([1e-300, 5e-324])})
+        rows = build_embedding_matrix(Vocabulary(tokens=["a"]), [table], "glove", seed=0).rows
+        assert np.all(rows[1:] != 0.0)
+        table = VectorTable(dim=1, entries={"elsewhere": np.array([1e308])})
+        rows = build_embedding_matrix(Vocabulary(tokens=["g"]), [table], "glove", seed=0).rows
+        assert np.all(rows == 0.0)
 
 
 class TestEmbed:

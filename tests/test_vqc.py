@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -324,10 +325,57 @@ def unshifted_columns(by_low: np.ndarray) -> np.ndarray:
     return by_low.reshape(16, 16, 4).transpose(1, 0, 2).reshape(256, 4)
 
 
+def shifted_columns(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The kernel's four (|S_q|, 28) light-cone blocks as (256, 2, 14, 4),
+    (string, sign, angle, q), zero off each cone."""
+    full = np.zeros((256, 28, 4))
+    for q, (cone, block) in enumerate(zip(qvuln.vqc._CONES, blocks)):
+        full[cone, :, q] = block
+    return full.reshape(256, 2, 14, 4)
+
+
 def shifted_angles(base: np.ndarray, k: int, sign: float) -> np.ndarray:
     moved = base.copy()
     moved.reshape(-1)[k] += sign * np.pi / 2
     return moved
+
+
+@lru_cache(maxsize=1)
+def pauli_strings() -> np.ndarray:
+    return dense_oracle.pauli_strings()
+
+
+def dense_observables(angles: np.ndarray) -> np.ndarray:
+    """The (256, 4) Pauli coefficients of U^dag Z_q U for the oracle's two
+    layers U, one column per qubit q."""
+    strings = pauli_strings()
+    u = dense_layers(angles)
+    return np.stack([dense_oracle.pauli_vector(u.conj().T @ dense_oracle.on_qubit(
+        dense_oracle.Z, q, 4) @ u, strings) for q in range(4)], axis=1)
+
+
+def dense_light_cones() -> list[list[int]]:
+    """Each qubit's backward light cone, from the oracle's dense CNOT ring:
+    Z_q read before its layer-2 rotation is a mix of X_q, Y_q and Z_q; the
+    ring maps each to one string U^dag P U; layer 1's rotations keep which
+    digits are I; the ring maps each string with such a support to one
+    string again."""
+    strings = pauli_strings()
+    ring = np.eye(16, dtype=complex)
+    for c in range(4):
+        ring = dense_oracle.cnot_matrix(c, (c + 1) % 4, 4) @ ring
+
+    def image(s: int) -> int:
+        return int(np.argmax(np.abs(dense_oracle.pauli_vector(ring.conj().T @ strings[s] @ ring, strings))))
+
+    def support(s: int) -> tuple[bool, ...]:
+        return tuple((s >> 2 * k) & 3 != 0 for k in range(4))
+
+    cones = []
+    for q in range(4):
+        supports = {support(image(p * 4**q)) for p in (1, 2, 3)}
+        cones.append(sorted(image(s) for s in range(256) if support(s) in supports))
+    return cones
 
 
 class TestKernelAgainstOracle:
@@ -339,33 +387,52 @@ class TestKernelAgainstOracle:
         # those rows share the unshifted columns (the columns with a digit
         # open regroup the unshifted ones; the encoding rows check them)
         rng = np.random.default_rng(41)
-        strings = dense_oracle.pauli_strings()
-
-        def observables(angles: np.ndarray) -> np.ndarray:
-            u = dense_layers(angles)
-            return np.stack([dense_oracle.pauli_vector(u.conj().T @ dense_oracle.on_qubit(
-                dense_oracle.Z, q, 4) @ u, strings) for q in range(4)], axis=1)  # (256, 4)
-
         for _ in range(3):
             angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
-            by_low, wide, _ = _observables(angles.tobytes())
+            by_low, blocks, _ = _observables(angles.tobytes())
             base = unshifted_columns(by_low)
-            np.testing.assert_allclose(base, observables(angles), rtol=0, atol=1e-13)
-            halves = wide.reshape(256, 2, 14, 4)  # (string, sign, angle, q)
+            np.testing.assert_allclose(base, dense_observables(angles), rtol=0, atol=1e-13)
+            halves = shifted_columns(blocks)
             for j, sign in enumerate((1.0, -1.0)):
                 for k in range(12):
                     np.testing.assert_allclose(
-                        halves[:, j, k], observables(shifted_angles(angles, k, sign)),
+                        halves[:, j, k], dense_observables(shifted_angles(angles, k, sign)),
                         rtol=0, atol=1e-13, err_msg=f"layer 1, angle {k}, shift {sign:+}")
                 for qubit in range(4):
                     for slot in range(3):
-                        want = observables(shifted_angles(angles, 12 + 3 * qubit + slot, sign))
+                        want = dense_observables(shifted_angles(angles, 12 + 3 * qubit + slot, sign))
                         got = base.copy()
                         if slot < 2:
                             got[:, qubit] = halves[:, j, 12 + slot, qubit]
                         np.testing.assert_allclose(
                             got, want, rtol=0, atol=1e-13,
                             err_msg=f"layer 2, qubit {qubit}, slot {slot}, shift {sign:+}")
+
+    def test_observables_vanish_off_each_light_cone(self):
+        # the cones the kernel derives from its ring constants are those of
+        # the dense ring, 117, 45, 117 and 108 strings; every observable of
+        # <Z_q> the kernel contracts, unshifted or with one angle shifted,
+        # is rounding residue off S_q, and the cached block holds it on S_q
+        cones = dense_light_cones()
+        assert [list(cone) for cone in qvuln.vqc._CONES] == cones
+        assert [len(cone) for cone in cones] == [117, 45, 117, 108]
+        rng = np.random.default_rng(43)
+        for _ in range(2):
+            angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 3))
+            blocks = _observables(angles.tobytes())[1]
+            # layer 1's 12 angles, then layer 2's slot 0 and 1 on qubit q
+            for j, sign in enumerate((1.0, -1.0)):
+                for k in range(14):
+                    for q, (cone, block) in enumerate(zip(cones, blocks)):
+                        flat = k if k < 12 else 3 * q + k
+                        want = dense_observables(shifted_angles(angles, flat, sign))[:, q]
+                        off = np.delete(want, cone)
+                        assert np.abs(off).max() <= 1e-15, (k, sign, q)
+                        np.testing.assert_allclose(block[:, 14 * j + k], want[cone], rtol=0, atol=1e-13,
+                                                   err_msg=f"angle {k}, shift {sign:+}, Z_{q}")
+            base = dense_observables(angles)
+            for q, cone in enumerate(cones):
+                assert np.abs(np.delete(base[:, q], cone)).max() <= 1e-15
 
     @pytest.mark.parametrize("a", [0.0, 1e-8, -1e-8, 1.0, -1.0, 1e8, -1e8, 1e100, -1e100,
                                    1e300, -1e300])
