@@ -3,10 +3,11 @@
 Covers the binary-classification metrics (accuracy, precision, recall, F1
 with zero-denominator flags), seeded mini-batch training with Adam, the
 windowed sine-regression task, wall-clock timing, an exact parameter
-census, and versioned JSON checkpoints (`checkpoint.v3`) that round-trip
-bitwise: each array is stored as the hex of its little-endian float64
-bytes through `fileio.encode_array`, and a file of another format version
-is refused, not converted.
+census, and binary checkpoints (`checkpoint.v4`) that round-trip bitwise:
+a standard-JSON header of the run's record and the arrays' little-endian
+float64 bytes, in the one container `fileio.write_container` writes and
+`fileio.read_container` reads; a file of another format is refused, not
+converted.
 
 Both tasks are index rows into a table (token indices into the embedding
 rows, sine windows into a table of sine values), and `_check_split` checks
@@ -52,7 +53,7 @@ import numpy as np
 from .corpus import PAD_INDEX
 from .embedding import D_BASIC_DEFAULT, EmbeddingMatrix
 from .errors import DataError, DivergenceError, _check_settings
-from .fileio import atomic_write, decode_array, encode_array, open_input, read_json, write_json
+from .fileio import atomic_write, open_input, read_container, read_json, write_container, write_json
 from .neural import (
     OptimizerState,
     adam_step,
@@ -74,8 +75,7 @@ log = logging.getLogger("qvuln")
 
 MODELS = ("lstm", "qlstm")
 TASKS = ("classify", "sine")
-CHECKPOINT_VERSION = 3
-CHECKPOINT_FORMAT = f"checkpoint.v{CHECKPOINT_VERSION}"
+CHECKPOINT_FORMAT = "checkpoint.v4"
 
 # each task's default epochs and learning rate
 _TASK_DEFAULTS = {"sine": {"epochs": 30, "lr": 1e-2}, "classify": {"epochs": 10, "lr": 1e-3}}
@@ -299,43 +299,34 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Versioned JSON document; each array is stored as the hex of its
-    little-endian float64 bytes (`fileio.encode_array`, dtype `"<f8"`), so
-    it round-trips bitwise.  An array holding a non-finite value raises
+    """A `checkpoint.v4` container (`fileio.write_container`): the header
+    records the format, model, task, hyperparameters and vocabulary digest,
+    and each array is stored as its little-endian float64 bytes, so it
+    round-trips bitwise.  An array holding a non-finite value raises
     ValueError before anything is written, and `path` is left as it was."""
-    params = {}
     for name, arr in ckpt.arrays.items():
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"checkpoint array {name!r} holds non-finite values")
-        params[name] = encode_array(arr, "<f8")
-    write_json({
+    write_container({
         "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
         "model": ckpt.model,
         "task": ckpt.task,
         "hyperparameters": ckpt.hyperparameters,
         "vocab_digest": ckpt.vocab_digest,
-        "params": params,
-    }, path)
+    }, ckpt.arrays, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc = read_json(path, "checkpoint", CHECKPOINT_FORMAT)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    doc, arrays = read_container(path, "checkpoint", CHECKPOINT_FORMAT)
     if doc.get("model") not in MODELS or doc.get("task") not in TASKS:
         raise DataError(
             f"{path}: unknown model/task {doc.get('model')!r}/{doc.get('task')!r}; "
             f"expected a model in {MODELS} and a task in {TASKS}"
         )
-    if not isinstance(doc.get("hyperparameters"), dict) or not isinstance(doc.get("params"), dict):
-        raise DataError(f"{path}: hyperparameters and params must be JSON objects")
+    if not isinstance(doc.get("hyperparameters"), dict):
+        raise DataError(f"{path}: hyperparameters must be a JSON object")
     if not isinstance(doc.get("vocab_digest"), (str, type(None))):
         raise DataError(f"{path}: vocab_digest must be a string or null")
-    arrays = {
-        name: decode_array(entry, ("<f8",), f"{path}: malformed parameter array {name!r}")
-        for name, entry in doc["params"].items()
-    }
     return Checkpoint(model=doc["model"], task=doc["task"], hyperparameters=doc["hyperparameters"],
                       vocab_digest=doc.get("vocab_digest"), arrays=arrays)
 

@@ -9,10 +9,15 @@ tree in one fresh process, prints the outputs whose digests differ and exits
 the difference is: max |a - b| / max |a| of each array (a checkpoint's
 parameters, a split's arrays, a JSON list), column (of a curves file) or
 number (a JSON value) that differs, and of the numbers of a differing
-stdout in order.  Arrays are compared by value, so a v2 file (base64
-int64 or float64) and a v3 file (hex of the recorded dtype) holding the
-same arrays show no difference but their `version`.  Each tree's digests are written to `digests-a.json` and
-`digests-b.json` in the working directory.
+stdout in order, and a `format` tag that differs.  Arrays are compared by
+value, so a v2 file (base64 int64 or float64), a v3 file (hex of the
+recorded dtype) and a `checkpoint.v4` container (a JSON header and raw
+float64 bytes) holding the same arrays show no difference but their
+`format`; a v2 or v3 file's `version` says what its `format` says, so it
+is not compared.  A checkpoint is named `.ckpt` whatever its format, and
+is read as a container unless it starts like a JSON document.  Each
+tree's digests are written to `digests-a.json` and `digests-b.json` in
+the working directory.
 
 The list: `preprocess` at `--max-len` 6, 20 and 1; `train` of the LSTM and
 the QLSTM on classify (with `--eval-data`) and on sine, with `--curves` and
@@ -115,7 +120,7 @@ def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
             inputs += vectors if "--embedding" in flags else ["--d-basic", "2"]
         else:
             inputs = ["--n-points", "12", "--window", "3"]
-        files = [f"{name}.json", f"{name}-curves.json", f"{name}-metrics.json"]
+        files = [f"{name}.ckpt", f"{name}-curves.json", f"{name}-metrics.json"]
         hidden = ["--hidden", "2"] if model == "lstm" else []
         out.append((f"train {name}", ["train", "--model", model, "--task", task, *inputs,
                                       "--epochs", EPOCHS, *hidden, *flags,
@@ -123,10 +128,10 @@ def runs(corpus: Path) -> list[tuple[str, list[str], list[str]]]:
                                       "--metrics", files[2]], files))
     for name, (_, task, enc, _) in CHECKPOINTS.items():
         data = ["--data", f"{enc}/test.json"] if task == "classify" else []
-        out.append((f"eval {name}", ["eval", "--ckpt", f"{name}.json", *data,
+        out.append((f"eval {name}", ["eval", "--ckpt", f"{name}.ckpt", *data,
                                      "--metrics", f"{name}-eval-metrics.json"],
                     [f"{name}-eval-metrics.json"]))
-        out.append((f"census {name}", ["census", "--ckpt", f"{name}.json"], []))
+        out.append((f"census {name}", ["census", "--ckpt", f"{name}.ckpt"], []))
     out.append(("gradcheck", ["gradcheck", "--trials", "3"], []))
     return out
 
@@ -193,13 +198,18 @@ def _entry_array(entry: dict, v2_dtype: str) -> np.ndarray:
 
 
 def _json_numbers(value, key: str, dtype: str, out: dict[str, np.ndarray]) -> None:
-    """Each array (an encoded entry or a list of numbers) and each number
-    of a JSON value, keyed by its path; `dtype` is a v2 entry's."""
-    if isinstance(value, dict) and set(value) - {"dtype"} == {"shape", "data"}:
+    """Each array (an encoded entry, a container's array or a list of
+    numbers), each number and each `format` tag of a JSON value, keyed by
+    its path; `dtype` is a v2 entry's."""
+    if isinstance(value, np.ndarray):
+        out[key] = value
+    elif isinstance(value, dict) and set(value) - {"dtype"} == {"shape", "data"}:
         out[key] = _entry_array(value, dtype)
     elif isinstance(value, dict):
         for name, item in value.items():
-            if name != "wall_time_seconds":
+            if name == "format":
+                out[f"{key}.{name}" if key else name] = np.array(item)
+            elif name not in ("wall_time_seconds", "version"):
                 _json_numbers(item, f"{key}.{name}" if key else name, dtype, out)
     elif isinstance(value, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
@@ -211,30 +221,37 @@ def _json_numbers(value, key: str, dtype: str, out: dict[str, np.ndarray]) -> No
 def output_numbers(work: Path, output: str) -> dict[str, np.ndarray]:
     """The named numbers of one output of a run of the list in `work`: the
     columns of a curves file (named by its `#` header), the arrays and
-    numbers of a JSON file, and the numbers of a stdout in order."""
+    numbers of a JSON file or of a container's header, the container's
+    arrays, and the numbers of a stdout in order."""
     if output.endswith(": stdout"):
         text = (work / _stdout_file(output.removesuffix(": stdout"))).read_text()
         return {"numbers": np.array([float(v) for v in _NUMBER.findall(text)])}
+    out: dict[str, np.ndarray] = {}
+    if (work / output).read_bytes()[:1] not in (b"{", b"#"):
+        _json_numbers(checkpoint_codec.load(work / output), "", "<f8", out)
+        return out
     text = (work / output).read_text()
     if text.startswith("#"):
         header, *lines = text.splitlines()
         table = np.array([[float(v) for v in line.split()] for line in lines if line.strip()])
         return {name: table[:, k] for k, name in enumerate(header[1:].split())}
     doc = json.loads(text)
-    out: dict[str, np.ndarray] = {}
     _json_numbers(doc, "", "<i8" if doc.get("format") == "encoded.v2" else "<f8", out)
     return out
 
 
 def relative_differences(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> list[str]:
-    """One line per name whose values differ: max |a - b| / max |a|, or why
-    the two cannot be compared."""
+    """One line per name whose values differ: max |a - b| / max |a|, both
+    tags of a `format` that differs, or why the two cannot be compared."""
     lines = []
     for name in sorted(a.keys() | b.keys()):
         if name not in a or name not in b:
             lines.append(f"{name}: only in {'a' if name in a else 'b'}")
         elif a[name].shape != b[name].shape:
             lines.append(f"{name}: shape {a[name].shape} against {b[name].shape}")
+        elif a[name].dtype.kind == "U" or b[name].dtype.kind == "U":
+            if a[name] != b[name]:
+                lines.append(f"{name}: {a[name].item()!r} against {b[name].item()!r}")
         elif not np.array_equal(a[name], b[name]):
             diff = np.max(np.abs(a[name] - b[name].astype(float)))
             scale = np.max(np.abs(a[name]))

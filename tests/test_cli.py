@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import qvuln.trainer
-from checkpoint_codec import array_entry, decode, encode, entry_values, index_entry
+import checkpoint_codec
+from checkpoint_codec import array_entry, encode, entry_values, index_entry
 from qvuln import cli
 from qvuln.cli import (
     load_encoded_dataset,
@@ -321,9 +322,9 @@ class TestExitCodes:
         assert main(["census", "--ckpt", str(ckpt_path)]) == 0
         assert "ok" in capsys.readouterr().out
 
-        doc = json.loads(ckpt_path.read_text())
-        doc["params"]["smuggled"] = array_entry([1.0, 2.0, 3.0])
-        ckpt_path.write_text(json.dumps(doc))
+        doc = checkpoint_codec.load(ckpt_path)
+        doc["params"]["smuggled"] = [1.0, 2.0, 3.0]
+        checkpoint_codec.save(ckpt_path, doc)
         assert main(["census", "--ckpt", str(ckpt_path)]) == 3
         assert "MISMATCH" in capsys.readouterr().out
 
@@ -349,9 +350,9 @@ class TestExitCodes:
             "--n-points", "8", "--window", "2", "--hidden", "2",
             "--out", str(ckpt_path),
         ]) == 0
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         del doc["params"]["w_f"]
-        ckpt_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(ckpt_path, doc)
         capsys.readouterr()
         assert main(["census", "--ckpt", str(ckpt_path)]) == 2
         err = capsys.readouterr().err
@@ -364,10 +365,10 @@ class TestExitCodes:
             "train", "--model", "qlstm", "--task", "sine", "--epochs", "1",
             "--n-points", "8", "--window", "2", "--out", str(ckpt_path),
         ]) == 0
-        good = json.loads(ckpt_path.read_text())
+        good = checkpoint_codec.load(ckpt_path)
         for key, value in (("model", "gru"), ("task", "regress")):
             capsys.readouterr()
-            ckpt_path.write_text(json.dumps({**good, key: value}))
+            checkpoint_codec.save(ckpt_path, {**good, key: value})
             assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
             assert value in capsys.readouterr().err
 
@@ -468,12 +469,12 @@ class TestExitCodes:
             "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
             "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
         ]) == 0
-        good = json.loads(ckpt_path.read_text())
+        good = checkpoint_codec.load(ckpt_path)
         for key in ("n_points", "window"):
             # 10**12 would allocate terabytes of sine windows
             for value in ("abc", None, [1], 10**12):
                 hp = {**good["hyperparameters"], key: value}
-                ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
+                checkpoint_codec.save(ckpt_path, {**good, "hyperparameters": hp})
                 capsys.readouterr()
                 assert main(["eval", "--ckpt", str(ckpt_path)]) == 2
                 err = capsys.readouterr().err
@@ -492,11 +493,11 @@ class TestExitCodes:
         assert main(["train", "--model", "lstm", "--task", "classify", "--epochs", "1",
                      "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
                      "--hidden", "2", "--d-basic", "2", "--out", str(ckpt_path)]) == 0
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         hp = {k: v for k, v in doc["hyperparameters"].items() if k != "max_len"}
         if value is not None:
             hp["max_len"] = value
-        ckpt_path.write_text(json.dumps({**doc, "hyperparameters": hp}))
+        checkpoint_codec.save(ckpt_path, {**doc, "hyperparameters": hp})
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(enc_dir / "test.json")]) == 2
         captured = capsys.readouterr()
@@ -508,10 +509,10 @@ class TestExitCodes:
         # train always records both sizes; a default would evaluate on
         # another task than the one trained
         ckpt_path = self._sine_checkpoint(tmp_path)
-        good = json.loads(ckpt_path.read_text())
+        good = checkpoint_codec.load(ckpt_path)
         for key in ("n_points", "window"):
             hp = {k: v for k, v in good["hyperparameters"].items() if k != key}
-            ckpt_path.write_text(json.dumps({**good, "hyperparameters": hp}))
+            checkpoint_codec.save(ckpt_path, {**good, "hyperparameters": hp})
             capsys.readouterr()
             assert main(["eval", "--ckpt", str(ckpt_path)]) == 2, key
             captured = capsys.readouterr()
@@ -684,9 +685,9 @@ class TestExitCodes:
         assert not (tmp_path / "metrics.json").exists()
 
         # the recorded digest is checkpoint input: a number is a schema error
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         doc["vocab_digest"] = 5
-        ckpt_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(ckpt_path, doc)
         assert main(["eval", "--ckpt", str(ckpt_path), "--data", str(a / "test.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vocab_digest" in err and err.count("\n") == 1, err
@@ -1060,22 +1061,52 @@ class TestExitCodes:
             evaluate(load_checkpoint(ckpt_path), threshold=0.7)
 
 
-def _tampered_eval(tmp_path, capsys, tamper) -> tuple[int, str]:
-    """Train a small sine checkpoint, apply `tamper` to its params, and
-    evaluate it with a metrics file; returns the exit code and stderr."""
+def _tampered_eval(tmp_path, capsys, tamper, entries: bool = False) -> tuple[int, str]:
+    """Train a small sine checkpoint, apply `tamper` to its params (the
+    arrays, or with `entries` the header's array entries, the payload left
+    as it is), and evaluate it with a metrics file; returns the exit code
+    and stderr."""
     ckpt_path = tmp_path / "ckpt.json"
     assert main([
         "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
         "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
     ]) == 0
-    doc = json.loads(ckpt_path.read_text())
-    tamper(doc["params"])
-    ckpt_path.write_text(json.dumps(doc))
+    if entries:
+        header, payload = checkpoint_codec.unpack(ckpt_path.read_bytes())
+        tamper(header["params"])
+        ckpt_path.write_bytes(checkpoint_codec.pack(header, payload))
+    else:
+        doc = checkpoint_codec.load(ckpt_path)
+        tamper(doc["params"])
+        checkpoint_codec.save(ckpt_path, doc)
     capsys.readouterr()
     metrics_path = tmp_path / "metrics.json"
     code = main(["eval", "--ckpt", str(ckpt_path), "--metrics", str(metrics_path)])
     assert metrics_path.is_file() == (code == 0)
     return code, capsys.readouterr().err
+
+
+# each maps an array's header entry (head_b holds 8 bytes, head_w 16) to a
+# damaged one; the payload stays as it is
+DAMAGED_ENTRIES = [
+    ("head_b", lambda e: {**e, "dtype": ">f8"}),
+    ("head_b", lambda e: {**e, "dtype": "<f4"}),
+    ("head_w", lambda e: {**e, "shape": None}),
+    ("head_b", lambda e: {**e, "offsets": [e["offsets"][0], e["offsets"][1] - 1]}),
+    ("head_w", lambda e: {**e, "shape": [2, True]}),
+    ("head_w", lambda e: {**e, "shape": [-1]}),
+    ("head_w", lambda e: {**e, "shape": [1]}),
+    ("head_w", lambda e: {**e, "shape": [3]}),
+    ("head_w", lambda e: {**e, "shape": [2.0]}),
+    ("head_w", lambda e: {**e, "shape": 2}),
+    ("head_w", lambda e: {**e, "offsets": [*e["offsets"], e["offsets"][1]]}),
+    ("head_w", lambda e: {**e, "offsets": [float(v) for v in e["offsets"]]}),
+    ("head_w", lambda e: {**e, "offsets": [v + 8 for v in e["offsets"]]}),
+    ("head_b", lambda e: {**e, "offsets": None}),
+    ("head_b", lambda e: {**e, "dtype": None}),
+    ("head_b", lambda e: {k: v for k, v in e.items() if k != "offsets"}),
+    ("head_b", lambda e: [0.5]),
+]
 
 
 class TestCheckpointSchema:
@@ -1090,7 +1121,7 @@ class TestCheckpointSchema:
         def reshape(params):
             params["head_w"]["shape"] = shape
 
-        code, err = _tampered_eval(tmp_path, capsys, reshape)
+        code, err = _tampered_eval(tmp_path, capsys, reshape, entries=True)
         assert code == 2
         assert "head_w" in err or "reshape" in err
         assert "Traceback" not in err
@@ -1098,7 +1129,7 @@ class TestCheckpointSchema:
     def test_non_finite_value_is_checkpoint_error(self, tmp_path, capsys):
         for bad in (float("nan"), float("inf"), -float("inf")):
             def poison(params):
-                params["head_b"]["data"] = encode(bad)
+                params["head_b"] = bad
 
             code, err = _tampered_eval(tmp_path, capsys, poison)
             assert code == 2, bad
@@ -1107,39 +1138,26 @@ class TestCheckpointSchema:
     def test_overflowing_result_is_checkpoint_error(self, tmp_path, capsys):
         # finite parameters whose predictions overflow the squared error
         def inflate(params):
-            params["head_b"]["data"] = encode(1e200)
+            params["head_b"] = 1e200
 
         code, err = _tampered_eval(tmp_path, capsys, inflate)
         assert code == 2
         assert "non-finite" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name, entry", [
-        ("head_b", {"shape": [], "dtype": "<f8", "data": "7"}),
-        ("head_b", {"shape": [], "dtype": "<f8", "data": [0.5]}),
-        ("head_w", {"shape": None, "dtype": "<f8", "data": encode([0.5, -0.5])}),
-        ("head_b", {"shape": [], "dtype": "<f8", "data": encode(0.5)[:-1]}),
-        ("head_w", {"shape": [2, True], "dtype": "<f8", "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": [-1], "dtype": "<f8", "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5])}),
-        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5, -0.5, 0.5])}),
-        ("head_w", {"shape": [2.0], "dtype": "<f8", "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": 2, "dtype": "<f8", "data": encode([0.5, -0.5])}),
-        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5, -0.5])[:-2] + "!="}),
-        ("head_w", {"shape": [2], "dtype": "<f8", "data": encode([0.5, -0.5]) + "A"}),
-        ("head_w", {"shape": [2], "dtype": "<f8", "data": "é" + encode([0.5, -0.5])[1:]}),
-        ("head_b", {"shape": [], "dtype": "<f8", "data": 0.5}),
-        ("head_b", {"shape": [], "dtype": "<f8", "data": None}),
-        ("head_b", {"shape": [], "dtype": "<f8"}),
-        ("head_b", [0.5]),
-    ])
+    @pytest.mark.parametrize(
+        "name, entry", DAMAGED_ENTRIES,
+        ids=[f"{name}-entry{k}" for k, (name, _) in enumerate(DAMAGED_ENTRIES)])
     def test_non_numeric_entry_is_checkpoint_error(self, name, entry, tmp_path, capsys):
-        # "7" and a cut-off string have an odd number of hex digits, "!" is no
-        # hex digit and "é" no ASCII character, and a list is v1's
-        # data; numpy would take a null shape as "keep the shape" (head_w
-        # holds 2 values), true as 1 and -1 as "infer it", so shapes are
-        # checked before any reshape; a payload 8 bytes short or over does
-        # not fill its shape
-        code, err = _tampered_eval(tmp_path, capsys, lambda params: params.update({name: entry}))
+        # ">f8" and "<f4" are not the one dtype, and a list is no entry; numpy
+        # would take a null shape as "keep the shape" (head_w holds 2 values),
+        # true as 1 and -1 as "infer it", so shapes are checked before any
+        # reshape; a shape one value short or over does not fill its offsets;
+        # and the offsets must be two integers that start where the last
+        # array ended and span 8 bytes a value: one byte short, a third
+        # number, floats and a gap of 8 bytes are refused
+        code, err = _tampered_eval(tmp_path, capsys,
+                                   lambda params: params.update({name: entry(params[name])}),
+                                   entries=True)
         assert code == 2
         assert f"malformed parameter array {name!r}" in err and err.count("\n") == 1, err
 
@@ -1147,8 +1165,8 @@ class TestCheckpointSchema:
         # a finite 1e308 in every weight overflows the forward pass, which
         # must end in one error line, not a traceback
         def inflate(params):
-            for entry in params.values():
-                entry["data"] = encode(np.full(len(decode(entry["data"])), 1e308))
+            for name, values in params.items():
+                params[name] = np.full_like(values, 1e308)
 
         code, err = _tampered_eval(tmp_path, capsys, inflate)
         assert code == 2
@@ -1160,10 +1178,10 @@ class TestCheckpointSchema:
             "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
             "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
         ]) == 0
-        doc = json.loads(ckpt_path.read_text())
-        # the v1 layout: a flat list of decimal numbers per array
-        for e in doc["params"].values():
-            e["data"] = decode(e["data"]).tolist()
+        doc = checkpoint_codec.load(ckpt_path)
+        # the v1 layout: one JSON document, a flat list of decimal numbers per array
+        doc["params"] = {name: {"shape": list(values.shape), "data": values.ravel().tolist()}
+                         for name, values in doc["params"].items()}
         doc.update(format="checkpoint.v1", version=1)
         ckpt_path.write_text(json.dumps(doc))
         for command in ("eval", "census"):
@@ -1171,7 +1189,7 @@ class TestCheckpointSchema:
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert "'checkpoint.v1'" in err and "'checkpoint.v3'" in err, err
+            assert "'checkpoint.v1'" in err and "'checkpoint.v4'" in err, err
 
     def test_recorded_size_past_stored_arrays_is_checkpoint_error(self, tmp_path, capsys):
         # fresh parameters at d_in 10**12 would need terabytes; the size is
@@ -1181,9 +1199,9 @@ class TestCheckpointSchema:
             "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
             "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
         ]) == 0
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         doc["hyperparameters"]["d_in"] = 10**12
-        ckpt_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(ckpt_path, doc)
         for command in ("eval", "census"):
             capsys.readouterr()
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
@@ -1202,10 +1220,10 @@ class TestCheckpointSchema:
             "train", "--model", "lstm", "--task", "sine", "--epochs", "1",
             "--n-points", "8", "--window", "2", "--hidden", "2", "--out", str(ckpt_path),
         ]) == 0
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         doc["hyperparameters"]["embedding_trainable"] = True
-        doc["params"]["embedding.rows"] = array_entry(np.full(shape, 0.5))
-        ckpt_path.write_text(json.dumps(doc))
+        doc["params"]["embedding.rows"] = np.full(shape, 0.5)
+        checkpoint_codec.save(ckpt_path, doc)
         right_shaped = shape == [3, 1]
         capsys.readouterr()
         assert main(["census", "--ckpt", str(ckpt_path)]) == (3 if right_shaped else 2)
@@ -1234,11 +1252,11 @@ class TestCheckpointSchema:
             "--data", str(enc_dir / "train.json"), "--vocab", str(enc_dir / "vocab.json"),
             "--hidden", "2", "--d-basic", "6", "--out", str(ckpt_path),
         ]) == 0
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         doc["task"] = "sine"
         del doc["params"]["embedding.rows"]
         doc["hyperparameters"].update(n_points=20, window=4)
-        ckpt_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(ckpt_path, doc)
         for command in ("eval", "census"):
             capsys.readouterr()
             assert main([command, "--ckpt", str(ckpt_path)]) == 2, command
@@ -1268,9 +1286,9 @@ class TestCheckpointSchema:
             "train", "--model", model, *task, "--epochs", "1",
             *(["--hidden", "2"] if model == "lstm" else []), "--out", str(ckpt_path),
         ]) == 0
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         doc["hyperparameters"][key] = value
-        ckpt_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(ckpt_path, doc)
         data = ["--data", str(enc_dir / "test.json")] if key == "embedding_trainable" else []
         for argv in (["eval", "--ckpt", str(ckpt_path), *data],
                      ["census", "--ckpt", str(ckpt_path)]):
@@ -1329,11 +1347,11 @@ class TestRecordKeys:
 
     @pytest.mark.parametrize("model, task", PAIRS)
     def test_each_recorded_key_is_required(self, model, task, trained, tmp_path, capsys):
-        doc = json.loads((trained / f"{model}-{task}.json").read_text())
+        doc = checkpoint_codec.load(trained / f"{model}-{task}.json")
         ckpt_path = tmp_path / "ckpt.json"
         for key in _record_keys(model, task):
             hp = {k: v for k, v in doc["hyperparameters"].items() if k != key}
-            ckpt_path.write_text(json.dumps({**doc, "hyperparameters": hp}))
+            checkpoint_codec.save(ckpt_path, {**doc, "hyperparameters": hp})
             for code, out, err in self._eval_and_census(trained, ckpt_path, task, capsys):
                 assert code == 2 and out == "", (key, err)
                 assert err.startswith(f"error: checkpoint hyperparameter {key!r} must "), err
@@ -1346,19 +1364,19 @@ class TestRecordKeys:
         source = trained / f"{model}-{task}.json"
         expected = self._eval_and_census(trained, source, task, capsys)
         assert [code for code, _, _ in expected] == [0, 0]
-        doc = json.loads(source.read_text())
+        doc = checkpoint_codec.load(source)
         reads = set(_record_keys(model, task))
         others = {key for pair in PAIRS for key in _record_keys(*pair)} - reads
         extras = [dict.fromkeys(others, "x"), *([{"threshold": 0.5}] if task == "sine" else [])]
         ckpt_path = tmp_path / "ckpt.json"
         for extra in extras:
             hp = {**doc["hyperparameters"], **extra}
-            ckpt_path.write_text(json.dumps({**doc, "hyperparameters": hp}))
+            checkpoint_codec.save(ckpt_path, {**doc, "hyperparameters": hp})
             assert self._eval_and_census(trained, ckpt_path, task, capsys) == expected, extra
 
 
 def _sine_embedding(doc: dict) -> None:
-    doc["params"]["embedding.rows"] = array_entry(np.full((3, 1), 0.5))
+    doc["params"]["embedding.rows"] = np.full((3, 1), 0.5)
 
 
 def _sine_trainable_embedding(doc: dict) -> None:
@@ -1406,10 +1424,10 @@ class TestOneCheckpointCheck:
     @pytest.mark.parametrize("name", DAMAGED_RECORDS)
     def test_census_and_eval_refuse_a_damaged_checkpoint(self, name, trained, tmp_path, capsys):
         source, damage = DAMAGED_RECORDS[name]
-        doc = json.loads((trained / f"{source}.json").read_text())
+        doc = checkpoint_codec.load(trained / f"{source}.json")
         damage(doc)
         ckpt_path = tmp_path / "ckpt.json"
-        ckpt_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(ckpt_path, doc)
         classify = doc["task"] == "classify"
         data = ["--data", str(trained / "encoded" / "test.json")] if classify else []
         capsys.readouterr()
@@ -1469,10 +1487,10 @@ class TestEvalReadsTheRecord:
 
     def test_recorded_threshold_is_checked(self, tiny_corpus_dir, tmp_path, capsys):
         ckpt_path, split, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")
-        doc = json.loads(ckpt_path.read_text())
+        doc = checkpoint_codec.load(ckpt_path)
         for value in ("x", True, 1.5):
             doc["hyperparameters"]["threshold"] = value
-            ckpt_path.write_text(json.dumps(doc))
+            checkpoint_codec.save(ckpt_path, doc)
             for argv in (["eval", "--ckpt", str(ckpt_path), "--data", str(split)],
                          ["census", "--ckpt", str(ckpt_path)]):
                 capsys.readouterr()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import qvuln
+import checkpoint_codec
 from checkpoint_codec import array_entry, decode, encode, entry_values, index_entry
 from qvuln.cli import load_encoded_dataset, load_vocab_file, main, save_encoded_dataset
 from qvuln.corpus import SPLITS
@@ -35,6 +36,7 @@ def test_read_json_rejections_name_the_file(tmp_path):
         (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
         (b"[1, 2]", "not a JSON object"),
         (b'{"format": "thing.v2"}', "unsupported format 'thing.v2', expected 'thing.v1'"),
+        (b'{"format": "thing.v1", "x": {"y": 1, "y": 1}}', "key 'y' appears twice in one object"),
         (b'{"format": "thing.v1", "x": "\xff"}', "not UTF-8 text"),
     ]
     for content, reason in cases:
@@ -80,8 +82,8 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Name) and func.id == "open":
         return "open"
     if isinstance(func, ast.Attribute):
-        if func.attr == "open":
-            return ".open"
+        if func.attr in ("open", "read_bytes", "read_text", "write_bytes", "write_text"):
+            return f".{func.attr}"
         if isinstance(func.value, ast.Name) and func.value.id in ("json", "binascii"):
             return f"{func.value.id}.{func.attr}"
     return None
@@ -99,7 +101,8 @@ def _calls_outside_fileio(names: tuple[str, ...]) -> list[str]:
 
 
 def test_only_fileio_opens_files_or_handles_json():
-    names = ("open", ".open", "json.load", "json.loads", "json.dump", "json.dumps")
+    names = ("open", ".open", ".read_bytes", ".read_text", ".write_bytes", ".write_text",
+             "json.load", "json.loads", "json.dump", "json.dumps")
     assert _calls_outside_fileio(names) == []
 
 
@@ -166,38 +169,157 @@ DAMAGE_REASONS = {
 }
 
 
+def _damage_checkpoint(blob: bytes, name: str, damage: str) -> bytes:
+    """A checkpoint whose array `name` is damaged as `_damage` damages a
+    split's hex entry: its span cut to part of a value (odd length) or one
+    value short (byte count), a string among its offsets (non-hex digit),
+    or another dtype (`"<f\u00e9"` for non-ASCII text, `">f8"`); the arrays
+    after a cut span move up with it."""
+    header, payload = checkpoint_codec.unpack(blob)
+    entry = header["params"][name]
+    begin, end = entry["offsets"]
+    cut = {"odd length": 1, "byte count": 8}.get(damage)
+    if cut:
+        payload = payload[:end - cut] + payload[end:]
+        for e in header["params"].values():
+            e["offsets"] = [v - cut if v >= end else v for v in e["offsets"]]
+    else:
+        entry.update({"non-hex digit": {"offsets": [begin, str(end)]},
+                      "non-ASCII text": {"dtype": "<f\u00e9"},
+                      "dtype not allowed": {"dtype": ">f8"}}[damage])
+    return checkpoint_codec.pack(header, payload)
+
+
+CHECKPOINT_DAMAGE_REASONS = {
+    "odd length": "offsets must be",
+    "non-hex digit": "offsets must be",
+    "non-ASCII text": "dtype must be '<f8'",
+    "dtype not allowed": "dtype must be '<f8'",
+    "byte count": "offsets must be",
+}
+
+
 @pytest.mark.parametrize("damage", DAMAGE_REASONS)
 @pytest.mark.parametrize("kind", ["checkpoint-eval", "checkpoint-census", "split"])
 def test_damaged_array_text_exits_2(kind, damage, good, tmp_path, capsys):
-    source = good / ("train.json" if kind == "split" else "ckpt.json")
-    doc = json.loads(source.read_text())
-    entries = (doc["sequences"], doc["labels"]) if kind == "split" else doc["params"].values()
-    for k, entry in enumerate(entries):
-        original = dict(entry)
-        _damage(entry, damage)
-        path = tmp_path / "input"
-        path.write_text(json.dumps(doc))
-        entry.update(original)
+    # a split's arrays are hex text; a checkpoint's are raw bytes, damaged at
+    # their span or their header entry the nearest way
+    if kind == "split":
+        doc = json.loads((good / "train.json").read_text())
+        damaged = []
+        for entry in (doc["sequences"], doc["labels"]):
+            original = dict(entry)
+            _damage(entry, damage)
+            damaged.append(json.dumps(doc).encode())
+            entry.update(original)
+        reason = DAMAGE_REASONS[damage]
+    else:
+        blob = (good / "ckpt.json").read_bytes()
+        names = sorted(checkpoint_codec.unpack(blob)[0]["params"])
+        damaged = [_damage_checkpoint(blob, name, damage) for name in names]
+        reason = CHECKPOINT_DAMAGE_REASONS[damage]
+    path = tmp_path / "input"
+    for k, content in enumerate(damaged):
+        path.write_bytes(content)
         capsys.readouterr()
         assert main(_argv(kind, path, good, tmp_path, sine=False)) == 2, k
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (k, err)
-        assert "malformed" in err and DAMAGE_REASONS[damage] in err, (k, err)
+        assert "malformed" in err and reason in err, (k, err)
 
 
 def test_v2_files_exit_2_naming_the_expected_format(good, tmp_path, capsys):
-    # old files are refused by their tag, whatever they hold; no reader converts them
-    for kind, source, tag in (("checkpoint-eval", "ckpt.json", "checkpoint"),
-                              ("checkpoint-census", "ckpt.json", "checkpoint"),
-                              ("split", "train.json", "encoded")):
-        doc = json.loads((good / source).read_text())
+    # old files are refused by their tag, whatever they hold; no reader
+    # converts them.  Every older checkpoint is one JSON document
+    for kind, source, tag, expected in (
+            ("checkpoint-eval", "ckpt.json", "checkpoint", "checkpoint.v4"),
+            ("checkpoint-census", "ckpt.json", "checkpoint", "checkpoint.v4"),
+            ("split", "train.json", "encoded", "encoded.v3")):
+        content = (good / source).read_bytes()
+        doc = json.loads(content) if kind == "split" else checkpoint_codec.unpack(content)[0]
         path = tmp_path / f"{tag}-v2.json"
         path.write_text(json.dumps({**doc, "format": f"{tag}.v2"}))
         capsys.readouterr()
         assert main(_argv(kind, path, good, tmp_path, sine=False)) == 2, kind
         err = capsys.readouterr().err
         assert err == (f"error: {path}: unsupported format '{tag}.v2', "
-                       f"expected '{tag}.v3'\n"), err
+                       f"expected '{expected}'\n"), err
+
+
+def _header_text(text: bytes, payload: bytes) -> bytes:
+    """A file of the header text `text`, as it is, and `payload`."""
+    return len(text).to_bytes(8, "little") + text + payload
+
+
+def _with_b_f(header: dict, **fields) -> dict:
+    """`header` with `fields` set in the entry of array `b_f`, which holds
+    the payload's bytes 16 to 32."""
+    params = {**header["params"], "b_f": {**header["params"]["b_f"], **fields}}
+    return {**header, "params": params}
+
+
+def _v3_document(header: dict, payload: bytes) -> bytes:
+    """The `checkpoint.v3` JSON document of a checkpoint's header and payload."""
+    params = {name: array_entry(np.frombuffer(payload[begin:end], "<f8").reshape(e["shape"]))
+              for name, e in header["params"].items() for begin, end in [e["offsets"]]}
+    return json.dumps({**header, "format": "checkpoint.v3", "version": 3,
+                       "params": params}).encode()
+
+
+# name: (a damaged file made from a good checkpoint's (header, payload),
+# words its one error line must hold)
+DAMAGED_CONTAINERS = {
+    "shorter-than-8-bytes": (lambda h, p: checkpoint_codec.pack(h, p)[:5],
+                             "not a checkpoint.v4 file: 5 bytes"),
+    "header-past-the-end": (lambda h, p: _header_text(json.dumps(h).encode(), p)[:-len(p) - 1],
+                            "runs past the file's end"),
+    "header-not-utf8": (lambda h, p: _header_text(b'{"format": "checkpoint.v4\xff"}', p),
+                        "not UTF-8 text"),
+    "header-not-json": (lambda h, p: _header_text(b"format: checkpoint.v4", p),
+                        "not valid JSON"),
+    "header-not-an-object": (lambda h, p: _header_text(b'["checkpoint.v4"]', p),
+                             "not a JSON object"),
+    "format-twice": (lambda h, p: _header_text(
+                         b'{"format": "checkpoint.v4", ' + json.dumps(h).encode()[1:], p),
+                     "key 'format' appears twice"),
+    "another-format": (lambda h, p: checkpoint_codec.pack({**h, "format": "checkpoint.v5"}, p),
+                       "unsupported format 'checkpoint.v5', expected 'checkpoint.v4'"),
+    "v3-json-checkpoint": (_v3_document,
+                           "unsupported format 'checkpoint.v3', expected 'checkpoint.v4'"),
+    "bad-shape": (lambda h, p: checkpoint_codec.pack(_with_b_f(h, shape=[2, -1]), p),
+                  "'b_f': shape must be a list of non-negative integers"),
+    "bad-dtype": (lambda h, p: checkpoint_codec.pack(_with_b_f(h, dtype="<i8"), p),
+                  "'b_f': dtype must be '<f8', got '<i8'"),
+    "bad-offsets": (lambda h, p: checkpoint_codec.pack(_with_b_f(h, offsets=[16]), p),
+                    "'b_f': offsets must be [16, 32], got [16]"),
+    "gap": (lambda h, p: checkpoint_codec.pack(_with_b_f(h, offsets=[24, 40]), p),
+            "'b_f': offsets must be [16, 32], got [24, 40]"),
+    "overlap": (lambda h, p: checkpoint_codec.pack(_with_b_f(h, offsets=[8, 24]), p),
+                "'b_f': offsets must be [16, 32], got [8, 24]"),
+    "array-named-twice": (lambda h, p: _header_text(json.dumps(h).encode().replace(
+                              b'"params": {', b'"params": {"b_f": {}, ', 1), p),
+                          "key 'b_f' appears twice"),
+    "trailing-payload-bytes": (lambda h, p: checkpoint_codec.pack(h, p + bytes(8)),
+                               "the payload holds"),
+    "missing-payload-bytes": (lambda h, p: checkpoint_codec.pack(h, p[:-8]),
+                              "run past the payload's"),
+}
+
+
+@pytest.mark.parametrize("command", ["checkpoint-eval", "checkpoint-census"])
+@pytest.mark.parametrize("damage", DAMAGED_CONTAINERS)
+def test_damaged_container_exits_2(damage, command, good, tmp_path, capsys):
+    make, reason = DAMAGED_CONTAINERS[damage]
+    header, payload = checkpoint_codec.unpack((good / "ckpt.json").read_bytes())
+    assert header["params"]["b_f"]["offsets"] == [16, 32]
+    path = tmp_path / "damaged.ckpt"
+    path.write_bytes(make(header, payload))
+    capsys.readouterr()
+    assert main(_argv(command, path, good, tmp_path, sine=False)) == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert reason in err and captured.out == "", err
 
 
 # --- seeded mutation fuzz ---
@@ -252,20 +374,30 @@ def _argv(kind: str, path: Path, good: Path, work: Path, sine: bool) -> list[str
     }[kind]
 
 
-def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -> dict:
+def _checkpoint(rng: random.Random, blob: bytes, mutation: str, evaluated: bool) -> bytes:
     """A damaged checkpoint; `evaluated` says the command runs the model,
     so a finite payload that overflows its forward pass is damage too."""
+    doc, payload = checkpoint_codec.unpack(blob)
+    if mutation == "not-utf8":
+        # bytes that are not UTF-8 inside the header text
+        text = blob[8:8 + int.from_bytes(blob[:8], "little")]
+        at = rng.randrange(1, len(text.rstrip()) - 1)
+        return _header_text(text[:at] + rng.choice(NOT_UTF8) + text[at:], payload)
+    if mutation == "truncate":
+        # cut in the length prefix, in the header or in the payload
+        return blob[:rng.randrange(len(blob))]
     params = doc["params"]
     name = rng.choice(sorted(params))
     entry = params[name]
-    values = decode(entry["data"])
+    begin, end = entry["offsets"]
+    values = np.frombuffer(payload[begin:end], "<f8").copy()
     hp = doc["hyperparameters"]
     # (object, key) of every field that eval and census both need, the record
     # keys as the check reads them: every one is required
     fields = [
-        *((doc, k) for k in ("format", "version", "model", "task", "hyperparameters", "params")),
+        *((doc, k) for k in ("format", "model", "task", "hyperparameters", "params")),
         *((hp, k) for k in _record_keys(doc["model"], doc["task"])), (params, name),
-        *((entry, k) for k in ("shape", "dtype", "data")),
+        *((entry, k) for k in ("shape", "dtype", "offsets")),
     ]
     if mutation == "drop-key":
         where, key = rng.choice(fields)
@@ -274,35 +406,30 @@ def _checkpoint(rng: random.Random, doc: dict, mutation: str, evaluated: bool) -
         if rng.random() < 0.5:
             entry["shape"].append(1)
         else:
-            entry["data"] = encode(values[:-1])  # 8 bytes short
+            payload = payload[:end - 8] + payload[end:]  # 8 bytes short
     elif mutation == "nan":
         values[rng.randrange(len(values))] = rng.choice(
             [float("nan"), float("inf"), -float("inf")]
         )
-        entry["data"] = encode(values)
+        payload = payload[:begin] + values.tobytes() + payload[end:]
     elif mutation == "out-of-range":
         if not evaluated or rng.random() < 0.5:
             hp[rng.choice(["d_in", "hidden"])] = rng.choice([0, -1, 10**12])
         else:
             # every weight at 1e308: the gate products and the logit overflow
-            for e in params.values():
-                e["data"] = encode(np.full(len(decode(e["data"])), 1e308))
+            payload = np.full(len(payload) // 8, 1e308).tobytes()
     else:  # wrong-type
         choice = rng.randrange(3)
         if choice == 0:
             where, key = rng.choice(fields)
             where[key] = rng.choice(["7", 2.5, None, [], {"a": 1}])
         elif choice == 1:
-            # v1's list, a number or null where the hex string belongs
-            entry["data"] = rng.choice([values.tolist(), 0.5, None])
+            # v1's list of values, floats or strings where the offsets belong
+            entry["offsets"] = rng.choice([values.tolist(), [float(begin), float(end)],
+                                           [str(begin), str(end)]])
         else:
-            data = entry["data"]
-            at = rng.randrange(len(data))
-            entry["data"] = rng.choice([
-                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not hex
-                data + "a",  # an odd number of hex digits
-            ])
-    return doc
+            entry["dtype"] = rng.choice(["<f4", ">f8", "float64", 8])
+    return checkpoint_codec.pack(doc, payload)
 
 
 def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
@@ -463,10 +590,12 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
         "csv": tiny_corpus_dir / "train.csv",
     }[kind]
     content = source.read_bytes()
-    if mutation == "not-utf8":
+    if kind.startswith("checkpoint"):
+        path.write_bytes(_checkpoint(rng, content, mutation, kind == "checkpoint-eval"))
+    elif mutation == "not-utf8":
         at = rng.randrange(len(content))
         path.write_bytes(content[:at] + rng.choice(NOT_UTF8) + content[at:])
-    elif mutation == "truncate" and kind not in ("csv", "vectors"):
+    elif mutation == "truncate" and kind in ("split", "vocabulary"):
         # a JSON object cut anywhere before its closing brace is invalid
         path.write_bytes(content[: rng.randrange(len(content.rstrip()) - 1)])
     elif kind == "csv":
@@ -482,11 +611,9 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
         if kind == "split":
             n_rows = len(json.loads((good / "vocab.json").read_text())["tokens"]) + 2
             doc = _split(rng, doc, mutation, n_rows)
-        elif kind == "vocabulary":
+        else:
             max_index = int(entry_values(split["sequences"]).max())
             doc = _vocabulary(rng, doc, mutation, max_index)
-        else:
-            doc = _checkpoint(rng, doc, mutation, kind == "checkpoint-eval")
         path.write_text(json.dumps(doc))
 
 

@@ -28,14 +28,22 @@ def test_differing_outputs_report_each_array_column_and_number(tmp_path):
     # b's values sit 1e-12 (relative) off a's in one array of a checkpoint,
     # one column of a curves file, one list of a metrics file and one number
     # of a stdout; equal values and `wall_time_seconds` are not reported,
-    # nor a split whose v2 int64 arrays hold the values of its v3 narrow ones
+    # nor the arrays of a split whose v2 int64 arrays hold the values of its
+    # v3 narrow ones, nor a v3 checkpoint's `version`; a's checkpoint is a v3
+    # JSON document and b's a v4 container, so each file's `format` is
     outputs = {}
     for side, moved in (("a", 1.0), ("b", 1.0 + 1e-12)):
         work = tmp_path / side
         (work / "stdout").mkdir(parents=True)
-        params = {"w": checkpoint_codec.array_entry([2.0, -4.0 * moved]),
-                  "b": checkpoint_codec.array_entry([1.0])}
-        (work / "ck.json").write_text(json.dumps({"format": "checkpoint.v3", "params": params}))
+        arrays = {"w": [2.0, -4.0 * moved], "b": [1.0]}
+        hp = {"hidden": 2}
+        if side == "a":
+            params = {name: checkpoint_codec.array_entry(values) for name, values in arrays.items()}
+            (work / "ck.ckpt").write_text(json.dumps(
+                {"format": "checkpoint.v3", "version": 3, "hyperparameters": hp, "params": params}))
+        else:
+            checkpoint_codec.save(work / "ck.ckpt", {"format": "checkpoint.v4",
+                                                     "hyperparameters": hp, "params": arrays})
         sequences, labels = [[2, 65_535], [0, 1]], [1, 0]
         if side == "a":
             split = {"format": "encoded.v2", **{
@@ -56,7 +64,9 @@ def test_differing_outputs_report_each_array_column_and_number(tmp_path):
     sizes = {name: identity_matrix.relative_differences(
                  identity_matrix.output_numbers(outputs["a"], name),
                  identity_matrix.output_numbers(outputs["b"], name))
-             for name in ("ck.json", "split.json", "curves.json", "metrics.json", "eval x: stdout")}
-    assert sizes == {"ck.json": ["params.w: 1e-12"], "split.json": [],
+             for name in ("ck.ckpt", "split.json", "curves.json", "metrics.json", "eval x: stdout")}
+    assert sizes == {"ck.ckpt": ["format: 'checkpoint.v3' against 'checkpoint.v4'",
+                                 "params.w: 1e-12"],
+                     "split.json": ["format: 'encoded.v2' against 'encoded.v3'"],
                      "curves.json": ["predicted: 1e-12"],
                      "metrics.json": ["loss_curve: 1e-12"], "eval x: stdout": ["numbers: 1e-12"]}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qvuln.trainer
-from checkpoint_codec import array_entry
+import checkpoint_codec
 from qvuln.corpus import PAD_INDEX, Vocabulary
 from qvuln.embedding import build_embedding_matrix
 from qvuln.errors import DataError, DivergenceError
@@ -446,13 +446,19 @@ class TestCheckpointFiles:
         save_checkpoint(ckpt, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_tampered_version_rejected(self, tmp_path):
+    def test_tampered_format_rejected(self, tmp_path):
+        # the format tag is the one version mark, and a header holds it once
         path = tmp_path / "model.json"
         save_checkpoint(self.make_checkpoint(), path)
-        text = path.read_text()
-        assert '"version": 3' in text
-        path.write_text(text.replace('"version": 3', '"version": 99'))
-        message = f"{path}: unsupported checkpoint version 99"
+        header, payload = checkpoint_codec.unpack(path.read_bytes())
+        assert header["format"] == "checkpoint.v4" and "version" not in header
+        path.write_bytes(checkpoint_codec.pack({**header, "format": "checkpoint.v99"}, payload))
+        message = f"{path}: unsupported format 'checkpoint.v99', expected 'checkpoint.v4'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_checkpoint(path)
+        twice = b'{"format": "checkpoint.v4", ' + json.dumps(header).encode()[1:]
+        path.write_bytes(len(twice).to_bytes(8, "little") + twice + payload)
+        message = f"{path}: not valid JSON: key 'format' appears twice in one object"
         with pytest.raises(DataError, match=re.escape(message)):
             load_checkpoint(path)
 
@@ -465,20 +471,22 @@ class TestCheckpointFiles:
         with pytest.raises(DataError, match=re.escape(f"{bad}: not valid JSON: ")):
             load_checkpoint(bad)
         save_checkpoint(self.make_checkpoint(), bad)
-        valid = json.loads(bad.read_text())
-        no_shape = json.loads(bad.read_text())
+        valid, payload = checkpoint_codec.unpack(bad.read_bytes())
+        no_shape = checkpoint_codec.unpack(bad.read_bytes())[0]
         del no_shape["params"]["w"]["shape"]
-        no_data = json.loads(bad.read_text())
-        del no_data["params"]["w"]["data"]
+        no_offsets = checkpoint_codec.unpack(bad.read_bytes())[0]
+        del no_offsets["params"]["w"]["offsets"]
         malformed = f"{bad}: malformed parameter array 'w': "
-        for doc, message in (
+        for header, message in (
             ([valid], f"{bad}: not a JSON object"),
-            ({**valid, "params": []}, f"{bad}: hyperparameters and params must be JSON objects"),
-            ({**valid, "params": {"w": [1.0]}}, f"{malformed}not a JSON object"),
+            ({**valid, "params": []}, f"{bad}: params must be a JSON object"),
+            ({**valid, "hyperparameters": []}, f"{bad}: hyperparameters must be a JSON object"),
+            ({**valid, "params": {**valid["params"], "w": [1.0]}},
+             f"{malformed}not a JSON object"),
             (no_shape, f"{malformed}shape must be a list of non-negative integers, got None"),
-            (no_data, f"{malformed}data must be a hex string, got NoneType"),
+            (no_offsets, f"{malformed}offsets must be [24, 72], got None"),
         ):
-            bad.write_text(json.dumps(doc))
+            bad.write_bytes(checkpoint_codec.pack(header, payload))
             with pytest.raises(DataError, match=re.escape(message)):
                 load_checkpoint(bad)
 
@@ -496,10 +504,14 @@ class TestCheckpointFiles:
                           vocab_digest=None, arrays=arrays)
         path = tmp_path / "model.json"
         save_checkpoint(ckpt, path)
-        # the stored bytes are the little-endian float64 bytes in C order
-        doc = json.loads(path.read_text())
+        # the stored bytes are the little-endian float64 bytes in C order, laid
+        # out byte for byte as the independent codec lays them out
+        doc = checkpoint_codec.load(path)
         for name, arr in arrays.items():
-            assert doc["params"][name] == array_entry(arr), name
+            assert doc["params"][name].shape == arr.shape, name
+            assert doc["params"][name].tobytes() == arr.astype("<f8").tobytes(order="C"), name
+        checkpoint_codec.save(tmp_path / "codec.json", {**doc, "params": arrays})
+        assert (tmp_path / "codec.json").read_bytes() == path.read_bytes()
         again = load_checkpoint(path).arrays
         for name, arr in arrays.items():
             got = again[name]
