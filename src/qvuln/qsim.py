@@ -44,14 +44,14 @@ class Gate:
         if self.kind == "H":
             return _H_MATRIX.copy()
         t = np.asarray(self.angle, dtype=float)
+        if self.kind == "RZ":
+            zero = np.zeros_like(t)
+            return np.array([[np.exp(-0.5j * t), zero], [zero, np.exp(0.5j * t)]], dtype=complex)
         c, s = np.cos(t / 2.0), np.sin(t / 2.0)
         if self.kind == "RX":
             return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
         if self.kind == "RY":
             return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind == "RZ":
-            zero = np.zeros_like(t)
-            return np.array([[np.exp(-0.5j * t), zero], [zero, np.exp(0.5j * t)]], dtype=complex)
         if self.kind == "CNOT":
             # basis order |t c>: target flips when the control bit is 1
             return np.array(

@@ -39,7 +39,8 @@ counts, arrays the model does not have.  `evaluate` then takes the
 decision threshold (classify only; sine reads none) or the sine task from
 the checked record, and `census` the embedding's trainable flag.  A
 checkpoint that this check or `load_checkpoint` refuses raises DataError,
-as any other refused input does.
+as any other refused input does, and a checkpoint read from a file
+(`Checkpoint.path`) is named in the message.
 """
 from __future__ import annotations
 
@@ -296,6 +297,9 @@ class Checkpoint:
     hyperparameters: dict
     vocab_digest: str | None
     arrays: dict[str, np.ndarray]
+    # the file `load_checkpoint` read it from, which its refusals name;
+    # None for a checkpoint built in memory
+    path: str | None = None
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -328,7 +332,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(doc.get("vocab_digest"), (str, type(None))):
         raise DataError(f"{path}: vocab_digest must be a string or null")
     return Checkpoint(model=doc["model"], task=doc["task"], hyperparameters=doc["hyperparameters"],
-                      vocab_digest=doc.get("vocab_digest"), arrays=arrays)
+                      vocab_digest=doc.get("vocab_digest"), arrays=arrays, path=str(path))
 
 
 def _record_keys(model: str, task: str) -> tuple[str, ...]:
@@ -372,8 +376,19 @@ def params_from_checkpoint(ckpt: Checkpoint, extra_ok: bool = False):
     checkpoint also holds an embedding, and an embedding on either task
     must be a finite (n_rows, d_in) array.  Last, a sine record's `d_in`
     must be 1, the sine table's width.  Raises DataError on any
-    difference; with `extra_ok`, arrays the model does not have are let
-    through."""
+    difference, its message led by the file of a loaded checkpoint, as
+    `load_checkpoint`'s are; with `extra_ok`, arrays the model does not
+    have are let through."""
+    try:
+        return _checked_params(ckpt, extra_ok)
+    except DataError as exc:
+        if ckpt.path is None:
+            raise
+        raise DataError(f"{ckpt.path}: {exc}") from None
+
+
+def _checked_params(ckpt: Checkpoint, extra_ok: bool):
+    """`params_from_checkpoint` without the file name in its refusals."""
     hp = ckpt.hyperparameters
     _check_settings(hp, _record_keys(ckpt.model, ckpt.task), "checkpoint hyperparameter ")
     if ckpt.task == "sine":

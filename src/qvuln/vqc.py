@@ -26,9 +26,16 @@ rotation to a Bloch direction, through the ring, which maps each Pauli
 string to one other string with a sign, through the layer-1 rotations,
 each a 4x4 real transfer matrix acting on its qubit's factor, and through
 the ring again.  The transfer matrices and the ring's signed permutation
-are built from `qsim`'s gates, so `qsim` stays the one gate source.  No
-complex state is formed: a batch's readouts and shift rows are real matrix
-products.
+are built from `qsim`'s gates, so `qsim` stays the one gate source.  A
+build forms only the 48 distinct rotations its circuits use, each qubit's
+of layer 1 unshifted and with one of its 3 angles shifted by +-SHIFT (28)
+and of layer 2 unshifted and with slot 0 or 1 shifted (20); tables made
+at import add the shifts in one step and spread the rotations over the
+products' qubits.  The last step, the first ring, is folded into the
+gathers of the outputs: a build reads, each with its ring sign, only the
+1,024 unshifted product entries and the 10,836 light-cone ones it keeps.
+No complex state is formed: a batch's readouts and shift rows are real
+matrix products.
 
 A gradient needs 65 rows per sample: the unshifted circuit and, for each of
 the 8 encoding slots and 24 variational angles, the circuit with it shifted
@@ -156,17 +163,6 @@ def init_vqc_params(d_in: int, rng: np.random.Generator) -> VqcParams:
     )
 
 
-def _shift_rows(base: np.ndarray) -> np.ndarray:
-    """(..., n) -> (..., 1 + 2n, n): row 0 is `base`; rows 1 + 2k and 2 + 2k
-    shift slot k by +SHIFT and -SHIFT."""
-    n = base.shape[-1]
-    rows = np.repeat(base[..., None, :], 1 + 2 * n, axis=-2)
-    k = np.arange(n)
-    rows[..., 1 + 2 * k, k] += SHIFT
-    rows[..., 2 + 2 * k, k] -= SHIFT
-    return rows
-
-
 def _ring_transfer() -> tuple[np.ndarray, np.ndarray]:
     """The CNOT ring 0->1, 1->2, 2->3, 3->0 in the Heisenberg picture: its
     transfer matrix T[t, s] = Tr(P_t U^dag P_s U) / 16, so that column s
@@ -244,27 +240,89 @@ def _transfers(u: np.ndarray) -> np.ndarray:
 
 def _rotations(angles: np.ndarray) -> np.ndarray:
     """(N, 3) angles of a qubit's RZ, RY, RZ slots -> the (2, 2, N)
-    unitaries that apply them in turn, from `qsim`'s gates."""
-    z0, y, z1 = (gate(angles[:, slot], 0).matrix() for slot, gate in enumerate((rz, ry, rz)))
-    u = (y[:, :, None] * z0[None]).sum(axis=1)
-    return (z1[:, :, None] * u[None]).sum(axis=1)
+    unitaries that apply them in turn, from `qsim`'s gates; one RZ gate
+    holds both RZ slots, (2, 2, N, slot 0 or 2)."""
+    z = rz(angles[:, ::2], 0).matrix()
+    y = ry(angles[:, 1], 0).matrix()
+    u = (y[:, :, None] * z[None, ..., 0]).sum(axis=1)
+    return (z[:, :, None, :, 1] * u[None]).sum(axis=1)
 
 
-# the circuits of a build: layer 1's 25 (unshifted, then each of its 12
-# angles +SHIFT and -SHIFT)
-_N_FIRST = 1 + 2 * N_QUBITS * 3
-# a build's 29 products of Pauli strings, one column per qubit q each: the
-# unshifted circuit's, then those of +SHIFT and then of -SHIFT (sign, 14):
-# layer 1's 12 circuits with that angle shifted, in Z_q's unshifted
-# direction, then circuit 0's in the direction with Z_q's own layer-2 slot 0
-# or 1 shifted; `_shift_rows` puts slot k's +SHIFT at 1 + 2k, its -SHIFT at 2 + 2k
-_SIGN = np.arange(2)[:, None]
-_PRODUCT_CIRCUITS = np.r_[0, np.hstack([1 + 2 * np.arange(12) + _SIGN, np.zeros((2, 2), np.intp)]).ravel()]
-_PRODUCT_DIRECTIONS = np.r_[0, np.hstack([np.zeros((2, 12), np.intp), 1 + 2 * np.arange(2) + _SIGN]).ravel()]
+# a build's 48 distinct rotations: each qubit's 7 of layer 1, unshifted
+# and with each of its 3 slots +SHIFT and -SHIFT, then each qubit's 5 of
+# layer 2, unshifted and with slot 0 or 1 shifted (a slot-2 shift changes
+# no <Z>); rotation k's angles are row _ROTATION_ROWS[k] of the (layer
+# qubit, slot) angles plus _ROTATION_SHIFTS[k], where -0.0 leaves every
+# angle, -0.0 too, as it is
+_N_SHIFTS = 1 + 2 * 3
+_SHIFTS = np.full((_N_SHIFTS, 3), -0.0)
+_SHIFTS[1 + 2 * np.arange(3), np.arange(3)] = SHIFT
+_SHIFTS[2 + 2 * np.arange(3), np.arange(3)] = -SHIFT
+_N_FIRST = N_QUBITS * _N_SHIFTS
+_ROTATION_ROWS = np.r_[np.repeat(np.arange(N_QUBITS), _N_SHIFTS), N_QUBITS + np.repeat(np.arange(N_QUBITS), 5)]
+_ROTATION_SHIFTS = np.r_[np.tile(_SHIFTS, (N_QUBITS, 1)), np.tile(_SHIFTS[:5], (N_QUBITS, 1))]
+_N_ROTATIONS = len(_ROTATION_ROWS)
+
+
+def _product_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Where a build reads its 29 products of Pauli strings, one column per
+    qubit q each: the unshifted circuit's, then those of +SHIFT and then of
+    -SHIFT (sign, 14): layer 1's 12 angles shifted, in Z_q's unshifted
+    direction, then the unshifted layer 1 in the direction with Z_q's own
+    layer-2 slot 0 or 1 shifted.  Returned as flat indices into the
+    (4 component, 4 Pauli, 48 rotation) transfer matrices: each qubit's
+    factors, (qubit, Pauli, q, component, product), the transfer column of
+    the digit that the second ring's image of X_q, Y_q or Z_q has on the
+    qubit, at the qubit's layer-1 rotation in the product; and the
+    directions, (Pauli, q, product), the X, Y, Z entries of Z_q read back
+    through qubit q's layer-2 rotation in the product."""
+    # the angle each product shifts, -1 for none, then 0..11 for layer 1's
+    # in (qubit, slot) order and 12, 13 for layer 2's slot 0, 1; the shifted
+    # rotation is 1 + 2 slot + sign among its qubit's
+    angle = np.r_[-1, np.tile(np.arange(14), 2)]
+    shifted = 1 + 2 * (angle % 3) + np.r_[0, np.repeat(np.arange(2), 14)]
+    qubit = np.arange(N_QUBITS)[:, None]
+    first = _N_SHIFTS * qubit + np.where(angle // 3 == qubit, shifted, 0)  # (qubit, product)
+    second = _N_FIRST + 5 * qubit + np.where(angle >= 12, shifted, 0)  # (q, product)
+    digits = _IMAGE_DIGITS.transpose(2, 0, 1)[..., None, None]  # (qubit, Pauli, q, 1, 1)
+    factors = (4 * np.arange(4)[:, None] + digits) * _N_ROTATIONS + first[:, None, None, None]
+    directions = (4 * np.arange(1, 4)[:, None, None] + 3) * _N_ROTATIONS + second
+    return factors, directions
+
+
+_FACTORS, _DIRECTIONS = _product_tables()
+_N_PRODUCTS = _DIRECTIONS.shape[-1]
 # _OPEN_ROWS[k, o, p]: the string with qubit k's digit p and the other three
 # digits o, from qubit 3 down
 _OPEN_ROWS = np.stack([np.moveaxis(np.arange(DIM * DIM).reshape((4,) * N_QUBITS), N_QUBITS - 1 - k, -1)
                        .reshape(-1, 4) for k in range(N_QUBITS)])
+
+
+def _output_tables() -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], np.ndarray]:
+    """What a build keeps of its (q, product, string) products, with the
+    first ring applied on the way: the ring maps the coefficient of string
+    t to string `_RING_GATHER[t]` with sign `_RING_SIGNS[t]`, so an output's
+    entry at string t is that sign times the product's entry at
+    `_RING_GATHER[t]`.  Returned as the flat product indices and the signs
+    of the unshifted columns in `_observables`' (16, 64) order, followed by
+    the four (|S_q|, 28) light-cone blocks; the span of each block in them;
+    and where the (4, 64, 16) columns with one qubit's digit open sit in
+    the unshifted ones."""
+    by_low = 16 * np.arange(16) + np.arange(16)[:, None]  # (low pair, high pair) -> string
+    strings = [np.broadcast_to(by_low[..., None], (16, 16, N_QUBITS))]
+    columns = [np.arange(N_QUBITS) * _N_PRODUCTS * DIM * DIM]
+    for q, cone in enumerate(_CONES):
+        strings.append(np.broadcast_to(cone[:, None], (cone.size, _N_PRODUCTS - 1)))
+        columns.append((q * _N_PRODUCTS + np.arange(1, _N_PRODUCTS)) * DIM * DIM)
+    rows = np.concatenate([(column + _RING_GATHER[t]).ravel() for t, column in zip(strings, columns)])
+    signs = np.concatenate([_RING_SIGNS[t].ravel() for t in strings])
+    ends = np.cumsum([t.size for t in strings]).tolist()
+    s = _OPEN_ROWS[..., None]
+    open_ = (s % 16 * 64 + s // 16 * 4 + np.arange(N_QUBITS)).reshape(N_QUBITS, -1, 4 * N_QUBITS)
+    return rows, signs, tuple(zip(ends[:-1], ends[1:])), open_
+
+
+_OUTPUT_ROWS, _OUTPUT_SIGNS, _BLOCK_SPANS, _OPEN_ENTRIES = _output_tables()
 
 
 # one QLSTM's six blocks: a forward reads them in turn, and a backward again
@@ -283,38 +341,32 @@ def _observables(angle_bytes: bytes) -> tuple[np.ndarray, tuple[np.ndarray, ...]
       (qubit, slot) order, then layer 2's slot 0 and 1 of qubit q;
     - (4, 64, 16): the unshifted columns with qubit k's digit open, for
       k = 0..3: rows the other three digits from qubit 3 down, columns
-      (digit of qubit k, q)."""
-    angles = np.frombuffer(angle_bytes).reshape(N_LAYERS, N_QUBITS, 3)
-    # layer 1's four qubits in each of its circuits, then for each qubit of
-    # layer 2 its rotation unshifted and with slot 0 or 1 shifted
-    first = _shift_rows(angles[0].reshape(-1)).reshape(-1, 3)
-    second = _shift_rows(angles[1])[:, :5].reshape(-1, 3)
-    transfer = _transfers(_rotations(np.concatenate([first, second])))  # (4, 4, rotation)
-    n_first = first.shape[0]  # (circuit, qubit)
+      (digit of qubit k, q).
+    Only the 48 distinct rotations are formed, and the outputs gather,
+    each with its first-ring sign, only the product entries they keep."""
+    angles = np.frombuffer(angle_bytes).reshape(N_LAYERS * N_QUBITS, 3)
+    transfer = _transfers(_rotations(angles[_ROTATION_ROWS] + _ROTATION_SHIFTS)).reshape(-1)
     # Z_q read before its qubit's layer-2 rotation is a direction over X,
-    # Y, Z; each of its Paulis is read before the ring as one string, whose
-    # sign joins the direction: (Pauli, q, 5 rotations)
-    direction = transfer[1:, 3, n_first:].reshape(3, N_QUBITS, 5) * _IMAGE_SIGNS[:, :, None]
+    # Y, Z; each of its Paulis is read before the second ring as one string,
+    # whose sign joins the direction: (Pauli, q, product)
+    direction = transfer[_DIRECTIONS] * _IMAGE_SIGNS[:, :, None]
     # each such string read before layer 1 is the Kronecker product of each
     # qubit's transfer column of its digit: (qubit, Pauli, q, component,
-    # circuit), multiplied out in pairs, qubits 3, 2 high and 1, 0 low
-    layer = transfer[:, :, :n_first].reshape(4, 4, _N_FIRST, N_QUBITS).transpose(3, 1, 0, 2)
-    factors = layer[np.arange(N_QUBITS)[:, None, None], _IMAGE_DIGITS.transpose(2, 0, 1)]
+    # product), multiplied out in pairs, qubits 3, 2 high and 1, 0 low
+    factors = transfer[_FACTORS]
     high = (factors[3][:, :, :, None] * factors[2][:, :, None]).reshape(3, N_QUBITS, 16, -1)
     low = (factors[1][:, :, :, None] * factors[0][:, :, None]).reshape(3, N_QUBITS, 16, -1)
-    # a column sums its three strings, each weighted by its direction's entry
-    weighted = high[..., _PRODUCT_CIRCUITS] * direction[:, :, None, _PRODUCT_DIRECTIONS]
-    cols = np.matmul(weighted.transpose(1, 3, 2, 0), low[..., _PRODUCT_CIRCUITS].transpose(1, 3, 0, 2))
-    # back through the first ring: (string, product, q)
-    cols = cols.reshape(N_QUBITS, -1, DIM * DIM).transpose(2, 1, 0)[_RING_GATHER]
-    cols *= _RING_SIGNS[:, None, None]
-    base = cols[:, 0]
-    by_low = np.ascontiguousarray(base.reshape(16, 16, N_QUBITS).transpose(1, 0, 2)).reshape(16, -1)
+    # a column sums its three strings, each weighted by its direction's
+    # entry: (q, product, high, low)
+    products = np.matmul((high * direction[:, :, None]).transpose(1, 3, 2, 0), low.transpose(1, 3, 0, 2))
     # off its cone a column holds exact zeros, or rounding residue
-    blocks = tuple(cols[cone, 1:, q] for q, cone in enumerate(_CONES))
-    open_ = base[_OPEN_ROWS].reshape(N_QUBITS, -1, 4 * N_QUBITS)
-    for array in (by_low, *blocks, open_):
-        array.flags.writeable = False
+    kept = products.reshape(-1)[_OUTPUT_ROWS]
+    kept *= _OUTPUT_SIGNS
+    kept.flags.writeable = False
+    by_low = kept[:_BLOCK_SPANS[0][0]].reshape(16, -1)
+    blocks = tuple(kept[begin:end].reshape(-1, _N_PRODUCTS - 1) for begin, end in _BLOCK_SPANS)
+    open_ = by_low.reshape(-1)[_OPEN_ENTRIES]
+    open_.flags.writeable = False
     return by_low, blocks, open_
 
 

@@ -1354,7 +1354,7 @@ class TestRecordKeys:
             checkpoint_codec.save(ckpt_path, {**doc, "hyperparameters": hp})
             for code, out, err in self._eval_and_census(trained, ckpt_path, task, capsys):
                 assert code == 2 and out == "", (key, err)
-                assert err.startswith(f"error: checkpoint hyperparameter {key!r} must "), err
+                assert err.startswith(f"error: {ckpt_path}: checkpoint hyperparameter {key!r} must "), err
                 assert err.endswith(", got None\n") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("model, task", PAIRS)
@@ -1497,8 +1497,24 @@ class TestEvalReadsTheRecord:
                 assert main(argv) == 2, (argv[0], value)
                 captured = capsys.readouterr()
                 assert captured.out == "", (argv[0], value)
-                assert captured.err == ("error: checkpoint hyperparameter 'threshold' must lie "
-                                        f"in (0, 1), got {value!r}\n"), captured.err
+                assert captured.err == (f"error: {ckpt_path}: checkpoint hyperparameter 'threshold' "
+                                        f"must lie in (0, 1), got {value!r}\n"), captured.err
+
+    @pytest.mark.parametrize("shape", [[1, 2], [2, 1]])
+    def test_wrong_array_shape_names_the_file(self, tiny_corpus_dir, tmp_path, capsys, shape):
+        # head_w holds the two values of a hidden-2 head in either shape
+        ckpt_path, split, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")
+        header, payload = checkpoint_codec.unpack(ckpt_path.read_bytes())
+        header["params"]["head_w"]["shape"] = shape
+        ckpt_path.write_bytes(checkpoint_codec.pack(header, payload))
+        for argv in (["eval", "--ckpt", str(ckpt_path), "--data", str(split)],
+                     ["census", "--ckpt", str(ckpt_path)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            assert captured.err == (f"error: {ckpt_path}: checkpoint array 'head_w' has shape "
+                                    f"{tuple(shape)}, expected (2,)\n"), captured.err
 
     def test_classify_eval_requires_data(self, tiny_corpus_dir, tmp_path, capsys):
         ckpt_path, _, _ = self._trained(tiny_corpus_dir, tmp_path, "0.5")

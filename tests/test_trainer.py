@@ -600,6 +600,26 @@ class TestEvaluate:
                                match="^checkpoint hyperparameter 'threshold' must lie in"):
                 evaluate(ckpt, data)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda ckpt: ckpt.arrays.update(head_w=np.array([[10.0]])),
+         "checkpoint array 'head_w' has shape (1, 1), expected (1,)"),
+        (lambda ckpt: ckpt.hyperparameters.update(threshold="x"),
+         "checkpoint hyperparameter 'threshold' must lie in (0, 1), got 'x'"),
+    ], ids=["shape", "threshold"])
+    def test_refusals_of_a_loaded_checkpoint_name_its_file(self, damage, message, tmp_path):
+        # a checkpoint built in memory has no file to name
+        ckpt, data = self.perfect_checkpoint()
+        damage(ckpt)
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            evaluate(ckpt, data)
+        path = tmp_path / "damaged.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.path == str(path)
+        for check in (lambda: evaluate(loaded, data), lambda: census(loaded)):
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                check()
+
     def test_classify_checkpoint_without_split_is_data_error(self):
         ckpt, _ = self.perfect_checkpoint()
         with pytest.raises(DataError, match="needs a ClassifyDataset, got NoneType"):

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import qvuln.vqc
-from qvuln.neural import OptimizerState, adam_step, laid_out
+from qvuln.neural import OptimizerState, adam_step, bce_from_logit, laid_out
+from qvuln.qlstm import init_qlstm_params, qlstm_backward, qlstm_forward
 from qvuln.qsim import apply_gate, expect_z, h, init_state, ry, rz
+from qvuln.trainer import TrainConfig, evaluate, load_checkpoint, save_checkpoint, sine_task, train
 from qvuln.vqc import (
+    SHIFT,
     EvalCounter,
     VqcParams,
     _bloch,
@@ -25,6 +28,7 @@ from qvuln.vqc import (
 )
 
 import dense_oracle
+import observables_oracle
 
 FD_STEP = 1e-5
 
@@ -317,6 +321,62 @@ class TestLayerCache:
         for name, arr in got.tree().items():
             np.testing.assert_array_equal(arr, want.tree()[name], err_msg=name)
         np.testing.assert_array_equal(got_dx, want_dx)
+
+    def test_a_step_builds_each_block_once(self):
+        # after an Adam step the forward builds each of the six blocks'
+        # observables, and the backward finds them all cached
+        rng = np.random.default_rng(15)
+        params = init_qlstm_params(3, rng)
+        x = rng.normal(size=(4, 5, 3))
+        labels = np.array([0.0, 1.0, 1.0, 0.0])
+
+        def forward_backward():
+            logits, caches = qlstm_forward(params, x)
+            return qlstm_backward(params, caches, bce_from_logit(logits, labels)[1])[0]
+
+        adam_step(OptimizerState(params.vector.size, 0.01), params.vector, forward_backward().vector / len(x))
+        misses = _observables.cache_info().misses
+        forward_backward()
+        assert _observables.cache_info().misses - misses == 6
+
+    def test_evaluating_the_trained_checkpoint_builds_nothing(self, tmp_path):
+        # train's closing evaluation leaves the final angles' observables
+        # cached, and a reloaded checkpoint holds the same angle bytes
+        ckpt, report = train(TrainConfig(model="qlstm", task="sine", epochs=1, seed=2, batch_size=8),
+                             sine_task(10, 2))
+        path = tmp_path / "qlstm.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        misses = _observables.cache_info().misses
+        again = evaluate(loaded)
+        assert _observables.cache_info().misses == misses
+        assert again.predictions.tobytes() == report.predictions.tobytes()
+
+
+def oracle_angle_sets() -> list[np.ndarray]:
+    """56 angle sets: each of zeros of both signs, +-pi and angles past
+    +-2 pi in every slot, seeded mixes of such values and of +-SHIFT, and
+    seeded uniform angles in [-3 pi, 3 pi]."""
+    special = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi + 0.25, -2 * np.pi - 1.0, SHIFT, -SHIFT, 1e-300]
+    sets = [np.full((2, 4, 3), value) for value in special[:6]]
+    rng = np.random.default_rng(47)
+    sets += [rng.choice(special, size=(2, 4, 3)) for _ in range(20)]
+    sets += [rng.uniform(-3 * np.pi, 3 * np.pi, size=(2, 4, 3)) for _ in range(30)]
+    return sets
+
+
+class TestObservablesOracle:
+    def test_build_matches_the_oracle_bit_for_bit(self):
+        # the build rotates only the 48 distinct rotations and gathers only
+        # the outputs' entries; the oracle rotates all 120 and applies the
+        # first ring to every product entry
+        for angles in oracle_angle_sets():
+            got = _observables.__wrapped__(angles.tobytes())
+            want = observables_oracle.observables(angles.tobytes())
+            for g, w in zip((got[0], *got[1], got[2]), (want[0], *want[1], want[2])):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes(), angles
+                assert not g.flags.writeable
 
 
 def unshifted_columns(by_low: np.ndarray) -> np.ndarray:
