@@ -17,9 +17,11 @@ A flag whose setting has a default in the library has none in the parser:
 an unset one is not passed (`_given`), so the callee's default applies,
 and its `--help` line reads that default from the callee.
 
-`preprocess` writes `encoded.v3` splits: the token indices as the hex of
-the narrowest unsigned type that holds them, the labels as bytes; loading
-widens both to int64.  Files of an older format are refused, not read.
+`preprocess` writes `encoded.v4` splits in the checkpoint's container
+(`fileio.write_container`): the token indices in the narrowest unsigned
+type that holds them, the labels as bytes; loading widens both to int64.
+The files keep their `.json` names, which the acceptance gates and the
+benchmark pass.  Files of an older format are refused, not read.
 
 Diagnostics go to stderr (QVULN_LOG_LEVEL controls verbosity); data goes to
 files or stdout.
@@ -40,7 +42,7 @@ from .corpus import (
 )
 from .embedding import MODES, _check_table_count, build_embedding_matrix, load_vectors
 from .errors import DataError, DivergenceError, _check_settings
-from .fileio import check_output_paths, decode_array, encode_array, read_json, write_json
+from .fileio import check_output_paths, read_container, read_json, write_container, write_json
 from .neural import bce_from_logit, laid_out
 from .trainer import (
     MODELS,
@@ -63,7 +65,9 @@ from .vqc import init_vqc_params, vqc_forward, vqc_gradients
 
 log = logging.getLogger("qvuln")
 
-ENCODED_FORMAT = "encoded.v3"
+ENCODED_FORMAT = "encoded.v4"
+# the arrays of an encoded split and the dtypes each may take
+_SPLIT_DTYPES = {"labels": ("|u1",), "sequences": ("<u2", "<u4")}
 GRADCHECK_STEP = 1e-5
 GRADCHECK_TOLERANCES = {"vqc": 1e-6, "lstm": 1e-6, "qlstm": 1e-5}
 
@@ -94,33 +98,28 @@ def encode_corpus(
 
 
 def save_encoded_dataset(data: ClassifyDataset, split: str, path: str | Path) -> None:
-    """`encoded.v3`: `sequences` and `labels` as `fileio.encode_array`
-    entries.  The token indices take the narrowest unsigned type that holds
-    the split's largest one (`<u2` up to 65,535, and for an empty split,
-    else `<u4`); the labels take `|u1`."""
+    """`encoded.v4`: a `fileio.write_container` container of `sequences`
+    and `labels`.  The token indices take the narrowest unsigned type that
+    holds the split's largest one (`<u2` up to 65,535, and for an empty
+    split, else `<u4`); the labels take `|u1`."""
     seqs = data.sequences
     index_dtype = "<u2" if seqs.size == 0 or seqs.max() <= 0xFFFF else "<u4"
-    write_json({
+    write_container({
         "format": ENCODED_FORMAT,
         "split": split,
         "max_len": data.max_len,
         "vocab_digest": data.vocab_digest,
-        "labels": encode_array(data.labels, "|u1"),
-        "sequences": encode_array(seqs, index_dtype),
-    }, path)
+    }, {"labels": data.labels.astype("|u1"), "sequences": seqs.astype(index_dtype)}, path)
 
 
 def load_encoded_dataset(path: str | Path) -> ClassifyDataset:
-    """An `encoded.v3` split, its indices and labels widened to int64."""
-    doc = read_json(path, "encoded dataset", ENCODED_FORMAT)
+    """An `encoded.v4` split, its indices and labels widened to int64."""
+    doc, arrays = read_container(path, "encoded dataset", ENCODED_FORMAT, _SPLIT_DTYPES)
     _check_settings(doc, ("max_len",), prefix=f"{path}: ")
     max_len, vocab_digest = doc["max_len"], doc.get("vocab_digest")
     if not isinstance(vocab_digest, str):
         raise DataError(f"{path}: vocab_digest must be a string, got {vocab_digest!r}")
-    sequences, labels = (
-        decode_array(doc.get(key), dtypes, f"{path}: malformed {key!r} array").astype(np.int64)
-        for key, dtypes in (("sequences", ("<u2", "<u4")), ("labels", ("|u1",)))
-    )
+    sequences, labels = (arrays[key].astype(np.int64) for key in ("sequences", "labels"))
     if labels.ndim != 1 or sequences.shape != (len(labels), max_len):
         raise DataError(f"{path}: sequences of shape {list(sequences.shape)} and labels of "
                         f"shape {list(labels.shape)}, expected [N, {max_len}] and [N]")

@@ -88,6 +88,11 @@ class Vocabulary:
         tokens = data.get("tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError("vocabulary tokens must be a list of strings")
+        # the digest joins the tokens by newlines, so it names one token list
+        # only if no token is empty or holds whitespace; the tokenizer makes none
+        odd = next((t for t in tokens if t.split() != [t]), None)
+        if odd is not None:
+            raise DataError(f"vocabulary token {odd!r} is empty or holds whitespace")
         vocab = cls(tokens=tokens)
         digest = data.get("digest")
         if digest is not None and digest != vocab.digest():

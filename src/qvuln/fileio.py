@@ -2,22 +2,19 @@
 for JSON, parsed here, and every JSON document is written here.  A JSON
 object that names one key twice is refused, not read as its last value.
 
-Two array encodings live here.  Inside a JSON document (an encoded split)
-an array is its shape, its dtype and the hex of its bytes: hex, not
-base64, because CPython's `binascii.a2b_hex` decodes 2-5x faster per byte
-than `a2b_base64` on 3.10-3.13.  A checkpoint is a binary container laid
-out like safetensors: an 8-byte little-endian header length N, N bytes of
-standard-JSON header (sorted keys, padded with spaces to a multiple of 8
-bytes) whose `params` object gives each array's `shape`, `dtype` `"<f8"`
-and `offsets` `[begin, end]` into the payload, then the arrays' C-order
-little-endian float64 bytes, back to back in header order, to the end of
-the file.  So a checkpoint loads with no text decoding of its arrays.
-The callers keep only their own schema checks.  Every refusal here, of a
-checkpoint as of any other file, is a one-line DataError that names the
-file."""
+Arrays have one encoding, a binary container laid out like safetensors:
+an 8-byte little-endian header length N, N bytes of standard-JSON header
+(sorted keys, padded with spaces to a multiple of 8 bytes) whose `params`
+object gives each array's `shape`, `dtype` and `offsets` `[begin, end]`
+into the payload, then the arrays' C-order little-endian bytes, back to
+back in header order, to the end of the file.  Checkpoints hold `"<f8"`
+arrays, encoded splits `"<u2"` or `"<u4"` token indices and `"|u1"`
+labels; each reader names the dtypes it allows.  So no array is decoded
+from text.  The callers keep only their own schema checks.  Every
+refusal here, of a container as of any other file, is a one-line
+DataError that names the file."""
 from __future__ import annotations
 
-import binascii
 import json
 import math
 import os
@@ -29,9 +26,8 @@ import numpy as np
 
 from .errors import DataError
 
-# a container's header length prefix, in bytes, and the one dtype of its arrays
+# a container's header length prefix, in bytes
 _PREFIX = 8
-_F8 = "<f8"
 
 
 @contextmanager
@@ -117,54 +113,19 @@ def _sizes(value) -> bool:
     return isinstance(value, list) and all(type(n) is int and n >= 0 for n in value)
 
 
-def encode_array(arr: np.ndarray, dtype: str) -> dict:
-    """`{"shape": [...], "dtype": dtype, "data": ...}` of `arr`: `data` is
-    the lower-case hex of its C-order buffer as `dtype` (a split's `"<u2"`,
-    `"<u4"` or `"|u1"`), with no `tobytes` copy."""
-    data = binascii.b2a_hex(np.ascontiguousarray(arr, dtype=dtype)).decode("ascii")
-    return {"shape": list(arr.shape), "dtype": np.dtype(dtype).str, "data": data}
-
-
-def decode_array(entry, dtypes: tuple[str, ...], what: str) -> np.ndarray:
-    """The array of one `encode_array` entry: `shape` a list of non-negative
-    integers, `dtype` one of `dtypes` (the types the caller's field allows)
-    and `data` the hex of itemsize x prod(shape) bytes of it.  Returns a
-    writable native-order copy; any other entry raises DataError with a
-    one-line message that starts with `what`."""
-    try:
-        if not isinstance(entry, dict):
-            raise ValueError("not a JSON object")
-        shape, dtype, data = entry.get("shape"), entry.get("dtype"), entry.get("data")
-        if not _sizes(shape):
-            raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
-        if dtype not in dtypes:
-            raise ValueError(f"dtype must be one of {', '.join(map(repr, dtypes))}, "
-                             f"got {dtype!r}")
-        if not isinstance(data, str):
-            raise ValueError(f"data must be a hex string, got {type(data).__name__}")
-        # odd length and a non-hex digit raise binascii.Error, non-ASCII
-        # text a plain ValueError
-        raw = binascii.a2b_hex(data)
-        dtype = np.dtype(dtype)
-        n_bytes = dtype.itemsize * math.prod(shape)
-        if len(raw) != n_bytes:
-            raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs {n_bytes}")
-        return np.frombuffer(raw, dtype).astype(dtype.newbyteorder("=")).reshape(shape)
-    except ValueError as exc:
-        raise DataError(f"{what}: {exc}") from None
-
-
 def write_container(doc: dict, arrays: dict[str, np.ndarray], path: str | Path) -> None:
-    """`doc` and the float64 `arrays` as one binary container (the module
-    docstring gives the layout), written atomically: the header is `doc`
-    plus a `params` object, and the arrays go in sorted name order, the
-    header's own.  A NaN or infinite value in `doc` raises ValueError and
-    leaves `path` as it was; the arrays' bytes are written as they are."""
+    """`doc` and `arrays` as one container (the module docstring gives the
+    layout), written atomically: the header is `doc` plus a `params`
+    object, and the arrays go in sorted name order, the header's own, each
+    in its own dtype, little-endian.  A NaN or infinite value in `doc`
+    raises ValueError and leaves `path` as it was; the arrays' bytes are
+    written as they are."""
     names = sorted(arrays)
-    data = [np.asarray(arrays[name], _F8, order="C") for name in names]
+    data = [np.asarray(arrays[n], arrays[n].dtype.newbyteorder("<"), order="C") for n in names]
     params, end = {}, 0
     for name, arr in zip(names, data):
-        params[name] = {"dtype": _F8, "offsets": [end, end + arr.nbytes], "shape": list(arr.shape)}
+        params[name] = {"dtype": arr.dtype.str, "offsets": [end, end + arr.nbytes],
+                        "shape": list(arr.shape)}
         end += arr.nbytes
     header = json.dumps({**doc, "params": params}, sort_keys=True, allow_nan=False,
                         separators=(",", ":")).encode("ascii")
@@ -183,23 +144,28 @@ def _utf8(data: bytes, path: Path) -> str:
         raise DataError(f"{path}: not UTF-8 text") from None
 
 
-def read_container(path: str | Path, what: str, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
+def read_container(
+    path: str | Path, what: str, fmt: str, dtypes: tuple[str, ...] | dict[str, tuple[str, ...]]
+) -> tuple[dict, dict[str, np.ndarray]]:
     """The header (without `params`) and the arrays of the container in
     `path`, whose `format` tag must be `fmt`.  The length prefix must fit
     the file; the header must be UTF-8 text and pass `_json_object`, and
-    its `params` must be an object.  Each array's `shape` must be a list of
-    non-negative integers, its `dtype` `"<f8"` and its `offsets` the next
-    8 x prod(shape) bytes of the payload, from 0 on, and the last array
-    must end where the file does.  Each array comes back as a writable
-    native-order copy; any other file raises DataError naming `path`."""
+    its `params` must be an object.  `dtypes` holds the dtypes an array
+    may take: a tuple, for an array of any name, or a dict that names
+    exactly the arrays the file must hold, each with its own tuple.  Each
+    array's `shape` must be a list of non-negative integers, its `dtype`
+    one it may take and its `offsets` the next itemsize x prod(shape)
+    bytes of the payload, from 0 on, and the last array must end where the
+    file does.  Each array comes back as a writable native-order copy; any
+    other file raises DataError naming `path`."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{what} not found: {path}")
     blob = path.read_bytes()
     if blob[:1] == b"{":
-        # an older checkpoint is one JSON document, refused by its format tag;
-        # the writer pads a header to a multiple of 8 bytes, so the first byte
-        # of its length is never "{" (123)
+        # an older checkpoint or split is one JSON document, refused by its
+        # format tag; the writer pads a header to a multiple of 8 bytes, so
+        # the first byte of its length is never "{" (123)
         _json_object(_utf8(blob, path), path, fmt)
         raise DataError(f"{path}: a JSON document, not a {fmt} file")
     if len(blob) < _PREFIX:
@@ -213,26 +179,32 @@ def read_container(path: str | Path, what: str, fmt: str) -> tuple[dict, dict[st
     params = doc.pop("params", None)
     if not isinstance(params, dict):
         raise DataError(f"{path}: params must be a JSON object")
+    if isinstance(dtypes, dict) and params.keys() != dtypes.keys():
+        raise DataError(f"{path}: params must hold the arrays {sorted(dtypes)}, "
+                        f"got {sorted(params)}")
     payload = memoryview(blob)[_PREFIX + size:]
     arrays, end = {}, 0
     for name, entry in params.items():
+        allowed = dtypes[name] if isinstance(dtypes, dict) else dtypes
         try:
             if not isinstance(entry, dict):
                 raise ValueError("not a JSON object")
-            shape, offsets = entry.get("shape"), entry.get("offsets")
+            shape, dtype, offsets = entry.get("shape"), entry.get("dtype"), entry.get("offsets")
             if not _sizes(shape):
                 raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
-            if entry.get("dtype") != _F8:
-                raise ValueError(f"dtype must be {_F8!r}, got {entry.get('dtype')!r}")
-            count = math.prod(shape)
-            span = [end, end + 8 * count]
+            if dtype not in allowed:
+                raise ValueError(f"dtype must be {' or '.join(map(repr, allowed))}, "
+                                 f"got {dtype!r}")
+            dtype, count = np.dtype(dtype), math.prod(shape)
+            span = [end, end + dtype.itemsize * count]
             if not (_sizes(offsets) and offsets == span):
                 raise ValueError(f"offsets must be {span}, got {offsets!r}")
             if span[1] > len(payload):
                 raise ValueError(f"offsets {span} run past the payload's {len(payload)} bytes")
         except ValueError as exc:
             raise DataError(f"{path}: malformed parameter array {name!r}: {exc}") from None
-        arrays[name] = np.frombuffer(payload, _F8, count, end).astype("=f8").reshape(shape)
+        arrays[name] = (np.frombuffer(payload, dtype, count, end)
+                        .astype(dtype.newbyteorder("=")).reshape(shape))
         end = span[1]
     if end != len(payload):
         raise DataError(f"{path}: the payload holds {len(payload)} bytes, its arrays end at "

@@ -321,7 +321,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc, arrays = read_container(path, "checkpoint", CHECKPOINT_FORMAT)
+    doc, arrays = read_container(path, "checkpoint", CHECKPOINT_FORMAT, ("<f8",))
     if doc.get("model") not in MODELS or doc.get("task") not in TASKS:
         raise DataError(
             f"{path}: unknown model/task {doc.get('model')!r}/{doc.get('task')!r}; "

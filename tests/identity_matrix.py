@@ -10,14 +10,14 @@ the difference is: max |a - b| / max |a| of each array (a checkpoint's
 parameters, a split's arrays, a JSON list), column (of a curves file) or
 number (a JSON value) that differs, and of the numbers of a differing
 stdout in order, and a `format` tag that differs.  Arrays are compared by
-value, so a v2 file (base64 int64 or float64), a v3 file (hex of the
-recorded dtype) and a `checkpoint.v4` container (a JSON header and raw
-float64 bytes) holding the same arrays show no difference but their
-`format`; a v2 or v3 file's `version` says what its `format` says, so it
-is not compared.  A checkpoint is named `.ckpt` whatever its format, and
-is read as a container unless it starts like a JSON document.  Each
-tree's digests are written to `digests-a.json` and `digests-b.json` in
-the working directory.
+value, so a v3 JSON file (hex of the recorded dtype) and a v4 container
+(a JSON header and raw bytes) holding the same arrays show no difference
+but their `format`; a v3 checkpoint's `version` says what its `format`
+says, so it is not compared.  A v4 split's arrays are named as a v3
+split's entries, at the top level.  A checkpoint is named `.ckpt` and a
+split `.json` whatever the format, and each is read as a container unless
+it starts like a JSON document.  Each tree's digests are written to
+`digests-a.json` and `digests-b.json` in the working directory.
 
 The list: `preprocess` at `--max-len` 6, 20 and 1; `train` of the LSTM and
 the QLSTM on classify (with `--eval-data`) and on sine, with `--curves` and
@@ -39,7 +39,6 @@ another host may give other bits.
 """
 from __future__ import annotations
 
-import base64
 import contextlib
 import csv
 import hashlib
@@ -187,30 +186,19 @@ def tree_digests(tree: Path, corpus: Path, work: Path | None = None) -> dict[str
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def _entry_array(entry: dict, v2_dtype: str) -> np.ndarray:
-    """The array of an encoded entry: a v3 `{"shape", "dtype", "data"}`
-    entry read as its recorded dtype, a v2 `{"shape", "data"}` entry (the
-    base64 of its bytes) as `v2_dtype`."""
-    if "dtype" in entry:
-        return checkpoint_codec.entry_values(entry)
-    raw = base64.b64decode(entry["data"], validate=True)
-    return np.frombuffer(raw, v2_dtype).reshape(entry["shape"])
-
-
-def _json_numbers(value, key: str, dtype: str, out: dict[str, np.ndarray]) -> None:
-    """Each array (an encoded entry, a container's array or a list of
-    numbers), each number and each `format` tag of a JSON value, keyed by
-    its path; `dtype` is a v2 entry's."""
+def _json_numbers(value, key: str, out: dict[str, np.ndarray]) -> None:
+    """Each array (a v3 entry, a container's array or a list of numbers),
+    each number and each `format` tag of a JSON value, keyed by its path."""
     if isinstance(value, np.ndarray):
         out[key] = value
-    elif isinstance(value, dict) and set(value) - {"dtype"} == {"shape", "data"}:
-        out[key] = _entry_array(value, dtype)
+    elif isinstance(value, dict) and set(value) == {"shape", "dtype", "data"}:
+        out[key] = checkpoint_codec.entry_values(value)
     elif isinstance(value, dict):
         for name, item in value.items():
             if name == "format":
                 out[f"{key}.{name}" if key else name] = np.array(item)
             elif name not in ("wall_time_seconds", "version"):
-                _json_numbers(item, f"{key}.{name}" if key else name, dtype, out)
+                _json_numbers(item, f"{key}.{name}" if key else name, out)
     elif isinstance(value, list) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         out[key] = np.array(value, dtype=float)
@@ -228,15 +216,17 @@ def output_numbers(work: Path, output: str) -> dict[str, np.ndarray]:
         return {"numbers": np.array([float(v) for v in _NUMBER.findall(text)])}
     out: dict[str, np.ndarray] = {}
     if (work / output).read_bytes()[:1] not in (b"{", b"#"):
-        _json_numbers(checkpoint_codec.load(work / output), "", "<f8", out)
+        doc = checkpoint_codec.load(work / output)
+        if doc["format"].startswith("encoded."):
+            doc.update(doc.pop("params"))
+        _json_numbers(doc, "", out)
         return out
     text = (work / output).read_text()
     if text.startswith("#"):
         header, *lines = text.splitlines()
         table = np.array([[float(v) for v in line.split()] for line in lines if line.strip()])
         return {name: table[:, k] for k, name in enumerate(header[1:].split())}
-    doc = json.loads(text)
-    _json_numbers(doc, "", "<i8" if doc.get("format") == "encoded.v2" else "<f8", out)
+    _json_numbers(json.loads(text), "", out)
     return out
 
 

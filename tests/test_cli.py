@@ -14,7 +14,7 @@ import pytest
 
 import qvuln.trainer
 import checkpoint_codec
-from checkpoint_codec import array_entry, encode, entry_values, index_entry
+from checkpoint_codec import index_dtype
 from qvuln import cli
 from qvuln.cli import (
     load_encoded_dataset,
@@ -164,11 +164,11 @@ def fixed_terminal(monkeypatch):
 
 
 def _set_token(doc: dict, row: int, col: int, value: int) -> None:
-    """Write `value` at (row, col) of an `encoded.v3` split's sequences,
-    stored as `checkpoint_codec.index_entry` stores them."""
-    seqs = entry_values(doc["sequences"]).astype(np.int64)
+    """Write `value` at (row, col) of the sequences of a split loaded by
+    `checkpoint_codec`, stored as `checkpoint_codec.index_dtype` says."""
+    seqs = doc["params"]["sequences"].astype(np.int64)
     seqs[row, col] = value
-    doc["sequences"] = index_entry(seqs)
+    doc["params"]["sequences"] = seqs.astype(index_dtype(seqs))
 
 class TestHelpSnapshots:
     @pytest.mark.parametrize(
@@ -388,17 +388,17 @@ class TestExitCodes:
             ]
 
         assert main(train_argv(enc_dir / "train.json")) == 0
-        doc = json.loads((enc_dir / "test.json").read_text())
+        doc = checkpoint_codec.load(enc_dir / "test.json")
         _set_token(doc, 0, -1, -1)
         bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(bad_path, doc)
         capsys.readouterr()
         eval_argv = ["eval", "--ckpt", str(ckpt_path), "--data", str(bad_path)]
         # no dtype a split may use holds a negative index
         for argv in (train_argv(bad_path), eval_argv):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert "dtype must be one of '<u2', '<u4', got '<i8'" in err, err
+            assert "dtype must be '<u2' or '<u4', got '<i8'" in err, err
 
 
     def test_token_index_past_vocabulary_is_data_error(self, tiny_corpus_dir, tmp_path, capsys):
@@ -407,10 +407,10 @@ class TestExitCodes:
             "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
             "--max-vocab", "30", "--out", str(enc_dir),
         ]) == 0
-        doc = json.loads((enc_dir / "train.json").read_text())
+        doc = checkpoint_codec.load(enc_dir / "train.json")
         _set_token(doc, 0, -1, 1_000_000)
         bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(doc))
+        checkpoint_codec.save(bad_path, doc)
         good_path = enc_dir / "train.json"
         for data, eval_data in ((bad_path, good_path), (good_path, bad_path)):
             capsys.readouterr()
@@ -431,28 +431,30 @@ class TestExitCodes:
             "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
             "--max-vocab", "30", "--out", str(enc_dir),
         ]) == 0
-        split = json.loads((enc_dir / "train.json").read_text())
+        blob = (enc_dir / "train.json").read_bytes()
+        split, (header, payload) = checkpoint_codec.loads(blob), checkpoint_codec.unpack(blob)
         vocab = json.loads((enc_dir / "vocab.json").read_text())
         without = lambda doc, key: {k: v for k, v in doc.items() if k != key}
-        seqs, labels = entry_values(split["sequences"]), entry_values(split["labels"])
-        index = split["sequences"]["dtype"]
+        seqs, labels = split["params"]["sequences"], split["params"]["labels"]
+        with_entry = lambda name, entry: checkpoint_codec.pack(
+            {**header, "params": {**header["params"], name: entry}}, payload)
         bad_splits = [
-            [split["sequences"]],
-            without(split, "max_len"),
-            {**split, "max_len": "two"},
+            checkpoint_codec.pack(["encoded.v4"]),
+            checkpoint_codec.dumps(without(split, "max_len")),
+            checkpoint_codec.dumps({**split, "max_len": "two"}),
             # rows one token shorter than max_len
-            {**split, "sequences": array_entry(seqs[:, :-1], index)},
-            {**split, "labels": ["x", "y"]},
-            # one sample whose labels shape is [true]: a JSON boolean is not a count
-            {**split, "sequences": array_entry(seqs[:1], index),
-             "labels": {"shape": [True], "dtype": "|u1", "data": encode(labels[:1], "|u1")}},
-            {**split, "vocab_digest": None},
+            checkpoint_codec.dumps({**split, "params": {"labels": labels,
+                                                        "sequences": seqs[:, :-1]}}),
+            with_entry("labels", ["x", "y"]),
+            # labels whose shape is [true]: a JSON boolean is not a count
+            with_entry("labels", {**header["params"]["labels"], "shape": [True]}),
+            checkpoint_codec.dumps({**split, "vocab_digest": None}),
         ]
         bad_vocabs = [vocab["tokens"], without(vocab, "tokens"), {**vocab, "tokens": [1, 2]}]
-        cases = [(doc, vocab) for doc in bad_splits] + [(split, doc) for doc in bad_vocabs]
+        cases = [(bad, vocab) for bad in bad_splits] + [(blob, doc) for doc in bad_vocabs]
         data_path, vocab_path = tmp_path / "split.json", tmp_path / "vocab.json"
-        for k, (split_doc, vocab_doc) in enumerate(cases):
-            data_path.write_text(json.dumps(split_doc))
+        for k, (split_blob, vocab_doc) in enumerate(cases):
+            data_path.write_bytes(split_blob)
             vocab_path.write_text(json.dumps(vocab_doc))
             capsys.readouterr()
             assert main([
@@ -713,7 +715,66 @@ class TestExitCodes:
         ]) == 2
         err = capsys.readouterr().err
         assert err == (f"error: {v1_path}: unsupported format 'encoded.v1', "
-                       "expected 'encoded.v3'\n"), err
+                       "expected 'encoded.v4'\n"), err
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_v3_split_is_refused_by_name(self, tiny_corpus_dir, tmp_path, capsys):
+        # the hex JSON split of the format before; no reader converts it
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        ckpt_path = tmp_path / "ckpt.json"
+        train = ["train", "--model", "lstm", "--task", "classify", "--vocab",
+                 str(enc_dir / "vocab.json"), "--epochs", "1", "--hidden", "2", "--d-basic", "2"]
+        assert main([*train, "--data", str(enc_dir / "train.json"), "--out", str(ckpt_path)]) == 0
+        v3_path = tmp_path / "train-v3.json"
+        v3_path.write_text(json.dumps(checkpoint_codec.v3_split(
+            checkpoint_codec.load(enc_dir / "train.json"))))
+        out = tmp_path / "v3.ckpt"
+        for argv in ([*train, "--data", str(v3_path), "--out", str(out)],
+                     [*train, "--data", str(enc_dir / "train.json"), "--eval-data", str(v3_path),
+                      "--out", str(out)],
+                     ["eval", "--ckpt", str(ckpt_path), "--data", str(v3_path)]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: {v3_path}: unsupported format 'encoded.v3', "
+                                    "expected 'encoded.v4'\n"), captured.err
+            assert captured.out == ""
+        assert not out.exists()
+
+    def test_vocabulary_token_empty_or_with_whitespace_is_data_error(
+        self, tiny_corpus_dir, tmp_path, capsys
+    ):
+        # the digest joins the tokens by newlines: ["a\nb"] and ["a", "b"]
+        # share one, and so do [] and [""]; reading refuses such a token, so
+        # one digest names one token list
+        enc_dir = tmp_path / "encoded"
+        assert main([
+            "preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+            "--max-vocab", "30", "--out", str(enc_dir),
+        ]) == 0
+        vocab = json.loads((enc_dir / "vocab.json").read_text())
+        first, second, *rest = vocab["tokens"]
+        vocab_path = tmp_path / "vocab.json"
+        for tokens, bad in (([f"{first}\n{second}", *rest], f"{first}\n{second}"),
+                            ([first, "", second, *rest], ""), ([f"{first} x", *rest], f"{first} x"),
+                            ([first, "\t", *rest], "\t")):
+            vocab_path.write_text(json.dumps({**vocab, "tokens": tokens}))
+            capsys.readouterr()
+            assert main([
+                "train", "--model", "lstm", "--task", "classify",
+                "--data", str(enc_dir / "train.json"), "--vocab", str(vocab_path),
+                "--epochs", "1", "--hidden", "2", "--d-basic", "2",
+                "--out", str(tmp_path / "ckpt.json"),
+            ]) == 2, tokens
+            err = capsys.readouterr().err
+            assert err == f"error: vocabulary token {bad!r} is empty or holds whitespace\n", err
+        # the first case's digest is the good file's
+        assert (hashlib.sha256("\n".join([f"{first}\n{second}", *rest]).encode()).hexdigest()
+                == vocab["digest"])
         assert not (tmp_path / "ckpt.json").exists()
 
     def test_malformed_later_csv_writes_no_file(self, tiny_corpus_dir, tmp_path, capsys):
@@ -1690,9 +1751,12 @@ class TestClassifyClosure:
             "preprocess", "--data-dir", str(data_dir), "--no-balance", "--max-len", "12",
             "--out", str(enc_dir),
         ]) == 0
-        doc = json.loads((enc_dir / "validation.json").read_text())
-        assert doc["sequences"] == {"shape": [0, 12], "dtype": "<u2", "data": ""}
-        assert doc["labels"] == {"shape": [0], "dtype": "|u1", "data": ""}
+        header, payload = checkpoint_codec.unpack((enc_dir / "validation.json").read_bytes())
+        assert header["params"] == {
+            "labels": {"dtype": "|u1", "offsets": [0, 0], "shape": [0]},
+            "sequences": {"dtype": "<u2", "offsets": [0, 0], "shape": [0, 12]},
+        }
+        assert payload == b""
         split = load_encoded_dataset(enc_dir / "validation.json")
         assert split.sequences.shape == (0, 12) and split.sequences.dtype == np.int64
         assert split.labels.shape == (0,) and split.max_len == 12
@@ -1700,7 +1764,7 @@ class TestClassifyClosure:
     def test_preprocess_files_are_pinned(self, corpus_dir, tmp_path):
         # `vocab.json` and the decoded arrays are what the character-loop
         # tokenizer wrote for this corpus (the arrays were then decimal
-        # `encoded.v1` lists); the split files are pinned as `encoded.v3`
+        # `encoded.v1` lists); the split files are pinned as `encoded.v4`
         enc_dir = tmp_path / "encoded"
         assert main([
             "preprocess", "--data-dir", str(corpus_dir), "--max-len", "24",
@@ -1712,9 +1776,9 @@ class TestClassifyClosure:
         }
         assert digests == {
             "vocab.json": "7604990349b5084c6f18f8aa6cb06f780e206bafcedc0f9857ba0c8c57544e71",
-            "train.json": "d77033e6a151efe9565fd6ae6b109459a61135890dd0adff2550f75a7695172f",
-            "validation.json": "ff075dc1d8b37a7f7075395ebcd52285a118cb6518948347b375c6abb65f7eb7",
-            "test.json": "d4bf8a6160eb8be8ab53ab129fd6a3f0a33c3edbea8563b8359506a7b370f52f",
+            "train.json": "237cace53e780baae118327dbdb1df590020140080d294f2723c65490b0bc8d0",
+            "validation.json": "8ae82b518f6f2ef629514a5a694da392bec640389696d8834d73272dfcc5a249",
+            "test.json": "494df3e6578b7681dd00449fbea85e0ab81d0f688c4816350d5c9cee2a4e493a",
         }
         arrays = {}
         for split in ("train", "validation", "test"):

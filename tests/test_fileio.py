@@ -14,12 +14,12 @@ import pytest
 
 import qvuln
 import checkpoint_codec
-from checkpoint_codec import array_entry, decode, encode, entry_values, index_entry
+from checkpoint_codec import array_entry, index_dtype
 from qvuln.cli import load_encoded_dataset, load_vocab_file, main, save_encoded_dataset
 from qvuln.corpus import SPLITS
 from qvuln.embedding import load_vectors
 from qvuln.errors import DataError
-from qvuln.fileio import decode_array, encode_array, read_json
+from qvuln.fileio import read_container, read_json, write_container
 from qvuln.trainer import ClassifyDataset, _record_keys
 
 SRC = Path(qvuln.__file__).parent
@@ -84,7 +84,7 @@ def _call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Attribute):
         if func.attr in ("open", "read_bytes", "read_text", "write_bytes", "write_text"):
             return f".{func.attr}"
-        if isinstance(func.value, ast.Name) and func.value.id in ("json", "binascii"):
+        if isinstance(func.value, ast.Name) and func.value.id == "json":
             return f"{func.value.id}.{func.attr}"
     return None
 
@@ -107,12 +107,20 @@ def test_only_fileio_opens_files_or_handles_json():
 
 
 def test_only_fileio_encodes_arrays():
-    # one array codec: checkpoints and encoded splits both go through
-    # fileio.encode_array and fileio.decode_array
-    assert _calls_outside_fileio(("binascii.b2a_hex", "binascii.a2b_hex")) == []
+    # one array codec, the container's raw bytes: checkpoints and encoded
+    # splits both go through fileio.write_container and read_container, and
+    # no module, fileio included, imports a text codec for bytes
+    text_codecs = ("binascii", "base64")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in text_codecs]
+    assert found == []
 
 
-# --- the array codec ---
+# --- the array codec: the container ---
 
 CODEC_VALUES = {
     "<f8": [[-0.0, 5e-324, -1.7976931348623157e308], [0.1, np.nextafter(1.0, 2.0), 1e-310]],
@@ -123,16 +131,26 @@ CODEC_VALUES = {
 
 
 @pytest.mark.parametrize("dtype", sorted(CODEC_VALUES))
-def test_codec_round_trips_each_dtype(dtype):
-    for arr in (np.array(CODEC_VALUES[dtype], dtype), np.array(CODEC_VALUES[dtype], dtype).T,
+def test_codec_round_trips_each_dtype(dtype, tmp_path):
+    # each array beside a float64 one, so the second array's offsets span
+    # the first's bytes at its own itemsize; a big-endian array is written
+    # little-endian
+    path, twin = tmp_path / "a.bin", tmp_path / "twin.bin"
+    values = np.array(CODEC_VALUES[dtype], dtype)
+    for arr in (values, values.T, values.astype(values.dtype.newbyteorder(">")),
                 np.zeros((0, 3), dtype), np.array(CODEC_VALUES[dtype][0][2], dtype)):
-        entry = json.loads(json.dumps(encode_array(arr, dtype)))
-        # the independent codec writes the same text
-        assert entry == array_entry(arr, dtype)
-        back = decode_array(entry, (dtype,), "x")
-        assert back.shape == arr.shape and back.dtype == np.dtype(dtype).newbyteorder("=")
-        assert back.flags.writeable and back.flags.c_contiguous
-        assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
+        arrays = {"a": arr, "b": np.array([0.5, -2.0])}
+        write_container({"format": "thing.v1"}, arrays, path)
+        # the independent codec writes the same bytes
+        checkpoint_codec.save(twin, {"format": "thing.v1", "params": arrays})
+        assert path.read_bytes() == twin.read_bytes()
+        for dtypes in ((dtype, "<f8"), {"a": (dtype,), "b": ("<f8",)}):
+            doc, back = read_container(path, "thing", "thing.v1", dtypes)
+            assert doc == {"format": "thing.v1"} and list(back) == ["a", "b"]
+            assert back["a"].shape == arr.shape
+            assert back["a"].dtype == np.dtype(dtype).newbyteorder("=")
+            assert back["a"].flags.writeable and back["a"].flags.c_contiguous
+            assert np.array_equal(back["a"], arr) and back["b"].tobytes() == arrays["b"].tobytes()
 
 
 @pytest.mark.parametrize("largest, dtype", [(65_535, "<u2"), (65_536, "<u4"), (None, "<u2")],
@@ -142,101 +160,74 @@ def test_split_indices_take_the_narrowest_type(largest, dtype, tmp_path):
     labels = np.arange(len(sequences)) % 2
     path = tmp_path / "split.json"
     save_encoded_dataset(ClassifyDataset(sequences, labels, 2, "d"), "train", path)
-    doc = json.loads(path.read_text())
-    assert (doc["sequences"]["dtype"], doc["labels"]["dtype"]) == (dtype, "|u1")
+    params = checkpoint_codec.unpack(path.read_bytes())[0]["params"]
+    assert (params["sequences"]["dtype"], params["labels"]["dtype"]) == (dtype, "|u1")
     data = load_encoded_dataset(path)
     assert data.sequences.dtype == data.labels.dtype == np.int64
     assert np.array_equal(data.sequences, sequences) and np.array_equal(data.labels, labels)
 
 
-def _damage(entry: dict, damage: str) -> None:
-    data, dtype = entry["data"], entry["dtype"]
-    entry.update({
-        "odd length": {"data": data[:-1]},
-        "non-hex digit": {"data": "g" + data[1:]},
-        "non-ASCII text": {"data": "\u00e9" + data[1:]},
-        "dtype not allowed": {"dtype": "<i8" if dtype != "<f8" else ">f8"},
-        "byte count": {"data": data[:-2 * np.dtype(dtype).itemsize]},
-    }[damage])
-
-
-DAMAGE_REASONS = {
-    "odd length": "Odd-length string",
-    "non-hex digit": "Non-hexadecimal digit found",
-    "non-ASCII text": "only ASCII characters",
-    "dtype not allowed": "dtype must be one of",
-    "byte count": "bytes, shape",
-}
-
-
-def _damage_checkpoint(blob: bytes, name: str, damage: str) -> bytes:
-    """A checkpoint whose array `name` is damaged as `_damage` damages a
-    split's hex entry: its span cut to part of a value (odd length) or one
-    value short (byte count), a string among its offsets (non-hex digit),
-    or another dtype (`"<f\u00e9"` for non-ASCII text, `">f8"`); the arrays
-    after a cut span move up with it."""
+def _damage(blob: bytes, name: str, damage: str) -> bytes:
+    """A container whose array `name` is damaged the nearest way to the
+    damages of the old hex entries: its span cut by one byte (odd length)
+    or by one value (byte count), a string among its offsets (non-hex
+    digit), or a dtype with a non-ASCII letter or another byte order; the
+    arrays after a cut span move up with it."""
     header, payload = checkpoint_codec.unpack(blob)
     entry = header["params"][name]
     begin, end = entry["offsets"]
-    cut = {"odd length": 1, "byte count": 8}.get(damage)
+    dtype = entry["dtype"]
+    cut = {"odd length": 1, "byte count": np.dtype(dtype).itemsize}.get(damage)
     if cut:
         payload = payload[:end - cut] + payload[end:]
         for e in header["params"].values():
             e["offsets"] = [v - cut if v >= end else v for v in e["offsets"]]
     else:
         entry.update({"non-hex digit": {"offsets": [begin, str(end)]},
-                      "non-ASCII text": {"dtype": "<f\u00e9"},
-                      "dtype not allowed": {"dtype": ">f8"}}[damage])
+                      "non-ASCII text": {"dtype": dtype[:2] + "\u00e9"},
+                      "dtype not allowed": {"dtype": ">" + dtype[1:]}}[damage])
     return checkpoint_codec.pack(header, payload)
 
 
-CHECKPOINT_DAMAGE_REASONS = {
+DAMAGE_REASONS = {
     "odd length": "offsets must be",
     "non-hex digit": "offsets must be",
-    "non-ASCII text": "dtype must be '<f8'",
-    "dtype not allowed": "dtype must be '<f8'",
+    "non-ASCII text": "dtype must be ",
+    "dtype not allowed": "dtype must be ",
     "byte count": "offsets must be",
 }
+# the dtypes each array may take, as a refusal names them
+ALLOWED = {"labels": "'|u1'", "sequences": "'<u2' or '<u4'"}
 
 
 @pytest.mark.parametrize("damage", DAMAGE_REASONS)
 @pytest.mark.parametrize("kind", ["checkpoint-eval", "checkpoint-census", "split"])
 def test_damaged_array_text_exits_2(kind, damage, good, tmp_path, capsys):
-    # a split's arrays are hex text; a checkpoint's are raw bytes, damaged at
-    # their span or their header entry the nearest way
-    if kind == "split":
-        doc = json.loads((good / "train.json").read_text())
-        damaged = []
-        for entry in (doc["sequences"], doc["labels"]):
-            original = dict(entry)
-            _damage(entry, damage)
-            damaged.append(json.dumps(doc).encode())
-            entry.update(original)
-        reason = DAMAGE_REASONS[damage]
-    else:
-        blob = (good / "ckpt.json").read_bytes()
-        names = sorted(checkpoint_codec.unpack(blob)[0]["params"])
-        damaged = [_damage_checkpoint(blob, name, damage) for name in names]
-        reason = CHECKPOINT_DAMAGE_REASONS[damage]
+    # checkpoints and splits keep their arrays as raw bytes in one
+    # container, damaged at their span or their header entry
+    blob = (good / ("train.json" if kind == "split" else "ckpt.json")).read_bytes()
+    names = sorted(checkpoint_codec.unpack(blob)[0]["params"])
     path = tmp_path / "input"
-    for k, content in enumerate(damaged):
-        path.write_bytes(content)
+    for name in names:
+        path.write_bytes(_damage(blob, name, damage))
         capsys.readouterr()
-        assert main(_argv(kind, path, good, tmp_path, sine=False)) == 2, k
+        assert main(_argv(kind, path, good, tmp_path, sine=False)) == 2, name
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, (k, err)
-        assert "malformed" in err and reason in err, (k, err)
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (name, err)
+        reason = DAMAGE_REASONS[damage]
+        if reason.startswith("dtype"):
+            reason += ALLOWED.get(name, "'<f8'")
+        assert f"malformed parameter array {name!r}" in err and reason in err, (name, err)
 
 
 def test_v2_files_exit_2_naming_the_expected_format(good, tmp_path, capsys):
     # old files are refused by their tag, whatever they hold; no reader
-    # converts them.  Every older checkpoint is one JSON document
+    # converts them.  Every older checkpoint and split is one JSON document
     for kind, source, tag, expected in (
             ("checkpoint-eval", "ckpt.json", "checkpoint", "checkpoint.v4"),
             ("checkpoint-census", "ckpt.json", "checkpoint", "checkpoint.v4"),
-            ("split", "train.json", "encoded", "encoded.v3")):
-        content = (good / source).read_bytes()
-        doc = json.loads(content) if kind == "split" else checkpoint_codec.unpack(content)[0]
+            ("split", "train.json", "encoded", "encoded.v4")):
+        doc = checkpoint_codec.unpack((good / source).read_bytes())[0]
         path = tmp_path / f"{tag}-v2.json"
         path.write_text(json.dumps({**doc, "format": f"{tag}.v2"}))
         capsys.readouterr()
@@ -322,6 +313,85 @@ def test_damaged_container_exits_2(damage, command, good, tmp_path, capsys):
     assert reason in err and captured.out == "", err
 
 
+
+def _with_arrays(doc: dict, **arrays) -> bytes:
+    """The container of a loaded split `doc` with `arrays` set in it."""
+    return checkpoint_codec.dumps({**doc, "params": {**doc["params"], **arrays}})
+
+
+def _with_entry(doc: dict, name: str, **fields) -> bytes:
+    """The container of a loaded split `doc` with `fields` set in the
+    header entry of its array `name`."""
+    header, payload = checkpoint_codec.unpack(checkpoint_codec.dumps(doc))
+    header["params"][name].update(fields)
+    return checkpoint_codec.pack(header, payload)
+
+
+def _header_cut(blob: bytes) -> bytes:
+    """`blob` cut one byte into its header."""
+    return blob[:8 + int.from_bytes(blob[:8], "little") - 1]
+
+
+# name: (a damaged file made from a good split loaded by checkpoint_codec,
+# words its one error line must hold): the container counterpart of every
+# refusal of the `encoded.v3` reader
+DAMAGED_SPLITS = {
+    "cut-in-the-length-prefix": (lambda d: checkpoint_codec.dumps(d)[:5],
+                                 "not a encoded.v4 file: 5 bytes"),
+    "cut-in-the-payload": (lambda d: checkpoint_codec.dumps(d)[:-1], "'sequences': offsets ["),
+    "header-past-the-end": (lambda d: _header_cut(checkpoint_codec.dumps(d)),
+                            "runs past the file's end"),
+    "header-not-json": (lambda d: _header_text(b"format: encoded.v4", b""), "not valid JSON"),
+    "another-format": (lambda d: checkpoint_codec.dumps({**d, "format": "encoded.v5"}),
+                       "unsupported format 'encoded.v5', expected 'encoded.v4'"),
+    "v3-json-split": (lambda d: json.dumps(checkpoint_codec.v3_split(d)).encode(),
+                      "unsupported format 'encoded.v3', expected 'encoded.v4'"),
+    "missing-array": (lambda d: checkpoint_codec.dumps(
+                          {**d, "params": {"sequences": d["params"]["sequences"]}}),
+                      "params must hold the arrays ['labels', 'sequences'], got ['sequences']"),
+    "extra-array": (lambda d: _with_arrays(d, weights=np.zeros(2)),
+                    "got ['labels', 'sequences', 'weights']"),
+    "bad-shape": (lambda d: _with_entry(d, "sequences", shape=[2, -1]),
+                  "'sequences': shape must be a list of non-negative integers"),
+    "bad-label-dtype": (lambda d: _with_entry(d, "labels", dtype="<u2"),
+                        "'labels': dtype must be '|u1', got '<u2'"),
+    "bad-index-dtype": (lambda d: _with_arrays(d, sequences=d["params"]["sequences"] * 1.0),
+                        "'sequences': dtype must be '<u2' or '<u4', got '<f8'"),
+    "bad-offsets": (lambda d: _with_entry(d, "sequences", offsets=[len(d["params"]["labels"])]),
+                    "'sequences': offsets must be ["),
+    "gap": (lambda d: _with_entry(d, "labels", offsets=[1, 1 + len(d["params"]["labels"])]),
+            "'labels': offsets must be [0, "),
+    "trailing-payload-bytes": (lambda d: checkpoint_codec.dumps(d) + bytes(2), "the payload holds"),
+    "labels-not-0-or-1": (lambda d: _with_arrays(d, labels=d["params"]["labels"] + 2),
+                          "labels must be 0 or 1"),
+    "max-len-zero": (lambda d: checkpoint_codec.dumps({**d, "max_len": 0}), "max_len"),
+    "max-len-not-an-integer": (lambda d: checkpoint_codec.dumps({**d, "max_len": "two"}),
+                               "max_len"),
+    "vocab-digest-not-a-string": (lambda d: checkpoint_codec.dumps({**d, "vocab_digest": None}),
+                                  "vocab_digest must be a string, got None"),
+    "rows-one-token-short": (lambda d: _with_arrays(d, sequences=d["params"]["sequences"][:, 1:]),
+                             "expected [N, 6] and [N]"),
+    "a-label-short": (lambda d: _with_arrays(d, labels=d["params"]["labels"][1:]),
+                      "expected [N, 6] and [N]"),
+    "labels-not-one-dimensional": (lambda d: _with_arrays(d, labels=d["params"]["labels"][:, None]),
+                                   "expected [N, 6] and [N]"),
+}
+
+
+@pytest.mark.parametrize("command", ["split", "split-eval"])
+@pytest.mark.parametrize("damage", DAMAGED_SPLITS)
+def test_damaged_split_container_exits_2(damage, command, good, tmp_path, capsys):
+    make, reason = DAMAGED_SPLITS[damage]
+    path = tmp_path / "damaged.json"
+    path.write_bytes(make(checkpoint_codec.load(good / "train.json")))
+    capsys.readouterr()
+    assert main(_argv(command, path, good, tmp_path, sine=False)) == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert reason in err and captured.out == "", err
+
+
 # --- seeded mutation fuzz ---
 
 MUTATIONS = ("truncate", "drop-key", "reshape", "nan", "out-of-range", "wrong-type", "not-utf8")
@@ -368,24 +438,30 @@ def _argv(kind: str, path: Path, good: Path, work: Path, sine: bool) -> list[str
                             *([] if sine else ["--data", str(good / "test.json")])],
         "checkpoint-census": ["census", "--ckpt", str(path)],
         "split": [*basic, "--data", str(path), *vocab],
+        "split-eval": ["eval", "--ckpt", str(good / "ckpt.json"), "--data", str(path)],
         "vocabulary": [*basic, *data, "--vocab", str(path)],
         "vectors": [*train, *data, *vocab, "--embedding", "glove", "--vectors", str(path)],
         "csv": ["preprocess", "--data-dir", str(path.parent), "--out", str(work / "enc")],
     }[kind]
 
 
-def _checkpoint(rng: random.Random, blob: bytes, mutation: str, evaluated: bool) -> bytes:
-    """A damaged checkpoint; `evaluated` says the command runs the model,
-    so a finite payload that overflows its forward pass is damage too."""
-    doc, payload = checkpoint_codec.unpack(blob)
+def _container(rng: random.Random, blob: bytes, mutation: str) -> bytes | None:
+    """A container, checkpoint or split, damaged as either kind: bytes that
+    are not UTF-8 inside its header text, or cut in its length prefix, its
+    header or its payload; None for another mutation."""
     if mutation == "not-utf8":
-        # bytes that are not UTF-8 inside the header text
         text = blob[8:8 + int.from_bytes(blob[:8], "little")]
         at = rng.randrange(1, len(text.rstrip()) - 1)
-        return _header_text(text[:at] + rng.choice(NOT_UTF8) + text[at:], payload)
+        return _header_text(text[:at] + rng.choice(NOT_UTF8) + text[at:], blob[8 + len(text):])
     if mutation == "truncate":
-        # cut in the length prefix, in the header or in the payload
         return blob[:rng.randrange(len(blob))]
+    return None
+
+
+def _checkpoint(rng: random.Random, blob: bytes, mutation: str, evaluated: bool) -> bytes:
+    """A damaged checkpoint, for a mutation `_container` leaves; `evaluated` says the command runs the model,
+    so a finite payload that overflows its forward pass is damage too."""
+    doc, payload = checkpoint_codec.unpack(blob)
     params = doc["params"]
     name = rng.choice(sorted(params))
     entry = params[name]
@@ -432,47 +508,49 @@ def _checkpoint(rng: random.Random, blob: bytes, mutation: str, evaluated: bool)
     return checkpoint_codec.pack(doc, payload)
 
 
-def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
-    """A damaged `encoded.v3` split; `n_rows` is the embedding's row count."""
-    seq_entry, label_entry = doc["sequences"], doc["labels"]
-    index = seq_entry["dtype"]
-    seqs, labels = entry_values(seq_entry), entry_values(label_entry)
+def _split(rng: random.Random, blob: bytes, mutation: str, n_rows: int) -> bytes:
+    """A damaged `encoded.v4` split, for a mutation `_container` leaves:
+    its arrays changed and written again, or its header changed over the
+    same payload; `n_rows` is the embedding's row count."""
+    doc = checkpoint_codec.loads(blob)
+    header, payload = checkpoint_codec.unpack(blob)
+    arrays, entries = doc["params"], header["params"]
+    seqs, labels = arrays["sequences"], arrays["labels"]
     row = rng.randrange(len(seqs))
     col = rng.randrange(seqs.shape[1])
-    entry = rng.choice([seq_entry, label_entry])
+    name = rng.choice(["sequences", "labels"])
+    entry = entries[name]
+    # (object, key) of every field the reader needs
+    fields = [*((header, k) for k in ("format", "max_len", "vocab_digest", "params")),
+              (entries, name), *((entry, k) for k in ("shape", "dtype", "offsets"))]
     if mutation == "drop-key":
-        where, key = rng.choice([
-            *((doc, k) for k in ("format", "max_len", "vocab_digest", "sequences", "labels")),
-            (entry, "shape"), (entry, "dtype"), (entry, "data"),
-        ])
+        where, key = rng.choice(fields)
         del where[key]
     elif mutation == "reshape":
         choice = rng.randrange(5)
         if choice == 0:
-            seq_entry["shape"] = [seqs.size]  # flattened
+            entries["sequences"]["shape"] = [seqs.size]  # flattened
         elif choice == 1:
-            # each row one token short or long, its shape to match
-            width = seqs.shape[1] + rng.choice([-1, 1])
-            doc["sequences"] = array_entry(np.resize(seqs, (len(seqs), width)), index)
+            # each row one token short or long
+            arrays["sequences"] = np.resize(seqs, (len(seqs), seqs.shape[1] + rng.choice([-1, 1])))
+            return checkpoint_codec.dumps(doc)
         elif choice == 2:
-            label_entry["shape"] = [len(labels), 1]
+            entries["labels"]["shape"] = [len(labels), 1]
         elif choice == 3:
-            doc["labels"] = array_entry(labels[:-1], "|u1")  # a label short
+            arrays["labels"] = labels[:-1]  # a label short
+            return checkpoint_codec.dumps(doc)
         else:
-            # `data` one element short or long of its shape
-            values = decode(entry["data"], entry["dtype"])
-            entry["data"] = encode(values[:-1] if rng.random() < 0.5 else [*values, 0],
-                                   entry["dtype"])
+            # the offsets one element short or long of the shape
+            entry["offsets"][1] += rng.choice([-1, 1]) * np.dtype(entry["dtype"]).itemsize
     elif mutation == "nan":
         # a float64 NaN's bit pattern where an index or a label belongs: its
-        # most significant bytes, as many as the entry's type holds
+        # most significant bytes, as many as the array's type holds
         nan = np.array([rng.choice([float("nan"), -float("nan")])], "<f8")
         if rng.random() < 0.5:
-            seqs[row, col] = nan.view(index)[-1]
-            seq_entry["data"] = encode(seqs, index)
+            seqs[row, col] = nan.view(seqs.dtype)[-1]
         else:
             labels[row] = nan.view("|u1")[-1]
-            label_entry["data"] = encode(labels, "|u1")
+        return checkpoint_codec.dumps(doc)
     elif mutation == "out-of-range":
         choice = rng.randrange(3)
         if choice == 0:
@@ -480,18 +558,16 @@ def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
             # past 2**32 - 1 as int64, which a split may not use
             seqs = seqs.astype(np.int64)
             seqs[row, col] = rng.choice([-1, n_rows, n_rows + 7, 2**16, 2**63 - 1, -(2**63)])
-            doc["sequences"] = index_entry(seqs)
-        elif choice == 1:
+            arrays["sequences"] = seqs.astype(index_dtype(seqs))
+            return checkpoint_codec.dumps(doc)
+        if choice == 1:
             labels[row] = rng.choice([2, 255])  # 255 is -1's byte
-            label_entry["data"] = encode(labels, "|u1")
-        else:
-            doc["max_len"] = rng.choice([0, -6, seqs.shape[1] + 1])
+            return checkpoint_codec.dumps(doc)
+        header["max_len"] = rng.choice([0, -6, seqs.shape[1] + 1])
     else:  # wrong-type
         choice = rng.randrange(4)
         if choice == 0:
-            where = rng.choice([doc, entry])
-            key = rng.choice(["sequences", "labels", "max_len", "format", "vocab_digest"]
-                             if where is doc else ["shape", "dtype", "data"])
+            where, key = rng.choice(fields)
             where[key] = rng.choice(["7", 6.5, True, None, {}])
         elif choice == 1:
             # a bool, a float, a string or null among the shape's sizes
@@ -499,16 +575,13 @@ def _split(rng: random.Random, doc: dict, mutation: str, n_rows: int) -> dict:
                 [True, False, 2.5, "3", None]
             )
         elif choice == 2:
-            # v1's decimal list where the hex string belongs
-            entry["data"] = (seqs if entry is seq_entry else labels).tolist()
+            # v1's decimal list, floats or strings where the offsets belong
+            begin, end = entry["offsets"]
+            entry["offsets"] = rng.choice([arrays[name].ravel().tolist(),
+                                           [float(begin), float(end)], [str(begin), str(end)]])
         else:
-            data = entry["data"]
-            at = rng.randrange(len(data))
-            entry["data"] = rng.choice([
-                f"{data[:at]}{rng.choice('!*-_.~ ')}{data[at + 1:]}",  # not hex
-                data + "a",  # an odd number of hex digits
-            ])
-    return doc
+            entry["dtype"] = rng.choice(["<i8", ">u2", "uint16", 2, "<f8"])
+    return checkpoint_codec.pack(header, payload)
 
 
 def _vocabulary(rng: random.Random, doc: dict, mutation: str, max_index: int) -> dict:
@@ -590,12 +663,18 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
         "csv": tiny_corpus_dir / "train.csv",
     }[kind]
     content = source.read_bytes()
-    if kind.startswith("checkpoint"):
-        path.write_bytes(_checkpoint(rng, content, mutation, kind == "checkpoint-eval"))
+    if kind.startswith("checkpoint") or kind == "split":
+        damaged = _container(rng, content, mutation)
+        if damaged is None and kind == "split":
+            n_rows = len(json.loads((good / "vocab.json").read_text())["tokens"]) + 2
+            damaged = _split(rng, content, mutation, n_rows)
+        elif damaged is None:
+            damaged = _checkpoint(rng, content, mutation, kind == "checkpoint-eval")
+        path.write_bytes(damaged)
     elif mutation == "not-utf8":
         at = rng.randrange(len(content))
         path.write_bytes(content[:at] + rng.choice(NOT_UTF8) + content[at:])
-    elif mutation == "truncate" and kind in ("split", "vocabulary"):
+    elif mutation == "truncate" and kind == "vocabulary":
         # a JSON object cut anywhere before its closing brace is invalid
         path.write_bytes(content[: rng.randrange(len(content.rstrip()) - 1)])
     elif kind == "csv":
@@ -606,15 +685,8 @@ def _mutate(kind: str, mutation: str, rng: random.Random, good: Path, tiny_corpu
         lines = content.decode("utf-8").splitlines()
         path.write_text("\n".join(_vectors(rng, lines, mutation)) + "\n")
     else:
-        doc = json.loads(content)
-        split = json.loads((good / "train.json").read_text())
-        if kind == "split":
-            n_rows = len(json.loads((good / "vocab.json").read_text())["tokens"]) + 2
-            doc = _split(rng, doc, mutation, n_rows)
-        else:
-            max_index = int(entry_values(split["sequences"]).max())
-            doc = _vocabulary(rng, doc, mutation, max_index)
-        path.write_text(json.dumps(doc))
+        max_index = int(checkpoint_codec.load(good / "train.json")["params"]["sequences"].max())
+        path.write_text(json.dumps(_vocabulary(rng, json.loads(content), mutation, max_index)))
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)

@@ -4,7 +4,6 @@ process, gives the same digest for each output; and the matrix's report of
 how large a difference is."""
 from __future__ import annotations
 
-import base64
 import json
 from pathlib import Path
 
@@ -28,9 +27,10 @@ def test_differing_outputs_report_each_array_column_and_number(tmp_path):
     # b's values sit 1e-12 (relative) off a's in one array of a checkpoint,
     # one column of a curves file, one list of a metrics file and one number
     # of a stdout; equal values and `wall_time_seconds` are not reported,
-    # nor the arrays of a split whose v2 int64 arrays hold the values of its
-    # v3 narrow ones, nor a v3 checkpoint's `version`; a's checkpoint is a v3
-    # JSON document and b's a v4 container, so each file's `format` is
+    # nor the arrays of a split whose v3 hex entries hold the values of its
+    # v4 container's arrays, nor a v3 checkpoint's `version`; a's checkpoint
+    # and split are v3 JSON documents and b's v4 containers, so each file's
+    # `format` is
     outputs = {}
     for side, moved in (("a", 1.0), ("b", 1.0 + 1e-12)):
         work = tmp_path / side
@@ -44,17 +44,16 @@ def test_differing_outputs_report_each_array_column_and_number(tmp_path):
         else:
             checkpoint_codec.save(work / "ck.ckpt", {"format": "checkpoint.v4",
                                                      "hyperparameters": hp, "params": arrays})
-        sequences, labels = [[2, 65_535], [0, 1]], [1, 0]
+        record = {"split": "train", "max_len": 2, "vocab_digest": "d"}
+        split = {"sequences": np.array([[2, 65_535], [0, 1]], "<u2"),
+                 "labels": np.array([1, 0], "|u1")}
         if side == "a":
-            split = {"format": "encoded.v2", **{
-                key: {"shape": list(np.shape(values)), "data": base64.b64encode(
-                    np.array(values, "<i8").tobytes()).decode("ascii")}
-                for key, values in (("sequences", sequences), ("labels", labels))}}
+            entries = {key: checkpoint_codec.array_entry(arr) for key, arr in split.items()}
+            (work / "split.json").write_text(json.dumps(
+                {"format": "encoded.v3", **record, **entries}))
         else:
-            split = {"format": "encoded.v3",
-                     "sequences": checkpoint_codec.array_entry(sequences, "<u2"),
-                     "labels": checkpoint_codec.array_entry(labels, "|u1")}
-        (work / "split.json").write_text(json.dumps(split))
+            checkpoint_codec.save(work / "split.json",
+                                  {"format": "encoded.v4", **record, "params": split})
         (work / "curves.json").write_text(f"# x actual predicted epoch\n0.5 1.0 {0.25 * moved!r} 1\n")
         (work / "metrics.json").write_text(json.dumps(
             {"format": "metrics.v1", "wall_time_seconds": moved, "loss_curve": [0.5, 0.5 * moved],
@@ -67,6 +66,6 @@ def test_differing_outputs_report_each_array_column_and_number(tmp_path):
              for name in ("ck.ckpt", "split.json", "curves.json", "metrics.json", "eval x: stdout")}
     assert sizes == {"ck.ckpt": ["format: 'checkpoint.v3' against 'checkpoint.v4'",
                                  "params.w: 1e-12"],
-                     "split.json": ["format: 'encoded.v2' against 'encoded.v3'"],
+                     "split.json": ["format: 'encoded.v3' against 'encoded.v4'"],
                      "curves.json": ["predicted: 1e-12"],
                      "metrics.json": ["loss_curve: 1e-12"], "eval x: stdout": ["numbers: 1e-12"]}
