@@ -15,7 +15,9 @@ checkpoint takes no `--threshold`, and `preprocess --no-balance` no
 
 A flag whose setting has a default in the library has none in the parser:
 an unset one is not passed (`_given`), so the callee's default applies,
-and its `--help` line reads that default from the callee.
+and its `--help` line reads that default from the callee.  The parser is
+built once per process (`build_parser`), so a process that calls `main`
+many times builds it once.
 
 `preprocess` writes `encoded.v4` splits in the checkpoint's container
 (`fileio.write_container`): the token indices in the narrowest unsigned
@@ -29,16 +31,18 @@ files or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import logging
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import (
-    SPLITS, VOCAB_FORMAT, Vocabulary, balance, build_vocab, load_dataset, tokenize,
+    OOV_INDEX, SPLITS, VOCAB_FORMAT, Vocabulary, balance, build_vocab, load_dataset, tokenize,
 )
 from .embedding import MODES, _check_table_count, build_embedding_matrix, load_vectors
 from .errors import DataError, DivergenceError, _check_settings
@@ -88,8 +92,10 @@ def encode_corpus(
     # np.zeros pads with PAD_INDEX, which is 0; a measured slowdown after
     # np.full(PAD_INDEX) was heap-layout noise, not the fill
     sequences = np.zeros((len(token_lists), max_len), dtype=np.int64)
+    # `map` calls the dict's lookup from C: no bytecode runs per token
+    index = vocab.token_to_index.get
     for row, tokens in zip(sequences, token_lists):
-        ids = [vocab.index_of(t) for t in tokens[-max_len:]]
+        ids = list(map(index, tokens[-max_len:], repeat(OOV_INDEX)))
         row[:len(ids)] = ids
     return ClassifyDataset(
         sequences=sequences, labels=np.array(labels, dtype=np.int64), max_len=max_len,
@@ -392,7 +398,12 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: a build takes
+    about 1 ms, which a process that calls `main` many times (the tests,
+    the benchmark's set-up) would pay on each call.  A parse leaves the
+    parser as it was, so callers share it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="qvuln",
         description="Classical and quantum LSTM pipeline for function-level "

@@ -30,15 +30,21 @@ SINGLE_CHARS = set("(){}[];,.<>=+-*/%&|^!~?:#\"'")
 
 # a line comment, a block comment (an unterminated one runs to the end), or
 # a string or char literal (backslash escapes the next character; an
-# unterminated one runs to the end)
+# unterminated one runs to the end).  The two literal branches hold no
+# capture group: every branch then opens with a literal character, so `re`
+# skips ahead to the next "/", '"' or "'" instead of trying the pattern at
+# each position, which took the pass over three times as long.
 _COMMENT_OR_LITERAL = re.compile(
-    r"""//[^\n]*|/\*(?:.*?\*/|.*)|(["'])(?:\\.|\\$|(?!\1)[^\\])*\1?""", re.S
+    r"""//[^\n]*|/\*(?:.*?\*/|.*)|"(?:\\.|\\$|[^"\\])*"?|'(?:\\.|\\$|[^'\\])*'?""", re.S
 )
 _SINGLE_CLASS = re.escape("".join(sorted(SINGLE_CHARS)))
-# a literal placeholder, an operator (longest first), or a word: a run of
-# characters that are neither whitespace nor punctuation
+# a word (a run of characters that are neither whitespace nor punctuation),
+# a literal placeholder, or an operator (longest first).  Words come first,
+# since most tokens are words: no character can start both a word and
+# another branch, so the order changes no match, only how many branches
+# `re` tries before one matches.
 _TOKEN = re.compile("|".join([
-    "''", '""', *map(re.escape, TWO_CHAR_OPS), f"[{_SINGLE_CLASS}]", rf"[^\s{_SINGLE_CLASS}]+",
+    rf"[^\s{_SINGLE_CLASS}]+", "''", '""', *map(re.escape, TWO_CHAR_OPS), f"[{_SINGLE_CLASS}]",
 ]))
 
 
@@ -70,9 +76,6 @@ class Vocabulary:
     def n_rows(self) -> int:
         """Row count for an aligned embedding matrix (V + 2)."""
         return len(self.tokens) + 2
-
-    def index_of(self, token: str) -> int:
-        return self.token_to_index.get(token, OOV_INDEX)
 
     def digest(self) -> str:
         """sha256 over the ordered token list; identifies the vocabulary."""
@@ -158,8 +161,8 @@ def balance(corpus: LabeledCorpus, seed: int = 42) -> LabeledCorpus:
 def _placeholder(match: re.Match) -> str:
     """A comment becomes a space; a literal becomes a space-delimited empty
     literal of its own quote kind, so it stays one token."""
-    quote = match[1]
-    return f" {quote}{quote} " if quote else " "
+    quote = match[0][0]
+    return " " if quote == "/" else f" {quote}{quote} "
 
 
 def tokenize(code_text: str) -> list[str]:

@@ -157,23 +157,27 @@ def read_container(
     one it may take and its `offsets` the next itemsize x prod(shape)
     bytes of the payload, from 0 on, and the last array must end where the
     file does.  Each array comes back as a writable native-order copy; any
-    other file raises DataError naming `path`."""
+    other file raises DataError naming `path`, worded from `what`: "not a
+    checkpoint container", and "malformed parameter array" for a
+    checkpoint's arrays, which are a model's parameters, else "malformed
+    array"."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"{what} not found: {path}")
+    container = f"{'an' if what[0] in 'aeiou' else 'a'} {what} container"
     blob = path.read_bytes()
     if blob[:1] == b"{":
         # an older checkpoint or split is one JSON document, refused by its
         # format tag; the writer pads a header to a multiple of 8 bytes, so
         # the first byte of its length is never "{" (123)
         _json_object(_utf8(blob, path), path, fmt)
-        raise DataError(f"{path}: a JSON document, not a {fmt} file")
+        raise DataError(f"{path}: a JSON document, not {container}")
     if len(blob) < _PREFIX:
-        raise DataError(f"{path}: not a {fmt} file: {len(blob)} bytes, too short for the "
+        raise DataError(f"{path}: not {container}: {len(blob)} bytes, too short for the "
                         f"{_PREFIX}-byte header length")
     size = int.from_bytes(blob[:_PREFIX], "little")
     if size > len(blob) - _PREFIX:
-        raise DataError(f"{path}: not a {fmt} file: a header of {size} bytes runs past "
+        raise DataError(f"{path}: not {container}: a header of {size} bytes runs past "
                         f"the file's end at {len(blob)} bytes")
     doc = _json_object(_utf8(blob[_PREFIX:_PREFIX + size], path), path, fmt)
     params = doc.pop("params", None)
@@ -183,6 +187,7 @@ def read_container(
         raise DataError(f"{path}: params must hold the arrays {sorted(dtypes)}, "
                         f"got {sorted(params)}")
     payload = memoryview(blob)[_PREFIX + size:]
+    array = "parameter array" if what == "checkpoint" else "array"
     arrays, end = {}, 0
     for name, entry in params.items():
         allowed = dtypes[name] if isinstance(dtypes, dict) else dtypes
@@ -202,7 +207,7 @@ def read_container(
             if span[1] > len(payload):
                 raise ValueError(f"offsets {span} run past the payload's {len(payload)} bytes")
         except ValueError as exc:
-            raise DataError(f"{path}: malformed parameter array {name!r}: {exc}") from None
+            raise DataError(f"{path}: malformed {array} {name!r}: {exc}") from None
         arrays[name] = (np.frombuffer(payload, dtype, count, end)
                         .astype(dtype.newbyteorder("=")).reshape(shape))
         end = span[1]

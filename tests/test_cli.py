@@ -214,6 +214,24 @@ class TestHelpSnapshots:
                 assert {task: str(resolved[task][flag]) for task in expected} == expected, flag
 
 
+def test_the_shared_parser_keeps_no_state_between_calls(tiny_corpus_dir, tmp_path, capsys):
+    # `main` parses with one parser per process; a usage error and a --help
+    # exit before it finishes a parse, and neither may change a later one
+    assert cli.build_parser() is cli.build_parser()
+    argv = lambda out: ["preprocess", "--data-dir", str(tiny_corpus_dir), "--max-len", "6",
+                        "--max-vocab", "30", "--out", str(tmp_path / out)]
+    assert main(["preprocess", "--max-len", "x", "--out", str(tmp_path / "bad")]) == 1
+    assert main(["preprocess", "--help"]) == 0
+    assert main(argv("first")) == 0
+    assert main(argv("second")) == 0
+    assert "usage: qvuln preprocess" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    for name in ("vocab", "train", "validation", "test"):
+        first, second = ((tmp_path / run / f"{name}.json").read_bytes()
+                         for run in ("first", "second"))
+        assert first == second, name
+
+
 class _Built(Exception):
     """Raised in place of `train`, carrying the settings and inputs the
     handler built for it."""

@@ -176,17 +176,39 @@ class TestTokenize:
 
 class TestTokenizeEdgeCases:
     """Inputs where the comment and literal scanner runs off the end of the
-    text; each output was checked against the character-loop tokenizer."""
+    text, where one quote kind sits inside the other's literal, and where
+    `/` and `/=` meet comments; each output is also checked against the
+    character-loop tokenizer."""
 
     @pytest.mark.parametrize("code, tokens", [
         ("a /* b", ["a"]),
         ("a /*/ b", ["a"]),
         ("x = '\\", ["x", "=", "''"]),
         ('s = "abc', ["s", "=", '""']),
+        ('c = "it\'s";', ["c", "=", '""', ";"]),
+        ("q = '\"';", ["q", "=", "''", ";"]),
+        ("c = '\\'';", ["c", "=", "''", ";"]),
+        ('s = "a\\\\" + b;', ["s", "=", '""', "+", "b", ";"]),
+        ('s = "ab\\', ["s", "=", '""']),
+        ("a = b / c // d", ["a", "=", "b", "/", "c"]),
+        ("a /= b /* c */ / d", ["a", "/=", "b", "/", "d"]),
+        ("a/=b//c\nd", ["a", "/=", "b", "d"]),
+        ("a//=b", ["a"]),
+        ("x/*/=*/y/z", ["x", "y", "/", "z"]),
+        ("a = '/*' / b;", ["a", "=", "''", "/", "b", ";"]),
+        ("a /* b // c\n d", ["a"]),
+        ('s = "x" /* "y"', ["s", "=", '""']),
     ], ids=["unterminated-block-comment", "comment-opener-slash", "literal-ends-in-backslash",
-            "unterminated-string"])
+            "unterminated-string", "apostrophe-in-string", "double-quote-in-char",
+            "escaped-quote-in-char", "escaped-backslash-ends-string",
+            "unterminated-string-ends-in-backslash", "slash-before-line-comment",
+            "slash-assign-and-slash-around-block-comment", "slash-assign-before-line-comment",
+            "line-comment-swallows-slash-assign", "slash-assign-inside-block-comment",
+            "comment-opener-inside-char", "unterminated-block-comment-over-lines",
+            "unterminated-block-comment-after-string"])
     def test_golden(self, code, tokens):
         assert tokenize(code) == tokens
+        assert tokenizer_oracle.tokenize(code) == tokens
 
 
 def test_tokenize_matches_character_loop_oracle(corpus_dir):
@@ -209,18 +231,17 @@ class TestBuildVocab:
 
     def test_most_frequent_gets_index_two(self):
         vocab = build_vocab(self.corpus("a = b = c = d;", "x = y;"), max_vocab=10)
-        assert vocab.index_of("=") == 2
+        assert vocab.token_to_index["="] == 2
 
     def test_max_vocab_one(self):
         vocab = build_vocab(self.corpus("a a a b b c"), max_vocab=1)
         assert len(vocab.tokens) == 1
-        assert vocab.index_of("a") == 2
-        assert vocab.index_of("b") == OOV_INDEX
+        assert vocab.token_to_index == {"a": 2}
+        assert encode_corpus([["a", "b"]], [0], vocab, 2).sequences.tolist() == [[2, OOV_INDEX]]
 
     def test_tie_broken_by_first_occurrence(self):
         vocab = build_vocab(self.corpus("zeta alpha zeta alpha"), max_vocab=2)
-        assert vocab.index_of("zeta") == 2
-        assert vocab.index_of("alpha") == 3
+        assert vocab.token_to_index == {"zeta": 2, "alpha": 3}
 
     def test_n_rows_counts_pad_and_oov(self):
         vocab = build_vocab(self.corpus("a b c"), max_vocab=100)
@@ -246,8 +267,9 @@ class TestBuildVocab:
 
     def test_index_of_follows_token_order(self):
         vocab = build_vocab(self.corpus("a b c"), max_vocab=100)
-        assert [vocab.index_of(token) for token in vocab.tokens] == list(range(2, vocab.n_rows))
-        assert vocab.index_of("absent") == OOV_INDEX
+        assert [vocab.token_to_index[t] for t in vocab.tokens] == list(range(2, vocab.n_rows))
+        encoded = encode_corpus([[*vocab.tokens, "absent"]], [0], vocab, vocab.n_rows - 1)
+        assert encoded.sequences.tolist() == [[*range(2, vocab.n_rows), OOV_INDEX]]
 
 
 class TestVocabularySerialization:
@@ -286,7 +308,7 @@ class TestEncodeAndPad:
     def test_truncation_keeps_tail(self):
         vocab = Vocabulary(tokens=[str(k) for k in range(7)])
         enc = self.encode([str(k) for k in range(7)], vocab, max_len=4)
-        assert enc.tolist() == [vocab.index_of(str(k)) for k in (3, 4, 5, 6)]
+        assert enc.tolist() == [vocab.token_to_index[str(k)] for k in (3, 4, 5, 6)]
         assert PAD_INDEX not in enc.tolist()
 
     def test_oov_maps_to_one(self):

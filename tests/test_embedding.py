@@ -142,8 +142,8 @@ class TestBuildPretrained:
         table = self.table(rng, ["known1", "known2", "known3"], 4)
         vocab = Vocabulary(tokens=["known1", "ghost1", "ghost2", "known2"])
         matrix = build_embedding_matrix(vocab, [table], "fasttext", seed=2)
-        g1 = matrix.rows[vocab.index_of("ghost1")]
-        g2 = matrix.rows[vocab.index_of("ghost2")]
+        g1 = matrix.rows[vocab.token_to_index["ghost1"]]
+        g2 = matrix.rows[vocab.token_to_index["ghost2"]]
         np.testing.assert_array_equal(g1, g2)
         np.testing.assert_array_equal(matrix.rows[1], g1)
 

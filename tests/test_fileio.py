@@ -217,7 +217,8 @@ def test_damaged_array_text_exits_2(kind, damage, good, tmp_path, capsys):
         reason = DAMAGE_REASONS[damage]
         if reason.startswith("dtype"):
             reason += ALLOWED.get(name, "'<f8'")
-        assert f"malformed parameter array {name!r}" in err and reason in err, (name, err)
+        array = "array" if kind == "split" else "parameter array"
+        assert f"malformed {array} {name!r}: " in err and reason in err, (name, err)
 
 
 def test_v2_files_exit_2_naming_the_expected_format(good, tmp_path, capsys):
@@ -261,9 +262,9 @@ def _v3_document(header: dict, payload: bytes) -> bytes:
 # words its one error line must hold)
 DAMAGED_CONTAINERS = {
     "shorter-than-8-bytes": (lambda h, p: checkpoint_codec.pack(h, p)[:5],
-                             "not a checkpoint.v4 file: 5 bytes"),
+                             "not a checkpoint container: 5 bytes"),
     "header-past-the-end": (lambda h, p: _header_text(json.dumps(h).encode(), p)[:-len(p) - 1],
-                            "runs past the file's end"),
+                            "not a checkpoint container: a header of"),
     "header-not-utf8": (lambda h, p: _header_text(b'{"format": "checkpoint.v4\xff"}', p),
                         "not UTF-8 text"),
     "header-not-json": (lambda h, p: _header_text(b"format: checkpoint.v4", p),
@@ -337,10 +338,11 @@ def _header_cut(blob: bytes) -> bytes:
 # refusal of the `encoded.v3` reader
 DAMAGED_SPLITS = {
     "cut-in-the-length-prefix": (lambda d: checkpoint_codec.dumps(d)[:5],
-                                 "not a encoded.v4 file: 5 bytes"),
-    "cut-in-the-payload": (lambda d: checkpoint_codec.dumps(d)[:-1], "'sequences': offsets ["),
+                                 "not an encoded dataset container: 5 bytes"),
+    "cut-in-the-payload": (lambda d: checkpoint_codec.dumps(d)[:-1],
+                           "malformed array 'sequences': offsets ["),
     "header-past-the-end": (lambda d: _header_cut(checkpoint_codec.dumps(d)),
-                            "runs past the file's end"),
+                            "not an encoded dataset container: a header of"),
     "header-not-json": (lambda d: _header_text(b"format: encoded.v4", b""), "not valid JSON"),
     "another-format": (lambda d: checkpoint_codec.dumps({**d, "format": "encoded.v5"}),
                        "unsupported format 'encoded.v5', expected 'encoded.v4'"),
@@ -352,15 +354,15 @@ DAMAGED_SPLITS = {
     "extra-array": (lambda d: _with_arrays(d, weights=np.zeros(2)),
                     "got ['labels', 'sequences', 'weights']"),
     "bad-shape": (lambda d: _with_entry(d, "sequences", shape=[2, -1]),
-                  "'sequences': shape must be a list of non-negative integers"),
+                  "malformed array 'sequences': shape must be a list of non-negative integers"),
     "bad-label-dtype": (lambda d: _with_entry(d, "labels", dtype="<u2"),
-                        "'labels': dtype must be '|u1', got '<u2'"),
+                        "malformed array 'labels': dtype must be '|u1', got '<u2'"),
     "bad-index-dtype": (lambda d: _with_arrays(d, sequences=d["params"]["sequences"] * 1.0),
-                        "'sequences': dtype must be '<u2' or '<u4', got '<f8'"),
+                        "malformed array 'sequences': dtype must be '<u2' or '<u4', got '<f8'"),
     "bad-offsets": (lambda d: _with_entry(d, "sequences", offsets=[len(d["params"]["labels"])]),
-                    "'sequences': offsets must be ["),
+                    "malformed array 'sequences': offsets must be ["),
     "gap": (lambda d: _with_entry(d, "labels", offsets=[1, 1 + len(d["params"]["labels"])]),
-            "'labels': offsets must be [0, "),
+            "malformed array 'labels': offsets must be [0, "),
     "trailing-payload-bytes": (lambda d: checkpoint_codec.dumps(d) + bytes(2), "the payload holds"),
     "labels-not-0-or-1": (lambda d: _with_arrays(d, labels=d["params"]["labels"] + 2),
                           "labels must be 0 or 1"),
@@ -390,6 +392,8 @@ def test_damaged_split_container_exits_2(damage, command, good, tmp_path, capsys
     err = captured.err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     assert reason in err and captured.out == "", err
+    # a split holds token indices and labels, not a model's parameters
+    assert "parameter" not in err and " a encoded" not in err, err
 
 
 # --- seeded mutation fuzz ---
